@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet test race bench bench-pipeline smoke chaos-smoke keyserver-smoke cluster-smoke cluster-chaos scan-smoke anomaly-smoke bench-telemetry bench-keyserver bench-ingest bench-gcd bench-cluster bench-scan bench-anomaly
+.PHONY: ci build vet bench-check test race bench bench-pipeline smoke chaos-smoke keyserver-smoke cluster-smoke cluster-chaos scan-smoke anomaly-smoke bench-telemetry bench-keyserver bench-ingest bench-gcd bench-cluster bench-scan bench-anomaly
 
-# ci is the full gate: compile everything, vet, run the test suite under
+# ci is the full gate: compile everything, vet (bench/ too), run the test suite under
 # the race detector (which includes every fault-injection test), smoke-
 # test the live telemetry path, the seeded-chaos recovery path, the
 # online key-check service, the replicated cluster (routing, sync and a
@@ -12,13 +12,20 @@ GO ?= go
 # key verdict classes end to end, guard the instrumentation hot-path
 # cost, and hold the batch-GCD kernel, the scan engine and the anomaly
 # probes to their throughput and exactness floors.
-ci: build vet race smoke chaos-smoke keyserver-smoke cluster-smoke cluster-chaos scan-smoke anomaly-smoke bench-telemetry bench-gcd bench-scan bench-anomaly
+ci: build vet bench-check race smoke chaos-smoke keyserver-smoke cluster-smoke cluster-chaos scan-smoke anomaly-smoke bench-telemetry bench-gcd bench-scan bench-anomaly
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# bench-check vets and tests bench/, the benchmark driver's module. It
+# is a module of its own that imports internal/..., so build/vet/race
+# above never compile it and an internal API change that breaks it would
+# otherwise only fail in the benchmark driver.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...

@@ -258,12 +258,16 @@ func BenchmarkRemainderTreeVariants(b *testing.B) {
 	root := tree.Root()
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tree.RemainderTree(root)
+			if _, err := tree.RemainderTreeCtx(context.Background(), root); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("squared", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tree.RemainderTreeSquared(root)
+			if _, err := tree.RemainderTreeSquaredCtx(context.Background(), root); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

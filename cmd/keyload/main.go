@@ -32,7 +32,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/factorable/weakkeys/internal/scanner"
+	"github.com/factorable/weakkeys/internal/retry"
 )
 
 type exemplars struct {
@@ -183,7 +183,7 @@ func main() {
 					lat = time.Since(t0)
 					if err != nil {
 						wk.transportErrs++
-						if attempt < *retries && scanner.Transient(err) {
+						if attempt < *retries && retry.Transient(err) {
 							continue
 						}
 						break

@@ -14,11 +14,7 @@ package batchgcd
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/big"
-
-	"github.com/factorable/weakkeys/internal/kernel"
-	"github.com/factorable/weakkeys/internal/prodtree"
 )
 
 // Result is the outcome of a batch GCD run for one input modulus.
@@ -52,53 +48,26 @@ func Factor(moduli []*big.Int) ([]Result, error) {
 // checked per work chunk, so a cancelled run returns promptly with an
 // error wrapping the context's.
 func FactorCtx(ctx context.Context, moduli []*big.Int) ([]Result, error) {
-	if len(moduli) == 0 {
-		return nil, ErrNoInput
-	}
-	distinct, backrefs := dedup(moduli)
-	tree, err := prodtree.NewCtx(ctx, distinct)
+	b, err := NewBatch(ctx, moduli)
 	if err != nil {
 		return nil, err
 	}
-	rems, err := tree.RemainderTreeSquaredCtx(ctx, tree.Root())
+	own, err := b.OwnResidues(ctx)
 	if err != nil {
 		return nil, err
 	}
-	// The per-modulus Quo+GCD sweeps are independent; fan them out on
-	// the pool into an index-aligned divisor slice, then collect in
-	// input order so the output stays byte-stable regardless of
-	// scheduling.
-	eng := kernel.FromContext(ctx)
-	divs := make([]*big.Int, len(distinct))
-	err = eng.Run(ctx, len(distinct), func(i int, a *kernel.Arena) {
-		n := distinct[i]
-		z, g := a.Get(), a.Get()
-		z.Quo(rems[i], n) // zi/Ni — exact cofactor of P/Ni modulo Ni
-		g.GCD(nil, nil, z, n)
-		if g.Cmp(bigOne) != 0 {
-			divs[i] = new(big.Int).Set(g)
-		}
-	})
+	divs, err := b.Divisors(ctx, own)
 	if err != nil {
-		return nil, fmt.Errorf("batchgcd: gcd sweep cancelled: %w", err)
+		return nil, err
 	}
-	var results []Result
-	for i := range distinct {
-		if divs[i] == nil {
-			continue
-		}
-		for _, orig := range backrefs[i] {
-			results = append(results, Result{Index: orig, Divisor: divs[i]})
-		}
-	}
-	return results, nil
+	return b.Results(divs), nil
 }
 
 var bigOne = big.NewInt(1)
 
-// dedup returns the distinct moduli and, for each, the list of original
-// indices that held that value.
-func dedup(moduli []*big.Int) (distinct []*big.Int, backrefs [][]int) {
+// Dedup returns the distinct moduli in first-seen order and, for each,
+// the list of original indices that held that value.
+func Dedup(moduli []*big.Int) (distinct []*big.Int, backrefs [][]int) {
 	seen := make(map[string]int, len(moduli))
 	for i, m := range moduli {
 		key := string(m.Bytes())
@@ -172,24 +141,4 @@ func FactorPairwise(moduli []*big.Int) ([]Result, error) {
 		}
 	}
 	return results, nil
-}
-
-// VulnerableSet runs Factor and returns the set of vulnerable input
-// indices, a convenience for callers that only need membership.
-func VulnerableSet(moduli []*big.Int) (map[int]bool, error) {
-	return VulnerableSetCtx(context.Background(), moduli)
-}
-
-// VulnerableSetCtx is VulnerableSet with cancellation, so the
-// convenience path is as abortable as the full FactorCtx it wraps.
-func VulnerableSetCtx(ctx context.Context, moduli []*big.Int) (map[int]bool, error) {
-	res, err := FactorCtx(ctx, moduli)
-	if err != nil {
-		return nil, err
-	}
-	set := make(map[int]bool, len(res))
-	for _, r := range res {
-		set[r.Index] = true
-	}
-	return set, nil
 }

@@ -160,6 +160,20 @@ func TestFactorCliqueBothPrimesShared(t *testing.T) {
 	}
 }
 
+// vulnerableSet is the membership view of a Factor run.
+func vulnerableSet(t *testing.T, moduli []*big.Int) map[int]bool {
+	t.Helper()
+	res, err := Factor(moduli)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := make(map[int]bool, len(res))
+	for _, r := range res {
+		set[r.Index] = true
+	}
+	return set
+}
+
 func TestFactorAgreesWithPairwise(t *testing.T) {
 	ps := corpus(t, 7, 12, 48)
 	rng := rand.New(rand.NewSource(77))
@@ -171,10 +185,7 @@ func TestFactorAgreesWithPairwise(t *testing.T) {
 		}
 		moduli = append(moduli, mul(ps[a], ps[b]))
 	}
-	batchSet, err := VulnerableSet(moduli)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batchSet := vulnerableSet(t, moduli)
 	pres, err := FactorPairwise(moduli)
 	if err != nil {
 		t.Fatal(err)
@@ -228,10 +239,7 @@ func TestFactorLargerCorpus(t *testing.T) {
 	// ps[0] also appears in moduli[0] = ps[0]*ps[1]: that one becomes
 	// vulnerable too.
 	wantVuln[0] = true
-	set, err := VulnerableSet(moduli)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := vulnerableSet(t, moduli)
 	for i := range moduli {
 		if set[i] != wantVuln[i] {
 			t.Errorf("index %d: got %v want %v", i, set[i], wantVuln[i])

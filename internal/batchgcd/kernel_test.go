@@ -2,7 +2,6 @@ package batchgcd
 
 import (
 	"context"
-	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -72,31 +71,5 @@ func TestFactorPooledMatchesSerial(t *testing.T) {
 					seed, i, sres[i].Index, sres[i].Divisor, pres[i].Index, pres[i].Divisor)
 			}
 		}
-	}
-}
-
-func TestVulnerableSetCtx(t *testing.T) {
-	mods := sharedPrimeCorpus(7, 120)
-	want, err := VulnerableSet(mods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := VulnerableSetCtx(context.Background(), mods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("VulnerableSetCtx found %d vulnerable, VulnerableSet %d", len(got), len(want))
-	}
-	for i := range want {
-		if !got[i] {
-			t.Fatalf("index %d missing from VulnerableSetCtx result", i)
-		}
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := VulnerableSetCtx(ctx, mods); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled VulnerableSetCtx returned %v, want context.Canceled", err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"github.com/factorable/weakkeys/internal/keycheck"
-	"github.com/factorable/weakkeys/internal/scanner"
+	"github.com/factorable/weakkeys/internal/retry"
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
@@ -127,15 +127,15 @@ func (e *replicaError) Error() string {
 }
 
 // classify buckets a transport error or replica status for the retry
-// policy, reusing the scanner's transport-error taxonomy: refused /
+// policy, reusing internal/retry's transport-error taxonomy: refused /
 // reset / timeout are the network weather a retry against the peer can
 // outrun; a replica's 503 (shedding or draining) and bad-gateway
 // statuses are the HTTP shape of the same thing. 4xx is the caller's
 // problem and never retried.
 func classify(replica string, status int, err error) *replicaError {
 	if err != nil {
-		cause := scanner.Cause(err)
-		return &replicaError{replica: replica, cause: cause, transient: scanner.Transient(err), err: err}
+		cause := retry.Cause(err)
+		return &replicaError{replica: replica, cause: cause, transient: retry.Transient(err), err: err}
 	}
 	switch status {
 	case http.StatusServiceUnavailable, http.StatusTooManyRequests,
@@ -169,7 +169,7 @@ func (r *Replica) Check(ctx context.Context, modulusHex string) (*checkResult, *
 	if err := json.Unmarshal(raw, &v); err != nil {
 		// A 200 with an undecodable body is a replica dying mid-write;
 		// retrying the peer is the right move.
-		return nil, &replicaError{replica: r.Name, cause: scanner.CauseReset, transient: true, err: err}
+		return nil, &replicaError{replica: r.Name, cause: retry.CauseReset, transient: true, err: err}
 	}
 	return &checkResult{verdict: v, replica: r.Name}, nil
 }
@@ -186,7 +186,7 @@ func (r *Replica) Ingest(ctx context.Context, moduliHex []string) (keycheck.Inge
 	}
 	var rep keycheck.IngestReport
 	if err := json.Unmarshal(raw, &rep); err != nil {
-		return keycheck.IngestReport{}, &replicaError{replica: r.Name, cause: scanner.CauseReset, transient: true, err: err}
+		return keycheck.IngestReport{}, &replicaError{replica: r.Name, cause: retry.CauseReset, transient: true, err: err}
 	}
 	return rep, nil
 }

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"github.com/factorable/weakkeys/internal/keycheck"
-	"github.com/factorable/weakkeys/internal/scanner"
+	"github.com/factorable/weakkeys/internal/retry"
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
@@ -97,8 +97,8 @@ type Router struct {
 	placement *Placement
 	replicas  map[string]*Replica
 	cfg       RouterConfig
-	budget    *scanner.Budget
-	jitter    *scanner.Jitter
+	budget    *retry.Budget
+	jitter    *retry.Jitter
 
 	metrics *telemetry.Registry
 	events  *telemetry.EventLog
@@ -153,14 +153,14 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		placement: p,
 		replicas:  make(map[string]*Replica, len(cfg.Replicas)),
 		cfg:       cfg,
-		jitter:    scanner.NewJitter(seed),
+		jitter:    retry.NewJitter(seed),
 		metrics:   cfg.Metrics,
 		events:    cfg.Events,
 		hedges:    cfg.Metrics.Counter("cluster_hedges_total"),
 		degraded:  cfg.Metrics.Counter("cluster_degraded_verdicts_total"),
 	}
 	if cfg.RetryBudget > 0 {
-		rt.budget = scanner.NewBudget(cfg.RetryBudget)
+		rt.budget = retry.NewBudget(cfg.RetryBudget)
 	}
 	for _, addr := range cfg.Replicas {
 		r := NewReplica(addr, cfg.RequestTimeout)
@@ -233,7 +233,7 @@ func (rt *Router) send(ctx context.Context, r *Replica, hex string) (*checkResul
 // settle reports a request outcome to the replica's breaker, counting
 // open transitions into the metrics.
 func (rt *Router) settle(r *Replica, rerr *replicaError) {
-	if rerr != nil && rerr.cause == scanner.CauseCanceled {
+	if rerr != nil && rerr.cause == retry.CauseCanceled {
 		r.Breaker.Forget()
 		return
 	}
@@ -414,7 +414,7 @@ func (rt *Router) scatter(ctx context.Context, hex string, need map[int]bool) ([
 			case <-ctx.Done():
 				return results, hops
 			}
-			backoff = scanner.DoubleBackoff(backoff, 2*time.Second)
+			backoff = retry.DoubleBackoff(backoff, 2*time.Second)
 		}
 		// Group this round's shards by their chosen owner: one request
 		// per replica covers every needed shard it owns.
@@ -572,7 +572,7 @@ rounds:
 				// doomed requests. Leftover moduli come back in Failed.
 				break rounds
 			}
-			backoff = scanner.DoubleBackoff(backoff, 2*time.Second)
+			backoff = retry.DoubleBackoff(backoff, 2*time.Second)
 		}
 		batches := make(map[*Replica][]int)
 		for i, s := range pending {

@@ -29,7 +29,6 @@ import (
 	"github.com/factorable/weakkeys/internal/faults"
 	"github.com/factorable/weakkeys/internal/kernel"
 	"github.com/factorable/weakkeys/internal/pipeline"
-	"github.com/factorable/weakkeys/internal/prodtree"
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
@@ -80,7 +79,8 @@ type Options struct {
 // modulus count and ItemsOut the number of vulnerable results.
 type Stats struct {
 	pipeline.Stats
-	// Subsets is the effective subset count k (clamped to the input size).
+	// Subsets is the effective subset count k (clamped to the number of
+	// distinct input moduli).
 	Subsets int
 	// Reassigned counts subset re-runs after node deaths.
 	Reassigned int
@@ -113,8 +113,9 @@ func Run(ctx context.Context, moduli []*big.Int, opts Options) ([]batchgcd.Resul
 	if k < 1 {
 		return nil, stats, errors.New("distgcd: Subsets must be >= 1")
 	}
-	if k > len(moduli) {
-		k = len(moduli)
+	distinct, backrefs := batchgcd.Dedup(moduli)
+	if k > len(distinct) {
+		k = len(distinct)
 	}
 	stats.Subsets = k
 	stats.ItemsIn = int64(len(moduli))
@@ -127,25 +128,17 @@ func Run(ctx context.Context, moduli []*big.Int, opts Options) ([]batchgcd.Resul
 	opts.Metrics.Gauge("distgcd_subsets").Set(float64(k))
 	ins := newGCDInstruments(opts.Metrics, opts.Events)
 
-	distinct, backrefs := dedup(moduli)
-
 	// Assign distinct moduli round-robin to k nodes. Round-robin keeps
-	// subset sizes balanced regardless of input ordering.
-	subsets := make([][]*big.Int, k)
-	subsetOrigin := make([][]int, k) // index into distinct
-	for i, m := range distinct {
-		node := i % k
-		subsets[node] = append(subsets[node], m)
-		subsetOrigin[node] = append(subsetOrigin[node], i)
+	// subset sizes balanced regardless of input ordering; k <= distinct
+	// count, so no subset is empty.
+	nodes := make([]*node, k)
+	for id := range nodes {
+		nodes[id] = &node{id: id, faults: opts.Faults, metrics: opts.Metrics}
 	}
-
-	nodes := make([]*node, 0, k)
-	for id := 0; id < k; id++ {
-		if len(subsets[id]) == 0 {
-			continue
-		}
-		nodes = append(nodes, &node{id: id, moduli: subsets[id], origin: subsetOrigin[id],
-			faults: opts.Faults, metrics: opts.Metrics})
+	for i, m := range distinct {
+		n := nodes[i%k]
+		n.moduli = append(n.moduli, m)
+		n.origin = append(n.origin, i)
 	}
 
 	// Phase 1 (supervised): every node builds its subset product tree.
@@ -166,7 +159,7 @@ func Run(ctx context.Context, moduli []*big.Int, opts Options) ([]batchgcd.Resul
 	// exchange — the survivors' pairwise GCDs are still exact.
 	products := make([]*big.Int, len(built))
 	for i, n := range built {
-		products[i] = n.tree.Root()
+		products[i] = n.batch.Product()
 	}
 
 	// Phase 2 (supervised): every node pairs every product with its own
@@ -175,7 +168,7 @@ func Run(ctx context.Context, moduli []*big.Int, opts Options) ([]batchgcd.Resul
 	// duplicate of a live straggler shares the original's tree, which is
 	// read-only during remainder computation.
 	reduceWork := func(ctx context.Context, n *node) error {
-		if n.tree == nil {
+		if n.batch == nil {
 			if err := n.buildTree(ctx); err != nil {
 				return err
 			}
@@ -184,7 +177,7 @@ func Run(ctx context.Context, moduli []*big.Int, opts Options) ([]batchgcd.Resul
 	}
 	reduceSpec := func(n *node) *node {
 		dup := n.replacement()
-		dup.tree, dup.treeBytes = n.tree, n.treeBytes
+		dup.batch, dup.treeBytes = n.batch, n.treeBytes
 		return dup
 	}
 	finished, lostReduce := runPhase(ctx, built, faults.PhaseReduce, reduceWork, reduceSpec, opts, ins)
@@ -233,11 +226,11 @@ func Run(ctx context.Context, moduli []*big.Int, opts Options) ([]batchgcd.Resul
 type node struct {
 	id      int
 	moduli  []*big.Int
-	origin  []int
+	origin  []int // index into the run's distinct moduli
 	faults  *faults.NodePlan
 	metrics *telemetry.Registry
 
-	tree      *prodtree.Tree
+	batch     *batchgcd.Batch
 	treeBytes int64
 	busy      time.Duration
 	divisors  []*big.Int
@@ -288,12 +281,12 @@ func (n *node) buildTree(ctx context.Context) error {
 		return err
 	}
 	t0 := time.Now()
-	tree, err := prodtree.NewCtx(ctx, n.moduli)
+	batch, err := batchgcd.NewBatch(ctx, n.moduli)
 	if err != nil {
 		return err
 	}
-	n.tree = tree
-	n.treeBytes = tree.Bytes()
+	n.batch = batch
+	n.treeBytes = batch.Bytes()
 	n.busy += time.Since(t0)
 	sp.SetArg("tree_bytes", n.treeBytes)
 	sp.SetArg("moduli", len(n.moduli))
@@ -301,13 +294,9 @@ func (n *node) buildTree(ctx context.Context) error {
 	return nil
 }
 
-// reduceAll combines the evidence from every subset product. For the
-// node's own product Ps the Bernstein squared-remainder trick removes the
-// modulus's own contribution: zs = (Ps mod Ni²)/Ni. Foreign products Pj
-// contribute Pj mod Ni directly. The product of all contributions modulo
-// Ni is congruent to (P/Ni) mod Ni for the global product P, so
-// gcd(Ni, ∏ contributions) equals the divisor the single-tree algorithm
-// reports.
+// reduceAll combines the evidence from every subset product into the
+// divisors the single-tree algorithm reports (see batchgcd.Batch): the
+// node's own residues, every foreign product folded in place, one gcd.
 func (n *node) reduceAll(ctx context.Context, products []*big.Int) error {
 	sp := telemetry.SpanFrom(ctx).ChildTrack(fmt.Sprintf("node%d.reduce", n.id), n.id+1)
 	defer sp.End()
@@ -321,9 +310,8 @@ func (n *node) reduceAll(ctx context.Context, products []*big.Int) error {
 	// reassigned worker rebuilt its tree, so its root is a different
 	// *big.Int from the one exchanged, with the same value.
 	self := -1
-	selfRoot := n.tree.Root()
 	for i, p := range products {
-		if p.Cmp(selfRoot) == 0 {
+		if p.Cmp(n.batch.Product()) == 0 {
 			self = i
 			break
 		}
@@ -332,70 +320,24 @@ func (n *node) reduceAll(ctx context.Context, products []*big.Int) error {
 		return errors.New("distgcd: node product missing from exchange")
 	}
 
-	// combined[i] accumulates ∏_j contribution_j mod Ni. The per-modulus
-	// loops are independent; they run on the shared kernel pool, so k
-	// concurrent nodes queue work on one GOMAXPROCS-wide pool instead of
-	// spawning k goroutine sets of their own.
-	eng := kernel.FromContext(ctx)
-	combined := make([]*big.Int, len(n.moduli))
-	zs, err := n.tree.RemainderTreeSquaredCtx(ctx, selfRoot)
+	// k concurrent nodes queue these passes on one GOMAXPROCS-wide
+	// kernel pool instead of spawning k goroutine sets of their own.
+	acc, err := n.batch.OwnResidues(ctx)
 	if err != nil {
 		return err
-	}
-	err = eng.Run(ctx, len(n.moduli), func(i int, a *kernel.Arena) {
-		z := a.Get()
-		z.Quo(zs[i], n.moduli[i])
-		combined[i] = new(big.Int).Mod(z, n.moduli[i])
-	})
-	if err != nil {
-		return fmt.Errorf("distgcd: node %d reduce cancelled: %w", n.id, err)
 	}
 	for j, p := range products {
 		if j == self {
 			continue
 		}
-		rems, err := n.tree.RemainderTreeCtx(ctx, p)
+		rems, err := n.batch.Residues(ctx, p)
 		if err != nil {
 			return err
 		}
-		err = eng.Run(ctx, len(n.moduli), func(i int, _ *kernel.Arena) {
-			combined[i].Mul(combined[i], rems[i])
-			combined[i].Mod(combined[i], n.moduli[i])
-		})
-		if err != nil {
-			return fmt.Errorf("distgcd: node %d reduce cancelled: %w", n.id, err)
+		if err := n.batch.Fold(ctx, acc, rems); err != nil {
+			return err
 		}
 	}
-
-	n.divisors = make([]*big.Int, len(n.moduli))
-	err = eng.Run(ctx, len(n.moduli), func(i int, a *kernel.Arena) {
-		g := a.Get()
-		g.GCD(nil, nil, combined[i], n.moduli[i])
-		if g.Cmp(one) != 0 {
-			n.divisors[i] = new(big.Int).Set(g)
-		}
-	})
-	if err != nil {
-		return fmt.Errorf("distgcd: node %d gcd sweep cancelled: %w", n.id, err)
-	}
-	return nil
-}
-
-var one = big.NewInt(1)
-
-// dedup mirrors batchgcd's deduplication so both entry points agree on
-// what "vulnerable" means for repeated inputs.
-func dedup(moduli []*big.Int) (distinct []*big.Int, backrefs [][]int) {
-	seen := make(map[string]int, len(moduli))
-	for i, m := range moduli {
-		key := string(m.Bytes())
-		if j, ok := seen[key]; ok {
-			backrefs[j] = append(backrefs[j], i)
-			continue
-		}
-		seen[key] = len(distinct)
-		distinct = append(distinct, m)
-		backrefs = append(backrefs, []int{i})
-	}
-	return distinct, backrefs
+	n.divisors, err = n.batch.Divisors(ctx, acc)
+	return err
 }

@@ -9,6 +9,7 @@ import (
 
 	"github.com/factorable/weakkeys/internal/batchgcd"
 	"github.com/factorable/weakkeys/internal/numtheory"
+	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
 func primes(t testing.TB, seed int64, n, bits int) []*big.Int {
@@ -132,6 +133,19 @@ func TestRunDuplicates(t *testing.T) {
 	}
 	if len(res) != 0 {
 		t.Errorf("duplicates must not be self-vulnerable: %v", res)
+	}
+	// k is clamped to the distinct count: four copies of one modulus run
+	// on one node, and the stats and gauge must say so.
+	reg := telemetry.New()
+	_, stats, err := Run(context.Background(), []*big.Int{n, n, n, n}, Options{Subsets: 4, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Subsets != 1 {
+		t.Errorf("Stats.Subsets = %d for 4 copies of one modulus, want 1", stats.Subsets)
+	}
+	if got := reg.Gauge("distgcd_subsets").Value(); got != 1 {
+		t.Errorf("distgcd_subsets = %v, want 1", got)
 	}
 }
 

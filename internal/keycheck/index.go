@@ -35,7 +35,7 @@ type shard struct {
 	factored map[string]Entry
 	// tree is the shard's modulus product tree. Keeping the whole tree
 	// (not just the root) is what lets Ingest extend it incrementally:
-	// prodtree.Extend reuses every node whose subtree gained no new
+	// prodtree.ExtendCtx reuses every node whose subtree gained no new
 	// leaf, and the leaf level doubles as the shard's exact membership
 	// list.
 	tree   *prodtree.Tree
@@ -209,26 +209,8 @@ func Build(ctx context.Context, in BuildInput) (*Snapshot, error) {
 			sh.cleanSample = append(sh.cleanSample, key)
 		}
 	}
-	// Vendor labels ride along with the factored entries so a verdict
-	// can name the implicated implementation, the paper's Section 3.3
-	// attribution surfaced per key.
-	if in.Fingerprint != nil {
-		for si := range snap.shards {
-			sh := snap.shards[si]
-			for key, e := range sh.factored {
-				for _, c := range in.Store.CertsWithModulus(key) {
-					fp, err := c.Fingerprint()
-					if err != nil {
-						continue
-					}
-					if lbl, ok := in.Fingerprint.Labels[fp]; ok {
-						e.Vendor, e.Attribution = lbl.Vendor, lbl.Method.String()
-						sh.factored[key] = e
-						break
-					}
-				}
-			}
-		}
+	for _, sh := range snap.shards {
+		labelEntries(in.Store, in.Fingerprint, sh.factored)
 	}
 	// Blooms and products. Products dominate build time; fan the shards
 	// out on the shared kernel pool, mirroring the subset partitioning
@@ -262,6 +244,28 @@ func Build(ctx context.Context, in BuildInput) (*Snapshot, error) {
 		}
 	}
 	return snap, nil
+}
+
+// labelEntries attaches vendor labels to factored entries whose
+// certificates fp labeled, so a verdict can name the implicated
+// implementation — the paper's Section 3.3 attribution surfaced per key.
+func labelEntries(store *scanstore.Store, fp *fingerprint.Result, entries map[string]Entry) {
+	if fp == nil {
+		return
+	}
+	for key, e := range entries {
+		for _, c := range store.CertsWithModulus(key) {
+			cfp, err := c.Fingerprint()
+			if err != nil {
+				continue
+			}
+			if lbl, ok := fp.Labels[cfp]; ok {
+				e.Vendor, e.Attribution = lbl.Vendor, lbl.Method.String()
+				entries[key] = e
+				break
+			}
+		}
+	}
 }
 
 // shardOf maps a modulus key to its home shard by FNV-1a hash.

@@ -8,8 +8,10 @@ import (
 
 	"github.com/factorable/weakkeys/internal/anomaly"
 	"github.com/factorable/weakkeys/internal/batchgcd"
+	"github.com/factorable/weakkeys/internal/fingerprint"
 	"github.com/factorable/weakkeys/internal/kernel"
 	"github.com/factorable/weakkeys/internal/prodtree"
+	"github.com/factorable/weakkeys/internal/scanstore"
 )
 
 // ShardIngest is the per-shard ledger of one Ingest: how many moduli and
@@ -81,13 +83,52 @@ func (d *shardDelta) entry(key string, e Entry) {
 	d.newEntries[key] = e
 }
 
+func (d *shardDelta) empty() bool {
+	return len(d.newMods) == 0 && len(d.newEntries) == 0 && len(d.newShared) == 0
+}
+
+// ingestDelta is a delta corpus partitioned against a snapshot.
+type ingestDelta struct {
+	shards []*shardDelta // what each owned shard gains
+	novel  []*big.Int    // owned moduli the corpus has not indexed yet
+	keys   []string      // their map keys, index-aligned with novel
+	// foreign holds moduli homed in unowned shards: not ours to index,
+	// but they ride the GCD sweep so owned members sharing one of their
+	// primes get re-labeled.
+	foreign []*big.Int
+}
+
+// changed reports whether any shard gains anything. A sweep of only
+// foreign moduli that re-labeled nothing leaves it false: publishing a
+// structurally identical successor would purge verdict caches for no
+// reason.
+func (d *ingestDelta) changed() bool {
+	for _, sd := range d.shards {
+		if !sd.empty() {
+			return true
+		}
+	}
+	return false
+}
+
+// swept is every delta modulus taking part in the GCD passes: the owned
+// novel ones first (sweep indices line up with novel), then the foreign
+// ones, which contribute divisors and mate re-labels but no entries.
+func (d *ingestDelta) swept() []*big.Int {
+	if len(d.foreign) == 0 {
+		return d.novel
+	}
+	return append(append(make([]*big.Int, 0, len(d.novel)+len(d.foreign)), d.novel...), d.foreign...)
+}
+
 // Ingest folds a delta corpus into the snapshot and returns the merged
-// successor without rebuilding the untouched parts: the paper's monthly
-// re-run of the full batch GCD becomes, online, (a) one GCD pass of
-// each new modulus against the existing per-shard products, (b) a small
-// batch GCD among the delta alone, and (c) a structural merge that
-// extends each touched shard's product tree up its right spine
-// (prodtree.Extend) while untouched shards are shared by reference.
+// successor without rebuilding the untouched parts. The paper's monthly
+// re-run of the full batch GCD becomes, online, four steps: partition
+// the delta against the index, sweep it (one batchgcd.Batch over the
+// delta, taken against itself and against every standing shard
+// product), resolve the divisors into factorizations, and merge — each
+// touched shard's product tree extended up its right spine
+// (prodtree.ExtendCtx) while untouched shards are shared by reference.
 //
 // Both prime-sharing directions are handled: a delta modulus sharing a
 // prime with the old corpus is factored on the spot, and the old member
@@ -96,14 +137,13 @@ func (d *shardDelta) entry(key string, e Entry) {
 //
 // On a cluster replica (a snapshot with owned shards) delta moduli
 // homed in unowned shards are not indexed — their home owner does that —
-// but they still participate in every GCD pass: against the owned shard
-// products (re-labeling owned mates) and in the delta-internal batch
-// GCD. That lets a replica learn that one of its own members shares a
-// prime with a key homed on a disjoint owner set when the sync feed
-// delivers that key. The re-label only fires for mates already indexed
-// when the foreign key arrives, so it is convergence hygiene, not the
-// correctness guarantee — the router's full scatter at check time is
-// what consults every live owner.
+// but they still participate in every GCD pass. That lets a replica
+// learn that one of its own members shares a prime with a key homed on
+// a disjoint owner set when the sync feed delivers that key. The
+// re-label only fires for mates already indexed when the foreign key
+// arrives, so it is convergence hygiene, not the correctness guarantee
+// — the router's full scatter at check time is what consults every
+// live owner.
 //
 // in.Store carries the delta observations (required); in.Fingerprint,
 // when set, contributes known factorizations and vendor labels for
@@ -119,13 +159,36 @@ func (s *Snapshot) Ingest(ctx context.Context, in BuildInput) (*Snapshot, Ingest
 		return nil, rep, fmt.Errorf("keycheck: ingest: shard count %d does not match snapshot's %d (re-sharding needs a full rebuild)",
 			in.Shards, len(s.shards))
 	}
-	nShards := len(s.shards)
+	d := s.partition(in.Store, &rep)
+	// A shared-identity-only delta carries no modulus the corpus hasn't
+	// already swept and goes straight to the merge.
+	if moduli := d.swept(); len(moduli) > 0 {
+		sw, err := s.sweep(ctx, moduli)
+		if err != nil {
+			return nil, rep, err
+		}
+		s.resolve(in, d, sw, &rep)
+	}
+	ns := s // nothing new: the snapshot is already the merge
+	if d.changed() {
+		var err error
+		if ns, err = s.merge(ctx, d, &rep); err != nil {
+			return nil, rep, err
+		}
+	}
+	rep.Elapsed = time.Since(start)
+	return ns, rep, nil
+}
 
-	// Partition the delta into novel moduli and already-known
-	// duplicates. The exact membership list of a shard is its product
-	// tree's leaf level; only shards that actually receive delta keys
-	// pay for materializing it as a set.
-	moduli, keys := in.Store.DistinctModuli()
+// partition sorts the delta's distinct moduli into novel (per home
+// shard), duplicate, foreign and newly-shared, filling the report's
+// DeltaModuli, Duplicates, Skipped and NovelKeys.
+func (s *Snapshot) partition(store *scanstore.Store, rep *IngestReport) *ingestDelta {
+	nShards := len(s.shards)
+	moduli, keys := store.DistinctModuli()
+	// The exact membership list of a shard is its product tree's leaf
+	// level; only shards that actually receive delta keys pay for
+	// materializing it as a set.
 	members := make([]map[string]bool, nShards)
 	memberSet := func(si int) map[string]bool {
 		if members[si] == nil {
@@ -139,128 +202,189 @@ func (s *Snapshot) Ingest(ctx context.Context, in BuildInput) (*Snapshot, Ingest
 		}
 		return members[si]
 	}
-	deltas := make([]*shardDelta, nShards)
-	for i := range deltas {
-		deltas[i] = &shardDelta{}
+	d := &ingestDelta{shards: make([]*shardDelta, nShards)}
+	for i := range d.shards {
+		d.shards[i] = &shardDelta{}
 	}
-	var novelMods []*big.Int
-	var novelKeys []string
-	var foreignMods []*big.Int
 	// Delta-internal shared-modulus graph: a delta that shows one modulus
 	// under distinct identities marks it shared, whether the modulus is
-	// novel or already a member. Counts only ever grow (max-merge below):
-	// per-store counts cannot be summed without the identity sets.
-	identities := anomaly.IdentityCounts(in.Store)
+	// novel or already a member. Counts only ever grow (max-merge in
+	// mergeShard): per-store counts cannot be summed without the
+	// identity sets.
+	identities := anomaly.IdentityCounts(store)
 	for i, key := range keys {
 		si := shardOf(key, nShards)
 		if !s.owns(si) {
-			// Unowned home shard: not ours to index, but the modulus
-			// still joins the GCD sweep below so owned members sharing
-			// one of its primes get re-labeled.
 			rep.Skipped++
-			foreignMods = append(foreignMods, moduli[i])
+			d.foreign = append(d.foreign, moduli[i])
 			continue
 		}
+		sd := d.shards[si]
 		if cnt, ok := identities[key]; ok && cnt > s.shards[si].shared[key] {
 			// Factored members stay out of the shared map (the verdict
 			// outranks the identity graph), so a count bump on one is
 			// not a delta.
 			if _, done := s.shards[si].factored[key]; !done {
-				if deltas[si].newShared == nil {
-					deltas[si].newShared = make(map[string]int)
+				if sd.newShared == nil {
+					sd.newShared = make(map[string]int)
 				}
-				deltas[si].newShared[key] = cnt
+				sd.newShared[key] = cnt
 			}
 		}
 		if memberSet(si)[key] {
 			rep.Duplicates++
 			continue
 		}
-		novelMods = append(novelMods, moduli[i])
-		novelKeys = append(novelKeys, key)
-		deltas[si].newKeys = append(deltas[si].newKeys, key)
-		deltas[si].newMods = append(deltas[si].newMods, moduli[i])
+		d.novel = append(d.novel, moduli[i])
+		d.keys = append(d.keys, key)
+		sd.newKeys = append(sd.newKeys, key)
+		sd.newMods = append(sd.newMods, moduli[i])
 	}
-	rep.DeltaModuli = len(novelMods)
-	rep.NovelKeys = make([]string, len(novelMods))
-	for j, n := range novelMods {
+	rep.DeltaModuli = len(d.novel)
+	rep.NovelKeys = make([]string, len(d.novel))
+	for j, n := range d.novel {
 		rep.NovelKeys[j] = hexOf(n)
 	}
-	anyShared := false
-	for _, d := range deltas {
-		if len(d.newShared) > 0 {
-			anyShared = true
-			break
+	return d
+}
+
+// mate is an existing member found to share a prime with a delta
+// modulus during an ingest sweep.
+type mate struct {
+	key     string
+	mod     *big.Int
+	divisor *big.Int
+}
+
+// sweepResult is what the GCD passes found, as divisors index-aligned
+// with the swept moduli (nil where trivial). Per-shard divisors are kept
+// apart: the mate scan needs to know which shard yielded which.
+type sweepResult struct {
+	own     []*big.Int   // shared with another delta modulus
+	byShard [][]*big.Int // shared with that shard's members; nil for an empty shard
+	mates   [][]mate     // per shard: the old members being shared with
+}
+
+// sweep builds one Batch over the delta moduli and takes it against
+// itself — primes shared among the new moduli (a fresh batch of devices
+// from the same flawed firmware) never touch the old products — and
+// against every standing shard product: gcd(N, P mod N) exposes the
+// primes N shares with the shard. Shards fan out on the shared kernel
+// pool, like Build, each scanning its own leaves against the divisors
+// it yielded for the mates to re-label.
+func (s *Snapshot) sweep(ctx context.Context, moduli []*big.Int) (*sweepResult, error) {
+	b, err := batchgcd.NewBatch(ctx, moduli)
+	if err == nil && b.Len() != len(moduli) {
+		err = fmt.Errorf("%d of %d delta moduli are distinct", b.Len(), len(moduli))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("keycheck: ingest: delta batch: %w", err)
+	}
+	sw := &sweepResult{byShard: make([][]*big.Int, len(s.shards)), mates: make([][]mate, len(s.shards))}
+	own, err := b.OwnResidues(ctx)
+	if err == nil {
+		sw.own, err = b.Divisors(ctx, own)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("keycheck: ingest: delta batch GCD: %w", err)
+	}
+	var treed []int // shards that actually hold a product tree
+	for si, sh := range s.shards {
+		if sh.tree != nil {
+			treed = append(treed, si)
 		}
 	}
-	if len(novelMods) == 0 && len(foreignMods) == 0 && !anyShared {
-		// Nothing new: the snapshot is already the merge.
-		rep.Elapsed = time.Since(start)
-		return s, rep, nil
-	}
-
-	// sweep is every delta modulus taking part in the GCD passes: the
-	// owned novel ones first (their indices line up with novelMods), then
-	// the foreign ones, which contribute divisors and mate re-labels but
-	// no index entries.
-	sweep := novelMods
-	if len(foreignMods) > 0 {
-		sweep = make([]*big.Int, 0, len(novelMods)+len(foreignMods))
-		sweep = append(sweep, novelMods...)
-		sweep = append(sweep, foreignMods...)
-	}
-
-	// (b) Delta-internal batch GCD: primes shared among the new moduli
-	// themselves (a fresh batch of devices from the same flawed
-	// firmware) never touch the old products.
-	deltaDiv := make(map[int]*big.Int) // sweep index -> divisor
-	if len(sweep) > 1 {
-		res, err := batchgcd.FactorCtx(ctx, sweep)
+	errs := make([]error, len(s.shards))
+	runErr := kernel.FromContext(ctx).Run(ctx, len(treed), func(k int, a *kernel.Arena) {
+		si := treed[k]
+		sh := s.shards[si]
+		rems, err := b.Residues(ctx, sh.product())
+		if err == nil {
+			sw.byShard[si], err = b.Divisors(ctx, rems)
+		}
 		if err != nil {
-			return nil, rep, fmt.Errorf("keycheck: ingest: delta batch GCD: %w", err)
+			errs[si] = fmt.Errorf("keycheck: ingest shard %d: %w", si, err)
+			return
 		}
-		for _, r := range res {
-			deltaDiv[r.Index] = r.Divisor
-		}
+		sw.mates[si] = findMates(sh.tree.Leaves(), sw.byShard[si], a.Get())
+	})
+	if runErr != nil {
+		return nil, fmt.Errorf("keycheck: ingest cancelled: %w", runErr)
 	}
-
-	// (a) Each sweep modulus (owned and foreign alike) against every
-	// existing shard product, via one remainder tree of the delta per
-	// shard — skipped entirely for shared-identity-only deltas, which
-	// carry no modulus the corpus hasn't already swept.
-	shardGCD := make([]map[int]*big.Int, nShards) // shard -> sweep idx -> gi
-	mates := make([][]mate, nShards)
-	if len(sweep) > 0 {
-		if err := s.sweepShards(ctx, sweep, shardGCD, mates); err != nil {
-			return nil, rep, err
-		}
-	}
-
-	// Resolve factorizations. pool accumulates every prime recovered
-	// during this ingest, to split the degenerate divisor == N cases.
-	var pool []*big.Int
-	splitEntry := func(n, d *big.Int) (Entry, bool) {
-		p, q, err := batchgcd.SplitModulus(n, d)
+	for _, err := range errs {
 		if err != nil {
-			return Entry{}, false
+			return nil, err
 		}
-		pool = append(pool, p, q)
-		return Entry{P: p, Q: q}, true
 	}
+	return sw, nil
+}
 
+// findMates returns the members among leaves sharing a prime with one
+// of the divisors their shard yielded. Only shards that yielded a
+// divisor pay for the scan, and only with small GCDs; g is scratch.
+func findMates(leaves, divs []*big.Int, g *big.Int) []mate {
+	var hits []*big.Int
+	for _, d := range divs {
+		if d != nil {
+			hits = append(hits, d)
+		}
+	}
+	if len(hits) == 0 {
+		return nil
+	}
+	var mates []mate
+	for _, leaf := range leaves {
+		for _, d := range hits {
+			g.GCD(nil, nil, leaf, d)
+			if g.Cmp(one) > 0 && g.Cmp(leaf) < 0 {
+				mates = append(mates, mate{key: string(leaf.Bytes()), mod: leaf, divisor: new(big.Int).Set(g)})
+				break
+			}
+		}
+	}
+	return mates
+}
+
+// primePool accumulates every prime recovered during one ingest, to
+// split the degenerate divisor == N cases.
+type primePool []*big.Int
+
+// split factors n by the proper divisor d and remembers both primes.
+func (pool *primePool) split(n, d *big.Int) (Entry, bool) {
+	p, q, err := batchgcd.SplitModulus(n, d)
+	if err != nil {
+		return Entry{}, false
+	}
+	*pool = append(*pool, p, q)
+	return Entry{P: p, Q: q}, true
+}
+
+// divisorOf returns a proper divisor of n among the pooled primes.
+func (pool primePool) divisorOf(n *big.Int) *big.Int {
+	g := new(big.Int)
+	for _, p := range pool {
+		g.GCD(nil, nil, n, p)
+		if g.Cmp(one) > 0 && g.Cmp(n) < 0 {
+			return g
+		}
+	}
+	return nil
+}
+
+// resolve turns the sweep's divisors into factored entries on the shard
+// deltas, counting Refactored and NewFactored, and labels them.
+func (s *Snapshot) resolve(in BuildInput, d *ingestDelta, sw *sweepResult, rep *IngestReport) {
+	var pool primePool
 	// Old members being shared with become factored: their mate divisor
 	// is always proper (a delta modulus equal to a member would have
 	// been a duplicate).
-	for si := range mates {
-		for _, m := range mates[si] {
+	for si, mates := range sw.mates {
+		for _, m := range mates {
 			if _, done := s.shards[si].factored[m.key]; done {
 				continue
 			}
-			if _, done := deltas[si].newEntries[m.key]; done {
-				continue
-			}
-			if e, ok := splitEntry(m.mod, m.divisor); ok {
-				deltas[si].entry(m.key, e)
+			if e, ok := pool.split(m.mod, m.divisor); ok {
+				d.shards[si].entry(m.key, e)
 				rep.Refactored++
 			}
 		}
@@ -270,344 +394,209 @@ func (s *Snapshot) Ingest(ctx context.Context, in BuildInput) (*Snapshot, Ingest
 	// factorizations from the delta's own fingerprint run are taken
 	// as-is; otherwise the first proper divisor splits the modulus, and
 	// degenerate cases (every divisor equals N: both primes shared)
-	// fall back to the recovered-prime pool and finally to a pairwise
-	// GCD among the still-unresolved delta moduli (the clique case).
-	var knownFactors map[string]struct{ p, q *big.Int }
+	// wait for the pool to fill.
+	var known map[string]fingerprint.Factors
 	if in.Fingerprint != nil {
-		knownFactors = make(map[string]struct{ p, q *big.Int }, len(in.Fingerprint.Factors))
-		for key, f := range in.Fingerprint.Factors {
-			knownFactors[key] = struct{ p, q *big.Int }{f.P, f.Q}
-		}
+		known = in.Fingerprint.Factors
 	}
-	resolved := make([]*Entry, len(novelMods))
-	var unresolved []int
-	for j, n := range novelMods {
-		var divs []*big.Int
-		for si := range shardGCD {
-			if gi := shardGCD[si][j]; gi != nil {
-				divs = append(divs, gi)
-			}
-		}
-		if d := deltaDiv[j]; d != nil {
-			divs = append(divs, d)
-		}
-		if f, ok := knownFactors[novelKeys[j]]; ok {
-			e := Entry{P: f.p, Q: f.q}
-			pool = append(pool, f.p, f.q)
-			resolved[j] = &e
+	resolved := make([]*Entry, len(d.novel))
+	var degenerate []int
+	passes := append(append([][]*big.Int(nil), sw.byShard...), sw.own)
+	for j, n := range d.novel {
+		if f, ok := known[d.keys[j]]; ok {
+			pool = append(pool, f.P, f.Q)
+			resolved[j] = &Entry{P: f.P, Q: f.Q}
 			continue
 		}
-		if len(divs) == 0 {
-			continue // clean member
-		}
 		var proper *big.Int
-		for _, d := range divs {
-			if d.Cmp(n) < 0 {
-				proper = d
+		hit := false
+		for _, divs := range passes {
+			if divs == nil || divs[j] == nil {
+				continue
+			}
+			hit = true
+			if divs[j].Cmp(n) < 0 {
+				proper = divs[j]
 				break
 			}
 		}
-		if proper == nil {
-			unresolved = append(unresolved, j)
-			continue
+		if !hit {
+			continue // clean member
 		}
-		if e, ok := splitEntry(n, proper); ok {
-			resolved[j] = &e
-		} else {
-			unresolved = append(unresolved, j)
-		}
-	}
-	if len(unresolved) > 0 {
-		// Pairwise fallback over the small unresolved set only: for a
-		// clique (every modulus shares both primes) each pair shares
-		// exactly one prime, so the pairwise divisors are proper.
-		sub := make([]*big.Int, len(unresolved))
-		for i, j := range unresolved {
-			sub[i] = novelMods[j]
-		}
-		pairDiv := make(map[int]*big.Int)
-		if len(sub) > 1 {
-			if res, err := batchgcd.FactorPairwise(sub); err == nil {
-				for _, r := range res {
-					pairDiv[r.Index] = r.Divisor
-				}
-			}
-		}
-		fromPool := func(n *big.Int) *big.Int {
-			g := new(big.Int)
-			for _, p := range pool {
-				g.GCD(nil, nil, n, p)
-				if g.Cmp(one) > 0 && g.Cmp(n) < 0 {
-					return new(big.Int).Set(g)
-				}
-			}
-			return s.recoverDivisor(n)
-		}
-		for i, j := range unresolved {
-			n := novelMods[j]
-			d := pairDiv[i]
-			if d == nil || d.Cmp(n) >= 0 {
-				d = fromPool(n)
-			}
-			if d == nil {
-				continue // unsplittable; stays a plain member
-			}
-			if e, ok := splitEntry(n, d); ok {
+		if proper != nil {
+			if e, ok := pool.split(n, proper); ok {
 				resolved[j] = &e
+				continue
 			}
 		}
+		degenerate = append(degenerate, j)
 	}
+	s.resolveDegenerate(d.novel, degenerate, resolved, &pool)
 	for j, e := range resolved {
 		if e == nil {
 			continue
 		}
-		key := novelKeys[j]
-		deltas[shardOf(key, nShards)].entry(key, *e)
+		d.shards[shardOf(d.keys[j], len(s.shards))].entry(d.keys[j], *e)
 		rep.NewFactored++
 	}
+	for _, sd := range d.shards {
+		labelEntries(in.Store, in.Fingerprint, sd.newEntries)
+	}
+}
 
-	// Vendor labels ride along for delta moduli whose certificates the
-	// delta fingerprint labeled, mirroring Build.
-	if in.Fingerprint != nil {
-		for _, d := range deltas {
-			for key, e := range d.newEntries {
-				for _, c := range in.Store.CertsWithModulus(key) {
-					fp, err := c.Fingerprint()
-					if err != nil {
-						continue
-					}
-					if lbl, ok := in.Fingerprint.Labels[fp]; ok {
-						e.Vendor, e.Attribution = lbl.Vendor, lbl.Method.String()
-						d.newEntries[key] = e
-						break
-					}
-				}
+// resolveDegenerate splits the novel moduli every divisor of which
+// equalled N. A pairwise GCD over that small set goes first: in a clique
+// (every modulus shares both primes) each pair shares exactly one prime,
+// so the pairwise divisors are proper. The primes recovered so far and
+// finally the snapshot's factored entries are the fallbacks; a modulus
+// none of them splits stays a plain member.
+func (s *Snapshot) resolveDegenerate(novel []*big.Int, degenerate []int, resolved []*Entry, pool *primePool) {
+	if len(degenerate) == 0 {
+		return
+	}
+	sub := make([]*big.Int, len(degenerate))
+	for i, j := range degenerate {
+		sub[i] = novel[j]
+	}
+	pairDiv := make([]*big.Int, len(sub))
+	if res, err := batchgcd.FactorPairwise(sub); err == nil {
+		for _, r := range res {
+			pairDiv[r.Index] = r.Divisor
+		}
+	}
+	for i, j := range degenerate {
+		n := novel[j]
+		div := pairDiv[i]
+		if div == nil || div.Cmp(n) >= 0 {
+			if div = pool.divisorOf(n); div == nil {
+				div = s.recoverDivisor(n)
 			}
 		}
-	}
-
-	// A sweep of only foreign moduli that re-labeled nothing leaves the
-	// snapshot untouched: publishing a structurally identical successor
-	// would purge verdict caches for no reason.
-	changed := false
-	for _, d := range deltas {
-		if len(d.newMods) > 0 || len(d.newEntries) > 0 || len(d.newShared) > 0 {
-			changed = true
-			break
+		if div == nil {
+			continue
+		}
+		if e, ok := pool.split(n, div); ok {
+			resolved[j] = &e
 		}
 	}
-	if !changed {
-		rep.Elapsed = time.Since(start)
-		return s, rep, nil
-	}
+}
 
-	// (c) Structural merge: untouched shards are shared by reference;
-	// touched shards get a copy-on-write factored map, an Extend-ed
-	// product tree (new leaves multiplied up the right spine only), and
-	// a cloned-or-regrown Bloom filter.
+// merge builds the successor snapshot: untouched shards are shared by
+// reference, touched ones replaced by mergeShard, and the per-shard
+// node-reuse ledger filled in.
+func (s *Snapshot) merge(ctx context.Context, d *ingestDelta, rep *IngestReport) (*Snapshot, error) {
 	ns := &Snapshot{
-		shards:   make([]*shard, nShards),
-		moduli:   s.moduli + len(novelMods),
+		shards:   make([]*shard, len(s.shards)),
+		moduli:   s.moduli + len(d.novel),
 		factored: s.factored,
 		gen:      snapGen.Add(1),
 		own:      s.own,
 		probe:    s.probe,
 	}
-	rep.Shards = make([]ShardIngest, nShards)
-	for si := range s.shards {
-		old, d := s.shards[si], deltas[si]
+	rep.Shards = make([]ShardIngest, len(s.shards))
+	for si, old := range s.shards {
+		sd := d.shards[si]
 		sr := &rep.Shards[si]
 		sr.Shard = si
-		if len(d.newMods) == 0 && len(d.newEntries) == 0 && len(d.newShared) == 0 {
+		if sd.empty() {
 			ns.shards[si] = old
 			sr.Shared = true
 			sr.NodesReused = old.tree.Nodes()
 			sr.NodesTotal = sr.NodesReused
 			rep.NodesReused += sr.NodesReused
+			ns.shared += len(old.shared)
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, rep, fmt.Errorf("keycheck: ingest merge cancelled at shard %d: %w", si, err)
+			return nil, fmt.Errorf("keycheck: ingest merge cancelled at shard %d: %w", si, err)
 		}
-		nsh := &shard{moduli: old.moduli + len(d.newMods)}
-		nsh.factored = make(map[string]Entry, len(old.factored)+len(d.newEntries))
-		for key, e := range old.factored {
-			nsh.factored[key] = e
-		}
-		for key, e := range d.newEntries {
-			nsh.factored[key] = e
-		}
-		ns.factored += len(nsh.factored) - len(old.factored)
-		// The shared map tracks only unfactored members: anything this
-		// ingest factored leaves it, and shared delta keys that arrived
-		// already factored never enter.
-		droppedShared := 0
-		for key := range d.newEntries {
-			if _, ok := old.shared[key]; ok {
-				droppedShared++
-			}
-		}
-		if len(d.newShared) == 0 && droppedShared == 0 {
-			nsh.shared = old.shared
-		} else {
-			nsh.shared = make(map[string]int, len(old.shared)+len(d.newShared))
-			for key, cnt := range old.shared {
-				nsh.shared[key] = cnt
-			}
-			for key, cnt := range d.newShared {
-				if cnt > nsh.shared[key] {
-					nsh.shared[key] = cnt
-				}
-			}
-			for key := range d.newEntries {
-				delete(nsh.shared, key)
-			}
-			for key := range d.newShared {
-				if _, factored := nsh.factored[key]; factored {
-					delete(nsh.shared, key)
-				}
-			}
-		}
-		if len(d.newMods) > 0 {
-			tree, err := prodtree.ExtendCtx(ctx, old.tree, d.newMods)
-			if err != nil {
-				return nil, rep, fmt.Errorf("keycheck: ingest shard %d: %w", si, err)
-			}
-			nsh.tree = tree
-			nsh.bloom = extendBloom(old.bloom, nsh.tree, d.newKeys, nsh.moduli)
-		} else {
-			// Only re-labeled members: the membership structures are
-			// untouched and stay shared.
-			nsh.tree = old.tree
-			nsh.bloom = old.bloom
-		}
-		// A member promoted to factored or shared must leave the
-		// clean-exemplar sample; novel clean keys top it back up.
-		for _, key := range old.cleanSample {
-			_, nowFactored := nsh.factored[key]
-			_, nowShared := nsh.shared[key]
-			if !nowFactored && !nowShared {
-				nsh.cleanSample = append(nsh.cleanSample, key)
-			}
-		}
-		for _, key := range d.newKeys {
-			if len(nsh.cleanSample) >= exemplarSample {
-				break
-			}
-			_, f := nsh.factored[key]
-			_, sh := nsh.shared[key]
-			if !f && !sh {
-				nsh.cleanSample = append(nsh.cleanSample, key)
-			}
+		nsh, err := mergeShard(ctx, old, sd)
+		if err != nil {
+			return nil, fmt.Errorf("keycheck: ingest shard %d: %w", si, err)
 		}
 		ns.shards[si] = nsh
+		ns.factored += len(nsh.factored) - len(old.factored)
+		ns.shared += len(nsh.shared)
 		rep.TouchedShards++
-		sr.NewModuli = len(d.newMods)
-		sr.NewFactored = len(d.newEntries)
-		sr.NewShared = len(d.newShared)
+		sr.NewModuli = len(sd.newMods)
+		sr.NewFactored = len(sd.newEntries)
+		sr.NewShared = len(sd.newShared)
 		sr.NodesTotal = nsh.tree.Nodes()
-		if nsh.tree == old.tree {
-			sr.NodesReused = sr.NodesTotal
-		} else {
+		sr.NodesReused = sr.NodesTotal
+		if nsh.tree != old.tree {
 			sr.NodesReused = prodtree.SharedNodes(old.tree, nsh.tree)
 		}
 		rep.NodesReused += sr.NodesReused
 		rep.NodesBuilt += sr.NodesTotal - sr.NodesReused
 	}
-	for _, sh := range ns.shards {
-		ns.shared += len(sh.shared)
-	}
-	rep.Elapsed = time.Since(start)
-	return ns, rep, nil
+	return ns, nil
 }
 
-// mate is an existing member found to share a prime with a delta
-// modulus during an ingest sweep.
-type mate struct {
-	shard   int
-	key     string
-	mod     *big.Int
-	divisor *big.Int
-}
-
-// sweepShards runs every sweep modulus against every existing shard
-// product, via one remainder tree of the delta per shard:
-// gcd(N, P mod N) = gcd(N, P) exposes the primes N shares with the
-// shard without ever forming P/N. Shards fan out on the shared kernel
-// pool, like Build. Alongside, each shard scans its own leaves against
-// the divisors it yielded to find the old members being shared with
-// (the mates to re-label). Results land in shardGCD (shard -> sweep
-// index -> common divisor) and mates, both indexed by shard.
-func (s *Snapshot) sweepShards(ctx context.Context, sweep []*big.Int, shardGCD []map[int]*big.Int, mates [][]mate) error {
-	errs := make([]error, len(s.shards))
-	dt, err := prodtree.NewCtx(ctx, sweep)
-	if err != nil {
-		return fmt.Errorf("keycheck: ingest: delta tree: %w", err)
+// mergeShard returns old plus what sd adds, copy-on-write: a fresh
+// factored map, an ExtendCtx-ed product tree (new leaves multiplied up
+// the right spine only) and a cloned-or-regrown Bloom filter; whatever
+// the delta leaves alone stays shared with old.
+func mergeShard(ctx context.Context, old *shard, sd *shardDelta) (*shard, error) {
+	nsh := &shard{moduli: old.moduli + len(sd.newMods), tree: old.tree, bloom: old.bloom, shared: old.shared}
+	nsh.factored = make(map[string]Entry, len(old.factored)+len(sd.newEntries))
+	for key, e := range old.factored {
+		nsh.factored[key] = e
 	}
-	var treed []int // shards that actually hold a product tree
-	for si := range s.shards {
-		if s.shards[si].tree != nil {
-			treed = append(treed, si)
+	for key, e := range sd.newEntries {
+		nsh.factored[key] = e
+	}
+	// The shared map tracks only unfactored members: anything this
+	// ingest factored leaves it, and shared delta keys that arrived
+	// already factored never enter.
+	droppedShared := false
+	for key := range sd.newEntries {
+		if _, ok := old.shared[key]; ok {
+			droppedShared = true
+			break
 		}
 	}
-	eng := kernel.FromContext(ctx)
-	runErr := eng.Run(ctx, len(treed), func(k int, a *kernel.Arena) {
-		si := treed[k]
-		sh := s.shards[si]
-		rems, err := dt.RemainderTreeCtx(ctx, sh.product())
+	if len(sd.newShared) > 0 || droppedShared {
+		nsh.shared = make(map[string]int, len(old.shared)+len(sd.newShared))
+		for key, cnt := range old.shared {
+			nsh.shared[key] = cnt
+		}
+		for key, cnt := range sd.newShared {
+			if cnt > nsh.shared[key] {
+				nsh.shared[key] = cnt
+			}
+		}
+		for key := range nsh.shared {
+			if _, factored := nsh.factored[key]; factored {
+				delete(nsh.shared, key)
+			}
+		}
+	}
+	// Only with new members do the membership structures change; a
+	// shard that merely had members re-labeled keeps sharing them.
+	if len(sd.newMods) > 0 {
+		tree, err := prodtree.ExtendCtx(ctx, old.tree, sd.newMods)
 		if err != nil {
-			errs[si] = fmt.Errorf("keycheck: ingest shard %d: %w", si, err)
-			return
+			return nil, err
 		}
-		var gis []*big.Int
-		for j, rem := range rems {
-			n := sweep[j]
-			var gi *big.Int
-			if rem.Sign() == 0 {
-				// n divides the whole shard product: every prime of
-				// n lives in this shard.
-				gi = n
-			} else {
-				gi = new(big.Int).GCD(nil, nil, n, rem)
-				if gi.Cmp(one) <= 0 {
-					continue
-				}
-			}
-			if shardGCD[si] == nil {
-				shardGCD[si] = make(map[int]*big.Int)
-			}
-			shardGCD[si][j] = gi
-			gis = append(gis, gi)
-		}
-		if len(gis) == 0 {
-			return
-		}
-		// Mate scan: which existing members of this shard share a
-		// prime with the delta? Only shards that yielded a divisor
-		// pay for it, and only with small GCDs.
-		g := a.Get()
-		for _, leaf := range sh.tree.Leaves() {
-			for _, gi := range gis {
-				g.GCD(nil, nil, leaf, gi)
-				if g.Cmp(one) > 0 && g.Cmp(leaf) < 0 {
-					mates[si] = append(mates[si], mate{
-						shard: si, key: string(leaf.Bytes()),
-						mod: leaf, divisor: new(big.Int).Set(g),
-					})
-					break
-				}
-			}
-		}
-	})
-	if runErr != nil {
-		return fmt.Errorf("keycheck: ingest cancelled: %w", runErr)
+		nsh.tree = tree
+		nsh.bloom = extendBloom(old.bloom, tree, sd.newKeys, nsh.moduli)
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+	// A member promoted to factored or shared must leave the
+	// clean-exemplar sample; novel clean keys top it back up.
+	keep := func(key string) {
+		_, f := nsh.factored[key]
+		_, sh := nsh.shared[key]
+		if !f && !sh && len(nsh.cleanSample) < exemplarSample {
+			nsh.cleanSample = append(nsh.cleanSample, key)
 		}
 	}
-	return nil
+	for _, key := range old.cleanSample {
+		keep(key)
+	}
+	for _, key := range sd.newKeys {
+		keep(key)
+	}
+	return nsh, nil
 }
 
 // extendBloom returns the filter for a shard that gained newKeys. While

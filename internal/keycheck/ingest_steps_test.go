@@ -1,0 +1,323 @@
+package keycheck
+
+import (
+	"context"
+	"errors"
+	"math/big"
+	"testing"
+
+	"github.com/factorable/weakkeys/internal/fingerprint"
+	"github.com/factorable/weakkeys/internal/scanstore"
+)
+
+func sameInts(got, want []*big.Int) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if (got[i] == nil) != (want[i] == nil) || (want[i] != nil && got[i].Cmp(want[i]) != 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIngestPartition: a delta of one member, novel keys on both sides
+// of the ownership line and a key seen under two identities sorts into
+// duplicate / novel / foreign / newly-shared, and the report says so.
+func TestIngestPartition(t *testing.T) {
+	const shards = 2
+	ctx := context.Background()
+	own := ShardOf(modN3, shards)
+	base := scanstore.New()
+	base.AddBareKeyObservation("10.0.0.3", date(2013, 5, 1), scanstore.SourceRapid7, scanstore.SSH, modN3)
+	snap, err := Build(ctx, BuildInput{Store: base, Shards: shards, OwnShards: []int{own}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	candidates := []*big.Int{mul(s1, s2), mul(s2, s3), mul(s3, s4), mul(s4, s5), mul(s5, s6), mul(s1, s6)}
+	delta := scanstore.New()
+	delta.AddBareKeyObservation("10.9.0.1", date(2013, 6, 1), scanstore.SourceRapid7, scanstore.SSH, modN3)
+	var wantNovel, wantForeign []*big.Int
+	for i, n := range candidates {
+		delta.AddBareKeyObservation("10.9.0.1", date(2013, 6, 2+i), scanstore.SourceRapid7, scanstore.SSH, n)
+		if ShardOf(n, shards) == own {
+			wantNovel = append(wantNovel, n)
+		} else {
+			wantForeign = append(wantForeign, n)
+		}
+	}
+	if len(wantNovel) == 0 || len(wantForeign) == 0 {
+		t.Fatalf("fixture needs keys on both sides: %d owned, %d foreign", len(wantNovel), len(wantForeign))
+	}
+	// The first owned novel key shows up under a second identity.
+	shared := wantNovel[0]
+	delta.AddBareKeyObservation("10.9.0.2", date(2013, 6, 20), scanstore.SourceRapid7, scanstore.SSH, shared)
+
+	var rep IngestReport
+	d := snap.partition(delta, &rep)
+	if !sameInts(d.novel, wantNovel) || !sameInts(d.foreign, wantForeign) {
+		t.Errorf("novel %v foreign %v, want %v and %v", d.novel, d.foreign, wantNovel, wantForeign)
+	}
+	if !sameInts(d.swept(), append(append([]*big.Int(nil), wantNovel...), wantForeign...)) {
+		t.Errorf("swept = %v, want novel then foreign", d.swept())
+	}
+	if rep.Duplicates != 1 || rep.Skipped != len(wantForeign) || rep.DeltaModuli != len(wantNovel) || len(rep.NovelKeys) != len(wantNovel) {
+		t.Errorf("report %+v, want 1 duplicate, %d skipped, %d novel", rep, len(wantForeign), len(wantNovel))
+	}
+	for j, n := range wantNovel {
+		if d.keys[j] != string(n.Bytes()) || rep.NovelKeys[j] != n.Text(16) {
+			t.Errorf("novel %d: key %x / report %s, want %s", j, d.keys[j], rep.NovelKeys[j], n.Text(16))
+		}
+	}
+	sd := d.shards[own]
+	if !sameInts(sd.newMods, wantNovel) || len(sd.newKeys) != len(wantNovel) {
+		t.Errorf("owned shard gains %v, want %v", sd.newMods, wantNovel)
+	}
+	if len(sd.newShared) != 1 || sd.newShared[string(shared.Bytes())] != 2 {
+		t.Errorf("newShared = %v, want the twice-seen key at 2", sd.newShared)
+	}
+	if !d.shards[1-own].empty() || !d.changed() {
+		t.Errorf("unowned shard gained something, or changed() = %v", d.changed())
+	}
+
+	// Members and foreign keys alone change nothing.
+	quiet := deltaStore(t, modN3, wantForeign[0])
+	if d := snap.partition(quiet, new(IngestReport)); d.changed() || len(d.foreign) != 1 {
+		t.Errorf("duplicate+foreign delta: changed=%v foreign=%d", d.changed(), len(d.foreign))
+	}
+}
+
+func mul(a, b *big.Int) *big.Int { return new(big.Int).Mul(a, b) }
+
+// TestIngestSweep runs the sweep step alone over the single-shard golden
+// corpus {N1=p1p2, N2=p1p3, N3=q1q2}: divisors come back index-aligned
+// per pass, and each shard names the members being shared with.
+func TestIngestSweep(t *testing.T) {
+	ctx := context.Background()
+	snap := goldenSnapshot(t, 1)
+	degenerate := mul(p2, q2) // both primes live in the one shard
+	moduli := []*big.Int{mul(q1, s1), mul(s4, s5), mul(s4, s6), degenerate, mul(s2, s3)}
+	sw, err := snap.sweep(ctx, moduli)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []*big.Int{nil, s4, s4, nil, nil}; !sameInts(sw.own, want) {
+		t.Errorf("delta-internal divisors %v, want %v", sw.own, want)
+	}
+	if want := []*big.Int{q1, nil, nil, degenerate, nil}; !sameInts(sw.byShard[0], want) {
+		t.Errorf("shard divisors %v, want %v", sw.byShard[0], want)
+	}
+	mates := make(map[string]*big.Int)
+	for _, m := range sw.mates[0] {
+		if m.key != string(m.mod.Bytes()) {
+			t.Errorf("mate key %x does not name %v", m.key, m.mod)
+		}
+		mates[m.mod.Text(16)] = m.divisor
+	}
+	if len(mates) != 2 || mates[modN1.Text(16)].Cmp(p2) != 0 || mates[modN3.Text(16)].Cmp(q1) != 0 {
+		t.Errorf("mates %v, want N1 via p2 and N3 via q1", mates)
+	}
+
+	// An empty snapshot has no products to sweep; the delta-internal
+	// pass still runs.
+	sw, err = Empty(2).sweep(ctx, moduli[1:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameInts(sw.own, []*big.Int{s4, s4}) || sw.byShard[0] != nil || sw.byShard[1] != nil || sw.mates[0] != nil {
+		t.Errorf("sweep over an empty snapshot = %+v", sw)
+	}
+
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := snap.sweep(cctx, moduli); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled sweep err = %v, want wrapped context.Canceled", err)
+	}
+	if _, err := snap.sweep(ctx, []*big.Int{moduli[0], moduli[0]}); err == nil {
+		t.Error("sweep accepted a repeated modulus")
+	}
+}
+
+// TestIngestResolve feeds resolve hand-made sweep results over the
+// single-shard golden corpus and checks every route from divisor to
+// Entry: proper divisor, known factorization, mate re-label, and the
+// degenerate fallbacks (pairwise, this ingest's prime pool, the
+// snapshot's factored entries, none).
+func TestIngestResolve(t *testing.T) {
+	snap := goldenSnapshot(t, 1)
+	c := certFor(t, 7, "Acme", s2, s3)
+	store := scanstore.New()
+	if err := store.AddCertObservation("10.9.0.7", date(2013, 6, 1), scanstore.SourceRapid7, scanstore.HTTPS, c); err != nil {
+		t.Fatal(err)
+	}
+	cfp, err := c.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	novel := []*big.Int{
+		mul(q1, s1), // 0: proper divisor q1 from the shard pass
+		mul(s2, s3), // 1: no divisor, but the delta fingerprint knows it
+		mul(s4, s5), // 2: clique, delta-internal divisor == N ...
+		mul(s5, s6), // 3: ... split pairwise
+		mul(s4, s6), // 4
+		mul(q2, s1), // 5: shard divisor == N; q2 is pooled from mate N3, s1 from #0
+		mul(p2, p3), // 6: shard divisor == N; only the snapshot's entries know p2
+		mul(r2, r3), // 7: divisor == N that nothing splits: stays a plain member
+		mul(r1, s1), // 8: clean
+	}
+	d := &ingestDelta{shards: []*shardDelta{{}}, novel: novel}
+	for _, n := range novel {
+		d.keys = append(d.keys, string(n.Bytes()))
+	}
+	sw := &sweepResult{
+		own:     []*big.Int{nil, nil, novel[2], novel[3], novel[4], nil, nil, nil, nil},
+		byShard: [][]*big.Int{{q1, nil, nil, nil, nil, novel[5], novel[6], novel[7], nil}},
+		mates: [][]mate{{
+			{key: string(modN3.Bytes()), mod: modN3, divisor: q1},
+			{key: string(modN1.Bytes()), mod: modN1, divisor: p2}, // already factored: skipped
+		}},
+	}
+	in := BuildInput{Store: store, Fingerprint: &fingerprint.Result{
+		Factors: map[string]fingerprint.Factors{d.keys[1]: {P: s3, Q: s2}},
+		Labels:  map[[32]byte]fingerprint.Label{cfp: {Vendor: "Acme", Method: fingerprint.BySubject}},
+	}}
+	var rep IngestReport
+	snap.resolve(in, d, sw, &rep)
+
+	if rep.Refactored != 1 || rep.NewFactored != 7 {
+		t.Errorf("report %+v, want 1 refactored / 7 new factored", rep)
+	}
+	entries := d.shards[0].newEntries
+	factors := func(key string) [2]string {
+		e := entries[key]
+		return [2]string{e.P.Text(16), e.Q.Text(16)}
+	}
+	sorted := func(p, q *big.Int) [2]string {
+		if p.Cmp(q) > 0 {
+			p, q = q, p
+		}
+		return [2]string{p.Text(16), q.Text(16)}
+	}
+	for j, pq := range map[int][2]*big.Int{0: {q1, s1}, 2: {s4, s5}, 3: {s5, s6}, 4: {s4, s6}, 5: {q2, s1}, 6: {p2, p3}} {
+		if _, ok := entries[d.keys[j]]; !ok {
+			t.Errorf("novel %d not factored", j)
+		} else if got, want := factors(d.keys[j]), sorted(pq[0], pq[1]); got != want {
+			t.Errorf("novel %d factors %v, want %v", j, got, want)
+		}
+	}
+	if e := entries[d.keys[1]]; e.P != s3 || e.Q != s2 || e.Vendor != "Acme" || e.Attribution != "subject" {
+		t.Errorf("known factorization entry = %+v, want the fingerprint's factors as given, labeled Acme/subject", e)
+	}
+	if got, want := factors(string(modN3.Bytes())), sorted(q1, q2); got != want {
+		t.Errorf("mate N3 factors %v, want %v", got, want)
+	}
+	for _, key := range []string{d.keys[7], d.keys[8], string(modN1.Bytes())} {
+		if _, ok := entries[key]; ok {
+			t.Errorf("%x gained an entry; want unsplittable, clean and already-factored keys left alone", key)
+		}
+	}
+	if len(entries) != 8 {
+		t.Errorf("%d new entries, want 8", len(entries))
+	}
+}
+
+// TestIngestMerge hands merge a prepared delta over a two-shard golden
+// snapshot: the untouched shard rides along by pointer, the touched one
+// is rebuilt copy-on-write, and the ledger adds up.
+func TestIngestMerge(t *testing.T) {
+	const shards = 2
+	ctx := context.Background()
+	snap := goldenSnapshot(t, shards)
+	// A novel key homed in N3's shard that shares q1 with it, observed
+	// under two identities; N3 itself was shared before and is factored
+	// by this delta.
+	si := ShardOf(modN3, shards)
+	var dm *big.Int
+	for _, c := range []*big.Int{s1, s2, s3, s4, s5, s6} {
+		if m := mul(q1, c); ShardOf(m, shards) == si {
+			dm = m
+			break
+		}
+	}
+	if dm == nil {
+		t.Fatal("no fixture prime homes q1*c with N3")
+	}
+	n3Key, dmKey := string(modN3.Bytes()), string(dm.Bytes())
+	old := *snap.shards[si]
+	old.shared = map[string]int{n3Key: 2}
+	snap.shards[si] = &old
+	snap.shared = 1
+
+	d := &ingestDelta{shards: make([]*shardDelta, shards), novel: []*big.Int{dm}, keys: []string{dmKey}}
+	for i := range d.shards {
+		d.shards[i] = &shardDelta{}
+	}
+	sd := d.shards[si]
+	sd.newMods, sd.newKeys = []*big.Int{dm}, []string{dmKey}
+	sd.newShared = map[string]int{dmKey: 3}
+	sd.entry(n3Key, Entry{P: q1, Q: q2})
+
+	var rep IngestReport
+	ns, err := snap.merge(ctx, d, &rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ns.shards[1-si] != snap.shards[1-si] || !rep.Shards[1-si].Shared {
+		t.Error("untouched shard was not shared by reference")
+	}
+	nsh := ns.shards[si]
+	if nsh == &old || nsh.tree == old.tree || nsh.bloom == old.bloom {
+		t.Error("touched shard still shares its membership structures")
+	}
+	if _, leaked := old.factored[n3Key]; leaked || len(old.shared) != 1 {
+		t.Error("merge wrote through to the predecessor shard")
+	}
+	if e, ok := nsh.factored[n3Key]; !ok || e.P != q1 {
+		t.Errorf("re-labeled member missing from the new factored map: %+v", nsh.factored)
+	}
+	// N3 left the shared map when it was factored; the novel key entered.
+	if len(nsh.shared) != 1 || nsh.shared[dmKey] != 3 {
+		t.Errorf("shared map = %v, want only the novel key at 3", nsh.shared)
+	}
+	for _, key := range nsh.cleanSample {
+		if key == n3Key || key == dmKey {
+			t.Errorf("clean sample kept a factored or shared key %x", key)
+		}
+	}
+	if ns.moduli != snap.moduli+1 || ns.factored != snap.factored+1 || ns.shared != 1 || nsh.moduli != old.moduli+1 {
+		t.Errorf("counts: moduli %d factored %d shared %d shard %d", ns.moduli, ns.factored, ns.shared, nsh.moduli)
+	}
+	if ns.Generation() <= snap.Generation() {
+		t.Error("generation did not advance")
+	}
+	sr := rep.Shards[si]
+	if rep.TouchedShards != 1 || sr.Shared || sr.NewModuli != 1 || sr.NewFactored != 1 || sr.NewShared != 1 {
+		t.Errorf("ledger %+v (touched %d), want one touched shard gaining 1/1/1", sr, rep.TouchedShards)
+	}
+	total := 0
+	for _, sh := range ns.shards {
+		total += sh.tree.Nodes()
+	}
+	if rep.NodesReused+rep.NodesBuilt != total || sr.NodesTotal != nsh.tree.Nodes() || rep.NodesBuilt == 0 {
+		t.Errorf("node ledger: reused %d + built %d != %d total", rep.NodesReused, rep.NodesBuilt, total)
+	}
+
+	// A re-label alone leaves tree and Bloom filter shared.
+	relabel := &shardDelta{}
+	relabel.entry(n3Key, Entry{P: q1, Q: q2})
+	only, err := mergeShard(ctx, &old, relabel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if only.tree != old.tree || only.bloom != old.bloom || only.moduli != old.moduli || len(only.shared) != 0 {
+		t.Errorf("re-label-only merge rebuilt membership structures: %+v", only)
+	}
+
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := snap.merge(cctx, d, new(IngestReport)); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled merge err = %v, want wrapped context.Canceled", err)
+	}
+}

@@ -74,7 +74,7 @@ func NewCtx(ctx context.Context, vals []*big.Int) (*Tree, error) {
 	return t, nil
 }
 
-// Extend returns the product tree over t's leaves followed by newLeaves,
+// ExtendCtx returns the product tree over t's leaves followed by newLeaves,
 // reusing every node of t whose subtree is unaffected by the extension.
 // Only the right spine — the nodes whose subtree gained at least one new
 // leaf — is recomputed; at each level the unchanged prefix is shared with
@@ -86,12 +86,8 @@ func NewCtx(ctx context.Context, vals []*big.Int) (*Tree, error) {
 // t is never modified; a nil or empty t builds a fresh tree. The shared
 // nodes make the returned tree an overlay over t: both trees stay valid,
 // and neither may have its node values mutated.
-func Extend(t *Tree, newLeaves []*big.Int) (*Tree, error) {
-	return ExtendCtx(context.Background(), t, newLeaves)
-}
-
-// ExtendCtx is Extend with cancellation, checked per scheduled work
-// chunk like NewCtx.
+//
+// Cancellation is checked per scheduled work chunk, like NewCtx.
 func ExtendCtx(ctx context.Context, t *Tree, newLeaves []*big.Int) (*Tree, error) {
 	if t == nil || len(t.Levels) == 0 || len(t.Levels[0]) == 0 {
 		return NewCtx(ctx, newLeaves)
@@ -150,7 +146,7 @@ func (t *Tree) Nodes() int {
 
 // SharedNodes counts the nodes of b that are shared with a by reference
 // (same *big.Int), level-aligned from the leaves up. It quantifies the
-// structural sharing Extend achieves: an unchanged subtree contributes
+// structural sharing ExtendCtx achieves: an unchanged subtree contributes
 // all of its nodes, a rebuilt spine none.
 func SharedNodes(a, b *Tree) int {
 	if a == nil || b == nil {
@@ -196,35 +192,20 @@ func (t *Tree) Bytes() int64 {
 
 const wordBytes = 32 << (^big.Word(0) >> 63) / 8 // 4 or 8
 
-// RemainderTree pushes x down the product tree: it returns x mod leaf for
-// every leaf, computed with one reduction per tree node. x is not
-// modified.
+// RemainderTreeCtx pushes x down the product tree: it returns x mod leaf
+// for every leaf, computed with one reduction per tree node. x is not
+// modified. Cancellation is checked between tree levels like NewCtx.
 //
 // This is the plain variant (reduce modulo N). Batch GCD needs the
-// squared variant (see RemainderTreeSquared) to recover gcd(N, P/N);
-// the plain variant is used by the smooth-part computation and tests.
-func (t *Tree) RemainderTree(x *big.Int) []*big.Int {
-	rems, _ := t.remainderTree(context.Background(), x, false)
-	return rems
-}
-
-// RemainderTreeSquared returns x mod leaf² for every leaf. Bernstein's
-// batch GCD trick: computing P mod Ni² and then gcd(Ni, (P mod Ni²)/Ni)
-// finds the common factor of Ni with the rest of the batch without ever
-// forming the exact cofactor P/Ni.
-func (t *Tree) RemainderTreeSquared(x *big.Int) []*big.Int {
-	rems, _ := t.remainderTree(context.Background(), x, true)
-	return rems
-}
-
-// RemainderTreeCtx is RemainderTree with cancellation, checked between
-// tree levels like NewCtx.
+// squared variant (see RemainderTreeSquaredCtx) to recover gcd(N, P/N).
 func (t *Tree) RemainderTreeCtx(ctx context.Context, x *big.Int) ([]*big.Int, error) {
 	return t.remainderTree(ctx, x, false)
 }
 
-// RemainderTreeSquaredCtx is RemainderTreeSquared with cancellation,
-// checked between tree levels like NewCtx.
+// RemainderTreeSquaredCtx returns x mod leaf² for every leaf. Bernstein's
+// batch GCD trick: computing P mod Ni² and then gcd(Ni, (P mod Ni²)/Ni)
+// finds the common factor of Ni with the rest of the batch without ever
+// forming the exact cofactor P/Ni.
 func (t *Tree) RemainderTreeSquaredCtx(ctx context.Context, x *big.Int) ([]*big.Int, error) {
 	return t.remainderTree(ctx, x, true)
 }
@@ -268,23 +249,4 @@ func (t *Tree) remainderTree(ctx context.Context, x *big.Int, squared bool) ([]*
 		cur = next
 	}
 	return cur, nil
-}
-
-// Product is a convenience wrapper: the product of vals via a tree.
-func Product(vals []*big.Int) (*big.Int, error) {
-	t, err := New(vals)
-	if err != nil {
-		return nil, err
-	}
-	return t.Root(), nil
-}
-
-// RemaindersMod computes x mod m for every m in mods using a freshly built
-// product tree of mods. It is the one-shot form of New + RemainderTree.
-func RemaindersMod(x *big.Int, mods []*big.Int) ([]*big.Int, error) {
-	t, err := New(mods)
-	if err != nil {
-		return nil, err
-	}
-	return t.RemainderTree(x), nil
 }

@@ -22,6 +22,20 @@ func randInts(seed int64, n, bits int) []*big.Int {
 	return out
 }
 
+// remainders runs the plain or squared remainder tree uncancelled.
+func remainders(t *testing.T, tr *Tree, x *big.Int, squared bool) []*big.Int {
+	t.Helper()
+	run := tr.RemainderTreeCtx
+	if squared {
+		run = tr.RemainderTreeSquaredCtx
+	}
+	rems, err := run(context.Background(), x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rems
+}
+
 func TestNewEmpty(t *testing.T) {
 	if _, err := New(nil); err != ErrEmpty {
 		t.Errorf("got %v, want ErrEmpty", err)
@@ -39,7 +53,7 @@ func TestSingleLeaf(t *testing.T) {
 	if len(tr.Levels) != 1 {
 		t.Errorf("levels = %d, want 1", len(tr.Levels))
 	}
-	rems := tr.RemainderTree(big.NewInt(100))
+	rems := remainders(t, tr, big.NewInt(100), false)
 	if len(rems) != 1 || rems[0].Int64() != 100%42 {
 		t.Errorf("remainders = %v", rems)
 	}
@@ -95,7 +109,7 @@ func TestRemainderTreeMatchesDirectMod(t *testing.T) {
 		tr, _ := New(vals)
 		x := new(big.Int).Lsh(big.NewInt(0xDEADBEEF), 300)
 		x.Add(x, big.NewInt(12345))
-		rems := tr.RemainderTree(x)
+		rems := remainders(t, tr, x, false)
 		for i, v := range vals {
 			want := new(big.Int).Mod(x, v)
 			if rems[i].Cmp(want) != 0 {
@@ -110,7 +124,7 @@ func TestRemainderTreeSquaredMatchesDirectMod(t *testing.T) {
 		vals := randInts(int64(200+n), n, 48)
 		tr, _ := New(vals)
 		x := tr.Root() // the batch-GCD usage: reduce the full product
-		rems := tr.RemainderTreeSquared(x)
+		rems := remainders(t, tr, x, true)
 		for i, v := range vals {
 			sq := new(big.Int).Mul(v, v)
 			want := new(big.Int).Mod(x, sq)
@@ -126,8 +140,8 @@ func TestRemainderTreeDoesNotMutateInput(t *testing.T) {
 	tr, _ := New(vals)
 	x := big.NewInt(1 << 40)
 	want := new(big.Int).Set(x)
-	tr.RemainderTree(x)
-	tr.RemainderTreeSquared(x)
+	remainders(t, tr, x, false)
+	remainders(t, tr, x, true)
 	if x.Cmp(want) != 0 {
 		t.Error("remainder tree mutated x")
 	}
@@ -146,33 +160,6 @@ func TestBytesPositive(t *testing.T) {
 	// Root alone is ~64*512 bits = 4096 bytes; the whole tree must exceed it.
 	if tr.Bytes() < 4096 {
 		t.Errorf("Bytes() = %d, implausibly small", tr.Bytes())
-	}
-}
-
-func TestProductHelper(t *testing.T) {
-	p, err := Product([]*big.Int{big.NewInt(6), big.NewInt(7)})
-	if err != nil || p.Int64() != 42 {
-		t.Errorf("Product = %v, %v", p, err)
-	}
-	if _, err := Product(nil); err != ErrEmpty {
-		t.Errorf("Product(nil) err = %v", err)
-	}
-}
-
-func TestRemaindersModHelper(t *testing.T) {
-	mods := []*big.Int{big.NewInt(3), big.NewInt(5), big.NewInt(7)}
-	rems, err := RemaindersMod(big.NewInt(23), mods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{2, 3, 2}
-	for i, w := range want {
-		if rems[i].Int64() != w {
-			t.Errorf("23 mod %v = %v, want %d", mods[i], rems[i], w)
-		}
-	}
-	if _, err := RemaindersMod(big.NewInt(1), nil); err != ErrEmpty {
-		t.Error("expected ErrEmpty")
 	}
 }
 
@@ -232,7 +219,7 @@ func TestExtendMatchesFullBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ext, err := Extend(base, vals[tc.old:])
+		ext, err := ExtendCtx(context.Background(), base, vals[tc.old:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +253,7 @@ func TestExtendSharesStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseRoot := new(big.Int).Set(base.Root())
-	ext, err := Extend(base, vals[64:])
+	ext, err := ExtendCtx(context.Background(), base, vals[64:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,22 +281,22 @@ func TestExtendEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Empty extension returns the base unchanged.
-	same, err := Extend(base, nil)
+	same, err := ExtendCtx(context.Background(), base, nil)
 	if err != nil || same != base {
-		t.Errorf("Extend(base, nil) = %v, %v; want the base tree itself", same, err)
+		t.Errorf("ExtendCtx(base, nil) = %v, %v; want the base tree itself", same, err)
 	}
 	// Nil base is a fresh build.
-	fresh, err := Extend(nil, vals[3:])
+	fresh, err := ExtendCtx(context.Background(), nil, vals[3:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	full, _ := New(vals[3:])
 	if fresh.Root().Cmp(full.Root()) != 0 {
-		t.Error("Extend(nil, leaves) root differs from New")
+		t.Error("ExtendCtx(nil, leaves) root differs from New")
 	}
 	// Nil base and no leaves is the usual empty error.
-	if _, err := Extend(nil, nil); err != ErrEmpty {
-		t.Errorf("Extend(nil, nil) err = %v, want ErrEmpty", err)
+	if _, err := ExtendCtx(context.Background(), nil, nil); err != ErrEmpty {
+		t.Errorf("ExtendCtx(nil, nil) err = %v, want ErrEmpty", err)
 	}
 }
 
@@ -359,16 +346,5 @@ func TestRemainderTreeCtxCancelled(t *testing.T) {
 	}
 	if _, err := tr.RemainderTreeSquaredCtx(ctx, tr.Root()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RemainderTreeSquaredCtx err = %v, want wrapped context.Canceled", err)
-	}
-	// The uncancelled variants agree with the plain ones.
-	got, err := tr.RemainderTreeCtx(context.Background(), tr.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tr.RemainderTree(tr.Root())
-	for i := range want {
-		if got[i].Cmp(want[i]) != 0 {
-			t.Fatalf("leaf %d: ctx variant = %v, plain = %v", i, got[i], want[i])
-		}
 	}
 }

@@ -1,4 +1,8 @@
-package scanner
+// Package retry holds the failure classification and retry-pacing
+// primitives shared by the scan engines, the cluster router and the
+// ingest bridge: which errors are worth another attempt, a shared cap on
+// how many, and a seeded, saturating backoff schedule between them.
+package retry
 
 import (
 	"context"
@@ -116,15 +120,14 @@ func (l *Jitter) Jitter(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// sleepCtx waits d or until the context is done; it reports whether the
-// full wait elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
+// DoubleBackoff is the exponential step, saturating at cap and immune
+// to overflow: left uncapped, repeated doubling wraps negative after
+// ~40 retries of the 25ms default, and a negative sleep turns the
+// backoff into a hot retry loop against an already-struggling target.
+func DoubleBackoff(d, cap time.Duration) time.Duration {
+	d *= 2
+	if d > cap || d <= 0 {
+		return cap
 	}
+	return d
 }

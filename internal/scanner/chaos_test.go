@@ -15,6 +15,7 @@ import (
 	"github.com/factorable/weakkeys/internal/certs"
 	"github.com/factorable/weakkeys/internal/devices"
 	"github.com/factorable/weakkeys/internal/faults"
+	"github.com/factorable/weakkeys/internal/retry"
 	"github.com/factorable/weakkeys/internal/scanstore"
 	"github.com/factorable/weakkeys/internal/telemetry"
 	"github.com/factorable/weakkeys/internal/weakrsa"
@@ -153,7 +154,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 			t.Fatal("always-reset target cannot succeed")
 		}
 		if !r.Transient {
-			t.Errorf("reset classified as %q", Cause(r.Err))
+			t.Errorf("reset classified as %q", retry.Cause(r.Err))
 		}
 		totalAttempts += r.Attempts
 	}
@@ -227,9 +228,15 @@ func TestHarvestAggregatesStoreErrors(t *testing.T) {
 		{Addr: "10.0.0.4:443", Err: errors.New("garbled"), Transient: false},
 	}
 	store := scanstore.New()
-	sum, err := storeResults(store, time.Date(2016, 4, 11, 0, 0, 0, 0, time.UTC), scanstore.SourceCensys, results)
-	if err == nil {
-		t.Fatal("store failure must be reported")
+	var sum HarvestSummary
+	var storeErrs int
+	for _, r := range results {
+		if err := storeOne(store, time.Date(2016, 4, 11, 0, 0, 0, 0, time.UTC), scanstore.SourceCensys, r, &sum); err != nil {
+			storeErrs++
+		}
+	}
+	if storeErrs != 1 {
+		t.Fatalf("store failures reported = %d, want 1", storeErrs)
 	}
 	if sum.Stored != 1 {
 		t.Errorf("stored = %d, want 1: later observations must survive an earlier store error", sum.Stored)

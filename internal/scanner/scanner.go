@@ -22,6 +22,7 @@ import (
 
 	"github.com/factorable/weakkeys/internal/certs"
 	"github.com/factorable/weakkeys/internal/devices"
+	"github.com/factorable/weakkeys/internal/retry"
 	"github.com/factorable/weakkeys/internal/scanstore"
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
@@ -208,8 +209,8 @@ func Stream(ctx context.Context, targets []string, opts Options, emit func(index
 	case budgetSize < 0:
 		budgetSize = math.MaxInt64
 	}
-	budget := NewBudget(budgetSize)
-	jitter := NewJitter(o.RetrySeed)
+	budget := retry.NewBudget(budgetSize)
+	jitter := retry.NewJitter(o.RetrySeed)
 	for w := 0; w < o.Workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -270,7 +271,7 @@ func Scan(ctx context.Context, targets []string, opts Options) ([]Result, error)
 // transient failures only — exponential backoff with jitter and another
 // attempt, bounded per target by MaxAttempts and globally by the retry
 // budget.
-func scanOne(ctx context.Context, addr string, o Options, ins instruments, budget *Budget, jitter *Jitter) Result {
+func scanOne(ctx context.Context, addr string, o Options, ins instruments, budget *retry.Budget, jitter *retry.Jitter) Result {
 	ins.targets.Inc()
 	backoff := o.RetryBackoff
 	for attempt := 1; ; attempt++ {
@@ -280,7 +281,7 @@ func scanOne(ctx context.Context, addr string, o Options, ins instruments, budge
 		if res.Err == nil {
 			return res
 		}
-		res.Transient = Transient(res.Err)
+		res.Transient = retry.Transient(res.Err)
 		if !res.Transient || attempt >= o.MaxAttempts || ctx.Err() != nil {
 			return res
 		}
@@ -288,21 +289,21 @@ func scanOne(ctx context.Context, addr string, o Options, ins instruments, budge
 			ins.budgetOut.Inc()
 			ins.events.Warn(ctx, "scan retry budget exhausted",
 				slog.String("addr", addr),
-				slog.String("cause", Cause(res.Err)),
+				slog.String("cause", retry.Cause(res.Err)),
 				slog.Int("attempt", attempt))
 			return res
 		}
-		ins.retried(Cause(res.Err))
+		ins.retried(retry.Cause(res.Err))
 		sleep := jitter.Jitter(backoff)
 		ins.events.Debug(ctx, "scan retry",
 			slog.String("addr", addr),
-			slog.String("cause", Cause(res.Err)),
+			slog.String("cause", retry.Cause(res.Err)),
 			slog.Int("attempt", attempt),
 			slog.Duration("backoff", sleep))
 		if !sleepCtx(ctx, sleep) {
 			return res
 		}
-		backoff = DoubleBackoff(backoff, maxBackoff(o))
+		backoff = retry.DoubleBackoff(backoff, maxBackoff(o))
 	}
 }
 
@@ -317,16 +318,17 @@ func maxBackoff(o Options) time.Duration {
 	return time.Second
 }
 
-// DoubleBackoff is the exponential step, saturating at cap and immune
-// to overflow: left uncapped, repeated doubling wraps negative after
-// ~40 retries of the 25ms default, and a negative sleep turns the
-// backoff into a hot retry loop against an already-struggling target.
-func DoubleBackoff(d, cap time.Duration) time.Duration {
-	d *= 2
-	if d > cap || d <= 0 {
-		return cap
+// sleepCtx waits d or until the context is done; it reports whether the
+// full wait elapsed.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
 	}
-	return d
 }
 
 // scanAttempt performs a single dial + handshake (+ optional heartbeat
@@ -455,18 +457,4 @@ func storeOne(store *scanstore.Store, date time.Time, src scanstore.Source, r Re
 	}
 	sum.Stored++
 	return nil
-}
-
-// storeResults persists a completed result slice (the non-streaming
-// path kept for batch callers and tests); per-observation store errors
-// are aggregated, not fatal.
-func storeResults(store *scanstore.Store, date time.Time, src scanstore.Source, results []Result) (HarvestSummary, error) {
-	var sum HarvestSummary
-	var storeErrs []error
-	for _, r := range results {
-		if err := storeOne(store, date, src, r, &sum); err != nil {
-			storeErrs = append(storeErrs, err)
-		}
-	}
-	return sum, errors.Join(storeErrs...)
 }

@@ -12,6 +12,7 @@ import (
 
 	"github.com/factorable/weakkeys/internal/certs"
 	"github.com/factorable/weakkeys/internal/devices"
+	"github.com/factorable/weakkeys/internal/retry"
 	"github.com/factorable/weakkeys/internal/scanstore"
 	"github.com/factorable/weakkeys/internal/weakrsa"
 )
@@ -256,13 +257,13 @@ func TestBackoffCapped(t *testing.T) {
 			t.Fatalf("retry %d: backoff %v exceeds cap %v", i, backoff, cap)
 		}
 		total += backoff
-		backoff = DoubleBackoff(backoff, cap)
+		backoff = retry.DoubleBackoff(backoff, cap)
 	}
 	if limit := time.Duration(retries) * cap; total > limit {
 		t.Fatalf("total sleep %v exceeds bound %v", total, limit)
 	}
 	// The old schedule overflows exactly where the capped one saturates.
-	if d := DoubleBackoff(time.Duration(1)<<62, cap); d != cap {
+	if d := retry.DoubleBackoff(time.Duration(1)<<62, cap); d != cap {
 		t.Errorf("overflow step = %v, want saturation at %v", d, cap)
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 	"github.com/factorable/weakkeys/internal/certs"
 	"github.com/factorable/weakkeys/internal/devices"
-	"github.com/factorable/weakkeys/internal/scanner"
+	"github.com/factorable/weakkeys/internal/retry"
 	"github.com/factorable/weakkeys/internal/scanstore"
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
@@ -112,7 +112,7 @@ type Report struct {
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// Errors buckets failed probes against live devices by
-	// scanner.Cause.
+	// retry.Cause.
 	Errors map[string]uint64 `json:"errors,omitempty"`
 	// Stored counts observations persisted; StoreErrors counts ones
 	// the store rejected (skipped, not fatal).
@@ -150,8 +150,8 @@ type instruments struct {
 func (o Options) instruments() instruments {
 	reg := o.Metrics
 	errs := make(map[string]*telemetry.Counter)
-	for _, cause := range []string{scanner.CauseRefused, scanner.CauseReset,
-		scanner.CauseTimeout, scanner.CauseCanceled, scanner.CausePermanent} {
+	for _, cause := range []string{retry.CauseRefused, retry.CauseReset,
+		retry.CauseTimeout, retry.CauseCanceled, retry.CausePermanent} {
 		errs[cause] = reg.Counter(`zscan_probe_errors_total{cause="` + cause + `"}`)
 	}
 	return instruments{
@@ -413,7 +413,7 @@ func (e *Engine) harvest(ctx context.Context, date time.Time, item harvestItem) 
 			return
 		}
 		e.ins.harvestLag.ObserveDuration(time.Since(item.done))
-		cause := scanner.Cause(res.Err)
+		cause := retry.Cause(res.Err)
 		e.rep.Errors[cause]++
 		if c := e.ins.errs[cause]; c != nil {
 			c.Inc()
@@ -429,8 +429,8 @@ func (e *Engine) harvest(ctx context.Context, date time.Time, item harvestItem) 
 		var err error
 		cert, err = certs.Parse(res.DER)
 		if err != nil {
-			e.rep.Errors[scanner.CausePermanent]++
-			e.ins.errs[scanner.CausePermanent].Inc()
+			e.rep.Errors[retry.CausePermanent]++
+			e.ins.errs[retry.CausePermanent].Inc()
 			e.ins.events.Warn(ctx, "zscan certificate parse failed",
 				slog.Uint64("index", res.Index),
 				slog.String("err", err.Error()))

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"github.com/factorable/weakkeys/internal/faults"
-	"github.com/factorable/weakkeys/internal/scanner"
+	"github.com/factorable/weakkeys/internal/retry"
 	"github.com/factorable/weakkeys/internal/scanstore"
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
@@ -82,9 +82,9 @@ func TestEngineResweepRecoversFaults(t *testing.T) {
 	if rep.Hits != 16 {
 		t.Errorf("hits = %d, want 16 (every device recovered on cycle 2)", rep.Hits)
 	}
-	if rep.Errors[scanner.CauseReset] != 16 {
+	if rep.Errors[retry.CauseReset] != 16 {
 		t.Errorf("reset errors = %d, want 16 (every device faulted on cycle 1)",
-			rep.Errors[scanner.CauseReset])
+			rep.Errors[retry.CauseReset])
 	}
 	// Cycle 2's observations carry cycle 2's scan date.
 	dates := store.ScanDates(scanstore.HTTPS)

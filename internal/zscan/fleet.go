@@ -56,7 +56,7 @@ func (e *simNetError) Error() string   { return e.msg }
 func (e *simNetError) Timeout() bool   { return e.timeout }
 func (e *simNetError) Temporary() bool { return e.timeout }
 
-// Injected-fault outcomes, shaped to classify under scanner.Cause the
+// Injected-fault outcomes, shaped to classify under retry.Cause the
 // same way the real devices.Server faults do over a socket.
 var (
 	errRefused        = fmt.Errorf("zscan: sim connect: %w", syscall.ECONNREFUSED)

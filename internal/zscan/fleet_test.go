@@ -7,7 +7,7 @@ import (
 	"github.com/factorable/weakkeys/internal/certs"
 	"github.com/factorable/weakkeys/internal/devices"
 	"github.com/factorable/weakkeys/internal/faults"
-	"github.com/factorable/weakkeys/internal/scanner"
+	"github.com/factorable/weakkeys/internal/retry"
 )
 
 func testFleet(t *testing.T, opts FleetOptions) *SimFleet {
@@ -76,7 +76,7 @@ func TestFleetProbeHitAndMiss(t *testing.T) {
 	if miss.Err != ErrNoDevice {
 		t.Fatalf("probe of empty index: err = %v, want ErrNoDevice", miss.Err)
 	}
-	if cause := scanner.Cause(miss.Err); cause != scanner.CauseTimeout {
+	if cause := retry.Cause(miss.Err); cause != retry.CauseTimeout {
 		t.Fatalf("miss classifies as %q, want timeout", cause)
 	}
 }
@@ -110,7 +110,7 @@ func TestFleetFaultEveryNRecovers(t *testing.T) {
 		if first.Err == nil {
 			t.Fatalf("device %d: first probe must fault under EveryN(2)", idx)
 		}
-		if !scanner.Transient(first.Err) {
+		if !retry.Transient(first.Err) {
 			t.Fatalf("device %d: injected reset classified permanent: %v", idx, first.Err)
 		}
 		second := f.Probe(ctx, idx)
@@ -126,18 +126,18 @@ func TestFaultClassification(t *testing.T) {
 		cause     string
 		transient bool
 	}{
-		{errRefused, scanner.CauseRefused, true},
-		{errReset, scanner.CauseReset, true},
-		{errStall, scanner.CauseTimeout, true},
-		{errTruncate, scanner.CauseReset, true},
-		{errGarble, scanner.CausePermanent, false},
-		{ErrNoDevice, scanner.CauseTimeout, true},
+		{errRefused, retry.CauseRefused, true},
+		{errReset, retry.CauseReset, true},
+		{errStall, retry.CauseTimeout, true},
+		{errTruncate, retry.CauseReset, true},
+		{errGarble, retry.CausePermanent, false},
+		{ErrNoDevice, retry.CauseTimeout, true},
 	}
 	for _, tc := range cases {
-		if got := scanner.Cause(tc.err); got != tc.cause {
+		if got := retry.Cause(tc.err); got != tc.cause {
 			t.Errorf("Cause(%v) = %q, want %q", tc.err, got, tc.cause)
 		}
-		if got := scanner.Transient(tc.err); got != tc.transient {
+		if got := retry.Transient(tc.err); got != tc.transient {
 			t.Errorf("Transient(%v) = %v, want %v", tc.err, got, tc.transient)
 		}
 	}

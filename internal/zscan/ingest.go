@@ -13,7 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/factorable/weakkeys/internal/scanner"
+	"github.com/factorable/weakkeys/internal/retry"
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
@@ -100,7 +100,7 @@ type BridgeStats struct {
 }
 
 // Bridge streams harvested moduli into POST /v1/ingest in batches, on
-// the scanner's retry machinery (exponential backoff, seeded jitter,
+// the internal/retry machinery (exponential backoff, seeded jitter,
 // lifetime retry budget), so a standing scan continuously folds newly
 // seen keys into the serving index — /v1/check verdicts flip without a
 // server restart. Create with NewBridge, feed with Offer, then Close to
@@ -109,8 +109,8 @@ type Bridge struct {
 	o      BridgeOptions
 	queue  chan string
 	wg     sync.WaitGroup
-	budget *scanner.Budget
-	jitter *scanner.Jitter
+	budget *retry.Budget
+	jitter *retry.Jitter
 
 	offered   atomic.Uint64
 	delivered atomic.Uint64
@@ -151,8 +151,8 @@ func NewBridge(opts BridgeOptions) (*Bridge, error) {
 	b := &Bridge{
 		o:      o,
 		queue:  make(chan string, o.QueueSize),
-		budget: scanner.NewBudget(budgetSize),
-		jitter: scanner.NewJitter(o.Seed),
+		budget: retry.NewBudget(budgetSize),
+		jitter: retry.NewJitter(o.Seed),
 		ins: bridgeInstruments{
 			events:    o.Events,
 			delivered: reg.Counter("zscan_ingest_keys_total"),
@@ -291,7 +291,7 @@ func (b *Bridge) post(batch []string) {
 			slog.Duration("backoff", sleep),
 			slog.String("err", err.Error()))
 		time.Sleep(sleep)
-		backoff = scanner.DoubleBackoff(backoff, 5*time.Second)
+		backoff = retry.DoubleBackoff(backoff, 5*time.Second)
 	}
 }
 
