@@ -14,7 +14,11 @@ import (
 	"context"
 	"io"
 	"math/big"
+	"math/rand"
 	"net"
+	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -29,6 +33,7 @@ import (
 	"github.com/factorable/weakkeys/internal/population"
 	"github.com/factorable/weakkeys/internal/prodtree"
 	"github.com/factorable/weakkeys/internal/scanner"
+	"github.com/factorable/weakkeys/internal/telemetry"
 	"github.com/factorable/weakkeys/internal/weakrsa"
 )
 
@@ -246,9 +251,10 @@ func BenchmarkProductTree(b *testing.B) {
 	}
 }
 
-// BenchmarkRemainderTreeVariants is the DESIGN.md ablation: the squared
-// remainder tree (Bernstein's P mod N² trick, what batch GCD needs)
-// versus the plain variant.
+// BenchmarkRemainderTreeVariants is the DESIGN.md ablation: the plain
+// remainder tree, the squared one (Bernstein's P mod N² trick, the
+// oracle) and the product-rule cofactor tree batch GCD runs (an up pass
+// plus one plain descent).
 func BenchmarkRemainderTreeVariants(b *testing.B) {
 	moduli := benchCorpus(b)[:1024]
 	tree, err := prodtree.New(moduli)
@@ -270,6 +276,147 @@ func BenchmarkRemainderTreeVariants(b *testing.B) {
 			}
 		}
 	})
+	b.Run("cofactor", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := tree.CofactorResiduesCtx(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkSizeSweep is the first cut of ROADMAP 2(c): one batch GCD per
+// size and width, split into its passes. build, residues and sweep are
+// timed around the three Batch calls; up and down come from the
+// per-level spans prodtree opens under a tracer. peak_rss_mb is the
+// process high-water mark, so run one sub-benchmark per process (see
+// EXPERIMENTS.md). Inputs are seeded random odd integers with a shared
+// prime planted in every 64th: the arithmetic cost depends on operand
+// widths only, and generating 2^17 512-bit primes would dwarf the run.
+// Random integers also share small factors, so nearly every modulus is
+// reported; the check is that each planted prime is among what is found.
+func BenchmarkSizeSweep(b *testing.B) {
+	for _, n := range []int{1 << 12, 1 << 14, 1 << 16} {
+		for _, bits := range []int{128, 512, 1024} {
+			b.Run(bname("n", n)+"/"+bname("bits", bits), func(b *testing.B) {
+				moduli, planted := sweepModuli(n, bits)
+				b.ResetTimer()
+				pass := map[string]float64{}
+				for i := 0; i < b.N; i++ {
+					tracer := telemetry.NewTracer()
+					root := tracer.Start("sweep")
+					ctx := telemetry.ContextWithSpan(context.Background(), root)
+					t0 := time.Now()
+					batch, err := batchgcd.NewBatch(ctx, moduli)
+					if err != nil {
+						b.Fatal(err)
+					}
+					t1 := time.Now()
+					own, err := batch.OwnResidues(ctx)
+					if err != nil {
+						b.Fatal(err)
+					}
+					t2 := time.Now()
+					divs, err := batch.Divisors(ctx, own)
+					if err != nil {
+						b.Fatal(err)
+					}
+					pass["build_s"] += t1.Sub(t0).Seconds()
+					pass["residues_s"] += t2.Sub(t1).Seconds()
+					pass["sweep_s"] += time.Since(t2).Seconds()
+					for _, ev := range tracer.Events() {
+						switch ev.Name {
+						case "prodtree.up":
+							pass["up_s"] += ev.Dur / 1e6
+						case "prodtree.down":
+							pass["down_s"] += ev.Dur / 1e6
+						}
+					}
+					for k, p := range planted {
+						for _, d := range []*big.Int{divs[128*k], divs[128*k+64]} {
+							if d == nil || new(big.Int).Mod(d, p).Sign() != 0 {
+								b.Fatalf("planted prime %d not found", k)
+							}
+						}
+					}
+				}
+				for name, s := range pass {
+					b.ReportMetric(s/float64(b.N), name)
+				}
+				b.ReportMetric(peakRSSMB(), "peak_rss_mb")
+			})
+		}
+	}
+}
+
+// BenchmarkDivideVsMultiply is the measurement that parks the scaled
+// remainder tree (ROADMAP item 2b): one remainder-tree step divides a
+// 2s-word parent by an s-word node (div), and a multiply-only descent
+// would put a 2s×s product in its place (mul2s; math/big has no middle
+// product to halve it). mul is the s×s unit both are quoted in.
+func BenchmarkDivideVsMultiply(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	for _, words := range []int{256, 4096, 65536} {
+		bound := new(big.Int).Lsh(big.NewInt(1), uint(64*words))
+		x, y := new(big.Int).Rand(rng, bound), new(big.Int).Rand(rng, bound)
+		y.SetBit(y, 64*words-1, 1)
+		xy, q, r := new(big.Int).Mul(x, y), new(big.Int), new(big.Int)
+		b.Run(bname("mul/words", words), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				q.Mul(x, y)
+			}
+		})
+		b.Run(bname("mul2s/words", words), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				q.Mul(xy, y)
+			}
+		})
+		b.Run(bname("div/words", words), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				q.QuoRem(xy, y, r)
+			}
+		})
+	}
+}
+
+// sweepModuli returns n odd bits-wide integers, distinct with
+// overwhelming probability; moduli 128k and 128k+64 share planted[k], a
+// bits/2-wide prime.
+func sweepModuli(n, bits int) (moduli, planted []*big.Int) {
+	rng := rand.New(rand.NewSource(int64(n)*31 + int64(bits)))
+	half := new(big.Int).Lsh(big.NewInt(1), uint(bits/2))
+	odd := func() *big.Int {
+		v := new(big.Int).Rand(rng, half)
+		return v.SetBit(v, 0, 1).SetBit(v, bits/2-1, 1)
+	}
+	moduli = make([]*big.Int, n)
+	for i := range moduli {
+		p := odd()
+		switch i % 128 {
+		case 0:
+			for !p.ProbablyPrime(8) {
+				p = odd()
+			}
+			planted = append(planted, p)
+		case 64:
+			p = planted[len(planted)-1]
+		}
+		moduli[i] = new(big.Int).Mul(p, odd())
+	}
+	return moduli, planted
+}
+
+// peakRSSMB reads the process's resident high-water mark (0 where
+// /proc is not available).
+func peakRSSMB() float64 {
+	data, _ := os.ReadFile("/proc/self/status")
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && f[0] == "VmHWM:" {
+			kb, _ := strconv.ParseFloat(f[1], 64)
+			return kb / 1024
+		}
+	}
+	return 0
 }
 
 // BenchmarkProductTreeLeafBatch is the DESIGN.md ablation: pre-multiplying

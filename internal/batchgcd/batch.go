@@ -54,22 +54,12 @@ func (b *Batch) Product() *big.Int { return b.tree.Root() }
 // Bytes is the product tree's approximate memory footprint.
 func (b *Batch) Bytes() int64 { return b.tree.Bytes() }
 
-// OwnResidues returns (P/Ni) mod Ni for the batch's own product, by
-// Bernstein's trick: P mod Ni² comes down the remainder tree and the
-// exact quotient by Ni is the cofactor residue, without ever forming
-// P/Ni. The slice is the caller's to fold into.
+// OwnResidues returns (P/Ni) mod Ni for the batch's own product, by the
+// product rule: Σj P/Nj is carried up the product tree and reduced down
+// it, and every term but P/Ni vanishes mod Ni (see
+// prodtree.CofactorResiduesCtx). The slice is the caller's to fold into.
 func (b *Batch) OwnResidues(ctx context.Context) ([]*big.Int, error) {
-	rems, err := b.tree.RemainderTreeSquaredCtx(ctx, b.tree.Root())
-	if err != nil {
-		return nil, err
-	}
-	err = kernel.FromContext(ctx).Run(ctx, len(rems), func(i int, _ *kernel.Arena) {
-		rems[i].Quo(rems[i], b.moduli[i])
-	})
-	if err != nil {
-		return nil, fmt.Errorf("batchgcd: residues cancelled: %w", err)
-	}
-	return rems, nil
+	return b.tree.CofactorResiduesCtx(ctx)
 }
 
 // Residues returns q mod Ni for a product q of moduli outside the

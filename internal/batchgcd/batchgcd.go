@@ -4,9 +4,9 @@
 // Hastings, Fried and Heninger (IMC 2016).
 //
 // Given moduli N1..Nn the algorithm computes P = ∏Ni with a product tree,
-// reduces zi = P mod Ni² with a remainder tree, and reports
-// gcd(Ni, zi/Ni) ≠ 1 whenever Ni shares a factor with at least one other
-// modulus in the batch. Total cost is quasilinear in the input size,
+// reduces zi = (P/Ni) mod Ni with a remainder tree (see OwnResidues), and
+// reports gcd(Ni, zi) ≠ 1 whenever Ni shares a factor with at least one
+// other modulus in the batch. Total cost is quasilinear in the input size,
 // versus quadratic for the naive all-pairs comparison (also provided here
 // as the baseline the paper measures against).
 package batchgcd

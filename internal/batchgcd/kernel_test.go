@@ -73,3 +73,51 @@ func TestFactorPooledMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestOwnResiduesMatchSquaredOracle holds OwnResidues to the route it
+// replaced, (P mod Ni²)/Ni off the squared remainder tree, through
+// NewBatch's dedup, on a serial and a pooled engine: shared-prime
+// pairs, exact duplicates, and a modulus both of whose primes are
+// shared (residue 0, so the divisor is the modulus itself).
+func TestOwnResiduesMatchSquaredOracle(t *testing.T) {
+	serial := kernel.New(1)
+	pooled := kernel.New(8)
+	defer serial.Close()
+	defer pooled.Close()
+	sctx := kernel.With(context.Background(), serial)
+	pctx := kernel.With(context.Background(), pooled)
+
+	ps := corpus(t, 16, 4, 96)
+	both := mul(ps[0], ps[1])
+	for _, n := range []int{0, 1, 30, 400} {
+		mods := append([]*big.Int{both, mul(ps[0], ps[2]), mul(ps[1], ps[3]), new(big.Int).Set(both)}, sharedPrimeCorpus(int64(n), n)...)
+		b, err := NewBatch(pctx, mods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := b.tree.RemainderTreeSquaredCtx(sctx, b.Product())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sown, err := b.OwnResidues(sctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pown, err := b.OwnResidues(pctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range b.moduli {
+			if want[i].Quo(want[i], m); sown[i].Cmp(want[i]) != 0 || pown[i].Cmp(want[i]) != 0 {
+				t.Fatalf("n=%d: residue %d serial %v pooled %v, oracle %v", n, i, sown[i], pown[i], want[i])
+			}
+		}
+		divs, err := b.Divisors(pctx, pown)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pown[0].Sign() != 0 || divs[0] == nil || divs[0].Cmp(both) != 0 {
+			t.Fatalf("n=%d: both primes shared: residue %v divisor %v, want 0 and the modulus", n, pown[0], divs[0])
+		}
+	}
+}

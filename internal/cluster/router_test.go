@@ -90,9 +90,14 @@ func TestRouterFailover(t *testing.T) {
 		t.Errorf("Ns with dead replica = %+v degraded=%v, want shared_factor", v.Verdict, v.Degraded)
 	}
 
-	// Enough consecutive failures open the dead replica's breaker.
-	for i := 0; i < 4; i++ {
-		rt.Check(ctx, modNc)
+	// Enough consecutive failures open the dead replica's breaker. N1 is
+	// homed on it, so every check tries it first while its breaker is
+	// closed; a scatter for some other key reaches it only under
+	// placements (the addresses are random ports) that make it the first
+	// owner of a shard the home answer left uncovered. Check until it
+	// opens, bounded.
+	for deadline := time.Now().Add(2 * time.Second); rt.Replica(dead).Breaker.Opens() < 1 && time.Now().Before(deadline); {
+		rt.Check(ctx, modN1)
 	}
 	if rt.Replica(dead).Breaker.Opens() < 1 {
 		t.Errorf("dead replica breaker never opened (state %v)", rt.Replica(dead).Breaker.State())

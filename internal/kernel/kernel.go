@@ -15,6 +15,9 @@
 //     is checked per chunk. A cancelled 1M-leaf tree build used to run
 //     to the end of its level (minutes at paper scale); now it stops
 //     within one chunk and drains the rest without executing them.
+//   - Any job of two or more ops fans out. The 2- and 3-node levels at
+//     the top of a tree hold its widest operands and most of its cost;
+//     only a single op (or a 1-worker engine) runs inline on the caller.
 //   - Each executing goroutine owns a reusable big.Int scratch arena,
 //     so Mul/Mod/GCD temporaries are recycled across chunks and tree
 //     levels instead of allocated per node.
@@ -55,9 +58,6 @@ const (
 	// slow worker sheds load to the others, few enough that the atomic
 	// cursor is not contended.
 	chunksPerWorker = 4
-	// minParallel is the smallest n worth fanning out; below it the
-	// caller runs the loop inline (upper tree levels are 1-3 nodes).
-	minParallel = 4
 )
 
 // Engine owns a worker pool and schedules chunked loops onto it. Safe
@@ -180,14 +180,15 @@ func (e *Engine) Run(ctx context.Context, n int, f func(i int, a *Arena)) error 
 	e.jobsN.Add(1)
 	e.ops.Add(int64(n))
 	chunk := e.chunkFor(n)
+	inline := e.workers <= 1 || n == 1
 	// One debug event per job (not per op): an ingest's request ID rides
 	// the context, so /debug/events can show which request drove which
 	// kernel fan-out.
 	telemetry.EventsFrom(ctx).Debug(ctx, "kernel job",
 		slog.Int("ops", n),
 		slog.Int("chunk", chunk),
-		slog.Bool("inline", e.workers <= 1 || n < minParallel || n <= chunk))
-	if e.workers <= 1 || n < minParallel || n <= chunk {
+		slog.Bool("inline", inline))
+	if inline {
 		return e.runInline(ctx, n, chunk, f)
 	}
 	j := &job{
@@ -333,7 +334,7 @@ type Stats struct {
 	// Workers is the engine's per-job parallelism.
 	Workers int `json:"workers"`
 	// Jobs counts Run invocations; InlineJobs the subset executed
-	// entirely on the calling goroutine (small n or serial engine).
+	// entirely on the calling goroutine (one op or serial engine).
 	Jobs       int64 `json:"jobs"`
 	InlineJobs int64 `json:"inline_jobs"`
 	// Ops is the total number of scheduled indices (one per tree node,

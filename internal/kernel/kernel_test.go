@@ -223,3 +223,31 @@ func TestArenaCapOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFanOutRule: any job of two or more ops is pooled on a multi-worker
+// engine, one chunk per op at that size — the 2- and 3-node levels at
+// the top of a tree are its most expensive; a single op, or any job on
+// a 1-worker engine, runs inline on the caller.
+func TestFanOutRule(t *testing.T) {
+	for _, tc := range []struct {
+		workers, n int
+		inline     bool
+	}{{2, 2, false}, {2, 3, false}, {8, 2, false}, {8, 3, false}, {2, 1, true}, {8, 1, true}, {1, 1, true}, {1, 3, true}} {
+		e := New(tc.workers)
+		var ran atomic.Int64
+		if err := e.Run(context.Background(), tc.n, func(int, *Arena) { ran.Add(1) }); err != nil {
+			t.Fatal(err)
+		}
+		st := e.Stats()
+		if ran.Load() != int64(tc.n) {
+			t.Errorf("workers=%d n=%d: ran %d ops", tc.workers, tc.n, ran.Load())
+		}
+		if got := st.InlineJobs == 1; got != tc.inline {
+			t.Errorf("workers=%d n=%d: inline = %v, want %v", tc.workers, tc.n, got, tc.inline)
+		}
+		if st.Chunks != int64(tc.n) {
+			t.Errorf("workers=%d n=%d: %d chunks, want one per op", tc.workers, tc.n, st.Chunks)
+		}
+		e.Close()
+	}
+}

@@ -168,6 +168,13 @@ func TestNoArenaAliasingInResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The cofactor path sums an arena product into each up-pass node and
+	// divides with an arena quotient on the way down.
+	cofs, err := tree.CofactorResiduesCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rems = append(rems, cofs...)
 
 	// Deep-copy the expected values, then scribble over every arena
 	// scratch slot the engine can produce.

@@ -4,10 +4,10 @@
 //
 // A product tree stores, level by level, the pairwise products of its
 // inputs up to the single root product. A remainder tree then pushes a
-// value (typically the root product) back down the tree, reducing modulo
-// each node, so that the value modulo every individual leaf is obtained in
-// quasilinear total time instead of n independent divisions by a huge
-// number.
+// value (a foreign product, or the cofactor sum Σj P/Nj carried up the
+// tree by the product rule) back down it, reducing modulo each node, so
+// that the value modulo every individual leaf is obtained in quasilinear
+// total time instead of n independent divisions by a huge number.
 //
 // The paper scaled this computation to 81 million moduli by splitting the
 // input into k subsets (see internal/distgcd); this package provides the
@@ -21,6 +21,7 @@ import (
 	"math/big"
 
 	"github.com/factorable/weakkeys/internal/kernel"
+	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
 // Tree is a product tree. Levels[0] is the input leaves; each higher level
@@ -59,6 +60,7 @@ func NewCtx(ctx context.Context, vals []*big.Int) (*Tree, error) {
 	t := &Tree{Levels: [][]*big.Int{leaves}}
 	for cur := leaves; len(cur) > 1; {
 		next := make([]*big.Int, (len(cur)+1)/2)
+		sp := telemetry.SpanFrom(ctx).Child("prodtree.build")
 		err := eng.Run(ctx, len(cur)/2, func(i int, _ *kernel.Arena) {
 			next[i] = new(big.Int).Mul(cur[2*i], cur[2*i+1])
 		})
@@ -68,6 +70,7 @@ func NewCtx(ctx context.Context, vals []*big.Int) (*Tree, error) {
 		if len(cur)%2 == 1 {
 			next[len(next)-1] = cur[len(cur)-1]
 		}
+		endLevel(sp, len(t.Levels), next)
 		t.Levels = append(t.Levels, next)
 		cur = next
 	}
@@ -183,21 +186,38 @@ func (t *Tree) Leaves() []*big.Int {
 func (t *Tree) Bytes() int64 {
 	var total int64
 	for _, level := range t.Levels {
-		for _, v := range level {
-			total += int64(len(v.Bits())) * int64(wordBytes)
-		}
+		total += levelWords(level) * wordBytes
 	}
 	return total
 }
 
 const wordBytes = 32 << (^big.Word(0) >> 63) / 8 // 4 or 8
 
+func levelWords(level []*big.Int) (n int64) {
+	for _, v := range level {
+		n += int64(len(v.Bits()))
+	}
+	return n
+}
+
+// endLevel closes a pass's per-level trace span with the level's shape,
+// so a trace shows which levels are the cost; untraced, sp is nil.
+func endLevel(sp *telemetry.Span, lvl int, nodes []*big.Int) {
+	if sp == nil {
+		return
+	}
+	sp.SetArg("level", lvl)
+	sp.SetArg("nodes", len(nodes))
+	sp.SetArg("words", levelWords(nodes))
+	sp.End()
+}
+
 // RemainderTreeCtx pushes x down the product tree: it returns x mod leaf
 // for every leaf, computed with one reduction per tree node. x is not
 // modified. Cancellation is checked between tree levels like NewCtx.
 //
-// This is the plain variant (reduce modulo N). Batch GCD needs the
-// squared variant (see RemainderTreeSquaredCtx) to recover gcd(N, P/N).
+// This is the plain variant (reduce modulo N); batch GCD pushes the
+// cofactor sum down it (see CofactorResiduesCtx).
 func (t *Tree) RemainderTreeCtx(ctx context.Context, x *big.Int) ([]*big.Int, error) {
 	return t.remainderTree(ctx, x, false)
 }
@@ -205,7 +225,8 @@ func (t *Tree) RemainderTreeCtx(ctx context.Context, x *big.Int) ([]*big.Int, er
 // RemainderTreeSquaredCtx returns x mod leaf² for every leaf. Bernstein's
 // batch GCD trick: computing P mod Ni² and then gcd(Ni, (P mod Ni²)/Ni)
 // finds the common factor of Ni with the rest of the batch without ever
-// forming the exact cofactor P/Ni.
+// forming the exact cofactor P/Ni. Production code takes the cheaper
+// CofactorResiduesCtx; this stays as the oracle its tests compare against.
 func (t *Tree) RemainderTreeSquaredCtx(ctx context.Context, x *big.Int) ([]*big.Int, error) {
 	return t.remainderTree(ctx, x, true)
 }
@@ -230,6 +251,7 @@ func (t *Tree) remainderTree(ctx context.Context, x *big.Int, squared bool) ([]*
 	for lvl := top; lvl >= 0; lvl-- {
 		nodes := t.Levels[lvl]
 		next := make([]*big.Int, len(nodes))
+		sp := telemetry.SpanFrom(ctx).Child("prodtree.down")
 		err := eng.Run(ctx, len(nodes), func(i int, a *kernel.Arena) {
 			// An odd trailing node was carried up unchanged, so the parent
 			// may literally be the same value; reduce anyway (cheap) to
@@ -241,12 +263,58 @@ func (t *Tree) remainderTree(ctx context.Context, x *big.Int, squared bool) ([]*
 				sq.Mul(nodes[i], nodes[i])
 				mod = sq
 			}
-			next[i] = new(big.Int).Mod(parent, mod)
+			// The quotient, as wide as the remainder kept, lands in scratch.
+			next[i] = new(big.Int)
+			a.Get().DivMod(parent, mod, next[i])
 		})
 		if err != nil {
 			return nil, fmt.Errorf("prodtree: remainder tree cancelled at level %d: %w", lvl, err)
 		}
+		endLevel(sp, lvl, nodes)
 		cur = next
 	}
 	return cur, nil
+}
+
+// CofactorResiduesCtx returns (P/leaf) mod leaf for every leaf, P the
+// root: the value gcd'd against each modulus by batch GCD. Going up the
+// tree it carries D(leaf) = 1, D(a·b) = D(a)·b + a·D(b), so D(root) =
+// Σj P/Nj, and every term but P/Ni is a multiple of Ni: pushing D(root)
+// down the plain remainder tree leaves (P/Ni) mod Ni at leaf i — the
+// same value as (P mod Ni²)/Ni, with operands half as wide and no
+// squarings. Cancellation is checked per work chunk in both passes.
+func (t *Tree) CofactorResiduesCtx(ctx context.Context) ([]*big.Int, error) {
+	eng := kernel.FromContext(ctx)
+	d, one := make([]*big.Int, len(t.Levels[0])), big.NewInt(1)
+	for i := range d {
+		d[i] = one // shared: a D is only ever read, carried or reduced into a fresh value
+	}
+	for lvl, cur := range t.Levels[:len(t.Levels)-1] {
+		// term h of node i is D(a)·b (h = 0) or a·D(b) (h = 1).
+		term := func(z *big.Int, i, h int) *big.Int { return z.Mul(d[2*i+h], cur[2*i+1-h]) }
+		pairs := len(cur) / 2
+		next := append(make([]*big.Int, pairs, pairs+1), d[2*pairs:]...) // an odd node carries its D
+		sp := telemetry.SpanFrom(ctx).Child("prodtree.up")
+		var err error
+		if pairs >= eng.Workers() {
+			err = eng.Run(ctx, pairs, func(i int, a *kernel.Arena) {
+				next[i] = term(new(big.Int), i, 0)
+				next[i].Add(next[i], term(a.Get(), i, 1))
+			})
+		} else {
+			// Too few nodes to occupy the pool, and these are the widest:
+			// schedule a node's two products as separate ops.
+			terms := make([]*big.Int, 2*pairs)
+			err = eng.Run(ctx, 2*pairs, func(k int, _ *kernel.Arena) { terms[k] = term(new(big.Int), k/2, k%2) })
+			for i := 0; i < pairs && err == nil; i++ {
+				next[i] = terms[2*i].Add(terms[2*i], terms[2*i+1])
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("prodtree: cofactor tree cancelled at level %d: %w", lvl+1, err)
+		}
+		endLevel(sp, lvl+1, next)
+		d = next
+	}
+	return t.remainderTree(ctx, d[0], false)
 }
