@@ -6,12 +6,12 @@ GO ?= go
 
 # ci is the full gate: compile everything, vet (bench/ too), run the test suite under
 # the race detector (which includes every fault-injection test), smoke-
-# test the live telemetry path, the seeded-chaos recovery path, the
-# online key-check service, the replicated cluster (routing, sync and a
-# replica-kill failover), the scan->ingest pipeline and the anomalous-
-# key verdict classes end to end, guard the instrumentation hot-path
-# cost, and hold the batch-GCD kernel, the scan engine and the anomaly
-# probes to their throughput and exactness floors.
+# test the live telemetry path, the real-socket scan example and the
+# GCD crash-recovery path, the online key-check service, the replicated
+# cluster (routing, sync and a replica-kill failover), the scan->ingest
+# pipeline and the anomalous-key verdict classes end to end, guard the
+# instrumentation hot-path cost, and hold the batch-GCD kernel, the scan
+# engine and the anomaly probes to their throughput and exactness floors.
 ci: build vet bench-check race smoke chaos-smoke keyserver-smoke cluster-smoke cluster-chaos scan-smoke anomaly-smoke bench-telemetry bench-gcd bench-scan bench-anomaly
 
 build:
@@ -46,10 +46,11 @@ bench-pipeline:
 smoke:
 	sh ./scripts/smoke.sh
 
-# chaos-smoke runs both binaries under seeded fault injection: the
-# scanner must retry a faulty fleet back to a complete harvest, and the
-# distributed GCD must survive injected node crashes with output
-# identical to the fault-free run (counters checked via /metrics).
+# chaos-smoke runs examples/livescan (two zscan sweeps over loopback
+# sockets: heartbeat-crashed devices must refuse the second sweep and
+# the harvest must still factor 4 of 7 moduli) and weakkeys under
+# injected GCD node crashes, whose output must be identical to the
+# fault-free run (counters checked via /metrics).
 chaos-smoke:
 	sh ./scripts/chaos-smoke.sh
 

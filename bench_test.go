@@ -32,9 +32,10 @@ import (
 	"github.com/factorable/weakkeys/internal/pipeline"
 	"github.com/factorable/weakkeys/internal/population"
 	"github.com/factorable/weakkeys/internal/prodtree"
-	"github.com/factorable/weakkeys/internal/scanner"
+	"github.com/factorable/weakkeys/internal/scanstore"
 	"github.com/factorable/weakkeys/internal/telemetry"
 	"github.com/factorable/weakkeys/internal/weakrsa"
+	"github.com/factorable/weakkeys/internal/zscan"
 )
 
 // ---- shared fixtures -------------------------------------------------
@@ -463,9 +464,10 @@ func BenchmarkKeygen(b *testing.B) {
 	}
 }
 
-// BenchmarkScannerWorkers is the DESIGN.md ablation: certificate-harvest
-// throughput versus worker-pool width over a loopback device fleet.
-func BenchmarkScannerWorkers(b *testing.B) {
+// BenchmarkTCPProbeWorkers is the DESIGN.md ablation: certificate-harvest
+// throughput versus probe-worker count, zscan.Engine + zscan.TCPProber
+// over a loopback device fleet.
+func BenchmarkTCPProbeWorkers(b *testing.B) {
 	f := population.NewKeyFactory(3, 128)
 	var targets []string
 	var servers []*devices.Server
@@ -496,14 +498,19 @@ func BenchmarkScannerWorkers(b *testing.B) {
 	for _, w := range []int{1, 4, 16} {
 		b.Run(bname("workers", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				results, err := scanner.Scan(context.Background(), targets, scanner.Options{Workers: w})
+				eng, err := zscan.New(zscan.Options{
+					Space: uint64(len(targets)), Workers: w, Store: scanstore.New(),
+					Prober: &zscan.TCPProber{Addr: func(i uint64) (string, bool) { return targets[i], true }},
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				for _, r := range results {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
+				rep, err := eng.Run(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Stored != len(targets) {
+					b.Fatalf("stored %d of %d: %v", rep.Stored, len(targets), rep.Errors)
 				}
 			}
 		})

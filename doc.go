@@ -6,7 +6,7 @@
 // pipeline, and the longitudinal vendor-response analysis.
 //
 // The implementation lives under internal/; the runnable surfaces are the
-// commands under cmd/ (weakkeys, batchgcd, scanmock), the examples under
+// commands under cmd/ (weakkeys, batchgcd, zscand), the examples under
 // examples/, and the benchmark harness in bench_test.go, which
 // regenerates every table and figure of the paper's evaluation. See
 // README.md, DESIGN.md and EXPERIMENTS.md.

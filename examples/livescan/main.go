@@ -1,8 +1,12 @@
 // Livescan exercises the real-network pipeline end to end on loopback: a
 // fleet of simulated device HTTPS-management interfaces (Juniper-style
 // "CN=system generated" certificates, a Fritz!Box cohort, healthy
-// devices), a concurrent TCP certificate scanner, the batch GCD, and the
-// fingerprint pipeline that attributes the factored keys to vendors.
+// devices), two zscan sweeps over real TCP connections, the batch GCD,
+// and the fingerprint pipeline that attributes the factored keys to
+// vendors. The sweeps send a Heartbleed probe after each certificate
+// fetch and the pooled Juniper pair runs crash-prone firmware, so the
+// second sweep finds those two devices gone — the population effect the
+// paper saw after April 2014.
 //
 //	go run ./examples/livescan
 package main
@@ -20,9 +24,10 @@ import (
 	"github.com/factorable/weakkeys/internal/devices"
 	"github.com/factorable/weakkeys/internal/fingerprint"
 	"github.com/factorable/weakkeys/internal/population"
-	"github.com/factorable/weakkeys/internal/scanner"
+	"github.com/factorable/weakkeys/internal/retry"
 	"github.com/factorable/weakkeys/internal/scanstore"
 	"github.com/factorable/weakkeys/internal/weakrsa"
+	"github.com/factorable/weakkeys/internal/zscan"
 )
 
 func main() {
@@ -68,7 +73,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv := &devices.Server{Cert: cert}
+		// The entropy-starved Juniper build is also the one that falls
+		// over when Heartbleed-scanned.
+		srv := &devices.Server{Cert: cert, CrashOnHeartbeat: d.pool == "juniper"}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
@@ -83,15 +90,31 @@ func main() {
 		}
 	}()
 
-	// Scan the fleet over real TCP connections into the store.
+	// Sweep the fleet twice over real TCP connections into the store:
+	// the host list is the address space.
 	store := scanstore.New()
-	_, sum, err := scanner.Harvest(context.Background(), store,
-		time.Now().UTC().Truncate(24*time.Hour), scanstore.SourceCensys, targets,
-		scanner.Options{Workers: 4})
+	eng, err := zscan.New(zscan.Options{
+		Space: uint64(len(targets)), Seed: 7, Cycles: 2, Workers: 4, Store: store,
+		Prober: &zscan.TCPProber{Heartbeat: true, Addr: func(i uint64) (string, bool) {
+			return targets[i], true
+		}},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("scanned %d devices, stored %d observations\n", len(targets), sum.Stored)
+	rep, err := eng.Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("scanned %d devices twice, stored %d observations\n", len(targets), rep.Stored)
+	crashed := 0
+	for _, s := range servers {
+		if s.Crashed() {
+			crashed++
+		}
+	}
+	fmt.Printf("heartbeat probing took %d devices offline; %d refused the second sweep\n",
+		crashed, rep.Errors[retry.CauseRefused])
 
 	// Factor and fingerprint.
 	moduli, keys := store.DistinctModuli()

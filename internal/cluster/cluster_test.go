@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -87,33 +88,74 @@ type testReplica struct {
 	handler *swapHandler
 }
 
+// crossOwnedShards finds two shards whose primary owner is each absent
+// from the other's owner list: routed ingests homed there land on two
+// replicas neither of which holds a copy of the other's shard.
+func crossOwnedShards(p *Placement) (sA, sB int, ok bool) {
+	for a := 0; a < p.Shards(); a++ {
+		for b := a + 1; b < p.Shards(); b++ {
+			if !slices.Contains(p.Owners(b), p.Owners(a)[0]) && !slices.Contains(p.Owners(a), p.Owners(b)[0]) {
+				return a, b, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// hasBite reports whether a placement has the shape the router tests
+// assert against: no replica holds a copy of every shard (else a novel
+// check never scatters and one survivor covers the whole corpus), and a
+// crossOwnedShards pair exists.
+func hasBite(p *Placement) bool {
+	for _, name := range p.Replicas() {
+		if len(p.OwnedBy(name)) == p.Shards() {
+			return false
+		}
+	}
+	_, _, ok := crossOwnedShards(p)
+	return ok
+}
+
 // newTestCluster builds nReplicas partial replicas over the golden
-// corpus plus a router fronting them.
+// corpus plus a router fronting them. Replicas are named by their
+// random httptest port and rendezvous placement follows the names, so
+// the listeners are re-drawn until the placement hasBite: about one
+// draw in eight of 3 replicas x 8 shards x R=2 hands one replica every
+// shard. Rejected listeners stay open until cleanup so a re-draw cannot
+// be handed the same ports.
 func newTestCluster(t *testing.T, nReplicas, shards, replication int) (*Router, []*testReplica) {
 	t.Helper()
 	store, fpr := goldenStore()
 
 	replicas := make([]*testReplica, nReplicas)
 	addrs := make([]string, nReplicas)
-	for i := range replicas {
-		sh := &swapHandler{}
-		sh.store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			http.Error(w, "not ready", http.StatusServiceUnavailable)
-		}))
-		srv := httptest.NewServer(sh)
-		t.Cleanup(srv.Close)
-		replicas[i] = &testReplica{
-			addr:    strings.TrimPrefix(srv.URL, "http://"),
-			srv:     srv,
-			handler: sh,
-			journal: &Journal{},
+	var placement *Placement
+	for draw := 0; ; draw++ {
+		if draw == 32 {
+			t.Fatal("no placement with bite in 32 draws of the listeners")
 		}
-		addrs[i] = replicas[i].addr
-	}
-
-	placement, err := NewPlacement(addrs, shards, replication)
-	if err != nil {
-		t.Fatal(err)
+		for i := range replicas {
+			sh := &swapHandler{}
+			sh.store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				http.Error(w, "not ready", http.StatusServiceUnavailable)
+			}))
+			srv := httptest.NewServer(sh)
+			t.Cleanup(srv.Close)
+			replicas[i] = &testReplica{
+				addr:    strings.TrimPrefix(srv.URL, "http://"),
+				srv:     srv,
+				handler: sh,
+				journal: &Journal{},
+			}
+			addrs[i] = replicas[i].addr
+		}
+		var err error
+		if placement, err = NewPlacement(addrs, shards, replication); err != nil {
+			t.Fatal(err)
+		}
+		if hasBite(placement) {
+			break
+		}
 	}
 	for _, rep := range replicas {
 		rep := rep

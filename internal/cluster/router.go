@@ -62,9 +62,8 @@ type RouterConfig struct {
 	// RetryBackoff is the first inter-round delay, doubled per round
 	// with ±50% jitter (default 50ms).
 	RetryBackoff time.Duration
-	// RetryBudget caps retry requests across the router's lifetime, the
-	// scanner's global-budget discipline applied to the forward path:
-	// a flapping replica cannot amplify every incoming check into
+	// RetryBudget caps retry requests across the router's lifetime: a
+	// flapping replica cannot amplify every incoming check into
 	// unbounded internal traffic. 0 selects 10000; negative disables.
 	RetryBudget int64
 	// HedgeAfter is how long the home forward waits before duplicating

@@ -155,19 +155,13 @@ func TestRouterCrossShardIngest(t *testing.T) {
 	ctx := context.Background()
 	p := rt.Placement()
 
-	// Two shards whose primary owners differ: with every replica healthy
-	// the routed ingests land on different replicas.
-	sA, sB := -1, -1
-	for a := 0; a < p.Shards() && sA < 0; a++ {
-		for b := 0; b < p.Shards(); b++ {
-			if b != a && p.Owners(a)[0] != p.Owners(b)[0] {
-				sA, sB = a, b
-				break
-			}
-		}
-	}
-	if sA < 0 {
-		t.Fatal("fixture lost its bite: every shard has the same primary owner")
+	// Two shards whose primary owners hold no copy of each other's
+	// shard: with every replica healthy the routed ingests land on two
+	// replicas neither of which can pair the moduli by itself, and
+	// neither home owner's answer covers the mate's shard.
+	sA, sB, ok := crossOwnedShards(p)
+	if !ok {
+		t.Fatal("fixture lost its bite: no two shards with disjoint primary owners")
 	}
 
 	// A fresh prime absent from the golden corpus, times odd cofactors

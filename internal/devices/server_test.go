@@ -245,7 +245,7 @@ func TestFaultGarbleIsProtocolError(t *testing.T) {
 
 func TestFaultEveryOtherConnection(t *testing.T) {
 	// Every-2 plan: connection 1 reset, connection 2 served — the shape
-	// a retrying scanner recovers from deterministically.
+	// a second sweep recovers from deterministically.
 	srv := &Server{Cert: serverCert(t), Faults: faults.NewEveryN(2, faults.Reset)}
 	addr := startServer(t, srv)
 	c1 := dial(t, addr)

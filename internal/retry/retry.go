@@ -1,5 +1,5 @@
 // Package retry holds the failure classification and retry-pacing
-// primitives shared by the scan engines, the cluster router and the
+// primitives shared by the scan engine, the cluster router and the
 // ingest bridge: which errors are worth another attempt, a shared cap on
 // how many, and a seeded, saturating backoff schedule between them.
 package retry
@@ -16,12 +16,12 @@ import (
 	"time"
 )
 
-// Error causes, as recorded in scanner_retries_total{cause=...}. The
+// Error causes, as recorded in zscan_probe_errors_total{cause=...}. The
 // classification drives the retry policy: network-weather failures
-// (refused, reset, timeout) are transient and worth retrying; protocol
-// violations and certificate parse failures are properties of the
-// endpoint and retrying them only burns budget — the distinction ZMap-
-// style scan loops are built around.
+// (refused, reset, timeout) are transient and worth another attempt —
+// for a scan, the next sweep's; protocol violations and certificate
+// parse failures are properties of the endpoint and retrying them only
+// burns budget.
 const (
 	CauseRefused   = "refused"
 	CauseReset     = "reset"
@@ -67,11 +67,10 @@ func Transient(err error) bool {
 	return false
 }
 
-// Budget is a shared cap on retries across one operation — a scan, or
-// the cluster router's request fan-out. A dying network must not
-// multiply traffic — exactly the abuse-throttling concern that gets
-// internet scanners blocklisted, and the retry-storm guard a router in
-// front of a degraded cluster needs.
+// Budget is a shared cap on retries across one operation — a scan's
+// ingest bridge, or the cluster router's request fan-out. A dying
+// network must not multiply traffic — the retry-storm guard a router
+// in front of a degraded cluster needs.
 type Budget struct {
 	n atomic.Int64
 }

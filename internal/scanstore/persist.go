@@ -164,10 +164,12 @@ func (s *Store) SaveDelta(w io.Writer, since Checkpoint) error {
 
 // LoadSince appends a delta segment to the store. The store must be at
 // exactly the segment's base checkpoint — segments chain, each one's
-// base being the position the previous save left the store at — and a
-// mismatch is rejected before anything is applied. Every record in the
-// segment must resolve its certificate against the segment or the
-// existing store.
+// base being the position the previous save left the store at — and
+// every record in the segment must resolve its certificate against the
+// segment or the existing store. A segment that fails any check is
+// rejected whole: everything is parsed and resolved first and the store
+// is mutated last, so after an error the store is where it was and the
+// next valid segment of the chain still loads.
 func (s *Store) LoadSince(r io.Reader) error {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
@@ -182,11 +184,8 @@ func (s *Store) LoadSince(r io.Reader) error {
 		return fmt.Errorf("scanstore: delta version %d not supported (this build reads version %d)",
 			seg.Version, deltaVersion)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if got := (Checkpoint{Records: len(s.records), Certs: len(s.certOrder), Moduli: len(s.modOrder)}); got != seg.Base {
-		return fmt.Errorf("scanstore: delta base %+v does not match store position %+v", seg.Base, got)
-	}
+	newCerts := make(map[[32]byte]*certs.Certificate, len(seg.CertDER))
+	order := make([][32]byte, 0, len(seg.CertDER))
 	for _, der := range seg.CertDER {
 		c, err := certs.Parse(der)
 		if err != nil {
@@ -196,17 +195,27 @@ func (s *Store) LoadSince(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("scanstore: load delta cert: %w", err)
 		}
-		s.addCertLocked(fp, c)
+		newCerts[fp] = c
+		order = append(order, fp)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if got := (Checkpoint{Records: len(s.records), Certs: len(s.certOrder), Moduli: len(s.modOrder)}); got != seg.Base {
+		return fmt.Errorf("scanstore: delta base %+v does not match store position %+v", seg.Base, got)
+	}
+	for i, rec := range seg.Records {
+		if rec.CertFP == ([32]byte{}) || newCerts[rec.CertFP] != nil {
+			continue
+		}
+		if _, ok := s.certs[rec.CertFP]; !ok {
+			return fmt.Errorf("scanstore: delta record %d references missing certificate", i)
+		}
+	}
+	for _, fp := range order {
+		s.addCertLocked(fp, newCerts[fp])
 	}
 	for _, mod := range seg.Moduli {
 		s.addModulusLocked(string(mod), new(big.Int).SetBytes(mod))
-	}
-	for i, rec := range seg.Records {
-		if rec.CertFP != ([32]byte{}) {
-			if _, ok := s.certs[rec.CertFP]; !ok {
-				return fmt.Errorf("scanstore: delta record %d references missing certificate", i)
-			}
-		}
 	}
 	s.records = append(s.records, seg.Records...)
 	return nil

@@ -192,6 +192,82 @@ func TestDeltaSegmentRoundTrip(t *testing.T) {
 	}
 }
 
+// encodeSegment serializes a hand-built segment the way SaveDelta does.
+func encodeSegment(t testing.TB, seg deltaSegment) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if err := gob.NewEncoder(zw).Encode(seg); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// deltaFixture is a one-certificate store at its checkpoint plus the
+// valid next segment of its chain (one new certificate, one record).
+func deltaFixture(t testing.TB) (*Store, deltaSegment) {
+	t.Helper()
+	s := New()
+	if err := s.AddCertObservation("10.0.0.1", date(2015, 1, 1), SourceRapid7, HTTPS, newCert(t, 90)); err != nil {
+		t.Fatal(err)
+	}
+	c := newCert(t, 91)
+	der, err := c.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := c.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, deltaSegment{
+		Version: deltaVersion,
+		Base:    s.Checkpoint(),
+		Records: []HostRecord{{IP: "10.0.0.2", Date: date(2015, 2, 1), Source: SourceRapid7,
+			Protocol: HTTPS, CertFP: fp, ModKey: c.ModulusKey()}},
+		CertDER: [][]byte{der},
+		Moduli:  [][]byte{[]byte(c.ModulusKey())},
+	}
+}
+
+// TestLoadSinceRejectsWholeSegment: a rejected segment leaves the store
+// exactly where it was — a half-applied one would fail the base check of
+// every later segment and zscan.LoadCheckpoints could never resume the
+// chain — so the valid segment still loads after each rejection.
+func TestLoadSinceRejectsWholeSegment(t *testing.T) {
+	s, good := deltaFixture(t)
+	base := s.Checkpoint()
+	// The valid segment broken one way each. Every one still carries the
+	// valid certificate first, so a loader that applies before it checks
+	// is caught with the store moved. (The same four are checked in as
+	// FuzzLoadSince's corpus.)
+	badDER, dangling, wrongBase, wrongVersion := good, good, good, good
+	badDER.CertDER = [][]byte{good.CertDER[0], {0x30, 0x03, 0x02, 0x01}}
+	dangling.Records = append([]HostRecord{good.Records[0]}, HostRecord{IP: "10.0.0.3", CertFP: [32]byte{0xde, 0xad}})
+	wrongBase.Base.Records++
+	wrongVersion.Version = deltaVersion + 1
+	for name, seg := range map[string]deltaSegment{
+		"bad cert DER": badDER, "dangling record": dangling,
+		"wrong base": wrongBase, "wrong version": wrongVersion,
+	} {
+		if err := s.LoadSince(bytes.NewReader(encodeSegment(t, seg))); err == nil {
+			t.Fatalf("%s: segment accepted", name)
+		}
+		if got := s.Checkpoint(); got != base {
+			t.Fatalf("%s: rejected segment moved the store from %+v to %+v", name, base, got)
+		}
+	}
+	if err := s.LoadSince(bytes.NewReader(encodeSegment(t, good))); err != nil {
+		t.Fatalf("valid segment after the rejections: %v", err)
+	}
+	if got, want := s.Checkpoint(), (Checkpoint{Records: 2, Certs: 2, Moduli: 2}); got != want {
+		t.Fatalf("checkpoint after the valid segment = %+v, want %+v", got, want)
+	}
+}
+
 func TestSaveDeltaBadCheckpoint(t *testing.T) {
 	s := New()
 	s.AddBareKeyObservation("10.0.0.1", date(2015, 1, 1), SourceRapid7, SSH, big.NewInt(0xABCDEF01))

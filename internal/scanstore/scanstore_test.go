@@ -12,7 +12,7 @@ import (
 	"github.com/factorable/weakkeys/internal/weakrsa"
 )
 
-func newCert(t *testing.T, seed int64) *certs.Certificate {
+func newCert(t testing.TB, seed int64) *certs.Certificate {
 	t.Helper()
 	k, err := weakrsa.GenerateKey(rand.New(rand.NewSource(seed)), weakrsa.Options{Bits: 96})
 	if err != nil {

@@ -130,8 +130,8 @@ type Report struct {
 }
 
 // instruments is the engine's pre-resolved metric handle set (all
-// nil-safe no-ops when Options.Metrics is unset), following the
-// scanner's pattern: resolve once, touch only atomics per probe.
+// nil-safe no-ops when Options.Metrics is unset): resolve once, touch
+// only atomics per probe.
 type instruments struct {
 	events      *telemetry.EventLog
 	probes      *telemetry.Counter
@@ -491,16 +491,24 @@ func (e *Engine) checkpoint(ctx context.Context, final bool) error {
 	}
 	path := filepath.Join(e.o.CheckpointDir,
 		fmt.Sprintf("zscan-%04d.delta", e.cpNext))
-	f, err := os.Create(path)
+	// Written under a name the zscan-*.delta globs do not match and
+	// renamed when complete, so a process killed mid-write leaves no
+	// torn segment for LoadCheckpoints to choke on at restart. No fsync:
+	// process death, not power loss, is the fault guarded against.
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("zscan: checkpoint: %w", err)
 	}
-	if err := e.o.Store.SaveDelta(f, e.lastCP); err != nil {
-		f.Close()
-		os.Remove(path)
-		return fmt.Errorf("zscan: checkpoint: %w", err)
+	err = e.o.Store.SaveDelta(f, e.lastCP)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("zscan: checkpoint: %w", err)
 	}
 	records := e.sinceCP

@@ -2,9 +2,12 @@ package zscan
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -184,8 +187,9 @@ func TestEngineCheckpointChain(t *testing.T) {
 // TestEngineCheckpointRestartContinuesChain restarts a shard into a
 // non-empty checkpoint dir: the new engine must continue the delta
 // numbering past the existing segments instead of silently overwriting
-// them, the first run's files must survive byte-for-byte, and the full
-// chain must still replay in order.
+// them, the first run's files must survive byte-for-byte, a torn
+// zscan-NNNN.delta.tmp left by a kill mid-checkpoint must be ignored,
+// and the full chain must still replay in order.
 func TestEngineCheckpointRestartContinuesChain(t *testing.T) {
 	dir := t.TempDir()
 	fleet := testFleet(t, FleetOptions{Space: 2048, Devices: 18, Seed: 6})
@@ -226,8 +230,22 @@ func TestEngineCheckpointRestartContinuesChain(t *testing.T) {
 		before[path] = data
 	}
 
+	// A kill mid-checkpoint leaves a torn temp file under the next
+	// index: replay must ignore it and the restarted engine must take
+	// that index for its own first segment.
+	torn := filepath.Join(dir, fmt.Sprintf("zscan-%04d.delta.tmp", len(files1)))
+	if err := os.WriteFile(torn, before[files1[0]][:10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	// Restart: fresh engine and store, same directory.
 	rep2 := run(time.Date(2016, 4, 2, 0, 0, 0, 0, time.UTC))
+	if _, err := os.Stat(strings.TrimSuffix(torn, ".tmp")); err != nil {
+		t.Fatalf("restart did not write the segment after the torn temp file: %v", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) != 0 {
+		t.Errorf("temp files left behind by a completed run: %v", left)
+	}
 	files2, err := filepath.Glob(filepath.Join(dir, "zscan-*.delta"))
 	if err != nil {
 		t.Fatal(err)
@@ -323,6 +341,7 @@ func TestEngineValidation(t *testing.T) {
 		{Space: 64, Prober: fleet},                                    // no store
 		{Space: 64, Prober: fleet, Store: store, Shard: 2, Shards: 2}, // shard out of range
 		{Space: 64, Prober: fleet, Store: store, Rate: -1},            // negative rate
+		{Space: 64, Prober: fleet, Store: store, Rate: math.NaN()},    // NaN rate
 		{Space: 0, Prober: fleet, Store: store},                       // empty space
 		{Space: maxSpace + 1, Prober: fleet, Store: store, Shard: 0},  // oversized space
 	}

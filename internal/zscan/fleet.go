@@ -275,14 +275,26 @@ func (f *SimFleet) WeakExemplars() []string {
 	return out
 }
 
-// TCPProber probes real devices.Server endpoints over loopback TCP —
-// the full wire protocol, for tests and small realism runs; the
-// simulated fleet carries the throughput regime.
+// TCPProber probes real devices.Server endpoints over TCP — the full
+// wire protocol, and the only code in the tree that fetches a
+// certificate over a socket; the simulated fleet carries the throughput
+// regime. A known host list is Space = len(targets) with Addr indexing
+// into it.
 type TCPProber struct {
 	// Addr maps an address index to a dialable host:port.
 	Addr func(index uint64) (string, bool)
-	// Timeout bounds dial plus handshake (default 5s).
+	// Timeout bounds the dial, and then the handshake, of one probe
+	// (default 5s). The handshake is bounded by this connection
+	// deadline, not by the context: a canceled run waits out a stalled
+	// probe for at most Timeout.
 	Timeout time.Duration
+	// Heartbeat additionally sends a heartbeat probe on the same
+	// connection after a successful fetch — the Heartbleed-scan
+	// behaviour that crashed some devices in the wild. The probe's
+	// outcome is not reported: the certificate was already harvested,
+	// and the effect shows up the way the paper saw it, as devices that
+	// refuse the next cycle.
+	Heartbeat bool
 }
 
 // Probe dials the index's address and runs the certificate fetch.
@@ -308,6 +320,12 @@ func (t *TCPProber) Probe(ctx context.Context, index uint64) ProbeResult {
 	cert, suites, err := devices.FetchCertSuites(conn)
 	if err != nil {
 		return ProbeResult{Index: index, Err: err}
+	}
+	// Refresh the deadline so a slow handshake cannot fail the heartbeat
+	// spuriously; if that fails the connection is already gone and the
+	// probe is skipped.
+	if t.Heartbeat && conn.SetDeadline(time.Now().Add(timeout)) == nil {
+		_ = devices.ProbeHeartbeat(conn, []byte("scan-probe")) // outcome unreported, see Heartbeat
 	}
 	return ProbeResult{Index: index, Cert: cert, Suites: suites}
 }

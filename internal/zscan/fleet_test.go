@@ -120,25 +120,38 @@ func TestFleetFaultEveryNRecovers(t *testing.T) {
 	}
 }
 
+// faultCases pins, per injected fault, the error SimFleet stands in for
+// it and the retry.Cause that error classifies as — and, in socket, the
+// cause the same devices.Server fault produces over a real connection
+// (TestTCPFaultClassification), so the simulated and the socket engine
+// paths are held to each other. They differ in one row: a server can
+// only slam a connection it has already accepted, which the client sees
+// as a reset; the kernel's own "refused" needs a closed port
+// (TestTCPClosedPortRefused). Both are transient, so the loss model —
+// the next cycle re-covers it — is the same. The Pass row is the
+// empty-address miss.
+var faultCases = []struct {
+	action    faults.Action
+	sim       error
+	cause     string
+	socket    string
+	transient bool
+}{
+	{faults.Refuse, errRefused, retry.CauseRefused, retry.CauseReset, true},
+	{faults.Reset, errReset, retry.CauseReset, retry.CauseReset, true},
+	{faults.Stall, errStall, retry.CauseTimeout, retry.CauseTimeout, true},
+	{faults.Truncate, errTruncate, retry.CauseReset, retry.CauseReset, true},
+	{faults.Garble, errGarble, retry.CausePermanent, retry.CausePermanent, false},
+	{faults.Pass, ErrNoDevice, retry.CauseTimeout, "", true},
+}
+
 func TestFaultClassification(t *testing.T) {
-	cases := []struct {
-		err       error
-		cause     string
-		transient bool
-	}{
-		{errRefused, retry.CauseRefused, true},
-		{errReset, retry.CauseReset, true},
-		{errStall, retry.CauseTimeout, true},
-		{errTruncate, retry.CauseReset, true},
-		{errGarble, retry.CausePermanent, false},
-		{ErrNoDevice, retry.CauseTimeout, true},
-	}
-	for _, tc := range cases {
-		if got := retry.Cause(tc.err); got != tc.cause {
-			t.Errorf("Cause(%v) = %q, want %q", tc.err, got, tc.cause)
+	for _, tc := range faultCases {
+		if got := retry.Cause(tc.sim); got != tc.cause {
+			t.Errorf("Cause(%v) = %q, want %q", tc.sim, got, tc.cause)
 		}
-		if got := retry.Transient(tc.err); got != tc.transient {
-			t.Errorf("Transient(%v) = %v, want %v", tc.err, got, tc.transient)
+		if got := retry.Transient(tc.sim); got != tc.transient {
+			t.Errorf("Transient(%v) = %v, want %v", tc.sim, got, tc.transient)
 		}
 	}
 }

@@ -2,16 +2,17 @@ package zscan
 
 import (
 	"context"
+	"math"
 	"time"
 )
 
-// pacer is the sender's token bucket. The naive per-probe ticker the
-// old scanner used cannot pace past ~1k probes/sec: time.Sleep and
-// ticker wakeups have ~1ms granularity, so any scheme that sleeps
-// between individual probes is capped at one probe per wakeup. The
-// bucket instead accrues fractional tokens continuously and lets the
-// sender burst through the accumulated allowance after each sleep —
-// the standard high-rate pacing shape. A nil pacer is unpaced.
+// pacer is the sender's token bucket. A per-probe ticker cannot pace
+// past ~1k probes/sec: time.Sleep and ticker wakeups have ~1ms
+// granularity, so any scheme that sleeps between individual probes is
+// capped at one probe per wakeup. The bucket instead accrues fractional
+// tokens continuously and lets the sender burst through the accumulated
+// allowance after each sleep — the standard high-rate pacing shape. A
+// nil pacer is unpaced.
 type pacer struct {
 	rate   float64 // tokens per second
 	cap    float64 // bucket capacity
@@ -25,9 +26,11 @@ const minSleep = time.Millisecond
 
 // newPacer returns a bucket issuing rate tokens/sec with the given
 // burst capacity (0 picks rate/100, i.e. 10ms of allowance, floored at
-// 1). rate <= 0 returns nil: unpaced.
+// 1). rate <= 0 returns nil: unpaced. So does +Inf, whose accrual
+// (elapsed x rate) is NaN whenever two clock reads coincide, and a NaN
+// bucket never fills again.
 func newPacer(rate float64, burst int) *pacer {
-	if rate <= 0 {
+	if rate <= 0 || math.IsInf(rate, 1) {
 		return nil
 	}
 	cap := float64(burst)

@@ -2,21 +2,29 @@ package zscan
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 )
 
+// TestPacerNilIsUnpaced: no rate, an infinite rate and a rate past
+// anything a clock can resolve all hand out tokens without sleeping.
 func TestPacerNilIsUnpaced(t *testing.T) {
-	var p *pacer
-	start := time.Now()
-	for i := 0; i < 1000; i++ {
-		if !p.wait(context.Background()) {
-			t.Fatal("nil pacer refused a token")
+	if newPacer(0, 0) != nil || newPacer(math.Inf(1), 0) != nil {
+		t.Fatal("zero and infinite rates must select the nil (unpaced) pacer")
+	}
+	for _, p := range []*pacer{nil, newPacer(1e12, 0)} {
+		start := time.Now()
+		for i := 0; i < 1000; i++ {
+			if !p.wait(context.Background()) {
+				t.Fatal("unpaced pacer refused a token")
+			}
+		}
+		if time.Since(start) > 100*time.Millisecond {
+			t.Error("unpaced pacer slept")
 		}
 	}
-	if time.Since(start) > 100*time.Millisecond {
-		t.Error("nil pacer slept")
-	}
+	var p *pacer
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if p.wait(ctx) {

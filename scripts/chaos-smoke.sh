@@ -1,12 +1,13 @@
 #!/bin/sh
-# Chaos smoke test: run both binaries under seeded fault injection and
-# assert the resilience machinery actually engaged and actually
-# recovered.
+# Chaos smoke test: assert the resilience machinery actually engaged
+# and actually recovered, over real sockets and across GCD nodes.
 #
-#  1. scanmock with -chaos-every 2: every device resets its first
-#     connection (a 50% injected transient-fault rate). The scanner's
-#     retry loop must harvest the complete fleet anyway, and the retry
-#     ledger must show up in the metrics snapshot.
+#  1. examples/livescan: two zscan sweeps over a loopback device fleet
+#     with a heartbeat probe after every certificate fetch. The
+#     crash-prone pair must go offline and refuse the second sweep, and
+#     the harvest of the first must still be complete: 7 distinct
+#     moduli, 4 of them factored. (The binary-level chaos -> re-sweep ->
+#     ingest check is scan-smoke.)
 #  2. weakkeys with two injected GCD node crashes (one per phase): the
 #     supervisor must reassign the dead nodes' subsets and the study
 #     output must be byte-for-byte identical to the fault-free run of
@@ -18,22 +19,16 @@ WK_PID=""
 trap 'kill "$WK_PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT INT TERM
 
 go build -o "$TMP/weakkeys" ./cmd/weakkeys
-go build -o "$TMP/scanmock" ./cmd/scanmock
 
-# --- 1. retrying scanner vs faulty fleet -------------------------------
-# -key-seed pins the fleet's keys: with a time-based seed the entropy-
-# hole model occasionally collides both primes of two vulnerable
-# devices, deduping 4 weak moduli into 3 and flaking the count below.
-"$TMP/scanmock" -devices 12 -vulnerable 4 -chaos-every 2 -key-seed 7 -metrics \
-    >"$TMP/scan.out" 2>"$TMP/scan.err"
-grep -q 'harvested 12 certificates' "$TMP/scan.out" \
-    || { echo "chaos-smoke: retries did not recover the fleet" >&2; cat "$TMP/scan.out" >&2; exit 1; }
-grep -q '12 targets needed retries, 12 recovered' "$TMP/scan.out" \
-    || { echo "chaos-smoke: retry summary wrong" >&2; cat "$TMP/scan.out" >&2; exit 1; }
-grep -q 'scanner_retries_total{cause="reset"} 12' "$TMP/scan.err" \
-    || { echo "chaos-smoke: retry counter not in metrics snapshot" >&2; cat "$TMP/scan.err" >&2; exit 1; }
-grep -q 'factored 4 keys' "$TMP/scan.out" \
-    || { echo "chaos-smoke: batch GCD output wrong under chaos" >&2; cat "$TMP/scan.out" >&2; exit 1; }
+# --- 1. real-socket sweeps vs crash-prone firmware ----------------------
+# The fleet is seeded, so every asserted line is deterministic.
+go run ./examples/livescan >"$TMP/scan.out"
+grep -q '^scanned 7 devices twice, stored 12 observations$' "$TMP/scan.out" \
+    || { echo "chaos-smoke: the two sweeps did not store 7 + 5 observations" >&2; cat "$TMP/scan.out" >&2; exit 1; }
+grep -q '^heartbeat probing took 2 devices offline; 2 refused the second sweep$' "$TMP/scan.out" \
+    || { echo "chaos-smoke: heartbeat crashes not seen by the second sweep" >&2; cat "$TMP/scan.out" >&2; exit 1; }
+grep -q '^batch GCD factored 4 of 7 distinct moduli$' "$TMP/scan.out" \
+    || { echo "chaos-smoke: harvest or batch GCD output wrong" >&2; cat "$TMP/scan.out" >&2; exit 1; }
 
 # --- 2. supervised distributed GCD vs node crashes ---------------------
 "$TMP/weakkeys" -q -scale 0.05 -bits 128 -subsets 3 -table 1 >"$TMP/clean.out"
@@ -99,4 +94,4 @@ WK_PID=""
 cmp -s "$TMP/clean.out" "$TMP/chaos.out" \
     || { echo "chaos-smoke: chaos study output differs from fault-free run" >&2; diff "$TMP/clean.out" "$TMP/chaos.out" >&2 || true; exit 1; }
 
-echo "chaos smoke ok (12/12 targets recovered by retry; 2 GCD subsets reassigned, output identical to fault-free)"
+echo "chaos smoke ok (2 crashed devices refused the second sweep, 4 of 7 moduli factored; 2 GCD subsets reassigned, output identical to fault-free)"
