@@ -1,7 +1,8 @@
 // Command keyload drives concurrent check traffic against a running
-// keyserverd and reports throughput and latency percentiles — the
-// repo's serving benchmark, standing in for the "millions of users"
-// load the deployed factorable.net service absorbed.
+// keyserverd or keyrouter and reports throughput and latency
+// percentiles — a load generator standing in for the "millions of
+// users" load the deployed factorable.net service absorbed. (Speed is
+// judged on bench/'s serve_cold and routed_hot workloads, not here.)
 //
 // The request mix is drawn from the server's own exemplars (known
 // factored and known clean corpus keys) plus freshly generated novel
@@ -14,8 +15,7 @@
 // zero lost verdicts.
 //
 //	keyload -addr 127.0.0.1:8446 -c 16 -duration 10s
-//	keyload -addr 127.0.0.1:8446 -json BENCH_keyserver.json
-//	keyload -addr 127.0.0.1:9000 -retries 8 -bench-name cluster
+//	keyload -addr 127.0.0.1:9000 -retries 8 -json chaos.json
 package main
 
 import (
@@ -44,12 +44,11 @@ type verdict struct {
 	Status string `json:"status"`
 }
 
-// result is the machine-readable benchmark document (-json).
+// result is the machine-readable run document (-json).
 type result struct {
-	Benchmark   string `json:"benchmark"`
-	Concurrency int    `json:"concurrency"`
-	Checks      int    `json:"checks"`
-	Errors      int    `json:"errors"`
+	Concurrency int `json:"concurrency"`
+	Checks      int `json:"checks"`
+	Errors      int `json:"errors"`
 	// Retries counts extra attempts spent recovering checks; a check
 	// that eventually succeeded is not an error no matter how many
 	// attempts it took. TransportErrors counts attempts that failed
@@ -65,14 +64,49 @@ type result struct {
 	Verdicts        map[string]int `json:"verdicts"`
 	HTTPCodes       map[int]int    `json:"-"`
 	HTTPCodeStr     map[string]int `json:"http_codes"`
-	// DroppedRequestIDs samples the X-Request-Id headers of non-2xx
-	// responses so a failed run can be cross-referenced against the
-	// server's /debug/events?request_id= view.
+	// DroppedRequestIDs samples the X-Request-Id headers of responses
+	// that carried no verdict so a failed run can be cross-referenced
+	// against the server's /debug/events?request_id= view.
 	DroppedRequestIDs []string `json:"dropped_request_ids,omitempty"`
 }
 
 // maxDroppedIDs bounds the per-run sample of failed-request IDs.
 const maxDroppedIDs = 16
+
+// worker is one client goroutine's private tally.
+type worker struct {
+	lat           []time.Duration
+	verdicts      map[string]int
+	codes         map[int]int
+	dropped       []string
+	errs          int
+	checks        int
+	retries       int
+	transportErrs int
+}
+
+// record books the final response of one check and closes its body. A
+// verdict is a 200 whose body decodes to a non-empty status; anything
+// else is an error — including a 200 with a torn body, which is what a
+// replica SIGKILLed mid-response leaves behind — and its request ID is
+// sampled.
+func (wk *worker) record(resp *http.Response, lat time.Duration) {
+	defer resp.Body.Close()
+	wk.codes[resp.StatusCode]++
+	if resp.StatusCode == http.StatusOK {
+		var v verdict
+		if err := json.NewDecoder(resp.Body).Decode(&v); err == nil && v.Status != "" {
+			wk.verdicts[v.Status]++
+			wk.lat = append(wk.lat, lat)
+			return
+		}
+	}
+	wk.errs++
+	if id := resp.Header.Get("X-Request-Id"); id != "" && len(wk.dropped) < maxDroppedIDs {
+		wk.dropped = append(wk.dropped, fmt.Sprintf("%d:%s", resp.StatusCode, id))
+	}
+	io.Copy(io.Discard, resp.Body)
+}
 
 func main() {
 	var (
@@ -87,7 +121,6 @@ func main() {
 		quiet     = flag.Bool("q", false, "suppress the text report")
 		retries   = flag.Int("retries", 0, "retry a failed check up to this many times (transient transport errors and 5xx/429 backpressure)")
 		retryWait = flag.Duration("retry-backoff", 25*time.Millisecond, "first retry delay, doubled per attempt")
-		benchName = flag.String("bench-name", "keyserver", "benchmark name recorded in the -json result")
 	)
 	flag.Parse()
 
@@ -119,17 +152,6 @@ func main() {
 	// serving workload is heavy-tailed and the verdict cache should see
 	// hits, like the real service would.
 	novel := genNovel(*seed, *bits, 64)
-
-	type worker struct {
-		lat           []time.Duration
-		verdicts      map[string]int
-		codes         map[int]int
-		dropped       []string
-		errs          int
-		checks        int
-		retries       int
-		transportErrs int
-	}
 
 	// retriable statuses are the backpressure family: the server (or the
 	// cluster router fronting it) said "not right now", not "no".
@@ -200,21 +222,7 @@ func main() {
 					wk.errs++
 					continue
 				}
-				wk.codes[resp.StatusCode]++
-				if resp.StatusCode == http.StatusOK {
-					var v verdict
-					if err := json.NewDecoder(resp.Body).Decode(&v); err == nil {
-						wk.verdicts[v.Status]++
-					}
-					wk.lat = append(wk.lat, lat)
-				} else {
-					wk.errs++
-					if id := resp.Header.Get("X-Request-Id"); id != "" && len(wk.dropped) < maxDroppedIDs {
-						wk.dropped = append(wk.dropped, fmt.Sprintf("%d:%s", resp.StatusCode, id))
-					}
-					io.Copy(io.Discard, resp.Body)
-				}
-				resp.Body.Close()
+				wk.record(resp, lat)
 			}
 		}(w)
 	}
@@ -222,7 +230,6 @@ func main() {
 	elapsed := time.Since(start)
 
 	res := result{
-		Benchmark:   *benchName,
 		Concurrency: *conc,
 		Seconds:     elapsed.Seconds(),
 		Verdicts:    make(map[string]int),

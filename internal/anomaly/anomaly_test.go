@@ -221,6 +221,42 @@ func TestIdentitiesAndAnalyze(t *testing.T) {
 	}
 }
 
+// TestProbeRecallAndPrecisionOnPlantedCorpus holds the default budgets —
+// the ones /v1/check probes a novel modulus with — to exact recall and
+// zero false hits over 300 seeded moduli: one in five a consecutive-
+// prime pair, one in five a first-DefaultTrialPrimes prime times a
+// 64-bit prime, the rest two independent 64-bit primes no default
+// budget reaches.
+func TestProbeRecallAndPrecisionOnPlantedCorpus(t *testing.T) {
+	rng := rand.New(rand.NewSource(2016))
+	prime := func() *big.Int {
+		for {
+			p := new(big.Int).SetUint64(rng.Uint64() | 1<<63 | 1)
+			if p.ProbablyPrime(0) {
+				return p
+			}
+		}
+	}
+	smalls := numtheory.FirstPrimes(DefaultTrialPrimes)
+	for i := 0; i < 300; i++ {
+		n, want := prime(), ProbeNone
+		switch i % 5 {
+		case 0:
+			n, want = n.Mul(n, numtheory.NextPrime(new(big.Int).Add(n, big.NewInt(2)))), ProbeFermatWeak
+		case 1:
+			n, want = n.Mul(n, new(big.Int).SetUint64(smalls[rng.Intn(len(smalls))])), ProbeSmallFactor
+		default:
+			n.Mul(n, prime())
+		}
+		cls, p, q := (Probe{}).Factor(n)
+		if cls != want {
+			t.Errorf("modulus %d (%v): class %q, want %q", i, n, cls, want)
+		} else if cls != ProbeNone && new(big.Int).Mul(p, q).Cmp(n) != 0 {
+			t.Errorf("modulus %d (%v): %q split %v × %v is not a factorization", i, n, cls, p, q)
+		}
+	}
+}
+
 // TestProbeBudgetsHoldAgainstGoldenModuli pins that the default online
 // budgets cannot split honestly generated corpus moduli — the property
 // the keycheck golden corpus relies on (novel clean submissions must stay

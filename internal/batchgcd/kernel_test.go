@@ -42,7 +42,7 @@ func sharedPrimeCorpus(seed int64, n int) []*big.Int {
 // TestFactorPooledMatchesSerial is the full-Factor half of the
 // equivalence property: the pooled engine must produce results
 // bit-identical — same order, same indices, same divisors — to the
-// 1-worker serial baseline.
+// 1-worker serial baseline, whose arena ledger is checked afterwards.
 func TestFactorPooledMatchesSerial(t *testing.T) {
 	serial := kernel.New(1)
 	pooled := kernel.New(8)
@@ -71,6 +71,11 @@ func TestFactorPooledMatchesSerial(t *testing.T) {
 					seed, i, sres[i].Index, sres[i].Divisor, pres[i].Index, pres[i].Divisor)
 			}
 		}
+	}
+	// The arena is what keeps the tree passes off the allocator: over
+	// three corpora at least nine scratch values in ten must be recycled.
+	if st := serial.Stats(); st.ArenaHits < 9*st.ArenaMisses {
+		t.Errorf("serial engine recycled %d scratch values against %d fresh, want >= 9:1", st.ArenaHits, st.ArenaMisses)
 	}
 }
 

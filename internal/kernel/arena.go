@@ -44,7 +44,7 @@ func (a *Arena) Get() *big.Int {
 	if a == nil {
 		return new(big.Int)
 	}
-	if a.eng.recycle && a.next < len(a.ints) {
+	if a.next < len(a.ints) {
 		v := a.ints[a.next]
 		a.next++
 		a.hits++
@@ -52,7 +52,7 @@ func (a *Arena) Get() *big.Int {
 	}
 	a.misses++
 	v := new(big.Int)
-	if a.eng.recycle && len(a.ints) < arenaCap {
+	if len(a.ints) < arenaCap {
 		a.ints = append(a.ints, v)
 		a.next = len(a.ints)
 	}

@@ -32,10 +32,10 @@
 // job inline.
 //
 // The process-wide engine is Default(). Callers that need a different
-// shape — the GOMAXPROCS=1 serial baseline in benchmarks, the
-// bit-identical equivalence property tests — attach their own engine to
-// a context with With; every math layer resolves its engine via
-// FromContext, falling back to Default.
+// shape — the 1-worker serial baseline bench/ times kernel.speedup
+// against, the bit-identical equivalence property tests — attach their
+// own engine to a context with With; every math layer resolves its
+// engine via FromContext, falling back to Default.
 package kernel
 
 import (
@@ -65,7 +65,6 @@ const (
 // from inside a running job.
 type Engine struct {
 	workers int
-	recycle bool
 	jobs    chan *job
 	arenas  chan *Arena
 
@@ -78,33 +77,18 @@ type Engine struct {
 	arenaMis atomic.Int64
 }
 
-// Option configures an Engine at construction.
-type Option func(*Engine)
-
-// WithoutArenaReuse disables scratch recycling: every Arena.Get
-// allocates a fresh big.Int, reproducing the pre-engine allocation
-// behaviour. It exists for the gcdbench allocs/op comparison and for
-// bisecting arena bugs; production engines never use it.
-func WithoutArenaReuse() Option {
-	return func(e *Engine) { e.recycle = false }
-}
-
 // New builds an engine with the given worker-pool width. workers is the
 // total parallelism of one job: the submitting goroutine plus workers-1
 // pool goroutines. workers <= 1 builds a purely inline engine (no pool
 // goroutines at all), the serial baseline.
-func New(workers int, opts ...Option) *Engine {
+func New(workers int) *Engine {
 	if workers < 1 {
 		workers = 1
 	}
 	e := &Engine{
 		workers: workers,
-		recycle: true,
 		jobs:    make(chan *job, workers*chunksPerWorker),
 		arenas:  make(chan *Arena, workers+2),
-	}
-	for _, opt := range opts {
-		opt(e)
 	}
 	for i := 0; i < workers-1; i++ {
 		go e.worker()

@@ -116,25 +116,6 @@ func TestArenaRecyclesAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestWithoutArenaReuse(t *testing.T) {
-	e := New(1, WithoutArenaReuse())
-	defer e.Close()
-	for run := 0; run < 2; run++ {
-		if err := e.Run(context.Background(), 64, func(i int, a *Arena) {
-			a.Get().SetInt64(int64(i))
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := e.Stats()
-	if st.ArenaHits != 0 {
-		t.Fatalf("legacy engine recycled scratch: %+v", st)
-	}
-	if st.ArenaMisses != 2*64 {
-		t.Fatalf("legacy engine misses = %d, want %d", st.ArenaMisses, 2*64)
-	}
-}
-
 func TestFromContext(t *testing.T) {
 	if FromContext(context.Background()) != Default() {
 		t.Fatal("bare context did not resolve to the default engine")

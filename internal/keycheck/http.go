@@ -179,7 +179,7 @@ func (a *API) handleCheck(w http.ResponseWriter, r *http.Request) {
 		a.writeError(w, r, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrMalformed, err))
 		return
 	}
-	n, e, err := parseSubmission(body)
+	n, e, err := ParseSubmissionWithExponent(body)
 	if err != nil {
 		a.writeError(w, r, http.StatusBadRequest, err)
 		return
@@ -278,7 +278,7 @@ func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
 // modulus. Exported so the cluster router can resolve a submission's
 // home shard before forwarding it.
 func ParseSubmission(body []byte) (*big.Int, error) {
-	n, _, err := parseSubmission(body)
+	n, _, err := ParseSubmissionWithExponent(body)
 	return n, err
 }
 
@@ -287,11 +287,6 @@ func ParseSubmission(body []byte) (*big.Int, error) {
 // the envelope's exponent_hex next to modulus_hex. A nil exponent with
 // a nil error means the submission carried none (bare modulus).
 func ParseSubmissionWithExponent(body []byte) (n, e *big.Int, err error) {
-	return parseSubmission(body)
-}
-
-// parseSubmission accepts the JSON envelope or a raw PEM body.
-func parseSubmission(body []byte) (n, e *big.Int, err error) {
 	trimmed := bytes.TrimSpace(body)
 	if bytes.HasPrefix(trimmed, []byte("-----BEGIN")) {
 		return parsePEMWithExponent(trimmed)
@@ -327,8 +322,9 @@ func parseSubmission(body []byte) (n, e *big.Int, err error) {
 	return nil, nil, fmt.Errorf("%w: set one of modulus_hex, cert_pem, cert_der", ErrMalformed)
 }
 
-// parsePEMWithExponent mirrors ParseCertPEM but keeps the certificate's
-// exponent; bare RSA MODULUS blocks carry none.
+// parsePEMWithExponent reads a PEM submission: a WEAKKEYS CERTIFICATE
+// block, whose exponent it keeps, or a bare WEAKKEYS RSA MODULUS block,
+// which carries none.
 func parsePEMWithExponent(data []byte) (*big.Int, *big.Int, error) {
 	if c, err := certs.ParsePEM(data); err == nil {
 		n, err := validateModulus(c.N)

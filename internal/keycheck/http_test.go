@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/big"
 	"net/http"
@@ -109,6 +110,7 @@ func TestMalformedSubmissions(t *testing.T) {
 		`{"modulus_hex":"0de0b6b3a763fffe"}`, // even
 		`how do i check my key`,              // not JSON, not PEM
 		`{"cert_pem":"-----BEGIN NOTHING-----"}`,
+		`{"cert_der":"anVuaw=="}`, // base64 "junk": not a certificate
 	} {
 		rr := postCheck(mux, body)
 		if rr.Code != http.StatusBadRequest {
@@ -159,13 +161,66 @@ func TestPEMSubmission(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, v any) []byte {
+func mustJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	buf, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return buf
+}
+
+// FuzzParseSubmission feeds arbitrary /v1/check bodies to the one
+// submission parser the service and the cluster router share. It must
+// not panic; a rejection must be an ErrMalformed (the 400 mapping); an
+// accepted modulus must be inside the limits the GCD path relies on;
+// and an exponent may come back only from a submission that carried
+// one. Seeds are the golden request bodies of http_test.go in every
+// accepted form, and truncations of each; testdata/fuzz adds the forms
+// those do not reach (bare modulus PEM, padded and odd-length hex) and
+// one rejection per validation rule.
+func FuzzParseSubmission(f *testing.F) {
+	c := certFor(f, 9, "Juniper", p1, p2)
+	var pem bytes.Buffer
+	if err := c.EncodePEM(&pem); err != nil {
+		f.Fatal(err)
+	}
+	der, err := c.Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{
+		fmt.Appendf(nil, `{"modulus_hex":"%s"}`, modN1.Text(16)),
+		fmt.Appendf(nil, `{"modulus_hex":"0x%s"}`, modNc.Text(16)),
+		fmt.Appendf(nil, `{"modulus_hex":"%s","exponent_hex":"10001"}`, modNc.Text(16)),
+		mustJSON(f, checkRequest{CertPEM: pem.String()}),
+		mustJSON(f, checkRequest{CertDER: der}),
+		pem.Bytes(),
+	} {
+		for _, n := range []int{len(seed), len(seed) - 1, len(seed) / 2, 12} {
+			f.Add(seed[:n])
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		n, e, err := ParseSubmissionWithExponent(body)
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("rejection is not ErrMalformed: %v", err)
+			}
+			return
+		}
+		if bits := n.BitLen(); n.Sign() <= 0 || bits < MinModulusBits || bits > MaxModulusBits {
+			t.Fatalf("accepted a %d-bit modulus (sign %d)", bits, n.Sign())
+		}
+		if e == nil || bytes.HasPrefix(bytes.TrimSpace(body), []byte("-----BEGIN")) {
+			return
+		}
+		var req checkRequest
+		if json.Unmarshal(body, &req) != nil || (req.ExponentHex == "" && req.CertPEM == "" && len(req.CertDER) == 0) {
+			t.Fatalf("exponent %v from a submission that carried none", e)
+		}
+	})
 }
 
 func TestCheckMethodNotAllowed(t *testing.T) {

@@ -51,7 +51,7 @@ func date(y, m, d int) time.Time {
 
 // certFor self-signs a certificate over the modulus p*q with the given
 // organization, deriving the private exponent from the factors.
-func certFor(t *testing.T, serial int64, org string, p, q *big.Int) *certs.Certificate {
+func certFor(t testing.TB, serial int64, org string, p, q *big.Int) *certs.Certificate {
 	t.Helper()
 	n := new(big.Int).Mul(p, q)
 	phi := new(big.Int).Mul(new(big.Int).Sub(p, one), new(big.Int).Sub(q, one))

@@ -29,7 +29,6 @@ import (
 	"strings"
 
 	"github.com/factorable/weakkeys/internal/anomaly"
-	"github.com/factorable/weakkeys/internal/certs"
 )
 
 // Status classifies a checked modulus.
@@ -160,30 +159,6 @@ func ParseModulusHex(s string) (*big.Int, error) {
 		return nil, fmt.Errorf("%w: modulus_hex: %v", ErrMalformed, err)
 	}
 	return validateModulus(new(big.Int).SetBytes(raw))
-}
-
-// ParseCertPEM extracts and validates the RSA modulus from a PEM
-// submission: either a WEAKKEYS CERTIFICATE block or a bare WEAKKEYS RSA
-// MODULUS block.
-func ParseCertPEM(data []byte) (*big.Int, error) {
-	if c, err := certs.ParsePEM(data); err == nil {
-		return validateModulus(c.N)
-	}
-	mods, err := certs.ParseModulusPEMs(data)
-	if err != nil || len(mods) == 0 {
-		return nil, fmt.Errorf("%w: no certificate or modulus PEM block", ErrMalformed)
-	}
-	return validateModulus(mods[0])
-}
-
-// ParseCertDER extracts and validates the RSA modulus from a DER
-// certificate submission.
-func ParseCertDER(data []byte) (*big.Int, error) {
-	c, err := certs.Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w: cert_der: %v", ErrMalformed, err)
-	}
-	return validateModulus(c.N)
 }
 
 func validateModulus(n *big.Int) (*big.Int, error) {

@@ -217,12 +217,6 @@ func TestParseModulusHex(t *testing.T) {
 	}
 }
 
-func TestParseCertDERGarbage(t *testing.T) {
-	if _, err := ParseCertDER([]byte("junk")); !errors.Is(err, ErrMalformed) {
-		t.Errorf("err = %v, want ErrMalformed", err)
-	}
-}
-
 // TestRateLimiterHardCap is the regression test for unbounded bucket
 // growth: when every tracked client is actively throttled (nothing idle
 // for the sweep to reclaim — an attacker cycling source addresses), the

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -102,30 +103,42 @@ func TestEngineResweepRecoversFaults(t *testing.T) {
 
 // TestEngineShardsPartitionFleet runs the 2-shard coordination-free
 // split: two engines with the same (space, seed) and disjoint shards
-// must harvest every device exactly once between them.
+// must harvest every device exactly once between them. They sweep the
+// one fleet concurrently, as two zscand processes would one network,
+// so the race detector certifies the shared prober.
 func TestEngineShardsPartitionFleet(t *testing.T) {
 	const space, devs = 4096, 24
 	fleet := testFleet(t, FleetOptions{Space: space, Devices: devs, Seed: 4})
-	var ips []string
-	totalProbes := uint64(0)
-	for shard := 0; shard < 2; shard++ {
-		store := scanstore.New()
+	var stores [2]*scanstore.Store
+	var probes [2]uint64
+	var wg sync.WaitGroup
+	for shard := range stores {
+		stores[shard] = scanstore.New()
 		eng, err := New(Options{
 			Space: space, Seed: 4, Shard: shard, Shards: 2,
-			Prober: fleet, Store: store,
+			Prober: fleet, Store: stores[shard],
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := eng.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		totalProbes += rep.Probes
+		wg.Add(1)
+		go func(shard int) {
+			defer wg.Done()
+			rep, err := eng.Run(context.Background())
+			if err != nil {
+				t.Error(err)
+			}
+			probes[shard] = rep.Probes
+		}(shard)
+	}
+	wg.Wait()
+	var ips []string
+	for _, store := range stores {
 		for _, r := range store.Records() {
 			ips = append(ips, r.IP)
 		}
 	}
+	totalProbes := probes[0] + probes[1]
 	if totalProbes != space {
 		t.Errorf("total probes across shards = %d, want %d", totalProbes, space)
 	}

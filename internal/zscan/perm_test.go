@@ -1,6 +1,7 @@
 package zscan
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -53,19 +54,27 @@ func TestCycleCoversSpaceExactlyOnce(t *testing.T) {
 // TestShardsDisjointAndComplete is the core sharding property: for any
 // shard count, every index is visited by exactly one shard exactly
 // once — zero overlap, zero omission. Shards walk concurrently so the
-// race detector also certifies that walks share no state.
+// race detector also certifies that walks share no state. The last row
+// is a production-sized space (one count byte per address), where the
+// split must also be even: a shard is every shards-th step of the cycle
+// less its share of the prime-gap overshoot.
 func TestShardsDisjointAndComplete(t *testing.T) {
 	for _, tc := range []struct {
 		space  uint64
 		shards int
+		seed   int64
 	}{
-		{100, 2}, {1000, 2}, {1000, 3}, {4096, 7}, {5000, 16}, {10, 32},
+		{100, 2, 7}, {1000, 2, 7}, {1000, 3, 7}, {4096, 7, 7}, {5000, 16, 7}, {10, 32, 7},
+		{1 << 21, 2, 2016},
 	} {
-		c, err := NewCycle(tc.space, 7)
+		c, err := NewCycle(tc.space, tc.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		visits := make([][]uint64, tc.shards)
+		// Disjoint walks touch disjoint bytes; an overlap that loses an
+		// update here still shows in the size total below.
+		counts := make([]uint8, tc.space)
+		sizes := make([]uint64, tc.shards)
 		var wg sync.WaitGroup
 		for s := 0; s < tc.shards; s++ {
 			w, err := c.Shard(s, tc.shards)
@@ -80,28 +89,30 @@ func TestShardsDisjointAndComplete(t *testing.T) {
 					if !ok {
 						return
 					}
-					visits[s] = append(visits[s], idx)
+					if idx >= tc.space {
+						t.Errorf("space %d/%d shards: index %d out of range", tc.space, tc.shards, idx)
+						return
+					}
+					counts[idx]++
+					sizes[s]++
 				}
 			}(s, w)
 		}
 		wg.Wait()
-		owner := make(map[uint64]int)
-		total := 0
-		for s, vs := range visits {
-			for _, idx := range vs {
-				if idx >= tc.space {
-					t.Fatalf("space %d/%d shards: index %d out of range", tc.space, tc.shards, idx)
-				}
-				if prev, dup := owner[idx]; dup {
-					t.Fatalf("space %d/%d shards: index %d visited by shards %d and %d",
-						tc.space, tc.shards, idx, prev, s)
-				}
-				owner[idx] = s
-				total++
+		for idx, n := range counts {
+			if n != 1 {
+				t.Fatalf("space %d/%d shards: index %d visited %d times", tc.space, tc.shards, idx, n)
 			}
 		}
-		if uint64(total) != tc.space {
-			t.Fatalf("space %d/%d shards: %d visits, want %d (omission)", tc.space, tc.shards, total, tc.space)
+		total, even := uint64(0), float64(tc.space)/float64(tc.shards)
+		for s, n := range sizes {
+			total += n
+			if dev := math.Abs(float64(n)-even) / even; tc.space >= 1<<20 && dev > 1e-5 {
+				t.Errorf("space %d/%d shards: shard %d holds %d targets, %.4f%% off even", tc.space, tc.shards, s, n, 100*dev)
+			}
+		}
+		if total != tc.space {
+			t.Fatalf("space %d/%d shards: %d visits, want %d (overlap)", tc.space, tc.shards, total, tc.space)
 		}
 	}
 }

@@ -47,7 +47,7 @@ done
 # Load for 8s; the victim dies ~2s in, so three quarters of the run
 # happens against a degraded-membership (but fully covered) cluster.
 "$TMP/keyload" -addr "$ROUTER" -c 8 -duration 8s -retries 8 \
-    -bench-name cluster-chaos -json "$TMP/chaos.json" >"$TMP/keyload.out" 2>&1 &
+    -json "$TMP/chaos.json" >"$TMP/keyload.out" 2>&1 &
 LOAD_PID=$!
 PIDS="$PIDS $LOAD_PID"
 
