@@ -103,12 +103,17 @@ anomaly-smoke:
 # in chaos-smoke) and checks each one's headline claim; passivedecrypt is
 # internal/tlslite's only non-test importer. grep -q stops reading at
 # the match, so quickstart, which prints more after it, reports a
-# harmless "signal: broken pipe".
+# harmless "signal: broken pipe". The last three lines are README's
+# quickstart pipelines — the paper's own tool, keygen | batchgcd, in each
+# corpus format (internal/sshkeys has no other importer).
 examples-smoke:
 	$(GO) run ./examples/quickstart | grep -q 'Vulnerable RSA moduli'
 	$(GO) run ./examples/entropyhole | grep -q 'decrypted RSA ciphertext with the recovered key: 0x5e55104cafe (want 0x5e55104cafe)'
 	$(GO) run ./examples/clusterfactor | grep -q 'all algorithms agree on the vulnerable set\.'
 	$(GO) run ./examples/passivedecrypt | grep -q 'USER admin PASS swordfish-42'
+	$(GO) run ./cmd/keygen -n 200 -weak 0.05 -bits 256 -seed 7 | $(GO) run ./cmd/batchgcd -k 4 -stats 2>&1 | grep -q 'factored 9 of 200 moduli'
+	$(GO) run ./cmd/keygen -n 60 -weak 0.1 -bits 256 -seed 7 -format ssh | $(GO) run ./cmd/batchgcd -k 4 -stats 2>&1 | grep -q 'factored 5 of 60 moduli'
+	$(GO) run ./cmd/keygen -n 60 -weak 0.1 -bits 256 -seed 7 -format pem | $(GO) run ./cmd/batchgcd -k 4 -stats 2>&1 | grep -q 'factored 5 of 60 moduli'
 
 # bench-smoke runs all four bench/ workloads for 3 s each: any answer
 # that disagrees with generator ground truth exits non-zero, and the

@@ -28,7 +28,7 @@ func main() {
 		weak    = flag.Float64("weak", 0.02, "fraction of keys drawn from shared-prime cohorts")
 		bits    = flag.Int("bits", 512, "modulus size")
 		seed    = flag.Int64("seed", 0, "deterministic seed (0 = time-based)")
-		format  = flag.String("format", "hex", "output format: hex or pem")
+		format  = flag.String("format", "hex", "output format: hex, pem or ssh")
 		gen     = flag.String("gen", "openssl", "prime generation style for weak keys: openssl, naive")
 		private = flag.Bool("private", false, "emit p and q alongside each modulus (hex format only)")
 	)

@@ -10,6 +10,7 @@ import (
 	"math/big"
 	"net/http"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/factorable/weakkeys/internal/keycheck"
@@ -393,83 +394,112 @@ func (rt *Router) forwardHome(ctx context.Context, home int, hex string) (*check
 	return nil, launched
 }
 
-// scatter gathers verdicts from owners covering the shards in need,
-// retrying uncovered shards against rotated owners over backoff rounds.
-// Shards still in need on return had no answering owner.
-func (rt *Router) scatter(ctx context.Context, hex string, need map[int]bool) ([]*checkResult, int) {
-	var results []*checkResult
+// cover is the router's one retry loop: backoff rounds until an owner
+// has answered for every shard in need, or the rounds, the retry budget
+// or ctx run out. Each round picks, per needed shard, the first owner
+// that has not failed it yet — a failure rotates to a placement peer
+// instead of hammering the same dead owner, and once every owner of a
+// shard has failed its slate is wiped (transient weather may have
+// passed) — groups the shards by chosen replica and calls the replicas
+// concurrently, each admitted by its breaker before and settled after.
+// call makes one request for the shards r was chosen for, on its own
+// goroutine, and returns the shards the reply covers. Shards still in
+// need on return had no answering owner. Returns the requests sent.
+func (rt *Router) cover(ctx context.Context, cause string, need map[int]bool, call func(r *Replica, shards []int) ([]int, *replicaError)) int {
+	type outcome struct {
+		r      *Replica
+		covers []int
+		rerr   *replicaError
+	}
 	hops := 0
 	backoff := rt.cfg.RetryBackoff
-	// failed tracks replicas that failed this scatter, per shard, so
-	// the next round rotates to a placement peer instead of hammering
-	// the same dead owner; once every owner of a shard has failed the
-	// slate is wiped and rotation starts over (transient weather may
-	// have passed).
-	failed := make(map[int]map[string]bool)
-	for round := 0; round <= rt.cfg.Retries && len(need) > 0; round++ {
+	failed := make(map[int]map[string]bool) // shard -> owners that failed this cover
+	fail := func(r *Replica) {
+		for _, s := range rt.placement.OwnedBy(r.Name) {
+			if !need[s] {
+				continue
+			}
+			if failed[s] == nil {
+				failed[s] = make(map[string]bool)
+			}
+			failed[s][r.Name] = true
+		}
+	}
+	spent := false // the retry budget refused: nothing more can be sent
+	for round := 0; round <= rt.cfg.Retries && len(need) > 0 && !spent; round++ {
 		if round > 0 {
 			select {
 			case <-time.After(rt.jitter.Jitter(backoff)):
 			case <-ctx.Done():
-				return results, hops
+				// The caller is gone; further rounds would only issue
+				// doomed requests.
+				return hops
 			}
 			backoff = retry.DoubleBackoff(backoff, 2*time.Second)
 		}
-		// Group this round's shards by their chosen owner: one request
-		// per replica covers every needed shard it owns.
-		targets := make(map[*Replica]bool)
+		// One request per replica covers every needed shard it was
+		// chosen for.
+		targets := make(map[*Replica][]int)
 		for s := range need {
 			if len(failed[s]) >= len(rt.placement.Owners(s)) {
 				failed[s] = nil
 			}
-			owners := rt.orderedOwners(s, failed[s])
-			if len(owners) == 0 {
-				continue
+			if owners := rt.orderedOwners(s, failed[s]); len(owners) > 0 {
+				targets[owners[0]] = append(targets[owners[0]], s)
 			}
-			targets[owners[0]] = true
-		}
-		if len(targets) == 0 {
-			continue
-		}
-		type outcome struct {
-			r    *Replica
-			res  *checkResult
-			rerr *replicaError
 		}
 		ch := make(chan outcome, len(targets))
 		sent := 0
-		for r := range targets {
-			if round > 0 && !rt.retryable("scatter") {
-				break
-			}
-			sent++
-			go func(r *Replica) {
-				res, rerr := rt.send(ctx, r, hex)
-				ch <- outcome{r, res, rerr}
-			}(r)
-		}
-		hops += sent
-		for i := 0; i < sent; i++ {
-			o := <-ch
-			if o.rerr != nil {
-				for s := range need {
-					for _, owner := range rt.placement.Owners(s) {
-						if owner == o.r.Name {
-							if failed[s] == nil {
-								failed[s] = make(map[string]bool)
-							}
-							failed[s][o.r.Name] = true
-						}
-					}
-				}
+		for r, shards := range targets {
+			// The breaker goes first: a request it refuses costs no
+			// retry budget.
+			if !r.Breaker.Allow() {
+				fail(r)
 				continue
 			}
-			results = append(results, o.res)
-			for _, s := range rt.placement.OwnedBy(o.r.Name) {
+			if round > 0 && !rt.retryable(cause) {
+				r.Breaker.Forget()
+				spent = true
+				break
+			}
+			rt.metrics.Counter(`cluster_forward_total{replica="` + r.Name + `"}`).Inc()
+			sent++
+			go func(r *Replica, shards []int) {
+				covers, rerr := call(r, shards)
+				rt.settle(r, rerr)
+				ch <- outcome{r, covers, rerr}
+			}(r, shards)
+		}
+		hops += sent
+		for ; sent > 0; sent-- {
+			o := <-ch
+			if o.rerr != nil {
+				fail(o.r)
+				continue
+			}
+			for _, s := range o.covers {
 				delete(need, s)
 			}
 		}
 	}
+	return hops
+}
+
+// scatter gathers verdicts from owners covering the shards in need: one
+// answer vouches for every shard its replica owns.
+func (rt *Router) scatter(ctx context.Context, hex string, need map[int]bool) ([]*checkResult, int) {
+	var mu sync.Mutex
+	var results []*checkResult
+	hops := rt.cover(ctx, "scatter", need, func(r *Replica, _ []int) ([]int, *replicaError) {
+		res, rerr := r.Check(ctx, hex)
+		if rerr != nil {
+			return nil, rerr
+		}
+		mu.Lock()
+		results = append(results, res)
+		mu.Unlock()
+		return rt.placement.OwnedBy(r.Name), nil
+	})
 	return results, hops
 }
 
@@ -549,95 +579,53 @@ type ingestResponse struct {
 // ingest routes each modulus to an owner of its home shard and merges
 // the reports. Replication peers receive the delta through the sync
 // protocol, not from the router — one authoritative landing per key,
-// then anti-entropy. Failed groups retry against peer owners with the
-// same rotation as scatter; moduli with no reachable owner come back in
-// Failed with Degraded set.
+// then anti-entropy. An owner's reply covers only the shards whose
+// moduli it was sent; moduli with no reachable owner come back in Failed
+// with Degraded set.
 func (rt *Router) ingest(ctx context.Context, moduliHex []string, mods []*big.Int) ingestResponse {
 	resp := ingestResponse{Replicas: make(map[string]keycheck.IngestReport)}
-	// pending: modulus index -> home shard.
-	pending := make(map[int]int, len(mods))
+	byShard := make(map[int][]string) // home shard -> its moduli
+	need := make(map[int]bool)
 	for i, n := range mods {
-		pending[i] = keycheck.ShardOf(n, rt.placement.Shards())
+		s := keycheck.ShardOf(n, rt.placement.Shards())
+		byShard[s] = append(byShard[s], moduliHex[i])
+		need[s] = true
 	}
-	backoff := rt.cfg.RetryBackoff
-	failed := make(map[int]map[string]bool) // shard -> replicas failed
-rounds:
-	for round := 0; round <= rt.cfg.Retries && len(pending) > 0; round++ {
-		if round > 0 {
-			select {
-			case <-time.After(rt.jitter.Jitter(backoff)):
-			case <-ctx.Done():
-				// The caller is gone; further rounds would only issue
-				// doomed requests. Leftover moduli come back in Failed.
-				break rounds
-			}
-			backoff = retry.DoubleBackoff(backoff, 2*time.Second)
+	var mu sync.Mutex
+	rt.cover(ctx, "ingest", need, func(r *Replica, shards []int) ([]int, *replicaError) {
+		var batch []string
+		for _, s := range shards {
+			batch = append(batch, byShard[s]...)
 		}
-		batches := make(map[*Replica][]int)
-		for i, s := range pending {
-			if len(failed[s]) >= len(rt.placement.Owners(s)) {
-				failed[s] = nil
-			}
-			owners := rt.orderedOwners(s, failed[s])
-			if len(owners) == 0 {
-				continue
-			}
-			batches[owners[0]] = append(batches[owners[0]], i)
+		rep, rerr := r.Ingest(ctx, batch)
+		if rerr != nil {
+			return nil, rerr
 		}
-		for r, idxs := range batches {
-			if round > 0 && !rt.retryable("ingest") {
-				break
-			}
-			batch := make([]string, len(idxs))
-			for j, i := range idxs {
-				batch[j] = moduliHex[i]
-			}
-			if !r.Breaker.Allow() {
-				rt.markIngestFailed(failed, pending, idxs, r.Name)
-				continue
-			}
-			rep, rerr := r.Ingest(ctx, batch)
-			rt.settle(r, rerr)
-			if rerr != nil {
-				rt.markIngestFailed(failed, pending, idxs, r.Name)
-				continue
-			}
-			prev := resp.Replicas[r.Name]
-			prev.DeltaModuli += rep.DeltaModuli
-			prev.Duplicates += rep.Duplicates
-			prev.NewFactored += rep.NewFactored
-			prev.Refactored += rep.Refactored
-			prev.Skipped += rep.Skipped
-			prev.TouchedShards += rep.TouchedShards
-			resp.Replicas[r.Name] = prev
-			resp.DeltaModuli += rep.DeltaModuli
-			resp.Duplicates += rep.Duplicates
-			resp.NewFactored += rep.NewFactored
-			resp.Refactored += rep.Refactored
-			for _, i := range idxs {
-				delete(pending, i)
-			}
-		}
+		mu.Lock()
+		defer mu.Unlock()
+		prev := resp.Replicas[r.Name]
+		prev.DeltaModuli += rep.DeltaModuli
+		prev.Duplicates += rep.Duplicates
+		prev.NewFactored += rep.NewFactored
+		prev.Refactored += rep.Refactored
+		prev.Skipped += rep.Skipped
+		prev.TouchedShards += rep.TouchedShards
+		resp.Replicas[r.Name] = prev
+		resp.DeltaModuli += rep.DeltaModuli
+		resp.Duplicates += rep.Duplicates
+		resp.NewFactored += rep.NewFactored
+		resp.Refactored += rep.Refactored
+		return shards, nil
+	})
+	for s := range need {
+		resp.Failed = append(resp.Failed, byShard[s]...)
 	}
-	if len(pending) > 0 {
+	if len(resp.Failed) > 0 {
 		resp.Degraded = true
-		for i := range pending {
-			resp.Failed = append(resp.Failed, moduliHex[i])
-		}
 		sort.Strings(resp.Failed)
-		rt.metrics.Counter("cluster_ingest_failed_moduli_total").Add(int64(len(pending)))
+		rt.metrics.Counter("cluster_ingest_failed_moduli_total").Add(int64(len(resp.Failed)))
 	}
 	return resp
-}
-
-func (rt *Router) markIngestFailed(failed map[int]map[string]bool, pending map[int]int, idxs []int, name string) {
-	for _, i := range idxs {
-		s := pending[i]
-		if failed[s] == nil {
-			failed[s] = make(map[string]bool)
-		}
-		failed[s][name] = true
-	}
 }
 
 // replicaStatus is one replica's row in /cluster/status.

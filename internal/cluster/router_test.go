@@ -325,3 +325,142 @@ func TestRouterTruncatedBodyRetry(t *testing.T) {
 		t.Errorf("truncating replica request failures = %d, want >= 1", got)
 	}
 }
+
+// TestRouterSpentBudgetEndsRounds: once the retry budget refuses, no
+// later round can send anything, so the scatter must stop — not sleep
+// out every remaining backoff and count the same exhaustion once per
+// round. Two of three replicas are dead and the budget is already spent
+// when the check arrives: the degraded answer takes one backoff interval
+// (the sleep before the round that gets refused), and the exhaustion
+// counter reads exactly one.
+func TestRouterSpentBudgetEndsRounds(t *testing.T) {
+	fixture, replicas := newTestCluster(t, 3, 8, 2)
+	ctx := context.Background()
+	const backoff = 100 * time.Millisecond
+	reg := telemetry.New()
+	rt, err := NewRouter(RouterConfig{
+		Replicas:        fixture.Placement().Replicas(),
+		Shards:          8,
+		Replication:     2,
+		RequestTimeout:  5 * time.Second,
+		Retries:         3,
+		RetryBackoff:    backoff,
+		RetryBudget:     1,
+		BreakerFailures: 100, // keep the dead replicas' breakers out of it
+		Metrics:         reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The survivor is the preferred owner of Nc's home shard, so the home
+	// forward succeeds in one hop and leaves the budget to the scatter.
+	survivor := rt.Placement().Owners(keycheck.ShardOf(modNc, 8))[0]
+	for _, rep := range replicas {
+		if rep.addr != survivor {
+			rep.srv.Close()
+		}
+	}
+	if !rt.budget.Take() {
+		t.Fatal("fresh budget of 1 refused")
+	}
+
+	start := time.Now()
+	v := rt.Check(ctx, modNc)
+	elapsed := time.Since(start)
+	if !v.Degraded || v.Status != keycheck.StatusClean {
+		t.Fatalf("two dead replicas, spent budget: %+v, want a degraded clean", v)
+	}
+	// Jitter stretches one interval to at most 1.5x; sleeping out all
+	// three would take at least 0.5 x (1 + 2 + 4) = 3.5 intervals.
+	if elapsed >= 3*backoff {
+		t.Errorf("degraded answer took %v, want about one %v backoff", elapsed, backoff)
+	}
+	if got := reg.Counter("cluster_retry_budget_exhausted_total").Value(); got != 1 {
+		t.Errorf("cluster_retry_budget_exhausted_total = %d, want 1", got)
+	}
+}
+
+// TestRouterHedgesStraggler stalls the preferred owner of N1's home
+// shard past HedgeAfter: the forward is duplicated to the peer owner,
+// whose answer decides (N1 is a factored member, so no scatter follows),
+// and the straggler — cancelled by the router, not failed — is forgotten
+// by its breaker.
+func TestRouterHedgesStraggler(t *testing.T) {
+	rt, replicas := newTestCluster(t, 3, 8, 2)
+	p := rt.Placement()
+	owners := p.Owners(keycheck.ShardOf(modN1, p.Shards()))
+	stall := 3 * rt.cfg.HedgeAfter
+
+	slow := replicaByAddr(t, replicas, owners[0])
+	inner := slow.handler.load()
+	slow.handler.store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/check" {
+			select {
+			case <-time.After(stall):
+			case <-r.Context().Done():
+			}
+		}
+		inner.ServeHTTP(w, r)
+	}))
+
+	start := time.Now()
+	v := rt.Check(context.Background(), modN1)
+	elapsed := time.Since(start)
+	if v.Status != keycheck.StatusFactored || !v.Known || v.Degraded {
+		t.Errorf("N1 behind a straggler = %+v degraded=%v, want factored/known", v.Verdict, v.Degraded)
+	}
+	if v.Replica != owners[1] || v.Hops != 2 {
+		t.Errorf("answered by %s in %d hops, want the peer owner %s in 2", v.Replica, v.Hops, owners[1])
+	}
+	if elapsed < rt.cfg.HedgeAfter || elapsed >= stall {
+		t.Errorf("answer took %v, want after the %v hedge and before the %v stall ends", elapsed, rt.cfg.HedgeAfter, stall)
+	}
+	if got := rt.hedges.Value(); got != 1 {
+		t.Errorf("cluster_hedges_total = %d, want 1", got)
+	}
+	// The loser's request dies of the router's own cancel; once its
+	// client has seen that, the breaker must hold nothing against it.
+	loser := rt.Replica(owners[0])
+	for deadline := time.Now().Add(2 * time.Second); loser.RequestFailures() < 1 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	loser.Breaker.mu.Lock()
+	state, failures := loser.Breaker.state, loser.Breaker.failures
+	loser.Breaker.mu.Unlock()
+	if state != BreakerClosed || failures != 0 || loser.Breaker.Opens() != 0 {
+		t.Errorf("cancelled straggler's breaker: state %v, %d failures, %d opens; want it forgotten", state, failures, loser.Breaker.Opens())
+	}
+}
+
+// TestRouterIngestFailover drives Router.ingest past dead owners: with
+// the preferred owner of the home shard gone the batch rotates to the
+// peer and lands undegraded; with every owner gone the modulus comes
+// back in Failed.
+func TestRouterIngestFailover(t *testing.T) {
+	rt, replicas := newTestCluster(t, 3, 8, 2)
+	ctx := context.Background()
+	p := rt.Placement()
+	owners := p.Owners(keycheck.ShardOf(modNc, p.Shards()))
+	hex := modNc.Text(16)
+
+	replicaByAddr(t, replicas, owners[0]).srv.Close()
+	resp := rt.ingest(ctx, []string{hex}, []*big.Int{modNc})
+	if resp.DeltaModuli != 1 || resp.Degraded || len(resp.Failed) != 0 {
+		t.Fatalf("ingest with a dead primary = %+v, want one modulus landed on the peer", resp)
+	}
+	if _, ok := resp.Replicas[owners[1]]; !ok || len(resp.Replicas) != 1 {
+		t.Errorf("reports from %v, want only the peer owner %s", resp.Replicas, owners[1])
+	}
+	if v := replicaByAddr(t, replicas, owners[1]).svc.Index().Snapshot().Check(modNc); !v.Known {
+		t.Errorf("peer owner does not index the ingested key: %+v", v)
+	}
+
+	replicaByAddr(t, replicas, owners[1]).srv.Close()
+	resp = rt.ingest(ctx, []string{hex}, []*big.Int{modNc})
+	if !resp.Degraded || len(resp.Failed) != 1 || resp.Failed[0] != hex || resp.DeltaModuli != 0 {
+		t.Errorf("ingest with every owner dead = %+v, want the modulus in Failed", resp)
+	}
+	if got := rt.metrics.Counter("cluster_ingest_failed_moduli_total").Value(); got != 1 {
+		t.Errorf("cluster_ingest_failed_moduli_total = %d, want 1", got)
+	}
+}

@@ -25,21 +25,24 @@ type Entry struct {
 	Attribution string
 }
 
-// shard holds one hash partition of the corpus: a Bloom filter over
-// every modulus observed in the partition, the exact map of factored
-// moduli behind it, and the partition's product tree for the GCD path.
-// All fields are immutable after Build/Ingest; Ingest replaces touched
-// shards wholesale and shares untouched ones by reference.
+// shard holds one hash partition of the corpus: the exact set of every
+// modulus observed in the partition, the map of the factored ones among
+// them, and the partition's product tree for the GCD path. All fields
+// are immutable after Build/Ingest; Ingest replaces touched shards
+// wholesale and shares untouched ones by reference.
 type shard struct {
-	bloom    *bloomFilter
+	// members is the one membership answer: Check, Ingest's duplicate
+	// test and the shard's modulus count all read it. A key enters only
+	// through Build (settled by the study's factor table) or Ingest
+	// (swept against every shard this snapshot indexes), which is why a
+	// member is answered from the maps alone.
+	members  map[string]struct{}
 	factored map[string]Entry
 	// tree is the shard's modulus product tree. Keeping the whole tree
 	// (not just the root) is what lets Ingest extend it incrementally:
 	// prodtree.ExtendCtx reuses every node whose subtree gained no new
-	// leaf, and the leaf level doubles as the shard's exact membership
-	// list.
-	tree   *prodtree.Tree
-	moduli int
+	// leaf.
+	tree *prodtree.Tree
 	// shared maps unfactored member moduli the corpus observed under two
 	// or more distinct identities to their identity count — the
 	// shared-modulus graph projected onto this shard, minus anything
@@ -121,7 +124,7 @@ func Empty(shards int) *Snapshot {
 	}
 	snap := &Snapshot{shards: make([]*shard, shards), gen: snapGen.Add(1)}
 	for i := range snap.shards {
-		snap.shards[i] = &shard{factored: make(map[string]Entry)}
+		snap.shards[i] = &shard{members: make(map[string]struct{}), factored: make(map[string]Entry)}
 	}
 	return snap
 }
@@ -134,9 +137,11 @@ const DefaultShards = 8
 type BuildInput struct {
 	// Store is the scan corpus (required).
 	Store *scanstore.Store
-	// Fingerprint supplies the factored set and vendor labels; nil
-	// builds a membership-and-GCD-only index that can never answer
-	// "factored" (it still answers "shared_factor" via the GCD path).
+	// Fingerprint supplies the factored set and vendor labels. Nil means
+	// the caller has no factor table: every corpus modulus is indexed as
+	// an already-swept member and answers clean (or shared_modulus),
+	// whatever primes it shares — only novel submissions reach the GCD
+	// path. Production (keyserverd, bench/) always passes one.
 	Fingerprint *fingerprint.Result
 	// Shards is the partition count (default DefaultShards).
 	Shards int
@@ -175,7 +180,7 @@ func Build(ctx context.Context, in BuildInput) (*Snapshot, error) {
 	}
 	byShard := make([][]*big.Int, nShards)
 	for i := range snap.shards {
-		snap.shards[i] = &shard{factored: make(map[string]Entry)}
+		snap.shards[i] = &shard{members: make(map[string]struct{}), factored: make(map[string]Entry)}
 	}
 	var factors map[string]fingerprint.Factors
 	if in.Fingerprint != nil {
@@ -191,7 +196,7 @@ func Build(ctx context.Context, in BuildInput) (*Snapshot, error) {
 		}
 		sh := snap.shards[si]
 		byShard[si] = append(byShard[si], moduli[i])
-		sh.moduli++
+		sh.members[key] = struct{}{}
 		snap.moduli++
 		if f, ok := factors[key]; ok {
 			// A factored member outranks its identity graph: the shared
@@ -212,28 +217,23 @@ func Build(ctx context.Context, in BuildInput) (*Snapshot, error) {
 	for _, sh := range snap.shards {
 		labelEntries(in.Store, in.Fingerprint, sh.factored)
 	}
-	// Blooms and products. Products dominate build time; fan the shards
-	// out on the shared kernel pool, mirroring the subset partitioning
-	// of the distributed batch GCD. The nested product-tree builds
-	// schedule their levels on the same pool, so total concurrency
-	// stays bounded by the pool width instead of shards × GOMAXPROCS.
+	// Products dominate build time; fan the shards out on the shared
+	// kernel pool, mirroring the subset partitioning of the distributed
+	// batch GCD. The nested product-tree builds schedule their levels on
+	// the same pool, so total concurrency stays bounded by the pool
+	// width instead of shards × GOMAXPROCS.
 	eng := kernel.FromContext(ctx)
 	errs := make([]error, nShards)
 	runErr := eng.Run(ctx, nShards, func(si int, _ *kernel.Arena) {
-		sh := snap.shards[si]
-		sh.bloom = newBloom(sh.moduli)
 		if len(byShard[si]) == 0 {
 			return
-		}
-		for _, n := range byShard[si] {
-			sh.bloom.add(string(n.Bytes()))
 		}
 		tree, err := prodtree.NewCtx(ctx, byShard[si])
 		if err != nil {
 			errs[si] = fmt.Errorf("keycheck: build shard %d: %w", si, err)
 			return
 		}
-		sh.tree = tree
+		snap.shards[si].tree = tree
 	})
 	if runErr != nil {
 		return nil, fmt.Errorf("keycheck: build cancelled: %w", runErr)
@@ -288,54 +288,50 @@ func ShardOf(n *big.Int, nShards int) int {
 
 var one = big.NewInt(1)
 
-// Check answers for one modulus. The fast path is the home shard's
-// Bloom filter plus exact map; a miss falls through to GCD against
-// every shard's product, so a key no scan ever observed is still caught
-// when it shares a prime with the corpus.
+// Check answers for one modulus. A corpus member is answered from its
+// home shard's maps alone, with no big.Int arithmetic: Build and Ingest
+// already settled it against every shard this snapshot indexes, so it is
+// factored, shared_modulus or clean. Everything else is novel and falls
+// through to GCD against every shard's product, so a key no scan ever
+// observed is still caught when it shares a prime with the corpus.
 func (s *Snapshot) Check(n *big.Int) Verdict {
 	key := string(n.Bytes())
 	home := shardOf(key, len(s.shards))
-	v := Verdict{Status: StatusClean, ModulusBits: n.BitLen(), Shard: home}
-	if !s.owns(home) {
-		// A cluster replica that doesn't own the home shard cannot
-		// answer membership: its clean/unknown half is only about the
-		// shards it holds. The GCD sweep below still runs over the
-		// owned products — a shared prime in any of them is definitive.
-		v.Partial = true
-	}
+	// A cluster replica that doesn't own the home shard cannot answer
+	// membership: its clean/unknown half is only about the shards it
+	// holds. The GCD sweep below still runs over the owned products — a
+	// shared prime in any of them is definitive.
+	v := Verdict{Status: StatusClean, ModulusBits: n.BitLen(), Shard: home, Partial: !s.owns(home)}
 	homeShard := s.shards[home]
-	inBloom := homeShard.bloom.mayContain(key)
-	if inBloom {
+	if _, ok := homeShard.members[key]; ok {
+		v.Known = true
 		if e, ok := homeShard.factored[key]; ok {
 			v.Status = StatusFactored
-			v.Known = true
 			v.FactorP, v.FactorQ = hexOf(e.P), hexOf(e.Q)
 			v.Vendor, v.Attribution = e.Vendor, e.Attribution
-			return v
+		} else if cnt, ok := homeShard.shared[key]; ok {
+			// A member with no shared prime can still be anomalous: the
+			// same modulus observed under distinct identities at scan
+			// time. Any identity holding the private key breaks the rest.
+			v.Status = StatusSharedModulus
+			v.SharedWith = cnt
 		}
+		return v
 	}
 	// GCD path. gcd(n, P mod n) = gcd(n, P) finds the product of n's
 	// primes shared with shard product P without ever forming P/n.
 	g := new(big.Int).Set(one)
 	var proper *big.Int // a proper divisor of n, if any shard yields one
 	r := new(big.Int)
-	for si, sh := range s.shards {
+	for _, sh := range s.shards {
 		product := sh.product()
 		if product == nil {
 			continue
 		}
 		r.Mod(product, n)
 		if r.Sign() == 0 {
-			// n divides the shard product outright. For the home shard
-			// with a Bloom hit that means n is a corpus member: batch
-			// GCD already ran over the whole corpus at build time, so a
-			// member absent from the factored map shares no prime.
-			if si == home && inBloom {
-				v.Known = true
-				continue
-			}
-			// A novel modulus dividing a product means every prime of n
-			// is in the corpus.
+			// n divides the shard product outright: every prime of n is
+			// in the corpus.
 			g.Set(n)
 			continue
 		}
@@ -350,16 +346,6 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 		g.GCD(nil, nil, g, n)
 	}
 	if g.Cmp(one) == 0 {
-		if v.Known {
-			// A member with no shared prime can still be anomalous: the
-			// same modulus observed under distinct identities at scan
-			// time. Any identity holding the private key breaks the rest.
-			if cnt, ok := homeShard.shared[key]; ok {
-				v.Status = StatusSharedModulus
-				v.SharedWith = cnt
-			}
-			return v
-		}
 		// Novel modulus the corpus cannot touch: run the bounded anomaly
 		// probes (trial division, Fermat ascent, Pollard rho). Members
 		// skip this — the offline anomaly pass already swept the corpus —
@@ -451,7 +437,7 @@ type SnapshotStats struct {
 func (s *Snapshot) Stats() SnapshotStats {
 	st := SnapshotStats{Moduli: s.moduli, Factored: s.factored, Shared: s.shared, Owned: s.Owned()}
 	for _, sh := range s.shards {
-		ss := ShardStats{Moduli: sh.moduli, Factored: len(sh.factored), Shared: len(sh.shared)}
+		ss := ShardStats{Moduli: len(sh.members), Factored: len(sh.factored), Shared: len(sh.shared)}
 		if p := sh.product(); p != nil {
 			ss.ProductBits = p.BitLen()
 		}

@@ -3,6 +3,7 @@ package keycheck
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/big"
 	"time"
 
@@ -186,22 +187,6 @@ func (s *Snapshot) Ingest(ctx context.Context, in BuildInput) (*Snapshot, Ingest
 func (s *Snapshot) partition(store *scanstore.Store, rep *IngestReport) *ingestDelta {
 	nShards := len(s.shards)
 	moduli, keys := store.DistinctModuli()
-	// The exact membership list of a shard is its product tree's leaf
-	// level; only shards that actually receive delta keys pay for
-	// materializing it as a set.
-	members := make([]map[string]bool, nShards)
-	memberSet := func(si int) map[string]bool {
-		if members[si] == nil {
-			set := make(map[string]bool)
-			if t := s.shards[si].tree; t != nil {
-				for _, leaf := range t.Leaves() {
-					set[string(leaf.Bytes())] = true
-				}
-			}
-			members[si] = set
-		}
-		return members[si]
-	}
 	d := &ingestDelta{shards: make([]*shardDelta, nShards)}
 	for i := range d.shards {
 		d.shards[i] = &shardDelta{}
@@ -231,7 +216,7 @@ func (s *Snapshot) partition(store *scanstore.Store, rep *IngestReport) *ingestD
 				sd.newShared[key] = cnt
 			}
 		}
-		if memberSet(si)[key] {
+		if _, dup := s.shards[si].members[key]; dup {
 			rep.Duplicates++
 			continue
 		}
@@ -534,10 +519,10 @@ func (s *Snapshot) merge(ctx context.Context, d *ingestDelta, rep *IngestReport)
 
 // mergeShard returns old plus what sd adds, copy-on-write: a fresh
 // factored map, an ExtendCtx-ed product tree (new leaves multiplied up
-// the right spine only) and a cloned-or-regrown Bloom filter; whatever
-// the delta leaves alone stays shared with old.
+// the right spine only) and a member set copied with the new keys added;
+// whatever the delta leaves alone stays shared with old.
 func mergeShard(ctx context.Context, old *shard, sd *shardDelta) (*shard, error) {
-	nsh := &shard{moduli: old.moduli + len(sd.newMods), tree: old.tree, bloom: old.bloom, shared: old.shared}
+	nsh := &shard{members: old.members, tree: old.tree, shared: old.shared}
 	nsh.factored = make(map[string]Entry, len(old.factored)+len(sd.newEntries))
 	for key, e := range old.factored {
 		nsh.factored[key] = e
@@ -579,7 +564,10 @@ func mergeShard(ctx context.Context, old *shard, sd *shardDelta) (*shard, error)
 			return nil, err
 		}
 		nsh.tree = tree
-		nsh.bloom = extendBloom(old.bloom, tree, sd.newKeys, nsh.moduli)
+		nsh.members = maps.Clone(old.members)
+		for _, key := range sd.newKeys {
+			nsh.members[key] = struct{}{}
+		}
 	}
 	// A member promoted to factored or shared must leave the
 	// clean-exemplar sample; novel clean keys top it back up.
@@ -597,29 +585,4 @@ func mergeShard(ctx context.Context, old *shard, sd *shardDelta) (*shard, error)
 		keep(key)
 	}
 	return nsh, nil
-}
-
-// extendBloom returns the filter for a shard that gained newKeys. While
-// the grown shard still fits the old filter's sizing the filter is
-// cloned and the new keys added; once outgrown it is rebuilt over every
-// leaf with doubling headroom, so repeated small ingests settle into
-// cheap clone-and-add.
-func extendBloom(old *bloomFilter, tree *prodtree.Tree, newKeys []string, total int) *bloomFilter {
-	if old.fits(total) {
-		f := old.clone()
-		for _, key := range newKeys {
-			f.add(key)
-		}
-		return f
-	}
-	size := total * 2
-	if old != nil && old.sized*2 > size {
-		size = old.sized * 2
-	}
-	f := newBloom(size)
-	f.sized = size
-	for _, leaf := range tree.Leaves() {
-		f.add(string(leaf.Bytes()))
-	}
-	return f
 }

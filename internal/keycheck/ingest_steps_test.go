@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/big"
+	"reflect"
 	"testing"
 
 	"github.com/factorable/weakkeys/internal/fingerprint"
@@ -90,6 +91,11 @@ func TestIngestPartition(t *testing.T) {
 }
 
 func mul(a, b *big.Int) *big.Int { return new(big.Int).Mul(a, b) }
+
+// sameMap reports whether a and b are one map object, not merely equal.
+func sameMap(a, b map[string]struct{}) bool {
+	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+}
 
 // TestIngestSweep runs the sweep step alone over the single-shard golden
 // corpus {N1=p1p2, N2=p1p3, N3=q1q2}: divisors come back index-aligned
@@ -268,8 +274,14 @@ func TestIngestMerge(t *testing.T) {
 		t.Error("untouched shard was not shared by reference")
 	}
 	nsh := ns.shards[si]
-	if nsh == &old || nsh.tree == old.tree || nsh.bloom == old.bloom {
+	if nsh == &old || nsh.tree == old.tree || sameMap(nsh.members, old.members) {
 		t.Error("touched shard still shares its membership structures")
+	}
+	if _, ok := nsh.members[dmKey]; !ok || len(nsh.members) != len(old.members)+1 {
+		t.Errorf("touched shard's member set has %d keys (novel key in: %v), want the predecessor's %d plus it", len(nsh.members), ok, len(old.members))
+	}
+	if _, leaked := old.members[dmKey]; leaked {
+		t.Error("merge added the novel key to the predecessor's member set")
 	}
 	if _, leaked := old.factored[n3Key]; leaked || len(old.shared) != 1 {
 		t.Error("merge wrote through to the predecessor shard")
@@ -286,8 +298,8 @@ func TestIngestMerge(t *testing.T) {
 			t.Errorf("clean sample kept a factored or shared key %x", key)
 		}
 	}
-	if ns.moduli != snap.moduli+1 || ns.factored != snap.factored+1 || ns.shared != 1 || nsh.moduli != old.moduli+1 {
-		t.Errorf("counts: moduli %d factored %d shared %d shard %d", ns.moduli, ns.factored, ns.shared, nsh.moduli)
+	if ns.moduli != snap.moduli+1 || ns.factored != snap.factored+1 || ns.shared != 1 {
+		t.Errorf("counts: moduli %d factored %d shared %d", ns.moduli, ns.factored, ns.shared)
 	}
 	if ns.Generation() <= snap.Generation() {
 		t.Error("generation did not advance")
@@ -304,14 +316,14 @@ func TestIngestMerge(t *testing.T) {
 		t.Errorf("node ledger: reused %d + built %d != %d total", rep.NodesReused, rep.NodesBuilt, total)
 	}
 
-	// A re-label alone leaves tree and Bloom filter shared.
+	// A re-label alone leaves tree and member set shared.
 	relabel := &shardDelta{}
 	relabel.entry(n3Key, Entry{P: q1, Q: q2})
 	only, err := mergeShard(ctx, &old, relabel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if only.tree != old.tree || only.bloom != old.bloom || only.moduli != old.moduli || len(only.shared) != 0 {
+	if only.tree != old.tree || !sameMap(only.members, old.members) || len(only.shared) != 0 {
 		t.Errorf("re-label-only merge rebuilt membership structures: %+v", only)
 	}
 

@@ -186,31 +186,31 @@ func TestIngestForeignMate(t *testing.T) {
 	ctx := context.Background()
 	ownShard := ShardOf(modN3, shards)
 
-	store := scanstore.New()
-	store.AddBareKeyObservation("10.0.0.3", date(2013, 5, 1), scanstore.SourceRapid7, scanstore.SSH, modN3)
-	snap, err := Build(ctx, BuildInput{Store: store, Shards: shards, OwnShards: []int{ownShard}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// foreignWith brute-forces an odd cofactor so p*c homes in a shard
-	// this snapshot does not own.
-	foreignWith := func(p *big.Int) *big.Int {
+	// homedWith brute-forces an odd cofactor so p*c homes inside (owned)
+	// or outside the one shard this snapshot owns.
+	homedWith := func(p *big.Int, owned bool) *big.Int {
 		c := mustHex("c132b11d89ab4e63")
 		two := big.NewInt(2)
 		for i := 0; i < 1<<14; i++ {
 			m := new(big.Int).Mul(p, c)
-			if ShardOf(m, shards) != ownShard {
+			if (ShardOf(m, shards) == ownShard) == owned {
 				return m
 			}
 			c.Add(c, two)
 		}
-		t.Fatalf("no cofactor keeps a multiple of %s out of shard %d", p.Text(16), ownShard)
+		t.Fatalf("no cofactor homes a multiple of %s with owned=%v (shard %d)", p.Text(16), owned, ownShard)
 		return nil
 	}
 
+	// N3 plus an owned member that shares nothing and must stay clean.
+	bystander := homedWith(s3, true)
+	snap, err := Build(ctx, BuildInput{Store: deltaStore(t, modN3, bystander), Shards: shards, OwnShards: []int{ownShard}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	// A foreign modulus sharing q1 with the owned clean member N3.
-	dm := foreignWith(q1)
+	dm := homedWith(q1, false)
 	ns, rep, err := snap.Ingest(ctx, BuildInput{Store: deltaStore(t, dm)})
 	if err != nil {
 		t.Fatal(err)
@@ -234,10 +234,16 @@ func TestIngestForeignMate(t *testing.T) {
 	if v := ns.Check(dm); v.Known {
 		t.Errorf("foreign modulus was indexed: %+v", v)
 	}
+	// Members answered from the maps agree with a sweep of every product
+	// this replica holds, before and after the sync-path re-label.
+	for _, n := range []*big.Int{modN3, bystander, dm} {
+		wantSweepVerdict(t, snap, n, "before the foreign mate, %s", n.Text(16))
+		wantSweepVerdict(t, ns, n, "after the foreign mate, %s", n.Text(16))
+	}
 
 	// A foreign modulus sharing nothing with the owned corpus is a pure
 	// pass-through: no new snapshot, nothing indexed, nothing re-labeled.
-	noop := foreignWith(s2)
+	noop := homedWith(s2, false)
 	ns2, rep2, err := ns.Ingest(ctx, BuildInput{Store: deltaStore(t, noop)})
 	if err != nil {
 		t.Fatal(err)

@@ -5,11 +5,11 @@
 // Cryptographic Key Generation" proposes as a registration-time check.
 //
 // The queryable artifact is an immutable Snapshot: the corpus's distinct
-// moduli sharded by modulus hash, each shard fronted by a Bloom filter
-// over every observed modulus with an exact map of the factored moduli
-// behind it, plus the shard's modulus product for the GCD path. A
-// submitted modulus that is in the corpus answers from the exact map; a
-// novel one is still checked by GCD against every shard's product —
+// moduli sharded by modulus hash, each shard holding the exact set of
+// every observed modulus, a map of the factored ones among them, and the
+// shard's modulus product for the GCD path. A submitted modulus that is
+// in the corpus answers from the set and map alone; a novel one is
+// still checked by GCD against every shard's product —
 // exactly how factorable.net handled fresh submissions, and the reason
 // an online service is more than a set lookup: a key never seen by any
 // scan is still compromised if it shares a prime with the corpus.

@@ -133,9 +133,13 @@ func TestKnownAnswersBuildVsIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for i, ka := range rows {
+			wantSweepVerdict(t, full, ka.n(), "shards=%d row %d built", shards, i)
+		}
 		for split := 0; split <= len(rows); split++ {
 			inc := ingestSplit(t, Empty(shards), rows, split)
 			for i, ka := range rows {
+				wantSweepVerdict(t, inc, ka.n(), "shards=%d split=%d row %d ingested", shards, split, i)
 				want, got := full.Check(ka.n()), inc.Check(ka.n())
 				if got != want {
 					t.Errorf("shards=%d split=%d row %d: ingested %+v, built %+v", shards, split, i, got, want)
@@ -179,6 +183,9 @@ func TestKnownAnswersPartialReplicas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for i, ka := range rows {
+			wantSweepVerdict(t, built[r], ka.n(), "row %d built replica %d", i, r)
+		}
 	}
 	for split := 0; split <= len(rows); split++ {
 		grown := make([]*Snapshot, len(owners))
@@ -196,7 +203,8 @@ func TestKnownAnswersPartialReplicas(t *testing.T) {
 				t.Errorf("split=%d row %d: grown compromised/known = %v/%v, built %v/%v, table %v/true",
 					split, i, gc, gk, bc, bk, ka.div != nil)
 			}
-			for _, rep := range grown {
+			for r, rep := range grown {
+				wantSweepVerdict(t, rep, ka.n(), "split=%d row %d grown replica %d", split, i, r)
 				v := rep.Check(ka.n())
 				if v.FactorP == "" {
 					continue

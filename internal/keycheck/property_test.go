@@ -153,6 +153,8 @@ func TestIngestEquivalenceProperty(t *testing.T) {
 
 		weak := sharedWithin(mods)
 		for i, m := range mods {
+			wantSweepVerdict(t, full, m.n, "trial %d modulus %d built", trial, i)
+			wantSweepVerdict(t, inc, m.n, "trial %d (shards=%d, old=%d/%d) modulus %d ingested", trial, shards, oldN, nMod, i)
 			vf := full.Check(m.n)
 			vi := inc.Check(m.n)
 			if vf.Status != vi.Status || vf.Known != vi.Known {

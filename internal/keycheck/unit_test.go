@@ -10,40 +10,6 @@ import (
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
-func TestBloomNoFalseNegatives(t *testing.T) {
-	const n = 2000
-	f := newBloom(n)
-	for i := 0; i < n; i++ {
-		f.add(fmt.Sprintf("member-%d", i))
-	}
-	for i := 0; i < n; i++ {
-		if !f.mayContain(fmt.Sprintf("member-%d", i)) {
-			t.Fatalf("false negative for member-%d", i)
-		}
-	}
-	// ~1% expected at 10 bits/item, k=7; 5% is the alarm threshold.
-	fp := 0
-	for i := 0; i < n; i++ {
-		if f.mayContain(fmt.Sprintf("stranger-%d", i)) {
-			fp++
-		}
-	}
-	if fp > n/20 {
-		t.Errorf("false positive rate %d/%d > 5%%", fp, n)
-	}
-}
-
-func TestBloomNil(t *testing.T) {
-	f := newBloom(0)
-	if f != nil {
-		t.Fatal("empty bloom not nil")
-	}
-	f.add("x") // must not panic
-	if f.mayContain("x") {
-		t.Error("nil bloom claims membership")
-	}
-}
-
 func TestVerdictCacheLRU(t *testing.T) {
 	c := newVerdictCache(2)
 	va := Verdict{Status: StatusClean, ModulusBits: 1}
