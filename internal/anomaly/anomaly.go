@@ -128,11 +128,13 @@ const (
 	ProbeSmallFactor ProbeClass = "small_factor"
 )
 
-// Default probe budgets: small enough that a probe of one novel modulus
-// stays in the low milliseconds on the serving path, large enough to
-// catch every naturally occurring instance of the flaw classes (close
-// primes land in a handful of Fermat steps; small factors fall to trial
-// division almost immediately).
+// Default probe budgets: large enough to catch every naturally
+// occurring instance of the flaw classes (close primes land in a
+// handful of Fermat steps; small factors fall to trial division almost
+// immediately), small enough for the serving path at the widths it
+// sees. A probe that exhausts all of them on a clean modulus costs about
+// 0.3 ms at 128 bits, 5 ms at 1024, 25 ms at 2048 and 120 ms at 4096
+// (BenchmarkProbeFactor on two cores; EXPERIMENTS.md has the table).
 const (
 	DefaultFermatSteps = 512
 	DefaultTrialPrimes = 128
@@ -148,7 +150,9 @@ type Probe struct {
 	FermatSteps int
 	// TrialPrimes bounds trial division to the first n primes.
 	TrialPrimes int
-	// RhoSteps bounds each Pollard rho run.
+	// RhoSteps bounds each Pollard rho run. A probe makes up to eight
+	// runs, one per polynomial constant, so the effective rho budget is
+	// 8 × RhoSteps iterations.
 	RhoSteps int
 }
 
@@ -181,16 +185,14 @@ func (p Probe) Factor(n *big.Int) (cls ProbeClass, pHit, qHit *big.Int) {
 			return ProbeSmallFactor, sp, sq
 		}
 	}
-	if p.FermatSteps > 0 {
-		if fp, fq := numtheory.FermatFactor(n, p.FermatSteps); fp != nil {
-			return ProbeFermatWeak, fp, fq
+	// n is known composite from here on: the probes skip the primality
+	// test their public entry points open with. A disabled probe is
+	// passed its negative budget, which SplitComposite skips.
+	if sp, sq, fermat := numtheory.SplitComposite(n, p.FermatSteps, p.RhoSteps); sp != nil {
+		if fermat {
+			return ProbeFermatWeak, sp, sq
 		}
-	}
-	if p.RhoSteps > 0 {
-		if d := numtheory.PollardRho(n, p.RhoSteps); d != nil {
-			sp, sq := split(n, d)
-			return ProbeSmallFactor, sp, sq
-		}
+		return ProbeSmallFactor, sp, sq
 	}
 	return ProbeNone, nil, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/big"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -113,6 +114,39 @@ func TestProbeFactor(t *testing.T) {
 	disabled := Probe{FermatSteps: -1, TrialPrimes: -1, RhoSteps: -1}
 	if cls, _, _ := disabled.Factor(small.N); cls != ProbeNone {
 		t.Errorf("disabled probes still classified %q", cls)
+	}
+}
+
+// TestProbeDecidesPrimalityOnce pins the structure behind the single
+// primality test per probe: Factor itself refuses primes and everything
+// below 4, so what it hands to numtheory.SplitComposite is composite;
+// and an even modulus is still answered by trial division, which runs
+// first, not by rho's even-n shortcut.
+func TestProbeDecidesPrimalityOnce(t *testing.T) {
+	prime, err := numtheory.GenPrimeNaive(rand.New(rand.NewSource(11)), 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*big.Int{prime, big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(3), big.NewInt(-15)} {
+		if cls, p, q := (Probe{}).Factor(n); cls != ProbeNone || p != nil || q != nil {
+			t.Errorf("Factor(%v) = %q, %v, %v, want no finding", n, cls, p, q)
+		}
+	}
+
+	even := new(big.Int).Lsh(prime, 1)
+	trialOnly := Probe{FermatSteps: -1, RhoSteps: -1}
+	cls, p, q := trialOnly.Factor(even)
+	if cls != ProbeSmallFactor || p.Cmp(big.NewInt(2)) != 0 || q.Cmp(prime) != 0 {
+		t.Errorf("trial division on an even modulus: %q, %v, %v", cls, p, q)
+	}
+	// With trial division disabled Fermat refuses an even n and rho's
+	// shortcut reports the 2, as the separate probes always did.
+	cls, p, q = Probe{TrialPrimes: -1}.Factor(even)
+	if cls != ProbeSmallFactor || p.Cmp(big.NewInt(2)) != 0 || q.Cmp(prime) != 0 {
+		t.Errorf("rho on an even modulus: %q, %v, %v", cls, p, q)
+	}
+	if cls, _, _ := (Probe{TrialPrimes: -1, RhoSteps: -1}).Factor(even); cls != ProbeNone {
+		t.Errorf("Fermat alone classified an even modulus %q", cls)
 	}
 }
 
@@ -280,5 +314,49 @@ func TestProbeBudgetsHoldAgainstGoldenModuli(t *testing.T) {
 	}
 	if p, _ := numtheory.FermatFactor(k.N, DefaultFermatSteps); p == nil {
 		t.Error("close-prime key out of reach of the default Fermat budget")
+	}
+}
+
+// benchModuli caches the benchmark inputs per width, so the testing
+// package's repeated calls with a growing b.N generate them once.
+var benchModuli = map[int][]*big.Int{}
+
+// cleanSemiprimes returns eight honest moduli of the given width, one
+// per seed 1-8: two independent GenPrimeNaive primes no default budget
+// reaches, the novel-clean key the serving path probes.
+func cleanSemiprimes(b *testing.B, bits int) []*big.Int {
+	b.Helper()
+	if benchModuli[bits] == nil {
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			p, err := numtheory.GenPrimeNaive(rng, bits/2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			q, err := numtheory.GenPrimeNaive(rng, bits/2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchModuli[bits] = append(benchModuli[bits], new(big.Int).Mul(p, q))
+		}
+	}
+	return benchModuli[bits]
+}
+
+// BenchmarkProbeFactor measures one whole default-budget probe of a
+// novel clean modulus — primality, trial division, the full Fermat
+// ascent and all eight rho runs — by modulus width.
+func BenchmarkProbeFactor(b *testing.B) {
+	for _, bits := range []int{128, 512, 1024, 2048, 4096} {
+		b.Run(strconv.Itoa(bits), func(b *testing.B) {
+			moduli := cleanSemiprimes(b, bits)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cls, _, _ := (Probe{}).Factor(moduli[i%len(moduli)]); cls != ProbeNone {
+					b.Fatalf("clean modulus fell to %q", cls)
+				}
+			}
+		})
 	}
 }

@@ -322,20 +322,23 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 	// primes shared with shard product P without ever forming P/n.
 	g := new(big.Int).Set(one)
 	var proper *big.Int // a proper divisor of n, if any shard yields one
-	r := new(big.Int)
+	// QuoRem, not Mod: Mod allocates a quotient as long as the shard
+	// product on every call, where q's backing array is reused across
+	// the shards. The products are positive, so the remainder is Mod's.
+	var q, r big.Int
 	for _, sh := range s.shards {
 		product := sh.product()
 		if product == nil {
 			continue
 		}
-		r.Mod(product, n)
+		q.QuoRem(product, n, &r)
 		if r.Sign() == 0 {
 			// n divides the shard product outright: every prime of n is
 			// in the corpus.
 			g.Set(n)
 			continue
 		}
-		gi := new(big.Int).GCD(nil, nil, n, r)
+		gi := new(big.Int).GCD(nil, nil, n, &r)
 		if gi.Cmp(one) <= 0 {
 			continue
 		}

@@ -95,6 +95,7 @@ type Service struct {
 	ingestMu sync.Mutex
 
 	checkSeconds  *telemetry.Histogram
+	novelSeconds  *telemetry.Histogram
 	cacheHits     *telemetry.Counter
 	cacheMisses   *telemetry.Counter
 	inflightGauge *telemetry.Gauge
@@ -116,6 +117,7 @@ func NewService(snap *Snapshot, cfg Config) *Service {
 		cache:         newVerdictCache(cfg.CacheSize),
 		sem:           make(chan struct{}, cfg.Workers),
 		checkSeconds:  reg.Histogram("keycheck_check_seconds", telemetry.DurationBuckets),
+		novelSeconds:  reg.Histogram("keycheck_novel_check_seconds", telemetry.DurationBuckets),
 		cacheHits:     reg.Counter("keycheck_cache_hits_total"),
 		cacheMisses:   reg.Counter("keycheck_cache_misses_total"),
 		inflightGauge: reg.Gauge("keycheck_inflight_checks"),
@@ -264,7 +266,14 @@ func (s *Service) Check(ctx context.Context, n *big.Int) (Verdict, error) {
 
 	start := time.Now()
 	v := snap.Check(n)
-	s.checkSeconds.ObserveDuration(time.Since(start))
+	elapsed := time.Since(start)
+	s.checkSeconds.ObserveDuration(elapsed)
+	if !v.Known {
+		// Novel submissions pay the per-shard sweep and the anomaly
+		// probe: milliseconds, invisible among the microsecond member
+		// lookups that fill keycheck_check_seconds.
+		s.novelSeconds.ObserveDuration(elapsed)
+	}
 	s.verdicts[v.Status].Inc()
 	if s.prePutHook != nil {
 		s.prePutHook()

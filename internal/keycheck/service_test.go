@@ -209,6 +209,30 @@ func TestPublishInvalidatesCache(t *testing.T) {
 	}
 }
 
+// TestNovelCheckHistogram: keycheck_novel_check_seconds sees exactly the
+// checks the index computed for a modulus it does not hold — not
+// members, and not the cache hit that repeats a novel answer.
+func TestNovelCheckHistogram(t *testing.T) {
+	reg := telemetry.New()
+	svc := NewService(goldenSnapshot(t, 2), Config{Metrics: reg})
+	ctx := context.Background()
+	for _, n := range []*big.Int{modN1, modN3, modNs, modNc, modNc} {
+		if _, err := svc.Check(ctx, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := svc.novelSeconds.Count(); got != 2 {
+		t.Errorf("keycheck_novel_check_seconds count = %d, want 2 (modNs, modNc once)", got)
+	}
+	if got := svc.checkSeconds.Count(); got != 4 {
+		t.Errorf("keycheck_check_seconds count = %d, want 4", got)
+	}
+	// The handles are nil-safe: a service without a registry still checks.
+	if _, err := NewService(goldenSnapshot(t, 2), Config{}).Check(ctx, modNc); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServiceQueueWaitAdmits: a check that finds all workers busy but
 // sees one free within QueueWait is admitted, not shed.
 func TestServiceQueueWaitAdmits(t *testing.T) {

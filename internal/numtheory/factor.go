@@ -1,6 +1,9 @@
 package numtheory
 
-import "math/big"
+import (
+	"math/big"
+	"math/bits"
+)
 
 // SmallFactors returns the prime factorization of n restricted to primes
 // among the first nPrimes primes, as (prime, exponent) pairs in
@@ -34,10 +37,25 @@ type PrimePower struct {
 	Exp   int
 }
 
+// rhoConstants is how many polynomial constants c = 1, 2, ... one
+// PollardRho call sweeps; rhoBatch is how many |x-y| differences are
+// multiplied together between GCDs.
+const (
+	rhoConstants = 8
+	rhoBatch     = 64
+)
+
+// rhoMemoLimbs caps the sequence memo of one PollardRho call at 1 MiB
+// of limbs, so a huge step budget cannot buy unbounded memory; past the
+// cap the slow pointer is stepped directly, through the same values.
+const rhoMemoLimbs = 1 << 17
+
 // PollardRho attempts to find one nontrivial factor of the composite n
-// using Pollard's rho with Brent's cycle detection, bounded by maxSteps
-// iterations. It returns nil if no factor was found within the budget or
-// n is prime/1. Deterministic given n (the polynomial constant is swept).
+// using Pollard's rho with Floyd's cycle detection. It sweeps the
+// polynomial constant over rhoConstants runs of at most maxSteps
+// iterations each, so the effective budget is rhoConstants × maxSteps.
+// It returns nil if no run found a factor or n is prime/1.
+// Deterministic given n.
 //
 // Rho complements the batch GCD in the bit-error forensics: a corrupted
 // modulus is an essentially random integer, so its small and medium
@@ -47,63 +65,154 @@ func PollardRho(n *big.Int, maxSteps int) *big.Int {
 	if n.Sign() <= 0 || n.Cmp(one) == 0 || n.ProbablyPrime(12) {
 		return nil
 	}
+	return rhoComposite(n, maxSteps)
+}
+
+// rhoComposite is PollardRho for a caller that has already established
+// n is composite (n > 3 and not a probable prime); n <= 0 still yields
+// nil.
+func rhoComposite(n *big.Int, maxSteps int) *big.Int {
+	if n.Sign() <= 0 {
+		return nil
+	}
 	if n.Bit(0) == 0 {
 		return big.NewInt(2)
 	}
-	for c := int64(1); c <= 8; c++ {
-		if d := rhoBrent(n, c, maxSteps); d != nil {
+	r := newRho(n, maxSteps, rhoMemoLimbs)
+	for c := uint64(1); c <= rhoConstants; c++ {
+		if d := r.run(c, maxSteps); d != nil {
 			return d
 		}
 	}
 	return nil
 }
 
-// rhoBrent is one rho run with f(x) = x² + c mod n and batched GCDs.
-func rhoBrent(n *big.Int, c int64, maxSteps int) *big.Int {
-	x := big.NewInt(2)
-	y := new(big.Int).Set(x)
-	cc := big.NewInt(c)
-	d := new(big.Int)
-	prod := big.NewInt(1)
-	var diff big.Int
+// rho is the state the runs of one PollardRho call share: the
+// Montgomery constants of n and every limb buffer, so a run allocates
+// only inside its GCDs.
+type rho struct {
+	m    *mont
+	n    *big.Int
+	memo []uint64 // x_1 ... x_stored, k limbs each
+	x, y []uint64 // pointer values once they run past the memo
+	c    []uint64 // polynomial constant, Montgomery form
+	x0   []uint64 // the start value 2, Montgomery form
+	diff []uint64
+	prod []uint64
+	t    []uint64 // mont scratch
+	// prodInt views prod through prodWords for the GCD.
+	prodInt   big.Int
+	prodWords []big.Word
+	gcd       big.Int
+}
 
-	step := func(v *big.Int) {
-		v.Mul(v, v)
-		v.Add(v, cc)
-		v.Mod(v, n)
+func newRho(n *big.Int, maxSteps, memoLimbs int) *rho {
+	m := newMont(n)
+	k := len(m.n)
+	stored := max(0, min(maxSteps, memoLimbs/k))
+	buf := make([]uint64, (stored+6)*k+k+2)
+	next := func(limbs int) []uint64 {
+		s := buf[:limbs:limbs]
+		buf = buf[limbs:]
+		return s
 	}
+	r := &rho{
+		m: m, n: n,
+		memo: next(stored * k),
+		x:    next(k), y: next(k), c: next(k), x0: next(k), diff: next(k), prod: next(k),
+		t:         next(k + 2),
+		prodWords: make([]big.Word, k*64/bits.UintSize),
+	}
+	r.x0[0] = 2
+	m.mul(r.x0, r.x0, m.r2, r.t)
+	return r
+}
 
-	const batch = 64
+// run is one rho run with f(x) = x² + c mod n from x_0 = 2, Floyd
+// pairing (x advances one step per iteration, y two) and batched GCDs.
+// y passes through every x_i before x needs it, so the values it
+// produces are memoised and x reads x_(steps+1) back instead of
+// recomputing it: three modular multiplies per iteration, not four.
+//
+// The arithmetic is in Montgomery form, which leaves every decision
+// where plain arithmetic puts it: x_i ≡ x_j exactly when their forms are
+// equal, and the batch product differs from the plain one by a power of
+// R, a unit mod n, so gcd(prod, n) is the same integer.
+//
+// A nil return means the budget ran out, the sequence cycled (x = y)
+// without exposing a factor, or a batch overshot: every prime of n
+// divided some difference in the same batch, so the product is 0 mod n
+// and the GCD is n itself. The batch is not replayed step by step; the
+// caller's sweep to the next c is the retry, and the callers only need
+// best-effort factors.
+func (r *rho) run(c uint64, maxSteps int) *big.Int {
+	m, k, t := r.m, len(r.m.n), r.t
+	stored := len(r.memo) / k
+	clear(r.c)
+	r.c[0] = c
+	m.mul(r.c, r.c, m.r2, t) // reduces c mod n on the way
+	// slot is where x_i is kept: in the memo while it has room, else in
+	// the pointer's own buffer.
+	slot := func(i int, own []uint64) []uint64 {
+		if i <= stored {
+			return r.memo[(i-1)*k : i*k]
+		}
+		return own
+	}
+	step := func(dst, src []uint64) []uint64 {
+		m.mul(dst, src, src, t)
+		m.add(dst, dst, r.c, t)
+		return dst
+	}
+	x, y := r.x0, r.x0
 	for steps := 0; steps < maxSteps; {
-		// Advance the fast pointer two steps per slow step, batching
-		// |x-y| products to amortize the gcd.
-		prod.SetInt64(1)
-		for i := 0; i < batch && steps < maxSteps; i++ {
-			step(x)
-			step(y)
-			step(y)
-			diff.Sub(x, y)
-			if diff.Sign() == 0 {
-				// Cycle without a factor for this c.
+		copy(r.prod, m.one)
+		for i := 0; i < rhoBatch && steps < maxSteps; i++ {
+			y = step(slot(2*steps+1, r.y), y)
+			y = step(slot(2*steps+2, r.y), y)
+			if steps < stored {
+				x = slot(steps+1, nil)
+			} else {
+				x = step(r.x, x)
+			}
+			m.sub(r.diff, x, y)
+			if isZero(r.diff) {
 				return nil
 			}
-			prod.Mul(prod, &diff)
-			prod.Mod(prod, n)
+			m.mul(r.prod, r.prod, r.diff, t)
 			steps++
 		}
-		d.GCD(nil, nil, prod, n)
-		if d.Cmp(one) != 0 && d.Cmp(n) != 0 {
-			return new(big.Int).Set(d)
-		}
-		if d.Cmp(n) == 0 {
-			// Overshot: a factor divided the batch product; retry this c
-			// step-by-step would be ideal, but sweeping c is simpler and
-			// the callers only need best-effort factors.
+		if isZero(r.prod) {
 			return nil
+		}
+		d := r.gcd.GCD(nil, nil, setLimbs(&r.prodInt, r.prodWords, r.prod), r.n)
+		if d.Cmp(one) != 0 {
+			return new(big.Int).Set(d)
 		}
 	}
 	return nil
 }
+
+// fermatSieve holds, per modulus m, which residues are squares mod m. A
+// perfect square is a square modulo everything, so a² - n that is a
+// non-residue modulo any of these is rejected on machine words without
+// forming it; about 0.8% of candidates pass all four.
+var fermatSieve = func() (s [4]struct {
+	m  uint64
+	qr [65]bool
+}) {
+	for i, m := range [...]uint64{64, 63, 65, 11} {
+		s[i].m = m
+		for v := uint64(0); v < m; v++ {
+			s[i].qr[v*v%m] = true
+		}
+	}
+	return s
+}()
+
+// fermatSieveProduct is the product of the sieve moduli: one reduction
+// by it yields the residue modulo each.
+var fermatSieveProduct = big.NewInt(64 * 63 * 65 * 11)
 
 // FermatFactor attempts to factor n = p*q with close primes by Fermat's
 // method: ascend a from ceil(sqrt(n)) and test whether a² - n is a
@@ -119,21 +228,54 @@ func rhoBrent(n *big.Int, c int64, maxSteps int) *big.Int {
 // so any |p-q| below roughly n^(1/4) is within reach of a tiny budget
 // while honestly independent primes sit ~sqrt(n)/2 away.
 func FermatFactor(n *big.Int, maxSteps int) (p, q *big.Int) {
-	if n.Sign() <= 0 || n.BitLen() < 2 || n.Bit(0) == 0 || n.ProbablyPrime(12) {
+	if n.Sign() <= 0 || n.BitLen() < 2 || n.ProbablyPrime(12) {
 		return nil, nil
 	}
-	a := new(big.Int).Sqrt(n)
-	aa := new(big.Int).Mul(a, a)
-	if aa.Cmp(n) < 0 {
-		a.Add(a, one)
+	return fermatComposite(n, maxSteps)
+}
+
+// fermatComposite is FermatFactor for a caller that has already
+// established n is composite (n > 3 and not a probable prime); n <= 0
+// still yields nil.
+func fermatComposite(n *big.Int, maxSteps int) (p, q *big.Int) {
+	if n.Sign() <= 0 || n.Bit(0) == 0 {
+		return nil, nil
 	}
-	// b2 = a² - n, updated incrementally: stepping a to a+1 adds 2a+1.
-	b2 := new(big.Int).Mul(a, a)
-	b2.Sub(b2, n)
+	// a0 = ceil(sqrt(n)); a is scratch until the ascent, then the
+	// candidate a0 + i.
+	a0 := new(big.Int).Sqrt(n)
+	a := new(big.Int).Mul(a0, a0)
+	if a.Cmp(n) < 0 {
+		a0.Add(a0, one)
+	}
+	// The ascent itself runs on residues: am[j] tracks a mod m_j and
+	// nm[j] is n mod m_j. Only a candidate the sieve cannot rule out
+	// pays for a² - n and its square root.
+	aRes := a.Mod(a0, fermatSieveProduct).Uint64()
+	nRes := a.Mod(n, fermatSieveProduct).Uint64()
+	var am, nm [len(fermatSieve)]uint64
+	for j := range fermatSieve {
+		am[j], nm[j] = aRes%fermatSieve[j].m, nRes%fermatSieve[j].m
+	}
+	b2 := new(big.Int)
 	b := new(big.Int)
 	bb := new(big.Int)
-	step := new(big.Int)
 	for i := 0; i < maxSteps; i++ {
+		maybeSquare := true
+		for j := range fermatSieve {
+			s := &fermatSieve[j]
+			maybeSquare = maybeSquare && s.qr[(am[j]*am[j]+s.m-nm[j])%s.m]
+			if am[j]++; am[j] == s.m {
+				am[j] = 0
+			}
+		}
+		if !maybeSquare {
+			continue
+		}
+		a.SetInt64(int64(i))
+		a.Add(a, a0)
+		b2.Mul(a, a)
+		b2.Sub(b2, n)
 		b.Sqrt(b2)
 		bb.Mul(b, b)
 		if bb.Cmp(b2) == 0 {
@@ -146,12 +288,34 @@ func FermatFactor(n *big.Int, maxSteps int) (p, q *big.Int) {
 			}
 			return p, q
 		}
-		step.Lsh(a, 1)
-		step.Add(step, one)
-		b2.Add(b2, step)
-		a.Add(a, one)
 	}
 	return nil, nil
+}
+
+// SplitComposite runs the two bounded factoring probes against an n the
+// caller has already established is composite (n > 3 and not a probable
+// prime), so neither repeats the primality test FermatFactor and
+// PollardRho each open with: first the Fermat ascent over fermatSteps
+// candidates, then Pollard rho with rhoSteps per run; a budget <= 0
+// skips that probe. It returns the split p <= q of the first hit and
+// whether Fermat's method found it (q may be composite for a rho hit),
+// or nil, nil when both budgets are exhausted.
+func SplitComposite(n *big.Int, fermatSteps, rhoSteps int) (p, q *big.Int, fermat bool) {
+	if fermatSteps > 0 {
+		if p, q = fermatComposite(n, fermatSteps); p != nil {
+			return p, q, true
+		}
+	}
+	if rhoSteps > 0 {
+		if p = rhoComposite(n, rhoSteps); p != nil {
+			q = new(big.Int).Quo(n, p)
+			if p.Cmp(q) > 0 {
+				p, q = q, p
+			}
+			return p, q, false
+		}
+	}
+	return nil, nil, false
 }
 
 // FactorCompletely factors n into probable primes using trial division by
@@ -174,7 +338,7 @@ func FactorCompletely(n *big.Int, nPrimes, rhoSteps int) (primes []*big.Int, inc
 			primes = append(primes, new(big.Int).Set(m))
 			return
 		}
-		d := PollardRho(m, rhoSteps)
+		d := rhoComposite(m, rhoSteps)
 		if d == nil {
 			incomplete = append(incomplete, new(big.Int).Set(m))
 			return
