@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet bench-check test race bench bench-pipeline smoke chaos-smoke keyserver-smoke cluster-smoke cluster-chaos scan-smoke anomaly-smoke examples-smoke bench-telemetry bench-smoke
+.PHONY: ci build vet bench-check test race fuzz-smoke bench bench-pipeline smoke chaos-smoke keyserver-smoke cluster-smoke cluster-chaos scan-smoke anomaly-smoke examples-smoke bench-telemetry bench-smoke
 
 # ci is the full gate: compile everything, vet (bench/ too), run the test suite under
 # the race detector (which includes every fault-injection test), smoke-
@@ -10,11 +10,12 @@ GO ?= go
 # GCD crash-recovery path, the online key-check service, the replicated
 # cluster (routing, sync and a replica-kill failover), the scan->ingest
 # pipeline and the anomalous-key verdict classes end to end, run the
-# examples, guard the instrumentation hot-path cost, and run every
-# benchmark workload once against generator ground truth. Nothing here
+# examples, guard the instrumentation hot-path cost, fuzz every parser
+# and differential target briefly, and run every benchmark workload once
+# against generator ground truth. Nothing here
 # writes a tracked file: exactness lives in the race-tested suite, speed
 # is judged by parent-vs-change pairs on bench/ (BENCHMARK.json).
-ci: build vet bench-check race smoke chaos-smoke keyserver-smoke cluster-smoke cluster-chaos scan-smoke anomaly-smoke examples-smoke bench-telemetry bench-smoke
+ci: build vet bench-check race fuzz-smoke smoke chaos-smoke keyserver-smoke cluster-smoke cluster-chaos scan-smoke anomaly-smoke examples-smoke bench-telemetry bench-smoke
 
 build:
 	$(GO) build ./...
@@ -34,6 +35,20 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz-smoke runs every native fuzz target in the tree for two seconds
+# each, one invocation per target because go test fuzzes one at a time.
+# The checked-in corpora already run as plain tests under `race`; this
+# is the mutating engine. A crasher fails the build and lands under the
+# package's testdata/fuzz/ (so git status shows it); a clean run keeps
+# what it finds in the Go build cache and writes nothing here.
+fuzz-smoke:
+	@grep -rHo --include='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build '^func Fuzz[A-Za-z0-9_]*' . | \
+	while IFS=: read -r file fn; do \
+		name=$${fn#func }; \
+		echo "fuzz $$(dirname $$file) $$name"; \
+		$(GO) test -run xxx -fuzz "^$$name\$$" -fuzztime 2s $$(dirname $$file) || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

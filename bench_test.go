@@ -380,6 +380,43 @@ func BenchmarkDivideVsMultiply(b *testing.B) {
 	}
 }
 
+// BenchmarkShortMod is the novel check's per-shard step, P mod N: an
+// operand as long as the product of `leaves` bits-wide moduli reduced by
+// one such modulus, through big.Int.QuoRem into a reused quotient (what
+// Snapshot.Check did) and through prodtree.Reducer. 4,096 leaves is one
+// shard of the 32k-key bench corpus; 32,768 a corpus eight times that.
+func BenchmarkShortMod(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	for _, bits := range []int{128, 1024, 2048} {
+		for _, leaves := range []int{4096, 32768} {
+			x := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits*leaves)))
+			x.SetBit(x, bits*leaves-1, 1)
+			n := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
+			n.SetBit(n, bits-1, 1).SetBit(n, 0, 1)
+			name := bname("bits", bits) + "/" + bname("leaves", leaves)
+			q, r, want := new(big.Int), new(big.Int), new(big.Int).Mod(x, n)
+			b.Run(name+"/quorem", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					q.QuoRem(x, n, r)
+				}
+			})
+			b.Run(name+"/reducer", func(b *testing.B) {
+				b.ReportAllocs()
+				// One Reducer per modulus, as a check makes one and reuses
+				// it across the shards: constants and scratch are warm.
+				red := prodtree.NewReducer(n)
+				for i := 0; i < b.N; i++ {
+					red.Mod(r, x)
+				}
+				if r.Cmp(want) != 0 {
+					b.Fatalf("Reducer %x, QuoRem %x", r, want)
+				}
+			})
+		}
+	}
+}
+
 // sweepModuli returns n odd bits-wide integers, distinct with
 // overwhelming probability; moduli 128k and 128k+64 share planted[k], a
 // bits/2-wide prime.

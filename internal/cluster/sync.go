@@ -278,6 +278,21 @@ func (s *Syncer) pullPeer(ctx context.Context, peer string) (int, error) {
 	}
 }
 
+// decodeSyncPage reads the /v1/sync page a peer served for position
+// since, at most maxSyncBody bytes of it. A page claiming more without
+// advancing is refused — it would loop forever; a correct peer always
+// moves past since when it has entries.
+func decodeSyncPage(body io.Reader, since uint64) (syncResponse, error) {
+	var sr syncResponse
+	if err := json.NewDecoder(io.LimitReader(body, maxSyncBody)).Decode(&sr); err != nil {
+		return syncResponse{}, err
+	}
+	if sr.More && sr.Generation <= since {
+		return syncResponse{}, fmt.Errorf("page stuck at generation %d", since)
+	}
+	return sr, nil
+}
+
 func (s *Syncer) pullPage(ctx context.Context, peer string) (int, bool, error) {
 	s.mu.Lock()
 	since := s.positions[peer]
@@ -298,16 +313,11 @@ func (s *Syncer) pullPage(ctx context.Context, peer string) (int, bool, error) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 256))
 		return 0, false, fmt.Errorf("cluster: sync from %s: HTTP %d", peer, resp.StatusCode)
 	}
-	var sr syncResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxSyncBody)).Decode(&sr); err != nil {
-		return 0, false, err
+	sr, err := decodeSyncPage(resp.Body, since)
+	if err != nil {
+		return 0, false, fmt.Errorf("cluster: sync from %s: %w", peer, err)
 	}
 	s.Metrics.Counter("cluster_sync_pulls_total").Inc()
-	if sr.More && sr.Generation <= since {
-		// A page claiming more without advancing would loop forever; a
-		// correct peer always moves past since when it has entries.
-		return 0, false, fmt.Errorf("cluster: sync from %s: page stuck at generation %d", peer, since)
-	}
 	if len(sr.ModuliHex) == 0 {
 		s.setPosition(peer, sr.Generation)
 		return 0, sr.More, nil

@@ -319,23 +319,23 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 		return v
 	}
 	// GCD path. gcd(n, P mod n) = gcd(n, P) finds the product of n's
-	// primes shared with shard product P without ever forming P/n.
+	// primes shared with shard product P without ever forming P/n. One
+	// Reducer serves every shard: the product is thousands of times
+	// longer than n and only the remainder is wanted.
 	g := new(big.Int).Set(one)
-	var proper *big.Int // a proper divisor of n, if any shard yields one
-	// QuoRem, not Mod: Mod allocates a quotient as long as the shard
-	// product on every call, where q's backing array is reused across
-	// the shards. The products are positive, so the remainder is Mod's.
-	var q, r big.Int
+	var proper *big.Int        // a proper divisor of n, if any shard yields one
+	var whole []*prodtree.Tree // shards whose product n divides outright
+	red := prodtree.NewReducer(n)
+	var r big.Int
 	for _, sh := range s.shards {
 		product := sh.product()
 		if product == nil {
 			continue
 		}
-		q.QuoRem(product, n, &r)
-		if r.Sign() == 0 {
-			// n divides the shard product outright: every prime of n is
-			// in the corpus.
+		if red.Mod(&r, product).Sign() == 0 {
+			// Every prime of n is in this shard.
 			g.Set(n)
+			whole = append(whole, sh.tree)
 			continue
 		}
 		gi := new(big.Int).GCD(nil, nil, n, &r)
@@ -372,9 +372,9 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 	v.Status = StatusSharedFactor
 	if g.Cmp(n) == 0 && proper == nil {
 		// Both primes live in one shard's product, so every per-shard
-		// GCD was degenerate. Recover the split from the known factored
-		// primes when possible.
-		proper = s.recoverDivisor(n)
+		// GCD was degenerate: the split is what n shares with one of
+		// that shard's members.
+		proper = divisorAmongLeaves(whole, n)
 	}
 	if g.Cmp(n) < 0 {
 		proper = g
@@ -393,22 +393,16 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 	return v
 }
 
-// recoverDivisorCap bounds the fallback prime scan for the rare
-// both-primes-in-one-shard case.
-const recoverDivisorCap = 4096
-
-func (s *Snapshot) recoverDivisor(n *big.Int) *big.Int {
-	scanned := 0
-	for _, sh := range s.shards {
-		for _, e := range sh.factored {
-			for _, p := range []*big.Int{e.P, e.Q} {
-				g := new(big.Int).GCD(nil, nil, n, p)
-				if g.Cmp(one) > 0 && g.Cmp(n) < 0 {
-					return g
-				}
-			}
-			if scanned++; scanned >= recoverDivisorCap {
-				return nil
+// divisorAmongLeaves returns a proper divisor of n shared with a leaf of
+// one of the trees, or nil: gcd(leaf, n) over the leaves a pruned descent
+// says share anything with n at all.
+func divisorAmongLeaves(trees []*prodtree.Tree, n *big.Int) *big.Int {
+	g := new(big.Int)
+	for _, t := range trees {
+		leaves := t.Leaves()
+		for _, i := range t.LeavesSharing(n) {
+			if g.GCD(nil, nil, leaves[i], n).Cmp(n) < 0 {
+				return g
 			}
 		}
 	}

@@ -3,10 +3,13 @@ package keycheck
 import (
 	"context"
 	"math/big"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/factorable/weakkeys/internal/anomaly"
 	"github.com/factorable/weakkeys/internal/certs"
 	"github.com/factorable/weakkeys/internal/fingerprint"
 	"github.com/factorable/weakkeys/internal/scanstore"
@@ -209,7 +212,7 @@ func TestVerdictSemantics(t *testing.T) {
 
 // TestBothPrimesInCorpus: a novel modulus assembled from two corpus
 // primes divides a shard product outright; the index must still call it
-// shared_factor and recover a split from the factored prime pool.
+// shared_factor and recover the split from the shard's own leaves.
 func TestBothPrimesInCorpus(t *testing.T) {
 	snap := goldenSnapshot(t, 1)
 	n := new(big.Int).Mul(p2, p3) // both known primes, modulus itself novel
@@ -261,7 +264,10 @@ func TestExemplars(t *testing.T) {
 // while a writer swaps between two snapshots with different factored
 // sets. Every verdict must be exactly right for one of the two
 // published snapshots — never a blend — and the whole test runs under
-// -race in CI.
+// -race in CI. The readers also put 1,000 novel checks between them
+// through the second snapshot, whose shard products are long enough to
+// be folded (prodtree.Reducer reads them through views of their own
+// words): every shard root must come out bit for bit as it went in.
 func TestSnapshotSwapUnderReaders(t *testing.T) {
 	full := goldenSnapshot(t, 2)
 
@@ -271,19 +277,55 @@ func TestSnapshotSwapUnderReaders(t *testing.T) {
 	store.AddBareKeyObservation("10.0.0.1", date(2013, 5, 1), scanstore.SourceRapid7, scanstore.SSH, modN1)
 	store.AddBareKeyObservation("10.0.0.2", date(2013, 5, 1), scanstore.SourceRapid7, scanstore.SSH, modN2)
 	store.AddBareKeyObservation("10.0.0.3", date(2013, 5, 1), scanstore.SourceRapid7, scanstore.SSH, modN3)
-	empty, err := Build(context.Background(), BuildInput{Store: store, Shards: 2})
+	// 200 more members make each shard product some 200 words. Half the
+	// novel keys share a prime with one of them, half share nothing (the
+	// probes are off: this is about the sweep).
+	pad := genPrimes(rand.New(rand.NewSource(9)), 416)
+	for i := 0; i < 200; i++ {
+		store.AddBareKeyObservation("10.0.1.1", date(2013, 5, 2), scanstore.SourceRapid7, scanstore.SSH, mul(pad[2*i], pad[2*i+1]))
+	}
+	var novel []*big.Int
+	for i := 0; i < 8; i++ {
+		novel = append(novel, mul(pad[2*i], pad[400+i]), mul(pad[408+i], pad[408+(i+1)%8]))
+	}
+	empty, err := Build(context.Background(), BuildInput{Store: store, Shards: 2,
+		Probe: anomaly.Probe{FermatSteps: -1, TrialPrimes: -1, RhoSteps: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rootWords := func() (words [][]big.Word) {
+		for _, snap := range []*Snapshot{full, empty} {
+			for _, sh := range snap.shards {
+				if p := sh.product(); p != nil {
+					words = append(words, slices.Clone(p.Bits()))
+				}
+			}
+		}
+		return words
+	}
+	before := rootWords()
 
 	ix := NewIndex(full)
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	var wg, novelDone sync.WaitGroup
 	for r := 0; r < 8; r++ {
 		wg.Add(1)
+		novelDone.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for c := 0; ; c++ {
+				if c < 125 {
+					k := (r*125 + c) % len(novel)
+					v := empty.Check(novel[k])
+					if k%2 == 0 && (v.Status != StatusSharedFactor || v.Known || v.Divisor != hexOf(pad[k])) {
+						t.Errorf("novel key sharing a member's prime = %+v, want shared_factor via %x", v, pad[k])
+					}
+					if k%2 == 1 && (v.Status != StatusClean || v.Known) {
+						t.Errorf("novel key sharing nothing = %+v, want clean/novel", v)
+					}
+				} else if c == 125 {
+					novelDone.Done()
+				}
 				select {
 				case <-stop:
 					return
@@ -310,10 +352,16 @@ func TestSnapshotSwapUnderReaders(t *testing.T) {
 			ix.Swap(full)
 		}
 	}
+	novelDone.Wait()
 	close(stop)
 	wg.Wait()
 	if got := ix.Swaps(); got != 200 {
 		t.Errorf("swaps = %d, want 200", got)
+	}
+	for i, after := range rootWords() {
+		if !slices.Equal(before[i], after) {
+			t.Errorf("shard root %d (%d words) changed under concurrent novel checks", i, len(before[i]))
+		}
 	}
 }
 

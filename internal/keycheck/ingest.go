@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math/big"
+	"slices"
 	"time"
 
 	"github.com/factorable/weakkeys/internal/anomaly"
@@ -64,7 +65,21 @@ type IngestReport struct {
 	NodesReused int           `json:"nodes_reused"`
 	NodesBuilt  int           `json:"nodes_built"`
 	Elapsed     time.Duration `json:"elapsed_ns"`
-	Shards      []ShardIngest `json:"shards"`
+	// Steps is where Elapsed went, wall time per step: partitioning the
+	// delta, the sweep proper (delta batch, its own residues and those of
+	// every shard product), finding the members the divisors belong to
+	// (shards search side by side inside the sweep's fan-out; this is the
+	// longest of them, and Sweep is the fan-out's remainder), resolving
+	// divisors into factorizations, and the merge. A step that did not run
+	// reads zero.
+	Steps struct {
+		Partition time.Duration `json:"partition_ns"`
+		Sweep     time.Duration `json:"sweep_ns"`
+		Mates     time.Duration `json:"mates_ns"`
+		Resolve   time.Duration `json:"resolve_ns"`
+		Merge     time.Duration `json:"merge_ns"`
+	} `json:"steps"`
+	Shards []ShardIngest `json:"shards"`
 }
 
 // shardDelta accumulates what one shard gains from an ingest.
@@ -160,7 +175,14 @@ func (s *Snapshot) Ingest(ctx context.Context, in BuildInput) (*Snapshot, Ingest
 		return nil, rep, fmt.Errorf("keycheck: ingest: shard count %d does not match snapshot's %d (re-sharding needs a full rebuild)",
 			in.Shards, len(s.shards))
 	}
+	mark := start
+	lap := func() time.Duration { // wall time since the previous step ended
+		prev := mark
+		mark = time.Now()
+		return mark.Sub(prev)
+	}
 	d := s.partition(in.Store, &rep)
+	rep.Steps.Partition = lap()
 	// A shared-identity-only delta carries no modulus the corpus hasn't
 	// already swept and goes straight to the merge.
 	if moduli := d.swept(); len(moduli) > 0 {
@@ -168,7 +190,10 @@ func (s *Snapshot) Ingest(ctx context.Context, in BuildInput) (*Snapshot, Ingest
 		if err != nil {
 			return nil, rep, err
 		}
+		rep.Steps.Mates = sw.matesElapsed
+		rep.Steps.Sweep = lap() - sw.matesElapsed
 		s.resolve(in, d, sw, &rep)
+		rep.Steps.Resolve = lap()
 	}
 	ns := s // nothing new: the snapshot is already the merge
 	if d.changed() {
@@ -176,6 +201,7 @@ func (s *Snapshot) Ingest(ctx context.Context, in BuildInput) (*Snapshot, Ingest
 		if ns, err = s.merge(ctx, d, &rep); err != nil {
 			return nil, rep, err
 		}
+		rep.Steps.Merge = lap()
 	}
 	rep.Elapsed = time.Since(start)
 	return ns, rep, nil
@@ -248,6 +274,9 @@ type sweepResult struct {
 	own     []*big.Int   // shared with another delta modulus
 	byShard [][]*big.Int // shared with that shard's members; nil for an empty shard
 	mates   [][]mate     // per shard: the old members being shared with
+	// matesElapsed is the longest any shard's mate search took (shards
+	// run side by side), which the report keeps apart from the GCD passes.
+	matesElapsed time.Duration
 }
 
 // sweep builds one Batch over the delta moduli and takes it against
@@ -255,8 +284,8 @@ type sweepResult struct {
 // from the same flawed firmware) never touch the old products — and
 // against every standing shard product: gcd(N, P mod N) exposes the
 // primes N shares with the shard. Shards fan out on the shared kernel
-// pool, like Build, each scanning its own leaves against the divisors
-// it yielded for the mates to re-label.
+// pool, like Build, and one that yielded divisors goes straight on to
+// find the members they belong to (findMates).
 func (s *Snapshot) sweep(ctx context.Context, moduli []*big.Int) (*sweepResult, error) {
 	b, err := batchgcd.NewBatch(ctx, moduli)
 	if err == nil && b.Len() != len(moduli) {
@@ -280,6 +309,7 @@ func (s *Snapshot) sweep(ctx context.Context, moduli []*big.Int) (*sweepResult, 
 		}
 	}
 	errs := make([]error, len(s.shards))
+	matesTook := make([]time.Duration, len(s.shards))
 	runErr := kernel.FromContext(ctx).Run(ctx, len(treed), func(k int, a *kernel.Arena) {
 		si := treed[k]
 		sh := s.shards[si]
@@ -291,7 +321,9 @@ func (s *Snapshot) sweep(ctx context.Context, moduli []*big.Int) (*sweepResult, 
 			errs[si] = fmt.Errorf("keycheck: ingest shard %d: %w", si, err)
 			return
 		}
-		sw.mates[si] = findMates(sh.tree.Leaves(), sw.byShard[si], a.Get())
+		start := time.Now()
+		sw.mates[si] = findMates(sh.tree, sw.byShard[si], a.Get())
+		matesTook[si] = time.Since(start)
 	})
 	if runErr != nil {
 		return nil, fmt.Errorf("keycheck: ingest cancelled: %w", runErr)
@@ -301,24 +333,40 @@ func (s *Snapshot) sweep(ctx context.Context, moduli []*big.Int) (*sweepResult, 
 			return nil, err
 		}
 	}
+	sw.matesElapsed = slices.Max(matesTook)
 	return sw, nil
 }
 
-// findMates returns the members among leaves sharing a prime with one
-// of the divisors their shard yielded. Only shards that yielded a
-// divisor pay for the scan, and only with small GCDs; g is scratch.
-func findMates(leaves, divs []*big.Int, g *big.Int) []mate {
-	var hits []*big.Int
+// findMates returns the members of a shard sharing a prime with one of
+// the divisors the shard yielded, in leaf order. The candidates come
+// from one pruned descent of the shard's own product tree against the
+// product of the distinct divisors — a shard that yielded none pays
+// nothing, one that did pays a few short reductions per mate instead of
+// a GCD per leaf per divisor — and only they are GCD'd against each
+// divisor for the prime itself; g is scratch.
+func findMates(tree *prodtree.Tree, divs []*big.Int, g *big.Int) []mate {
+	var hits []*big.Int // distinct, in order of first appearance
+	seen := make(map[string]bool)
 	for _, d := range divs {
-		if d != nil {
+		if d == nil {
+			continue
+		}
+		if key := string(d.Bytes()); !seen[key] {
+			seen[key] = true
 			hits = append(hits, d)
 		}
 	}
 	if len(hits) == 0 {
 		return nil
 	}
+	all := new(big.Int).Set(one)
+	for _, d := range hits {
+		all.Mul(all, d)
+	}
+	leaves := tree.Leaves()
 	var mates []mate
-	for _, leaf := range leaves {
+	for _, i := range tree.LeavesSharing(all) {
+		leaf := leaves[i]
 		for _, d := range hits {
 			g.GCD(nil, nil, leaf, d)
 			if g.Cmp(one) > 0 && g.Cmp(leaf) < 0 {
@@ -362,7 +410,7 @@ func (s *Snapshot) resolve(in BuildInput, d *ingestDelta, sw *sweepResult, rep *
 	var pool primePool
 	// Old members being shared with become factored: their mate divisor
 	// is always proper (a delta modulus equal to a member would have
-	// been a duplicate).
+	// been a duplicate). One factored already has nothing to gain.
 	for si, mates := range sw.mates {
 		for _, m := range mates {
 			if _, done := s.shards[si].factored[m.key]; done {
@@ -416,7 +464,7 @@ func (s *Snapshot) resolve(in BuildInput, d *ingestDelta, sw *sweepResult, rep *
 		}
 		degenerate = append(degenerate, j)
 	}
-	s.resolveDegenerate(d.novel, degenerate, resolved, &pool)
+	s.resolveDegenerate(d.novel, sw.byShard, degenerate, resolved, &pool)
 	for j, e := range resolved {
 		if e == nil {
 			continue
@@ -430,12 +478,18 @@ func (s *Snapshot) resolve(in BuildInput, d *ingestDelta, sw *sweepResult, rep *
 }
 
 // resolveDegenerate splits the novel moduli every divisor of which
-// equalled N. A pairwise GCD over that small set goes first: in a clique
-// (every modulus shares both primes) each pair shares exactly one prime,
-// so the pairwise divisors are proper. The primes recovered so far and
-// finally the snapshot's factored entries are the fallbacks; a modulus
-// none of them splits stays a plain member.
-func (s *Snapshot) resolveDegenerate(novel []*big.Int, degenerate []int, resolved []*Entry, pool *primePool) {
+// equalled N: each prime of N is shared, none alone. A pairwise GCD over
+// that small set goes first: in a clique (every modulus shares both
+// primes) each pair shares exactly one prime, so the pairwise divisors
+// are proper. The primes of the moduli split so far cover what N shares
+// with the rest of the delta. Neither covers a modulus whose primes both
+// sit in members of one shard — the mates' recorded divisors need not be
+// N's primes, and a factored mate is not split again — so a shard whose
+// divisor was N itself is asked directly: a pruned descent of its tree
+// for a leaf sharing with N. A modulus none of them splits — on a
+// replica, one sharing only with delta keys homed elsewhere, which are
+// swept but never split here — stays a plain member.
+func (s *Snapshot) resolveDegenerate(novel []*big.Int, byShard [][]*big.Int, degenerate []int, resolved []*Entry, pool *primePool) {
 	if len(degenerate) == 0 {
 		return
 	}
@@ -453,9 +507,16 @@ func (s *Snapshot) resolveDegenerate(novel []*big.Int, degenerate []int, resolve
 		n := novel[j]
 		div := pairDiv[i]
 		if div == nil || div.Cmp(n) >= 0 {
-			if div = pool.divisorOf(n); div == nil {
-				div = s.recoverDivisor(n)
+			div = pool.divisorOf(n)
+		}
+		if div == nil {
+			var whole []*prodtree.Tree // shards whose product n divides
+			for si, divs := range byShard {
+				if divs != nil && divs[j] != nil {
+					whole = append(whole, s.shards[si].tree)
+				}
 			}
+			div = divisorAmongLeaves(whole, n)
 		}
 		if div == nil {
 			continue

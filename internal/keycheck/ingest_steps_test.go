@@ -3,11 +3,14 @@ package keycheck
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/big"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"github.com/factorable/weakkeys/internal/fingerprint"
+	"github.com/factorable/weakkeys/internal/prodtree"
 	"github.com/factorable/weakkeys/internal/scanstore"
 )
 
@@ -92,6 +95,94 @@ func TestIngestPartition(t *testing.T) {
 
 func mul(a, b *big.Int) *big.Int { return new(big.Int).Mul(a, b) }
 
+// findMatesLinear is findMates' oracle, the scan it replaced: every leaf
+// against every divisor.
+func findMatesLinear(leaves, divs []*big.Int) []mate {
+	var mates []mate
+	g := new(big.Int)
+	for _, leaf := range leaves {
+		for _, d := range divs {
+			if d == nil {
+				continue
+			}
+			g.GCD(nil, nil, leaf, d)
+			if g.Cmp(one) > 0 && g.Cmp(leaf) < 0 {
+				mates = append(mates, mate{key: string(leaf.Bytes()), mod: leaf, divisor: new(big.Int).Set(g)})
+				break
+			}
+		}
+	}
+	return mates
+}
+
+// matesFixture is a shard of n semiprime members over 41-bit primes and
+// a divisor list as a sweep would yield it against `hits` of them: nil
+// for a delta modulus sharing nothing, a member's prime — twice, as two
+// delta moduli sharing one prime give — and once a whole product of two
+// members' primes, the degenerate divisor == N.
+func matesFixture(t testing.TB, n, hits int) (*prodtree.Tree, []*big.Int) {
+	primes := primesFrom(1<<40, 2*n)
+	leaves := make([]*big.Int, n)
+	for i := range leaves {
+		leaves[i] = mul(primes[2*i], primes[2*i+1])
+	}
+	tree, err := prodtree.New(leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(n)*131 + int64(hits)))
+	divs := []*big.Int{nil}
+	for h := 0; h < hits; h++ {
+		p := primes[rng.Intn(len(primes))]
+		if h%3 == 2 {
+			p = mul(p, primes[rng.Intn(len(primes))])
+		}
+		divs = append(divs, p, nil, p)
+	}
+	return tree, divs
+}
+
+// TestFindMatesMatchesLinearScan: the descent names the same mates, with
+// the same divisors, in the same leaf order as the leaves × divisors scan.
+func TestFindMatesMatchesLinearScan(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 64, 257, 1000} {
+		for _, hits := range []int{0, 1, 2, 5, 8} {
+			tree, divs := matesFixture(t, n, hits)
+			got, want := findMates(tree, divs, new(big.Int)), findMatesLinear(tree.Leaves(), divs)
+			if len(got) != len(want) || (hits > 0 && len(want) == 0) {
+				t.Fatalf("n=%d hits=%d: descent found %d mates, linear scan %d", n, hits, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].key != want[i].key || got[i].mod != want[i].mod || got[i].divisor.Cmp(want[i].divisor) != 0 {
+					t.Errorf("n=%d hits=%d mate %d: descent %v via %v, linear scan %v via %v", n, hits, i, got[i].mod, got[i].divisor, want[i].mod, want[i].divisor)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFindMates: one 4,096-member shard (the bench corpus's size)
+// searched for the mates of 1 to 8 divisors, by the leaves × divisors
+// scan and by the pruned descent.
+func BenchmarkFindMates(b *testing.B) {
+	for _, hits := range []int{1, 2, 4, 8} {
+		tree, divs := matesFixture(b, 4096, hits)
+		b.Run(fmt.Sprintf("hits=%d/linear", hits), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				findMatesLinear(tree.Leaves(), divs)
+			}
+		})
+		b.Run(fmt.Sprintf("hits=%d/descent", hits), func(b *testing.B) {
+			b.ReportAllocs()
+			g := new(big.Int)
+			for i := 0; i < b.N; i++ {
+				findMates(tree, divs, g)
+			}
+		})
+	}
+}
+
 // sameMap reports whether a and b are one map object, not merely equal.
 func sameMap(a, b map[string]struct{}) bool {
 	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
@@ -149,8 +240,8 @@ func TestIngestSweep(t *testing.T) {
 // TestIngestResolve feeds resolve hand-made sweep results over the
 // single-shard golden corpus and checks every route from divisor to
 // Entry: proper divisor, known factorization, mate re-label, and the
-// degenerate fallbacks (pairwise, this ingest's prime pool, the
-// snapshot's factored entries, none).
+// degenerate fallbacks (pairwise, the primes this ingest's splits have
+// pooled, the descent of the shard's own tree, and none).
 func TestIngestResolve(t *testing.T) {
 	snap := goldenSnapshot(t, 1)
 	c := certFor(t, 7, "Acme", s2, s3)
@@ -169,7 +260,7 @@ func TestIngestResolve(t *testing.T) {
 		mul(s5, s6), // 3: ... split pairwise
 		mul(s4, s6), // 4
 		mul(q2, s1), // 5: shard divisor == N; q2 is pooled from mate N3, s1 from #0
-		mul(p2, p3), // 6: shard divisor == N; only the snapshot's entries know p2
+		mul(p2, p3), // 6: shard divisor == N; found among the leaves (N1, N2: factored long ago, nothing pooled)
 		mul(r2, r3), // 7: divisor == N that nothing splits: stays a plain member
 		mul(r1, s1), // 8: clean
 	}
@@ -182,7 +273,7 @@ func TestIngestResolve(t *testing.T) {
 		byShard: [][]*big.Int{{q1, nil, nil, nil, nil, novel[5], novel[6], novel[7], nil}},
 		mates: [][]mate{{
 			{key: string(modN3.Bytes()), mod: modN3, divisor: q1},
-			{key: string(modN1.Bytes()), mod: modN1, divisor: p2}, // already factored: skipped
+			{key: string(modN1.Bytes()), mod: modN1, divisor: p2}, // already factored: no new entry
 		}},
 	}
 	in := BuildInput{Store: store, Fingerprint: &fingerprint.Result{

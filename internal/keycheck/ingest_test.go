@@ -5,6 +5,8 @@ import (
 	"math/big"
 	"testing"
 
+	"github.com/factorable/weakkeys/internal/batchgcd"
+	"github.com/factorable/weakkeys/internal/fingerprint"
 	"github.com/factorable/weakkeys/internal/scanstore"
 )
 
@@ -94,8 +96,9 @@ func TestIngestCleanAndCliqueDelta(t *testing.T) {
 
 // TestIngestDegenerateDivisor: the delta modulus is built from two
 // corpus primes living in the same (single) shard, so the per-shard GCD
-// degenerates to N itself. The mate scan plus recovered-prime pool must
-// still split it, and both old members sharing its primes fold back.
+// degenerates to N itself. The primes of the mate split on the way (or,
+// had there been none, the shard's own leaves) must still split it, and
+// both old members sharing its primes fold back.
 func TestIngestDegenerateDivisor(t *testing.T) {
 	dm := new(big.Int).Mul(p2, q2) // p2 from N1 (already factored), q2 from N3 (clean)
 	snap := goldenSnapshot(t, 1)
@@ -286,5 +289,143 @@ func TestIngestIntoEmpty(t *testing.T) {
 	}
 	if v := ns.Check(clean); v.Status != StatusClean || !v.Known {
 		t.Errorf("clean = %+v, want clean/known", v)
+	}
+}
+
+// TestIngestBothPrimesAmongFactoredMembers: a novel modulus whose two
+// primes each sit in a member that was factored long ago — 12,000
+// triples a·b, b·c give 24,000 such members — is convicted with its
+// split when checked and comes in factored when ingested, at one shard
+// (every shard GCD is the modulus itself, and the only place the split
+// can come from is the shard's own leaves) and at eight. The split used
+// to be looked for among 4,096 factored entries in map order and given
+// up on past that: such a key was indexed clean, for good.
+func TestIngestBothPrimesAmongFactoredMembers(t *testing.T) {
+	ctx := context.Background()
+	const triples, novel = 12000, 10
+	primes := primesFrom(1<<40, 3*triples)
+	a, b, c := primes[:triples], primes[triples:2*triples], primes[2*triples:]
+	store := scanstore.New()
+	fp := &fingerprint.Result{Factors: make(map[string]fingerprint.Factors)}
+	var union []*big.Int
+	member := func(p, q *big.Int) { // p < q
+		n := mul(p, q)
+		store.AddBareKeyObservation("10.4.0.1", date(2015, 1, 1), scanstore.SourceCensys, scanstore.SSH, n)
+		fp.Factors[string(n.Bytes())] = fingerprint.Factors{P: p, Q: q}
+		union = append(union, n)
+	}
+	for i := range a {
+		member(a[i], b[i])
+		member(b[i], c[i])
+	}
+	delta := scanstore.New()
+	var fresh [][2]*big.Int
+	for k := 0; k < novel; k++ {
+		p, q := a[k*997%triples], c[(k*7919+13)%triples]
+		fresh = append(fresh, [2]*big.Int{p, q})
+		n := mul(p, q)
+		delta.AddBareKeyObservation("10.4.0.2", date(2015, 2, 1), scanstore.SourceCensys, scanstore.SSH, n)
+		union = append(union, n)
+	}
+	// The one oracle: plain batch GCD over every key ever seen.
+	res, err := batchgcd.Factor(union)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]bool, len(res))
+	for _, r := range res {
+		want[string(union[r.Index].Bytes())] = true
+	}
+	if len(want) != len(union) {
+		t.Fatalf("fixture: batch GCD factors %d of %d keys, want all", len(want), len(union))
+	}
+
+	for _, shards := range []int{1, 8} {
+		snap, err := Build(ctx, BuildInput{Store: store, Fingerprint: fp, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Factored() != 2*triples {
+			t.Fatalf("shards=%d: %d factored members, want %d", shards, snap.Factored(), 2*triples)
+		}
+		for _, pq := range fresh {
+			n := mul(pq[0], pq[1])
+			if v := snap.Check(n); v.Status != StatusSharedFactor || v.Known || v.FactorP != hexOf(pq[0]) || v.FactorQ != hexOf(pq[1]) {
+				t.Errorf("shards=%d before ingest: %v·%v = %+v, want shared_factor with the split", shards, pq[0], pq[1], v)
+			}
+			wantSweepVerdict(t, snap, n, "shards=%d before ingest: %v·%v", shards, pq[0], pq[1])
+		}
+		ns, rep, err := snap.Ingest(ctx, BuildInput{Store: delta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.DeltaModuli != novel || rep.NewFactored != novel || rep.Refactored != 0 {
+			t.Errorf("shards=%d: report %+v, want %d novel keys, all factored, nothing re-labeled", shards, rep, novel)
+		}
+		for _, pq := range fresh {
+			if v := ns.Check(mul(pq[0], pq[1])); v.Status != StatusFactored || !v.Known || v.FactorP != hexOf(pq[0]) || v.FactorQ != hexOf(pq[1]) {
+				t.Errorf("shards=%d after ingest: %v·%v = %+v, want factored/known with the split", shards, pq[0], pq[1], v)
+			}
+		}
+		got := 0
+		for _, sh := range ns.shards {
+			for key, e := range sh.factored {
+				got++
+				if !want[key] || string(mul(e.P, e.Q).Bytes()) != key {
+					t.Errorf("shards=%d: factored entry %x = %v·%v is not batch GCD's", shards, key, e.P, e.Q)
+				}
+			}
+		}
+		if got != len(want) {
+			t.Errorf("shards=%d: successor holds %d factored keys, batch GCD over the union %d", shards, got, len(want))
+		}
+	}
+}
+
+// TestIngestMateRecordedUnderItsOtherPrime: the novel modulus p·q finds
+// p and q in the factored members p·a and q·b, but the delta lists a·z1
+// and b·z2 ahead of it, so the mate search records both members under a
+// and b — the first divisor that hits them — and neither p nor q is a
+// prime any mate or split delta key hands over. The split has to come
+// from the shard's own leaves. Sixteen such groups, so that at eight
+// shards some have both members in one shard.
+func TestIngestMateRecordedUnderItsOtherPrime(t *testing.T) {
+	ctx := context.Background()
+	const groups = 16
+	primes := primesFrom(1<<40, 6*groups)
+	store := scanstore.New()
+	fp := &fingerprint.Result{Factors: make(map[string]fingerprint.Factors)}
+	delta := scanstore.New()
+	var fresh [][2]*big.Int
+	for i := 0; i < groups; i++ {
+		p, a, q, b, z1, z2 := primes[6*i], primes[6*i+1], primes[6*i+2], primes[6*i+3], primes[6*i+4], primes[6*i+5]
+		for _, pq := range [][2]*big.Int{{p, a}, {q, b}} {
+			n := mul(pq[0], pq[1])
+			store.AddBareKeyObservation("10.5.0.1", date(2015, 1, 1), scanstore.SourceCensys, scanstore.SSH, n)
+			fp.Factors[string(n.Bytes())] = fingerprint.Factors{P: pq[0], Q: pq[1]}
+		}
+		for _, pq := range [][2]*big.Int{{a, z1}, {b, z2}, {p, q}} {
+			fresh = append(fresh, pq)
+			delta.AddBareKeyObservation("10.5.0.2", date(2015, 2, 1), scanstore.SourceCensys, scanstore.SSH, mul(pq[0], pq[1]))
+		}
+	}
+	for _, shards := range []int{1, 8} {
+		snap, err := Build(ctx, BuildInput{Store: store, Fingerprint: fp, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns, rep, err := snap.Ingest(ctx, BuildInput{Store: delta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.DeltaModuli != len(fresh) || rep.NewFactored != len(fresh) || rep.Refactored != 0 {
+			t.Errorf("shards=%d: %d novel keys, %d of them factored, %d members re-labeled; want %d, all factored, none re-labeled",
+				shards, rep.DeltaModuli, rep.NewFactored, rep.Refactored, len(fresh))
+		}
+		for _, pq := range fresh {
+			if v := ns.Check(mul(pq[0], pq[1])); v.Status != StatusFactored || !v.Known || v.FactorP != hexOf(pq[0]) || v.FactorQ != hexOf(pq[1]) {
+				t.Errorf("shards=%d after ingest: %v·%v = %+v, want factored/known with the split", shards, pq[0], pq[1], v)
+			}
+		}
 	}
 }

@@ -84,7 +84,7 @@ func checkBySweep(s *Snapshot, n *big.Int) Verdict {
 	}
 	v.Status = StatusSharedFactor
 	if g.Cmp(n) == 0 && proper == nil {
-		proper = s.recoverDivisor(n)
+		proper = divisorByLeafScan(s, n)
 	}
 	if g.Cmp(n) < 0 {
 		proper = g
@@ -103,6 +103,35 @@ func checkBySweep(s *Snapshot, n *big.Int) Verdict {
 	return v
 }
 
+// divisorByLeafScan is the oracle's split for a modulus every shard GCD
+// of which was trivial or n itself: the first proper gcd(leaf, n) over
+// every leaf of every shard, one GCD per leaf.
+func divisorByLeafScan(s *Snapshot, n *big.Int) *big.Int {
+	for _, sh := range s.shards {
+		if sh.tree == nil {
+			continue
+		}
+		for _, leaf := range sh.tree.Leaves() {
+			if g := new(big.Int).GCD(nil, nil, leaf, n); g.Cmp(one) > 0 && g.Cmp(n) < 0 {
+				return g
+			}
+		}
+	}
+	return nil
+}
+
+// primesFrom returns the first count primes above start, ascending.
+// Baillie-PSW alone (ProbablyPrime(0)) is exact below 2^64.
+func primesFrom(start uint64, count int) []*big.Int {
+	out := make([]*big.Int, 0, count)
+	for c := start | 1; len(out) < count; c += 2 {
+		if p := new(big.Int).SetUint64(c); p.ProbablyPrime(0) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // wantSweepVerdict asserts Check(n) == checkBySweep(n), every field.
 func wantSweepVerdict(t *testing.T, s *Snapshot, n *big.Int, format string, args ...any) {
 	t.Helper()
@@ -116,7 +145,10 @@ func wantSweepVerdict(t *testing.T, s *Snapshot, n *big.Int, format string, args
 // convicted however its home shard's membership test is implemented —
 // it divides a shard product exactly like a member does, which is how
 // the Bloom-and-residue inference took 24 (one shard) and 2 (eight) of
-// these 1,984 for clean members.
+// these 1,984 for clean members. The verdict also names the two primes,
+// including where both sit in one shard and every shard GCD is n itself
+// (all of them at one shard): no member here is factored, so the split
+// can only come from the shard's own leaves.
 func TestNovelProductOfCorpusPrimesIsNeverClean(t *testing.T) {
 	primes := make([]*big.Int, 0, 64)
 	for c := new(big.Int).SetUint64(1<<63 + 1); len(primes) < cap(primes); c.Add(c, big.NewInt(2)) {
@@ -145,14 +177,16 @@ func TestNovelProductOfCorpusPrimesIsNeverClean(t *testing.T) {
 					continue
 				}
 				novel++
-				if v := snap.Check(n); !v.Compromised() || v.Known {
+				v := snap.Check(n)
+				if v.Status != StatusSharedFactor || v.Known || v.FactorP != hexOf(primes[i]) || v.FactorQ != hexOf(primes[j]) {
 					wrong++
 					t.Logf("shards=%d: p%d·p%d = %+v", shards, i, j, v)
 				}
+				wantSweepVerdict(t, snap, n, "shards=%d: p%d·p%d", shards, i, j)
 			}
 		}
 		if novel != 1984 || wrong != 0 {
-			t.Errorf("shards=%d: %d of %d novel products of two corpus primes not convicted as novel", shards, wrong, novel)
+			t.Errorf("shards=%d: %d of %d novel products of two corpus primes not convicted as novel with their split", shards, wrong, novel)
 		}
 	}
 }

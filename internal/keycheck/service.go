@@ -331,6 +331,17 @@ func (s *Service) Ingest(ctx context.Context, in BuildInput) (IngestReport, erro
 	reg.Counter("keycheck_ingest_duplicates_total").Add(int64(rep.Duplicates))
 	reg.Counter("keycheck_ingest_factored_total").Add(int64(rep.NewFactored))
 	reg.Counter("keycheck_ingest_refactored_total").Add(int64(rep.Refactored))
+	for _, st := range []struct {
+		step string
+		took time.Duration
+	}{
+		{"partition", rep.Steps.Partition}, {"sweep", rep.Steps.Sweep}, {"mates", rep.Steps.Mates},
+		{"resolve", rep.Steps.Resolve}, {"merge", rep.Steps.Merge},
+	} {
+		if st.took > 0 { // zero: the step did not run
+			reg.Histogram(`keycheck_ingest_step_seconds{step="`+st.step+`"}`, telemetry.DurationBuckets).ObserveDuration(st.took)
+		}
+	}
 	if reg != nil {
 		for _, sr := range rep.Shards {
 			reg.Gauge(fmt.Sprintf(`keycheck_shard_nodes_reused{shard="%d"}`, sr.Shard)).Set(float64(sr.NodesReused))

@@ -233,6 +233,44 @@ func TestNovelCheckHistogram(t *testing.T) {
 	}
 }
 
+// TestIngestStepHistograms: an ingest that sweeps and publishes observes
+// each of its five steps once, the steps add up to no more than the
+// whole, and one that finds only duplicates observes the partition alone.
+func TestIngestStepHistograms(t *testing.T) {
+	reg := telemetry.New()
+	svc := NewService(goldenSnapshot(t, 2), Config{Metrics: reg})
+	ctx := context.Background()
+	steps := []string{"partition", "sweep", "mates", "resolve", "merge"}
+	count := func(step string) uint64 {
+		return reg.Histogram(`keycheck_ingest_step_seconds{step="`+step+`"}`, telemetry.DurationBuckets).Count()
+	}
+	rep, err := svc.Ingest(ctx, BuildInput{Store: deltaStore(t, mul(q1, s1), mul(s2, s3))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rep.Steps
+	if sum := st.Partition + st.Sweep + st.Mates + st.Resolve + st.Merge; sum <= 0 || sum > rep.Elapsed {
+		t.Errorf("steps %+v sum to %v of %v elapsed", st, sum, rep.Elapsed)
+	}
+	for _, step := range steps {
+		if got := count(step); got != 1 {
+			t.Errorf("step %q observed %d times after one full ingest, want 1", step, got)
+		}
+	}
+	if _, err := svc.Ingest(ctx, BuildInput{Store: deltaStore(t, modN3)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range steps {
+		want := uint64(1)
+		if step == "partition" {
+			want = 2
+		}
+		if got := count(step); got != want {
+			t.Errorf("step %q observed %d times after a duplicate-only ingest, want %d", step, got, want)
+		}
+	}
+}
+
 // TestServiceQueueWaitAdmits: a check that finds all workers busy but
 // sees one free within QueueWait is admitted, not shed.
 func TestServiceQueueWaitAdmits(t *testing.T) {

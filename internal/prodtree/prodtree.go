@@ -179,6 +179,46 @@ func (t *Tree) Leaves() []*big.Int {
 	return t.Levels[0]
 }
 
+// LeavesSharing returns the indexes, ascending, of the leaves that share
+// a factor with d: gcd(leaf, d) > 1. It descends from the root and
+// enters a subtree only when its product shares a factor with d, so it
+// costs a few reductions of geometrically shorter nodes per hit — each
+// node mod d through one Reducer — where testing every leaf costs a GCD
+// per leaf. A leaf set nobody shares with is dismissed at the root.
+// d must be positive.
+func (t *Tree) LeavesSharing(d *big.Int) []int {
+	r := NewReducer(d)
+	var rem, g big.Int
+	shares := func(node *big.Int) bool {
+		return g.GCD(nil, nil, r.Mod(&rem, node), d).Cmp(one) > 0
+	}
+	var hits []int
+	var walk func(lvl, i int) // over nodes known to share
+	walk = func(lvl, i int) {
+		if lvl == 0 {
+			hits = append(hits, i)
+			return
+		}
+		kids := t.Levels[lvl-1]
+		if 2*i+1 == len(kids) {
+			walk(lvl-1, 2*i) // an odd node carried up: the same value
+			return
+		}
+		left := shares(kids[2*i])
+		if left {
+			walk(lvl-1, 2*i)
+		}
+		// A factor of the parent that the left child lacks is the right's.
+		if !left || shares(kids[2*i+1]) {
+			walk(lvl-1, 2*i+1)
+		}
+	}
+	if top := len(t.Levels) - 1; shares(t.Levels[top][0]) {
+		walk(top, 0)
+	}
+	return hits
+}
+
 // Bytes returns the approximate memory footprint of all node values in
 // bytes. The paper reports 70-100 GB per node at the 81M-moduli scale; the
 // benchmark harness uses this to reproduce the memory column of that
@@ -285,7 +325,7 @@ func (t *Tree) remainderTree(ctx context.Context, x *big.Int, squared bool) ([]*
 // squarings. Cancellation is checked per work chunk in both passes.
 func (t *Tree) CofactorResiduesCtx(ctx context.Context) ([]*big.Int, error) {
 	eng := kernel.FromContext(ctx)
-	d, one := make([]*big.Int, len(t.Levels[0])), big.NewInt(1)
+	d := make([]*big.Int, len(t.Levels[0]))
 	for i := range d {
 		d[i] = one // shared: a D is only ever read, carried or reduced into a fresh value
 	}
