@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// TestRecordCountsEveryLostVerdict: cluster-chaos asserts "zero lost
+// TestRecordCountsEveryLostVerdict: e2e's TestCluster asserts "zero lost
 // verdicts" from errors == 0, so every response without a verdict must
 // land in errs — a 200 whose body was cut short or says nothing
 // included, not only the non-200s.

@@ -745,9 +745,6 @@ func (rt *Router) handleCheck(w http.ResponseWriter, r *http.Request) {
 	rt.writeJSON(w, http.StatusOK, out)
 }
 
-// maxRouterIngest mirrors the replica-side per-request ingest bound.
-const maxRouterIngest = 4096
-
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		rt.writeError(w, r, http.StatusMethodNotAllowed, errors.New("cluster: POST only"))
@@ -758,32 +755,12 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("%w: %v", keycheck.ErrMalformed, err))
 		return
 	}
-	var req struct {
-		ModuliHex []string `json:"moduli_hex"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("%w: %v", keycheck.ErrMalformed, err))
+	hexes, mods, err := keycheck.ParseIngest(body)
+	if err != nil {
+		rt.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.ModuliHex) == 0 {
-		rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("%w: moduli_hex is empty", keycheck.ErrMalformed))
-		return
-	}
-	if len(req.ModuliHex) > maxRouterIngest {
-		rt.writeError(w, r, http.StatusBadRequest,
-			fmt.Errorf("%w: %d moduli exceeds the per-request limit of %d", keycheck.ErrMalformed, len(req.ModuliHex), maxRouterIngest))
-		return
-	}
-	mods := make([]*big.Int, len(req.ModuliHex))
-	for i, hex := range req.ModuliHex {
-		n, err := keycheck.ParseModulusHex(hex)
-		if err != nil {
-			rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("moduli_hex[%d]: %w", i, err))
-			return
-		}
-		mods[i] = n
-	}
-	rt.writeJSON(w, http.StatusOK, rt.ingest(r.Context(), req.ModuliHex, mods))
+	rt.writeJSON(w, http.StatusOK, rt.ingest(r.Context(), hexes, mods))
 }
 
 // handleExemplars proxies to the first usable replica; exemplars are a

@@ -106,6 +106,14 @@ func (j *Journal) Since(g uint64) (uint64, []string) {
 func (j *Journal) Page(g uint64) (gen uint64, keys []string, more bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if g > j.gen {
+		// A position past the head is from the origin's past life (it
+		// restarted with a fresh journal): send the puller back to zero
+		// so its next pull re-reads the new journal from its start.
+		// Rewinding to the head instead would skip every entry the
+		// origin appended since the restart.
+		return 0, nil, false
+	}
 	gen = g
 	for _, e := range j.entries {
 		if e.gen <= g {
@@ -120,8 +128,7 @@ func (j *Journal) Page(g uint64) (gen uint64, keys []string, more bool) {
 	}
 	if !more && len(keys) == 0 {
 		// Empty tail: report the journal's own generation so the
-		// puller's position catches up — or rewinds, if the origin
-		// restarted with a fresh journal and g is from its past life.
+		// puller's position catches up.
 		gen = j.gen
 	}
 	return gen, keys, more

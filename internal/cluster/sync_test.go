@@ -130,9 +130,10 @@ func TestJournalPage(t *testing.T) {
 		t.Errorf("Page(head) = %d/%d keys/more=%v, want %d/0/false", gen, len(keys), more, pos)
 	}
 	// Past the head (the origin restarted with a fresh journal): the
-	// position rewinds to the current head instead of freezing.
-	if gen, _, more := j.Page(pos + 100); gen != j.Generation() || more {
-		t.Errorf("Page(past head) = %d more=%v, want rewind to %d", gen, more, j.Generation())
+	// position rewinds to zero, so the next pull re-reads the journal
+	// from its start instead of skipping what the new life appended.
+	if gen, keys, more := j.Page(pos + 100); gen != 0 || len(keys) != 0 || more {
+		t.Errorf("Page(past head) = %d/%d keys/more=%v, want 0/0/false", gen, len(keys), more)
 	}
 }
 
@@ -221,6 +222,38 @@ func TestSyncerPaging(t *testing.T) {
 	}
 	if landed := s.PullOnce(ctx); landed != 0 {
 		t.Errorf("drained journal still landed %d moduli", landed)
+	}
+}
+
+// TestSyncerRepullsRestartedOrigin: an origin that restarted has a fresh
+// journal whose head is below the puller's old position. The first pull
+// must rewind the position to zero and the second land every key the
+// origin appended since the restart — not skip them for good.
+func TestSyncerRepullsRestartedOrigin(t *testing.T) {
+	j := &Journal{}
+	j.Append([]string{"10001", "10003"})
+	j.Append([]string{"10007"})
+	j.Append([]string{"1000f"})
+	srv := httptest.NewServer(j.Handler())
+	defer srv.Close()
+	origin := strings.TrimPrefix(srv.URL, "http://")
+
+	svc := keycheck.NewService(keycheck.Empty(8), keycheck.Config{Workers: 2})
+	s := &Syncer{Self: "puller", Peers: []string{origin}, Service: svc}
+	s.setPosition(origin, 50) // where the origin's past life had reached
+	ctx := context.Background()
+
+	if landed := s.PullOnce(ctx); landed != 0 {
+		t.Errorf("rewinding pull landed %d moduli, want 0", landed)
+	}
+	if pos := s.Positions()[origin]; pos != 0 {
+		t.Fatalf("position %d after pulling past the head, want 0", pos)
+	}
+	if landed := s.PullOnce(ctx); landed != 4 {
+		t.Errorf("second pull landed %d moduli, want all 4", landed)
+	}
+	if pos := s.Positions()[origin]; pos != j.Generation() {
+		t.Errorf("position %d, want the journal head %d", pos, j.Generation())
 	}
 }
 

@@ -59,6 +59,9 @@ func TestChaosStudyMatchesFaultFree(t *testing.T) {
 	if v := reg.CounterValue("distgcd_node_reassignments_total"); v != 2 {
 		t.Errorf("distgcd_node_reassignments_total = %d, want 2", v)
 	}
+	if v := reg.CounterValue("distgcd_node_failures_total"); v != 2 {
+		t.Errorf("distgcd_node_failures_total = %d, want 2", v)
+	}
 }
 
 // TestChaosStudyDegradesToPartial verifies graceful degradation end to

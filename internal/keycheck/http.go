@@ -205,15 +205,40 @@ func (a *API) handleCheck(w http.ResponseWriter, r *http.Request) {
 	a.writeJSON(w, http.StatusOK, v)
 }
 
-// ingestRequest is the JSON envelope for POST /v1/ingest: new moduli to
-// fold into the live index without a restart.
-type ingestRequest struct {
-	ModuliHex []string `json:"moduli_hex"`
-}
-
 // maxIngestModuli bounds one ingest request; bigger deltas belong in
 // delta segments fed through SIGHUP.
 const maxIngestModuli = 4096
+
+// ParseIngest parses a POST /v1/ingest request body — the JSON envelope
+// {"moduli_hex": [...]}: new moduli to fold into the live index without
+// a restart — into the submitted hex strings and their validated
+// moduli, index for index. It is all-or-nothing: an empty or oversized
+// list, or one malformed modulus, rejects the whole request, so a
+// partially-applied delta can't exist. Exported so the cluster router
+// validates a routed ingest exactly as the replicas it fans out to will.
+func ParseIngest(body []byte) (hexes []string, mods []*big.Int, err error) {
+	var req struct {
+		ModuliHex []string `json:"moduli_hex"`
+	}
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+	}
+	if len(req.ModuliHex) == 0 {
+		return nil, nil, fmt.Errorf("%w: moduli_hex is empty", ErrMalformed)
+	}
+	if len(req.ModuliHex) > maxIngestModuli {
+		return nil, nil, fmt.Errorf("%w: %d moduli exceeds the per-request limit of %d", ErrMalformed, len(req.ModuliHex), maxIngestModuli)
+	}
+	mods = make([]*big.Int, len(req.ModuliHex))
+	for i, hex := range req.ModuliHex {
+		n, err := ParseModulusHex(hex)
+		if err != nil {
+			return nil, nil, fmt.Errorf("moduli_hex[%d]: %w", i, err)
+		}
+		mods[i] = n
+	}
+	return req.ModuliHex, mods, nil
+}
 
 func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -237,30 +262,14 @@ func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
 		a.writeError(w, r, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrMalformed, err))
 		return
 	}
-	var req ingestRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		a.writeError(w, r, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrMalformed, err))
+	_, mods, err := ParseIngest(body)
+	if err != nil {
+		a.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.ModuliHex) == 0 {
-		a.writeError(w, r, http.StatusBadRequest, fmt.Errorf("%w: moduli_hex is empty", ErrMalformed))
-		return
-	}
-	if len(req.ModuliHex) > maxIngestModuli {
-		a.writeError(w, r, http.StatusBadRequest,
-			fmt.Errorf("%w: %d moduli exceeds the per-request limit of %d", ErrMalformed, len(req.ModuliHex), maxIngestModuli))
-		return
-	}
-	// All-or-nothing: a malformed modulus rejects the request before the
-	// merge starts, so a partially-applied delta can't exist.
 	store := scanstore.New()
 	now := time.Now().UTC()
-	for i, hex := range req.ModuliHex {
-		n, err := ParseModulusHex(hex)
-		if err != nil {
-			a.writeError(w, r, http.StatusBadRequest, fmt.Errorf("moduli_hex[%d]: %w", i, err))
-			return
-		}
+	for _, n := range mods {
 		// SourceAPI: a client-submitted key, not a scan observation —
 		// per-source statistics must not credit a scan project with it.
 		store.AddBareKeyObservation(clientKey(r), now, scanstore.SourceAPI, scanstore.HTTPS, n)

@@ -223,6 +223,48 @@ func FuzzParseSubmission(f *testing.F) {
 	})
 }
 
+// FuzzParseIngest feeds arbitrary /v1/ingest bodies to the one ingest
+// decoder the API and the cluster router share. It must not panic; a
+// rejection must be an ErrMalformed (the 400 mapping) and return
+// nothing; an accepted batch must be non-empty, within the per-request
+// cap, and carry one in-limits modulus per submitted string, index for
+// index. Seeds are TestIngestEndpoint's bodies and truncations of each;
+// testdata/fuzz adds the envelope forms those do not reach.
+func FuzzParseIngest(f *testing.F) {
+	for _, seed := range [][]byte{
+		fmt.Appendf(nil, `{"moduli_hex":["%s","%s"]}`, modN1.Text(16), modNc.Text(16)),
+		fmt.Appendf(nil, `{"moduli_hex":["0x%s"]}`, modNc.Text(16)),
+		fmt.Appendf(nil, `{"moduli_hex":["%s","nothex"]}`, modN1.Text(16)),
+		[]byte(`{"moduli_hex":[]}`),
+	} {
+		for _, n := range []int{len(seed), len(seed) - 1, len(seed) / 2} {
+			f.Add(seed[:n])
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		hexes, mods, err := ParseIngest(body)
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("rejection is not ErrMalformed: %v", err)
+			}
+			if hexes != nil || mods != nil {
+				t.Fatalf("rejection returned %d hexes / %d moduli", len(hexes), len(mods))
+			}
+			return
+		}
+		if len(hexes) == 0 || len(hexes) > maxIngestModuli || len(mods) != len(hexes) {
+			t.Fatalf("accepted %d hexes / %d moduli", len(hexes), len(mods))
+		}
+		for i, n := range mods {
+			want, err := ParseModulusHex(hexes[i])
+			if err != nil || want.Cmp(n) != 0 {
+				t.Fatalf("moduli[%d] = %v, but ParseModulusHex(%q) = %v, %v", i, n, hexes[i], want, err)
+			}
+		}
+	})
+}
+
 func TestCheckMethodNotAllowed(t *testing.T) {
 	api, _ := newTestAPI(t, nil, nil)
 	req := httptest.NewRequest(http.MethodGet, "/v1/check", nil)
