@@ -2,9 +2,10 @@
 
 GO ?= go
 
-.PHONY: ci build vet bench-check test race e2e fuzz-smoke bench bench-pipeline bench-telemetry bench-smoke
+.PHONY: ci build vet vet-386 bench-check test race e2e fuzz-smoke bench bench-pipeline bench-telemetry bench-smoke
 
-# ci is the full gate: compile everything, vet (bench/ too), run the
+# ci is the full gate: compile everything, vet (bench/ too, and the
+# tree again for 386, with the word-width arithmetic tested there), run the
 # test suite under the race detector — every fault-injection test, and
 # the e2e package's process-level checks (real binaries, signals, files
 # on disk: the study under GCD crashes, keyserverd from startup to
@@ -15,13 +16,20 @@ GO ?= go
 # generator ground truth. Nothing here writes a tracked file: exactness
 # lives in the race-tested suite, speed is judged by parent-vs-change
 # pairs on bench/ (BENCHMARK.json).
-ci: build vet bench-check race fuzz-smoke bench-telemetry bench-smoke
+ci: build vet vet-386 bench-check race fuzz-smoke bench-telemetry bench-smoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# vet-386 vets the tree for 32-bit words and runs the two packages whose
+# arithmetic branches on big.Word's width (the Montgomery kernel in
+# numtheory, prodtree.Reducer) against their big.Int oracles there.
+vet-386:
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./internal/numtheory ./internal/prodtree
 
 # bench-check vets and tests bench/, the benchmark driver's module. It
 # is a module of its own that imports internal/..., so build/vet/race

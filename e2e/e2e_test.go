@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
 
+	"github.com/factorable/weakkeys/internal/cluster"
 	"github.com/factorable/weakkeys/internal/keycheck"
 	"github.com/factorable/weakkeys/internal/zscan"
 )
@@ -190,17 +192,24 @@ func TestKeyserverd(t *testing.T) {
 
 // TestCluster runs three partial-snapshot keyserverd replicas behind a keyrouter, each told only
 // the ordered peer list: routed verdicts with full coverage, a routed ingest that sync carries to
-// every owner, then keyload through a SIGKILL of one replica with no verdict lost.
+// every owner, keyload through a SIGKILL of one replica with no verdict lost, and that replica's
+// restart, which recovers the ingested keys from its peers' journals.
 func TestCluster(t *testing.T) {
 	t.Parallel()
 	addrs := reservePorts(t, 4)
 	peers, base := addrs[:3], "http://"+addrs[3]
+	// peers[1], the replica killed and restarted, must own the first ingested key's home shard, so
+	// its restart has a key to recover; placement hashes names, so reordering them moves nothing.
+	p, _ := cluster.NewPlacement(peers, keycheck.DefaultShards, 0)
+	first, _ := keycheck.ParseModulusHex("801e58579270d8dab1a09cf329cc5a05")
+	home := slices.Index(peers, p.Owners(keycheck.ShardOf(first, keycheck.DefaultShards))[0])
+	peers[1], peers[home] = peers[home], peers[1]
 	list := strings.Join(peers, ",")
-	replicas := make([]*proc, len(peers))
-	for i, addr := range peers {
-		replicas[i] = start(t, "keyserverd", "-scale", "0.05", "-bits", "128", "-subsets", "3", "-seed", "2016", "-rate", "0",
+	replica := func(addr string) *proc {
+		return start(t, "keyserverd", "-scale", "0.05", "-bits", "128", "-subsets", "3", "-seed", "2016", "-rate", "0",
 			"-listen", addr, "-cluster-self", addr, "-cluster-peers", list, "-sync-interval", "200ms")
 	}
+	replicas := []*proc{replica(peers[0]), replica(peers[1]), replica(peers[2])}
 	router := start(t, "keyrouter", "-listen", addrs[3], "-replicas", list)
 	router.waitReady(base + "/readyz") // every shard has a usable owner: the replicas' study runs are done
 
@@ -244,13 +253,10 @@ func TestCluster(t *testing.T) {
 		Degraded bool
 	}
 	call(t, base+"/v1/ingest", weakPair, &rep)
-	if v := check(t, base, "801e58579270d8dab1a09cf329cc5a05", ""); rep.DeltaModuli != 2 || rep.Degraded || !v.Known {
+	if v := check(t, base, first.Text(16), ""); rep.DeltaModuli != 2 || rep.Degraded || !v.Known {
 		t.Errorf("routed ingest: %+v; its first key, asked for at once: %+v", rep, v)
 	}
-	router.poll("sync to reach every owner", func() bool { return indexed() >= baseline+4 })
-	if got := indexed(); got != baseline+4 {
-		t.Errorf("replicas index %d moduli in sum, want %d", got, baseline+4)
-	}
+	router.poll("sync to reach every owner, and no other replica", func() bool { return indexed() == baseline+4 })
 
 	// Load through the router; one replica dies once checks are flowing.
 	const served = `cluster_http_requests_total{code="200"}`
@@ -272,4 +278,10 @@ func TestCluster(t *testing.T) {
 	if v := check(t, base, weak, ""); v.Status != keycheck.StatusFactored || v.Degraded {
 		t.Errorf("weak exemplar after the kill: %+v", v)
 	}
+
+	// Restarted with its original flags and no operator step, the replica rebuilds its study
+	// snapshot and its fresh pull positions read every peer's journal from the start.
+	replica(peers[1])
+	router.poll("the restarted replica healthy again", func() bool { return status() == "{2 [{true} {true} {true}] []}" })
+	router.poll("the restarted replica to recover the ingested keys", func() bool { return indexed() == baseline+4 })
 }

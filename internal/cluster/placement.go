@@ -2,7 +2,7 @@
 // multi-process deployment: N keyserverd replicas each own a
 // placement-assigned subset of the hash-partitioned index (with
 // replication), a router scatter-gathers /v1/check across the owners,
-// and generation-tagged sync pulls propagate ingests between replicas
+// and journal pulls (/v1/sync) propagate ingests between replicas
 // without a fleet restart.
 //
 // The placement discipline is the same "shard without coordination"

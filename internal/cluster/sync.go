@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"sync"
@@ -16,129 +17,71 @@ import (
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
-// Journal is a replica's generation-tagged ingest log: every ingest
-// that published a new snapshot appends its novel moduli under the next
-// generation, and peers pull the tail with /v1/sync?since=<gen>. The
-// generations are per-replica monotonic counters, not global — each
-// peer tracks its position in each origin's journal independently, so
-// propagation needs no coordination: a full mesh of since-pulls
-// converges because re-delivered moduli dedupe to no-ops at ingest.
+// Journal is a replica's ingest log: every ingest that published a new
+// snapshot appends its novel moduli (hex), and peers pull the tail with
+// /v1/sync?since=<generation>. It is one flat, append-only key list; a
+// generation is an offset into it from a base each process mints at
+// random in [2⁶², 2⁶³) on first use. Each peer tracks its position in
+// each origin's journal independently, so propagation needs no
+// coordination: a full mesh of since-pulls converges because
+// re-delivered moduli dedupe to no-ops at ingest.
+//
+// The random base is what makes an origin's restart safe: a puller's
+// position from the past life falls below the new base (served from the
+// start) or past the new head (rewound to 0), unless it lands inside the
+// new life's range — odds of about keys/2⁶².
 type Journal struct {
-	mu      sync.Mutex
-	gen     uint64
-	entries []journalEntry
-}
-
-type journalEntry struct {
-	gen  uint64
+	mu   sync.Mutex
+	base uint64 // generation of keys[0]; 0 until first use
 	keys []string
 }
 
-// maxJournalEntries bounds the entry count; on overflow the oldest half
-// is coalesced into fewer entries (keeping every key, each merged run
-// under its newest generation), so a stale peer may re-receive moduli
-// it already has — which ingest dedupes — but never misses one.
-const maxJournalEntries = 512
-
-// maxSyncKeys caps one /v1/sync response at entry granularity: a page
-// stops growing once it holds this many keys, and the client loops on
-// the returned generation for the rest. A single entry larger than the
-// cap is still returned whole (a page must make progress), so the true
-// bound per response is max(maxSyncKeys, largest single ingest) —
-// bounded in turn by the per-request ingest limits.
+// maxSyncKeys caps one /v1/sync response; the client loops on the
+// returned generation for the rest.
 const maxSyncKeys = 1024
 
+// head returns the generation past the last key, minting the base on
+// first use. Callers hold mu.
+func (j *Journal) head() uint64 {
+	if j.base == 0 {
+		j.base = 1<<62 + rand.Uint64N(1<<62)
+	}
+	return j.base + uint64(len(j.keys))
+}
+
 // Append records one ingest's novel moduli (hex) and returns the new
-// generation. Empty appends are ignored.
+// generation.
 func (j *Journal) Append(keys []string) uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if len(keys) == 0 {
-		return j.gen
-	}
-	j.gen++
-	j.entries = append(j.entries, journalEntry{gen: j.gen, keys: append([]string(nil), keys...)})
-	if len(j.entries) > maxJournalEntries {
-		// Coalesce the oldest half into runs of at most maxSyncKeys
-		// keys, never merging two entries into a run a single sync page
-		// could not carry — merging everything into one entry would
-		// make the oldest page unbounded. Runs of already-large entries
-		// may not shrink the count below the bound; the bound targets
-		// per-entry overhead, not total key retention, which is
-		// unbounded by design.
-		half := j.entries[:len(j.entries)/2]
-		var merged []journalEntry
-		for _, e := range half {
-			last := len(merged) - 1
-			if last >= 0 && len(merged[last].keys)+len(e.keys) <= maxSyncKeys {
-				merged[last].keys = append(merged[last].keys, e.keys...)
-				merged[last].gen = e.gen
-			} else {
-				merged = append(merged, journalEntry{gen: e.gen, keys: append([]string(nil), e.keys...)})
-			}
-		}
-		j.entries = append(merged, j.entries[len(half):]...)
-	}
-	return j.gen
+	j.keys = append(j.keys, keys...)
+	return j.head()
 }
 
-// Since returns the current generation and every key appended after
-// generation g, oldest first.
-func (j *Journal) Since(g uint64) (uint64, []string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var keys []string
-	for _, e := range j.entries {
-		if e.gen > g {
-			keys = append(keys, e.keys...)
-		}
-	}
-	return j.gen, keys
-}
-
-// Page returns one bounded page of keys appended after generation g,
-// oldest first: up to maxSyncKeys keys at entry granularity, the
-// generation through which the page is complete (the puller's next
-// since), and whether the journal holds more beyond it. The wire
-// protocol uses Page so a restarted or long-lagging peer pulling from
-// zero drains the tail in bounded responses instead of one unbounded
-// body.
+// Page returns up to maxSyncKeys keys appended after generation g,
+// oldest first, the generation through which the page is complete (the
+// puller's next since), and whether the journal holds more beyond it. A
+// generation below the base — a fresh puller's 0, or a past life's
+// position — is served from the start; one past the head is from the
+// origin's past life and gets an empty page rewinding the puller to 0,
+// so its next pull reads this journal from the start.
 func (j *Journal) Page(g uint64) (gen uint64, keys []string, more bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if g > j.gen {
-		// A position past the head is from the origin's past life (it
-		// restarted with a fresh journal): send the puller back to zero
-		// so its next pull re-reads the new journal from its start.
-		// Rewinding to the head instead would skip every entry the
-		// origin appended since the restart.
+	head := j.head()
+	if g > head {
 		return 0, nil, false
 	}
-	gen = g
-	for _, e := range j.entries {
-		if e.gen <= g {
-			continue
-		}
-		if len(keys) > 0 && len(keys)+len(e.keys) > maxSyncKeys {
-			more = true
-			break
-		}
-		keys = append(keys, e.keys...)
-		gen = e.gen
-	}
-	if !more && len(keys) == 0 {
-		// Empty tail: report the journal's own generation so the
-		// puller's position catches up.
-		gen = j.gen
-	}
-	return gen, keys, more
+	from := max(g, j.base) - j.base
+	to := min(from+maxSyncKeys, uint64(len(j.keys)))
+	return j.base + to, append([]string(nil), j.keys[from:to]...), j.base+to < head
 }
 
-// Generation returns the journal's current generation.
+// Generation returns the journal's current generation (its head).
 func (j *Journal) Generation() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.gen
+	return j.head()
 }
 
 // syncResponse is the GET /v1/sync wire document: one page of the
@@ -148,7 +91,7 @@ type syncResponse struct {
 	// complete; the puller stores it as its next since.
 	Generation uint64 `json:"generation"`
 	// ModuliHex is the page of novel moduli ingested after the
-	// requested since, oldest first, capped near maxSyncKeys.
+	// requested since, oldest first, at most maxSyncKeys of them.
 	ModuliHex []string `json:"moduli_hex"`
 	// More reports that the journal extends past Generation: the puller
 	// should loop with since=Generation until it drains the tail.
@@ -263,11 +206,9 @@ func (s *Syncer) PullOnce(ctx context.Context) int {
 	return landed
 }
 
-// maxSyncBody bounds one sync page read on the client side. Pages are
-// capped near maxSyncKeys keys server-side, but a single oversized
-// journal entry (one large ingest) is returned whole, so the limit
-// leaves room for the per-request ingest bound at the maximum modulus
-// size rather than mirroring the 1 MiB request bound.
+// maxSyncBody bounds one sync page read on the client side: a page holds
+// at most maxSyncKeys keys of at most keycheck.MaxModulusBits (4 KiB of
+// hex each), about 4 MiB, with room to spare.
 const maxSyncBody = 32 << 20
 
 // pullPeer drains a peer's journal tail: one bounded page per request,
@@ -371,16 +312,4 @@ func (s *Syncer) setPosition(peer string, gen uint64) {
 	}
 	s.positions[peer] = gen
 	s.mu.Unlock()
-}
-
-// Positions returns a copy of the per-peer journal positions (for
-// status endpoints and tests).
-func (s *Syncer) Positions() map[string]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]uint64, len(s.positions))
-	for k, v := range s.positions {
-		out[k] = v
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -14,165 +15,136 @@ import (
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
+// TestJournalSince reads a small journal since a position: each append
+// advances the generation by its key count, a fresh reader's 0 is served
+// from the start, and keys come back once each in append order.
 func TestJournalSince(t *testing.T) {
 	j := &Journal{}
-	if gen, keys := j.Since(0); gen != 0 || keys != nil {
-		t.Fatalf("empty journal: Since(0) = %d/%v", gen, keys)
+	base := j.Append(nil)
+	if base < 1<<62 {
+		t.Fatalf("fresh journal's generation %d is below the minted base range", base)
 	}
-	if got := j.Append(nil); got != 0 {
-		t.Errorf("empty append bumped the generation to %d", got)
+	if gen, keys, more := j.Page(0); gen != base || len(keys) != 0 || more {
+		t.Errorf("empty journal: Page(0) = %d/%v/%v, want %d/[]/false", gen, keys, more, base)
 	}
-	if got := j.Append([]string{"aa", "bb"}); got != 1 {
-		t.Errorf("first append generation = %d, want 1", got)
+	if got := j.Append([]string{"aa", "bb"}); got != base+2 {
+		t.Errorf("first append generation = base+%d, want base+2", got-base)
 	}
-	if got := j.Append([]string{"cc"}); got != 2 {
-		t.Errorf("second append generation = %d, want 2", got)
+	if got := j.Append([]string{"cc"}); got != base+3 {
+		t.Errorf("second append generation = base+%d, want base+3", got-base)
 	}
-	gen, keys := j.Since(0)
-	if gen != 2 || len(keys) != 3 || keys[0] != "aa" || keys[2] != "cc" {
-		t.Errorf("Since(0) = %d/%v, want 2/[aa bb cc]", gen, keys)
+	if gen, keys, more := j.Page(0); gen != base+3 || strings.Join(keys, " ") != "aa bb cc" || more {
+		t.Errorf("Page(0) = base+%d/%v/%v, want base+3/[aa bb cc]/false", gen-base, keys, more)
 	}
-	if _, keys := j.Since(1); len(keys) != 1 || keys[0] != "cc" {
-		t.Errorf("Since(1) = %v, want [cc]", keys)
+	if gen, keys, _ := j.Page(base + 2); gen != base+3 || strings.Join(keys, " ") != "cc" {
+		t.Errorf("Page(base+2) = base+%d/%v, want base+3/[cc]", gen-base, keys)
 	}
-	if gen, keys := j.Since(2); gen != 2 || keys != nil {
-		t.Errorf("Since(head) = %d/%v, want 2/nil", gen, keys)
-	}
-}
-
-// TestJournalCoalesce overflows the entry bound: the journal must stay
-// bounded while a reader at any position still receives every key
-// appended after it — over-delivery is fine, loss is not.
-func TestJournalCoalesce(t *testing.T) {
-	j := &Journal{}
-	const total = maxJournalEntries + 200
-	for i := 0; i < total; i++ {
-		j.Append([]string{fmt.Sprintf("k%04d", i)})
-	}
-	j.mu.Lock()
-	entries := len(j.entries)
-	j.mu.Unlock()
-	if entries > maxJournalEntries {
-		t.Errorf("journal holds %d entries, bound is %d", entries, maxJournalEntries)
-	}
-	gen, keys := j.Since(0)
-	if gen != total {
-		t.Errorf("generation = %d, want %d", gen, total)
-	}
-	if len(keys) != total {
-		t.Fatalf("Since(0) returned %d keys, want all %d", len(keys), total)
-	}
-	// A reader positioned mid-log gets at least everything after its
-	// position (coalescing may re-deliver older keys, never drop newer).
-	const pos = total - 50
-	_, tail := j.Since(pos)
-	want := make(map[string]bool, 50)
-	for i := pos; i < total; i++ {
-		want[fmt.Sprintf("k%04d", i)] = true
-	}
-	for _, k := range tail {
-		delete(want, k)
-	}
-	if len(want) != 0 {
-		t.Errorf("Since(%d) lost %d keys after the position", pos, len(want))
+	if gen, keys, more := j.Page(base + 3); gen != base+3 || len(keys) != 0 || more {
+		t.Errorf("Page(head) = base+%d/%v/%v, want base+3/[]/false", gen-base, keys, more)
 	}
 }
 
-// TestJournalPage walks a reader through a journal far larger than one
-// page: every key must arrive (over-delivery from coalescing is fine),
-// every page must respect the cap and advance the position, and the
-// final position must land on the journal head.
+// TestJournalPage walks a reader through a tail spanning several pages:
+// keys come back once each in append order, every page respects the cap
+// and advances the position, the final position lands on the head, and
+// a position past the head rewinds to 0.
 func TestJournalPage(t *testing.T) {
 	j := &Journal{}
-	const perEntry = 3
-	const entries = maxJournalEntries + 188 // overflow: paging must survive coalescing
-	want := make(map[string]bool, entries*perEntry)
-	for i := 0; i < entries; i++ {
-		keys := make([]string, perEntry)
-		for k := range keys {
-			keys[k] = fmt.Sprintf("p%05d", i*perEntry+k)
-			want[keys[k]] = true
-		}
-		j.Append(keys)
+	base := j.Append(nil)
+	j.Append([]string{"aa", "bb", "cc"})
+
+	var want []string
+	for i := 0; i < 2*maxSyncKeys+453; i += 3 {
+		entry := []string{fmt.Sprintf("p%05d", i), fmt.Sprintf("p%05d", i+1), fmt.Sprintf("p%05d", i+2)}
+		want = append(want, entry...)
+		j.Append(entry)
 	}
-	pos, pages := uint64(0), 0
-	for {
-		gen, keys, more := j.Page(pos)
-		pages++
-		if pages > 100 {
-			t.Fatal("paging never terminated")
-		}
+	var got []string
+	pos, pages := base+3, 0
+	for more := true; more; pages++ {
+		var gen uint64
+		var keys []string
+		gen, keys, more = j.Page(pos)
 		if len(keys) > maxSyncKeys {
 			t.Errorf("page %d holds %d keys, cap is %d", pages, len(keys), maxSyncKeys)
-		}
-		for _, k := range keys {
-			delete(want, k)
 		}
 		if more && gen <= pos {
 			t.Fatalf("page %d claims more but did not advance past %d", pages, pos)
 		}
-		pos = gen
-		if !more {
-			break
-		}
+		got, pos = append(got, keys...), gen
 	}
-	if len(want) != 0 {
-		t.Errorf("paged reads lost %d keys", len(want))
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("paged reads returned %d keys, want the %d appended, in order", len(got), len(want))
 	}
 	if pos != j.Generation() {
-		t.Errorf("final position %d, want the journal head %d", pos, j.Generation())
+		t.Errorf("final position base+%d, want the journal head base+%d", pos-base, j.Generation()-base)
 	}
-	if pages < 2 {
-		t.Errorf("tail of %d keys fit in %d page(s); cap %d not exercised", entries*perEntry, pages, maxSyncKeys)
+	if pages < 3 {
+		t.Errorf("tail of %d keys fit in %d page(s); cap %d not exercised", len(want), pages, maxSyncKeys)
 	}
 	// At the head: an empty terminal page holding the position.
 	if gen, keys, more := j.Page(pos); gen != pos || len(keys) != 0 || more {
 		t.Errorf("Page(head) = %d/%d keys/more=%v, want %d/0/false", gen, len(keys), more, pos)
 	}
-	// Past the head (the origin restarted with a fresh journal): the
-	// position rewinds to zero, so the next pull re-reads the journal
-	// from its start instead of skipping what the new life appended.
+	// Past the head (a position from the origin's past life): the
+	// position rewinds to zero, so the next pull reads from the start.
 	if gen, keys, more := j.Page(pos + 100); gen != 0 || len(keys) != 0 || more {
 		t.Errorf("Page(past head) = %d/%d keys/more=%v, want 0/0/false", gen, len(keys), more)
 	}
 }
 
-// TestJournalPageOversizedEntry: a single ingest larger than the page
-// cap is returned whole — a page must make progress — and the entries
-// around it still page at entry granularity.
-func TestJournalPageOversizedEntry(t *testing.T) {
+// TestJournalConcurrentAppendAndPage: appenders race a reader paging
+// from a fresh 0 (the first use, which mints the base, is raced too).
+// Run with -race: once the appenders are done and the reader has drained
+// the tail, it must hold every key exactly once.
+func TestJournalConcurrentAppendAndPage(t *testing.T) {
 	j := &Journal{}
-	wide := make([]string, maxSyncKeys+10)
-	for i := range wide {
-		wide[i] = fmt.Sprintf("b%05d", i)
+	const writers, perWriter = 4, 500
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				j.Append([]string{fmt.Sprintf("w%d-%d", w, i)})
+			}
+		}(w)
 	}
-	j.Append([]string{"aa"})
-	j.Append(wide)
-	j.Append([]string{"zz"})
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
 
-	gen, keys, more := j.Page(0)
-	if gen != 1 || len(keys) != 1 || keys[0] != "aa" || !more {
-		t.Errorf("Page(0) = %d/%d keys/more=%v, want the first entry alone", gen, len(keys), more)
+	seen := make(map[string]int, writers*perWriter)
+	var pos uint64
+	for racing := true; racing; {
+		select {
+		case <-done:
+			racing = false // one more drain, after the last append
+		default:
+		}
+		for more := true; more; {
+			var keys []string
+			pos, keys, more = j.Page(pos)
+			for _, k := range keys {
+				seen[k]++
+			}
+		}
 	}
-	gen, keys, more = j.Page(gen)
-	if gen != 2 || len(keys) != len(wide) || !more {
-		t.Errorf("Page(1) = %d/%d keys/more=%v, want the oversized entry whole", gen, len(keys), more)
+	if len(seen) != writers*perWriter {
+		t.Errorf("reader holds %d distinct keys, want %d", len(seen), writers*perWriter)
 	}
-	gen, keys, more = j.Page(gen)
-	if gen != 3 || len(keys) != 1 || keys[0] != "zz" || more {
-		t.Errorf("Page(2) = %d/%d keys/more=%v, want the final entry", gen, len(keys), more)
+	for k, n := range seen {
+		if n != 1 {
+			t.Errorf("key %s read %d times", k, n)
+		}
 	}
 }
 
-// TestSyncerPaging drains a journal tail that spans several pages
-// through the real HTTP pull path: one PullOnce must land every key,
-// in multiple bounded requests, and leave the position at the head.
-func TestSyncerPaging(t *testing.T) {
-	// Pairwise-coprime keys (small primes) keep the ingest trivial: the
-	// test is about the wire protocol, not the GCD sweep.
-	var want []string
-	const total = 2*maxSyncKeys + 453
-	for v := 65537; len(want) < total; v += 2 {
+// primeKeys returns n pairwise-coprime keys (small primes, hex): they
+// keep the ingest trivial, as the sync tests are about the wire
+// protocol, not the GCD sweep.
+func primeKeys(n int) []string {
+	var keys []string
+	for v := 65537; len(keys) < n; v += 2 {
 		prime := true
 		for d := 3; d*d <= v; d += 2 {
 			if v%d == 0 {
@@ -181,9 +153,18 @@ func TestSyncerPaging(t *testing.T) {
 			}
 		}
 		if prime {
-			want = append(want, fmt.Sprintf("%x", v))
+			keys = append(keys, fmt.Sprintf("%x", v))
 		}
 	}
+	return keys
+}
+
+// TestSyncerPaging drains a journal tail that spans several pages
+// through the real HTTP pull path: one PullOnce must land every key,
+// in multiple bounded requests, and leave the position at the head.
+func TestSyncerPaging(t *testing.T) {
+	const total = 2*maxSyncKeys + 453
+	want := primeKeys(total)
 	j := &Journal{}
 	for i := 0; i < total; i += 7 {
 		end := i + 7
@@ -217,7 +198,7 @@ func TestSyncerPaging(t *testing.T) {
 	if got := svc.Index().Snapshot().Moduli(); got != total {
 		t.Errorf("index holds %d moduli, want %d", got, total)
 	}
-	if pos := s.Positions()[origin]; pos != j.Generation() {
+	if pos := s.positions[origin]; pos != j.Generation() {
 		t.Errorf("position %d after the pull, want the journal head %d", pos, j.Generation())
 	}
 	if landed := s.PullOnce(ctx); landed != 0 {
@@ -225,35 +206,47 @@ func TestSyncerPaging(t *testing.T) {
 	}
 }
 
-// TestSyncerRepullsRestartedOrigin: an origin that restarted has a fresh
-// journal whose head is below the puller's old position. The first pull
-// must rewind the position to zero and the second land every key the
-// origin appended since the restart — not skip them for good.
+// TestSyncerRepullsRestartedOrigin: a puller has drained an origin's
+// journal; the origin restarts with a fresh journal that soon holds more
+// entries than its past life did. The puller's old position must not
+// make it skip the new life's first entries: within two pulls every key
+// the restarted origin appended lands.
 func TestSyncerRepullsRestartedOrigin(t *testing.T) {
-	j := &Journal{}
-	j.Append([]string{"10001", "10003"})
-	j.Append([]string{"10007"})
-	j.Append([]string{"1000f"})
-	srv := httptest.NewServer(j.Handler())
+	keys := primeKeys(9)
+	past, restarted := &Journal{}, &Journal{}
+	for _, k := range keys[:3] {
+		past.Append([]string{k})
+	}
+	for _, k := range keys[3:] {
+		restarted.Append([]string{k})
+	}
+	var live atomic.Pointer[Journal]
+	live.Store(past)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		live.Load().Handler()(w, r)
+	}))
 	defer srv.Close()
 	origin := strings.TrimPrefix(srv.URL, "http://")
 
 	svc := keycheck.NewService(keycheck.Empty(8), keycheck.Config{Workers: 2})
 	s := &Syncer{Self: "puller", Peers: []string{origin}, Service: svc}
-	s.setPosition(origin, 50) // where the origin's past life had reached
 	ctx := context.Background()
+	if landed := s.PullOnce(ctx); landed != 3 {
+		t.Fatalf("pull of the past life landed %d moduli, want 3", landed)
+	}
 
-	if landed := s.PullOnce(ctx); landed != 0 {
-		t.Errorf("rewinding pull landed %d moduli, want 0", landed)
-	}
-	if pos := s.Positions()[origin]; pos != 0 {
-		t.Fatalf("position %d after pulling past the head, want 0", pos)
-	}
-	if landed := s.PullOnce(ctx); landed != 4 {
-		t.Errorf("second pull landed %d moduli, want all 4", landed)
-	}
-	if pos := s.Positions()[origin]; pos != j.Generation() {
-		t.Errorf("position %d, want the journal head %d", pos, j.Generation())
+	live.Store(restarted)
+	s.PullOnce(ctx)
+	s.PullOnce(ctx)
+	snap := svc.Index().Snapshot()
+	for _, k := range keys[3:] {
+		n, err := keycheck.ParseModulusHex(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !snap.Check(n).Known {
+			t.Errorf("key %s of the restarted origin never landed", k)
+		}
 	}
 }
 

@@ -8,11 +8,11 @@ import (
 // verdictCache is a fixed-capacity LRU over modulus-key → Verdict. The
 // serving workload is heavy-tailed — the same embedded device keys are
 // checked over and over — so a small cache absorbs most of the GCD
-// path. Entries are invalidated wholesale on snapshot swap (the verdict
-// may change when new results fold in), and each entry carries the
-// generation of the snapshot it was computed against: a check that
-// straddles a swap would otherwise insert its stale verdict after the
-// purge, where it could be served until the next swap.
+// path. Each entry carries the generation of the snapshot it was
+// computed against, and a probe under any other generation misses and
+// evicts it: a swap (the verdict may change when new results fold in)
+// invalidates every older entry without touching the cache, including
+// one a check straddling the swap inserts after it.
 type verdictCache struct {
 	mu    sync.Mutex
 	max   int
@@ -77,16 +77,6 @@ func (c *verdictCache) put(key string, gen uint64, v Verdict) {
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*cacheEntry).key)
 	}
-}
-
-func (c *verdictCache) purge() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.items)
 }
 
 func (c *verdictCache) len() int {

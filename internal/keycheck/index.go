@@ -525,6 +525,3 @@ func (ix *Index) Swap(s *Snapshot) *Snapshot {
 
 // Swaps counts snapshots published after the initial one.
 func (ix *Index) Swaps() int64 { return ix.swaps.Load() }
-
-// Check answers against the currently published snapshot.
-func (ix *Index) Check(n *big.Int) Verdict { return ix.snap.Load().Check(n) }

@@ -260,7 +260,7 @@ func TestExemplars(t *testing.T) {
 	}
 }
 
-// TestSnapshotSwapUnderReaders hammers Index.Check from many readers
+// TestSnapshotSwapUnderReaders hammers Index.Snapshot().Check from many readers
 // while a writer swaps between two snapshots with different factored
 // sets. Every verdict must be exactly right for one of the two
 // published snapshots — never a blend — and the whole test runs under
@@ -331,7 +331,7 @@ func TestSnapshotSwapUnderReaders(t *testing.T) {
 					return
 				default:
 				}
-				v := ix.Check(modN1)
+				v := ix.Snapshot().Check(modN1)
 				// Valid under `full`: factored. Valid under `empty`:
 				// clean but known (member, nothing factored).
 				if !(v.Status == StatusFactored && v.Known) && !(v.Status == StatusClean && v.Known) {

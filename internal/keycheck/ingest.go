@@ -116,8 +116,8 @@ type ingestDelta struct {
 
 // changed reports whether any shard gains anything. A sweep of only
 // foreign moduli that re-labeled nothing leaves it false: publishing a
-// structurally identical successor would purge verdict caches for no
-// reason.
+// structurally identical successor would retire every cached verdict
+// for no reason.
 func (d *ingestDelta) changed() bool {
 	for _, sd := range d.shards {
 		if !sd.empty() {

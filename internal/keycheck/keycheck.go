@@ -18,7 +18,7 @@
 // new study results are folded in without blocking readers. Service
 // wraps an Index with the production serving path — bounded worker
 // pool, LRU verdict cache, graceful drain, telemetry, fault injection —
-// and NewMux exposes it over HTTP (POST /v1/check, GET /v1/stats).
+// and NewAPI exposes it over HTTP (POST /v1/check, GET /v1/stats).
 package keycheck
 
 import (

@@ -139,11 +139,12 @@ func NewService(snap *Snapshot, cfg Config) *Service {
 func (s *Service) Index() *Index { return s.idx }
 
 // Publish atomically swaps in a rebuilt snapshot — the fold-in motion
-// for new study results — and invalidates the verdict cache, since a
-// previously clean key may now be factored. Readers are never blocked.
+// for new study results. Readers are never blocked, and cached verdicts
+// of older snapshots stop being served, since a previously clean key may
+// now be factored: every cache entry is tagged with its snapshot's
+// generation.
 func (s *Service) Publish(snap *Snapshot) {
 	s.idx.Swap(snap)
-	s.cache.purge()
 	s.cfg.Metrics.Counter("keycheck_snapshot_swaps_total").Inc()
 	s.publishGauges(snap)
 	if snap != nil {
@@ -206,10 +207,9 @@ func (s *Service) Check(ctx context.Context, n *big.Int) (Verdict, error) {
 
 	// The whole check — cache probe, index lookup, cache insert — is
 	// pinned to one snapshot, and cache traffic is tagged with its
-	// generation. Without the tag, a check that computes its verdict
-	// against the pre-swap snapshot and loses the race with Publish's
-	// purge would insert a stale verdict afterwards, to be served until
-	// the next swap.
+	// generation: the tag is what retires a verdict once Publish swaps
+	// in a successor, even one a check straddling the swap inserts after
+	// it.
 	snap := s.idx.Snapshot()
 	key := string(n.Bytes())
 	if v, ok := s.cache.get(key, snap.Generation()); ok {

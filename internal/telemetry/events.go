@@ -244,16 +244,6 @@ func hasAttr(attrs []slog.Attr, key string) bool {
 	return false
 }
 
-// Logger returns a *slog.Logger backed by this event log, for callers
-// that prefer the stdlib idiom over Emit. A nil receiver returns a
-// logger that discards everything.
-func (l *EventLog) Logger() *slog.Logger {
-	if l == nil {
-		return slog.New(discardHandler{})
-	}
-	return slog.New(&recorderHandler{log: l})
-}
-
 // Events returns the flight recorder's current window, oldest first
 // (nil-safe).
 func (l *EventLog) Events() []Event {
@@ -283,67 +273,6 @@ func (l *EventLog) EventsFilter(minLevel slog.Level, requestID string, n int) []
 	}
 	return out
 }
-
-// recorderHandler adapts the EventLog to slog.Handler so Logger() works
-// with the full slog surface (WithAttrs / WithGroup included).
-type recorderHandler struct {
-	log    *EventLog
-	attrs  []slog.Attr
-	groups []string
-}
-
-func (h *recorderHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return level >= h.log.floor
-}
-
-func (h *recorderHandler) Handle(ctx context.Context, rec slog.Record) error {
-	attrs := make([]slog.Attr, 0, len(h.attrs)+rec.NumAttrs())
-	attrs = append(attrs, h.attrs...)
-	rec.Attrs(func(a slog.Attr) bool {
-		attrs = append(attrs, h.qualify(a))
-		return true
-	})
-	h.log.record(ctx, rec.Level, rec.Message, attrs)
-	return nil
-}
-
-// qualify prefixes an attribute key with the open group path, the flat
-// rendering of slog groups the recorder uses ("shard.id" rather than a
-// nested object).
-func (h *recorderHandler) qualify(a slog.Attr) slog.Attr {
-	for i := len(h.groups) - 1; i >= 0; i-- {
-		a.Key = h.groups[i] + "." + a.Key
-	}
-	return a
-}
-
-func (h *recorderHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	nh := &recorderHandler{log: h.log, groups: h.groups}
-	nh.attrs = make([]slog.Attr, 0, len(h.attrs)+len(attrs))
-	nh.attrs = append(nh.attrs, h.attrs...)
-	for _, a := range attrs {
-		nh.attrs = append(nh.attrs, h.qualify(a))
-	}
-	return nh
-}
-
-func (h *recorderHandler) WithGroup(name string) slog.Handler {
-	if name == "" {
-		return h
-	}
-	nh := &recorderHandler{log: h.log, attrs: h.attrs}
-	nh.groups = append(append([]string{}, h.groups...), name)
-	return nh
-}
-
-// discardHandler drops everything; Logger() on a nil EventLog hands it
-// out so disabled logging needs no call-site branches.
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
 
 // WriteEventJSON renders one event as a single JSON object with a
 // stable key order: seq, time, level, msg, then the attributes in

@@ -41,11 +41,6 @@ func TestEventLogNilSafe(t *testing.T) {
 	if evs := l.EventsFilter(slog.LevelDebug, "", 0); len(evs) != 0 {
 		t.Fatalf("nil EventLog EventsFilter() = %v, want empty", evs)
 	}
-	logger := l.Logger()
-	if logger == nil {
-		t.Fatal("nil EventLog Logger() = nil, want discard logger")
-	}
-	logger.Info("dropped on the floor", "k", "v")
 }
 
 func TestEventLogBasic(t *testing.T) {
@@ -215,23 +210,6 @@ func TestEventLogTee(t *testing.T) {
 	}
 	if doc["msg"] != "teed" || doc["k"] != "v" {
 		t.Fatalf("tee JSON = %v", doc)
-	}
-}
-
-func TestEventLogLoggerAdapter(t *testing.T) {
-	l := NewEventLog(EventConfig{Clock: fixedClock()})
-	logger := l.Logger().With("base", "x").WithGroup("shard")
-	logger.Info("via slog", "id", 3)
-
-	evs := l.Events()
-	if len(evs) != 1 {
-		t.Fatalf("got %d events, want 1", len(evs))
-	}
-	if evs[0].Attr("base") != "x" {
-		t.Fatalf("With attr lost: %+v", evs[0].Attrs)
-	}
-	if evs[0].Attr("shard.id") != "3" {
-		t.Fatalf("group-qualified attr = %q, want 3", evs[0].Attr("shard.id"))
 	}
 }
 

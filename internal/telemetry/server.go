@@ -110,13 +110,6 @@ func writeJSONIndent(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-// NewMux builds the diagnostics handler set for a bare registry — the
-// metrics-only form predating Diagnostics; /debug/events, /debug/requests
-// and /debug/bundle serve empty documents.
-func NewMux(reg *Registry) *http.ServeMux {
-	return (&Diagnostics{Registry: reg}).Mux()
-}
-
 // Server is a running diagnostics HTTP server.
 type Server struct {
 	// Addr is the bound address, with the real port when the listen

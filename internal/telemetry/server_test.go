@@ -32,7 +32,7 @@ func TestDiagnosticsRoundTrip(t *testing.T) {
 	reg.Gauge("inflight").Set(3)
 	reg.Histogram("lat_seconds", []float64{0.1, 1}).Observe(0.05)
 
-	ts := httptest.NewServer(NewMux(reg))
+	ts := httptest.NewServer((&Diagnostics{Registry: reg}).Mux())
 	defer ts.Close()
 
 	code, body := fetch(t, ts.URL+"/metrics")
