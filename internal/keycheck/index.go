@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math/big"
 	"sort"
 	"sync/atomic"
@@ -27,22 +28,21 @@ type Entry struct {
 
 // shard holds one hash partition of the corpus: the exact set of every
 // modulus observed in the partition, the map of the factored ones among
-// them, and the partition's product tree for the GCD path. All fields
-// are immutable after Build/Ingest; Ingest replaces touched shards
-// wholesale and shares untouched ones by reference.
+// them, and the partition's product for the GCD path. All fields are
+// immutable after Build/Ingest; Ingest replaces touched shards wholesale
+// and shares untouched ones by reference.
 type shard struct {
 	// members is the one membership answer: Check, Ingest's duplicate
 	// test and the shard's modulus count all read it. A key enters only
 	// through Build (settled by the study's factor table) or Ingest
 	// (swept against every shard this snapshot indexes), which is why a
 	// member is answered from the maps alone.
-	members  map[string]struct{}
+	members  memberSet
 	factored map[string]Entry
-	// tree is the shard's modulus product tree. Keeping the whole tree
-	// (not just the root) is what lets Ingest extend it incrementally:
-	// prodtree.ExtendCtx reuses every node whose subtree gained no new
-	// leaf.
-	tree *prodtree.Tree
+	// forest is the shard's modulus product, kept whole (not just the
+	// root) so that Ingest appends to it, multiplying only the nodes the
+	// new leaves complete, and finds mates by descending it.
+	forest *prodtree.Forest
 	// shared maps unfactored member moduli the corpus observed under two
 	// or more distinct identities to their identity count — the
 	// shared-modulus graph projected onto this shard, minus anything
@@ -56,11 +56,49 @@ type shard struct {
 }
 
 // product returns the shard's modulus product, or nil for an empty shard.
-func (sh *shard) product() *big.Int {
-	if sh.tree == nil {
-		return nil
+func (sh *shard) product() *big.Int { return sh.forest.Root() }
+
+// memberSet is a shard's exact key set: a base map shared by every
+// snapshot since the last fold, plus an overlay of the keys added since.
+// An ingest copies the overlay, not the base, and folds both into a new
+// base once the overlay would outgrow an eighth of it, so a key is copied
+// a constant number of times on average. Neither map is written once
+// published.
+type memberSet struct {
+	base, overlay map[string]struct{}
+}
+
+// overlayShare is how many times smaller than the base the overlay stays.
+const overlayShare = 8
+
+func (m memberSet) has(key string) bool {
+	if _, ok := m.base[key]; ok {
+		return true
 	}
-	return sh.tree.Root()
+	_, ok := m.overlay[key]
+	return ok
+}
+
+func (m memberSet) size() int { return len(m.base) + len(m.overlay) }
+
+// with returns m plus keys, none of which m holds; m is not modified.
+func (m memberSet) with(keys []string) memberSet {
+	fold := (len(m.overlay)+len(keys))*overlayShare > len(m.base)
+	var added map[string]struct{}
+	if fold {
+		added = make(map[string]struct{}, m.size()+len(keys))
+		maps.Copy(added, m.base)
+	} else {
+		added = make(map[string]struct{}, len(m.overlay)+len(keys))
+	}
+	maps.Copy(added, m.overlay)
+	for _, key := range keys {
+		added[key] = struct{}{}
+	}
+	if fold {
+		return memberSet{base: added}
+	}
+	return memberSet{base: m.base, overlay: added}
 }
 
 // exemplarSample bounds the per-shard clean-key sample.
@@ -124,7 +162,7 @@ func Empty(shards int) *Snapshot {
 	}
 	snap := &Snapshot{shards: make([]*shard, shards), gen: snapGen.Add(1)}
 	for i := range snap.shards {
-		snap.shards[i] = &shard{members: make(map[string]struct{}), factored: make(map[string]Entry)}
+		snap.shards[i] = &shard{factored: make(map[string]Entry)}
 	}
 	return snap
 }
@@ -180,7 +218,7 @@ func Build(ctx context.Context, in BuildInput) (*Snapshot, error) {
 	}
 	byShard := make([][]*big.Int, nShards)
 	for i := range snap.shards {
-		snap.shards[i] = &shard{members: make(map[string]struct{}), factored: make(map[string]Entry)}
+		snap.shards[i] = &shard{members: memberSet{base: make(map[string]struct{})}, factored: make(map[string]Entry)}
 	}
 	var factors map[string]fingerprint.Factors
 	if in.Fingerprint != nil {
@@ -196,7 +234,7 @@ func Build(ctx context.Context, in BuildInput) (*Snapshot, error) {
 		}
 		sh := snap.shards[si]
 		byShard[si] = append(byShard[si], moduli[i])
-		sh.members[key] = struct{}{}
+		sh.members.base[key] = struct{}{}
 		snap.moduli++
 		if f, ok := factors[key]; ok {
 			// A factored member outranks its identity graph: the shared
@@ -228,12 +266,12 @@ func Build(ctx context.Context, in BuildInput) (*Snapshot, error) {
 		if len(byShard[si]) == 0 {
 			return
 		}
-		tree, err := prodtree.NewCtx(ctx, byShard[si])
+		forest, err := prodtree.NewForest(ctx, byShard[si])
 		if err != nil {
 			errs[si] = fmt.Errorf("keycheck: build shard %d: %w", si, err)
 			return
 		}
-		snap.shards[si].tree = tree
+		snap.shards[si].forest = forest
 	})
 	if runErr != nil {
 		return nil, fmt.Errorf("keycheck: build cancelled: %w", runErr)
@@ -303,7 +341,7 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 	// shared prime in any of them is definitive.
 	v := Verdict{Status: StatusClean, ModulusBits: n.BitLen(), Shard: home, Partial: !s.owns(home)}
 	homeShard := s.shards[home]
-	if _, ok := homeShard.members[key]; ok {
+	if homeShard.members.has(key) {
 		v.Known = true
 		if e, ok := homeShard.factored[key]; ok {
 			v.Status = StatusFactored
@@ -323,8 +361,8 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 	// Reducer serves every shard: the product is thousands of times
 	// longer than n and only the remainder is wanted.
 	g := new(big.Int).Set(one)
-	var proper *big.Int        // a proper divisor of n, if any shard yields one
-	var whole []*prodtree.Tree // shards whose product n divides outright
+	var proper *big.Int          // a proper divisor of n, if any shard yields one
+	var whole []*prodtree.Forest // shards whose product n divides outright
 	red := prodtree.NewReducer(n)
 	var r big.Int
 	for _, sh := range s.shards {
@@ -335,7 +373,7 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 		if red.Mod(&r, product).Sign() == 0 {
 			// Every prime of n is in this shard.
 			g.Set(n)
-			whole = append(whole, sh.tree)
+			whole = append(whole, sh.forest)
 			continue
 		}
 		gi := new(big.Int).GCD(nil, nil, n, &r)
@@ -394,13 +432,13 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 }
 
 // divisorAmongLeaves returns a proper divisor of n shared with a leaf of
-// one of the trees, or nil: gcd(leaf, n) over the leaves a pruned descent
-// says share anything with n at all.
-func divisorAmongLeaves(trees []*prodtree.Tree, n *big.Int) *big.Int {
+// one of the forests, or nil: gcd(leaf, n) over the leaves a pruned
+// descent says share anything with n at all.
+func divisorAmongLeaves(forests []*prodtree.Forest, n *big.Int) *big.Int {
 	g := new(big.Int)
-	for _, t := range trees {
-		leaves := t.Leaves()
-		for _, i := range t.LeavesSharing(n) {
+	for _, f := range forests {
+		leaves := f.Leaves()
+		for _, i := range f.LeavesSharing(n) {
 			if g.GCD(nil, nil, leaves[i], n).Cmp(n) < 0 {
 				return g
 			}
@@ -434,7 +472,7 @@ type SnapshotStats struct {
 func (s *Snapshot) Stats() SnapshotStats {
 	st := SnapshotStats{Moduli: s.moduli, Factored: s.factored, Shared: s.shared, Owned: s.Owned()}
 	for _, sh := range s.shards {
-		ss := ShardStats{Moduli: len(sh.members), Factored: len(sh.factored), Shared: len(sh.shared)}
+		ss := ShardStats{Moduli: sh.members.size(), Factored: len(sh.factored), Shared: len(sh.shared)}
 		if p := sh.product(); p != nil {
 			ss.ProductBits = p.BitLen()
 		}

@@ -3,7 +3,6 @@ package keycheck
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math/big"
 	"slices"
 	"time"
@@ -18,8 +17,9 @@ import (
 
 // ShardIngest is the per-shard ledger of one Ingest: how many moduli and
 // factored entries the shard gained, and how much of its product tree
-// survived by reference. A Reused == Total shard with Shared set rode
-// along untouched — the whole shard object is the predecessor's.
+// survived by reference (all of it: the product only grows by
+// appending). A Reused == Total shard with Shared set rode along
+// untouched — the whole shard object is the predecessor's.
 type ShardIngest struct {
 	Shard       int  `json:"shard"`
 	NewModuli   int  `json:"new_moduli"`
@@ -142,9 +142,10 @@ func (d *ingestDelta) swept() []*big.Int {
 // re-run of the full batch GCD becomes, online, four steps: partition
 // the delta against the index, sweep it (one batchgcd.Batch over the
 // delta, taken against itself and against every standing shard
-// product), resolve the divisors into factorizations, and merge — each
-// touched shard's product tree extended up its right spine
-// (prodtree.ExtendCtx) while untouched shards are shared by reference.
+// product), resolve the divisors into factorizations, and merge — the
+// new leaves appended to each touched shard's product (prodtree.Forest)
+// and its member set's overlay, while untouched shards are shared by
+// reference.
 //
 // Both prime-sharing directions are handled: a delta modulus sharing a
 // prime with the old corpus is factored on the spot, and the old member
@@ -242,7 +243,7 @@ func (s *Snapshot) partition(store *scanstore.Store, rep *IngestReport) *ingestD
 				sd.newShared[key] = cnt
 			}
 		}
-		if _, dup := s.shards[si].members[key]; dup {
+		if s.shards[si].members.has(key) {
 			rep.Duplicates++
 			continue
 		}
@@ -302,9 +303,9 @@ func (s *Snapshot) sweep(ctx context.Context, moduli []*big.Int) (*sweepResult, 
 	if err != nil {
 		return nil, fmt.Errorf("keycheck: ingest: delta batch GCD: %w", err)
 	}
-	var treed []int // shards that actually hold a product tree
+	var treed []int // shards that actually hold a product
 	for si, sh := range s.shards {
-		if sh.tree != nil {
+		if sh.forest != nil {
 			treed = append(treed, si)
 		}
 	}
@@ -322,7 +323,7 @@ func (s *Snapshot) sweep(ctx context.Context, moduli []*big.Int) (*sweepResult, 
 			return
 		}
 		start := time.Now()
-		sw.mates[si] = findMates(sh.tree, sw.byShard[si], a.Get())
+		sw.mates[si] = findMates(sh.forest, sw.byShard[si], a.Get())
 		matesTook[si] = time.Since(start)
 	})
 	if runErr != nil {
@@ -339,12 +340,12 @@ func (s *Snapshot) sweep(ctx context.Context, moduli []*big.Int) (*sweepResult, 
 
 // findMates returns the members of a shard sharing a prime with one of
 // the divisors the shard yielded, in leaf order. The candidates come
-// from one pruned descent of the shard's own product tree against the
+// from one pruned descent of the shard's own product against the
 // product of the distinct divisors — a shard that yielded none pays
 // nothing, one that did pays a few short reductions per mate instead of
 // a GCD per leaf per divisor — and only they are GCD'd against each
 // divisor for the prime itself; g is scratch.
-func findMates(tree *prodtree.Tree, divs []*big.Int, g *big.Int) []mate {
+func findMates(forest *prodtree.Forest, divs []*big.Int, g *big.Int) []mate {
 	var hits []*big.Int // distinct, in order of first appearance
 	seen := make(map[string]bool)
 	for _, d := range divs {
@@ -363,9 +364,9 @@ func findMates(tree *prodtree.Tree, divs []*big.Int, g *big.Int) []mate {
 	for _, d := range hits {
 		all.Mul(all, d)
 	}
-	leaves := tree.Leaves()
+	leaves := forest.Leaves()
 	var mates []mate
-	for _, i := range tree.LeavesSharing(all) {
+	for _, i := range forest.LeavesSharing(all) {
 		leaf := leaves[i]
 		for _, d := range hits {
 			g.GCD(nil, nil, leaf, d)
@@ -510,10 +511,10 @@ func (s *Snapshot) resolveDegenerate(novel []*big.Int, byShard [][]*big.Int, deg
 			div = pool.divisorOf(n)
 		}
 		if div == nil {
-			var whole []*prodtree.Tree // shards whose product n divides
+			var whole []*prodtree.Forest // shards whose product n divides
 			for si, divs := range byShard {
 				if divs != nil && divs[j] != nil {
-					whole = append(whole, s.shards[si].tree)
+					whole = append(whole, s.shards[si].forest)
 				}
 			}
 			div = divisorAmongLeaves(whole, n)
@@ -528,62 +529,67 @@ func (s *Snapshot) resolveDegenerate(novel []*big.Int, byShard [][]*big.Int, deg
 }
 
 // merge builds the successor snapshot: untouched shards are shared by
-// reference, touched ones replaced by mergeShard, and the per-shard
-// node-reuse ledger filled in.
+// reference, touched ones replaced by mergeShard — side by side on the
+// shared kernel pool, like Build and sweep — and the per-shard ledger
+// filled in, in shard order.
 func (s *Snapshot) merge(ctx context.Context, d *ingestDelta, rep *IngestReport) (*Snapshot, error) {
 	ns := &Snapshot{
-		shards:   make([]*shard, len(s.shards)),
+		shards:   slices.Clone(s.shards),
 		moduli:   s.moduli + len(d.novel),
 		factored: s.factored,
 		gen:      snapGen.Add(1),
 		own:      s.own,
 		probe:    s.probe,
 	}
-	rep.Shards = make([]ShardIngest, len(s.shards))
-	for si, old := range s.shards {
-		sd := d.shards[si]
-		sr := &rep.Shards[si]
-		sr.Shard = si
-		if sd.empty() {
-			ns.shards[si] = old
-			sr.Shared = true
-			sr.NodesReused = old.tree.Nodes()
-			sr.NodesTotal = sr.NodesReused
-			rep.NodesReused += sr.NodesReused
-			ns.shared += len(old.shared)
-			continue
+	var touched []int
+	for si, sd := range d.shards {
+		if !sd.empty() {
+			touched = append(touched, si)
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("keycheck: ingest merge cancelled at shard %d: %w", si, err)
-		}
-		nsh, err := mergeShard(ctx, old, sd)
+	}
+	errs := make([]error, len(s.shards))
+	runErr := kernel.FromContext(ctx).Run(ctx, len(touched), func(k int, _ *kernel.Arena) {
+		si := touched[k]
+		ns.shards[si], errs[si] = mergeShard(ctx, s.shards[si], d.shards[si])
+	})
+	if runErr != nil {
+		return nil, fmt.Errorf("keycheck: ingest merge cancelled: %w", runErr)
+	}
+	for si, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("keycheck: ingest shard %d: %w", si, err)
 		}
-		ns.shards[si] = nsh
-		ns.factored += len(nsh.factored) - len(old.factored)
+	}
+	rep.Shards = make([]ShardIngest, len(s.shards))
+	for si, old := range s.shards {
+		nsh, sd, sr := ns.shards[si], d.shards[si], &rep.Shards[si]
+		sr.Shard = si
+		sr.NodesTotal = nsh.forest.Nodes()
+		// The product only grows by appending: every node of the old one
+		// is the new one's by pointer.
+		sr.NodesReused = old.forest.Nodes()
+		rep.NodesReused += sr.NodesReused
+		rep.NodesBuilt += sr.NodesTotal - sr.NodesReused
 		ns.shared += len(nsh.shared)
+		if nsh == old {
+			sr.Shared = true
+			continue
+		}
+		ns.factored += len(nsh.factored) - len(old.factored)
 		rep.TouchedShards++
 		sr.NewModuli = len(sd.newMods)
 		sr.NewFactored = len(sd.newEntries)
 		sr.NewShared = len(sd.newShared)
-		sr.NodesTotal = nsh.tree.Nodes()
-		sr.NodesReused = sr.NodesTotal
-		if nsh.tree != old.tree {
-			sr.NodesReused = prodtree.SharedNodes(old.tree, nsh.tree)
-		}
-		rep.NodesReused += sr.NodesReused
-		rep.NodesBuilt += sr.NodesTotal - sr.NodesReused
 	}
 	return ns, nil
 }
 
 // mergeShard returns old plus what sd adds, copy-on-write: a fresh
-// factored map, an ExtendCtx-ed product tree (new leaves multiplied up
-// the right spine only) and a member set copied with the new keys added;
-// whatever the delta leaves alone stays shared with old.
+// factored map, the new leaves appended to the product and the new keys
+// to the member set; whatever the delta leaves alone stays shared with
+// old.
 func mergeShard(ctx context.Context, old *shard, sd *shardDelta) (*shard, error) {
-	nsh := &shard{members: old.members, tree: old.tree, shared: old.shared}
+	nsh := &shard{members: old.members, forest: old.forest, shared: old.shared}
 	nsh.factored = make(map[string]Entry, len(old.factored)+len(sd.newEntries))
 	for key, e := range old.factored {
 		nsh.factored[key] = e
@@ -620,15 +626,12 @@ func mergeShard(ctx context.Context, old *shard, sd *shardDelta) (*shard, error)
 	// Only with new members do the membership structures change; a
 	// shard that merely had members re-labeled keeps sharing them.
 	if len(sd.newMods) > 0 {
-		tree, err := prodtree.ExtendCtx(ctx, old.tree, sd.newMods)
+		forest, err := old.forest.Append(ctx, sd.newMods)
 		if err != nil {
 			return nil, err
 		}
-		nsh.tree = tree
-		nsh.members = maps.Clone(old.members)
-		for _, key := range sd.newKeys {
-			nsh.members[key] = struct{}{}
-		}
+		nsh.forest = forest
+		nsh.members = old.members.with(sd.newKeys)
 	}
 	// A member promoted to factored or shared must leave the
 	// clean-exemplar sample; novel clean keys top it back up.

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/big"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/factorable/weakkeys/internal/fingerprint"
 	"github.com/factorable/weakkeys/internal/prodtree"
@@ -120,13 +122,13 @@ func findMatesLinear(leaves, divs []*big.Int) []mate {
 // for a delta modulus sharing nothing, a member's prime — twice, as two
 // delta moduli sharing one prime give — and once a whole product of two
 // members' primes, the degenerate divisor == N.
-func matesFixture(t testing.TB, n, hits int) (*prodtree.Tree, []*big.Int) {
+func matesFixture(t testing.TB, n, hits int) (*prodtree.Forest, []*big.Int) {
 	primes := primesFrom(1<<40, 2*n)
 	leaves := make([]*big.Int, n)
 	for i := range leaves {
 		leaves[i] = mul(primes[2*i], primes[2*i+1])
 	}
-	tree, err := prodtree.New(leaves)
+	tree, err := prodtree.NewForest(context.Background(), leaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +183,50 @@ func BenchmarkFindMates(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkIngestBatch: 100-key deltas of novel 128-bit semiprimes
+// ingested one after another into a 32,768-key, 8-shard snapshot (the
+// shape of the bench's scan_ingest corpus), reporting the mean sweep and
+// merge step per delta from IngestReport.Steps. -benchtime 30x is thirty
+// such deltas.
+func BenchmarkIngestBatch(b *testing.B) {
+	const corpus, delta = 32768, 100
+	next := uint64(1 << 63)
+	semiprimes := func(n int) *scanstore.Store {
+		primes := primesFrom(next, 2*n)
+		next = primes[len(primes)-1].Uint64() + 2
+		store := scanstore.New()
+		for i := 0; i < n; i++ {
+			store.AddBareKeyObservation("10.6.0.1", date(2016, 1, 1), scanstore.SourceCensys, scanstore.SSH, mul(primes[2*i], primes[2*i+1]))
+		}
+		return store
+	}
+	ctx := context.Background()
+	base, err := Build(ctx, BuildInput{Store: semiprimes(corpus), Shards: DefaultShards})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run(fmt.Sprintf("keys=%d/delta=%d", corpus, delta), func(b *testing.B) {
+		snap := base
+		var sweep, merge time.Duration
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			in := BuildInput{Store: semiprimes(delta)}
+			b.StartTimer()
+			var rep IngestReport
+			if snap, rep, err = snap.Ingest(ctx, in); err != nil {
+				b.Fatal(err)
+			}
+			if rep.DeltaModuli != delta {
+				b.Fatalf("delta %d: %d novel keys, want %d", i, rep.DeltaModuli, delta)
+			}
+			sweep += rep.Steps.Sweep
+			merge += rep.Steps.Merge
+		}
+		b.ReportMetric(float64(sweep.Microseconds())/1e3/float64(b.N), "sweep_ms")
+		b.ReportMetric(float64(merge.Microseconds())/1e3/float64(b.N), "merge_ms")
+	})
 }
 
 // sameMap reports whether a and b are one map object, not merely equal.
@@ -365,13 +411,15 @@ func TestIngestMerge(t *testing.T) {
 		t.Error("untouched shard was not shared by reference")
 	}
 	nsh := ns.shards[si]
-	if nsh == &old || nsh.tree == old.tree || sameMap(nsh.members, old.members) {
-		t.Error("touched shard still shares its membership structures")
+	// A base of a few keys cannot take one more in its overlay: the new
+	// key folds into a new base.
+	if nsh == &old || nsh.forest == old.forest || sameMap(nsh.members.base, old.members.base) || nsh.members.overlay != nil {
+		t.Error("touched shard still shares its membership structures, or kept an overlay past the fold")
 	}
-	if _, ok := nsh.members[dmKey]; !ok || len(nsh.members) != len(old.members)+1 {
-		t.Errorf("touched shard's member set has %d keys (novel key in: %v), want the predecessor's %d plus it", len(nsh.members), ok, len(old.members))
+	if !nsh.members.has(dmKey) || nsh.members.size() != old.members.size()+1 {
+		t.Errorf("touched shard's member set has %d keys (novel key in: %v), want the predecessor's %d plus it", nsh.members.size(), nsh.members.has(dmKey), old.members.size())
 	}
-	if _, leaked := old.members[dmKey]; leaked {
+	if old.members.has(dmKey) {
 		t.Error("merge added the novel key to the predecessor's member set")
 	}
 	if _, leaked := old.factored[n3Key]; leaked || len(old.shared) != 1 {
@@ -399,22 +447,38 @@ func TestIngestMerge(t *testing.T) {
 	if rep.TouchedShards != 1 || sr.Shared || sr.NewModuli != 1 || sr.NewFactored != 1 || sr.NewShared != 1 {
 		t.Errorf("ledger %+v (touched %d), want one touched shard gaining 1/1/1", sr, rep.TouchedShards)
 	}
-	total := 0
-	for _, sh := range ns.shards {
-		total += sh.tree.Nodes()
+	total, before := 0, 0
+	for i, sh := range ns.shards {
+		total += sh.forest.Nodes()
+		before += snap.shards[i].forest.Nodes()
 	}
-	if rep.NodesReused+rep.NodesBuilt != total || sr.NodesTotal != nsh.tree.Nodes() || rep.NodesBuilt == 0 {
-		t.Errorf("node ledger: reused %d + built %d != %d total", rep.NodesReused, rep.NodesBuilt, total)
+	if rep.NodesReused+rep.NodesBuilt != total || rep.NodesReused != before || sr.NodesTotal != nsh.forest.Nodes() || rep.NodesBuilt == 0 {
+		t.Errorf("node ledger: reused %d (of %d before) + built %d != %d total", rep.NodesReused, before, rep.NodesBuilt, total)
 	}
 
-	// A re-label alone leaves tree and member set shared.
+	// Under a base eight times the delta, the new key goes to a fresh
+	// overlay and the base stays shared.
+	wide := old
+	wide.members = memberSet{base: maps.Clone(old.members.base)}
+	for i := 0; i < 8; i++ {
+		wide.members.base[fmt.Sprint("filler", i)] = struct{}{}
+	}
+	grown, err := mergeShard(ctx, &wide, sd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameMap(grown.members.base, wide.members.base) || len(grown.members.overlay) != 1 || !grown.members.has(dmKey) || wide.members.has(dmKey) {
+		t.Errorf("merge under a wide base: base shared %v, overlay %v", sameMap(grown.members.base, wide.members.base), grown.members.overlay)
+	}
+
+	// A re-label alone leaves product and member set shared.
 	relabel := &shardDelta{}
 	relabel.entry(n3Key, Entry{P: q1, Q: q2})
 	only, err := mergeShard(ctx, &old, relabel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if only.tree != old.tree || !sameMap(only.members, old.members) || len(only.shared) != 0 {
+	if only.forest != old.forest || !sameMap(only.members.base, old.members.base) || only.members.overlay != nil || len(only.shared) != 0 {
 		t.Errorf("re-label-only merge rebuilt membership structures: %+v", only)
 	}
 

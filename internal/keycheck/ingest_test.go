@@ -2,12 +2,14 @@ package keycheck
 
 import (
 	"context"
+	"fmt"
 	"math/big"
 	"testing"
 
 	"github.com/factorable/weakkeys/internal/batchgcd"
 	"github.com/factorable/weakkeys/internal/fingerprint"
 	"github.com/factorable/weakkeys/internal/scanstore"
+	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
 // Fresh fixed primes for delta fixtures — none of them appear in the
@@ -426,6 +428,79 @@ func TestIngestMateRecordedUnderItsOtherPrime(t *testing.T) {
 			if v := ns.Check(mul(pq[0], pq[1])); v.Status != StatusFactored || !v.Known || v.FactorP != hexOf(pq[0]) || v.FactorQ != hexOf(pq[1]) {
 				t.Errorf("shards=%d after ingest: %v·%v = %+v, want factored/known with the split", shards, pq[0], pq[1], v)
 			}
+		}
+	}
+}
+
+// TestIngestAcrossOverlayFolds ingests deltas of one to three keys into a
+// two-shard service until each shard's member set has folded its overlay
+// into a new base at least twice, and has answered from a non-empty
+// overlay in between. After every step every key ingested so far answers
+// Known, wherever it sits; a resubmitted key — one from the first base,
+// one from the last delta — counts as a Duplicate; the per-shard modulus
+// count in Stats and keycheck_shard_moduli is the union's; and every
+// snapshot published earlier still answers as it did.
+func TestIngestAcrossOverlayFolds(t *testing.T) {
+	const shards, start = 2, 24
+	ctx := context.Background()
+	primes := primesFrom(1<<41, 2*160)
+	keys := make([]*big.Int, len(primes)/2)
+	for i := range keys {
+		keys[i] = mul(primes[2*i], primes[2*i+1])
+	}
+	snap, err := Build(ctx, BuildInput{Store: deltaStore(t, keys[:start]...), Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	svc := NewService(snap, Config{Metrics: reg, CacheSize: -1})
+	history := map[*Snapshot]int{snap: start} // published snapshot → members
+	folds, overlaid := make([]int, shards), make([]bool, shards)
+	for have := start; have < len(keys); {
+		step := min(1+have%3, len(keys)-have)
+		delta := append([]*big.Int{keys[0], keys[have-1]}, keys[have:have+step]...)
+		prev := svc.Index().Snapshot()
+		rep, err := svc.Ingest(ctx, BuildInput{Store: deltaStore(t, delta...)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		have += step
+		if rep.DeltaModuli != step || rep.Duplicates != 2 {
+			t.Fatalf("%d keys: report %+v, want %d novel and 2 duplicates", have, rep, step)
+		}
+		live := svc.Index().Snapshot()
+		history[live] = have
+		want := make([]int, shards)
+		for _, n := range keys[:have] {
+			want[ShardOf(n, shards)]++
+			if v := live.Check(n); !v.Known || v.Status != StatusClean {
+				t.Fatalf("%d keys: member %s = %+v, want clean/known", have, n.Text(16), v)
+			}
+		}
+		for si, sh := range live.shards {
+			if !sameMap(sh.members.base, prev.shards[si].members.base) {
+				folds[si]++
+			}
+			overlaid[si] = overlaid[si] || len(sh.members.overlay) > 0
+			gauge := reg.GaugeValue(fmt.Sprintf(`keycheck_shard_moduli{shard="%d"}`, si))
+			if got := live.Stats().Shards[si].Moduli; got != want[si] || gauge != float64(want[si]) {
+				t.Fatalf("%d keys: shard %d counts %d moduli (gauge %v), want %d", have, si, got, gauge, want[si])
+			}
+		}
+	}
+	for si := range folds {
+		if folds[si] < 2 || !overlaid[si] {
+			t.Errorf("shard %d folded %d times, answered from an overlay: %v; want 2 folds and an overlay", si, folds[si], overlaid[si])
+		}
+	}
+	for old, members := range history {
+		for i, n := range keys[:min(members+1, len(keys))] {
+			if v := old.Check(n); v.Known != (i < members) {
+				t.Fatalf("snapshot of %d members: key %d answers known=%v", members, i, v.Known)
+			}
+		}
+		if old.Moduli() != members {
+			t.Errorf("snapshot of %d members now counts %d", members, old.Moduli())
 		}
 	}
 }

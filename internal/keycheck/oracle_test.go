@@ -23,7 +23,7 @@ func checkBySweep(s *Snapshot, n *big.Int) Verdict {
 	home := shardOf(key, len(s.shards))
 	v := Verdict{Status: StatusClean, ModulusBits: n.BitLen(), Shard: home, Partial: !s.owns(home)}
 	homeShard := s.shards[home]
-	_, member := homeShard.members[key]
+	member := homeShard.members.has(key)
 	if e, ok := homeShard.factored[key]; ok && member {
 		v.Status = StatusFactored
 		v.Known = true
@@ -108,10 +108,7 @@ func checkBySweep(s *Snapshot, n *big.Int) Verdict {
 // every leaf of every shard, one GCD per leaf.
 func divisorByLeafScan(s *Snapshot, n *big.Int) *big.Int {
 	for _, sh := range s.shards {
-		if sh.tree == nil {
-			continue
-		}
-		for _, leaf := range sh.tree.Leaves() {
+		for _, leaf := range sh.forest.Leaves() {
 			if g := new(big.Int).GCD(nil, nil, leaf, n); g.Cmp(one) > 0 && g.Cmp(n) < 0 {
 				return g
 			}

@@ -163,7 +163,7 @@ func (s *Service) publishGauges(snap *Snapshot) {
 	reg.Gauge("keycheck_index_moduli").Set(float64(snap.moduli))
 	reg.Gauge("keycheck_index_factored").Set(float64(snap.factored))
 	for i, sh := range snap.shards {
-		reg.Gauge(fmt.Sprintf(`keycheck_shard_moduli{shard="%d"}`, i)).Set(float64(len(sh.members)))
+		reg.Gauge(fmt.Sprintf(`keycheck_shard_moduli{shard="%d"}`, i)).Set(float64(sh.members.size()))
 		reg.Gauge(fmt.Sprintf(`keycheck_shard_factored{shard="%d"}`, i)).Set(float64(len(sh.factored)))
 	}
 }

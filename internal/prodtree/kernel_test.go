@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/factorable/weakkeys/internal/kernel"
@@ -22,8 +23,8 @@ func randVals(rng *rand.Rand, n, bits int) []*big.Int {
 
 // TestPooledBuildsMatchSerial is the bit-identical equivalence
 // property: every tree and remainder computed on a wide pooled engine
-// must equal the GOMAXPROCS=1 serial baseline, across New, Extend and
-// both remainder-tree variants, for a spread of sizes including odd
+// must equal the GOMAXPROCS=1 serial baseline, across New, Forest appends
+// and both remainder-tree variants, for a spread of sizes including odd
 // node counts. Run under -race this also exercises the pool for data
 // races on shared levels.
 func TestPooledBuildsMatchSerial(t *testing.T) {
@@ -47,27 +48,26 @@ func TestPooledBuildsMatchSerial(t *testing.T) {
 		}
 		mustEqualTrees(t, "New", n, st, pt)
 
-		// Extend both ways over a split of the same inputs.
+		// Forests both ways over a split of the same inputs.
 		if n >= 2 {
 			cut := 1 + rng.Intn(n-1)
-			sb, err := NewCtx(sctx, vals[:cut])
-			if err != nil {
-				t.Fatal(err)
+			var forests [2]*Forest
+			for w, ctx := range []context.Context{sctx, pctx} {
+				base, err := NewForest(ctx, vals[:cut])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if forests[w], err = base.Append(ctx, vals[cut:]); err != nil {
+					t.Fatal(err)
+				}
 			}
-			pb, err := NewCtx(pctx, vals[:cut])
-			if err != nil {
-				t.Fatal(err)
+			if len(forests[0].levels) != len(forests[1].levels) {
+				t.Fatalf("Append n=%d: level counts %d vs %d", n, len(forests[0].levels), len(forests[1].levels))
 			}
-			se, err := ExtendCtx(sctx, sb, vals[cut:])
-			if err != nil {
-				t.Fatal(err)
+			for lvl := range forests[0].levels {
+				mustEqualSlices(t, "Append", n, forests[0].levels[lvl], forests[1].levels[lvl])
 			}
-			pe, err := ExtendCtx(pctx, pb, vals[cut:])
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustEqualTrees(t, "Extend", n, se, pe)
-			mustEqualTrees(t, "Extend-vs-New", n, st, pe)
+			mustEqualSlices(t, "Append-vs-New", n, []*big.Int{forests[1].Root()}, []*big.Int{st.Root()})
 		}
 
 		// Remainder trees: the canonical squared call (x = root, which
@@ -160,7 +160,11 @@ func TestNoArenaAliasingInResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree2, err := ExtendCtx(ctx, tree, randVals(rng, 37, 96))
+	base, err := NewForest(ctx, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forest, err := base.Append(ctx, randVals(rng, 37, 96))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +183,8 @@ func TestNoArenaAliasingInResults(t *testing.T) {
 	// Deep-copy the expected values, then scribble over every arena
 	// scratch slot the engine can produce.
 	snapTree := copyLevels(tree.Levels)
-	snapTree2 := copyLevels(tree2.Levels)
+	forestVals := append(slices.Clip(forest.levels), []*big.Int{forest.root})
+	snapForest := copyLevels(forestVals)
 	snapRems := copySlice(rems)
 	garbage := new(big.Int).Lsh(big.NewInt(-1), 512)
 	err = eng.Run(ctx, 64, func(i int, a *kernel.Arena) {
@@ -192,7 +197,7 @@ func TestNoArenaAliasingInResults(t *testing.T) {
 	}
 
 	checkLevels(t, "New tree", tree.Levels, snapTree)
-	checkLevels(t, "Extend tree", tree2.Levels, snapTree2)
+	checkLevels(t, "Forest", forestVals, snapForest)
 	for i := range rems {
 		if rems[i].Cmp(snapRems[i]) != 0 {
 			t.Fatalf("remainder %d shares storage with a scratch arena", i)

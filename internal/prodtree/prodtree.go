@@ -11,7 +11,8 @@
 //
 // The paper scaled this computation to 81 million moduli by splitting the
 // input into k subsets (see internal/distgcd); this package provides the
-// within-subset trees.
+// within-subset trees, and Forest, the append-only product of a leaf list
+// that grows by deltas (keycheck's shards).
 package prodtree
 
 import (
@@ -77,64 +78,6 @@ func NewCtx(ctx context.Context, vals []*big.Int) (*Tree, error) {
 	return t, nil
 }
 
-// ExtendCtx returns the product tree over t's leaves followed by newLeaves,
-// reusing every node of t whose subtree is unaffected by the extension.
-// Only the right spine — the nodes whose subtree gained at least one new
-// leaf — is recomputed; at each level the unchanged prefix is shared with
-// t by reference. This is the incremental-ingest primitive: folding a
-// monthly delta into an existing corpus product costs O(log n) spine
-// multiplications plus a tree over the delta, instead of rebuilding the
-// whole tree from scratch.
-//
-// t is never modified; a nil or empty t builds a fresh tree. The shared
-// nodes make the returned tree an overlay over t: both trees stay valid,
-// and neither may have its node values mutated.
-//
-// Cancellation is checked per scheduled work chunk, like NewCtx.
-func ExtendCtx(ctx context.Context, t *Tree, newLeaves []*big.Int) (*Tree, error) {
-	if t == nil || len(t.Levels) == 0 || len(t.Levels[0]) == 0 {
-		return NewCtx(ctx, newLeaves)
-	}
-	if len(newLeaves) == 0 {
-		return t, nil
-	}
-	eng := kernel.FromContext(ctx)
-	old := t.Levels[0]
-	leaves := make([]*big.Int, 0, len(old)+len(newLeaves))
-	leaves = append(append(leaves, old...), newLeaves...)
-	nt := &Tree{Levels: [][]*big.Int{leaves}}
-	// shared is the length of the prefix of the current level that is
-	// identical to t's same level: parents of fully-old pairs stay valid,
-	// so the prefix halves per level while everything to its right — the
-	// spine absorbing the new leaves — is recomputed.
-	shared := len(old)
-	for cur := leaves; len(cur) > 1; {
-		shared /= 2
-		lvl := len(nt.Levels)
-		if lvl >= len(t.Levels) {
-			shared = 0
-		}
-		next := make([]*big.Int, (len(cur)+1)/2)
-		if shared > 0 {
-			copy(next[:shared], t.Levels[lvl][:shared])
-		}
-		err := eng.Run(ctx, len(next)-shared, func(i int, _ *kernel.Arena) {
-			j := shared + i
-			if 2*j+1 < len(cur) {
-				next[j] = new(big.Int).Mul(cur[2*j], cur[2*j+1])
-			} else {
-				next[j] = cur[2*j]
-			}
-		})
-		if err != nil {
-			return nil, fmt.Errorf("prodtree: extend cancelled at level %d: %w", len(nt.Levels), err)
-		}
-		nt.Levels = append(nt.Levels, next)
-		cur = next
-	}
-	return nt, nil
-}
-
 // Nodes returns the total node count across all levels (leaves included).
 func (t *Tree) Nodes() int {
 	if t == nil {
@@ -147,26 +90,6 @@ func (t *Tree) Nodes() int {
 	return n
 }
 
-// SharedNodes counts the nodes of b that are shared with a by reference
-// (same *big.Int), level-aligned from the leaves up. It quantifies the
-// structural sharing ExtendCtx achieves: an unchanged subtree contributes
-// all of its nodes, a rebuilt spine none.
-func SharedNodes(a, b *Tree) int {
-	if a == nil || b == nil {
-		return 0
-	}
-	shared := 0
-	for lvl := 0; lvl < len(a.Levels) && lvl < len(b.Levels); lvl++ {
-		av, bv := a.Levels[lvl], b.Levels[lvl]
-		for i := 0; i < len(av) && i < len(bv); i++ {
-			if av[i] == bv[i] {
-				shared++
-			}
-		}
-	}
-	return shared
-}
-
 // Root returns the product of all leaves. The returned value is shared
 // with the tree and must not be modified.
 func (t *Tree) Root() *big.Int {
@@ -177,46 +100,6 @@ func (t *Tree) Root() *big.Int {
 // Leaves returns the leaf level. Shared storage; do not modify.
 func (t *Tree) Leaves() []*big.Int {
 	return t.Levels[0]
-}
-
-// LeavesSharing returns the indexes, ascending, of the leaves that share
-// a factor with d: gcd(leaf, d) > 1. It descends from the root and
-// enters a subtree only when its product shares a factor with d, so it
-// costs a few reductions of geometrically shorter nodes per hit — each
-// node mod d through one Reducer — where testing every leaf costs a GCD
-// per leaf. A leaf set nobody shares with is dismissed at the root.
-// d must be positive.
-func (t *Tree) LeavesSharing(d *big.Int) []int {
-	r := NewReducer(d)
-	var rem, g big.Int
-	shares := func(node *big.Int) bool {
-		return g.GCD(nil, nil, r.Mod(&rem, node), d).Cmp(one) > 0
-	}
-	var hits []int
-	var walk func(lvl, i int) // over nodes known to share
-	walk = func(lvl, i int) {
-		if lvl == 0 {
-			hits = append(hits, i)
-			return
-		}
-		kids := t.Levels[lvl-1]
-		if 2*i+1 == len(kids) {
-			walk(lvl-1, 2*i) // an odd node carried up: the same value
-			return
-		}
-		left := shares(kids[2*i])
-		if left {
-			walk(lvl-1, 2*i)
-		}
-		// A factor of the parent that the left child lacks is the right's.
-		if !left || shares(kids[2*i+1]) {
-			walk(lvl-1, 2*i+1)
-		}
-	}
-	if top := len(t.Levels) - 1; shares(t.Levels[top][0]) {
-		walk(top, 0)
-	}
-	return hits
 }
 
 // Bytes returns the approximate memory footprint of all node values in
@@ -253,7 +136,8 @@ func endLevel(sp *telemetry.Span, lvl int, nodes []*big.Int) {
 }
 
 // RemainderTreeCtx pushes x down the product tree: it returns x mod leaf
-// for every leaf, computed with one reduction per tree node. x is not
+// for every leaf, computed with one reduction per tree node; the first,
+// x mod root, through a Reducer, so x may be many roots long. x is not
 // modified. Cancellation is checked between tree levels like NewCtx.
 //
 // This is the plain variant (reduce modulo N); batch GCD pushes the
@@ -297,15 +181,23 @@ func (t *Tree) remainderTree(ctx context.Context, x *big.Int, squared bool) ([]*
 			// may literally be the same value; reduce anyway (cheap) to
 			// keep the control flow uniform.
 			parent := cur[i/2]
-			mod := nodes[i]
-			if squared {
+			next[i] = new(big.Int)
+			switch {
+			case squared:
 				sq := a.Get()
 				sq.Mul(nodes[i], nodes[i])
-				mod = sq
+				a.Get().DivMod(parent, sq, next[i])
+			case lvl == len(t.Levels)-1:
+				// x mod root, remainder only: a shard product against a
+				// delta batch is many roots long. An x of a few roots —
+				// FactorCtx's D(root), distgcd's foreign products — takes
+				// the Reducer's plain division, the arithmetic of the
+				// levels below.
+				NewReducer(nodes[i]).Mod(next[i], parent)
+			default:
+				// The quotient, as wide as the remainder kept, lands in scratch.
+				a.Get().DivMod(parent, nodes[i], next[i])
 			}
-			// The quotient, as wide as the remainder kept, lands in scratch.
-			next[i] = new(big.Int)
-			a.Get().DivMod(parent, mod, next[i])
 		})
 		if err != nil {
 			return nil, fmt.Errorf("prodtree: remainder tree cancelled at level %d: %w", lvl, err)

@@ -207,67 +207,83 @@ func TestPooledTreeBuild(t *testing.T) {
 	}
 }
 
-// TestExtendMatchesFullBuild grows trees leaf-batch by leaf-batch and
-// checks every level against a from-scratch build over the same leaves.
+// sharedNodes counts the nodes of b that are a's by pointer, at the same
+// level and position.
+func sharedNodes(a, b *Forest) int {
+	shared := 0
+	for k := 0; k < len(a.levels) && k < len(b.levels); k++ {
+		for i := 0; i < len(a.levels[k]) && i < len(b.levels[k]); i++ {
+			if a.levels[k][i] == b.levels[k][i] {
+				shared++
+			}
+		}
+	}
+	return shared
+}
+
+// TestExtendMatchesFullBuild grows Forests leaf-batch by leaf-batch and
+// checks every level against a from-scratch Forest over the same leaves,
+// and the root against the batch-built tree's.
 func TestExtendMatchesFullBuild(t *testing.T) {
+	ctx := context.Background()
 	for _, tc := range []struct{ old, add int }{
 		{1, 1}, {1, 7}, {2, 2}, {3, 1}, {4, 4}, {5, 3}, {5, 8},
 		{7, 1}, {16, 16}, {17, 5}, {33, 9}, {100, 5}, {100, 100},
 	} {
 		vals := randInts(int64(tc.old*1000+tc.add), tc.old+tc.add, 64)
-		base, err := New(vals[:tc.old])
+		base, err := NewForest(ctx, vals[:tc.old])
 		if err != nil {
 			t.Fatal(err)
 		}
-		ext, err := ExtendCtx(context.Background(), base, vals[tc.old:])
+		ext, err := base.Append(ctx, vals[tc.old:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := New(vals)
+		full, err := NewForest(ctx, vals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ext.Levels) != len(full.Levels) {
-			t.Fatalf("old=%d add=%d: extend has %d levels, full %d", tc.old, tc.add, len(ext.Levels), len(full.Levels))
+		if len(ext.levels) != len(full.levels) {
+			t.Fatalf("old=%d add=%d: extend has %d levels, full %d", tc.old, tc.add, len(ext.levels), len(full.levels))
 		}
-		for lvl := range full.Levels {
-			if len(ext.Levels[lvl]) != len(full.Levels[lvl]) {
-				t.Fatalf("old=%d add=%d level %d: %d nodes, want %d",
-					tc.old, tc.add, lvl, len(ext.Levels[lvl]), len(full.Levels[lvl]))
-			}
-			for i := range full.Levels[lvl] {
-				if ext.Levels[lvl][i].Cmp(full.Levels[lvl][i]) != 0 {
-					t.Fatalf("old=%d add=%d: node (%d,%d) differs from full build", tc.old, tc.add, lvl, i)
-				}
-			}
+		for lvl := range full.levels {
+			mustEqualSlices(t, "Append-vs-NewForest", tc.old+tc.add, ext.levels[lvl], full.levels[lvl])
+		}
+		tree, err := New(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ext.Root().Cmp(tree.Root()) != 0 || full.Root().Cmp(tree.Root()) != 0 {
+			t.Errorf("old=%d add=%d: root differs from the batch-built tree's", tc.old, tc.add)
 		}
 	}
 }
 
-// TestExtendSharesStructure asserts Extend reuses the unaffected left
-// part of the base tree by reference and never mutates the base.
+// TestExtendSharesStructure asserts Append reuses every node of its
+// receiver by pointer, multiplies only the nodes the new leaves complete,
+// and never mutates the receiver.
 func TestExtendSharesStructure(t *testing.T) {
+	ctx := context.Background()
 	vals := randInts(42, 64+8, 64)
-	base, err := New(vals[:64])
+	base, err := NewForest(ctx, vals[:64])
 	if err != nil {
 		t.Fatal(err)
 	}
 	baseRoot := new(big.Int).Set(base.Root())
-	ext, err := ExtendCtx(context.Background(), base, vals[64:])
+	ext, err := base.Append(ctx, vals[64:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 64 old leaves, 8 new: shared prefix halves per level
-	// (64, 32, 16, 8, 4, 2, 1, then the old tree is exhausted).
-	wantShared := 64 + 32 + 16 + 8 + 4 + 2 + 1
-	if got := SharedNodes(base, ext); got != wantShared {
-		t.Errorf("SharedNodes = %d, want %d", got, wantShared)
+	// 64 old leaves: every one of the 127 nodes stays; 8 new leaves
+	// complete 8 + 4 + 2 + 1 more (72, 36, 18, 9, 4, 2, 1 in all).
+	if got, want := sharedNodes(base, ext), 64+32+16+8+4+2+1; got != want || base.Nodes() != want {
+		t.Errorf("shared %d nodes of the base's %d, want all %d", got, base.Nodes(), want)
 	}
-	if ext.Nodes() <= wantShared {
-		t.Errorf("Nodes() = %d, must exceed the shared count", ext.Nodes())
+	if got, want := ext.Nodes(), 72+36+18+9+4+2+1; got != want {
+		t.Errorf("Nodes() = %d, want %d", got, want)
 	}
 	if base.Root().Cmp(baseRoot) != 0 {
-		t.Error("Extend mutated the base tree's root")
+		t.Error("Append mutated the base's root")
 	}
 	if len(base.Leaves()) != 64 {
 		t.Errorf("base leaves grew to %d", len(base.Leaves()))
@@ -275,41 +291,48 @@ func TestExtendSharesStructure(t *testing.T) {
 }
 
 func TestExtendEdgeCases(t *testing.T) {
+	ctx := context.Background()
 	vals := randInts(7, 6, 64)
-	base, err := New(vals[:3])
+	base, err := NewForest(ctx, vals[:3])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Empty extension returns the base unchanged.
-	same, err := ExtendCtx(context.Background(), base, nil)
-	if err != nil || same != base {
-		t.Errorf("ExtendCtx(base, nil) = %v, %v; want the base tree itself", same, err)
+	// An empty append returns the receiver itself.
+	if same, err := base.Append(ctx, nil); err != nil || same != base {
+		t.Errorf("Append(nil) = %v, %v; want the receiver itself", same, err)
 	}
-	// Nil base is a fresh build.
-	fresh, err := ExtendCtx(context.Background(), nil, vals[3:])
+	// The nil Forest is the empty one: appending to it is NewForest.
+	var empty *Forest
+	fresh, err := empty.Append(ctx, vals[3:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	full, _ := New(vals[3:])
 	if fresh.Root().Cmp(full.Root()) != 0 {
-		t.Error("ExtendCtx(nil, leaves) root differs from New")
+		t.Error("nil Forest's Append root differs from New")
 	}
-	// Nil base and no leaves is the usual empty error.
-	if _, err := ExtendCtx(context.Background(), nil, nil); err != ErrEmpty {
-		t.Errorf("ExtendCtx(nil, nil) err = %v, want ErrEmpty", err)
+	if f, err := NewForest(ctx, nil); f != nil || err != nil || empty.Root() != nil || empty.Nodes() != 0 || empty.Leaves() != nil || empty.LeavesSharing(one) != nil {
+		t.Errorf("NewForest(nil) = %v, %v; want the nil, empty Forest", f, err)
 	}
 }
 
-func TestExtendCtxCancelled(t *testing.T) {
-	base, err := New(randInts(9, 32, 64))
+func TestForestAppendCancelled(t *testing.T) {
+	base, err := NewForest(context.Background(), randInts(9, 32, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExtendCtx(ctx, base, randInts(10, 8, 64)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ExtendCtx err = %v, want wrapped context.Canceled", err)
+	if _, err := base.Append(ctx, randInts(10, 8, 64)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Append err = %v, want wrapped context.Canceled", err)
 	}
+	// The cancelled append claimed base's arrays; the next one copies them.
+	vals := append(base.Leaves()[:32:32], randInts(11, 5, 64)...)
+	next, err := base.Append(context.Background(), vals[32:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkForest(t, next, vals)
 }
 
 func TestNewCtxCancelled(t *testing.T) {

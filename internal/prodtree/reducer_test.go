@@ -138,10 +138,10 @@ func somePrimes(count, bits int) []*big.Int {
 }
 
 // TestLeavesSharingMatchesLinearScan compares the descent with the
-// per-leaf scan on trees of 1 to 257 leaves — every shape of odd carry —
-// and on overlays grown by one to three ExtendCtx calls, for d = 1, d
-// coprime to every leaf, d a leaf, d a product of up to five leaf primes
-// with repeats, and d wider than the root.
+// per-leaf scan on Forests of 1 to 257 leaves — every set of peaks — built
+// at once and grown by one to three appends, for d = 1, d coprime to
+// every leaf, d a leaf, d a product of up to five leaf primes with
+// repeats, and d wider than the root.
 func TestLeavesSharingMatchesLinearScan(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(41))
@@ -151,56 +151,49 @@ func TestLeavesSharingMatchesLinearScan(t *testing.T) {
 	primes := somePrimes(600, 48)
 	stranger := primes[len(primes)-1]
 	primes = primes[:len(primes)-1]
-	check := func(tr *Tree, what string, size int, d *big.Int) {
+	check := func(f *Forest, what string, size int, d *big.Int) {
 		t.Helper()
-		got, want := tr.LeavesSharing(d), leavesSharingLinear(tr.Leaves(), d)
+		got, want := f.LeavesSharing(d), leavesSharingLinear(f.Leaves(), d)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%d leaves, d = %s: descent %v, linear scan %v", size, what, got, want)
 		}
 	}
 	for size := 1; size <= 257; size++ {
-		leaves := make([]*big.Int, size)
-		used := make([]*big.Int, 0, 2*size)
-		for i := range leaves {
-			a, b := primes[rng.Intn(2*size+3)], primes[rng.Intn(2*size+3)]
-			leaves[i] = new(big.Int).Mul(a, b)
-			used = append(used, a, b)
-		}
-		// Build the same leaf set directly and as an overlay grown in one
-		// to three extensions.
-		tr, err := New(leaves)
+		leaves, used := semiprimes(rng, primes[:2*size+3], size)
+		// Build the same leaf set at once and grown in one to three appends.
+		whole, err := NewForest(ctx, leaves)
 		if err != nil {
 			t.Fatal(err)
 		}
-		trees := []*Tree{tr}
+		forests := []*Forest{whole}
 		if size >= 2 {
 			cuts := []int{1 + rng.Intn(size-1)}
 			for len(cuts) < 1+size%3 && cuts[len(cuts)-1] < size-1 {
 				cuts = append(cuts, cuts[len(cuts)-1]+1+rng.Intn(size-1-cuts[len(cuts)-1]))
 			}
-			grown, prev := (*Tree)(nil), 0
+			grown, prev := (*Forest)(nil), 0
 			for _, cut := range append(cuts, size) {
-				if grown, err = ExtendCtx(ctx, grown, leaves[prev:cut]); err != nil {
+				if grown, err = grown.Append(ctx, leaves[prev:cut]); err != nil {
 					t.Fatal(err)
 				}
 				prev = cut
 			}
 			if len(grown.Leaves()) != size {
-				t.Fatalf("overlay holds %d leaves, want %d", len(grown.Leaves()), size)
+				t.Fatalf("grown Forest holds %d leaves, want %d", len(grown.Leaves()), size)
 			}
-			trees = append(trees, grown)
+			forests = append(forests, grown)
 		}
 		several := big.NewInt(1)
 		for i, n := 0, 1+rng.Intn(5); i < n; i++ {
 			several.Mul(several, used[rng.Intn(len(used))])
 		}
-		for _, tr := range trees {
-			check(tr, "1", size, one)
-			check(tr, "a prime no leaf has", size, stranger)
-			check(tr, "a leaf", size, leaves[rng.Intn(size)])
-			check(tr, "a leaf prime squared", size, new(big.Int).Mul(used[0], used[0]))
-			check(tr, "several leaf primes", size, several)
-			check(tr, "the root times a stranger", size, new(big.Int).Mul(tr.Root(), stranger))
+		for _, f := range forests {
+			check(f, "1", size, one)
+			check(f, "a prime no leaf has", size, stranger)
+			check(f, "a leaf", size, leaves[rng.Intn(size)])
+			check(f, "a leaf prime squared", size, new(big.Int).Mul(used[0], used[0]))
+			check(f, "several leaf primes", size, several)
+			check(f, "the root times a stranger", size, new(big.Int).Mul(f.Root(), stranger))
 		}
 	}
 }
