@@ -25,8 +25,11 @@ vet:
 	$(GO) vet ./...
 
 # vet-386 vets the tree for 32-bit words and runs the two packages whose
-# arithmetic branches on big.Word's width (the Montgomery kernel in
-# numtheory, prodtree.Reducer) against their big.Int oracles there.
+# arithmetic branches on big.Word's width (the Montgomery kernels in
+# numtheory — the slice kernel and the two-limb rho kernel, whose limbs
+# cross the big.Int boundary as pairs of 32-bit words — the base-2
+# primality gate, and prodtree.Reducer) against their big.Int oracles
+# there.
 vet-386:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/numtheory ./internal/prodtree

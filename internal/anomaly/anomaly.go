@@ -133,8 +133,9 @@ const (
 // handful of Fermat steps; small factors fall to trial division almost
 // immediately), small enough for the serving path at the widths it
 // sees. A probe that exhausts all of them on a clean modulus costs about
-// 0.3 ms at 128 bits, 5 ms at 1024, 25 ms at 2048 and 120 ms at 4096
-// (BenchmarkProbeFactor on two cores; EXPERIMENTS.md has the table).
+// 0.11 ms at 128 bits, 1.5 ms at 512, 5 ms at 1024, 21 ms at 2048 and
+// 100 ms at 4096 (BenchmarkProbeFactor on a 2-core Xeon; EXPERIMENTS.md
+// has the table).
 const (
 	DefaultFermatSteps = 512
 	DefaultTrialPrimes = 128
@@ -176,7 +177,7 @@ func (p Probe) withDefaults() Probe {
 // exhausted.
 func (p Probe) Factor(n *big.Int) (cls ProbeClass, pHit, qHit *big.Int) {
 	p = p.withDefaults()
-	if n == nil || n.Sign() <= 0 || n.BitLen() < 2 || n.ProbablyPrime(12) {
+	if n == nil || n.Sign() <= 0 || n.BitLen() < 2 || numtheory.ProbePrime(n) {
 		return ProbeNone, nil, nil
 	}
 	if p.TrialPrimes > 0 {

@@ -148,3 +148,93 @@ func isZero(x []uint64) bool {
 	}
 	return true
 }
+
+// mont2 is Montgomery arithmetic modulo an odd n of at most two 64-bit
+// limbs, with R = 2^128 whatever n's width, on values passed as
+// (low, high) limb pairs rather than slices, so a chain of rho steps
+// stays in registers. It is the kernel rho selects for such moduli, by
+// limb count alone; mont is the reference it is fuzzed against.
+type mont2 struct {
+	n0, n1 uint64 // the modulus, low limb first
+	n0inv  uint64 // -n⁻¹ mod 2⁶⁴
+	one    [2]uint64
+	r2     [2]uint64
+}
+
+// newMont2 builds the context for an odd n with 1 < n < 2^128.
+func newMont2(n *big.Int) *mont2 {
+	var limbs [2]uint64
+	limbsOf(limbs[:], n)
+	m := &mont2{n0: limbs[0], n1: limbs[1]}
+	inv := m.n0
+	for i := 0; i < 5; i++ {
+		inv *= 2 - m.n0*inv
+	}
+	m.n0inv = -inv
+	r := new(big.Int).Lsh(one, 128)
+	r.Mod(r, n)
+	limbsOf(m.one[:], r)
+	r.Mul(r, r)
+	r.Mod(r, n)
+	limbsOf(m.r2[:], r)
+	return m
+}
+
+// mul returns x·y·2⁻¹²⁸ mod n for x, y < n, by the same operand
+// scanning as mont.mul unrolled to two limbs: t stays below 2n, so it
+// fits in three limbs between rows.
+func (m *mont2) mul(x0, x1, y0, y1 uint64) (z0, z1 uint64) {
+	t0, t1, t2 := m.row(x0, x1, y0, 0, 0, 0)
+	t0, t1, t2 = m.row(x0, x1, y1, t0, t1, t2)
+	return m.reduce(t0, t1, t2)
+}
+
+// row returns (t + x·yi + q·n) / 2⁶⁴ for the q that makes the division
+// exact: one row of mul.
+func (m *mont2) row(x0, x1, yi, t0, t1, t2 uint64) (uint64, uint64, uint64) {
+	h0, l0 := bits.Mul64(x0, yi)
+	h1, l1 := bits.Mul64(x1, yi)
+	p1, c := bits.Add64(l1, h0, 0)
+	p2 := h1 + c
+	t0, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, p1, c)
+	t2, t3 := bits.Add64(t2, p2, c)
+	q := t0 * m.n0inv
+	h0, l0 = bits.Mul64(q, m.n0)
+	h1, l1 = bits.Mul64(q, m.n1)
+	p1, c = bits.Add64(l1, h0, 0)
+	p2 = h1 + c
+	_, c = bits.Add64(t0, l0, 0)
+	t0, c = bits.Add64(t1, p1, c)
+	t1, c = bits.Add64(t2, p2, c)
+	return t0, t1, t3 + c
+}
+
+// reduce returns t mod n for t < 2n held in three limbs. The choice
+// between t and t − n is a mask, not a branch: it is data-dependent and
+// a coin flip for rho's values, so a branch would mispredict half the
+// time.
+func (m *mont2) reduce(t0, t1, t2 uint64) (uint64, uint64) {
+	s0, b := bits.Sub64(t0, m.n0, 0)
+	s1, b := bits.Sub64(t1, m.n1, b)
+	_, b = bits.Sub64(t2, 0, b)
+	keep := -b // all ones when t < n
+	return s0 ^ (s0^t0)&keep, s1 ^ (s1^t1)&keep
+}
+
+// add returns x + y mod n for x, y < n.
+func (m *mont2) add(x0, x1, y0, y1 uint64) (uint64, uint64) {
+	z0, c := bits.Add64(x0, y0, 0)
+	z1, c := bits.Add64(x1, y1, c)
+	return m.reduce(z0, z1, c)
+}
+
+// sub returns x - y mod n for x, y < n.
+func (m *mont2) sub(x0, x1, y0, y1 uint64) (uint64, uint64) {
+	z0, b := bits.Sub64(x0, y0, 0)
+	z1, b := bits.Sub64(x1, y1, b)
+	wrap := -b // all ones when x < y: add n back
+	z0, c := bits.Add64(z0, m.n0&wrap, 0)
+	z1, _ = bits.Add64(z1, m.n1&wrap, c)
+	return z0, z1
+}

@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -120,9 +121,37 @@ func sameInt(a, b *big.Int) bool {
 }
 
 // oracleSteps are the budgets the equality tests cycle through: one
-// step, each side of the GCD batch boundary, the serving default, and a
-// budget of several batches.
-var oracleSteps = []int{1, 63, 64, 65, 256, 1000}
+// step, each side of the GCD batch boundary, the serving default (one
+// group of batches) and each side of it, a budget that ends inside the
+// second group, and one of several groups.
+var oracleSteps = []int{1, 63, 64, 65, 255, 256, 257, 300, 1000}
+
+// rhoTrace replays one rho run the plain way without stopping at a
+// hit: gcds holds gcd(batch product, n) for every batch completed before
+// the budget ran out or the sequence cycled, and cycle is the number of
+// steps completed before x = y, or -1. It is what the grouped GCDs must
+// reconstruct, and says which group-level cases a test reached.
+func rhoTrace(n *big.Int, c int64, maxSteps int) (gcds []*big.Int, cycle int) {
+	x, y, cc := big.NewInt(2), big.NewInt(2), big.NewInt(c)
+	prod := new(big.Int)
+	var diff big.Int
+	step := func(v *big.Int) { v.Mod(v.Add(v.Mul(v, v), cc), n) }
+	for steps := 0; steps < maxSteps; {
+		prod.SetInt64(1)
+		for i := 0; i < 64 && steps < maxSteps; i++ {
+			step(x)
+			step(y)
+			step(y)
+			if diff.Sub(x, y).Sign() == 0 {
+				return gcds, steps
+			}
+			prod.Mod(prod.Mul(prod, &diff), n)
+			steps++
+		}
+		gcds = append(gcds, new(big.Int).GCD(nil, nil, prod, n))
+	}
+	return gcds, -1
+}
 
 func randPrime(t testing.TB, rng *rand.Rand, bits int) *big.Int {
 	t.Helper()
@@ -270,24 +299,59 @@ func TestProbesMatchOracleWide(t *testing.T) {
 // requires that both of those endings were actually reached. Each run
 // is repeated with the memo squeezed to nothing, one entry and a few,
 // so the slow pointer crosses from read-back to direct stepping at
-// every position.
+// every position, and on both kernels, so the slice kernel that wide
+// moduli use meets cycles and overshoots too.
+//
+// It also requires the cases where one GCD per group of batches could
+// answer differently from one per batch: a cycle after a batch of its
+// group completed, a proper factor in a batch whose group then cycles
+// (the factor must still be reported), and a group in which a later batch also
+// shares a different factor with n (the earlier one must win).
 func TestRhoRunMatchesOracleOnEveryOutcome(t *testing.T) {
 	t.Parallel()
+	const group = rhoBatch * rhoGroup
 	seen := make(map[rhoOutcome]int)
+	var midGroupCycles, hitThenCycle, laterBatchDiffers int
+	// Below 1200 no run finds a proper factor and then cycles within the
+	// same group; 2391, 2631 and 2757 are three odd composites past it that do.
+	moduli := []int64{2391, 2631, 2757}
 	for v := int64(9); v < 1200; v += 2 {
+		moduli = append(moduli, v)
+	}
+	for _, v := range moduli {
 		n := big.NewInt(v)
 		if n.ProbablyPrime(12) {
 			continue
 		}
 		for _, maxSteps := range oracleSteps {
+			var runs []*rho
 			for _, memoLimbs := range []int{rhoMemoLimbs, 0, 1, 5, 64} {
-				r := newRho(n, maxSteps, memoLimbs)
-				for c := int64(1); c <= rhoConstants; c++ {
-					want, outcome := oracleRhoRun(n, c, maxSteps)
-					seen[outcome]++
+				runs = append(runs, newRhoOn(n, maxSteps, memoLimbs, true), newRhoOn(n, maxSteps, memoLimbs, false))
+			}
+			for c := int64(1); c <= rhoConstants; c++ {
+				want, outcome := oracleRhoRun(n, c, maxSteps)
+				seen[outcome]++
+				for _, r := range runs {
 					if got := r.run(uint64(c), maxSteps); !sameInt(got, want) {
-						t.Fatalf("n=%d c=%d maxSteps=%d memo=%d: run = %v, oracle %v (outcome %d)",
-							v, c, maxSteps, memoLimbs, got, want, outcome)
+						t.Fatalf("n=%d c=%d maxSteps=%d memo=%d two-limb=%v: run = %v, oracle %v (outcome %d)",
+							v, c, maxSteps, len(r.memo), r.m2 != nil, got, want, outcome)
+					}
+				}
+				gcds, cycle := rhoTrace(n, c, maxSteps)
+				if cycle >= 0 && cycle%group >= rhoBatch {
+					midGroupCycles++
+				}
+				hit := slices.IndexFunc(gcds, func(d *big.Int) bool { return d.Cmp(one) != 0 })
+				if hit < 0 {
+					continue
+				}
+				if cycle >= 0 && cycle/group == hit/rhoGroup && gcds[hit].Cmp(n) != 0 {
+					hitThenCycle++
+				}
+				for j := hit + 1; j < len(gcds) && j/rhoGroup == hit/rhoGroup; j++ {
+					if gcds[j].Cmp(one) != 0 && gcds[j].Cmp(gcds[hit]) != 0 {
+						laterBatchDiffers++
+						break
 					}
 				}
 			}
@@ -297,6 +361,10 @@ func TestRhoRunMatchesOracleOnEveryOutcome(t *testing.T) {
 		if seen[o] == 0 {
 			t.Errorf("no run ended with outcome %d", o)
 		}
+	}
+	if midGroupCycles == 0 || hitThenCycle == 0 || laterBatchDiffers == 0 {
+		t.Errorf("group cases not reached: %d mid-group cycles, %d hits before a cycle in their group, %d later batches with another factor",
+			midGroupCycles, hitThenCycle, laterBatchDiffers)
 	}
 }
 
@@ -391,6 +459,56 @@ func checkMont(t *testing.T, n, x, y *big.Int) {
 	if isZero(z) != (x.Cmp(y) == 0) {
 		t.Errorf("isZero(%v - %v) = %v", x, y, isZero(z))
 	}
+	if k <= 2 {
+		checkMont2(t, m, n, x, y, xs, ys)
+	}
+}
+
+// checkMont2 holds the two-limb kernel to the slice kernel m and to
+// big.Int on a modulus of one or two limbs. Its R is 2^128 even for one
+// limb, where mont's is 2^64, so there its product must equal mont's
+// multiplied once more by a plain 1.
+func checkMont2(t *testing.T, m *mont, n, x, y *big.Int, xs, ys []uint64) {
+	t.Helper()
+	m2 := newMont2(n)
+	k := len(m.n)
+	var x2, y2 [2]uint64
+	copy(x2[:], xs)
+	copy(y2[:], ys)
+	pair := func(z0, z1 uint64) *big.Int {
+		return new(big.Int).Or(new(big.Int).Lsh(new(big.Int).SetUint64(z1), 64), new(big.Int).SetUint64(z0))
+	}
+	mod := func(v *big.Int) *big.Int { return v.Mod(v, n) }
+	r := new(big.Int).Lsh(one, 128)
+
+	z, unit, scratch := make([]uint64, k), make([]uint64, k), make([]uint64, k+2)
+	unit[0] = 1
+	m.mul(z, xs, ys, scratch)
+	if k == 1 {
+		m.mul(z, z, unit, scratch)
+	}
+	var want [2]uint64
+	copy(want[:], z)
+	if g0, g1 := m2.mul(x2[0], x2[1], y2[0], y2[1]); [2]uint64{g0, g1} != want {
+		t.Errorf("mont2.mul(%v, %v) mod %v = %v, slice kernel %v", x, y, n, pair(g0, g1), pair(want[0], want[1]))
+	} else if g := pair(g0, g1); g.Cmp(n) >= 0 || mod(new(big.Int).Mul(g, r)).Cmp(mod(new(big.Int).Mul(x, y))) != 0 {
+		t.Errorf("mont2.mul(%v, %v) mod %v = %v", x, y, n, g)
+	}
+	// Into and out of Montgomery form is the identity.
+	z0, z1 := m2.mul(x2[0], x2[1], m2.r2[0], m2.r2[1])
+	if z0, z1 = m2.mul(z0, z1, 1, 0); pair(z0, z1).Cmp(x) != 0 {
+		t.Errorf("mont2 round trip of %v mod %v = %v", x, n, pair(z0, z1))
+	}
+	m.add(z, xs, ys, scratch)
+	copy(want[:], z)
+	if g0, g1 := m2.add(x2[0], x2[1], y2[0], y2[1]); [2]uint64{g0, g1} != want || pair(g0, g1).Cmp(mod(new(big.Int).Add(x, y))) != 0 {
+		t.Errorf("mont2.add(%v, %v) mod %v = %v", x, y, n, pair(g0, g1))
+	}
+	m.sub(z, xs, ys)
+	copy(want[:], z)
+	if g0, g1 := m2.sub(x2[0], x2[1], y2[0], y2[1]); [2]uint64{g0, g1} != want || pair(g0, g1).Cmp(mod(new(big.Int).Sub(x, y))) != 0 {
+		t.Errorf("mont2.sub(%v, %v) mod %v = %v", x, y, n, pair(g0, g1))
+	}
 }
 
 func TestMontMatchesBigInt(t *testing.T) {
@@ -417,7 +535,8 @@ func TestMontMatchesBigInt(t *testing.T) {
 }
 
 // FuzzMontMul holds the limb kernel to big.Int on arbitrary odd moduli
-// of 1 to 40 limbs and arbitrary reduced operands.
+// of 1 to 40 limbs and arbitrary reduced operands, and the two-limb
+// kernel to both on the moduli of one or two limbs.
 func FuzzMontMul(f *testing.F) {
 	f.Add([]byte{0x0f}, []byte{0x07}, []byte{0x0e})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe}, []byte{1})

@@ -26,6 +26,22 @@ func IsProbablePrime(n *big.Int, rounds int) bool {
 	return n.ProbablyPrime(rounds)
 }
 
+// ProbePrime is n.ProbablyPrime(12), the primality test the factoring
+// probes open with, made cheap for the composites they are pointed at:
+// an odd n with 2^(n-1) mod n ≠ 1 is proven composite by one modular
+// exponentiation, and only the survivors pay for the test's random
+// bases. The answer is always the same, because ProbablyPrime always
+// runs a base-2 Miller–Rabin round, which every such n fails.
+func ProbePrime(n *big.Int) bool {
+	if n.Sign() > 0 && n.Bit(0) == 1 {
+		nm1 := new(big.Int).Sub(n, one)
+		if nm1.Exp(two, nm1, n).Cmp(one) != 0 {
+			return false
+		}
+	}
+	return n.ProbablyPrime(12)
+}
+
 // NextPrime returns the smallest probable prime >= n. It scans odd
 // candidates; for cryptographic sizes the prime gap makes this fast. The
 // argument is not modified.

@@ -27,6 +27,40 @@ func TestIsProbablePrime(t *testing.T) {
 	}
 }
 
+// TestProbePrimeMatchesProbablyPrime holds the base-2 gate to the test
+// it fronts: on every n below 2^16 (0, 1, 2 and the even n included),
+// on the base-2 Fermat pseudoprimes below 10^4, which pass the gate and
+// leave the decision to ProbablyPrime, and on primes and semiprimes of
+// 128 and 1024 bits.
+func TestProbePrimeMatchesProbablyPrime(t *testing.T) {
+	t.Parallel()
+	check := func(n *big.Int) {
+		t.Helper()
+		if got, want := ProbePrime(n), n.ProbablyPrime(12); got != want {
+			t.Errorf("ProbePrime(%v) = %v, ProbablyPrime(12) = %v", n, got, want)
+		}
+	}
+	for v := int64(0); v < 1<<16; v++ {
+		check(big.NewInt(v))
+	}
+	pseudoprimes := []int64{341, 561, 645, 1105, 1387, 1729, 1905, 2047, 2465, 2701, 2821,
+		3277, 4033, 4369, 4371, 4681, 5461, 6601, 7957, 8321, 8481, 8911}
+	for _, v := range pseudoprimes {
+		n := big.NewInt(v)
+		if f := new(big.Int).Exp(two, big.NewInt(v-1), n); f.Cmp(one) != 0 || n.ProbablyPrime(12) {
+			t.Errorf("%d is not a base-2 Fermat pseudoprime", v)
+		}
+		check(n)
+	}
+	rng := testRand(2106)
+	for _, bits := range []int{128, 1024} {
+		p, q := randPrime(t, rng, bits), randPrime(t, rng, bits/2)
+		check(p)
+		check(new(big.Int).Mul(p, q))
+		check(new(big.Int).Mul(q, randPrime(t, rng, bits/2)))
+	}
+}
+
 func TestNextPrime(t *testing.T) {
 	cases := []struct{ in, want int64 }{
 		{0, 2}, {2, 2}, {3, 3}, {4, 5}, {14, 17}, {90, 97}, {7907, 7907},
