@@ -8,7 +8,7 @@ GO ?= go
 # tree again for 386, with the word-width arithmetic tested there), run the
 # test suite under the race detector — every fault-injection test, and
 # the e2e package's process-level checks (real binaries, signals, files
-# on disk: the study under GCD crashes, keyserverd from startup to
+# on disk: the study on one tree and on three subsets, keyserverd from startup to
 # drain with a zscand sweep bridged into it, a three-replica cluster
 # through a SIGKILL, every example and the bad-flag table) — fuzz every
 # parser and differential target briefly, guard the instrumentation

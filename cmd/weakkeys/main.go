@@ -11,12 +11,6 @@
 //	weakkeys -metrics -table 1    # plus the per-stage pipeline report
 //	weakkeys -listen :8080        # live /metrics, /debug/vars, pprof
 //	weakkeys -trace run.json      # Chrome trace_event span export
-//
-// Chaos testing (seeded fault injection, see DESIGN.md):
-//
-//	weakkeys -gcd-crash reduce:1            # kill GCD node 1 mid-reduce
-//	weakkeys -gcd-straggle build:2:30s \
-//	         -gcd-straggler-timeout 100ms   # speculate around a straggler
 package main
 
 import (
@@ -26,47 +20,15 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"github.com/factorable/weakkeys/internal/analysis"
 	"github.com/factorable/weakkeys/internal/core"
-	"github.com/factorable/weakkeys/internal/faults"
 	"github.com/factorable/weakkeys/internal/pipeline"
 	"github.com/factorable/weakkeys/internal/report"
 	"github.com/factorable/weakkeys/internal/scanstore"
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
-
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
-// gcdFaultPlan builds the node fault plan from -gcd-crash/-gcd-straggle
-// specs; nil when no fault was requested.
-func gcdFaultPlan(crashes, straggles []string) (*faults.NodePlan, error) {
-	if len(crashes) == 0 && len(straggles) == 0 {
-		return nil, nil
-	}
-	plan := faults.NewNodePlan()
-	for _, s := range crashes {
-		ph, node, err := faults.ParseCrashSpec(s)
-		if err != nil {
-			return nil, err
-		}
-		plan.Crash(node, ph)
-	}
-	for _, s := range straggles {
-		ph, node, d, err := faults.ParseStraggleSpec(s)
-		if err != nil {
-			return nil, err
-		}
-		plan.Straggle(node, ph, d)
-	}
-	return plan, nil
-}
 
 func main() {
 	var (
@@ -96,19 +58,8 @@ func main() {
 		logLevel  = flag.String("log-level", "warn", "stderr structured-log floor: debug, info, warn or error")
 		logFormat = flag.String("log-format", "text", "stderr structured-log encoding: text or json")
 		eventsN   = flag.Int("events", 1024, "flight-recorder capacity in events (/debug/events window)")
-
-		gcdCrashes, gcdStraggles multiFlag
-		gcdStragglerTimeout      = flag.Duration("gcd-straggler-timeout", 0, "speculatively re-execute GCD nodes slower than this (0 disables)")
 	)
-	flag.Var(&gcdCrashes, "gcd-crash", "inject a GCD node crash, phase:node (e.g. reduce:1); repeatable")
-	flag.Var(&gcdStraggles, "gcd-straggle", "inject a GCD node stall, phase:node:duration (e.g. build:2:30s); repeatable")
 	flag.Parse()
-
-	gcdFaults, err := gcdFaultPlan(gcdCrashes, gcdStraggles)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "weakkeys:", err)
-		os.Exit(1)
-	}
 
 	logf := func(format string, args ...any) {
 		if !*quiet {
@@ -212,15 +163,13 @@ func main() {
 			os.Exit(1)
 		}
 		study, err = core.AnalyzeStore(ctx, store, core.Options{
-			KeyBits:             *bits,
-			Subsets:             *subsets,
-			Progress:            progress,
-			Telemetry:           reg,
-			Events:              events,
-			Tracer:              tracer,
-			GCDFaults:           gcdFaults,
-			GCDStragglerTimeout: *gcdStragglerTimeout,
-			Anomalies:           *anomalies,
+			KeyBits:   *bits,
+			Subsets:   *subsets,
+			Progress:  progress,
+			Telemetry: reg,
+			Events:    events,
+			Tracer:    tracer,
+			Anomalies: *anomalies,
 		})
 	} else {
 		logf("running pipeline (scale %.2f, %d-bit keys, k=%d)...", *scale, *bits, *subsets)
@@ -238,12 +187,10 @@ func main() {
 					logf("  harvest: month %d/%d", done, total)
 				}
 			},
-			Telemetry:           reg,
-			Events:              events,
-			Tracer:              tracer,
-			GCDFaults:           gcdFaults,
-			GCDStragglerTimeout: *gcdStragglerTimeout,
-			Anomalies:           *anomalies,
+			Telemetry: reg,
+			Events:    events,
+			Tracer:    tracer,
+			Anomalies: *anomalies,
 		})
 	}
 	if err != nil {
@@ -264,12 +211,6 @@ func main() {
 	cs := study.Analyzer.CorpusStats()
 	logf("pipeline done in %v: %d host records, %d distinct moduli, %d factored",
 		time.Since(start).Round(time.Millisecond), cs.HTTPSHostRecords, cs.TotalDistinctModuli, cs.VulnerableModuli)
-	if study.GCDStats.Reassigned > 0 {
-		logf("distgcd supervisor reassigned %d subset(s) after node failures", study.GCDStats.Reassigned)
-	}
-	if study.GCDPartial != nil {
-		fmt.Fprintln(os.Stderr, "weakkeys: warning: results are partial:", study.GCDPartial)
-	}
 	if *metrics {
 		if err := study.Report.WriteText(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "weakkeys:", err)

@@ -332,9 +332,9 @@ func (rt *Router) Check(ctx context.Context, n *big.Int) RoutedVerdict {
 }
 
 // forwardHome races the home shard's owners: the preferred owner first,
-// the next hedged in after HedgeAfter (the supervise.go backup-task
-// move — a straggling replica shouldn't hold the answer hostage when a
-// peer holds the same shard), and failed attempts failing over to
+// the next hedged in after HedgeAfter (a backup request: a straggling
+// replica shouldn't hold the answer hostage when a peer holds the same
+// shard), and failed attempts failing over to
 // remaining owners. Returns the first success and the attempt count.
 func (rt *Router) forwardHome(ctx context.Context, home int, hex string) (*checkResult, int) {
 	candidates := rt.orderedOwners(home, nil)

@@ -22,16 +22,13 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/big"
-	"time"
 
 	"github.com/factorable/weakkeys/internal/analysis"
 	"github.com/factorable/weakkeys/internal/anomaly"
 	"github.com/factorable/weakkeys/internal/batchgcd"
 	"github.com/factorable/weakkeys/internal/distgcd"
-	"github.com/factorable/weakkeys/internal/faults"
 	"github.com/factorable/weakkeys/internal/fingerprint"
 	"github.com/factorable/weakkeys/internal/kernel"
 	"github.com/factorable/weakkeys/internal/pipeline"
@@ -96,22 +93,9 @@ type Options struct {
 	// and batch-GCD nodes) exportable as Chrome trace_event JSON.
 	Tracer *telemetry.Tracer
 	// Events, when set, is the structured event log the run narrates
-	// into: per-stage lifecycle events from the pipeline runner and the
-	// distgcd supervisor's crash/reassign/straggler incidents, all
+	// into: per-stage lifecycle events from the pipeline runner,
 	// inspectable live via /debug/events or post mortem via a bundle.
 	Events *telemetry.EventLog
-	// GCDFaults, when set (and Subsets >= 2), injects node failures into
-	// the distributed batch GCD for chaos testing. The supervisor
-	// reassigns dead nodes' subsets; if a subset is abandoned anyway the
-	// run degrades to partial results recorded on Study.GCDPartial
-	// instead of failing the pipeline.
-	GCDFaults *faults.NodePlan
-	// GCDStragglerTimeout, when > 0, arms the distributed GCD's
-	// speculative re-execution of straggling nodes.
-	GCDStragglerTimeout time.Duration
-	// GCDMaxReassign is passed through to distgcd.Options.MaxReassign
-	// (0 = default, negative disables reassignment).
-	GCDMaxReassign int
 	// Anomalies enables the Anomaly stage: the shared-modulus graph,
 	// exponent census, and Fermat/small-factor probe sweep over the
 	// corpus, recorded on Study.Anomaly. Off by default — the probe sweep
@@ -149,10 +133,6 @@ type Study struct {
 	Factored []batchgcd.Result
 	// GCDStats reports the distributed-run cost profile (Subsets >= 2).
 	GCDStats distgcd.Stats
-	// GCDPartial, when non-nil, records the subsets the distributed GCD
-	// abandoned after node failures: Factored is then a lower bound on
-	// the vulnerable set rather than exact.
-	GCDPartial *distgcd.PartialError
 	// Fingerprint is the Section 3.3 implementation analysis.
 	Fingerprint *fingerprint.Result
 	// Analyzer answers the longitudinal queries.
@@ -300,22 +280,11 @@ func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]
 		}},
 		{Name: StageBatchGCD, Run: func(ctx context.Context, st *pipeline.Stats) error {
 			if opts.Subsets >= 2 {
-				results, stats, err := distgcd.Run(ctx, moduli, distgcd.Options{
-					Subsets:          opts.Subsets,
-					Metrics:          opts.Telemetry,
-					Events:           opts.Events,
-					Faults:           opts.GCDFaults,
-					StragglerTimeout: opts.GCDStragglerTimeout,
-					MaxReassign:      opts.GCDMaxReassign,
-				})
-				// A partial run (some subsets abandoned after node
-				// failures) is degraded data, not a failed pipeline: keep
-				// the surviving results and record what was lost.
-				var partial *distgcd.PartialError
-				if err != nil && !errors.As(err, &partial) {
+				results, stats, err := distgcd.Run(ctx, moduli, distgcd.Options{Subsets: opts.Subsets, Metrics: opts.Telemetry})
+				if err != nil {
 					return fmt.Errorf("core: distributed batch GCD: %w", err)
 				}
-				s.Factored, s.GCDStats, s.GCDPartial = results, stats, partial
+				s.Factored, s.GCDStats = results, stats
 				st.ItemsIn, st.ItemsOut, st.Bytes = stats.ItemsIn, stats.ItemsOut, stats.Bytes
 			} else {
 				results, err := batchgcd.FactorCtx(ctx, moduli)

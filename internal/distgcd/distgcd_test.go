@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/factorable/weakkeys/internal/batchgcd"
 	"github.com/factorable/weakkeys/internal/numtheory"
@@ -198,16 +199,29 @@ func TestPeakMemShrinksWithMoreSubsets(t *testing.T) {
 	}
 }
 
+// TestRunCancelledContext cancels before the run and at several points
+// into it. 2,048 × 128-bit moduli at k=4 take long enough that the later
+// cancels land in either phase; each must fail the whole run promptly.
 func TestRunCancelledContext(t *testing.T) {
-	ps := primes(t, 11, 12, 64)
-	moduli := make([]*big.Int, 0, 6)
-	for i := 0; i+1 < len(ps); i += 2 {
-		moduli = append(moduli, new(big.Int).Mul(ps[i], ps[i+1]))
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := Run(ctx, moduli, Options{Subsets: 3}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run err = %v, want wrapped context.Canceled", err)
+	moduli, _ := mixedCorpus(t, 11, 2044, 4, 64)
+	for _, delay := range []time.Duration{-1, 0, time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelled := make(chan time.Time, 1)
+		fire := func() { cancelled <- time.Now(); cancel() }
+		if delay < 0 {
+			fire() // before the run starts
+		} else {
+			time.AfterFunc(delay, fire)
+		}
+		res, _, err := Run(ctx, moduli, Options{Subsets: 4})
+		returned := time.Now()
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("cancel after %v: %d results, err = %v; want none and a wrapped context.Canceled", delay, len(res), err)
+		}
+		if lag := returned.Sub(<-cancelled); lag > time.Second {
+			t.Errorf("cancel after %v: Run returned %v after the cancel", delay, lag)
+		}
+		cancel()
 	}
 }
 

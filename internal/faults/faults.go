@@ -1,36 +1,24 @@
 // Package faults is the deterministic fault-injection subsystem of the
-// reproduction: seeded chaos for the two layers the paper's measurement
-// machinery must survive.
+// reproduction: seeded connection-level chaos for the scan path.
 //
 // Internet scans live in a hostile network — refused connections,
 // mid-handshake resets, stalled hosts, truncated or garbled responses,
 // devices that fall over after a few probes ("Ten Years of ZMap"
-// documents retry/loss handling as core to scan correctness). And the
-// paper's 22-node batch-GCD cluster (Section 3.2, Figure 2) must survive
-// job failures and stragglers over its 86-minute runs. This package
-// provides the injection side of both stories:
+// documents loss handling as core to scan correctness). Plan schedules
+// those faults for a devices.Server (and for a simulated fleet's devices
+// and the check service's per-check chaos), drawn deterministically from
+// a seed, so a real-socket chaos test replays byte-for-byte given the
+// same seed and arrival order.
 //
-//   - Plan schedules connection-level faults for a devices.Server, drawn
-//     deterministically from a seed, so a real-socket chaos test replays
-//     byte-for-byte given the same seed and arrival order.
-//   - NodePlan schedules one-shot node crashes and stragglers by
-//     (node id, phase) for a distgcd run, driving the supervisor's
-//     reassignment path.
-//
-// Both plan types are nil-safe: every method on a nil plan reports "no
-// fault", so production call sites inject unconditionally and pay one
-// predicted branch when chaos is off — the same idiom as
-// internal/telemetry's nil handles.
+// A nil *Plan is safe: every method reports "no fault", so production
+// call sites inject unconditionally and pay one predicted branch when
+// chaos is off — the same idiom as internal/telemetry's nil handles.
 package faults
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
-	"time"
 )
 
 // Action enumerates the connection-level faults a Plan can inject,
@@ -213,149 +201,4 @@ func (p *Plan) Injected() map[Action]int64 {
 		}
 	}
 	return m
-}
-
-// Phase identifies a distributed-GCD phase for node-level injection.
-type Phase string
-
-const (
-	// PhaseBuild is the subset product-tree construction phase.
-	PhaseBuild Phase = "build"
-	// PhaseReduce is the all-products remainder/GCD phase.
-	PhaseReduce Phase = "reduce"
-)
-
-// ErrNodeCrash marks an injected cluster-node death; the distgcd
-// supervisor detects it (like any other node error) and reassigns the
-// dead node's subset to a survivor.
-var ErrNodeCrash = errors.New("faults: injected node crash")
-
-type nodePhase struct {
-	node  int
-	phase Phase
-}
-
-// NodePlan schedules node failures and stragglers for a distributed
-// batch-GCD run. Every injection is one-shot: once a crash or straggle
-// has fired for a (node, phase) it is consumed, so the reassigned or
-// speculative re-execution of that subset survives — which is exactly
-// the cluster-rescheduling behaviour being tested. A nil NodePlan
-// injects nothing.
-type NodePlan struct {
-	mu       sync.Mutex
-	crash    map[nodePhase]bool
-	straggle map[nodePhase]time.Duration
-}
-
-// NewNodePlan returns an empty NodePlan.
-func NewNodePlan() *NodePlan {
-	return &NodePlan{
-		crash:    make(map[nodePhase]bool),
-		straggle: make(map[nodePhase]time.Duration),
-	}
-}
-
-// Crash schedules node to die at the start of phase. Returns p for
-// chaining.
-func (p *NodePlan) Crash(node int, phase Phase) *NodePlan {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.crash[nodePhase{node, phase}] = true
-	return p
-}
-
-// Straggle schedules node to stall for d at the start of phase — long
-// enough, relative to the supervisor's straggler timeout, to trigger
-// speculative re-execution. Returns p for chaining.
-func (p *NodePlan) Straggle(node int, phase Phase, d time.Duration) *NodePlan {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.straggle[nodePhase{node, phase}] = d
-	return p
-}
-
-// CrashFires reports whether a crash is scheduled for (node, phase) and
-// consumes it.
-func (p *NodePlan) CrashFires(node int, phase Phase) bool {
-	if p == nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	key := nodePhase{node, phase}
-	if p.crash[key] {
-		delete(p.crash, key)
-		return true
-	}
-	return false
-}
-
-// StraggleFor returns the stall scheduled for (node, phase), consuming
-// it; zero means none.
-func (p *NodePlan) StraggleFor(node int, phase Phase) time.Duration {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	key := nodePhase{node, phase}
-	d := p.straggle[key]
-	if d > 0 {
-		delete(p.straggle, key)
-	}
-	return d
-}
-
-func parsePhase(s string) (Phase, error) {
-	switch Phase(s) {
-	case PhaseBuild, PhaseReduce:
-		return Phase(s), nil
-	}
-	return "", fmt.Errorf("faults: unknown phase %q (want %q or %q)", s, PhaseBuild, PhaseReduce)
-}
-
-// ParseCrashSpec parses a CLI crash spec of the form "phase:node",
-// e.g. "reduce:1".
-func ParseCrashSpec(s string) (Phase, int, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 2 {
-		return "", 0, fmt.Errorf("faults: crash spec %q, want phase:node", s)
-	}
-	ph, err := parsePhase(parts[0])
-	if err != nil {
-		return "", 0, err
-	}
-	node, err := strconv.Atoi(parts[1])
-	if err != nil || node < 0 {
-		return "", 0, fmt.Errorf("faults: crash spec %q: bad node id", s)
-	}
-	return ph, node, nil
-}
-
-// ParseStraggleSpec parses a CLI straggle spec of the form
-// "phase:node:duration", e.g. "build:2:200ms".
-func ParseStraggleSpec(s string) (Phase, int, time.Duration, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return "", 0, 0, fmt.Errorf("faults: straggle spec %q, want phase:node:duration", s)
-	}
-	ph, err := parsePhase(parts[0])
-	if err != nil {
-		return "", 0, 0, err
-	}
-	node, err := strconv.Atoi(parts[1])
-	if err != nil || node < 0 {
-		return "", 0, 0, fmt.Errorf("faults: straggle spec %q: bad node id", s)
-	}
-	d, err := time.ParseDuration(parts[2])
-	if err != nil || d <= 0 {
-		return "", 0, 0, fmt.Errorf("faults: straggle spec %q: bad duration", s)
-	}
-	return ph, node, d, nil
 }

@@ -1,9 +1,6 @@
 package faults
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func drawSequence(p *Plan, n int) []Decision {
 	out := make([]Decision, n)
@@ -97,55 +94,5 @@ func TestNilPlanPasses(t *testing.T) {
 	}
 	if p.Connections() != 0 || len(p.Injected()) != 0 {
 		t.Error("nil plan should report no activity")
-	}
-}
-
-func TestNodePlanOneShot(t *testing.T) {
-	p := NewNodePlan().Crash(1, PhaseReduce).Straggle(2, PhaseBuild, 50*time.Millisecond)
-	if p.CrashFires(0, PhaseReduce) || p.CrashFires(1, PhaseBuild) {
-		t.Error("crash fired for the wrong node or phase")
-	}
-	if !p.CrashFires(1, PhaseReduce) {
-		t.Error("scheduled crash did not fire")
-	}
-	if p.CrashFires(1, PhaseReduce) {
-		t.Error("crash must be one-shot: the reassigned subset would die again")
-	}
-	if d := p.StraggleFor(2, PhaseBuild); d != 50*time.Millisecond {
-		t.Errorf("straggle = %v", d)
-	}
-	if d := p.StraggleFor(2, PhaseBuild); d != 0 {
-		t.Errorf("straggle must be one-shot, got %v again", d)
-	}
-}
-
-func TestNilNodePlan(t *testing.T) {
-	var p *NodePlan
-	if p.Crash(1, PhaseBuild) != nil || p.Straggle(1, PhaseBuild, time.Second) != nil {
-		t.Error("nil node plan chaining should stay nil")
-	}
-	if p.CrashFires(1, PhaseBuild) || p.StraggleFor(1, PhaseBuild) != 0 {
-		t.Error("nil node plan must inject nothing")
-	}
-}
-
-func TestParseSpecs(t *testing.T) {
-	ph, node, err := ParseCrashSpec("reduce:1")
-	if err != nil || ph != PhaseReduce || node != 1 {
-		t.Errorf("ParseCrashSpec: %v %d %v", ph, node, err)
-	}
-	for _, bad := range []string{"", "reduce", "fly:1", "reduce:x", "reduce:-2", "reduce:1:2"} {
-		if _, _, err := ParseCrashSpec(bad); err == nil {
-			t.Errorf("ParseCrashSpec(%q) should fail", bad)
-		}
-	}
-	ph, node, d, err := ParseStraggleSpec("build:2:200ms")
-	if err != nil || ph != PhaseBuild || node != 2 || d != 200*time.Millisecond {
-		t.Errorf("ParseStraggleSpec: %v %d %v %v", ph, node, d, err)
-	}
-	for _, bad := range []string{"", "build:2", "fly:2:1s", "build:x:1s", "build:2:zzz", "build:2:-1s"} {
-		if _, _, _, err := ParseStraggleSpec(bad); err == nil {
-			t.Errorf("ParseStraggleSpec(%q) should fail", bad)
-		}
 	}
 }

@@ -47,15 +47,6 @@ type Stats struct {
 	Bytes int64
 }
 
-// Add accumulates other into s (used when merging sub-stage stats).
-func (s *Stats) Add(other Stats) {
-	s.Wall += other.Wall
-	s.CPU += other.CPU
-	s.ItemsIn += other.ItemsIn
-	s.ItemsOut += other.ItemsOut
-	s.Bytes += other.Bytes
-}
-
 // Stage is one named pipeline step. Run receives the pipeline context —
 // it must honour cancellation promptly, including mid-computation — and
 // the stage's own Stats record to fill ItemsIn/ItemsOut/Bytes (Wall and

@@ -267,11 +267,3 @@ func TestRunnerTelemetryCountsErrors(t *testing.T) {
 		t.Errorf("completed counter = %d, want 0", got)
 	}
 }
-
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Wall: time.Second, CPU: time.Second, ItemsIn: 1, ItemsOut: 2, Bytes: 3}
-	a.Add(Stats{Wall: time.Second, ItemsIn: 9, Bytes: 7})
-	if a.Wall != 2*time.Second || a.ItemsIn != 10 || a.ItemsOut != 2 || a.Bytes != 10 {
-		t.Errorf("Add result = %+v", a)
-	}
-}
