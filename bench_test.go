@@ -286,8 +286,9 @@ func BenchmarkRemainderTreeVariants(b *testing.B) {
 	})
 }
 
-// BenchmarkSizeSweep is the first cut of ROADMAP 2(c): one batch GCD per
-// size and width, split into its passes. build, residues and sweep are
+// BenchmarkSizeSweep is the first cut of ROADMAP item 5's size sweep:
+// one batch GCD per size and width, split into its passes. build,
+// residues and sweep are
 // timed around the three Batch calls; up and down come from the
 // per-level spans prodtree opens under a tracer. peak_rss_mb is the
 // process high-water mark, so run one sub-benchmark per process (see
@@ -347,36 +348,6 @@ func BenchmarkSizeSweep(b *testing.B) {
 				b.ReportMetric(peakRSSMB(), "peak_rss_mb")
 			})
 		}
-	}
-}
-
-// BenchmarkDivideVsMultiply is the measurement that parks the scaled
-// remainder tree (ROADMAP item 2b): one remainder-tree step divides a
-// 2s-word parent by an s-word node (div), and a multiply-only descent
-// would put a 2s×s product in its place (mul2s; math/big has no middle
-// product to halve it). mul is the s×s unit both are quoted in.
-func BenchmarkDivideVsMultiply(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	for _, words := range []int{256, 4096, 65536} {
-		bound := new(big.Int).Lsh(big.NewInt(1), uint(64*words))
-		x, y := new(big.Int).Rand(rng, bound), new(big.Int).Rand(rng, bound)
-		y.SetBit(y, 64*words-1, 1)
-		xy, q, r := new(big.Int).Mul(x, y), new(big.Int), new(big.Int)
-		b.Run(bname("mul/words", words), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				q.Mul(x, y)
-			}
-		})
-		b.Run(bname("mul2s/words", words), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				q.Mul(xy, y)
-			}
-		})
-		b.Run(bname("div/words", words), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				q.QuoRem(xy, y, r)
-			}
-		})
 	}
 }
 

@@ -15,13 +15,14 @@ import (
 // corpus split into batches with products P, Q1..Qm the single-tree
 // quantity (G/Ni) mod Ni of the global product G = P·Q1·…·Qm is
 //
-//	OwnResidues[i] · Residues(Q1)[i] · … · Residues(Qm)[i]  mod Ni
+//	OwnResidues(Q1, …, Qm)[i]  =  (P/Ni)·Q1·…·Qm  mod Ni
 //
-// and Divisors of that accumulator is exactly what one tree over the
-// whole corpus reports (the paper's Section 3.2). The callers differ
-// only in how they partition: one batch (FactorCtx), k round-robin
-// batches exchanging products (internal/distgcd), or a delta batch
-// against standing shard products (keycheck's Snapshot.Ingest).
+// and Divisors of it is exactly what one tree over the whole corpus
+// reports (the paper's Section 3.2). The callers differ only in how
+// they partition: one batch (FactorCtx), k round-robin batches
+// exchanging products (internal/distgcd), or a delta batch against
+// standing shard products (keycheck's Snapshot.Ingest, which needs each
+// shard's Residues apart).
 //
 // A Batch is immutable once built; its methods may run concurrently.
 type Batch struct {
@@ -54,31 +55,21 @@ func (b *Batch) Product() *big.Int { return b.tree.Root() }
 // Bytes is the product tree's approximate memory footprint.
 func (b *Batch) Bytes() int64 { return b.tree.Bytes() }
 
-// OwnResidues returns (P/Ni) mod Ni for the batch's own product, by the
-// product rule: Σj P/Nj is carried up the product tree and reduced down
-// it, and every term but P/Ni vanishes mod Ni (see
-// prodtree.CofactorResiduesCtx). The slice is the caller's to fold into.
-func (b *Batch) OwnResidues(ctx context.Context) ([]*big.Int, error) {
-	return b.tree.CofactorResiduesCtx(ctx)
+// OwnResidues returns (P/Ni)·∏foreign mod Ni for every modulus: the
+// batch's own evidence by the product rule — Σj P/Nj is carried up the
+// product tree and reduced down it, and every term but P/Ni vanishes
+// mod Ni (see prodtree.CofactorResiduesCtx) — and that of each foreign
+// product of moduli outside the batch, multiplied in at the root so the
+// tree is descended once however many there are. foreign is not
+// modified.
+func (b *Batch) OwnResidues(ctx context.Context, foreign ...*big.Int) ([]*big.Int, error) {
+	return b.tree.CofactorResiduesCtx(ctx, foreign...)
 }
 
 // Residues returns q mod Ni for a product q of moduli outside the
 // batch. q is not modified.
 func (b *Batch) Residues(ctx context.Context, q *big.Int) ([]*big.Int, error) {
 	return b.tree.RemainderTreeCtx(ctx, q)
-}
-
-// Fold multiplies r into acc in place, acc[i] = acc[i]·r[i] mod Ni, so
-// a caller combining k products holds two residue slices, not k.
-func (b *Batch) Fold(ctx context.Context, acc, r []*big.Int) error {
-	err := kernel.FromContext(ctx).Run(ctx, len(acc), func(i int, _ *kernel.Arena) {
-		acc[i].Mul(acc[i], r[i])
-		acc[i].Mod(acc[i], b.moduli[i])
-	})
-	if err != nil {
-		return fmt.Errorf("batchgcd: fold cancelled: %w", err)
-	}
-	return nil
 }
 
 // Divisors returns gcd(Ni, acc[i]) per modulus, nil where it is 1. A

@@ -18,15 +18,15 @@ func product(vals []*big.Int) *big.Int {
 
 // TestBatchAgainstNaiveMod pins each Batch operation to plain big.Int
 // arithmetic: own residues are (P/Ni) mod Ni, foreign residues q mod Ni,
-// Fold their product mod Ni, Divisors the gcd with Ni (nil where 1) —
-// and the folded accumulator yields the divisors one tree over both
-// halves reports.
+// own residues with foreign products (P/Ni)·∏q mod Ni, Divisors the gcd
+// with Ni (nil where 1) — and the combined residues yield the divisors
+// one tree over both halves reports.
 func TestBatchAgainstNaiveMod(t *testing.T) {
 	ctx := context.Background()
 	ps := corpus(t, 21, 12, 48)
 	// ours shares ps[0] inside the batch and ps[1] with the foreign half.
 	ours := []*big.Int{mul(ps[0], ps[2]), mul(ps[0], ps[3]), mul(ps[1], ps[4]), mul(ps[5], ps[6])}
-	theirs := []*big.Int{mul(ps[1], ps[7]), mul(ps[8], ps[9]), mul(ps[10], ps[11])}
+	theirs := [][]*big.Int{{mul(ps[1], ps[7]), mul(ps[8], ps[9])}, {mul(ps[10], ps[11])}}
 	b, err := NewBatch(ctx, ours)
 	if err != nil {
 		t.Fatal(err)
@@ -38,35 +38,33 @@ func TestBatchAgainstNaiveMod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := product(theirs)
-	qWant := new(big.Int).Set(q)
-	foreign, err := b.Residues(ctx, q)
+	q1, q2 := product(theirs[0]), product(theirs[1])
+	q1Want, q2Want := new(big.Int).Set(q1), new(big.Int).Set(q2)
+	foreign, err := b.Residues(ctx, q1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Cmp(qWant) != 0 {
-		t.Error("Residues modified its argument")
-	}
-	acc := make([]*big.Int, len(ours))
-	for i, n := range ours {
-		cofactor := new(big.Int).Quo(b.Product(), n)
-		if want := cofactor.Mod(cofactor, n); own[i].Cmp(want) != 0 {
-			t.Errorf("own residue %d = %v, want (P/N) mod N = %v", i, own[i], want)
-		}
-		if want := new(big.Int).Mod(q, n); foreign[i].Cmp(want) != 0 {
-			t.Errorf("foreign residue %d = %v, want q mod N = %v", i, foreign[i], want)
-		}
-		acc[i] = new(big.Int).Mul(own[i], foreign[i])
-		acc[i].Mod(acc[i], n)
-	}
-	if err := b.Fold(ctx, own, foreign); err != nil {
+	all, err := b.OwnResidues(ctx, q1, q2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range acc {
-		if own[i].Cmp(acc[i]) != 0 {
-			t.Errorf("folded residue %d = %v, want %v", i, own[i], acc[i])
+	if q1.Cmp(q1Want) != 0 || q2.Cmp(q2Want) != 0 {
+		t.Error("Residues or OwnResidues modified a foreign product")
+	}
+	for i, n := range ours {
+		cofactor := new(big.Int).Quo(b.Product(), n)
+		if want := new(big.Int).Mod(cofactor, n); own[i].Cmp(want) != 0 {
+			t.Errorf("own residue %d = %v, want (P/N) mod N = %v", i, own[i], want)
+		}
+		if want := new(big.Int).Mod(q1, n); foreign[i].Cmp(want) != 0 {
+			t.Errorf("foreign residue %d = %v, want q mod N = %v", i, foreign[i], want)
+		}
+		want := cofactor.Mul(cofactor, q1).Mul(cofactor, q2).Mod(cofactor, n)
+		if all[i].Cmp(want) != 0 {
+			t.Errorf("residue %d with foreign products = %v, want (P/N)·q1·q2 mod N = %v", i, all[i], want)
 		}
 	}
+	own = all
 	divs, err := b.Divisors(ctx, own)
 	if err != nil {
 		t.Fatal(err)
@@ -139,9 +137,9 @@ func TestBatchCancelled(t *testing.T) {
 	_, errNew := NewBatch(ctx, moduli)
 	_, errOwn := b.OwnResidues(ctx)
 	_, errRes := b.Residues(ctx, ps[0])
-	errFold := b.Fold(ctx, own, own)
+	_, errFor := b.OwnResidues(ctx, ps[0], ps[1])
 	_, errDiv := b.Divisors(ctx, own)
-	for op, err := range map[string]error{"NewBatch": errNew, "OwnResidues": errOwn, "Residues": errRes, "Fold": errFold, "Divisors": errDiv} {
+	for op, err := range map[string]error{"NewBatch": errNew, "OwnResidues": errOwn, "Residues": errRes, "OwnResidues(foreign)": errFor, "Divisors": errDiv} {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s on a cancelled context: err = %v, want wrapped context.Canceled", op, err)
 		}

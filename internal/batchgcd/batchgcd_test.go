@@ -6,8 +6,10 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/factorable/weakkeys/internal/numtheory"
+	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
 // corpus builds a deterministic test corpus: nPrimes distinct primes of
@@ -269,5 +271,41 @@ func TestFactorCtxCancelled(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Fatalf("FactorCtx results = %d, Factor = %d", len(got), len(want))
+	}
+}
+
+// TestFactorCtxCancelledInReciprocal cancels FactorCtx halfway through
+// the root's Newton reciprocal, timed from a traced run of the same
+// corpus, and wants a wrapped context.Canceled within a second.
+func TestFactorCtxCancelledInReciprocal(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	mods := make([]*big.Int, 12000) // the cost is in the widths: random odd 128-bit values
+	for i := range mods {
+		mods[i] = new(big.Int).SetBits([]big.Word{big.Word(rng.Uint64() | 1), big.Word(rng.Uint64() | 1<<63)})
+	}
+	tracer := telemetry.NewTracer()
+	if _, err := FactorCtx(telemetry.ContextWithSpan(context.Background(), tracer.Start("factor")), mods); err != nil {
+		t.Fatal(err)
+	}
+	var at time.Duration
+	for _, ev := range tracer.Events() {
+		if ev.Name == "prodtree.reciprocal" {
+			at = time.Duration((ev.TS + ev.Dur/2) * float64(time.Microsecond))
+		}
+	}
+	if at == 0 {
+		t.Fatal("no prodtree.reciprocal span: the corpus does not reach the scaled descent")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fired := make(chan time.Time, 1)
+	time.AfterFunc(at, func() { fired <- time.Now(); cancel() })
+	res, err := FactorCtx(ctx, mods)
+	returned := time.Now()
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("cancel after %v: %d results, err = %v; want none and a wrapped context.Canceled", at, len(res), err)
+	}
+	if lag := returned.Sub(<-fired); lag > time.Second {
+		t.Errorf("FactorCtx returned %v after the cancel", lag)
 	}
 }

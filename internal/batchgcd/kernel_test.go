@@ -43,14 +43,16 @@ func sharedPrimeCorpus(seed int64, n int) []*big.Int {
 // equivalence property: the pooled engine must produce results
 // bit-identical — same order, same indices, same divisors — to the
 // 1-worker serial baseline, whose arena ledger is checked afterwards.
+// The last corpus is long enough that the tree's top runs on the
+// transform multiply and the scaled descent.
 func TestFactorPooledMatchesSerial(t *testing.T) {
 	serial := kernel.New(1)
 	pooled := kernel.New(8)
 	defer serial.Close()
 	defer pooled.Close()
 
-	for _, seed := range []int64{1, 42, 2016} {
-		mods := sharedPrimeCorpus(seed, 400)
+	for _, c := range []struct{ seed, n int64 }{{1, 400}, {42, 400}, {2016, 400}, {29, 4000}} {
+		seed, mods := c.seed, sharedPrimeCorpus(c.seed, int(c.n))
 		sres, err := FactorCtx(kernel.With(context.Background(), serial), mods)
 		if err != nil {
 			t.Fatal(err)

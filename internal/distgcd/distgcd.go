@@ -13,8 +13,11 @@
 // 500 minutes on one large-memory machine.
 //
 // Here each cluster node is a goroutine with its own subset and product
-// tree; subset products are exchanged over channels, standing in for the
-// cluster interconnect. The arithmetic is identical to the real system.
+// tree; the exchange is a shared slice of the k subset products, read by
+// every node once all trees are built, standing in for the cluster
+// interconnect. Each node folds the others' products into its own tree
+// at the root and descends it once. The arithmetic is identical to the
+// real system.
 package distgcd
 
 import (
@@ -53,7 +56,11 @@ type Options struct {
 // wall-clock time, CPU the total busy time summed across nodes (the
 // paper's "1089 CPU hours"), Bytes the peak per-node product-tree
 // footprint (the paper's "70-100 GB per node"), ItemsIn the input
-// modulus count and ItemsOut the number of vulnerable results.
+// modulus count and ItemsOut the number of vulnerable results. Bytes is
+// prodtree.Tree.Bytes of the largest node's tree: the words of every
+// node value, leaves included, and nothing else — not the residues, the
+// up pass's sums, scratch, or a pass's transform tables and reciprocal,
+// which live only while that pass runs.
 type Stats struct {
 	pipeline.Stats
 	// Subsets is the effective subset count k (clamped to the number of
@@ -209,31 +216,21 @@ func (n *node) buildTree(ctx context.Context) error {
 }
 
 // reduceAll combines the evidence from every subset product into the
-// divisors the single-tree algorithm reports (see batchgcd.Batch): the
-// node's own residues, every foreign product folded in place, one gcd.
+// divisors the single-tree algorithm reports (see batchgcd.Batch): one
+// descent of the node's tree with every foreign product folded in at its
+// root, then one gcd per modulus.
 func (n *node) reduceAll(ctx context.Context, products []*big.Int) error {
 	sp := telemetry.SpanFrom(ctx).ChildTrack(fmt.Sprintf("node%d.reduce", n.id), n.id+1)
 	defer sp.End()
 	t0 := time.Now()
 	defer func() { n.busy += time.Since(t0); n.publish() }()
 
+	foreign := append(append([]*big.Int(nil), products[:n.id]...), products[n.id+1:]...)
 	// k concurrent nodes queue these passes on one GOMAXPROCS-wide
 	// kernel pool instead of spawning k goroutine sets of their own.
-	acc, err := n.batch.OwnResidues(ctx)
+	acc, err := n.batch.OwnResidues(ctx, foreign...)
 	if err != nil {
 		return err
-	}
-	for j, p := range products {
-		if j == n.id {
-			continue
-		}
-		rems, err := n.batch.Residues(ctx, p)
-		if err != nil {
-			return err
-		}
-		if err := n.batch.Fold(ctx, acc, rems); err != nil {
-			return err
-		}
 	}
 	n.divisors, err = n.batch.Divisors(ctx, acc)
 	return err

@@ -225,6 +225,38 @@ func TestRunCancelledContext(t *testing.T) {
 	}
 }
 
+// TestRunCancelledInReciprocal cancels a k=4 run halfway through the
+// first node's Newton reciprocal, timed from a traced run of the same
+// corpus, and wants a wrapped context.Canceled within a second.
+func TestRunCancelledInReciprocal(t *testing.T) {
+	moduli := randomOdd(13, 12288)
+	tracer := telemetry.NewTracer()
+	if _, _, err := Run(telemetry.ContextWithSpan(context.Background(), tracer.Start("run")), moduli, Options{Subsets: 4}); err != nil {
+		t.Fatal(err)
+	}
+	var at time.Duration
+	for _, ev := range tracer.Events() {
+		if mid := time.Duration((ev.TS + ev.Dur/2) * float64(time.Microsecond)); ev.Name == "prodtree.reciprocal" && (at == 0 || mid < at) {
+			at = mid
+		}
+	}
+	if at == 0 {
+		t.Fatal("no prodtree.reciprocal span: the nodes do not reach the scaled descent")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fired := make(chan time.Time, 1)
+	time.AfterFunc(at, func() { fired <- time.Now(); cancel() })
+	res, _, err := Run(ctx, moduli, Options{Subsets: 4})
+	returned := time.Now()
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("cancel after %v: %d results, err = %v; want none and a wrapped context.Canceled", at, len(res), err)
+	}
+	if lag := returned.Sub(<-fired); lag > time.Second {
+		t.Errorf("Run returned %v after the cancel", lag)
+	}
+}
+
 func TestRunItemsInOut(t *testing.T) {
 	ps := primes(t, 12, 6, 64)
 	// Two moduli sharing ps[0]: both vulnerable.
@@ -243,4 +275,17 @@ func TestRunItemsInOut(t *testing.T) {
 	if int(stats.ItemsOut) != len(results) || stats.ItemsOut != 2 {
 		t.Errorf("ItemsOut = %d (results %d), want 2", stats.ItemsOut, len(results))
 	}
+}
+
+// randomOdd returns n random odd integers of two 64-bit limbs: the
+// tree's cost is in the operand widths, and random integers share small
+// factors, so a batch GCD over them reports much.
+func randomOdd(seed int64, n int) []*big.Int {
+	rng := rand.New(rand.NewSource(seed))
+	vals := make([]*big.Int, n)
+	for i := range vals {
+		vals[i] = new(big.Int).Lsh(new(big.Int).SetUint64(rng.Uint64()|1<<63), 64)
+		vals[i].Or(vals[i], new(big.Int).SetUint64(rng.Uint64()|1))
+	}
+	return vals
 }

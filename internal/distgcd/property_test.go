@@ -56,6 +56,29 @@ func TestPropertyDistributedMatchesSingleTree(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+
+	// At 12,288 two-limb values every node's tree reaches the transform
+	// multiply and the scaled descent, and each takes k−1 foreign
+	// products at its root.
+	moduli := randomOdd(29, 12288)
+	single, err := batchgcd.Factor(moduli)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 2, 4} {
+		dist, _, err := Run(context.Background(), moduli, Options{Subsets: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dist) != len(single) {
+			t.Fatalf("k=%d: %d results, single tree %d", k, len(dist), len(single))
+		}
+		for i, r := range dist {
+			if r.Index != single[i].Index || r.Divisor.Cmp(single[i].Divisor) != 0 {
+				t.Fatalf("k=%d: result %d {%d %v}, single tree {%d %v}", k, i, r.Index, r.Divisor, single[i].Index, single[i].Divisor)
+			}
+		}
+	}
 }
 
 // TestPropertyDistributedMatchesPairwiseMembership checks the distributed

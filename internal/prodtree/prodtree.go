@@ -12,7 +12,9 @@
 // The paper scaled this computation to 81 million moduli by splitting the
 // input into k subsets (see internal/distgcd); this package provides the
 // within-subset trees, and Forest, the append-only product of a leaf list
-// that grows by deltas (keycheck's shards).
+// that grows by deltas (keycheck's shards). The widest levels of a tree
+// multiply on a number-theoretic transform (ntt.go), and the plain
+// descent takes them without dividing (scaled.go).
 package prodtree
 
 import (
@@ -56,6 +58,7 @@ func NewCtx(ctx context.Context, vals []*big.Int) (*Tree, error) {
 		return nil, ErrEmpty
 	}
 	eng := kernel.FromContext(ctx)
+	m := newMultiplier(ctx)
 	leaves := make([]*big.Int, len(vals))
 	copy(leaves, vals)
 	t := &Tree{Levels: [][]*big.Int{leaves}}
@@ -63,7 +66,7 @@ func NewCtx(ctx context.Context, vals []*big.Int) (*Tree, error) {
 		next := make([]*big.Int, (len(cur)+1)/2)
 		sp := telemetry.SpanFrom(ctx).Child("prodtree.build")
 		err := eng.Run(ctx, len(cur)/2, func(i int, _ *kernel.Arena) {
-			next[i] = new(big.Int).Mul(cur[2*i], cur[2*i+1])
+			next[i] = m.mul(new(big.Int), cur[2*i], cur[2*i+1])
 		})
 		if err != nil {
 			return nil, fmt.Errorf("prodtree: build cancelled at level %d: %w", len(t.Levels), err)
@@ -137,13 +140,15 @@ func endLevel(sp *telemetry.Span, lvl int, nodes []*big.Int) {
 
 // RemainderTreeCtx pushes x down the product tree: it returns x mod leaf
 // for every leaf, computed with one reduction per tree node; the first,
-// x mod root, through a Reducer, so x may be many roots long. x is not
-// modified. Cancellation is checked between tree levels like NewCtx.
+// x mod root, through a Reducer, so x may be many roots long. From a
+// root of scaledCrossover limbs the top levels take multiplications
+// instead of divisions (see scaledTop). x is not modified. Cancellation
+// is checked between tree levels like NewCtx.
 //
 // This is the plain variant (reduce modulo N); batch GCD pushes the
 // cofactor sum down it (see CofactorResiduesCtx).
 func (t *Tree) RemainderTreeCtx(ctx context.Context, x *big.Int) ([]*big.Int, error) {
-	return t.remainderTree(ctx, x, false)
+	return t.remainderTree(ctx, x, false, nil)
 }
 
 // RemainderTreeSquaredCtx returns x mod leaf² for every leaf. Bernstein's
@@ -152,13 +157,34 @@ func (t *Tree) RemainderTreeCtx(ctx context.Context, x *big.Int) ([]*big.Int, er
 // forming the exact cofactor P/Ni. Production code takes the cheaper
 // CofactorResiduesCtx; this stays as the oracle its tests compare against.
 func (t *Tree) RemainderTreeSquaredCtx(ctx context.Context, x *big.Int) ([]*big.Int, error) {
-	return t.remainderTree(ctx, x, true)
+	return t.remainderTree(ctx, x, true, nil)
 }
 
-func (t *Tree) remainderTree(ctx context.Context, x *big.Int, squared bool) ([]*big.Int, error) {
+// remainderTree returns x·∏foreign mod each leaf (mod leaf² if squared,
+// which takes no foreign products).
+func (t *Tree) remainderTree(ctx context.Context, x *big.Int, squared bool, foreign []*big.Int) ([]*big.Int, error) {
 	eng := kernel.FromContext(ctx)
 	cur := []*big.Int{x}
 	top := len(t.Levels) - 1
+	root := t.Levels[top][0]
+	switch {
+	case !squared && top >= 1 && limbs(root.Bits()) >= scaledCrossover:
+		// Multiplications only, down to the first level below the
+		// crossover; the division descent takes over below that.
+		lvl, rems, err := t.scaledTop(ctx, x, foreign)
+		if err != nil {
+			return nil, err
+		}
+		cur, top = rems, lvl-1
+	case len(foreign) > 0:
+		red := NewReducer(root)
+		z := red.Mod(new(big.Int), x)
+		for _, f := range foreign {
+			z.Mul(z, red.Mod(new(big.Int), f))
+			z.Mod(z, root)
+		}
+		cur = []*big.Int{z}
+	}
 	if squared && top >= 1 {
 		// The first descent step would reduce x mod root². For the
 		// canonical batch-GCD call x IS the root product, so x < root²
@@ -167,7 +193,6 @@ func (t *Tree) remainderTree(ctx context.Context, x *big.Int, squared bool) ([]*
 		// the level whenever x < root² is certain from bit lengths
 		// alone: bitlen(x) <= 2*bitlen(root)-2 implies
 		// x < 2^(2b-2) <= root².
-		root := t.Levels[top][0]
 		if x.BitLen() <= 2*root.BitLen()-2 {
 			top--
 		}
@@ -189,10 +214,10 @@ func (t *Tree) remainderTree(ctx context.Context, x *big.Int, squared bool) ([]*
 				a.Get().DivMod(parent, sq, next[i])
 			case lvl == len(t.Levels)-1:
 				// x mod root, remainder only: a shard product against a
-				// delta batch is many roots long. An x of a few roots —
-				// FactorCtx's D(root), distgcd's foreign products — takes
-				// the Reducer's plain division, the arithmetic of the
-				// levels below.
+				// delta batch is many roots long. An x of about a root —
+				// FactorCtx's D(root) under a short root — takes the
+				// Reducer's plain division, the arithmetic of the levels
+				// below.
 				NewReducer(nodes[i]).Mod(next[i], parent)
 			default:
 				// The quotient, as wide as the remainder kept, lands in scratch.
@@ -208,36 +233,42 @@ func (t *Tree) remainderTree(ctx context.Context, x *big.Int, squared bool) ([]*
 	return cur, nil
 }
 
-// CofactorResiduesCtx returns (P/leaf) mod leaf for every leaf, P the
-// root: the value gcd'd against each modulus by batch GCD. Going up the
-// tree it carries D(leaf) = 1, D(a·b) = D(a)·b + a·D(b), so D(root) =
-// Σj P/Nj, and every term but P/Ni is a multiple of Ni: pushing D(root)
-// down the plain remainder tree leaves (P/Ni) mod Ni at leaf i — the
-// same value as (P mod Ni²)/Ni, with operands half as wide and no
-// squarings. Cancellation is checked per work chunk in both passes.
-func (t *Tree) CofactorResiduesCtx(ctx context.Context) ([]*big.Int, error) {
+// CofactorResiduesCtx returns (P/leaf)·∏foreign mod leaf for every leaf,
+// P the root: the value gcd'd against each modulus by batch GCD. Going
+// up the tree it carries D(leaf) = 1, D(a·b) = D(a)·b + a·D(b), so
+// D(root) = Σj P/Nj, and every term but P/Ni is a multiple of Ni: pushing
+// D(root) down the plain remainder tree leaves (P/Ni) mod Ni at leaf i —
+// the same value as (P mod Ni²)/Ni, with operands half as wide and no
+// squarings. The foreign products are multiplied into D(root) mod P at
+// the root, so however many there are the tree is descended once.
+// Cancellation is checked per work chunk in both passes.
+func (t *Tree) CofactorResiduesCtx(ctx context.Context, foreign ...*big.Int) ([]*big.Int, error) {
 	eng := kernel.FromContext(ctx)
+	m := newMultiplier(ctx)
 	d := make([]*big.Int, len(t.Levels[0]))
 	for i := range d {
 		d[i] = one // shared: a D is only ever read, carried or reduced into a fresh value
 	}
 	for lvl, cur := range t.Levels[:len(t.Levels)-1] {
-		// term h of node i is D(a)·b (h = 0) or a·D(b) (h = 1).
-		term := func(z *big.Int, i, h int) *big.Int { return z.Mul(d[2*i+h], cur[2*i+1-h]) }
 		pairs := len(cur) / 2
 		next := append(make([]*big.Int, pairs, pairs+1), d[2*pairs:]...) // an odd node carries its D
 		sp := telemetry.SpanFrom(ctx).Child("prodtree.up")
 		var err error
-		if pairs >= eng.Workers() {
+		if pairs >= eng.Workers() || limbs(cur[0].Bits()) >= mulCrossover {
+			// A node whose products transform fans out across the pool
+			// on its own.
 			err = eng.Run(ctx, pairs, func(i int, a *kernel.Arena) {
-				next[i] = term(new(big.Int), i, 0)
-				next[i].Add(next[i], term(a.Get(), i, 1))
+				next[i] = m.mulAdd(new(big.Int), d[2*i], cur[2*i+1], cur[2*i], d[2*i+1], a.Get())
 			})
 		} else {
 			// Too few nodes to occupy the pool, and these are the widest:
-			// schedule a node's two products as separate ops.
+			// schedule a node's two products, D(a)·b and a·D(b), as
+			// separate ops.
 			terms := make([]*big.Int, 2*pairs)
-			err = eng.Run(ctx, 2*pairs, func(k int, _ *kernel.Arena) { terms[k] = term(new(big.Int), k/2, k%2) })
+			err = eng.Run(ctx, 2*pairs, func(k int, _ *kernel.Arena) {
+				i, h := k/2, k%2
+				terms[k] = new(big.Int).Mul(d[2*i+h], cur[2*i+1-h])
+			})
 			for i := 0; i < pairs && err == nil; i++ {
 				next[i] = terms[2*i].Add(terms[2*i], terms[2*i+1])
 			}
@@ -248,5 +279,5 @@ func (t *Tree) CofactorResiduesCtx(ctx context.Context) ([]*big.Int, error) {
 		endLevel(sp, lvl+1, next)
 		d = next
 	}
-	return t.remainderTree(ctx, d[0], false)
+	return t.remainderTree(ctx, d[0], false, foreign)
 }
