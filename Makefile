@@ -29,8 +29,9 @@ vet:
 # numtheory — the slice kernel and the two-limb rho kernel, whose limbs
 # cross the big.Int boundary as pairs of 32-bit words — the base-2
 # primality gate, prodtree.Reducer, and prodtree's number-theoretic
-# transform multiply and scaled descent, which read two 32-bit words as
-# one 64-bit limb) against their big.Int oracles there.
+# transform multiply, its fused product-and-derivative pair, chunked
+# carries and scaled descent, which read two 32-bit words as one 64-bit
+# limb) against their big.Int and radix-2 oracles there.
 vet-386:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/numtheory ./internal/prodtree

@@ -254,8 +254,9 @@ func BenchmarkProductTree(b *testing.B) {
 
 // BenchmarkRemainderTreeVariants is the DESIGN.md ablation: the plain
 // remainder tree, the squared one (Bernstein's P mod N² trick, the
-// oracle) and the product-rule cofactor tree batch GCD runs (an up pass
-// plus one plain descent).
+// oracle) and the product-rule cofactor residues batch GCD runs: one
+// plain descent of the cofactor sum, which the build carried up with the
+// products (its cost is in BenchmarkProductTree).
 func BenchmarkRemainderTreeVariants(b *testing.B) {
 	moduli := benchCorpus(b)[:1024]
 	tree, err := prodtree.New(moduli)
@@ -287,10 +288,10 @@ func BenchmarkRemainderTreeVariants(b *testing.B) {
 }
 
 // BenchmarkSizeSweep is the first cut of ROADMAP item 5's size sweep:
-// one batch GCD per size and width, split into its passes. build,
-// residues and sweep are
-// timed around the three Batch calls; up and down come from the
-// per-level spans prodtree opens under a tracer. peak_rss_mb is the
+// one batch GCD per size and width, split into its passes. build (the
+// products with their derivatives), residues and sweep are timed around
+// the three Batch calls; reciprocal and down, the residues' descent,
+// come from the spans prodtree opens under a tracer. peak_rss_mb is the
 // process high-water mark, so run one sub-benchmark per process (see
 // EXPERIMENTS.md). Inputs are seeded random odd integers with a shared
 // prime planted in every 64th: the arithmetic cost depends on operand
@@ -328,8 +329,8 @@ func BenchmarkSizeSweep(b *testing.B) {
 					pass["sweep_s"] += time.Since(t2).Seconds()
 					for _, ev := range tracer.Events() {
 						switch ev.Name {
-						case "prodtree.up":
-							pass["up_s"] += ev.Dur / 1e6
+						case "prodtree.reciprocal":
+							pass["reciprocal_s"] += ev.Dur / 1e6
 						case "prodtree.down":
 							pass["down_s"] += ev.Dur / 1e6
 						}

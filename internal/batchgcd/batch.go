@@ -56,12 +56,12 @@ func (b *Batch) Product() *big.Int { return b.tree.Root() }
 func (b *Batch) Bytes() int64 { return b.tree.Bytes() }
 
 // OwnResidues returns (P/Ni)·∏foreign mod Ni for every modulus: the
-// batch's own evidence by the product rule — Σj P/Nj is carried up the
-// product tree and reduced down it, and every term but P/Ni vanishes
-// mod Ni (see prodtree.CofactorResiduesCtx) — and that of each foreign
-// product of moduli outside the batch, multiplied in at the root so the
-// tree is descended once however many there are. foreign is not
-// modified.
+// batch's own evidence by the product rule — NewBatch's tree carried
+// Σj P/Nj up with its products, it is reduced down the tree here, and
+// every term but P/Ni vanishes mod Ni (see prodtree.CofactorResiduesCtx)
+// — and that of each foreign product of moduli outside the batch,
+// multiplied in at the root so the tree is descended once however many
+// there are. foreign is not modified.
 func (b *Batch) OwnResidues(ctx context.Context, foreign ...*big.Int) ([]*big.Int, error) {
 	return b.tree.CofactorResiduesCtx(ctx, foreign...)
 }

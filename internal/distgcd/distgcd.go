@@ -58,9 +58,10 @@ type Options struct {
 // footprint (the paper's "70-100 GB per node"), ItemsIn the input
 // modulus count and ItemsOut the number of vulnerable results. Bytes is
 // prodtree.Tree.Bytes of the largest node's tree: the words of every
-// node value, leaves included, and nothing else — not the residues, the
-// up pass's sums, scratch, or a pass's transform tables and reciprocal,
-// which live only while that pass runs.
+// node value, leaves included, and of the cofactor sum the tree carries,
+// and nothing else — not the residues, the build's lower derivatives,
+// scratch, or a pass's transform tables and reciprocal, which live only
+// while that pass runs.
 type Stats struct {
 	pipeline.Stats
 	// Subsets is the effective subset count k (clamped to the number of

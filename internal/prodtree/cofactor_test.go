@@ -136,35 +136,72 @@ func (c countdownCtx) Err() error {
 }
 
 // TestCofactorResiduesCancelledMidPass cancels at every checkpoint of
-// the computation in turn: each must surface as an error wrapping the
-// context's, and both the up pass and the down pass must be reached.
+// the build and the descent in turn: each must surface as an error
+// wrapping the context's, and both the build, which forms the cofactor
+// sum, and the descent must be reached.
 func TestCofactorResiduesCancelledMidPass(t *testing.T) {
 	eng := kernel.New(1)
 	defer eng.Close()
-	tree, err := New(randInts(4, 40, 64))
-	if err != nil {
-		t.Fatal(err)
-	}
+	vals := randInts(4, 40, 64)
 	seen := map[string]int{}
 	for k := int64(0); ; k++ {
 		left := new(atomic.Int64)
 		left.Store(k)
 		ctx := countdownCtx{kernel.With(context.Background(), eng), left}
-		_, err := tree.CofactorResiduesCtx(ctx)
+		tree, err := NewCtx(ctx, vals)
+		if err == nil {
+			_, err = tree.CofactorResiduesCtx(ctx)
+		}
 		if err == nil {
 			break
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled at checkpoint %d: err = %v, want wrapped context.Canceled", k, err)
 		}
-		for _, pass := range []string{"cofactor tree", "remainder tree"} {
+		for _, pass := range []string{"build", "remainder tree"} {
 			if strings.Contains(err.Error(), pass) {
 				seen[pass]++
 			}
 		}
 	}
-	if seen["cofactor tree"] == 0 || seen["remainder tree"] == 0 {
+	if seen["build"] == 0 || seen["remainder tree"] == 0 {
 		t.Fatalf("cancellations seen per pass: %v, want both passes", seen)
+	}
+}
+
+// TestTreeCarriesCofactorSum holds the cofactor sum the build carries to
+// Σj P/Nj computed leaf by leaf: over one leaf, odd counts whose carried
+// nodes keep their D, leaves long enough that pairs go through the
+// transform, and on a pooled engine against a 1-worker one.
+func TestTreeCarriesCofactorSum(t *testing.T) {
+	serial := kernel.New(1)
+	pooled := kernel.New(4)
+	defer serial.Close()
+	defer pooled.Close()
+	sctx := kernel.With(context.Background(), serial)
+	pctx := kernel.With(context.Background(), pooled)
+	rng := rand.New(rand.NewSource(17))
+	long := 64*pairCrossover + 9 // pairs of two of these transform, D and all
+	for _, c := range []struct{ n, bits int }{{1, 64}, {2, 64}, {3, 128}, {7, 96}, {33, 1024}, {1000, 128}, {7, long}, {5, long / 2}} {
+		vals := randVals(rng, c.n, c.bits)
+		st, err := NewCtx(sctx, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, err := NewCtx(pctx, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := new(big.Int)
+		for _, v := range vals {
+			want.Add(want, new(big.Int).Quo(st.Root(), v))
+		}
+		if st.cofactors.Cmp(want) != 0 {
+			t.Fatalf("%d × %d bits: D(root) differs from Σ P/Nj", c.n, c.bits)
+		}
+		if pt.cofactors.Cmp(want) != 0 {
+			t.Fatalf("%d × %d bits: pooled D(root) differs from the 1-worker one", c.n, c.bits)
+		}
 	}
 }
 
@@ -195,13 +232,17 @@ func TestPerLevelSpans(t *testing.T) {
 			t.Errorf("%s level %d: words = %v", ev.Name, lvl, ev.Args["words"])
 		}
 	}
-	// Build and up produce every level above the leaves; down reduces
-	// against every level, the root included.
-	want := map[string]int{"prodtree.build": levels - 1, "prodtree.up": levels - 1, "prodtree.down": levels}
-	for name, n := range want {
-		if count[name] != n {
-			t.Errorf("%s spans = %d, want %d (tree has %d levels)", name, count[name], n, levels)
+	// The build produces every level above the leaves, with its
+	// derivatives; down reduces against every level, the root included.
+	// There is no other pass.
+	want := map[string]int{"prodtree.build": levels - 1, "prodtree.down": levels}
+	for name, n := range count {
+		if want[name] != n {
+			t.Errorf("%s spans = %d, want %d (tree has %d levels)", name, n, want[name], levels)
 		}
+	}
+	if len(count) != len(want) {
+		t.Errorf("span names %v, want %v", count, want)
 	}
 
 	bare := context.Background()

@@ -172,8 +172,9 @@ func TestNoArenaAliasingInResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The cofactor path sums an arena product into each up-pass node and
-	// divides with an arena quotient on the way down.
+	// The build sums an arena product into each pair's derivative below
+	// the transform, and the cofactor descent divides with an arena
+	// quotient.
 	cofs, err := tree.CofactorResiduesCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +183,8 @@ func TestNoArenaAliasingInResults(t *testing.T) {
 
 	// Deep-copy the expected values, then scribble over every arena
 	// scratch slot the engine can produce.
-	snapTree := copyLevels(tree.Levels)
+	treeVals := append(slices.Clip(tree.Levels), []*big.Int{tree.cofactors})
+	snapTree := copyLevels(treeVals)
 	forestVals := append(slices.Clip(forest.levels), []*big.Int{forest.root})
 	snapForest := copyLevels(forestVals)
 	snapRems := copySlice(rems)
@@ -196,7 +198,7 @@ func TestNoArenaAliasingInResults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	checkLevels(t, "New tree", tree.Levels, snapTree)
+	checkLevels(t, "New tree", treeVals, snapTree)
 	checkLevels(t, "Forest", forestVals, snapForest)
 	for i := range rems {
 		if rems[i].Cmp(snapRems[i]) != 0 {

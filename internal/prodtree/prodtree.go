@@ -3,11 +3,13 @@
 // batch GCD algorithm ("How to find smooth parts of integers").
 //
 // A product tree stores, level by level, the pairwise products of its
-// inputs up to the single root product. A remainder tree then pushes a
-// value (a foreign product, or the cofactor sum Σj P/Nj carried up the
-// tree by the product rule) back down it, reducing modulo each node, so
-// that the value modulo every individual leaf is obtained in quasilinear
-// total time instead of n independent divisions by a huge number.
+// inputs up to the single root product. Its build carries each node's
+// derivative by the product rule, D(leaf) = 1, D(a·b) = D(a)·b + a·D(b),
+// so the tree holds the cofactor sum D(root) = Σj P/Nj beside its root.
+// A remainder tree then pushes a value (a foreign product, or that
+// cofactor sum) back down it, reducing modulo each node, so that the
+// value modulo every individual leaf is obtained in quasilinear total
+// time instead of n independent divisions by a huge number.
 //
 // The paper scaled this computation to 81 million moduli by splitting the
 // input into k subsets (see internal/distgcd); this package provides the
@@ -32,6 +34,9 @@ import (
 // level holds a single root equal to the product of all leaves.
 type Tree struct {
 	Levels [][]*big.Int
+	// cofactors is D(root) = Σj P/Nj, built with the levels: the value
+	// CofactorResiduesCtx pushes down them. Shared; never modified.
+	cofactors *big.Int
 }
 
 // ErrEmpty is returned when a tree is requested over no inputs.
@@ -53,6 +58,11 @@ func New(vals []*big.Int) (*Tree, error) {
 // a single upper level is minutes of work, and sub-level checks are
 // what let an operator abort an 81M-moduli run without waiting for the
 // central product.
+//
+// Each level forms its nodes' derivatives with their products (see
+// mulPair): on the transform one convolution per pair makes both. A
+// level with fewer pairs than workers, below the transform, schedules
+// each pair's three products a·b, D(a)·b and a·D(b) as separate ops.
 func NewCtx(ctx context.Context, vals []*big.Int) (*Tree, error) {
 	if len(vals) == 0 {
 		return nil, ErrEmpty
@@ -62,22 +72,48 @@ func NewCtx(ctx context.Context, vals []*big.Int) (*Tree, error) {
 	leaves := make([]*big.Int, len(vals))
 	copy(leaves, vals)
 	t := &Tree{Levels: [][]*big.Int{leaves}}
+	d := make([]*big.Int, len(leaves))
+	for i := range d {
+		d[i] = one // shared: a D is only ever read, carried or multiplied into a fresh value
+	}
 	for cur := leaves; len(cur) > 1; {
+		pairs := len(cur) / 2
 		next := make([]*big.Int, (len(cur)+1)/2)
+		dn := make([]*big.Int, len(next))
 		sp := telemetry.SpanFrom(ctx).Child("prodtree.build")
-		err := eng.Run(ctx, len(cur)/2, func(i int, _ *kernel.Arena) {
-			next[i] = m.mul(new(big.Int), cur[2*i], cur[2*i+1])
-		})
+		var err error
+		if pairs >= eng.Workers() || limbs(cur[0].Bits()) >= pairCrossover {
+			err = eng.Run(ctx, pairs, func(i int, a *kernel.Arena) {
+				next[i], dn[i] = m.mulPair(cur[2*i], cur[2*i+1], d[2*i], d[2*i+1], a.Get())
+			})
+		} else {
+			terms := make([]*big.Int, 3*pairs)
+			err = eng.Run(ctx, 3*pairs, func(k int, _ *kernel.Arena) {
+				i := k / 3
+				x, y := cur[2*i], cur[2*i+1] // a·b, then D(a)·b, then a·D(b)
+				switch k % 3 {
+				case 1:
+					x = d[2*i]
+				case 2:
+					y = d[2*i+1]
+				}
+				terms[k] = new(big.Int).Mul(x, y)
+			})
+			for i := 0; i < pairs && err == nil; i++ {
+				next[i], dn[i] = terms[3*i], terms[3*i+1].Add(terms[3*i+1], terms[3*i+2])
+			}
+		}
 		if err != nil {
 			return nil, fmt.Errorf("prodtree: build cancelled at level %d: %w", len(t.Levels), err)
 		}
-		if len(cur)%2 == 1 {
-			next[len(next)-1] = cur[len(cur)-1]
+		if len(cur)%2 == 1 { // an odd node is carried up with its D
+			next[len(next)-1], dn[len(dn)-1] = cur[len(cur)-1], d[len(d)-1]
 		}
 		endLevel(sp, len(t.Levels), next)
 		t.Levels = append(t.Levels, next)
-		cur = next
+		cur, d = next, dn
 	}
+	t.cofactors = d[0]
 	return t, nil
 }
 
@@ -105,12 +141,12 @@ func (t *Tree) Leaves() []*big.Int {
 	return t.Levels[0]
 }
 
-// Bytes returns the approximate memory footprint of all node values in
-// bytes. The paper reports 70-100 GB per node at the 81M-moduli scale; the
-// benchmark harness uses this to reproduce the memory column of that
-// comparison at simulation scale.
+// Bytes returns the approximate memory footprint of all node values and
+// the cofactor sum in bytes. The paper reports 70-100 GB per node at the
+// 81M-moduli scale; the benchmark harness uses this to reproduce the
+// memory column of that comparison at simulation scale.
 func (t *Tree) Bytes() int64 {
-	var total int64
+	total := int64(len(t.cofactors.Bits())) * wordBytes
 	for _, level := range t.Levels {
 		total += levelWords(level) * wordBytes
 	}
@@ -234,50 +270,13 @@ func (t *Tree) remainderTree(ctx context.Context, x *big.Int, squared bool, fore
 }
 
 // CofactorResiduesCtx returns (P/leaf)·∏foreign mod leaf for every leaf,
-// P the root: the value gcd'd against each modulus by batch GCD. Going
-// up the tree it carries D(leaf) = 1, D(a·b) = D(a)·b + a·D(b), so
-// D(root) = Σj P/Nj, and every term but P/Ni is a multiple of Ni: pushing
-// D(root) down the plain remainder tree leaves (P/Ni) mod Ni at leaf i —
-// the same value as (P mod Ni²)/Ni, with operands half as wide and no
-// squarings. The foreign products are multiplied into D(root) mod P at
-// the root, so however many there are the tree is descended once.
-// Cancellation is checked per work chunk in both passes.
+// P the root: the value gcd'd against each modulus by batch GCD. The
+// tree's cofactor sum D(root) = Σj P/Nj has every term but P/Ni a
+// multiple of Ni, so pushing it down the plain remainder tree leaves
+// (P/Ni) mod Ni at leaf i — the same value as (P mod Ni²)/Ni, with
+// operands half as wide and no squarings. The foreign products are
+// multiplied into D(root) mod P at the root, so however many there are
+// the tree is descended once. Cancellation is checked per work chunk.
 func (t *Tree) CofactorResiduesCtx(ctx context.Context, foreign ...*big.Int) ([]*big.Int, error) {
-	eng := kernel.FromContext(ctx)
-	m := newMultiplier(ctx)
-	d := make([]*big.Int, len(t.Levels[0]))
-	for i := range d {
-		d[i] = one // shared: a D is only ever read, carried or reduced into a fresh value
-	}
-	for lvl, cur := range t.Levels[:len(t.Levels)-1] {
-		pairs := len(cur) / 2
-		next := append(make([]*big.Int, pairs, pairs+1), d[2*pairs:]...) // an odd node carries its D
-		sp := telemetry.SpanFrom(ctx).Child("prodtree.up")
-		var err error
-		if pairs >= eng.Workers() || limbs(cur[0].Bits()) >= mulCrossover {
-			// A node whose products transform fans out across the pool
-			// on its own.
-			err = eng.Run(ctx, pairs, func(i int, a *kernel.Arena) {
-				next[i] = m.mulAdd(new(big.Int), d[2*i], cur[2*i+1], cur[2*i], d[2*i+1], a.Get())
-			})
-		} else {
-			// Too few nodes to occupy the pool, and these are the widest:
-			// schedule a node's two products, D(a)·b and a·D(b), as
-			// separate ops.
-			terms := make([]*big.Int, 2*pairs)
-			err = eng.Run(ctx, 2*pairs, func(k int, _ *kernel.Arena) {
-				i, h := k/2, k%2
-				terms[k] = new(big.Int).Mul(d[2*i+h], cur[2*i+1-h])
-			})
-			for i := 0; i < pairs && err == nil; i++ {
-				next[i] = terms[2*i].Add(terms[2*i], terms[2*i+1])
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("prodtree: cofactor tree cancelled at level %d: %w", lvl+1, err)
-		}
-		endLevel(sp, lvl+1, next)
-		d = next
-	}
-	return t.remainderTree(ctx, d[0], false, foreign)
+	return t.remainderTree(ctx, t.cofactors, false, foreign)
 }
