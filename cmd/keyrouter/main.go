@@ -2,14 +2,15 @@
 // index itself, only the placement arithmetic. A /v1/check for a corpus
 // member is answered by the replica owning the modulus's home shard in
 // one hop; a novel modulus is scatter-gathered across owners of every
-// shard so the distributed GCD sweep still covers the whole corpus.
+// shard — the fewest replicas that hold them all — so the distributed
+// GCD sweep still covers the whole corpus.
 // Replica failures retry against placement peers with backoff, slow
 // home forwards are hedged to the secondary owner, and when a shard has
 // no reachable owner the router answers from the coverage it has with
 // "degraded": true and the unreachable shard list instead of a 500.
 //
 //	POST /v1/check       route one modulus/certificate check
-//	POST /v1/ingest      route new moduli to their home-shard owners
+//	POST /v1/ingest      write new moduli to every owner of their home shards
 //	GET  /v1/exemplars   proxied from any usable replica
 //	GET  /cluster/status placement, per-replica health, breakers
 //	GET  /healthz        router liveness

@@ -191,8 +191,8 @@ func TestKeyserverd(t *testing.T) {
 }
 
 // TestCluster runs three partial-snapshot keyserverd replicas behind a keyrouter, each told only
-// the ordered peer list: routed verdicts with full coverage, a routed ingest that sync carries to
-// every owner, keyload through a SIGKILL of one replica with no verdict lost, and that replica's
+// the ordered peer list: routed verdicts with full coverage, a routed ingest written to every
+// owner, keyload through a SIGKILL of one replica with no verdict lost, and that replica's
 // restart, which recovers the ingested keys from its peers' journals.
 func TestCluster(t *testing.T) {
 	t.Parallel()
@@ -245,9 +245,9 @@ func TestCluster(t *testing.T) {
 		t.Errorf("novel key via the router: %+v", v)
 	}
 
-	// A routed ingest lands on the home-shard owners at once, and the
-	// journal pull carries each key to the other owner of its shard:
-	// the summed corpus grows by 2 keys x replication 2.
+	// A routed ingest is written to both owners of each key's home shard
+	// at once (the journal pull re-delivers it as a no-op): the summed
+	// corpus grows by 2 keys x replication 2.
 	var rep struct {
 		keycheck.IngestReport
 		Degraded bool
@@ -256,7 +256,7 @@ func TestCluster(t *testing.T) {
 	if v := check(t, base, first.Text(16), ""); rep.DeltaModuli != 2 || rep.Degraded || !v.Known {
 		t.Errorf("routed ingest: %+v; its first key, asked for at once: %+v", rep, v)
 	}
-	router.poll("sync to reach every owner, and no other replica", func() bool { return indexed() == baseline+4 })
+	router.poll("every owner, and no other replica, to index the keys", func() bool { return indexed() == baseline+4 })
 
 	// Load through the router; one replica dies once checks are flowing.
 	const served = `cluster_http_requests_total{code="200"}`

@@ -102,6 +102,55 @@ func crossOwnedShards(p *Placement) (sA, sB int, ok bool) {
 	return 0, 0, false
 }
 
+// windowShards finds the routing window's shape: shards sA and sB where
+// sA's primary owner holds sB only as a secondary copy, and sB's primary
+// is first owner of no shard outside sA's primary — so a check of a key
+// homed in sA, answered clean by that primary, never asks sB's primary
+// under the per-shard first-owner rule.
+func windowShards(p *Placement) (sA, sB int, ok bool) {
+	for sA = 0; sA < p.Shards(); sA++ {
+		rA := p.Owners(sA)[0]
+		for sB = 0; sB < p.Shards(); sB++ {
+			owners := p.Owners(sB)
+			if owners[0] == rA || !slices.Contains(owners, rA) {
+				continue
+			}
+			asked := false
+			for s := 0; s < p.Shards(); s++ {
+				if !slices.Contains(p.Owners(s), rA) && p.Owners(s)[0] == owners[0] {
+					asked = true
+				}
+			}
+			if !asked {
+				return sA, sB, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// freshPrime is a prime absent from the golden corpus.
+var freshPrime = mustHex("eb1289b4ab6c337f")
+
+// homedIn returns a multiple of the prime shared, with a prime cofactor
+// brute-forced to home it in shard. The cofactor is prime so that no
+// anomaly probe (a small factor, say) can call the key compromised: only
+// the shared prime can.
+func homedIn(t *testing.T, p *Placement, shared *big.Int, shard int) *big.Int {
+	t.Helper()
+	c := mustHex("c9d2a6e12c43b285")
+	two := big.NewInt(2)
+	for i := 0; i < 1<<15; i++ {
+		m := new(big.Int).Mul(shared, c)
+		if keycheck.ShardOf(m, p.Shards()) == shard && c.ProbablyPrime(20) {
+			return m
+		}
+		c.Add(c, two)
+	}
+	t.Fatalf("no prime cofactor homes a multiple of %s in shard %d", shared.Text(16), shard)
+	return nil
+}
+
 // hasBite reports whether a placement has the shape the router tests
 // assert against: no replica holds a copy of every shard (else a novel
 // check never scatters and one survivor covers the whole corpus), and a
@@ -209,4 +258,35 @@ func replicaByAddr(t *testing.T, replicas []*testReplica, addr string) *testRepl
 	}
 	t.Fatalf("no test replica %s", addr)
 	return nil
+}
+
+// TestRoutedIngestClosesWindow pins the routing window that a
+// single-owner routed ingest left open: keys A and B share a prime, A's
+// home primary holds B's shard only as a secondary copy, and B's primary
+// is asked for nothing when A's check scatters. Had B landed on its
+// primary alone, A's primary would vouch for a copy of B's shard without
+// B and the check would answer clean, undegraded, until a sync pull.
+// Written to every owner, B reaches A's primary at once, and the check
+// before any sync is compromised.
+func TestRoutedIngestClosesWindow(t *testing.T) {
+	ctx := context.Background()
+	for draw := 0; draw < 16; draw++ {
+		rt, _ := newTestCluster(t, 3, 8, 2)
+		p := rt.Placement()
+		sA, sB, ok := windowShards(p)
+		if !ok {
+			continue
+		}
+		mA, mB := homedIn(t, p, freshPrime, sA), homedIn(t, p, freshPrime, sB)
+		for _, m := range []*big.Int{mA, mB} {
+			if resp := rt.ingest(ctx, []string{m.Text(16)}, []*big.Int{m}); resp.DeltaModuli != 1 || resp.Degraded {
+				t.Fatalf("routed ingest = %+v, want one modulus on every owner", resp)
+			}
+		}
+		if v := rt.Check(ctx, mA); !v.Compromised() || v.Degraded {
+			t.Errorf("check of A before any sync = %+v degraded=%v, want compromised", v.Verdict, v.Degraded)
+		}
+		return
+	}
+	t.Fatal("no placement with a routing window in 16 draws")
 }

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -51,5 +53,36 @@ func FuzzDecodeSyncPage(f *testing.F) {
 				t.Fatalf("modulus %q parsed to %v", hex, n)
 			}
 		}
+	})
+}
+
+// FuzzCover drives one check round of the cover loop over a rendezvous
+// placement of 1-8 replicas, R 1-4 and 1-64 shards, with arbitrary
+// needed shards, usable replicas and per-replica failed shards (one
+// byte-rotated mask). checkRound asserts that every needed shard is
+// asked of exactly one replica that owns it, that an unusable replica
+// is asked only when no usable candidate is left, and that no more
+// replicas are asked than the per-shard first-owner rule would.
+func FuzzCover(f *testing.F) {
+	f.Add(uint8(3), uint8(2), uint8(8), uint64(0xff), uint8(0xff), uint64(0))
+	f.Add(uint8(5), uint8(3), uint8(16), uint64(0xf0f0), uint8(0x1b), uint64(0x00ff00ff00ff00ff))
+	f.Add(uint8(8), uint8(1), uint8(64), ^uint64(0), uint8(0), ^uint64(0))
+	f.Fuzz(func(t *testing.T, nReplicas, replication, shards uint8, need uint64, usableBits uint8, failedBits uint64) {
+		n := int(nReplicas)%8 + 1
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("r%d", i)
+		}
+		p, err := NewPlacement(names, int(shards)%MaxShards+1, int(replication)%4+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		usable := make([]bool, n)
+		failed := make([]uint64, n)
+		for i := range usable {
+			usable[i] = usableBits&(1<<i) != 0
+			failed[i] = bits.RotateLeft64(failedBits, 8*i) & p.ownedMask[i]
+		}
+		checkRound(t, p, need&p.allShards(), usable, failed)
 	})
 }

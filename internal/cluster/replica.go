@@ -39,6 +39,9 @@ type Replica struct {
 	// /cluster/status.
 	probeFails   atomic.Int64
 	requestFails atomic.Int64
+	// forwards is the router's cluster_forward_total counter for this
+	// replica, resolved once by NewRouter (nil outside a router).
+	forwards *telemetry.Counter
 }
 
 // NewReplica returns a client for the replica advertised at addr

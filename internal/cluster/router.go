@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"math/big"
+	"math/bits"
 	"net/http"
 	"sort"
 	"sync"
@@ -95,7 +96,7 @@ type RouterConfig struct {
 // degrades the verdict instead of erroring.
 type Router struct {
 	placement *Placement
-	replicas  map[string]*Replica
+	replicas  []*Replica // in placement list order
 	cfg       RouterConfig
 	budget    *retry.Budget
 	jitter    *retry.Jitter
@@ -103,9 +104,15 @@ type Router struct {
 	metrics *telemetry.Registry
 	events  *telemetry.EventLog
 
-	hedges   *telemetry.Counter
-	degraded *telemetry.Counter
+	hedges    *telemetry.Counter
+	degraded  *telemetry.Counter
+	checkHops *telemetry.Histogram
 }
+
+// hopBuckets is the cluster_check_hops layout: one hop is a factored
+// member's home answer, two a home answer plus a one-replica scatter;
+// retries and hedges add the rest.
+var hopBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16}
 
 // NewRouter computes the placement and builds a replica client per
 // address.
@@ -151,13 +158,14 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	rt := &Router{
 		placement: p,
-		replicas:  make(map[string]*Replica, len(cfg.Replicas)),
+		replicas:  make([]*Replica, 0, len(cfg.Replicas)),
 		cfg:       cfg,
 		jitter:    retry.NewJitter(seed),
 		metrics:   cfg.Metrics,
 		events:    cfg.Events,
 		hedges:    cfg.Metrics.Counter("cluster_hedges_total"),
 		degraded:  cfg.Metrics.Counter("cluster_degraded_verdicts_total"),
+		checkHops: cfg.Metrics.Histogram("cluster_check_hops", hopBuckets),
 	}
 	if cfg.RetryBudget > 0 {
 		rt.budget = retry.NewBudget(cfg.RetryBudget)
@@ -166,7 +174,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		r := NewReplica(addr, cfg.RequestTimeout)
 		r.Breaker.Threshold = cfg.BreakerFailures
 		r.Breaker.Cooldown = cfg.BreakerCooldown
-		rt.replicas[addr] = r
+		r.forwards = cfg.Metrics.Counter(`cluster_forward_total{replica="` + addr + `"}`)
+		rt.replicas = append(rt.replicas, r)
 	}
 	return rt, nil
 }
@@ -175,7 +184,16 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 func (rt *Router) Placement() *Placement { return rt.placement }
 
 // Replica returns the client for a placement name (nil if unknown).
-func (rt *Router) Replica(name string) *Replica { return rt.replicas[name] }
+func (rt *Router) Replica(name string) *Replica {
+	if i, ok := rt.placement.index[name]; ok {
+		return rt.replicas[i]
+	}
+	return nil
+}
+
+// usable reports whether the named replica would be admitted for new
+// traffic (Placement.Uncovered's predicate).
+func (rt *Router) usable(name string) bool { return rt.Replica(name).Usable() }
 
 // Start probes every replica once synchronously — replicas default to
 // healthy, and /readyz must not claim coverage the first probe round
@@ -200,16 +218,15 @@ func (rt *Router) Start(ctx context.Context) {
 }
 
 func (rt *Router) probeAll(ctx context.Context) {
-	for _, addr := range rt.placement.Replicas() {
-		r := rt.replicas[addr]
+	for _, r := range rt.replicas {
 		was := r.Healthy()
 		ok := r.Probe(ctx, rt.cfg.ProbeTimeout)
 		if !ok {
-			rt.metrics.Counter(`cluster_probe_failures_total{replica="` + addr + `"}`).Inc()
+			rt.metrics.Counter(`cluster_probe_failures_total{replica="` + r.Name + `"}`).Inc()
 		}
 		if ok != was {
 			rt.events.Info(ctx, "replica health changed",
-				slog.String("replica", addr),
+				slog.String("replica", r.Name),
 				slog.Bool("ready", ok))
 		}
 	}
@@ -224,7 +241,7 @@ func (rt *Router) send(ctx context.Context, r *Replica, hex string) (*checkResul
 		return nil, &replicaError{replica: r.Name, cause: "breaker-open", transient: true,
 			err: fmt.Errorf("cluster: replica %s: circuit open", r.Name)}
 	}
-	rt.metrics.Counter(`cluster_forward_total{replica="` + r.Name + `"}`).Inc()
+	r.forwards.Inc()
 	res, rerr := r.Check(ctx, hex)
 	rt.settle(r, rerr)
 	return res, rerr
@@ -260,14 +277,11 @@ func (rt *Router) retryable(cause string) bool {
 }
 
 // orderedOwners returns shard s's owners, usable ones first (placement
-// preference preserved within each half), skipping names in skip.
-func (rt *Router) orderedOwners(s int, skip map[string]bool) []*Replica {
+// preference preserved within each half).
+func (rt *Router) orderedOwners(s int) []*Replica {
 	var usable, rest []*Replica
-	for _, name := range rt.placement.Owners(s) {
-		if skip[name] {
-			continue
-		}
-		r := rt.replicas[name]
+	for _, i := range rt.placement.ownerIndex[s] {
+		r := rt.replicas[i]
 		if r.Usable() {
 			usable = append(usable, r)
 		} else {
@@ -302,26 +316,23 @@ func (rt *Router) Check(ctx context.Context, n *big.Int) RoutedVerdict {
 		// full scatter below proves no reachable shard holds a mate.
 		out := RoutedVerdict{Verdict: homeRes.verdict, Replica: homeRes.replica, Hops: hops}
 		out.Partial = false
+		rt.checkHops.Observe(float64(hops))
 		return out
 	}
 
 	// Clean member, novel modulus, or no home answer at all: the GCD
 	// sweep needs every shard's product, so gather coverage from owners
 	// of the shards the home answer didn't span.
-	need := make(map[int]bool, rt.placement.Shards())
-	for s := 0; s < rt.placement.Shards(); s++ {
-		need[s] = true
-	}
+	need := rt.placement.allShards()
 	if homeRes != nil {
-		for _, s := range rt.placement.OwnedBy(homeRes.replica) {
-			delete(need, s)
-		}
+		need &^= rt.placement.maskOf(homeRes.replica)
 	}
-	results, scatterHops := rt.scatter(ctx, hex, need)
+	results, left, scatterHops := rt.scatter(ctx, hex, need)
 	hops += scatterHops
 
-	out := rt.combine(n, home, homeRes, results, need)
+	out := rt.combine(n, home, homeRes, results, left)
 	out.Hops = hops
+	rt.checkHops.Observe(float64(hops))
 	if out.Degraded {
 		rt.degraded.Inc()
 		rt.events.Warn(ctx, "degraded verdict",
@@ -337,7 +348,7 @@ func (rt *Router) Check(ctx context.Context, n *big.Int) RoutedVerdict {
 // shard), and failed attempts failing over to
 // remaining owners. Returns the first success and the attempt count.
 func (rt *Router) forwardHome(ctx context.Context, home int, hex string) (*checkResult, int) {
-	candidates := rt.orderedOwners(home, nil)
+	candidates := rt.orderedOwners(home)
 	if len(candidates) == 0 {
 		return nil, 0
 	}
@@ -394,67 +405,69 @@ func (rt *Router) forwardHome(ctx context.Context, home int, hex string) (*check
 	return nil, launched
 }
 
-// cover is the router's one retry loop: backoff rounds until an owner
-// has answered for every shard in need, or the rounds, the retry budget
-// or ctx run out. Each round picks, per needed shard, the first owner
-// that has not failed it yet — a failure rotates to a placement peer
-// instead of hammering the same dead owner, and once every owner of a
-// shard has failed its slate is wiped (transient weather may have
-// passed) — groups the shards by chosen replica and calls the replicas
-// concurrently, each admitted by its breaker before and settled after.
-// call makes one request for the shards r was chosen for, on its own
-// goroutine, and returns the shards the reply covers. Shards still in
-// need on return had no answering owner. Returns the requests sent.
-func (rt *Router) cover(ctx context.Context, cause string, need map[int]bool, call func(r *Replica, shards []int) ([]int, *replicaError)) int {
+// cover is the router's one retry loop: backoff rounds until the shards
+// in need are answered for, or the rounds, the retry budget or ctx run
+// out. A check shard is answered for once one owner has answered; with
+// all set (an ingest) it takes every live owner. Each round is
+// Placement.pickRound's choice — for a check the fewest replicas whose
+// owned shards cover what is still needed; a failure rotates the
+// shards to placement peers instead of hammering the same dead owner —
+// and each chosen replica gets one request, admitted by its breaker
+// before and settled after. A round with one target calls it on the
+// calling goroutine, more call concurrently. call makes one request for
+// the shards replica i was asked for and returns the shards the reply
+// answers for. Returns, per replica in placement order, the shards it
+// answered for, and the requests sent.
+func (rt *Router) cover(ctx context.Context, cause string, need uint64, all bool, call func(i int, shards uint64) (uint64, *replicaError)) ([]uint64, int) {
 	type outcome struct {
-		r      *Replica
-		covers []int
+		i      int
+		covers uint64
 		rerr   *replicaError
+	}
+	n := len(rt.replicas)
+	acked := make([]uint64, n)
+	failed := make([]uint64, n) // needed shards each replica failed this cover
+	usable := make([]bool, n)
+	fail := func(i int) { failed[i] |= rt.placement.ownedMask[i] & need }
+	apply := func(o outcome) {
+		if o.rerr != nil {
+			fail(o.i)
+			return
+		}
+		acked[o.i] |= o.covers
+		if !all {
+			need &^= o.covers
+		}
 	}
 	hops := 0
 	backoff := rt.cfg.RetryBackoff
-	failed := make(map[int]map[string]bool) // shard -> owners that failed this cover
-	fail := func(r *Replica) {
-		for _, s := range rt.placement.OwnedBy(r.Name) {
-			if !need[s] {
-				continue
-			}
-			if failed[s] == nil {
-				failed[s] = make(map[string]bool)
-			}
-			failed[s][r.Name] = true
-		}
-	}
 	spent := false // the retry budget refused: nothing more can be sent
-	for round := 0; round <= rt.cfg.Retries && len(need) > 0 && !spent; round++ {
+	for round := 0; round <= rt.cfg.Retries && need != 0 && !spent; round++ {
 		if round > 0 {
 			select {
 			case <-time.After(rt.jitter.Jitter(backoff)):
 			case <-ctx.Done():
 				// The caller is gone; further rounds would only issue
 				// doomed requests.
-				return hops
+				return acked, hops
 			}
 			backoff = retry.DoubleBackoff(backoff, 2*time.Second)
 		}
-		// One request per replica covers every needed shard it was
-		// chosen for.
-		targets := make(map[*Replica][]int)
-		for s := range need {
-			if len(failed[s]) >= len(rt.placement.Owners(s)) {
-				failed[s] = nil
-			}
-			if owners := rt.orderedOwners(s, failed[s]); len(owners) > 0 {
-				targets[owners[0]] = append(targets[owners[0]], s)
-			}
+		for i, r := range rt.replicas {
+			usable[i] = r.Usable()
 		}
-		ch := make(chan outcome, len(targets))
-		sent := 0
-		for r, shards := range targets {
+		ask, done := rt.placement.pickRound(need, all, usable, failed, acked)
+		need &^= done
+		var sent []int
+		for i, shards := range ask {
+			if shards == 0 {
+				continue
+			}
+			r := rt.replicas[i]
 			// The breaker goes first: a request it refuses costs no
 			// retry budget.
 			if !r.Breaker.Allow() {
-				fail(r)
+				fail(i)
 				continue
 			}
 			if round > 0 && !rt.retryable(cause) {
@@ -462,52 +475,64 @@ func (rt *Router) cover(ctx context.Context, cause string, need map[int]bool, ca
 				spent = true
 				break
 			}
-			rt.metrics.Counter(`cluster_forward_total{replica="` + r.Name + `"}`).Inc()
-			sent++
-			go func(r *Replica, shards []int) {
-				covers, rerr := call(r, shards)
-				rt.settle(r, rerr)
-				ch <- outcome{r, covers, rerr}
-			}(r, shards)
+			r.forwards.Inc()
+			sent = append(sent, i)
 		}
-		hops += sent
-		for ; sent > 0; sent-- {
-			o := <-ch
-			if o.rerr != nil {
-				fail(o.r)
-				continue
+		hops += len(sent)
+		do := func(i int) outcome {
+			covers, rerr := call(i, ask[i])
+			rt.settle(rt.replicas[i], rerr)
+			return outcome{i, covers, rerr}
+		}
+		if len(sent) == 1 {
+			apply(do(sent[0]))
+		} else if len(sent) > 1 {
+			ch := make(chan outcome, len(sent))
+			for _, i := range sent {
+				go func() { ch <- do(i) }()
 			}
-			for _, s := range o.covers {
-				delete(need, s)
+			for range sent {
+				apply(<-ch)
 			}
+		}
+		if all {
+			var owed uint64
+			for i, a := range acked {
+				owed |= rt.placement.ownedMask[i] &^ a
+			}
+			need &= owed
 		}
 	}
-	return hops
+	return acked, hops
 }
 
 // scatter gathers verdicts from owners covering the shards in need: one
-// answer vouches for every shard its replica owns.
-func (rt *Router) scatter(ctx context.Context, hex string, need map[int]bool) ([]*checkResult, int) {
+// answer vouches for every shard its replica owns. Returns the verdicts,
+// the shards no owner answered for, and the requests sent.
+func (rt *Router) scatter(ctx context.Context, hex string, need uint64) ([]*checkResult, uint64, int) {
 	var mu sync.Mutex
 	var results []*checkResult
-	hops := rt.cover(ctx, "scatter", need, func(r *Replica, _ []int) ([]int, *replicaError) {
-		res, rerr := r.Check(ctx, hex)
+	acked, hops := rt.cover(ctx, "scatter", need, false, func(i int, _ uint64) (uint64, *replicaError) {
+		res, rerr := rt.replicas[i].Check(ctx, hex)
 		if rerr != nil {
-			return nil, rerr
+			return 0, rerr
 		}
 		mu.Lock()
 		results = append(results, res)
 		mu.Unlock()
-		return rt.placement.OwnedBy(r.Name), nil
+		return rt.placement.ownedMask[i], nil
 	})
-	return results, hops
+	for _, a := range acked {
+		need &^= a
+	}
+	return results, need, hops
 }
 
 // combine folds the gathered partial verdicts into one answer. Any
 // owner finding a shared prime decides compromised (preferring answers
 // that recovered the full factorization); membership comes only from
 // the home-shard owner; leftover uncovered shards degrade the verdict.
-func (rt *Router) combine(n *big.Int, home int, homeRes *checkResult, results []*checkResult, need map[int]bool) RoutedVerdict {
+func (rt *Router) combine(n *big.Int, home int, homeRes *checkResult, results []*checkResult, left uint64) RoutedVerdict {
 	var out RoutedVerdict
 	if homeRes != nil {
 		out.Verdict = homeRes.verdict
@@ -550,13 +575,12 @@ func (rt *Router) combine(n *big.Int, home int, homeRes *checkResult, results []
 			out.Replica = res.replica
 		}
 	}
-	if len(need) > 0 {
+	if left != 0 {
 		out.Degraded = true
-		out.UnreachableShards = make([]int, 0, len(need))
-		for s := range need {
-			out.UnreachableShards = append(out.UnreachableShards, s)
+		out.UnreachableShards = make([]int, 0, bits.OnesCount64(left))
+		for ; left != 0; left &= left - 1 {
+			out.UnreachableShards = append(out.UnreachableShards, bits.TrailingZeros64(left))
 		}
-		sort.Ints(out.UnreachableShards)
 	}
 	// Partial was the replicas' own disclosure; at the router level the
 	// Degraded field carries it.
@@ -564,8 +588,8 @@ func (rt *Router) combine(n *big.Int, home int, homeRes *checkResult, results []
 	return out
 }
 
-// ingestResponse is the router's POST /v1/ingest document: the summed
-// counters plus each replica's own report.
+// ingestResponse is the router's POST /v1/ingest document: the
+// counters, each modulus counted once, plus each replica's own report.
 type ingestResponse struct {
 	DeltaModuli int                              `json:"delta_moduli"`
 	Duplicates  int                              `json:"duplicates"`
@@ -576,30 +600,37 @@ type ingestResponse struct {
 	Replicas    map[string]keycheck.IngestReport `json:"replicas,omitempty"`
 }
 
-// ingest routes each modulus to an owner of its home shard and merges
-// the reports. Replication peers receive the delta through the sync
-// protocol, not from the router — one authoritative landing per key,
-// then anti-entropy. An owner's reply covers only the shards whose
-// moduli it was sent; moduli with no reachable owner come back in Failed
-// with Degraded set.
+// ingest writes each modulus to every live owner of its home shard —
+// all of them, so a check's scatter may ask any one owner for the shard
+// — and merges the reports. The top-level counters count each modulus
+// and each re-labeled member once: per shard, the most any owner
+// reported, since the owners of a shard index the same keys. Moduli no
+// owner took come back in Failed; Degraded is set when some owner missed
+// its copy, which its next sync pull delivers.
 func (rt *Router) ingest(ctx context.Context, moduliHex []string, mods []*big.Int) ingestResponse {
 	resp := ingestResponse{Replicas: make(map[string]keycheck.IngestReport)}
-	byShard := make(map[int][]string) // home shard -> its moduli
-	need := make(map[int]bool)
+	byShard := make([][]string, rt.placement.Shards()) // home shard -> its distinct moduli
+	seen := make(map[string]bool, len(mods))
+	var need uint64
 	for i, n := range mods {
-		s := keycheck.ShardOf(n, rt.placement.Shards())
-		byShard[s] = append(byShard[s], moduliHex[i])
-		need[s] = true
+		if key := string(n.Bytes()); !seen[key] {
+			seen[key] = true
+			s := keycheck.ShardOf(n, rt.placement.Shards())
+			byShard[s] = append(byShard[s], moduliHex[i])
+			need |= 1 << s
+		}
 	}
 	var mu sync.Mutex
-	rt.cover(ctx, "ingest", need, func(r *Replica, shards []int) ([]int, *replicaError) {
+	perShard := make([][]keycheck.ShardIngest, len(rt.replicas)) // replica -> shard -> its reports' sum
+	acked, _ := rt.cover(ctx, "ingest", need, true, func(i int, shards uint64) (uint64, *replicaError) {
 		var batch []string
-		for _, s := range shards {
-			batch = append(batch, byShard[s]...)
+		for m := shards; m != 0; m &= m - 1 {
+			batch = append(batch, byShard[bits.TrailingZeros64(m)]...)
 		}
+		r := rt.replicas[i]
 		rep, rerr := r.Ingest(ctx, batch)
 		if rerr != nil {
-			return nil, rerr
+			return 0, rerr
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -611,17 +642,50 @@ func (rt *Router) ingest(ctx context.Context, moduliHex []string, mods []*big.In
 		prev.Skipped += rep.Skipped
 		prev.TouchedShards += rep.TouchedShards
 		resp.Replicas[r.Name] = prev
-		resp.DeltaModuli += rep.DeltaModuli
-		resp.Duplicates += rep.Duplicates
-		resp.NewFactored += rep.NewFactored
-		resp.Refactored += rep.Refactored
+		if perShard[i] == nil {
+			perShard[i] = make([]keycheck.ShardIngest, rt.placement.Shards())
+		}
+		for _, sh := range rep.Shards {
+			if sh.Shard >= 0 && sh.Shard < len(perShard[i]) {
+				sum := &perShard[i][sh.Shard]
+				sum.NewModuli += sh.NewModuli
+				sum.NewFactored += sh.NewFactored
+				sum.Refactored += sh.Refactored
+			}
+		}
 		return shards, nil
 	})
-	for s := range need {
-		resp.Failed = append(resp.Failed, byShard[s]...)
+	for s := 0; s < rt.placement.Shards(); s++ {
+		var most keycheck.ShardIngest // per counter, the most any owner reported
+		for _, sums := range perShard {
+			if sums != nil {
+				most.NewModuli = max(most.NewModuli, sums[s].NewModuli)
+				most.NewFactored = max(most.NewFactored, sums[s].NewFactored-sums[s].Refactored)
+				most.Refactored = max(most.Refactored, sums[s].Refactored)
+			}
+		}
+		resp.DeltaModuli += most.NewModuli
+		resp.NewFactored += most.NewFactored
+		resp.Refactored += most.Refactored
+		if need&(1<<s) == 0 {
+			continue
+		}
+		landed := 0
+		for _, i := range rt.placement.ownerIndex[s] {
+			if acked[i]&(1<<s) != 0 {
+				landed++
+			}
+		}
+		if landed < rt.placement.Replication() {
+			resp.Degraded = true
+		}
+		if landed == 0 {
+			resp.Failed = append(resp.Failed, byShard[s]...)
+		} else {
+			resp.Duplicates += len(byShard[s]) - most.NewModuli
+		}
 	}
 	if len(resp.Failed) > 0 {
-		resp.Degraded = true
 		sort.Strings(resp.Failed)
 		rt.metrics.Counter("cluster_ingest_failed_moduli_total").Add(int64(len(resp.Failed)))
 	}
@@ -663,28 +727,25 @@ func (rt *Router) Status() clusterStatus {
 	} else {
 		st.RetryBudgetLeft = -1
 	}
-	for _, name := range rt.placement.Replicas() {
-		r := rt.replicas[name]
+	for _, r := range rt.replicas {
 		st.Replicas = append(st.Replicas, replicaStatus{
-			Name:            name,
+			Name:            r.Name,
 			Healthy:         r.Healthy(),
 			Breaker:         r.Breaker.State().String(),
 			BreakerOpens:    r.Breaker.Opens(),
 			ProbeFailures:   r.ProbeFailures(),
 			RequestFailures: r.RequestFailures(),
-			OwnedShards:     rt.placement.OwnedBy(name),
+			OwnedShards:     rt.placement.OwnedBy(r.Name),
 		})
 	}
-	st.UncoveredShards = rt.placement.Uncovered(func(name string) bool {
-		return rt.replicas[name].Usable()
-	})
+	st.UncoveredShards = rt.placement.Uncovered(rt.usable)
 	return st
 }
 
 // Mux returns the router's HTTP routes:
 //
 //	POST /v1/check       route one modulus/certificate check
-//	POST /v1/ingest      route new moduli to their home-shard owners
+//	POST /v1/ingest      write new moduli to every owner of their home shards
 //	GET  /v1/exemplars   proxied from any usable replica
 //	GET  /cluster/status placement, per-replica health and breakers
 //	GET  /healthz        router process liveness
@@ -701,7 +762,7 @@ func (rt *Router) Mux() *http.ServeMux {
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if uncovered := rt.placement.Uncovered(func(name string) bool { return rt.replicas[name].Usable() }); len(uncovered) > 0 {
+		if uncovered := rt.placement.Uncovered(rt.usable); len(uncovered) > 0 {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			fmt.Fprintf(w, "uncovered shards: %v\n", uncovered)
 			return
@@ -766,8 +827,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 // handleExemplars proxies to the first usable replica; exemplars are a
 // per-replica sample, good enough for smoke tests and load generators.
 func (rt *Router) handleExemplars(w http.ResponseWriter, r *http.Request) {
-	for _, name := range rt.placement.Replicas() {
-		rep := rt.replicas[name]
+	for _, rep := range rt.replicas {
 		if !rep.Usable() {
 			continue
 		}

@@ -18,8 +18,16 @@ import (
 func TestRouterVerdicts(t *testing.T) {
 	rt, _ := newTestCluster(t, 3, 8, 2)
 	ctx := context.Background()
+	hops := 0
+	defer func() {
+		// cluster_check_hops holds one observation per routed check.
+		if h := rt.metrics.Histogram("cluster_check_hops", hopBuckets); h.Count() != 4 || h.Sum() != float64(hops) {
+			t.Errorf("cluster_check_hops: %d checks, %v hops; want 4 checks, %d hops", h.Count(), h.Sum(), hops)
+		}
+	}()
 
 	v := rt.Check(ctx, modN1)
+	hops += v.Hops
 	if v.Status != keycheck.StatusFactored || !v.Known {
 		t.Errorf("N1 = %+v, want factored/known", v.Verdict)
 	}
@@ -31,22 +39,25 @@ func TestRouterVerdicts(t *testing.T) {
 	}
 
 	v = rt.Check(ctx, modN3)
+	hops += v.Hops
 	if v.Status != keycheck.StatusClean || !v.Known || v.Degraded {
 		t.Errorf("N3 = %+v, want clean/known", v.Verdict)
 	}
 
 	v = rt.Check(ctx, modNc)
+	hops += v.Hops
 	if v.Status != keycheck.StatusClean || v.Known || v.Degraded || v.Partial {
 		t.Errorf("Nc = %+v degraded=%v, want clean/novel/full-coverage", v.Verdict, v.Degraded)
 	}
 	if len(v.UnreachableShards) != 0 {
 		t.Errorf("Nc unreachable shards %v with a healthy cluster", v.UnreachableShards)
 	}
-	if v.Hops < 2 {
-		t.Errorf("Nc hops = %d, want a scatter beyond the home replica", v.Hops)
+	if v.Hops != 2 {
+		t.Errorf("Nc hops = %d, want the home replica plus one scatter request (one replica holds every shard the home lacks)", v.Hops)
 	}
 
 	v = rt.Check(ctx, modNs)
+	hops += v.Hops
 	if v.Status != keycheck.StatusSharedFactor || v.Known || v.Degraded {
 		t.Errorf("Ns = %+v, want shared_factor/novel", v.Verdict)
 	}
@@ -93,9 +104,8 @@ func TestRouterFailover(t *testing.T) {
 	// Enough consecutive failures open the dead replica's breaker. N1 is
 	// homed on it, so every check tries it first while its breaker is
 	// closed; a scatter for some other key reaches it only under
-	// placements (the addresses are random ports) that make it the first
-	// owner of a shard the home answer left uncovered. Check until it
-	// opens, bounded.
+	// placements (the addresses are random ports) where the round's set
+	// cover picks it. Check until it opens, bounded.
 	for deadline := time.Now().Add(2 * time.Second); rt.Replica(dead).Breaker.Opens() < 1 && time.Now().Before(deadline); {
 		rt.Check(ctx, modN1)
 	}
@@ -164,25 +174,7 @@ func TestRouterCrossShardIngest(t *testing.T) {
 		t.Fatal("fixture lost its bite: no two shards with disjoint primary owners")
 	}
 
-	// A fresh prime absent from the golden corpus, times odd cofactors
-	// brute-forced to home each product in its target shard. The
-	// cofactors need not be prime: the assertions are on Compromised,
-	// not exact factors.
-	shared := mustHex("eb1289b4ab6c3377")
-	homedIn := func(shard int) *big.Int {
-		c := mustHex("c9d2a6e12c43b285")
-		two := big.NewInt(2)
-		for i := 0; i < 1<<15; i++ {
-			m := new(big.Int).Mul(shared, c)
-			if keycheck.ShardOf(m, p.Shards()) == shard {
-				return m
-			}
-			c.Add(c, two)
-		}
-		t.Fatalf("no cofactor homes a multiple of the shared prime in shard %d", shard)
-		return nil
-	}
-	mA, mB := homedIn(sA), homedIn(sB)
+	mA, mB := homedIn(t, p, freshPrime, sA), homedIn(t, p, freshPrime, sB)
 
 	for _, m := range []*big.Int{mA, mB} {
 		resp := rt.ingest(ctx, []string{m.Text(16)}, []*big.Int{m})
@@ -238,6 +230,31 @@ func TestRouterCrossShardIngest(t *testing.T) {
 		if !v.Compromised() || v.Degraded {
 			t.Errorf("post-sync check = %+v degraded=%v, want compromised", v.Verdict, v.Degraded)
 		}
+	}
+}
+
+// TestRouterIngestCountsOnce: a modulus sharing q1 with the clean member
+// N3, homed in N3's shard, is written to both of its owners, and each
+// factors it and re-labels N3. The reply counts one novel modulus, one
+// factored and one re-labeled member, while each owner's own report
+// counts all three.
+func TestRouterIngestCountsOnce(t *testing.T) {
+	rt, _ := newTestCluster(t, 3, 8, 2)
+	p := rt.Placement()
+	shard := keycheck.ShardOf(modN3, p.Shards())
+	m := homedIn(t, p, q1, shard)
+	resp := rt.ingest(context.Background(), []string{m.Text(16)}, []*big.Int{m})
+	if resp.DeltaModuli != 1 || resp.NewFactored != 1 || resp.Refactored != 1 || resp.Duplicates != 0 || resp.Degraded {
+		t.Errorf("ingest = %+v, want 1 delta / 1 factored / 1 refactored, undegraded", resp)
+	}
+	for _, owner := range p.Owners(shard) {
+		if rep := resp.Replicas[owner]; rep.DeltaModuli != 1 || rep.NewFactored != 1 || rep.Refactored != 1 {
+			t.Errorf("owner %s reported %+v, want its own 1 / 1 / 1", owner, rep)
+		}
+	}
+	resp = rt.ingest(context.Background(), []string{m.Text(16)}, []*big.Int{m})
+	if resp.DeltaModuli != 0 || resp.Duplicates != 1 || resp.Degraded {
+		t.Errorf("re-ingest = %+v, want 1 duplicate", resp)
 	}
 }
 
@@ -433,9 +450,9 @@ func TestRouterHedgesStraggler(t *testing.T) {
 }
 
 // TestRouterIngestFailover drives Router.ingest past dead owners: with
-// the preferred owner of the home shard gone the batch rotates to the
-// peer and lands undegraded; with every owner gone the modulus comes
-// back in Failed.
+// the preferred owner of the home shard gone the batch lands on the peer
+// alone, degraded because the primary missed its copy; with every owner
+// gone the modulus comes back in Failed.
 func TestRouterIngestFailover(t *testing.T) {
 	rt, replicas := newTestCluster(t, 3, 8, 2)
 	ctx := context.Background()
@@ -445,8 +462,8 @@ func TestRouterIngestFailover(t *testing.T) {
 
 	replicaByAddr(t, replicas, owners[0]).srv.Close()
 	resp := rt.ingest(ctx, []string{hex}, []*big.Int{modNc})
-	if resp.DeltaModuli != 1 || resp.Degraded || len(resp.Failed) != 0 {
-		t.Fatalf("ingest with a dead primary = %+v, want one modulus landed on the peer", resp)
+	if resp.DeltaModuli != 1 || !resp.Degraded || len(resp.Failed) != 0 {
+		t.Fatalf("ingest with a dead primary = %+v, want one modulus landed on the peer, degraded", resp)
 	}
 	if _, ok := resp.Replicas[owners[1]]; !ok || len(resp.Replicas) != 1 {
 		t.Errorf("reports from %v, want only the peer owner %s", resp.Replicas, owners[1])

@@ -16,14 +16,16 @@ import (
 )
 
 // ShardIngest is the per-shard ledger of one Ingest: how many moduli and
-// factored entries the shard gained, and how much of its product tree
-// survived by reference (all of it: the product only grows by
-// appending). A Reused == Total shard with Shared set rode along
+// factored entries the shard gained (Refactored of those entries
+// re-label old members, the rest are delta moduli), and how much of its
+// product tree survived by reference (all of it: the product only grows
+// by appending). A Reused == Total shard with Shared set rode along
 // untouched — the whole shard object is the predecessor's.
 type ShardIngest struct {
 	Shard       int  `json:"shard"`
 	NewModuli   int  `json:"new_moduli"`
 	NewFactored int  `json:"new_factored"`
+	Refactored  int  `json:"refactored,omitempty"`
 	NewShared   int  `json:"new_shared,omitempty"`
 	NodesReused int  `json:"nodes_reused"`
 	NodesTotal  int  `json:"nodes_total"`
@@ -90,6 +92,8 @@ type shardDelta struct {
 	// newShared maps delta moduli (novel or already-member) the delta
 	// store observed under two or more identities to their count.
 	newShared map[string]int
+	// refactored counts the newEntries that re-label old members.
+	refactored int
 }
 
 func (d *shardDelta) entry(key string, e Entry) {
@@ -419,6 +423,7 @@ func (s *Snapshot) resolve(in BuildInput, d *ingestDelta, sw *sweepResult, rep *
 			}
 			if e, ok := pool.split(m.mod, m.divisor); ok {
 				d.shards[si].entry(m.key, e)
+				d.shards[si].refactored++
 				rep.Refactored++
 			}
 		}
@@ -465,7 +470,7 @@ func (s *Snapshot) resolve(in BuildInput, d *ingestDelta, sw *sweepResult, rep *
 		}
 		degenerate = append(degenerate, j)
 	}
-	s.resolveDegenerate(d.novel, sw.byShard, degenerate, resolved, &pool)
+	s.resolveDegenerate(d.novel, d.foreign, sw.byShard, degenerate, resolved, &pool)
 	for j, e := range resolved {
 		if e == nil {
 			continue
@@ -479,35 +484,38 @@ func (s *Snapshot) resolve(in BuildInput, d *ingestDelta, sw *sweepResult, rep *
 }
 
 // resolveDegenerate splits the novel moduli every divisor of which
-// equalled N: each prime of N is shared, none alone. A pairwise GCD over
-// that small set goes first: in a clique (every modulus shares both
-// primes) each pair shares exactly one prime, so the pairwise divisors
-// are proper. The primes of the moduli split so far cover what N shares
-// with the rest of the delta. Neither covers a modulus whose primes both
-// sit in members of one shard — the mates' recorded divisors need not be
-// N's primes, and a factored mate is not split again — so a shard whose
-// divisor was N itself is asked directly: a pruned descent of its tree
-// for a leaf sharing with N. A modulus none of them splits — on a
-// replica, one sharing only with delta keys homed elsewhere, which are
-// swept but never split here — stays a plain member.
-func (s *Snapshot) resolveDegenerate(novel []*big.Int, byShard [][]*big.Int, degenerate []int, resolved []*Entry, pool *primePool) {
+// equalled N: each prime of N is shared, none alone. A pairwise GCD
+// against the other degenerate moduli and the delta's foreign ones goes
+// first: in a clique (every modulus shares both primes) each pair shares
+// exactly one prime, and on a replica a key whose two primes are shared
+// only with foreign keys of the same delta (homed elsewhere, swept but
+// never split here) meets each of them alone. The primes of the moduli
+// split so far cover what N shares with the rest of the delta. Neither
+// covers a modulus whose primes both sit in members of one shard — the
+// mates' recorded divisors need not be N's primes, and a factored mate is
+// not split again — so a shard whose divisor was N itself is asked
+// directly: a pruned descent of its tree for a leaf sharing with N. A
+// modulus none of them splits stays a plain member.
+func (s *Snapshot) resolveDegenerate(novel, foreign []*big.Int, byShard [][]*big.Int, degenerate []int, resolved []*Entry, pool *primePool) {
 	if len(degenerate) == 0 {
 		return
 	}
-	sub := make([]*big.Int, len(degenerate))
-	for i, j := range degenerate {
-		sub[i] = novel[j]
+	pairs := make([]*big.Int, 0, len(degenerate)+len(foreign))
+	for _, j := range degenerate {
+		pairs = append(pairs, novel[j])
 	}
-	pairDiv := make([]*big.Int, len(sub))
-	if res, err := batchgcd.FactorPairwise(sub); err == nil {
-		for _, r := range res {
-			pairDiv[r.Index] = r.Divisor
-		}
-	}
+	pairs = append(pairs, foreign...)
 	for i, j := range degenerate {
 		n := novel[j]
-		div := pairDiv[i]
-		if div == nil || div.Cmp(n) >= 0 {
+		var div *big.Int
+		g := new(big.Int)
+		for k, m := range pairs {
+			if k != i && g.GCD(nil, nil, n, m).Cmp(one) > 0 && g.Cmp(n) < 0 {
+				div = g
+				break
+			}
+		}
+		if div == nil {
 			div = pool.divisorOf(n)
 		}
 		if div == nil {
@@ -579,6 +587,7 @@ func (s *Snapshot) merge(ctx context.Context, d *ingestDelta, rep *IngestReport)
 		rep.TouchedShards++
 		sr.NewModuli = len(sd.newMods)
 		sr.NewFactored = len(sd.newEntries)
+		sr.Refactored = sd.refactored
 		sr.NewShared = len(sd.newShared)
 	}
 	return ns, nil

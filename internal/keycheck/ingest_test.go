@@ -261,6 +261,61 @@ func TestIngestForeignMate(t *testing.T) {
 	}
 }
 
+// TestIngestBothPrimesAmongForeignKeys pins the replica schedule where an
+// owned novel key N = p*q shares p with one foreign key of the same delta
+// and q with another (a sync page carries all three). The delta batch
+// sees N divide the product of the others, no owned shard shares
+// anything, and no prime is pooled from the foreign keys, which are
+// never split here: only a pairwise GCD against the foreign moduli
+// splits N.
+func TestIngestBothPrimesAmongForeignKeys(t *testing.T) {
+	const shards = 4
+	ctx := context.Background()
+	n := new(big.Int).Mul(s1, s2)
+	ownShard := ShardOf(n, shards)
+	// foreignWith brute-forces an odd cofactor, counting up from c, so
+	// p*c homes outside the one owned shard.
+	foreignWith := func(p *big.Int, c string) *big.Int {
+		cof := mustHex(c)
+		two := big.NewInt(2)
+		for i := 0; i < 1<<14; i++ {
+			m := new(big.Int).Mul(p, cof)
+			if ShardOf(m, shards) != ownShard {
+				return m
+			}
+			cof.Add(cof, two)
+		}
+		t.Fatalf("no cofactor homes a multiple of %s outside shard %d", p.Text(16), ownShard)
+		return nil
+	}
+	pr := foreignWith(s1, "c132b11d89ab4e63")
+	qs := foreignWith(s2, "d35f0c2b7a91e6c5")
+
+	snap, err := Build(ctx, BuildInput{Store: deltaStore(t, modN3), Shards: shards, OwnShards: []int{ownShard}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, rep, err := snap.Ingest(ctx, BuildInput{Store: deltaStore(t, n, pr, qs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DeltaModuli != 1 || rep.Skipped != 2 || rep.NewFactored != 1 {
+		t.Errorf("report %+v, want 1 delta / 2 skipped / 1 factored", rep)
+	}
+	v := ns.Check(n)
+	if v.Status != StatusFactored || !v.Known {
+		t.Fatalf("N = %+v, want factored/known", v)
+	}
+	if got := map[string]bool{v.FactorP: true, v.FactorQ: true}; !got[s1.Text(16)] || !got[s2.Text(16)] {
+		t.Errorf("factors %s,%s, want %s,%s", v.FactorP, v.FactorQ, s1.Text(16), s2.Text(16))
+	}
+	for _, m := range []*big.Int{pr, qs} {
+		if v := ns.Check(m); v.Known {
+			t.Errorf("foreign modulus %s was indexed: %+v", m.Text(16), v)
+		}
+	}
+}
+
 // TestIngestShardMismatch: re-sharding requires a full rebuild.
 func TestIngestShardMismatch(t *testing.T) {
 	snap := goldenSnapshot(t, 4)
