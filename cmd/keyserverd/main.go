@@ -26,8 +26,7 @@
 //
 //	keyserverd -scale 0.05 -bits 128 -listen 127.0.0.1:8446
 //	keyserverd -load corpus.gob -rate 100 -burst 200 -log-level debug
-//	kill -HUP <pid>   # with -load: ingest the corpus file's delta;
-//	                  # with -rebuild-full (or simulate mode): full rebuild
+//	kill -HUP <pid>   # with -load: ingest the corpus file's delta
 //	kill -USR1 <pid>  # write a debug bundle to the -debug-bundle path
 //
 // SIGINT/SIGTERM drain gracefully: the listener stops accepting, in-
@@ -77,10 +76,8 @@ func main() {
 		rate      = flag.Float64("rate", 50, "per-client rate limit in checks/sec (0 disables)")
 		burst     = flag.Int("burst", 100, "per-client rate-limit burst")
 		drainFor  = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline")
-		saveTo    = flag.String("save", "", "save the simulated corpus to a file (for keyload -corpus)")
 		anomFleet = flag.Bool("anomaly-fleet", false, "append the anomalous device families (close primes, small factors, e=1, fleet-shared modulus) to the simulated ecosystem (ignored with -load)")
 		quiet     = flag.Bool("q", false, "suppress progress output")
-		fullHup   = flag.Bool("rebuild-full", false, "SIGHUP re-analyzes from scratch instead of ingesting the corpus delta")
 		ingestOK  = flag.Bool("allow-ingest", true, "serve POST /v1/ingest (live index updates)")
 		logLevel  = flag.String("log-level", "info", "stderr log floor: debug, info, warn or error (the flight recorder keeps everything)")
 		logFormat = flag.String("log-format", "text", "stderr log encoding: text or json")
@@ -147,61 +144,36 @@ func main() {
 			*clusterSelf, ownShards, *shards, placement.Replication())
 	}
 
-	// buildSnapshot runs (or re-runs, on SIGHUP) the analysis and
-	// assembles the serving index from the study's factored set.
-	buildSnapshot := func() (*keycheck.Snapshot, error) {
-		var study *core.Study
-		var err error
-		opts := core.Options{KeyBits: *bits, Subsets: *subsets, Telemetry: reg, Events: events}
-		if *loadFrom != "" {
-			logf("analyzing corpus from %s...", *loadFrom)
-			f, ferr := os.Open(*loadFrom)
-			if ferr != nil {
-				return nil, ferr
-			}
-			store, lerr := scanstore.Load(f)
-			f.Close()
-			if lerr != nil {
-				return nil, lerr
-			}
-			study, err = core.AnalyzeStore(ctx, store, opts)
-		} else {
-			logf("simulating study corpus (scale %.2f, %d-bit keys, k=%d)...", *scale, *bits, *subsets)
-			opts.Seed, opts.Scale = *seed, *scale
-			if *anomFleet {
-				// The anomalous families ride along with the paper's vendor
-				// set so the new verdict classes have live populations.
-				opts.Lines = append(population.DefaultDynamics(), population.AnomalyLines()...)
-			}
-			study, err = core.Run(ctx, opts)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if *saveTo != "" {
-			f, ferr := os.Create(*saveTo)
-			if ferr != nil {
-				return nil, ferr
-			}
-			if err := study.Store.Save(f); err != nil {
-				f.Close()
-				return nil, err
-			}
-			if err := f.Close(); err != nil {
-				return nil, err
-			}
-			logf("saved scan corpus to %s", *saveTo)
-		}
-		return keycheck.Build(ctx, keycheck.BuildInput{
-			Store:       study.Store,
-			Fingerprint: study.Fingerprint,
-			Shards:      *shards,
-			OwnShards:   ownShards,
-		})
-	}
-
+	// The study — a saved corpus analyzed, or a simulated one — and the
+	// serving index built from its factored set.
 	start := time.Now()
-	snap, err := buildSnapshot()
+	opts := core.Options{KeyBits: *bits, Subsets: *subsets, Telemetry: reg, Events: events}
+	var study *core.Study
+	if *loadFrom != "" {
+		logf("analyzing corpus from %s...", *loadFrom)
+		var store *scanstore.Store
+		if store, err = loadStore(*loadFrom); err == nil {
+			study, err = core.AnalyzeStore(ctx, store, opts)
+		}
+	} else {
+		logf("simulating study corpus (scale %.2f, %d-bit keys, k=%d)...", *scale, *bits, *subsets)
+		opts.Seed, opts.Scale = *seed, *scale
+		if *anomFleet {
+			// The anomalous families ride along with the paper's vendor
+			// set so the new verdict classes have live populations.
+			opts.Lines = append(population.DefaultDynamics(), population.AnomalyLines()...)
+		}
+		study, err = core.Run(ctx, opts)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	snap, err := keycheck.Build(ctx, keycheck.BuildInput{
+		Store:       study.Store,
+		Fingerprint: study.Fingerprint,
+		Shards:      *shards,
+		OwnShards:   ownShards,
+	})
 	if err != nil {
 		fatal(err)
 	}
@@ -325,53 +297,41 @@ func main() {
 		}()
 	}
 
-	// SIGHUP folds new corpus data into the live index. The default path
-	// with -load re-reads the corpus file and ingests it as a delta —
-	// moduli already indexed are deduplicated positionally, only novel
-	// ones pay for GCD work, and untouched shards are shared with the
-	// predecessor snapshot. -rebuild-full (and the simulate mode, whose
-	// deterministic corpus has no external delta source) re-runs the full
-	// analysis instead. Either way the swap is atomic: readers are never
-	// blocked and the verdict cache is invalidated.
+	// SIGHUP folds the -load corpus file's new observations into the
+	// live index: the file is re-read and ingested as a delta — moduli
+	// already indexed are deduplicated, only novel ones pay for GCD work,
+	// untouched shards are shared with the predecessor snapshot, and keys
+	// that arrived through /v1/ingest stay indexed. The swap is atomic:
+	// readers are never blocked and the verdict cache is invalidated.
+	// Without -load there is nothing to re-read, and SIGHUP is a no-op
+	// rather than the default action that would kill the process.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
 		for range hup {
-			if !*fullHup && *loadFrom != "" {
-				logf("SIGHUP: ingesting corpus delta from %s...", *loadFrom)
-				events.Info(ctx, "sighup ingest", slog.String("corpus", *loadFrom))
-				f, err := os.Open(*loadFrom)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "keyserverd: reload failed, keeping current snapshot:", err)
-					continue
-				}
-				store, err := scanstore.Load(f)
-				f.Close()
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "keyserverd: reload failed, keeping current snapshot:", err)
-					continue
-				}
-				rep, err := svc.Ingest(ctx, keycheck.BuildInput{Store: store, Shards: *shards})
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "keyserverd: ingest failed, keeping current snapshot:", err)
-					continue
-				}
-				cur := svc.Index().Snapshot()
-				logf("delta ingested in %v: %d novel moduli (%d factored, %d fold-backs), %d duplicates; "+
-					"%d/%d shards touched, %d tree nodes reused; serving %d moduli (%d factored)",
-					rep.Elapsed.Round(time.Millisecond), rep.DeltaModuli, rep.NewFactored, rep.Refactored,
-					rep.Duplicates, rep.TouchedShards, len(rep.Shards), rep.NodesReused,
-					cur.Moduli(), cur.Factored())
+			if *loadFrom == "" {
+				logf("SIGHUP: nothing to reload without -load")
+				events.Info(ctx, "sighup ignored: no -load corpus")
 				continue
 			}
-			logf("SIGHUP: rebuilding index...")
-			next, err := buildSnapshot()
+			logf("SIGHUP: ingesting corpus delta from %s...", *loadFrom)
+			events.Info(ctx, "sighup ingest", slog.String("corpus", *loadFrom))
+			store, err := loadStore(*loadFrom)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "keyserverd: reload failed, keeping current snapshot:", err)
 				continue
 			}
-			svc.Publish(next)
-			logf("snapshot swapped: %d moduli (%d factored)", next.Moduli(), next.Factored())
+			rep, err := svc.Ingest(ctx, keycheck.BuildInput{Store: store, Shards: *shards})
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "keyserverd: ingest failed, keeping current snapshot:", err)
+				continue
+			}
+			cur := svc.Index().Snapshot()
+			logf("delta ingested in %v: %d novel moduli (%d factored, %d fold-backs), %d duplicates; "+
+				"%d/%d shards touched, %d tree nodes reused; serving %d moduli (%d factored)",
+				rep.Elapsed.Round(time.Millisecond), rep.DeltaModuli, rep.NewFactored, rep.Refactored,
+				rep.Duplicates, rep.TouchedShards, len(rep.Shards), rep.NodesReused,
+				cur.Moduli(), cur.Factored())
 		}
 	}()
 
@@ -385,4 +345,14 @@ func main() {
 	}
 	svc.Drain()
 	logf("drained; bye")
+}
+
+// loadStore reads a saved scan corpus (scanstore snapshot) from path.
+func loadStore(path string) (*scanstore.Store, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return scanstore.Load(f)
 }

@@ -5,12 +5,17 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
+	"time"
 
 	"github.com/factorable/weakkeys/internal/cluster"
 	"github.com/factorable/weakkeys/internal/keycheck"
@@ -91,7 +96,8 @@ func TestOneShot(t *testing.T) {
 const weakPair = `{"moduli_hex":["801e58579270d8dab1a09cf329cc5a05","7eabc8fe480ede7475777dbe615c3dcf"]}`
 
 // TestKeyserverd drives one keyserverd from startup to SIGTERM: corpus and anomaly verdicts, a
-// correlated ingest, a zscand sweep bridged into it, a SIGUSR1 bundle and the drain.
+// correlated ingest, a zscand sweep bridged into it, a SIGHUP that keeps every ingested key, a
+// SIGUSR1 bundle and the drain.
 func TestKeyserverd(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -162,6 +168,16 @@ func TestKeyserverd(t *testing.T) {
 		t.Errorf("fleet exemplar after the scan: %+v", v.Verdict)
 	}
 
+	// SIGHUP without -load has nothing to re-read: the process keeps serving, and every key that
+	// came in through /v1/ingest, directly or over the bridge, still answers factored.
+	ks.cmd.Process.Signal(syscall.SIGHUP)
+	ks.waitLog(`SIGHUP: nothing to reload without -load`)
+	for _, n := range []string{"801e58579270d8dab1a09cf329cc5a05", "7eabc8fe480ede7475777dbe615c3dcf", weak} {
+		if v := check(t, base, n, ""); v.Status != keycheck.StatusFactored {
+			t.Errorf("ingested key %s after SIGHUP: %+v", n, v.Verdict)
+		}
+	}
+
 	counted(t, base, `keycheck_checks_total{verdict="factored"}`, `keycheck_checks_total{verdict="clean"}`,
 		`keycheck_checks_total{verdict="shared_modulus"}`, `keycheck_checks_total{verdict="fermat_weak"}`,
 		`keycheck_checks_total{verdict="small_factor"}`, `keycheck_checks_total{verdict="unsafe_exponent"}`,
@@ -192,7 +208,7 @@ func TestKeyserverd(t *testing.T) {
 
 // TestCluster runs three partial-snapshot keyserverd replicas behind a keyrouter, each told only
 // the ordered peer list: routed verdicts with full coverage, a routed ingest written to every
-// owner, keyload through a SIGKILL of one replica with no verdict lost, and that replica's
+// owner, check load through a SIGKILL of one replica with no verdict lost, and that replica's
 // restart, which recovers the ingested keys from its peers' journals.
 func TestCluster(t *testing.T) {
 	t.Parallel()
@@ -261,14 +277,11 @@ func TestCluster(t *testing.T) {
 	// Load through the router; one replica dies once checks are flowing.
 	const served = `cluster_http_requests_total{code="200"}`
 	before := metric(t, base, served)
-	result := filepath.Join(t.TempDir(), "keyload.json")
-	load := start(t, "keyload", "-addr", addrs[3], "-c", "8", "-duration", "3s", "-retries", "8", "-json", result, "-q")
-	load.poll("checks flowing", func() bool { return metric(t, base, served) >= before+200 })
+	wait := load(t, base, 8, 3*time.Second)
+	router.poll("checks flowing", func() bool { return metric(t, base, served) >= before+200 })
 	replicas[1].cmd.Process.Signal(syscall.SIGKILL)
-	var tally struct{ Checks, Errors int }
-	load.poll("keyload's result", func() bool { raw, _ := os.ReadFile(result); return json.Unmarshal(raw, &tally) == nil })
-	if tally.Checks == 0 || tally.Errors != 0 {
-		t.Errorf("%d of %d checks lost their verdict to the SIGKILL", tally.Errors, tally.Checks)
+	if tally := wait(); tally.checks == 0 || tally.lost != 0 {
+		t.Errorf("%d of %d checks lost their verdict to the SIGKILL; request IDs %v", tally.lost, tally.checks, tally.sample)
 	}
 
 	// The router noticed the death and still covers every shard.
@@ -284,4 +297,50 @@ func TestCluster(t *testing.T) {
 	replica(peers[1])
 	router.poll("the restarted replica healthy again", func() bool { return status() == "{2 [{true} {true} {true}] []}" })
 	router.poll("the restarted replica to recover the ingested keys", func() bool { return indexed() == baseline+4 })
+}
+
+// TestLoadCountsEveryLostVerdict: TestCluster's "no verdict lost" rests on load's loss rule, so
+// every answer without a verdict counts as lost — a 200 whose body was cut short or says nothing
+// included, neither of them retried — and backpressure counts only after its 8 retries.
+func TestLoadCountsEveryLostVerdict(t *testing.T) {
+	t.Parallel()
+	var mu sync.Mutex
+	hits := map[string]int{}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			ModulusHex string `json:"modulus_hex"`
+		}
+		json.NewDecoder(r.Body).Decode(&req)
+		mu.Lock()
+		hits[req.ModulusHex]++
+		mu.Unlock()
+		w.Header().Set("X-Request-Id", req.ModulusHex)
+		switch req.ModulusHex {
+		case "torn": // a replica killed mid-response: 200, then half a body
+			w.Header().Set("Content-Length", "64")
+			io.WriteString(w, `{"status":"fact`)
+		case "empty":
+			io.WriteString(w, `{}`)
+		case "busy":
+			w.WriteHeader(http.StatusServiceUnavailable)
+		default:
+			io.WriteString(w, `{"status":"clean"}`)
+		}
+	}))
+	defer srv.Close()
+	for _, tc := range []struct {
+		hex, want string
+		ok        bool
+		attempts  int
+	}{
+		{"ok", "200:ok", true, 1}, {"torn", "200:torn", false, 1}, {"empty", "200:empty", false, 1}, {"busy", "503:busy", false, 9},
+	} {
+		got, ok := checkWithRetries(srv.Client(), srv.URL, tc.hex)
+		mu.Lock()
+		attempts := hits[tc.hex]
+		mu.Unlock()
+		if got != tc.want || ok != tc.ok || attempts != tc.attempts {
+			t.Errorf("%s: %q, verdict %v after %d attempts; want %q, %v after %d", tc.hex, got, ok, attempts, tc.want, tc.ok, tc.attempts)
+		}
+	}
 }

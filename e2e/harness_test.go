@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math/big"
 	"math/rand"
 	"net"
 	"net/http"
@@ -24,6 +25,7 @@ import (
 	"time"
 
 	"github.com/factorable/weakkeys/internal/cluster"
+	"github.com/factorable/weakkeys/internal/retry"
 )
 
 // deadline bounds every wait; `make race` runs this package beside the CPU-heavy ones.
@@ -222,4 +224,97 @@ func reservePorts(t *testing.T, n int) (addrs []string) {
 		t.Fatalf("only %d of %d ports free", len(addrs), n)
 	}
 	return addrs
+}
+
+// loadTally is what a load run counts: every check made, the lost ones,
+// and a sample of what the lost ones got back.
+type loadTally struct {
+	checks, lost int
+	sample       []string // "code:X-Request-Id" (or the transport error) of up to 16 lost checks
+}
+
+// load drives check traffic at base from clients goroutines for dur, and
+// wait returns the tally once they stop. The mix is 30% known-factored
+// and 40% known-clean keys from /v1/exemplars, and 30% novel 128-bit odd
+// moduli. A check is retried up to 8 times, backing off from 25 ms and
+// doubling, on a transport error retry.Transient accepts or on a 502,
+// 503, 504 or 429. It is lost when its last answer is anything but a 200
+// whose body decodes to a non-empty status — a torn or empty 200, which
+// is not retried, included — and the sample's request IDs join a loss to
+// the server's /debug/events?request_id=.
+func load(t *testing.T, base string, clients int, dur time.Duration) (wait func() loadTally) {
+	t.Helper()
+	var ex struct{ Factored, Clean []string }
+	if call(t, base+"/v1/exemplars?n=64", "", &ex); len(ex.Factored) == 0 || len(ex.Clean) == 0 {
+		t.Fatalf("no factored or no clean exemplar: %+v", ex)
+	}
+	rng, novel := rand.New(rand.NewSource(1)), make([]string, 64)
+	for i := range novel {
+		n := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 128))
+		novel[i] = n.SetBit(n, 127, 1).SetBit(n, 0, 1).Text(16)
+	}
+	client := &http.Client{Timeout: 10 * time.Second, Transport: &http.Transport{MaxIdleConnsPerHost: 2 * clients}}
+	var (
+		mu  sync.Mutex
+		sum loadTally
+		wg  sync.WaitGroup
+	)
+	end := time.Now().Add(dur)
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for time.Now().Before(end) {
+				pool := ex.Clean
+				switch u := rng.Float64(); {
+				case u < 0.3:
+					pool = ex.Factored
+				case u < 0.6:
+					pool = novel
+				}
+				got, ok := checkWithRetries(client, base, pool[rng.Intn(len(pool))])
+				mu.Lock()
+				sum.checks++
+				if !ok {
+					sum.lost++
+					if len(sum.sample) < 16 {
+						sum.sample = append(sum.sample, got)
+					}
+				}
+				mu.Unlock()
+			}
+		}(rand.New(rand.NewSource(int64(w)*7919 + 1)))
+	}
+	return func() loadTally { wg.Wait(); client.CloseIdleConnections(); return sum }
+}
+
+// checkWithRetries makes one of load's checks; ok reports a verdict, and
+// got names the last answer as "code:X-Request-Id" or the transport error.
+func checkWithRetries(client *http.Client, base, modulusHex string) (got string, ok bool) {
+	body := fmt.Sprintf(`{"modulus_hex":%q}`, modulusHex)
+	backoff := 25 * time.Millisecond
+	for attempt := 0; ; attempt++ {
+		if attempt > 0 {
+			time.Sleep(backoff)
+			backoff *= 2
+		}
+		resp, err := client.Post(base+"/v1/check", "application/json", strings.NewReader(body))
+		if err != nil {
+			if attempt < 8 && retry.Transient(err) {
+				continue
+			}
+			return err.Error(), false
+		}
+		var v struct{ Status string }
+		ok = resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&v) == nil && v.Status != ""
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout, http.StatusTooManyRequests:
+			if attempt < 8 {
+				continue
+			}
+		}
+		return fmt.Sprintf("%d:%s", resp.StatusCode, resp.Header.Get("X-Request-Id")), ok
+	}
 }

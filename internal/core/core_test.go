@@ -13,6 +13,7 @@ import (
 	"github.com/factorable/weakkeys/internal/devices"
 	"github.com/factorable/weakkeys/internal/population"
 	"github.com/factorable/weakkeys/internal/scanstore"
+	"github.com/factorable/weakkeys/internal/weakrsa"
 )
 
 var (
@@ -290,7 +291,7 @@ func TestOpenSSLTable5Agreement(t *testing.T) {
 			continue // tiny samples are inconclusive
 		}
 		reg := devices.ByName(name)
-		if reg == nil || reg.OpenSSL == devices.OpenSSLUnknown {
+		if reg == nil || reg.OpenSSL == weakrsa.OpenSSLUnknown {
 			continue
 		}
 		if vs.OpenSSL != reg.OpenSSL {

@@ -5,7 +5,11 @@
 // the simulated scanner talks to.
 package devices
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/factorable/weakkeys/internal/weakrsa"
+)
 
 // ResponseCategory classifies how a vendor responded to the February/March
 // 2012 vulnerability notification (Table 2).
@@ -44,33 +48,6 @@ func (r ResponseCategory) String() string {
 	}
 }
 
-// OpenSSLClass is the Table 5 classification derived from the prime
-// factors of a vendor's factored keys.
-type OpenSSLClass int
-
-const (
-	// OpenSSLUnknown: no factored keys, so the private-key fingerprint
-	// cannot be evaluated.
-	OpenSSLUnknown OpenSSLClass = iota
-	// OpenSSLLikely: every factored prime satisfies the OpenSSL p-1
-	// property, so the implementation is likely OpenSSL.
-	OpenSSLLikely
-	// OpenSSLNot: a substantial fraction of factored primes violate the
-	// property, so the implementation is definitely not OpenSSL.
-	OpenSSLNot
-)
-
-func (c OpenSSLClass) String() string {
-	switch c {
-	case OpenSSLLikely:
-		return "satisfies OpenSSL fingerprint"
-	case OpenSSLNot:
-		return "does not satisfy"
-	default:
-		return "unknown"
-	}
-}
-
 // Vendor is an entry in the study's vendor registry.
 type Vendor struct {
 	// Name is the canonical vendor name used across the study.
@@ -80,7 +57,7 @@ type Vendor struct {
 	// OpenSSL is the ground-truth Table 5 classification; the
 	// fingerprint pipeline re-derives it from factored primes and the
 	// experiment harness compares the two.
-	OpenSSL OpenSSLClass
+	OpenSSL weakrsa.OpenSSLClass
 	// AdvisoryMonth, for PublicAdvisory vendors, is the month the
 	// advisory appeared, as "YYYY-MM".
 	AdvisoryMonth string
@@ -104,26 +81,26 @@ var Registry = []Vendor{
 	// Public security advisories (five, Section 2.5/4.1). Juniper: April
 	// + July 2012; Innominate: June 2012; IBM: September 2012 (CVE-2012-
 	// 2187); Intel and Tropos published SSH-key disclosures.
-	{Name: "Juniper", Response: PublicAdvisory, OpenSSL: OpenSSLNot, AdvisoryMonth: "2012-04"},
-	{Name: "Innominate", Response: PublicAdvisory, OpenSSL: OpenSSLLikely, AdvisoryMonth: "2012-06"},
-	{Name: "IBM", Response: PublicAdvisory, OpenSSL: OpenSSLLikely, AdvisoryMonth: "2012-09"},
+	{Name: "Juniper", Response: PublicAdvisory, OpenSSL: weakrsa.OpenSSLNot, AdvisoryMonth: "2012-04"},
+	{Name: "Innominate", Response: PublicAdvisory, OpenSSL: weakrsa.OpenSSLLikely, AdvisoryMonth: "2012-06"},
+	{Name: "IBM", Response: PublicAdvisory, OpenSSL: weakrsa.OpenSSLLikely, AdvisoryMonth: "2012-09"},
 	{Name: "Intel", Response: PublicAdvisory, AdvisoryMonth: "2012-06", SSHOnly: true},
 	{Name: "Tropos", Response: PublicAdvisory, AdvisoryMonth: "2012-07", SSHOnly: true},
 
 	// Substantive private responses (Section 4.2 discusses Cisco and HP).
-	{Name: "Cisco", Response: PrivateResponse, OpenSSL: OpenSSLLikely},
-	{Name: "HP", Response: PrivateResponse, OpenSSL: OpenSSLLikely},
+	{Name: "Cisco", Response: PrivateResponse, OpenSSL: weakrsa.OpenSSLLikely},
+	{Name: "HP", Response: PrivateResponse, OpenSSL: weakrsa.OpenSSLLikely},
 	{Name: "Emerson", Response: PrivateResponse},
 	{Name: "Pogoplug", Response: PrivateResponse},
 	{Name: "Brocade", Response: PrivateResponse},
-	{Name: "NTI", Response: PrivateResponse, OpenSSL: OpenSSLLikely},
-	{Name: "2-Wire", Response: PrivateResponse, OpenSSL: OpenSSLLikely},
+	{Name: "NTI", Response: PrivateResponse, OpenSSL: weakrsa.OpenSSLLikely},
+	{Name: "2-Wire", Response: PrivateResponse, OpenSSL: weakrsa.OpenSSLLikely},
 	{Name: "Sinetica", Response: PrivateResponse},
 
 	// Automated acknowledgements only.
 	{Name: "AudioCodes", Response: AutoResponse},
 	{Name: "Motorola", Response: AutoResponse},
-	{Name: "SkyStream", Response: AutoResponse, OpenSSL: OpenSSLLikely},
+	{Name: "SkyStream", Response: AutoResponse, OpenSSL: weakrsa.OpenSSLLikely},
 	{Name: "Ruckus", Response: AutoResponse},
 	{Name: "Kyocera", Response: AutoResponse},
 
@@ -139,31 +116,31 @@ var Registry = []Vendor{
 	{Name: "Simton", Response: NoResponse},
 	{Name: "JDSU", Response: NoResponse},
 	{Name: "MRV", Response: NoResponse},
-	{Name: "Thomson", Response: NoResponse, OpenSSL: OpenSSLLikely},
-	{Name: "Fritz!Box", Response: NoResponse, OpenSSL: OpenSSLLikely},
-	{Name: "Linksys", Response: NoResponse, OpenSSL: OpenSSLLikely},
-	{Name: "Fortinet", Response: NoResponse, OpenSSL: OpenSSLNot},
-	{Name: "ZyXEL", Response: NoResponse, OpenSSL: OpenSSLNot},
+	{Name: "Thomson", Response: NoResponse, OpenSSL: weakrsa.OpenSSLLikely},
+	{Name: "Fritz!Box", Response: NoResponse, OpenSSL: weakrsa.OpenSSLLikely},
+	{Name: "Linksys", Response: NoResponse, OpenSSL: weakrsa.OpenSSLLikely},
+	{Name: "Fortinet", Response: NoResponse, OpenSSL: weakrsa.OpenSSLNot},
+	{Name: "ZyXEL", Response: NoResponse, OpenSSL: weakrsa.OpenSSLNot},
 	// Dell: the paper's Table 5 lists Dell under "satisfy", but the Dell
 	// population this simulation models is the Imaging Group line that
 	// shares Xerox's (non-OpenSSL) stack — so the simulation's ground
 	// truth is OpenSSLNot. See DESIGN.md.
-	{Name: "Dell", Response: NoResponse, OpenSSL: OpenSSLNot},
-	{Name: "Kronos", Response: NoResponse, OpenSSL: OpenSSLNot},
-	{Name: "Xerox", Response: NoResponse, OpenSSL: OpenSSLNot},
-	{Name: "McAfee", Response: NoResponse, OpenSSL: OpenSSLLikely},
-	{Name: "TP-LINK", Response: NoResponse, OpenSSL: OpenSSLLikely},
-	{Name: "D-Link", Response: NoResponse, OpenSSL: OpenSSLLikely},
+	{Name: "Dell", Response: NoResponse, OpenSSL: weakrsa.OpenSSLNot},
+	{Name: "Kronos", Response: NoResponse, OpenSSL: weakrsa.OpenSSLNot},
+	{Name: "Xerox", Response: NoResponse, OpenSSL: weakrsa.OpenSSLNot},
+	{Name: "McAfee", Response: NoResponse, OpenSSL: weakrsa.OpenSSLLikely},
+	{Name: "TP-LINK", Response: NoResponse, OpenSSL: weakrsa.OpenSSLLikely},
+	{Name: "D-Link", Response: NoResponse, OpenSSL: weakrsa.OpenSSLLikely},
 
 	// Newly vulnerable since 2012 (Section 4.4), contacted May 2016.
-	{Name: "Huawei", Response: NotNotified2012, OpenSSL: OpenSSLNot},
-	{Name: "ADTRAN", Response: NotNotified2012, OpenSSL: OpenSSLLikely},
-	{Name: "Sangfor", Response: NotNotified2012, OpenSSL: OpenSSLLikely},
-	{Name: "Schmid Telecom", Response: NotNotified2012, OpenSSL: OpenSSLLikely},
+	{Name: "Huawei", Response: NotNotified2012, OpenSSL: weakrsa.OpenSSLNot},
+	{Name: "ADTRAN", Response: NotNotified2012, OpenSSL: weakrsa.OpenSSLLikely},
+	{Name: "Sangfor", Response: NotNotified2012, OpenSSL: weakrsa.OpenSSLLikely},
+	{Name: "Schmid Telecom", Response: NotNotified2012, OpenSSL: weakrsa.OpenSSLLikely},
 
 	// Fingerprint-identified vendors without their own notification row.
-	{Name: "Siemens", Response: NotNotified2012, OpenSSL: OpenSSLNot},
-	{Name: "Conel s.r.o.", Response: NotNotified2012, OpenSSL: OpenSSLLikely},
+	{Name: "Siemens", Response: NotNotified2012, OpenSSL: weakrsa.OpenSSLNot},
+	{Name: "Conel s.r.o.", Response: NotNotified2012, OpenSSL: weakrsa.OpenSSLLikely},
 }
 
 // Notified2012Count is the number of vendors the 2012 RSA notification

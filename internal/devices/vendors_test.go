@@ -1,6 +1,10 @@
 package devices
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/factorable/weakkeys/internal/weakrsa"
+)
 
 func TestRegistry37Notified(t *testing.T) {
 	if got := len(Notified2012()); got != Notified2012Count {
@@ -33,7 +37,7 @@ func TestRegistryNoDuplicates(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	v := ByName("Juniper")
-	if v == nil || v.Response != PublicAdvisory || v.OpenSSL != OpenSSLNot {
+	if v == nil || v.Response != PublicAdvisory || v.OpenSSL != weakrsa.OpenSSLNot {
 		t.Errorf("Juniper entry wrong: %+v", v)
 	}
 	if ByName("Acme") != nil {
@@ -63,12 +67,12 @@ func TestOpenSSLClassifications(t *testing.T) {
 	// Dell population is the Xerox-stack Imaging line (see vendors.go).
 	not := []string{"Juniper", "Fortinet", "Huawei", "Kronos", "Siemens", "Xerox", "ZyXEL", "Dell"}
 	for _, name := range likely {
-		if v := ByName(name); v == nil || v.OpenSSL != OpenSSLLikely {
+		if v := ByName(name); v == nil || v.OpenSSL != weakrsa.OpenSSLLikely {
 			t.Errorf("%s should satisfy the OpenSSL fingerprint", name)
 		}
 	}
 	for _, name := range not {
-		if v := ByName(name); v == nil || v.OpenSSL != OpenSSLNot {
+		if v := ByName(name); v == nil || v.OpenSSL != weakrsa.OpenSSLNot {
 			t.Errorf("%s should not satisfy the OpenSSL fingerprint", name)
 		}
 	}
@@ -81,7 +85,7 @@ func TestStringers(t *testing.T) {
 	if ResponseCategory(99).String() == "" {
 		t.Error("unknown category should stringify")
 	}
-	if OpenSSLLikely.String() == "" || OpenSSLNot.String() == "" || OpenSSLUnknown.String() == "" {
+	if weakrsa.OpenSSLLikely.String() == "" || weakrsa.OpenSSLNot.String() == "" || weakrsa.OpenSSLUnknown.String() == "" {
 		t.Error("OpenSSLClass strings empty")
 	}
 	if KeyHealthy.String() != "healthy" || KeySharedPrime.String() != "shared-prime" || KeyClique.String() != "clique" {

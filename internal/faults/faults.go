@@ -5,10 +5,9 @@
 // mid-handshake resets, stalled hosts, truncated or garbled responses,
 // devices that fall over after a few probes ("Ten Years of ZMap"
 // documents loss handling as core to scan correctness). Plan schedules
-// those faults for a devices.Server (and for a simulated fleet's devices
-// and the check service's per-check chaos), drawn deterministically from
-// a seed, so a real-socket chaos test replays byte-for-byte given the
-// same seed and arrival order.
+// those faults for a devices.Server (and for a simulated fleet's
+// devices), drawn deterministically from a seed, so a real-socket chaos
+// test replays byte-for-byte given the same seed and arrival order.
 //
 // A nil *Plan is safe: every method reports "no fault", so production
 // call sites inject unconditionally and pay one predicted branch when
@@ -104,7 +103,6 @@ type Plan struct {
 	everyAct Action
 	crashAt  int64 // crash on this 1-based connection; 0 = never
 	conns    int64
-	counts   [numActions]int64
 }
 
 // NewPlan returns a Plan drawing faults at the given per-connection
@@ -172,33 +170,5 @@ func (p *Plan) Next() Decision {
 			a = Garble
 		}
 	}
-	p.counts[a]++
 	return Decision{Action: a}
-}
-
-// Connections returns how many decisions the plan has issued.
-func (p *Plan) Connections() int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.conns
-}
-
-// Injected returns the per-action tally of decisions issued so far
-// (Pass included).
-func (p *Plan) Injected() map[Action]int64 {
-	m := make(map[Action]int64)
-	if p == nil {
-		return m
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for a, n := range p.counts {
-		if n > 0 {
-			m[Action(a)] = n
-		}
-	}
-	return m
 }

@@ -5,8 +5,8 @@ import (
 	"sort"
 
 	"github.com/factorable/weakkeys/internal/certs"
-	"github.com/factorable/weakkeys/internal/devices"
 	"github.com/factorable/weakkeys/internal/numtheory"
+	"github.com/factorable/weakkeys/internal/weakrsa"
 )
 
 // Input bundles everything the fingerprint pipeline consumes: the distinct
@@ -80,7 +80,7 @@ type VendorStats struct {
 	// PrimesSatisfyingOpenSSL / PrimesTotal drive the Table 5 class.
 	PrimesSatisfyingOpenSSL int
 	PrimesTotal             int
-	OpenSSL                 devices.OpenSSLClass
+	OpenSSL                 weakrsa.OpenSSLClass
 }
 
 // Result is the full fingerprint analysis.
@@ -396,19 +396,19 @@ func validSplit(f Factors, modulusBits int) bool {
 // the property means likely OpenSSL; a substantial violating fraction
 // means definitely not. (A random non-OpenSSL prime satisfies it with
 // probability ~7.5%, so even a small sample separates cleanly.)
-func classifyOpenSSL(sat, total int) devices.OpenSSLClass {
+func classifyOpenSSL(sat, total int) weakrsa.OpenSSLClass {
 	if total == 0 {
-		return devices.OpenSSLUnknown
+		return weakrsa.OpenSSLUnknown
 	}
 	if sat == total {
-		return devices.OpenSSLLikely
+		return weakrsa.OpenSSLLikely
 	}
 	if float64(sat) < 0.5*float64(total) {
-		return devices.OpenSSLNot
+		return weakrsa.OpenSSLNot
 	}
 	// Mixed: a mostly-satisfying sample with some violations still rules
 	// out OpenSSL (OpenSSL can never emit a violating prime).
-	return devices.OpenSSLNot
+	return weakrsa.OpenSSLNot
 }
 
 // detectCliques groups factored moduli into connected components by

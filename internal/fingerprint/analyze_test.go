@@ -230,14 +230,14 @@ func TestOpenSSLClassification(t *testing.T) {
 	b.healthy(devices.GenericProfile("Fortinet", devices.KeyHealthy, weakrsa.PrimeNaive))
 	res := b.analyze(nil)
 
-	if got := res.Vendors["Innominate"].OpenSSL; got != devices.OpenSSLLikely {
+	if got := res.Vendors["Innominate"].OpenSSL; got != weakrsa.OpenSSLLikely {
 		t.Errorf("Innominate classified %v", got)
 	}
-	if got := res.Vendors["Juniper"].OpenSSL; got != devices.OpenSSLNot {
+	if got := res.Vendors["Juniper"].OpenSSL; got != weakrsa.OpenSSLNot {
 		t.Errorf("Juniper classified %v (sat %d / %d)", got,
 			res.Vendors["Juniper"].PrimesSatisfyingOpenSSL, res.Vendors["Juniper"].PrimesTotal)
 	}
-	if got := res.Vendors["Fortinet"].OpenSSL; got != devices.OpenSSLUnknown {
+	if got := res.Vendors["Fortinet"].OpenSSL; got != weakrsa.OpenSSLUnknown {
 		t.Errorf("Fortinet classified %v, want unknown (no private keys)", got)
 	}
 }
@@ -312,16 +312,16 @@ func TestVendorStatsCounts(t *testing.T) {
 }
 
 func TestClassifyOpenSSLBoundaries(t *testing.T) {
-	if classifyOpenSSL(0, 0) != devices.OpenSSLUnknown {
+	if classifyOpenSSL(0, 0) != weakrsa.OpenSSLUnknown {
 		t.Error("no data should be unknown")
 	}
-	if classifyOpenSSL(10, 10) != devices.OpenSSLLikely {
+	if classifyOpenSSL(10, 10) != weakrsa.OpenSSLLikely {
 		t.Error("all satisfying should be likely")
 	}
-	if classifyOpenSSL(1, 10) != devices.OpenSSLNot {
+	if classifyOpenSSL(1, 10) != weakrsa.OpenSSLNot {
 		t.Error("mostly violating should be not")
 	}
-	if classifyOpenSSL(9, 10) != devices.OpenSSLNot {
+	if classifyOpenSSL(9, 10) != weakrsa.OpenSSLNot {
 		t.Error("any violation rules out OpenSSL")
 	}
 }

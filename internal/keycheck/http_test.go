@@ -337,7 +337,7 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Errorf("tracked clients = %d, want 1", st.TrackedClients)
 	}
 
-	svc.Publish(goldenSnapshot(t, 1))
+	svc.publish(goldenSnapshot(t, 1))
 	rr = httptest.NewRecorder()
 	mux.ServeHTTP(rr, req)
 	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {

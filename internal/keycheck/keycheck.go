@@ -17,8 +17,7 @@
 // Snapshots are published through an Index and swapped atomically, so
 // new study results are folded in without blocking readers. Service
 // wraps an Index with the production serving path — bounded worker
-// pool, LRU verdict cache, graceful drain, telemetry, fault injection —
-// and NewAPI exposes it over HTTP (POST /v1/check, GET /v1/stats).
+// pool, LRU verdict cache, graceful drain, telemetry — and NewAPI exposes it over HTTP (POST /v1/check, GET /v1/stats).
 package keycheck
 
 import (

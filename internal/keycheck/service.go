@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/factorable/weakkeys/internal/faults"
 	"github.com/factorable/weakkeys/internal/kernel"
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
@@ -46,12 +45,6 @@ type Config struct {
 	// in-flight checks and ingests plus the recent and slowest finished
 	// ones (nil disables).
 	Requests *telemetry.RequestTracker
-	// Faults, when set, injects per-check chaos: Refuse sheds the
-	// check, Stall holds its worker for FaultStall. Drives the chaos
-	// tests; nil in production.
-	Faults *faults.Plan
-	// FaultStall is the injected Stall duration (default 10ms).
-	FaultStall time.Duration
 	// OnIngest, when set, observes every ingest that published a new
 	// snapshot — the cluster sync journal's feed. The report carries
 	// the hex keys of the novel moduli in NovelKeys. Called after the
@@ -69,9 +62,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
-	}
-	if c.FaultStall <= 0 {
-		c.FaultStall = 10 * time.Millisecond
 	}
 	return c
 }
@@ -101,9 +91,12 @@ type Service struct {
 	inflightGauge *telemetry.Gauge
 	verdicts      map[Status]*telemetry.Counter
 
+	// holdHook, when set by tests, runs once a check holds its worker
+	// slot and before the lookup — how a test keeps the pool busy.
+	holdHook func()
 	// prePutHook, when set by tests, runs between computing a verdict
 	// and inserting it into the cache — the window the generation tag
-	// protects against a concurrent Publish.
+	// protects against a concurrent publish.
 	prePutHook func()
 }
 
@@ -138,12 +131,11 @@ func NewService(snap *Snapshot, cfg Config) *Service {
 // Index exposes the underlying index (read path and snapshot swap).
 func (s *Service) Index() *Index { return s.idx }
 
-// Publish atomically swaps in a rebuilt snapshot — the fold-in motion
-// for new study results. Readers are never blocked, and cached verdicts
-// of older snapshots stop being served, since a previously clean key may
-// now be factored: every cache entry is tagged with its snapshot's
-// generation.
-func (s *Service) Publish(snap *Snapshot) {
+// publish atomically swaps in a successor snapshot — an ingest's merged
+// result. Readers are never blocked, and cached verdicts of older
+// snapshots stop being served, since a previously clean key may now be
+// factored: every cache entry is tagged with its snapshot's generation.
+func (s *Service) publish(snap *Snapshot) {
 	s.idx.Swap(snap)
 	s.cfg.Metrics.Counter("keycheck_snapshot_swaps_total").Inc()
 	s.publishGauges(snap)
@@ -177,8 +169,8 @@ func (s *Service) shed(ctx context.Context, cause string) error {
 	return ErrOverloaded
 }
 
-// Check runs one modulus through the serving path: drain gate, fault
-// injection, cache, bounded worker pool, index lookup.
+// Check runs one modulus through the serving path: drain gate, cache,
+// bounded worker pool, index lookup.
 func (s *Service) Check(ctx context.Context, n *big.Int) (Verdict, error) {
 	track := s.cfg.Requests.Start("check", telemetry.RequestIDFrom(ctx))
 	track.Set("modulus_bits", n.BitLen())
@@ -192,22 +184,9 @@ func (s *Service) Check(ctx context.Context, n *big.Int) (Verdict, error) {
 	s.drainMu.Unlock()
 	defer s.inflight.Done()
 
-	var stall time.Duration
-	if s.cfg.Faults != nil {
-		switch d := s.cfg.Faults.Next(); {
-		case d.Crash || d.Action == faults.Refuse:
-			s.cfg.Metrics.Counter("keycheck_faults_injected_total").Inc()
-			track.Finish("shed:fault")
-			return Verdict{}, s.shed(ctx, "fault")
-		case d.Action == faults.Stall:
-			s.cfg.Metrics.Counter("keycheck_faults_injected_total").Inc()
-			stall = s.cfg.FaultStall
-		}
-	}
-
 	// The whole check — cache probe, index lookup, cache insert — is
 	// pinned to one snapshot, and cache traffic is tagged with its
-	// generation: the tag is what retires a verdict once Publish swaps
+	// generation: the tag is what retires a verdict once publish swaps
 	// in a successor, even one a check straddling the swap inserts after
 	// it.
 	snap := s.idx.Snapshot()
@@ -255,13 +234,8 @@ func (s *Service) Check(ctx context.Context, n *big.Int) (Verdict, error) {
 		<-s.sem
 	}()
 
-	if stall > 0 {
-		select {
-		case <-time.After(stall):
-		case <-ctx.Done():
-			track.Finish("canceled")
-			return Verdict{}, ctx.Err()
-		}
+	if s.holdHook != nil {
+		s.holdHook()
 	}
 
 	start := time.Now()
@@ -292,9 +266,9 @@ func (s *Service) Check(ctx context.Context, n *big.Int) (Verdict, error) {
 
 // Ingest folds a delta corpus into the live snapshot and publishes the
 // merged successor (see Snapshot.Ingest). Checks are never blocked: the
-// merge happens off to the side and lands via the same atomic swap as
-// Publish. Ingests are serialized against each other; an ingest that
-// finds nothing new publishes nothing.
+// merge happens off to the side and lands via one atomic swap. Ingests
+// are serialized against each other; an ingest that finds nothing new
+// publishes nothing.
 func (s *Service) Ingest(ctx context.Context, in BuildInput) (IngestReport, error) {
 	// Ingests ride the same drain gate as checks: one arriving after
 	// Drain started is refused, and Drain waits for a running merge to
@@ -360,7 +334,7 @@ func (s *Service) Ingest(ctx context.Context, in BuildInput) (IngestReport, erro
 		slog.Bool("published", ns != snap),
 		slog.Duration("latency", time.Since(start)))
 	if ns != snap {
-		s.Publish(ns)
+		s.publish(ns)
 		if s.cfg.OnIngest != nil {
 			s.cfg.OnIngest(rep)
 		}

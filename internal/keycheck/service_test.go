@@ -8,112 +8,59 @@ import (
 	"testing"
 	"time"
 
-	"github.com/factorable/weakkeys/internal/faults"
 	"github.com/factorable/weakkeys/internal/scanstore"
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
-// TestServiceChaosFaults drives concurrent checks through a service
-// whose fault plan refuses and stalls a fraction of them. Every check
-// must end in exactly one of two states — a correct verdict or a shed —
-// and the telemetry must account for each injected fault. Runs under
-// -race in CI.
-func TestServiceChaosFaults(t *testing.T) {
-	reg := telemetry.New()
-	plan := faults.NewPlan(7, faults.Weights{Refuse: 0.25, Stall: 0.1})
-	svc := NewService(goldenSnapshot(t, 2), Config{
-		Workers:    4,
-		CacheSize:  -1, // every check exercises the full path
-		Metrics:    reg,
-		Faults:     plan,
-		FaultStall: time.Millisecond,
-	})
+// holdWorkers parks every check that takes a worker slot on svc until
+// release is called; held receives once per parked check, so a test
+// knows the pool is busy without sleeping. Checks after the release
+// pass straight through.
+func holdWorkers(t *testing.T, svc *Service) (held <-chan struct{}, release func()) {
+	// Sends to parked never block; 16 is more than any test here parks.
+	gate, parked := make(chan struct{}), make(chan struct{}, 16)
+	svc.holdHook = func() {
+		select {
+		case parked <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return parked, release
+}
 
-	inputs := []*big.Int{modN1, modN2, modN3, modNs, modNc}
-	want := map[string]Status{
-		string(modN1.Bytes()): StatusFactored,
-		string(modN2.Bytes()): StatusFactored,
-		string(modN3.Bytes()): StatusClean,
-		string(modNs.Bytes()): StatusSharedFactor,
-		string(modNc.Bytes()): StatusClean,
-	}
-
-	const goroutines, perG = 16, 20
-	var ok, shed int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				n := inputs[(g+i)%len(inputs)]
-				v, err := svc.Check(context.Background(), n)
-				mu.Lock()
-				switch {
-				case err == nil:
-					ok++
-					if v.Status != want[string(n.Bytes())] {
-						t.Errorf("wrong verdict for %s: %+v", n.Text(16), v)
-					}
-				case errors.Is(err, ErrOverloaded):
-					shed++
-				default:
-					t.Errorf("unexpected error: %v", err)
-				}
-				mu.Unlock()
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	if ok+shed != goroutines*perG {
-		t.Errorf("accounting: %d ok + %d shed != %d checks", ok, shed, goroutines*perG)
-	}
-	injected := plan.Injected()
-	if shed < injected[faults.Refuse] {
-		t.Errorf("%d sheds < %d injected refusals", shed, injected[faults.Refuse])
-	}
-	wantInjected := injected[faults.Refuse] + injected[faults.Stall]
-	if got := reg.CounterValue("keycheck_faults_injected_total"); got != wantInjected {
-		t.Errorf("keycheck_faults_injected_total = %d, want %d", got, wantInjected)
-	}
-	if got := reg.CounterValue(`keycheck_shed_total{cause="fault"}`); got != injected[faults.Refuse] {
-		t.Errorf(`keycheck_shed_total{cause="fault"} = %d, want %d`, got, injected[faults.Refuse])
-	}
-	if injected[faults.Refuse] == 0 || injected[faults.Stall] == 0 {
-		t.Errorf("plan injected nothing (refuse=%d stall=%d); chaos test is vacuous",
-			injected[faults.Refuse], injected[faults.Stall])
+// waitCounter polls reg until the counter name reaches want.
+func waitCounter(t *testing.T, reg *telemetry.Registry, name string, want int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); reg.CounterValue(name) < want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d, never reached %d", name, reg.CounterValue(name), want)
+		}
 	}
 }
 
 // TestServiceShedsWhenSaturated pins the worker pool behaviour: with one
-// worker held by a stalled check and a negative queue wait, every other
+// worker held by a parked check and a negative queue wait, every other
 // check is shed immediately with ErrOverloaded.
 func TestServiceShedsWhenSaturated(t *testing.T) {
 	reg := telemetry.New()
 	svc := NewService(goldenSnapshot(t, 1), Config{
-		Workers:    1,
-		QueueWait:  -1, // shed instead of queueing
-		CacheSize:  -1,
-		Metrics:    reg,
-		Faults:     faults.NewEveryN(1, faults.Stall), // every check stalls its worker
-		FaultStall: 100 * time.Millisecond,
+		Workers:   1,
+		QueueWait: -1, // shed instead of queueing
+		CacheSize: -1,
+		Metrics:   reg,
 	})
+	held, release := holdWorkers(t, svc)
 
 	done := make(chan error, 1)
 	go func() {
 		_, err := svc.Check(context.Background(), modNc)
 		done <- err
 	}()
-	// Wait for the stalled check to occupy the sole worker.
-	deadline := time.Now().Add(10 * time.Second)
-	for reg.GaugeValue("keycheck_inflight_checks") < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("stalled check never acquired the worker")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-held // the parked check occupies the sole worker
 
 	const contenders = 5
 	for i := 0; i < contenders; i++ {
@@ -122,8 +69,9 @@ func TestServiceShedsWhenSaturated(t *testing.T) {
 			t.Errorf("contender %d: err = %v, want ErrOverloaded", i, err)
 		}
 	}
+	release()
 	if err := <-done; err != nil {
-		t.Errorf("stalled check itself failed: %v", err)
+		t.Errorf("parked check itself failed: %v", err)
 	}
 	if got := reg.CounterValue(`keycheck_shed_total{cause="queue"}`); got != contenders {
 		t.Errorf(`keycheck_shed_total{cause="queue"} = %d, want %d`, got, contenders)
@@ -135,11 +83,10 @@ func TestServiceShedsWhenSaturated(t *testing.T) {
 func TestDrain(t *testing.T) {
 	reg := telemetry.New()
 	svc := NewService(goldenSnapshot(t, 1), Config{
-		Workers:    2,
-		Metrics:    reg,
-		Faults:     faults.NewEveryN(1, faults.Stall),
-		FaultStall: 30 * time.Millisecond,
+		Workers: 2,
+		Metrics: reg,
 	})
+	held, release := holdWorkers(t, svc)
 
 	type outcome struct {
 		v   Verdict
@@ -150,15 +97,24 @@ func TestDrain(t *testing.T) {
 		v, err := svc.Check(context.Background(), modN1)
 		done <- outcome{v, err}
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for reg.GaugeValue("keycheck_inflight_checks") < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("in-flight check never started")
-		}
+	<-held
+
+	drained := make(chan struct{})
+	go func() { svc.Drain(); close(drained) }()
+	for !svc.Draining() {
 		time.Sleep(time.Millisecond)
 	}
+	if _, err := svc.Check(context.Background(), modN2); !errors.Is(err, ErrDraining) {
+		t.Errorf("post-drain check: err = %v, want ErrDraining", err)
+	}
+	select {
+	case <-drained:
+		t.Fatal("Drain returned while a check was in flight")
+	default:
+	}
 
-	svc.Drain()
+	release()
+	<-drained
 	// Drain returned, so the in-flight check must have finished inside
 	// the service. (Its goroutine may not have been scheduled to send
 	// the result yet, so "already buffered" is not the thing to assert.)
@@ -167,10 +123,6 @@ func TestDrain(t *testing.T) {
 	}
 	if out := <-done; out.err != nil || out.v.Status != StatusFactored {
 		t.Errorf("in-flight check during drain: %+v, %v", out.v, out.err)
-	}
-
-	if _, err := svc.Check(context.Background(), modN2); !errors.Is(err, ErrDraining) {
-		t.Errorf("post-drain check: err = %v, want ErrDraining", err)
 	}
 	if got := reg.CounterValue(`keycheck_shed_total{cause="draining"}`); got != 1 {
 		t.Errorf(`keycheck_shed_total{cause="draining"} = %d, want 1`, got)
@@ -196,7 +148,7 @@ func TestPublishInvalidatesCache(t *testing.T) {
 		t.Fatalf("cache len %d", svc.CacheLen())
 	}
 
-	svc.Publish(goldenSnapshot(t, 1))
+	svc.publish(goldenSnapshot(t, 1))
 	v, err = svc.Check(ctx, modN1)
 	if err != nil || v.Cached {
 		t.Errorf("post-swap check served stale cache: %+v, %v", v, err)
@@ -271,13 +223,14 @@ func TestIngestStepHistograms(t *testing.T) {
 // TestServiceQueueWaitAdmits: a check that finds all workers busy but
 // sees one free within QueueWait is admitted, not shed.
 func TestServiceQueueWaitAdmits(t *testing.T) {
+	reg := telemetry.New()
 	svc := NewService(goldenSnapshot(t, 1), Config{
-		Workers:    1,
-		QueueWait:  2 * time.Second,
-		CacheSize:  -1,
-		Faults:     faults.NewEveryN(2, faults.Stall), // stall every 2nd check
-		FaultStall: 20 * time.Millisecond,
+		Workers:   1,
+		QueueWait: 2 * time.Second,
+		CacheSize: -1,
+		Metrics:   reg,
 	})
+	held, release := holdWorkers(t, svc)
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
 	for i := range errs {
@@ -288,6 +241,11 @@ func TestServiceQueueWaitAdmits(t *testing.T) {
 			_, errs[i] = svc.Check(context.Background(), n)
 		}(i)
 	}
+	// One check holds the sole worker; once every check has missed the
+	// cache, the other seven wait for it in the queue.
+	<-held
+	waitCounter(t, reg, "keycheck_cache_misses_total", int64(len(errs)))
+	release()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -299,29 +257,28 @@ func TestServiceQueueWaitAdmits(t *testing.T) {
 // TestServiceContextCancelled: a queued check whose context dies while
 // waiting for a worker returns the context error, not a verdict.
 func TestServiceContextCancelled(t *testing.T) {
+	reg := telemetry.New()
 	svc := NewService(goldenSnapshot(t, 1), Config{
-		Workers:    1,
-		QueueWait:  10 * time.Second,
-		CacheSize:  -1,
-		Faults:     faults.NewEveryN(1, faults.Stall),
-		FaultStall: 200 * time.Millisecond,
+		Workers:   1,
+		QueueWait: 10 * time.Second,
+		CacheSize: -1,
+		Metrics:   reg,
 	})
-	started := make(chan struct{})
-	go func() {
-		close(started)
-		svc.Check(context.Background(), modNc)
-	}()
-	<-started
-	time.Sleep(20 * time.Millisecond) // let the first check take the worker
+	held, release := holdWorkers(t, svc)
+	go svc.Check(context.Background(), modNc)
+	<-held // the first check holds the worker
 
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	if _, err := svc.Check(ctx, modN3); !errors.Is(err, context.Canceled) {
+	errc := make(chan error, 1)
+	go func() { _, err := svc.Check(ctx, modN3); errc <- err }()
+	// Once the second check has missed the cache it is queueing for the
+	// worker; its context dies there.
+	waitCounter(t, reg, "keycheck_cache_misses_total", 2)
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
+	release()
 	svc.Drain()
 }
 
@@ -360,7 +317,7 @@ func buildBenchSnapshot() (*Snapshot, error) {
 }
 
 // TestStaleVerdictNotCachedAcrossSwap pins the swap/insert race: a check
-// computes its verdict against the pre-swap snapshot, then Publish swaps,
+// computes its verdict against the pre-swap snapshot, then publish swaps,
 // then the check inserts. Untagged, that stale verdict would be served
 // from cache; generation tagging makes the next check recompute against
 // the new snapshot.
@@ -383,7 +340,7 @@ func TestStaleVerdictNotCachedAcrossSwap(t *testing.T) {
 	svc.prePutHook = func() {
 		if !fired {
 			fired = true
-			svc.Publish(lost)
+			svc.publish(lost)
 		}
 	}
 

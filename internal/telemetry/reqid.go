@@ -15,8 +15,8 @@ import (
 // trace-id) or minted here — that rides the context through check and
 // ingest handlers, cache decisions, shed paths and kernel job
 // submission, is echoed on every HTTP response, and tags every event
-// the request emits. It is the join key between a keyload error line, a
-// /debug/events window and a postmortem bundle.
+// the request emits. It is the join key between a client's record of a
+// failed request, a /debug/events window and a postmortem bundle.
 
 // reqIDKey carries the request ID through a context.
 type reqIDKey struct{}

@@ -59,6 +59,34 @@ func (g PrimeGen) String() string {
 	}
 }
 
+// OpenSSLClass is the Table 5 verdict on a vendor's factored primes:
+// whether they carry the fingerprint PrimeOpenSSL leaves. The fingerprint
+// analysis derives it; the vendor registry records the expected one.
+type OpenSSLClass int
+
+const (
+	// OpenSSLUnknown: no factored keys, so the private-key fingerprint
+	// cannot be evaluated.
+	OpenSSLUnknown OpenSSLClass = iota
+	// OpenSSLLikely: every factored prime satisfies the OpenSSL p-1
+	// property, so the implementation is likely OpenSSL.
+	OpenSSLLikely
+	// OpenSSLNot: a substantial fraction of factored primes violate the
+	// property, so the implementation is definitely not OpenSSL.
+	OpenSSLNot
+)
+
+func (c OpenSSLClass) String() string {
+	switch c {
+	case OpenSSLLikely:
+		return "satisfies OpenSSL fingerprint"
+	case OpenSSLNot:
+		return "does not satisfy"
+	default:
+		return "unknown"
+	}
+}
+
 func (g PrimeGen) gen(r io.Reader, bits int) (*big.Int, error) {
 	switch g {
 	case PrimeNaive:
