@@ -4,10 +4,11 @@
 // one hop; a novel modulus is scatter-gathered across owners of every
 // shard — the fewest replicas that hold them all — so the distributed
 // GCD sweep still covers the whole corpus.
-// Replica failures retry against placement peers with backoff, slow
-// home forwards are hedged to the secondary owner, and when a shard has
-// no reachable owner the router answers from the coverage it has with
-// "degraded": true and the unreachable shard list instead of a 500.
+// Replica failures retry against placement peers with backoff (3 extra
+// rounds from 50ms), home forwards slower than 250ms are hedged to the
+// secondary owner, and when a shard has no reachable owner the router
+// answers from the coverage it has with "degraded": true and the
+// unreachable shard list instead of a 500.
 //
 //	POST /v1/check       route one modulus/certificate check
 //	POST /v1/ingest      write new moduli to every owner of their home shards
@@ -19,7 +20,9 @@
 //
 // The -replicas list must be the same ordered list every replica was
 // started with (-cluster-peers): placement is pure arithmetic over that
-// list, so agreement on it is the only coordination the cluster needs.
+// list and two constants, keycheck.DefaultShards shards at
+// cluster.DefaultReplication, so agreement on the list is the only
+// coordination the cluster needs.
 //
 // Example (three replicas, replication 2):
 //
@@ -45,30 +48,19 @@ import (
 	"time"
 
 	"github.com/factorable/weakkeys/internal/cluster"
-	"github.com/factorable/weakkeys/internal/keycheck"
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
+// drainTimeout is the graceful shutdown deadline.
+const drainTimeout = 10 * time.Second
+
 func main() {
 	var (
-		listen       = flag.String("listen", "127.0.0.1:9000", "serve the routed check API on this address; :0 picks a port")
-		replicas     = flag.String("replicas", "", "comma-separated ordered host:port list of the keyserverd replicas (required)")
-		shards       = flag.Int("shards", keycheck.DefaultShards, "cluster-wide shard count (must match the replicas)")
-		replication  = flag.Int("replication", cluster.DefaultReplication, "shard replication factor (must match the replicas)")
-		reqTimeout   = flag.Duration("request-timeout", 10*time.Second, "per-replica request timeout")
-		retries      = flag.Int("retries", 3, "extra scatter rounds for shards whose owner failed (negative: none)")
-		retryBackoff = flag.Duration("retry-backoff", 50*time.Millisecond, "first inter-round retry delay (doubled per round, jittered)")
-		retryBudget  = flag.Int64("retry-budget", 10000, "lifetime cap on retry requests (negative disables)")
-		hedgeAfter   = flag.Duration("hedge-after", 250*time.Millisecond, "duplicate a slow home forward to the peer owner after this long (negative disables)")
-		probeEvery   = flag.Duration("probe-interval", 500*time.Millisecond, "replica /readyz probe interval")
-		probeTimeout = flag.Duration("probe-timeout", time.Second, "replica /readyz probe timeout")
-		brkFailures  = flag.Int("breaker-failures", 3, "consecutive failures that open a replica's circuit breaker")
-		brkCooldown  = flag.Duration("breaker-cooldown", time.Second, "how long an open breaker waits before the half-open probe")
-		drainFor     = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline")
-		quiet        = flag.Bool("q", false, "suppress progress output")
-		logLevel     = flag.String("log-level", "info", "stderr log floor: debug, info, warn or error")
-		logFormat    = flag.String("log-format", "text", "stderr log encoding: text or json")
-		eventsN      = flag.Int("events", 1024, "flight-recorder capacity in events")
+		listen    = flag.String("listen", "127.0.0.1:9000", "serve the routed check API on this address; :0 picks a port")
+		replicas  = flag.String("replicas", "", "comma-separated ordered host:port list of the keyserverd replicas (required)")
+		quiet     = flag.Bool("q", false, "suppress progress output")
+		logLevel  = flag.String("log-level", "info", "stderr log floor: debug, info, warn or error")
+		logFormat = flag.String("log-format", "text", "stderr log encoding: text or json")
 	)
 	flag.Parse()
 
@@ -104,28 +96,19 @@ func main() {
 		fatal(fmt.Errorf("-log-format must be text or json, got %q", *logFormat))
 	}
 	events := telemetry.NewEventLog(telemetry.EventConfig{
-		Size:      *eventsN,
 		Level:     slog.LevelDebug,
 		Tee:       os.Stderr,
 		TeeFormat: *logFormat,
 		TeeLevel:  teeLevel,
 	})
 
+	// Shards and replication are the library's constants, the same ones
+	// every keyserverd computes its placement with: the peer list is the
+	// only thing the cluster has to agree on.
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
-		Replicas:        addrs,
-		Shards:          *shards,
-		Replication:     *replication,
-		RequestTimeout:  *reqTimeout,
-		Retries:         *retries,
-		RetryBackoff:    *retryBackoff,
-		RetryBudget:     *retryBudget,
-		HedgeAfter:      *hedgeAfter,
-		ProbeInterval:   *probeEvery,
-		ProbeTimeout:    *probeTimeout,
-		BreakerFailures: *brkFailures,
-		BreakerCooldown: *brkCooldown,
-		Metrics:         reg,
-		Events:          events,
+		Replicas: addrs,
+		Metrics:  reg,
+		Events:   events,
 	})
 	if err != nil {
 		fatal(err)
@@ -143,7 +126,7 @@ func main() {
 			"binary":      "keyrouter",
 			"listen":      *listen,
 			"replicas":    strings.Join(addrs, ","),
-			"shards":      fmt.Sprint(*shards),
+			"shards":      fmt.Sprint(p.Shards()),
 			"replication": fmt.Sprint(p.Replication()),
 		},
 	}
@@ -174,7 +157,7 @@ func main() {
 
 	<-ctx.Done()
 	logf("shutting down...")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainFor)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		fmt.Fprintln(os.Stderr, "keyrouter: shutdown:", err)

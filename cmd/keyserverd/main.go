@@ -35,7 +35,10 @@
 // Cluster mode (-cluster-self with -cluster-peers) turns the process
 // into one replica of a keyrouter cluster: it indexes only its
 // placement-assigned shards, serves GET /v1/sync?since=<gen> so peers
-// can pull its ingest journal, and pulls theirs on -sync-interval.
+// can pull its ingest journal, and pulls theirs on -sync-interval. The
+// placement is computed from the peer list alone, at
+// keycheck.DefaultShards shards and cluster.DefaultReplication, the
+// same constants keyrouter uses.
 package main
 
 import (
@@ -61,6 +64,9 @@ import (
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
+// drainTimeout is the graceful shutdown deadline.
+const drainTimeout = 10 * time.Second
+
 func main() {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:8446", "serve the check API on this address; :0 picks a port")
@@ -69,24 +75,17 @@ func main() {
 		scale     = flag.Float64("scale", 0.05, "population scale multiplier (ignored with -load)")
 		bits      = flag.Int("bits", 128, "RSA modulus size for simulated keys")
 		subsets   = flag.Int("subsets", 3, "batch GCD subsets k for the study run")
-		shards    = flag.Int("shards", keycheck.DefaultShards, "index shard count")
-		workers   = flag.Int("workers", 0, "bounded check-worker pool size (0 = GOMAXPROCS)")
-		queueWait = flag.Duration("queue-wait", 50*time.Millisecond, "how long a check waits for a worker before shedding")
-		cacheSize = flag.Int("cache", 4096, "LRU verdict-cache entries (negative disables)")
 		rate      = flag.Float64("rate", 50, "per-client rate limit in checks/sec (0 disables)")
 		burst     = flag.Int("burst", 100, "per-client rate-limit burst")
-		drainFor  = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline")
 		anomFleet = flag.Bool("anomaly-fleet", false, "append the anomalous device families (close primes, small factors, e=1, fleet-shared modulus) to the simulated ecosystem (ignored with -load)")
 		quiet     = flag.Bool("q", false, "suppress progress output")
 		ingestOK  = flag.Bool("allow-ingest", true, "serve POST /v1/ingest (live index updates)")
 		logLevel  = flag.String("log-level", "info", "stderr log floor: debug, info, warn or error (the flight recorder keeps everything)")
 		logFormat = flag.String("log-format", "text", "stderr log encoding: text or json")
-		eventsN   = flag.Int("events", 1024, "flight-recorder capacity in events (/debug/events window)")
 		bundleTo  = flag.String("debug-bundle", "keyserverd-debug.tar.gz", "SIGUSR1 writes a postmortem debug bundle to this path (empty disables)")
 
 		clusterSelf  = flag.String("cluster-self", "", "this replica's advertised host:port; enables cluster mode (index only placement-owned shards, serve and pull /v1/sync)")
 		clusterPeers = flag.String("cluster-peers", "", "comma-separated ordered host:port list of every replica, -cluster-self included; all replicas and the router must agree on it")
-		replication  = flag.Int("replication", cluster.DefaultReplication, "shard replication factor in cluster mode")
 		syncEvery    = flag.Duration("sync-interval", time.Second, "peer journal pull interval in cluster mode")
 	)
 	flag.Parse()
@@ -113,7 +112,6 @@ func main() {
 		fatal(fmt.Errorf("-log-format must be text or json, got %q", *logFormat))
 	}
 	events := telemetry.NewEventLog(telemetry.EventConfig{
-		Size:      *eventsN,
 		Level:     slog.LevelDebug, // the recorder keeps everything
 		Tee:       os.Stderr,
 		TeeFormat: *logFormat,
@@ -123,7 +121,8 @@ func main() {
 
 	// Cluster mode: derive this replica's shard subset from the shared
 	// placement arithmetic — every replica and the router compute the
-	// same map from the ordered peer list alone.
+	// same map from the ordered peer list alone, at the library's shard
+	// count and replication factor.
 	var peers []string
 	var ownShards []int
 	if *clusterSelf != "" {
@@ -132,7 +131,7 @@ func main() {
 				peers = append(peers, p)
 			}
 		}
-		placement, err := cluster.NewPlacement(peers, *shards, *replication)
+		placement, err := cluster.NewPlacement(peers, keycheck.DefaultShards, cluster.DefaultReplication)
 		if err != nil {
 			fatal(err)
 		}
@@ -141,7 +140,7 @@ func main() {
 			fatal(fmt.Errorf("-cluster-self %q does not appear in -cluster-peers %q", *clusterSelf, *clusterPeers))
 		}
 		logf("cluster mode: replica %s owns shards %v of %d (replication %d)",
-			*clusterSelf, ownShards, *shards, placement.Replication())
+			*clusterSelf, ownShards, placement.Shards(), placement.Replication())
 	}
 
 	// The study — a saved corpus analyzed, or a simulated one — and the
@@ -171,27 +170,24 @@ func main() {
 	snap, err := keycheck.Build(ctx, keycheck.BuildInput{
 		Store:       study.Store,
 		Fingerprint: study.Fingerprint,
-		Shards:      *shards,
+		Shards:      keycheck.DefaultShards,
 		OwnShards:   ownShards,
 	})
 	if err != nil {
 		fatal(err)
 	}
 	logf("index built in %v: %d moduli (%d factored) across %d shards",
-		time.Since(start).Round(time.Millisecond), snap.Moduli(), snap.Factored(), *shards)
+		time.Since(start).Round(time.Millisecond), snap.Moduli(), snap.Factored(), keycheck.DefaultShards)
 	events.Info(ctx, "index built",
 		slog.Int("moduli", snap.Moduli()),
 		slog.Int("factored", snap.Factored()),
-		slog.Int("shards", *shards),
+		slog.Int("shards", keycheck.DefaultShards),
 		slog.Duration("elapsed", time.Since(start)))
 
 	svcCfg := keycheck.Config{
-		Workers:   *workers,
-		QueueWait: *queueWait,
-		CacheSize: *cacheSize,
-		Metrics:   reg,
-		Events:    events,
-		Requests:  requests,
+		Metrics:  reg,
+		Events:   events,
+		Requests: requests,
 	}
 	// In cluster mode every published ingest lands in the sync journal,
 	// the feed peers pull to converge without a restart.
@@ -218,7 +214,7 @@ func main() {
 			"binary": "keyserverd",
 			"listen": *listen,
 			"corpus": *loadFrom,
-			"shards": fmt.Sprint(*shards),
+			"shards": fmt.Sprint(keycheck.DefaultShards),
 		},
 	}
 	mux := api.Mux()
@@ -321,7 +317,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "keyserverd: reload failed, keeping current snapshot:", err)
 				continue
 			}
-			rep, err := svc.Ingest(ctx, keycheck.BuildInput{Store: store, Shards: *shards})
+			rep, err := svc.Ingest(ctx, keycheck.BuildInput{Store: store})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "keyserverd: ingest failed, keeping current snapshot:", err)
 				continue
@@ -337,8 +333,8 @@ func main() {
 
 	<-ctx.Done()
 	logf("shutting down: draining in-flight checks...")
-	events.Info(context.Background(), "shutdown", slog.Duration("drain_timeout", *drainFor))
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainFor)
+	events.Info(context.Background(), "shutdown", slog.Duration("drain_timeout", drainTimeout))
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		fmt.Fprintln(os.Stderr, "keyserverd: shutdown:", err)

@@ -57,7 +57,6 @@ func main() {
 		quiet     = flag.Bool("q", false, "suppress progress output")
 		logLevel  = flag.String("log-level", "warn", "stderr structured-log floor: debug, info, warn or error")
 		logFormat = flag.String("log-format", "text", "stderr structured-log encoding: text or json")
-		eventsN   = flag.Int("events", 1024, "flight-recorder capacity in events (/debug/events window)")
 	)
 	flag.Parse()
 
@@ -90,7 +89,6 @@ func main() {
 		os.Exit(1)
 	}
 	events := telemetry.NewEventLog(telemetry.EventConfig{
-		Size:      *eventsN,
 		Level:     slog.LevelDebug,
 		Tee:       os.Stderr,
 		TeeFormat: *logFormat,

@@ -67,19 +67,14 @@ func main() {
 		shardSpec  = flag.String("shard", "0/1", "this process's shard as i/n; all n processes must share -space and -seed")
 		cycles     = flag.Int("cycles", 1, "full-cycle sweeps to run (losses recover on the next sweep)")
 		rate       = flag.Float64("rate", 0, "probes/sec token-bucket cap (0 = unpaced)")
-		burst      = flag.Int("burst", 0, "token-bucket burst capacity (0 = rate/100)")
-		window     = flag.Int("window", 1024, "bounded in-flight probe window")
-		workers    = flag.Int("workers", 8, "probe worker goroutines")
 		chaosEvery = flag.Int("chaos-every", 0, "fault every Nth connection per device (reset); 0 disables")
 		ingestURL  = flag.String("ingest-url", "", "POST harvested moduli to this /v1/ingest endpoint")
-		batchSize  = flag.Int("ingest-batch", 256, "moduli per ingest request")
 		ckptDir    = flag.String("checkpoint-dir", "", "write scanstore delta segments here")
 		ckptEvery  = flag.Int("checkpoint-every", 256, "stored observations per delta checkpoint")
 		jsonOut    = flag.String("json", "", "write the JSON report to this file (- or empty prints to stdout)")
 		dryRun     = flag.Bool("dry-run", false, "print the fleet plan (devices, weak exemplars) without scanning")
 		diagAddr   = flag.String("diag", "", "serve /metrics and /debug on this address (:0 picks a port)")
 		logLevel   = flag.String("log-level", "info", "stderr log floor: debug, info, warn or error")
-		eventsN    = flag.Int("events", 1024, "flight-recorder capacity in events")
 		quiet      = flag.Bool("q", false, "suppress progress output")
 	)
 	flag.Parse()
@@ -108,7 +103,6 @@ func main() {
 		fatal(err)
 	}
 	events := telemetry.NewEventLog(telemetry.EventConfig{
-		Size:      *eventsN,
 		Level:     slog.LevelDebug,
 		Tee:       os.Stderr,
 		TeeFormat: "text",
@@ -169,16 +163,15 @@ func main() {
 	var bridge *zscan.Bridge
 	if *ingestURL != "" {
 		bridge, err = zscan.NewBridge(zscan.BridgeOptions{
-			URL:       *ingestURL,
-			BatchSize: *batchSize,
-			Seed:      *seed,
-			Metrics:   reg,
-			Events:    events,
+			URL:     *ingestURL,
+			Seed:    *seed,
+			Metrics: reg,
+			Events:  events,
 		})
 		if err != nil {
 			fatal(err)
 		}
-		logf("ingest bridge -> %s (batch %d)", *ingestURL, *batchSize)
+		logf("ingest bridge -> %s", *ingestURL)
 	}
 
 	store := scanstore.New()
@@ -201,9 +194,6 @@ func main() {
 		Seed:            *seed,
 		Cycles:          *cycles,
 		Rate:            *rate,
-		Burst:           *burst,
-		Window:          *window,
-		Workers:         *workers,
 		Prober:          fleet,
 		Store:           store,
 		CheckpointDir:   *ckptDir,

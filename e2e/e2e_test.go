@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -88,6 +89,30 @@ func TestOneShot(t *testing.T) {
 		out, errOut, err := run(in, tc.bin, strings.Fields(tc.args)...)
 		if out = "\n" + out + errOut; (err != nil) != tc.bad || !strings.Contains(out, tc.want) || tc.bad && strings.Contains(out, "http://") {
 			t.Errorf("%s %s (bad: %v): %v, want %q in:\n%s", tc.bin, tc.args, tc.bad, err, tc.want, out)
+		}
+	}
+}
+
+// TestFlagSets pins each binary's flags to a literal list, so a new setting shows up as an edit
+// here: only deployment choices are flags, and the cluster's shape is the peer list alone.
+func TestFlagSets(t *testing.T) {
+	t.Parallel()
+	flagRE := regexp.MustCompile(`(?m)^  -([\w-]+)`)
+	for name, want := range map[string]string{
+		"batchgcd":   "k listen metrics stats",
+		"keygen":     "bits format gen n private seed weak",
+		"keyrouter":  "listen log-format log-level q replicas",
+		"keyserverd": "allow-ingest anomaly-fleet bits burst cluster-peers cluster-self debug-bundle listen load log-format log-level q rate scale seed subsets sync-interval",
+		"weakkeys":   "all anomalies biterr bits csv export figure hold listen load log-format log-level metrics mitm other-protocols q save scale seed sources subsets summary table trace vendor",
+		"zscand":     "bits chaos-every checkpoint-dir checkpoint-every cycles devices diag dry-run fleet-seed ingest-url json log-level q rate seed shard space vulnerable",
+	} {
+		_, usage, _ := run("", name, "-h")
+		var got []string
+		for _, m := range flagRE.FindAllStringSubmatch(usage, -1) {
+			got = append(got, m[1])
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("%s -h flags:\n got %s\nwant %s", name, strings.Join(got, " "), want)
 		}
 	}
 }

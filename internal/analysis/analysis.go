@@ -37,17 +37,6 @@ func (s *Series) At(d time.Time) int {
 	return -1
 }
 
-// PeakVuln returns the maximum vulnerable count and its date.
-func (s *Series) PeakVuln() (int, time.Time) {
-	best, when := 0, time.Time{}
-	for i, v := range s.Vuln {
-		if v > best {
-			best, when = v, s.Dates[i]
-		}
-	}
-	return best, when
-}
-
 // Analyzer precomputes the per-record attributions needed by every query.
 type Analyzer struct {
 	store *scanstore.Store
@@ -251,30 +240,6 @@ func (a *Analyzer) Transitions(vendor string) Transitions {
 		}
 	}
 	return tr
-}
-
-// Drop measures the change in a series between two dates: the Heartbleed
-// analysis compares 2014-03 to 2014-05.
-type Drop struct {
-	TotalBefore, TotalAfter int
-	VulnBefore, VulnAfter   int
-}
-
-// TotalDrop and VulnDrop are the absolute decreases (negative = growth).
-func (d Drop) TotalDrop() int { return d.TotalBefore - d.TotalAfter }
-func (d Drop) VulnDrop() int  { return d.VulnBefore - d.VulnAfter }
-
-// DropBetween measures a series between the scans nearest the two dates.
-func DropBetween(s Series, before, after time.Time) Drop {
-	bi, ai := nearest(s.Dates, before), nearest(s.Dates, after)
-	var d Drop
-	if bi >= 0 {
-		d.TotalBefore, d.VulnBefore = s.Total[bi], s.Vuln[bi]
-	}
-	if ai >= 0 {
-		d.TotalAfter, d.VulnAfter = s.Total[ai], s.Vuln[ai]
-	}
-	return d
 }
 
 func nearest(dates []time.Time, want time.Time) int {

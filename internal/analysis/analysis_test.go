@@ -133,10 +133,6 @@ func TestAggregateSeries(t *testing.T) {
 			t.Errorf("source[%d] = %v", i, s.Sources[i])
 		}
 	}
-	peak, when := s.PeakVuln()
-	if peak != 2 || when.IsZero() {
-		t.Errorf("peak %d at %v", peak, when)
-	}
 }
 
 func TestTransitions(t *testing.T) {
@@ -161,24 +157,6 @@ func TestTransitions(t *testing.T) {
 	trB := f.analyzer().Transitions("VendorB")
 	if trB.EverVuln != 0 || trB.VulnToSafe != 0 {
 		t.Errorf("VendorB transitions: %+v", trB)
-	}
-}
-
-func TestDropBetween(t *testing.T) {
-	f := newFixture(t)
-	s := f.analyzer().AggregateSeries()
-	d := DropBetween(s, f.d2, f.d3)
-	if d.TotalBefore != 4 || d.TotalAfter != 4 || d.TotalDrop() != 0 {
-		t.Errorf("drop: %+v", d)
-	}
-	if d.VulnDrop() != 0 {
-		t.Errorf("vuln drop: %d", d.VulnDrop())
-	}
-	// Nearest-date matching: a query date between scans snaps to the
-	// closest one.
-	d2 := DropBetween(s, f.d2.AddDate(0, 0, 3), f.d3.AddDate(0, 0, -3))
-	if d2.TotalBefore != 4 || d2.TotalAfter != 4 {
-		t.Errorf("nearest matching failed: %+v", d2)
 	}
 }
 

@@ -319,9 +319,6 @@ type Report struct {
 type Config struct {
 	// Store is the corpus to analyze (required).
 	Store *scanstore.Store
-	// Probe sets the per-modulus factoring budgets (zero value: the
-	// defaults).
-	Probe Probe
 	// Metrics receives anomaly_* counters and gauges (nil disables).
 	Metrics *telemetry.Registry
 	// Events receives the structured pass summary (nil disables).
@@ -372,8 +369,9 @@ func Analyze(ctx context.Context, cfg Config) (*Report, error) {
 		rep.Exponents.Add(big.NewInt(int64(c.E)))
 	}
 
-	// Factoring probes, fanned out on the kernel pool.
-	probe := cfg.Probe.withDefaults()
+	// Factoring probes at the default budgets, fanned out on the kernel
+	// pool.
+	var probe Probe
 	type hit struct {
 		idx  int
 		cls  ProbeClass

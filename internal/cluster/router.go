@@ -132,7 +132,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg.Retries = 3
 	} else if cfg.Retries < 0 {
 		// Round 0 is the initial attempt, not a retry: clamping keeps
-		// "-retries=-1" meaning "no retries" rather than "no rounds at
+		// Retries: -1 meaning "no retries" rather than "no rounds at
 		// all" (which would degrade every verdict and fail every
 		// ingest).
 		cfg.Retries = 0

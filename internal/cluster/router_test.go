@@ -294,7 +294,7 @@ func TestRouterNegativeRetries(t *testing.T) {
 // the connection — the replica dying mid-response.
 func truncateChecks(next http.Handler, plan *faults.Plan) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/check" && plan.Next().Action == faults.Truncate {
+		if r.URL.Path == "/v1/check" && plan.Next() == faults.Truncate {
 			hj, ok := w.(http.Hijacker)
 			if !ok {
 				panic("test server does not support hijacking")

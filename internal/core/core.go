@@ -101,9 +101,6 @@ type Options struct {
 	// corpus, recorded on Study.Anomaly. Off by default — the probe sweep
 	// touches every distinct modulus.
 	Anomalies bool
-	// AnomalyProbe sets the per-modulus factoring budgets for the Anomaly
-	// stage (zero value: the anomaly package defaults).
-	AnomalyProbe anomaly.Probe
 }
 
 func (o Options) withDefaults() Options {
@@ -342,7 +339,6 @@ func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]
 		stages = append(stages, pipeline.Stage{Name: StageAnomaly, Run: func(ctx context.Context, st *pipeline.Stats) error {
 			rep, err := anomaly.Analyze(ctx, anomaly.Config{
 				Store:   s.Store,
-				Probe:   opts.AnomalyProbe,
 				Metrics: opts.Telemetry,
 				Events:  opts.Events,
 			})

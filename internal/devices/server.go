@@ -53,11 +53,10 @@ type Server struct {
 	// CrashOnHeartbeat marks firmware that dies when probed with a
 	// heartbeat (the Heartbleed-scan crash reports of Section 4.1/4.2).
 	CrashOnHeartbeat bool
-	// Faults, when set, injects seeded connection-level chaos before the
+	// Faults, when set, injects connection-level chaos before the
 	// protocol handler runs: refused and reset connections, stalls past
-	// the client deadline, truncated or garbled SERVERHELLOs, and
-	// crash-after-N-connections. A nil plan serves every connection
-	// normally. Same seed (and connection order) replays the same faults.
+	// the client deadline, truncated or garbled SERVERHELLOs. A nil plan
+	// serves every connection normally.
 	Faults *faults.Plan
 
 	mu       sync.Mutex
@@ -86,20 +85,10 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		d := s.Faults.Next()
-		if d.Crash {
-			// Crash-after-N firmware: this connection is the device's
-			// last. Abort it and stop accepting, like the heartbeat
-			// crash path.
-			s.crashed.Store(true)
-			abortConn(conn)
-			s.Close()
-			return nil
-		}
-		if d.Action == faults.Pass {
+		if a := s.Faults.Next(); a == faults.Pass {
 			go s.handle(conn)
 		} else {
-			go s.injectFault(conn, d.Action)
+			go s.injectFault(conn, a)
 		}
 	}
 }

@@ -257,36 +257,3 @@ func TestFaultEveryOtherConnection(t *testing.T) {
 		t.Errorf("second connection should be served: %v", err)
 	}
 }
-
-func TestFaultCrashAfterN(t *testing.T) {
-	srv := &Server{Cert: serverCert(t), Faults: faults.NewPlan(1, faults.Weights{}).CrashAfter(3)}
-	addr := startServer(t, srv)
-	for i := 0; i < 2; i++ {
-		conn := dial(t, addr)
-		if _, err := FetchCert(conn); err != nil {
-			t.Fatalf("connection %d before the crash should be served: %v", i+1, err)
-		}
-	}
-	c3, err := net.Dial("tcp", addr.String())
-	if err == nil {
-		c3.SetDeadline(time.Now().Add(2 * time.Second))
-		if _, ferr := FetchCert(c3); ferr == nil {
-			t.Error("third connection should hit the crash")
-		}
-		c3.Close()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !srv.Crashed() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if !srv.Crashed() {
-		t.Fatal("device did not record the crash")
-	}
-	if c4, err := net.DialTimeout("tcp", addr.String(), time.Second); err == nil {
-		c4.SetDeadline(time.Now().Add(time.Second))
-		if _, ferr := FetchCert(c4); ferr == nil {
-			t.Error("crashed device still served a certificate")
-		}
-		c4.Close()
-	}
-}

@@ -28,8 +28,6 @@ type Input struct {
 	// unidentified cliques fall back to a majority vote over any
 	// subject-labeled members.
 	CliqueVendors map[string]string
-	// Rules are the subject rules; DefaultSubjectRules() when nil.
-	Rules []SubjectRule
 	// ModulusBits is the expected well-formed modulus size for the
 	// bit-error classifier. 0 disables the size check.
 	ModulusBits int
@@ -104,10 +102,7 @@ type Result struct {
 
 // Analyze runs the full Section 3.3 pipeline.
 func Analyze(in Input) *Result {
-	rules := in.Rules
-	if rules == nil {
-		rules = DefaultSubjectRules()
-	}
+	rules := DefaultSubjectRules()
 	res := &Result{
 		Labels:        make(map[[32]byte]Label),
 		Factors:       make(map[string]Factors),

@@ -441,45 +441,3 @@ func SplitComposite(n *big.Int, fermatSteps, rhoSteps int) (p, q *big.Int, ferma
 	}
 	return nil, nil, false
 }
-
-// FactorCompletely factors n into probable primes using trial division by
-// the first nPrimes primes followed by recursive Pollard rho, each rho
-// call bounded by rhoSteps. Factors that resist the budget are returned
-// in incomplete. Results are sorted ascending.
-func FactorCompletely(n *big.Int, nPrimes, rhoSteps int) (primes []*big.Int, incomplete []*big.Int) {
-	small, cofactor := SmallFactors(n, nPrimes)
-	for _, pp := range small {
-		for i := 0; i < pp.Exp; i++ {
-			primes = append(primes, new(big.Int).SetUint64(pp.Prime))
-		}
-	}
-	var rec func(m *big.Int)
-	rec = func(m *big.Int) {
-		if m.Cmp(one) == 0 {
-			return
-		}
-		if ProbePrime(m) {
-			primes = append(primes, new(big.Int).Set(m))
-			return
-		}
-		d := rhoComposite(m, rhoSteps)
-		if d == nil {
-			incomplete = append(incomplete, new(big.Int).Set(m))
-			return
-		}
-		rec(d)
-		rec(new(big.Int).Quo(m, d))
-	}
-	rec(cofactor)
-	sortBig(primes)
-	sortBig(incomplete)
-	return primes, incomplete
-}
-
-func sortBig(xs []*big.Int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j].Cmp(xs[j-1]) < 0; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}

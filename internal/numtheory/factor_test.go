@@ -3,7 +3,6 @@ package numtheory
 import (
 	"math/big"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -170,68 +169,5 @@ func TestPollardRhoBudgetExhaustionReturns(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("rho did not return after budget exhaustion")
-	}
-}
-
-func TestFactorCompletely(t *testing.T) {
-	// 2^2 * 3 * 10007 * 10009
-	n := big.NewInt(4 * 3)
-	n.Mul(n, big.NewInt(10007))
-	n.Mul(n, big.NewInt(10009))
-	primes, incomplete := FactorCompletely(n, 256, 1_000_000)
-	if len(incomplete) != 0 {
-		t.Fatalf("incomplete: %v", incomplete)
-	}
-	prod := big.NewInt(1)
-	for _, p := range primes {
-		if !p.ProbablyPrime(20) {
-			t.Errorf("non-prime factor %v", p)
-		}
-		prod.Mul(prod, p)
-	}
-	if prod.Cmp(n) != 0 {
-		t.Errorf("product %v != %v", prod, n)
-	}
-	// Sorted ascending.
-	for i := 1; i < len(primes); i++ {
-		if primes[i].Cmp(primes[i-1]) < 0 {
-			t.Error("factors not sorted")
-		}
-	}
-}
-
-func TestFactorCompletelyProperty(t *testing.T) {
-	f := func(raw uint32) bool {
-		n := big.NewInt(int64(raw)%100000 + 2)
-		primes, incomplete := FactorCompletely(n, 256, 200000)
-		prod := big.NewInt(1)
-		for _, p := range primes {
-			prod.Mul(prod, p)
-		}
-		for _, c := range incomplete {
-			prod.Mul(prod, c)
-		}
-		return prod.Cmp(n) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFactorCompletelyIncompleteBudget(t *testing.T) {
-	// Two 96-bit primes: rho with a tiny budget cannot split the
-	// product, so it lands in incomplete.
-	p, err := GenPrimeNaive(testRand(31), 96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := GenPrimeNaive(testRand(32), 96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := new(big.Int).Mul(p, q)
-	primes, incomplete := FactorCompletely(n, 64, 10)
-	if len(incomplete) != 1 || incomplete[0].Cmp(n) != 0 {
-		t.Errorf("expected the whole modulus to resist: primes=%v incomplete=%v", primes, incomplete)
 	}
 }

@@ -15,17 +15,6 @@ var (
 	two = big.NewInt(2)
 )
 
-// IsProbablePrime reports whether n is prime with error probability at most
-// 4^-rounds, using math/big's Miller-Rabin implementation (which also runs
-// a Baillie-PSW-style Lucas test). Negative numbers, zero and one are
-// never prime.
-func IsProbablePrime(n *big.Int, rounds int) bool {
-	if n.Sign() <= 0 {
-		return false
-	}
-	return n.ProbablyPrime(rounds)
-}
-
 // ProbePrime is n.ProbablyPrime(12), the primality test the factoring
 // probes open with, made cheap for the composites they are pointed at:
 // an odd n with 2^(n-1) mod n ≠ 1 is proven composite by one modular

@@ -12,21 +12,6 @@ func testRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-func TestIsProbablePrime(t *testing.T) {
-	cases := []struct {
-		v    int64
-		want bool
-	}{
-		{-7, false}, {0, false}, {1, false}, {2, true}, {3, true},
-		{4, false}, {17, true}, {561, false} /* Carmichael */, {7919, true},
-	}
-	for _, c := range cases {
-		if got := IsProbablePrime(big.NewInt(c.v), 20); got != c.want {
-			t.Errorf("IsProbablePrime(%d) = %v, want %v", c.v, got, c.want)
-		}
-	}
-}
-
 // TestProbePrimeMatchesProbablyPrime holds the base-2 gate to the test
 // it fronts: on every n below 2^16 (0, 1, 2 and the even n included),
 // on the base-2 Fermat pseudoprimes below 10^4, which pass the gate and

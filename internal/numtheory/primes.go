@@ -9,10 +9,7 @@
 // inputs; randomized routines take an explicit io.Reader entropy source.
 package numtheory
 
-import (
-	"math/big"
-	"sort"
-)
+import "math/big"
 
 // SmallPrimes returns the first n primes, computed with an Eratosthenes
 // sieve. The result is freshly allocated on every call; callers that need
@@ -100,26 +97,6 @@ func FirstPrimes(n int) []uint64 {
 		firstPrimesCache = c
 	}
 	return c[:n]
-}
-
-// IsSmallPrime reports whether v appears in the first n primes. The lookup
-// is a binary search over the shared cache.
-func IsSmallPrime(v uint64, n int) bool {
-	primes := FirstPrimes(n)
-	i := sort.Search(len(primes), func(i int) bool { return primes[i] >= v })
-	return i < len(primes) && primes[i] == v
-}
-
-// PrimeProduct returns the product of the first n primes as a big.Int.
-// It is used by smooth-part extraction (Bernstein's algorithm) and by the
-// bit-error classifier.
-func PrimeProduct(n int) *big.Int {
-	primes := FirstPrimes(n)
-	leaves := make([]*big.Int, len(primes))
-	for i, p := range primes {
-		leaves[i] = new(big.Int).SetUint64(p)
-	}
-	return TreeProduct(leaves)
 }
 
 // TreeProduct multiplies the given values with a balanced binary product

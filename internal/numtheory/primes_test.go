@@ -65,31 +65,6 @@ func TestFirstPrimesCaching(t *testing.T) {
 	}
 }
 
-func TestIsSmallPrime(t *testing.T) {
-	cases := []struct {
-		v    uint64
-		want bool
-	}{
-		{2, true}, {3, true}, {4, false}, {17863, true}, {17862, false},
-		{1, false}, {0, false}, {541, true},
-	}
-	for _, c := range cases {
-		if got := IsSmallPrime(c.v, 2048); got != c.want {
-			t.Errorf("IsSmallPrime(%d) = %v, want %v", c.v, got, c.want)
-		}
-	}
-}
-
-func TestPrimeProduct(t *testing.T) {
-	// 2*3*5*7*11 = 2310
-	if got := PrimeProduct(5); got.Cmp(big.NewInt(2310)) != 0 {
-		t.Errorf("PrimeProduct(5) = %v, want 2310", got)
-	}
-	if got := PrimeProduct(0); got.Cmp(big.NewInt(1)) != 0 {
-		t.Errorf("PrimeProduct(0) = %v, want 1", got)
-	}
-}
-
 func TestTreeProduct(t *testing.T) {
 	cases := []struct {
 		in   []int64

@@ -35,10 +35,6 @@ type Line struct {
 	// CrashOnHeartbeat marks firmware that dies when Heartbleed-probed
 	// (Juniper NetScreen, HP iLO anecdotes).
 	CrashOnHeartbeat bool
-	// RSAOnlyShare is the fraction of this family's devices supporting
-	// only RSA key exchange (no forward secrecy). Zero means the
-	// study-wide default (DefaultRSAOnlyShare) applies.
-	RSAOnlyShare float64
 	// DeviceCA, when set, issues this family's certificates from a
 	// vendor device CA instead of self-signing. The Rapid7 scans
 	// recorded such intermediate certificates alongside the leaf
@@ -55,14 +51,6 @@ type Line struct {
 // of vulnerable devices supported only RSA key exchange, making passive
 // decryption possible with a factored key.
 const DefaultRSAOnlyShare = 0.74
-
-// rsaOnlyShare returns the effective RSA-only fraction.
-func (l *Line) rsaOnlyShare() float64 {
-	if l.RSAOnlyShare > 0 {
-		return l.RSAOnlyShare
-	}
-	return DefaultRSAOnlyShare
-}
 
 // pool returns the effective shared-prime pool name.
 func (l *Line) pool() string {

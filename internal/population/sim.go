@@ -194,7 +194,7 @@ func (s *Simulation) deploy(lineIdx int, vulnerable bool, m Month) (*Device, err
 	if s.cfg.MITMRate > 0 && s.rng.Float64() < s.cfg.MITMRate {
 		d.BehindMITM = true
 	}
-	d.RSAOnly = s.rng.Float64() < s.cfg.Lines[lineIdx].rsaOnlyShare()
+	d.RSAOnly = s.rng.Float64() < DefaultRSAOnlyShare
 	if err := s.issueKeyAndCert(d, m); err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net"
 	"sort"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -88,11 +87,8 @@ type FleetOptions struct {
 	// sweep recovers every device — the guaranteed-recovery shape
 	// chaos smoke tests want.
 	FaultEvery int
-	// FaultAction is the action for FaultEvery plans (default Reset).
+	// FaultAction is the action for FaultEvery plans.
 	FaultAction faults.Action
-	// FaultWeights, when any weight is set and FaultEvery is 0, gives
-	// every device a seeded probabilistic fault plan.
-	FaultWeights faults.Weights
 }
 
 func (o FleetOptions) withDefaults() (FleetOptions, error) {
@@ -125,7 +121,6 @@ type simDevice struct {
 	key    *weakrsa.PrivateKey
 	weak   bool
 	plan   *faults.Plan
-	dead   atomic.Bool // crashed devices stop answering
 }
 
 // SimFleet is an in-memory device population: a sparse map from address
@@ -133,7 +128,7 @@ type simDevice struct {
 // what lets a single CI core drive the millions-of-probes regime — the
 // wire protocol is exercised separately by devices.Server tests and by
 // TCPProber — while keeping the interesting parts real: deterministic
-// shared-prime key material, vendor-shaped certificates, and seeded
+// shared-prime key material, vendor-shaped certificates, and every-N
 // per-device fault plans.
 type SimFleet struct {
 	opts    FleetOptions
@@ -197,11 +192,8 @@ func NewSimFleet(opts FleetOptions) (*SimFleet, error) {
 			suites = []string{devices.SuiteRSA}
 		}
 		d := &simDevice{der: der, suites: suites, key: key, weak: weak}
-		switch {
-		case o.FaultEvery > 0:
+		if o.FaultEvery > 0 {
 			d.plan = faults.NewEveryN(o.FaultEvery, o.FaultAction)
-		case o.FaultWeights != (faults.Weights{}):
-			d.plan = faults.NewPlan(o.Seed+int64(i)+1, o.FaultWeights)
 		}
 		byIndex[idx] = d
 	}
@@ -217,15 +209,7 @@ func (f *SimFleet) Probe(_ context.Context, index uint64) ProbeResult {
 	if !ok {
 		return ProbeResult{Index: index, Err: ErrNoDevice}
 	}
-	if d.dead.Load() {
-		return ProbeResult{Index: index, Err: ErrNoDevice}
-	}
-	dec := d.plan.Next()
-	if dec.Crash {
-		d.dead.Store(true)
-		return ProbeResult{Index: index, Err: errReset}
-	}
-	switch dec.Action {
+	switch d.plan.Next() {
 	case faults.Refuse:
 		return ProbeResult{Index: index, Err: errRefused}
 	case faults.Reset:
