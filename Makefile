@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet vet-386 bench-check test race e2e fuzz-smoke bench bench-pipeline bench-telemetry bench-smoke
+.PHONY: ci build vet vet-386 bench-check test race e2e fuzz-smoke bench bench-once bench-pipeline bench-telemetry bench-smoke
 
 # ci is the full gate: compile everything, vet (bench/ too, and the
 # tree again for 386, with the word-width arithmetic tested there), run the
@@ -11,12 +11,12 @@ GO ?= go
 # on disk: the study on one tree and on three subsets, keyserverd from startup to
 # drain with a zscand sweep bridged into it, a three-replica cluster
 # through a SIGKILL, every example and the bad-flag table) — fuzz every
-# parser and differential target briefly, guard the instrumentation
-# hot-path cost, and run every benchmark workload once against
-# generator ground truth. Nothing here writes a tracked file: exactness
+# parser and differential target briefly, run every Go benchmark once,
+# guard the instrumentation hot-path cost, and run every benchmark
+# workload once against generator ground truth. Nothing here writes a tracked file: exactness
 # lives in the race-tested suite, speed is judged by parent-vs-change
 # pairs on bench/ (BENCHMARK.json).
-ci: build vet vet-386 bench-check race fuzz-smoke bench-telemetry bench-smoke
+ci: build vet vet-386 bench-check race fuzz-smoke bench-once bench-telemetry bench-smoke
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,12 @@ fuzz-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-once runs every Go benchmark in the tree for one iteration, so a
+# benchmark that stops running (an option it sets is gone, a fixture no
+# longer builds) fails the gate rather than the next profile.
+bench-once:
+	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
 # bench-pipeline measures the stage-wrapping overhead of internal/pipeline
 # against direct calls (expected: well under 1%).

@@ -120,6 +120,12 @@ func (f *KeyFactory) SharedPrime(pool string, gen weakrsa.PrimeGen) (*weakrsa.Pr
 	c := f.cohorts[pool]
 	if c == nil || c.members >= c.size {
 		prime, err := f.prime(gen)
+		// A prime ≡ 1 (mod e) leaves e no inverse with any partner, so
+		// no key of its cohort could ever be assembled: draw another.
+		e := big.NewInt(weakrsa.DefaultExponent)
+		for err == nil && new(big.Int).Mod(prime, e).Int64() == 1 {
+			prime, err = f.prime(gen)
+		}
 		if err != nil {
 			return nil, err
 		}

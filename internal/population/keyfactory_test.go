@@ -160,3 +160,21 @@ func TestFactoryDeterminism(t *testing.T) {
 		t.Error("Bits accessor wrong")
 	}
 }
+
+// TestSharedPrimeSkipsUnusableCohortPrime: with this seed, the cohort
+// prime first drawn for the 692nd key is ≡ 1 mod 65537, so no partner
+// prime can make a key with it. The factory must draw another cohort
+// prime rather than fail every key of the cohort.
+func TestSharedPrimeSkipsUnusableCohortPrime(t *testing.T) {
+	f := NewKeyFactory(-6916443620120989001, 128)
+	e := big.NewInt(weakrsa.DefaultExponent)
+	for i := 0; i < 700; i++ {
+		k, err := f.SharedPrime("fleet", weakrsa.PrimeOpenSSL)
+		if err != nil {
+			t.Fatalf("key %d: %v", i, err)
+		}
+		if new(big.Int).Mod(k.P, e).Int64() == 1 {
+			t.Fatalf("key %d: cohort prime ≡ 1 mod e", i)
+		}
+	}
+}

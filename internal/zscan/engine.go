@@ -36,9 +36,6 @@ type Options struct {
 	Rate float64
 	// Burst is the bucket capacity (default max(Rate/100, 1)).
 	Burst int
-	// Window bounds probes in flight between sender and harvester
-	// (default 1024).
-	Window int
 	// Workers is the number of probe goroutines (default 8).
 	Workers int
 	// Prober answers the probes — a SimFleet or a TCPProber.
@@ -83,9 +80,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Rate < 0 || o.Rate != o.Rate {
 		return o, fmt.Errorf("zscan: Rate must be >= 0, got %g", o.Rate)
-	}
-	if o.Window <= 0 {
-		o.Window = 1024
 	}
 	if o.Workers <= 0 {
 		o.Workers = 8
@@ -171,12 +165,14 @@ func (o Options) instruments() instruments {
 }
 
 // Engine is the decoupled send/harvest scan loop: a paced sender walks
-// the permutation and dispatches stateless probes into a bounded
-// in-flight window; probe workers answer them; a single harvester
-// validates certificates, stores observations, dedups moduli, writes
-// delta checkpoints and feeds the ingest bridge. Sender and harvester
-// share nothing but the window — the ZMap architecture, where the send
-// loop never blocks on response processing.
+// the permutation and hands out runs of consecutive positions, each
+// paid for with one token grant; probe workers answer a run's probes in
+// order, counting its misses themselves; a single harvester validates
+// certificates, stores observations, dedups moduli, writes delta
+// checkpoints and feeds the ingest bridge. Sender and harvester share
+// nothing but the bounded set of runs out at once — the ZMap
+// architecture, where the send loop never blocks on response
+// processing and only what answers costs per-target work.
 type Engine struct {
 	o     Options
 	cycle *Cycle
@@ -276,11 +272,49 @@ func nextCheckpointIndex(dir string) (int, error) {
 // Cycle exposes the engine's permutation (for audits and tests).
 func (e *Engine) Cycle() *Cycle { return e.cycle }
 
-// harvestItem carries a finished probe to the harvester, timestamped so
-// harvest lag (time a response waits before validation) is measurable.
+// maxRun is the most walk positions one run holds. A run costs one
+// token grant, one hand-off to a worker and one end-of-run record
+// however long it is, so at a paced sweep's rate of hundreds of
+// thousands of mostly empty addresses a second the per-address cost is
+// the probe alone.
+const maxRun = 1024
+
+// runsPerWorker is how many runs per worker may be out at once: being
+// probed, queued for a worker, or awaiting the harvester's end-of-run
+// accounting. Probes in flight are thus bounded by runsPerWorker ×
+// Workers × maxRun.
+const runsPerWorker = 2
+
+// run is one batch of consecutive walk positions. The worker that
+// probes it fills in probes and misses; the harvester accounts them and
+// recycles the run.
+type run struct {
+	idx            []uint64
+	probes, misses uint64
+}
+
+// runLen is the length of the sender's next run: the shard's remaining
+// positions split evenly over the runs that may be out at once, so a
+// small space or a tail of slow probes still keeps every worker busy
+// (guided self-scheduling), capped at most.
+func runLen(remaining uint64, runs, most int) int {
+	n := (remaining + uint64(runs) - 1) / uint64(runs)
+	if n > uint64(most) {
+		n = uint64(most)
+	}
+	if n < 1 {
+		n = 1
+	}
+	return int(n)
+}
+
+// harvestItem carries a hit or a failed probe to the harvester,
+// timestamped so harvest lag (time a response waits before validation)
+// is measurable, or, with end set, a worker's end-of-run record.
 type harvestItem struct {
 	res  ProbeResult
 	done time.Time
+	end  *run
 }
 
 // Run executes the configured number of full-cycle sweeps. It returns
@@ -315,7 +349,7 @@ func (e *Engine) Run(ctx context.Context) (Report, error) {
 }
 
 // runCycle sweeps this process's shard of one full cycle: sender →
-// window → workers → harvester, with a barrier at the end (jobs close,
+// runs → workers → harvester, with a barrier at the end (jobs close,
 // workers drain, harvester finishes) so the next cycle's observations
 // carry the next scan date exactly.
 func (e *Engine) runCycle(ctx context.Context, cycleNo int, date time.Time) error {
@@ -331,17 +365,20 @@ func (e *Engine) runCycle(ctx context.Context, cycleNo int, date time.Time) erro
 	cycleStart := time.Now()
 	probesBefore := e.rep.Probes
 
-	window := make(chan struct{}, e.o.Window)
-	jobs := make(chan uint64)
-	results := make(chan harvestItem, e.o.Window)
+	runs := runsPerWorker * e.o.Workers
+	free := make(chan *run, runs)
+	for i := 0; i < runs; i++ {
+		free <- &run{}
+	}
+	jobs := make(chan *run)
+	results := make(chan harvestItem, runs)
 	var workers sync.WaitGroup
 	for w := 0; w < e.o.Workers; w++ {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			for idx := range jobs {
-				res := e.o.Prober.Probe(ctx, idx)
-				results <- harvestItem{res: res, done: time.Now()}
+			for r := range jobs {
+				e.probeRun(ctx, r, results)
 			}
 		}()
 	}
@@ -349,35 +386,46 @@ func (e *Engine) runCycle(ctx context.Context, cycleNo int, date time.Time) erro
 	go func() {
 		defer close(harvestDone)
 		for item := range results {
-			<-window
-			e.ins.inflight.Add(-1)
+			if r := item.end; r != nil {
+				e.rep.Probes += r.probes
+				e.ins.probes.Add(int64(r.probes))
+				e.rep.Misses += r.misses
+				e.ins.misses.Add(int64(r.misses))
+				e.ins.inflight.Add(-float64(len(r.idx)))
+				free <- r
+				continue
+			}
 			e.harvest(ctx, date, item)
 		}
 	}()
 
 	pace := newPacer(e.o.Rate, e.o.Burst)
+	most := pace.most()
 send:
-	for {
-		idx, ok := walk.Next()
-		if !ok {
-			break
-		}
-		if !pace.wait(ctx) {
-			break
-		}
+	for walk.Remaining() > 0 {
+		var r *run
 		select {
-		case window <- struct{}{}:
+		case r = <-free:
 		case <-ctx.Done():
 			break send
 		}
-		e.ins.inflight.Add(1)
+		n := runLen(walk.Remaining(), runs, most)
+		r.idx = r.idx[:0]
+		for len(r.idx) < n {
+			idx, ok := walk.Next()
+			if !ok {
+				break
+			}
+			r.idx = append(r.idx, idx)
+		}
+		if len(r.idx) == 0 || !pace.take(ctx, len(r.idx)) {
+			break
+		}
+		e.ins.inflight.Add(float64(len(r.idx)))
 		select {
-		case jobs <- idx:
-			e.rep.Probes++
-			e.ins.probes.Inc()
+		case jobs <- r:
 		case <-ctx.Done():
-			<-window
-			e.ins.inflight.Add(-1)
+			e.ins.inflight.Add(-float64(len(r.idx)))
 			break send
 		}
 	}
@@ -400,18 +448,38 @@ send:
 	return ctx.Err()
 }
 
-// harvest validates one finished probe: classify failures, parse the
+// probeRun probes one run in walk order on a worker goroutine, stopping
+// early if the context ends. Only hits and errors travel to the
+// harvester; misses are counted here and reported with the probe count
+// in the run's end-of-run record.
+func (e *Engine) probeRun(ctx context.Context, r *run, results chan<- harvestItem) {
+	r.probes, r.misses = 0, 0
+	done := ctx.Done()
+probe:
+	for _, idx := range r.idx {
+		select {
+		case <-done:
+			break probe
+		default:
+		}
+		res := e.o.Prober.Probe(ctx, idx)
+		r.probes++
+		if res.Err == ErrNoDevice {
+			r.misses++
+			continue
+		}
+		results <- harvestItem{res: res, done: time.Now()}
+	}
+	results <- harvestItem{end: r}
+}
+
+// harvest validates one hit or failed probe: classify failures, parse the
 // certificate if the prober returned raw DER, store the observation,
 // dedup the modulus, feed the ingest bridge, and checkpoint when due.
 // It runs on the single harvester goroutine.
 func (e *Engine) harvest(ctx context.Context, date time.Time, item harvestItem) {
 	res := item.res
 	if res.Err != nil {
-		if res.Err == ErrNoDevice {
-			e.rep.Misses++
-			e.ins.misses.Inc()
-			return
-		}
 		e.ins.harvestLag.ObserveDuration(time.Since(item.done))
 		cause := retry.Cause(res.Err)
 		e.rep.Errors[cause]++

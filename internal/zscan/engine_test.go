@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -363,4 +364,122 @@ func TestEngineValidation(t *testing.T) {
 			t.Errorf("options %d must be rejected", i)
 		}
 	}
+}
+
+// TestEngineKeepsWorkersBusy: a space of a few addresses per worker,
+// with probes slow enough to overlap, must still have every worker
+// probing at once — the sender may batch addresses into runs, but never
+// so long a run that the others sit idle.
+func TestEngineKeepsWorkersBusy(t *testing.T) {
+	const space, workers = 64, 16
+	var active, peak atomic.Int64
+	prober := proberFunc(func(_ context.Context, i uint64) ProbeResult {
+		n := active.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(20 * time.Millisecond)
+		active.Add(-1)
+		return ProbeResult{Index: i, Err: ErrNoDevice}
+	})
+	eng, err := New(Options{Space: space, Seed: 1, Workers: workers, Prober: prober, Store: scanstore.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Probes != space || rep.Misses != space {
+		t.Fatalf("probes %d misses %d, want %d of each", rep.Probes, rep.Misses, space)
+	}
+	if got := peak.Load(); got != workers {
+		t.Errorf("at most %d probes ran at once, want all %d workers busy", got, workers)
+	}
+}
+
+// TestEngineAccounting: whether a sweep completes, meets faulted devices
+// or is canceled mid-sweep, every probe it counts is a hit, a miss or a
+// classified error, zscan_probes_total agrees with the report, and
+// nothing is left in flight.
+func TestEngineAccounting(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		fleet    FleetOptions
+		cancelAt int64 // the probe that cancels the sweep (0: none does)
+	}{
+		{"complete", FleetOptions{Space: 4096, Devices: 32, Seed: 1}, 0},
+		{"faulted", FleetOptions{Space: 4096, Devices: 32, Seed: 2, FaultEvery: 2, FaultAction: faults.Reset}, 0},
+		{"canceled", FleetOptions{Space: 1 << 16, Devices: 32, Seed: 3}, 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fleet := testFleet(t, tc.fleet)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var calls atomic.Int64
+			prober := proberFunc(func(ctx context.Context, i uint64) ProbeResult {
+				if calls.Add(1) == tc.cancelAt {
+					cancel()
+				}
+				return fleet.Probe(ctx, i)
+			})
+			reg := telemetry.New()
+			eng, err := New(Options{
+				Space: tc.fleet.Space, Seed: tc.fleet.Seed, Prober: prober, Store: scanstore.New(), Metrics: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := eng.Run(ctx)
+			if canceled := tc.cancelAt > 0; canceled != (err != nil) {
+				t.Fatalf("err = %v, canceled sweep = %v", err, canceled)
+			}
+			var errs uint64
+			for _, n := range rep.Errors {
+				errs += n
+			}
+			if rep.Probes != rep.Hits+rep.Misses+errs {
+				t.Errorf("probes %d != hits %d + misses %d + errors %d", rep.Probes, rep.Hits, rep.Misses, errs)
+			}
+			switch {
+			case tc.cancelAt > 0 && (rep.Probes < uint64(tc.cancelAt) || rep.Probes >= tc.fleet.Space):
+				t.Errorf("canceled sweep probed %d, want from %d to under %d", rep.Probes, tc.cancelAt, tc.fleet.Space)
+			case tc.cancelAt == 0 && rep.Probes != tc.fleet.Space:
+				t.Errorf("probes = %d, want %d", rep.Probes, tc.fleet.Space)
+			case tc.fleet.FaultEvery > 0 && errs == 0:
+				t.Error("faulted sweep counted no errors")
+			}
+			if v := reg.CounterValue("zscan_probes_total"); uint64(v) != rep.Probes {
+				t.Errorf("zscan_probes_total = %d, report says %d", v, rep.Probes)
+			}
+			if v := reg.GaugeValue("zscan_inflight"); v != 0 {
+				t.Errorf("zscan_inflight = %g after run, want 0", v)
+			}
+		})
+	}
+}
+
+// BenchmarkEngineSweep is the engine's own cost per probe: an unpaced
+// SimFleet sweep of 2²⁰ addresses at the density of bench/'s
+// scan_ingest fleet (walk, hand-off, probe and harvest; the walk and the
+// probe alone are that workload's zscan.walk_ns and zscan.fleet_probe_ns).
+func BenchmarkEngineSweep(b *testing.B) {
+	const space = 1 << 20
+	fleet, err := NewSimFleet(FleetOptions{Space: space, Devices: 750, Bits: 128, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var probes uint64
+	for i := 0; i < b.N; i++ {
+		eng, err := New(Options{Space: space, Seed: 1, Prober: fleet, Store: scanstore.New()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := eng.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		probes += rep.Probes
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(probes), "ns/probe")
 }
