@@ -375,8 +375,8 @@ func BenchmarkShortMod(b *testing.B) {
 			})
 			b.Run(name+"/reducer", func(b *testing.B) {
 				b.ReportAllocs()
-				// One Reducer per modulus, as a check makes one and reuses
-				// it across the shards: constants and scratch are warm.
+				// One Reducer per modulus, as a check's pooled Reducer
+				// serves every shard: constants and scratch are warm.
 				red := prodtree.NewReducer(n)
 				for i := 0; i < b.N; i++ {
 					red.Mod(r, x)

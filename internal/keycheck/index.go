@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math/big"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"github.com/factorable/weakkeys/internal/anomaly"
@@ -326,6 +327,11 @@ func ShardOf(n *big.Int, nShards int) int {
 
 var one = big.NewInt(1)
 
+// reducers holds the novel checks' Reducers between checks: each grows
+// fold scratch of up to half a shard product's length, which a fresh
+// Reducer per check would allocate, zero and drop again every time.
+var reducers = sync.Pool{New: func() any { return new(prodtree.Reducer) }}
+
 // Check answers for one modulus. A corpus member is answered from its
 // home shard's maps alone, with no big.Int arithmetic: Build and Ingest
 // already settled it against every shard this snapshot indexes, so it is
@@ -358,12 +364,13 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 	}
 	// GCD path. gcd(n, P mod n) = gcd(n, P) finds the product of n's
 	// primes shared with shard product P without ever forming P/n. One
-	// Reducer serves every shard: the product is thousands of times
-	// longer than n and only the remainder is wanted.
+	// pooled Reducer serves every shard: the product is thousands of
+	// times longer than n and only the remainder is wanted.
 	g := new(big.Int).Set(one)
 	var proper *big.Int          // a proper divisor of n, if any shard yields one
 	var whole []*prodtree.Forest // shards whose product n divides outright
-	red := prodtree.NewReducer(n)
+	red := reducers.Get().(*prodtree.Reducer)
+	red.Reset(n)
 	var r big.Int
 	for _, sh := range s.shards {
 		product := sh.product()
@@ -386,6 +393,8 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 		g.Mul(g, gi)
 		g.GCD(nil, nil, g, n)
 	}
+	red.Reset(nil)
+	reducers.Put(red)
 	if g.Cmp(one) == 0 {
 		// Novel modulus the corpus cannot touch: run the bounded anomaly
 		// probes (trial division, Fermat ascent, Pollard rho). Members

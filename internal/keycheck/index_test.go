@@ -2,8 +2,10 @@ package keycheck
 
 import (
 	"context"
+	crand "crypto/rand"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -267,7 +269,10 @@ func TestExemplars(t *testing.T) {
 // -race in CI. The readers also put 1,000 novel checks between them
 // through the second snapshot, whose shard products are long enough to
 // be folded (prodtree.Reducer reads them through views of their own
-// words): every shard root must come out bit for bit as it went in.
+// words): every shard root must come out bit for bit as it went in. The
+// novel keys are 64, 128 and 1024 bits wide, so the pooled Reducers are
+// retargeted across widths on concurrent readers, and each verdict must
+// equal the one the same key got serially before the readers started.
 func TestSnapshotSwapUnderReaders(t *testing.T) {
 	full := goldenSnapshot(t, 2)
 
@@ -277,21 +282,59 @@ func TestSnapshotSwapUnderReaders(t *testing.T) {
 	store.AddBareKeyObservation("10.0.0.1", date(2013, 5, 1), scanstore.SourceRapid7, scanstore.SSH, modN1)
 	store.AddBareKeyObservation("10.0.0.2", date(2013, 5, 1), scanstore.SourceRapid7, scanstore.SSH, modN2)
 	store.AddBareKeyObservation("10.0.0.3", date(2013, 5, 1), scanstore.SourceRapid7, scanstore.SSH, modN3)
-	// 200 more members make each shard product some 200 words. Half the
-	// novel keys share a prime with one of them, half share nothing (the
-	// probes are off: this is about the sweep).
-	pad := genPrimes(rand.New(rand.NewSource(9)), 416)
+	// 200 more members make each shard product some 200 words, and four
+	// more each hold a 32-bit prime. Half the novel keys share a prime
+	// with one of them, half share nothing (the probes are off: this is
+	// about the sweep).
+	rng := rand.New(rand.NewSource(9))
+	pad := genPrimes(rng, 420)
 	for i := 0; i < 200; i++ {
 		store.AddBareKeyObservation("10.0.1.1", date(2013, 5, 2), scanstore.SourceRapid7, scanstore.SSH, mul(pad[2*i], pad[2*i+1]))
 	}
-	var novel []*big.Int
+	var small []*big.Int
+	for c := big.NewInt(3<<30 + 1); len(small) < 16; c.Add(c, big.NewInt(2)) {
+		if c.ProbablyPrime(20) {
+			small = append(small, new(big.Int).Set(c))
+		}
+	}
+	for i := 0; i < 4; i++ {
+		store.AddBareKeyObservation("10.0.1.2", date(2013, 5, 2), scanstore.SourceRapid7, scanstore.SSH, mul(small[i], pad[416+i]))
+	}
+	prime := func(bits int) *big.Int {
+		p, err := crand.Prime(rng, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	type novelKey struct {
+		n, shares *big.Int // shares is nil for a key sharing nothing
+	}
+	var novel []novelKey
 	for i := 0; i < 8; i++ {
-		novel = append(novel, mul(pad[2*i], pad[400+i]), mul(pad[408+i], pad[408+(i+1)%8]))
+		novel = append(novel, novelKey{mul(pad[2*i], pad[400+i]), pad[2*i]}, novelKey{mul(pad[408+i], pad[408+(i+1)%8]), nil})
+	}
+	for i := 0; i < 4; i++ {
+		novel = append(novel, novelKey{mul(small[i], small[4+i]), small[i]}, novelKey{mul(small[8+i], small[12+i]), nil})
+	}
+	for i := 0; i < 2; i++ {
+		novel = append(novel, novelKey{mul(pad[2*i+1], prime(960)), pad[2*i+1]}, novelKey{mul(prime(512), prime(512)), nil})
 	}
 	empty, err := Build(context.Background(), BuildInput{Store: store, Shards: 2,
 		Probe: anomaly.Probe{FermatSteps: -1, TrialPrimes: -1, RhoSteps: -1}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := make([]Verdict, len(novel))
+	for k, key := range novel {
+		v := empty.Check(key.n)
+		if key.shares != nil && (v.Status != StatusSharedFactor || v.Known || v.Divisor != hexOf(key.shares)) {
+			t.Fatalf("%d-bit novel key sharing a member's prime = %+v, want shared_factor via %x", key.n.BitLen(), v, key.shares)
+		}
+		if key.shares == nil && (v.Status != StatusClean || v.Known) {
+			t.Fatalf("%d-bit novel key sharing nothing = %+v, want clean/novel", key.n.BitLen(), v)
+		}
+		want[k] = v
 	}
 	rootWords := func() (words [][]big.Word) {
 		for _, snap := range []*Snapshot{full, empty} {
@@ -316,12 +359,8 @@ func TestSnapshotSwapUnderReaders(t *testing.T) {
 			for c := 0; ; c++ {
 				if c < 125 {
 					k := (r*125 + c) % len(novel)
-					v := empty.Check(novel[k])
-					if k%2 == 0 && (v.Status != StatusSharedFactor || v.Known || v.Divisor != hexOf(pad[k])) {
-						t.Errorf("novel key sharing a member's prime = %+v, want shared_factor via %x", v, pad[k])
-					}
-					if k%2 == 1 && (v.Status != StatusClean || v.Known) {
-						t.Errorf("novel key sharing nothing = %+v, want clean/novel", v)
+					if v := empty.Check(novel[k].n); v != want[k] {
+						t.Errorf("%d-bit novel key under concurrent readers = %+v, serially %+v", novel[k].n.BitLen(), v, want[k])
 					}
 				} else if c == 125 {
 					novelDone.Done()
@@ -383,5 +422,44 @@ func TestStats(t *testing.T) {
 	// Each 128-bit modulus contributes ~128 bits of product somewhere.
 	if productBits < 3*127 {
 		t.Errorf("product bits %d, want >= %d", productBits, 3*127)
+	}
+}
+
+// TestNovelCheckAllocations holds a warm novel check to a byte budget: a
+// key sharing one prime with a member of a 4,096-key, 8-shard snapshot
+// of 128-bit keys (shard products of about 1,000 words) sweeps every
+// shard product through one pooled Reducer, whose fold scratch outlives
+// the check. A fresh Reducer per check allocated
+// about 20,000 bytes a check here, most of it fold accumulators of up to
+// half a product's length; the budget is half of that. The rest, about
+// 5,300 bytes, is the per-shard GCDs, the fold constants and the verdict.
+func TestNovelCheckAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	const keys, calls, budget = 4096, 200, 20000 / 2
+	primes := primesFrom(1<<63, 2*keys+1)
+	store := scanstore.New()
+	for i := 0; i < keys; i++ {
+		store.AddBareKeyObservation("10.7.0.1", date(2016, 1, 1), scanstore.SourceCensys, scanstore.SSH, mul(primes[2*i], primes[2*i+1]))
+	}
+	snap, err := Build(context.Background(), BuildInput{Store: store, Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := mul(primes[0], primes[2*keys])
+	if v := snap.Check(n); v.Status != StatusSharedFactor || v.Known {
+		t.Fatalf("novel key sharing a member's prime = %+v, want shared_factor", v)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		snap.Check(n)
+	}
+	runtime.ReadMemStats(&after)
+	perCheck := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("%d bytes a novel check", perCheck)
+	if perCheck > budget {
+		t.Errorf("a warm novel check allocates %d bytes, budget %d", perCheck, budget)
 	}
 }

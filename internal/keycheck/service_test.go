@@ -290,11 +290,13 @@ func BenchmarkServiceCheck(b *testing.B) {
 	svc := NewService(snap, Config{CacheSize: -1})
 	ctx := context.Background()
 	b.Run("known", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			svc.Check(ctx, modN1)
 		}
 	})
 	b.Run("novel-gcd", func(b *testing.B) {
+		b.ReportAllocs()
 		n := new(big.Int).Mul(r2, r3)
 		for i := 0; i < b.N; i++ {
 			svc.Check(ctx, n)

@@ -17,9 +17,14 @@ import "math/big"
 //
 // The constants B^(foldBase·len(n)·2ʲ) mod n come from repeated squaring,
 // are extended lazily to the longest operand seen and serve every
-// reduction under the same n. A Reducer never writes its operands (tree
-// nodes are shared and immutable) and is not safe for concurrent use:
-// make one per call site, as one would a scratch quotient.
+// reduction under the same n. The fold accumulators grow to the longest
+// operand's length and are kept: Reset points a Reducer at another
+// modulus, dropping the constants but not that storage, so a caller
+// reducing many operands under many short moduli (a novel check's sweep
+// of the shard products) can keep one Reducer per goroutine, or pool
+// them, and stop allocating a product's length of scratch per modulus.
+// A Reducer never writes its operands (tree nodes are shared and
+// immutable) and is not safe for concurrent use.
 type Reducer struct {
 	n   *big.Int
 	k   int        // len(n.Bits())
@@ -45,10 +50,25 @@ var one = big.NewInt(1)
 // reference and never writes. Like division by zero in math/big, a
 // modulus below 1 panics.
 func NewReducer(n *big.Int) *Reducer {
-	if n.Sign() <= 0 {
-		panic("prodtree: Reducer modulus must be positive")
+	r := new(Reducer)
+	r.Reset(n)
+	return r
+}
+
+// Reset points r at the modulus n, as NewReducer(n) would, keeping the
+// scratch earlier reductions grew. Reset(nil) drops the modulus, leaving
+// r to be Reset again before its next Mod: what a pooled Reducer is put
+// back as, so the pool holds no caller's modulus.
+func (r *Reducer) Reset(n *big.Int) {
+	k := 0
+	if n != nil {
+		if n.Sign() <= 0 {
+			panic("prodtree: Reducer modulus must be positive")
+		}
+		k = len(n.Bits())
 	}
-	return &Reducer{n: n, k: len(n.Bits())}
+	clear(r.pow)
+	r.n, r.k, r.pow = n, k, r.pow[:0]
 }
 
 // point returns fold point j in words.

@@ -13,7 +13,11 @@ import (
 // of operands derived from it that first grow (so the constants are
 // extended under a live Reducer) and then shrink (so constants and
 // scratch sized for a longer operand serve a shorter one), and checks
-// that no operand's words were written.
+// that no operand's words were written. The same Reducer is then Reset
+// to moduli of 1, 2, 16 and 40 words, emptied with Reset(nil) as a pool
+// returns it, and Reset back to n, with the run (plus one operand long
+// enough to fold under each) held to big.Int.Mod after every retarget:
+// a Reset that kept the previous modulus's constants fails here.
 func checkReducer(t *testing.T, x, n *big.Int) {
 	t.Helper()
 	sq := new(big.Int).Mul(x, x)
@@ -26,16 +30,31 @@ func checkReducer(t *testing.T, x, n *big.Int) {
 	}
 	r := NewReducer(n)
 	got, want := new(big.Int), new(big.Int)
-	for i, op := range operands {
-		before := slices.Clone(op.Bits())
-		r.Mod(got, op)
-		if want.Mod(op, n); got.Cmp(want) != 0 {
-			t.Fatalf("operand %d (%d words) mod %d-word n: Reducer %x, big.Int.Mod %x", i, len(op.Bits()), len(n.Bits()), got, want)
-		}
-		if !slices.Equal(before, op.Bits()) {
-			t.Fatalf("operand %d (%d words) was written", i, len(before))
+	run := func(n *big.Int, operands []*big.Int) {
+		t.Helper()
+		for i, op := range operands {
+			before := slices.Clone(op.Bits())
+			r.Mod(got, op)
+			if want.Mod(op, n); got.Cmp(want) != 0 {
+				t.Fatalf("operand %d (%d words) mod %d-word n: Reducer %x, big.Int.Mod %x", i, len(op.Bits()), len(n.Bits()), got, want)
+			}
+			if !slices.Equal(before, op.Bits()) {
+				t.Fatalf("operand %d (%d words) was written", i, len(before))
+			}
 		}
 	}
+	run(n, operands)
+	rng := rand.New(rand.NewSource(int64(len(x.Bits()))))
+	operands = append(operands, new(big.Int).Rand(rng, ones(700)))
+	for _, k := range []int{1, 2, 16, 40} {
+		m := new(big.Int).Rand(rng, ones(k))
+		m.SetBit(m, k*wordBits-1, 1)
+		r.Reset(m)
+		run(m, operands)
+	}
+	r.Reset(nil)
+	r.Reset(n)
+	run(n, operands)
 }
 
 // ones returns 2^(words·wordBits) − 1: every bit set in exactly
@@ -97,7 +116,8 @@ func TestReducerModulusShapes(t *testing.T) {
 
 // FuzzReducerMatchesMod: Reducer.Mod equals big.Int.Mod for arbitrary x
 // and arbitrary n ≥ 1, one Reducer reused across operands of growing and
-// shrinking length (checkReducer).
+// shrinking length and Reset across moduli of 1 to 40 words and back to n
+// (checkReducer).
 func FuzzReducerMatchesMod(f *testing.F) {
 	f.Add([]byte{}, []byte{7})
 	f.Add([]byte{5}, []byte{7})
