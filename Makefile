@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet vet-386 bench-check test race e2e fuzz-smoke bench bench-once bench-pipeline bench-telemetry bench-smoke
+.PHONY: ci fmt build vet vet-386 bench-check test race e2e fuzz-smoke bench bench-once bench-pipeline bench-telemetry bench-smoke
 
-# ci is the full gate: compile everything, vet (bench/ too, and the
+# ci is the full gate: check formatting, compile everything, vet (bench/ too, and the
 # tree again for 386, with the word-width arithmetic tested there), run the
 # test suite under the race detector — every fault-injection test, and
 # the e2e package's process-level checks (real binaries, signals, files
@@ -16,7 +16,12 @@ GO ?= go
 # workload once against generator ground truth. Nothing here writes a tracked file: exactness
 # lives in the race-tested suite, speed is judged by parent-vs-change
 # pairs on bench/ (BENCHMARK.json).
-ci: build vet vet-386 bench-check race fuzz-smoke bench-once bench-telemetry bench-smoke
+ci: fmt build vet vet-386 bench-check race fuzz-smoke bench-once bench-telemetry bench-smoke
+
+# fmt fails on any Go file gofmt would change (bench/ too): a deletion
+# that leaves an empty block or a run of blank lines shows up here.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

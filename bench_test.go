@@ -546,7 +546,7 @@ func BenchmarkPipelineOverhead(b *testing.B) {
 	})
 	b.Run("staged", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, err := pipeline.Run(context.Background(),
+			_, err := (&pipeline.Runner{}).Run(context.Background(),
 				pipeline.Stage{Name: "work", Run: func(ctx context.Context, st *pipeline.Stats) error {
 					return work()
 				}})
@@ -559,7 +559,7 @@ func BenchmarkPipelineOverhead(b *testing.B) {
 	b.Run("empty-stage", func(b *testing.B) {
 		noop := pipeline.Stage{Name: "noop", Run: func(ctx context.Context, st *pipeline.Stats) error { return nil }}
 		for i := 0; i < b.N; i++ {
-			if _, err := pipeline.Run(context.Background(), noop); err != nil {
+			if _, err := (&pipeline.Runner{}).Run(context.Background(), noop); err != nil {
 				b.Fatal(err)
 			}
 		}

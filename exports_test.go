@@ -2,222 +2,303 @@ package weakkeys_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// deadExports lists the exported names under internal/ that no non-test
-// file references, each with why it is still there. It can only shrink:
-// TestNoDeadExports fails on a dead name missing here, and on a name here
-// that is gone or has gained a non-test caller.
-var deadExports = map[string]string{
-	// Oracles, test-only on purpose: the independent answer a test holds
-	// the program to.
-	"internal/numtheory.IsSafePrime":             "oracle: the definition the safe-prime generator's tests check each output against",
-	"internal/numtheory.FermatFactor":            "oracle: the unbounded Fermat ascent anomaly's bounded probe is held to",
-	"internal/numtheory.PollardRho":              "oracle: textbook rho over big.Int, the reference for the Montgomery rho kernels",
-	"internal/population.Simulation.TruthSeries": "oracle: the generator's per-line ground truth the study's curves are checked against",
-	"internal/telemetry.Registry.GaugeValue":     "oracle: reads a gauge back so tests can assert what an instrument recorded",
-	"internal/certs.Certificate.Verify":          "oracle: checks a certificate's self-signature, so tests can show the generated certificates are real",
-	"internal/core.SnapshotTimeline":             "oracle: builds one snapshot per scan month, replayed by the timeline tests",
-
-	// An interface's method set, not deletable while it is a net.Error.
-	"internal/zscan.simNetError.Temporary": "satisfies net.Error, whose method set still declares Temporary",
-
-	// Everything else the scan finds today: each to delete under ROADMAP
-	// 9(b) with the tests that exist only for it, or to unexport as an
-	// in-package oracle.
-	"internal/analysis.Series.At":              "to delete under 9(b)",
-	"internal/certs.Certificate.EncodePEM":     "to delete under 9(b)",
-	"internal/devices.CountByResponse":         "to delete under 9(b)",
-	"internal/devices.FetchCert":               "to delete under 9(b)",
-	"internal/devices.Notified2012Count":       "to delete under 9(b)",
-	"internal/entropy.BootDevice":              "to delete under 9(b)",
-	"internal/entropy.Pool.CreditedBits":       "to delete under 9(b)",
-	"internal/fingerprint.IPOnlySubject":       "to delete under 9(b)",
-	"internal/fingerprint.Result.MethodCounts": "to delete under 9(b)",
-	"internal/fingerprint.Result.VendorCount":  "to delete under 9(b)",
-	"internal/fingerprint.Unlabeled":           "to delete under 9(b)",
-	"internal/numtheory.GCD":                   "to delete under 9(b)",
-	"internal/numtheory.ModInverse":            "to delete under 9(b)",
-	"internal/numtheory.TreeProduct":           "to delete under 9(b)",
-	"internal/pipeline.Run":                    "to delete under 9(b)",
-	"internal/population.Curve.Peak":           "to delete under 9(b)",
-	"internal/population.Disclosure":           "to delete under 9(b)",
-	"internal/population.Getrandom":            "to delete under 9(b)",
-	"internal/population.Heartbleed":           "to delete under 9(b)",
-	"internal/population.LinuxPatch":           "to delete under 9(b)",
-	"internal/population.Month.Valid":          "to delete under 9(b)",
-	"internal/population.Simulation.CACert":    "to delete under 9(b)",
-	"internal/population.Simulation.TruthByFP": "to delete under 9(b)",
-	"internal/weakrsa.Clique.KeyForDevice":     "to delete under 9(b)",
-	"internal/weakrsa.IBMCliqueKeys":           "to delete under 9(b)",
-	"internal/weakrsa.PrivateKey.Validate":     "to delete under 9(b)",
-	"internal/weakrsa.PublicKey.VerifySig":     "to delete under 9(b)",
-	"internal/zscan.Cycle.Generator":           "to delete under 9(b)",
-	"internal/zscan.Engine.Cycle":              "to delete under 9(b)",
+// unreached lists the declarations under internal/ that no program
+// reaches but that stay, each with the test that holds the program to
+// it. They are roots of the scan, so what they call stays too. The list
+// can only shrink: TestNoDeadExports fails on a name here that is gone or
+// that a program has come to reach.
+var unreached = map[string]string{
+	"internal/numtheory.IsSafePrime":             "oracle: the definition TestGenSafePrime and weakrsa's TestGenerateKeySafePrimes check each generated prime against",
+	"internal/numtheory.FermatFactor":            "oracle: the unbounded Fermat ascent TestFermatFactorClosePrimes and anomaly's TestProbeBudgetsHoldAgainstGoldenModuli hold the bounded probe to",
+	"internal/numtheory.PollardRho":              "oracle: textbook rho over big.Int, the reference checkAgainstOracle holds the Montgomery rho kernels to (TestPollardRhoFindsFactors)",
+	"internal/population.Simulation.TruthSeries": "oracle: the generator's per-line ground truth TestSimTracksTargets, TestJuniperShape and TestHeartbleedIsLargestTruthDrop check the study's curves against",
+	"internal/population.Simulation.TruthByFP":   "oracle: the generator's label per certificate, which core's TestFingerprintAccuracy and TestBatchGCDPrecision score the study against",
+	"internal/telemetry.Registry.GaugeValue":     "oracle: reads a gauge back so TestCounterGaugeBasics, TestRunnerTelemetry and TestEngineAccounting can assert what an instrument recorded",
+	"internal/certs.Certificate.Verify":          "oracle: checks a self-signature, so TestSignVerify and TestVerifyFailsAfterBitError can show the generated certificates are real",
+	"internal/core.SnapshotTimeline":             "oracle: builds one snapshot per scan month, replayed by TestSnapshotTimeline",
+	"internal/weakrsa.PrivateKey.Validate":       "oracle: N = PQ, both prime, D inverts E; TestGenerateKeyValid, TestRecoverPrivateKey and TestValidateRejectsTampering hold every generator to it",
 }
 
-// TestNoDeadExports parses every non-test Go file in the repository
-// (bench/ too: it is a program over internal/) and fails on an exported
-// name declared under internal/ that no non-test file references, unless
-// deadExports lists it. A function, type, variable or constant is
-// referenced by its bare name inside its own package or as pkg.Name
-// elsewhere. The scan does not count methods by receiver: it cannot tell
-// one type's Verify from another's, so a method counts as referenced
-// when any non-test file selects its name on anything, and a method
-// reached only through a standard-library interface (a String, an Error)
-// is flagged like any other.
+// TestNoDeadExports type-checks every non-test package in the module and
+// in bench/ and fails on a declaration under internal/ that no program
+// reaches, exported or not, unless unreached lists it.
+//
+// The programs are cmd/, examples/ and bench/: every declaration there
+// is a root, as are the oracles in unreached and every init function.
+// A declaration reaches each function, method, type, variable and
+// constant its syntax refers to, resolved by go/types, so a method is
+// told apart by its receiver (one type's Leaves from another's). A
+// variable or constant also reaches its named type.
+//
+// A method no reached code names is still reached when its receiver type
+// is reached and the type implements an interface that either has the
+// method and reached code calls it through that interface, or is one the
+// standard library calls for itself (error, fmt.Stringer, io.Reader,
+// net.Error, http.Handler, json.Marshaler, ...). A blank assertion such
+// as var _ io.Reader = (*T)(nil) declares nothing, so it reaches nothing.
 func TestNoDeadExports(t *testing.T) {
-	const module = "github.com/factorable/weakkeys/"
+	const module = "github.com/factorable/weakkeys"
 	fset := token.NewFileSet()
-	declared := map[string]token.Position{} // "dir.Name" or "dir.Type.Method"
-	used := map[string]bool{}               // "dir.Name" a non-test file references
-	selected := map[string]bool{}           // names a non-test file selects, x.Name
+	info := &types.Info{
+		Defs: map[*ast.Ident]types.Object{},
+		Uses: map[*ast.Ident]types.Object{},
+	}
+	std := importer.Default()
+	checked := map[string]*types.Package{}
+	files := map[string][]*ast.File{} // by directory
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		dir, ok := strings.CutPrefix(path, module+"/")
+		if !ok {
+			return std.Import(path)
+		}
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			return nil, err
+		}
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files[dir] = append(files[dir], f)
+		}
+		conf := types.Config{Importer: imp}
+		p, err := conf.Check(path, fset, files[dir], info)
+		checked[path] = p
+		return p, err
+	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() || path == "." {
 			return err
 		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
+		if name := d.Name(); strings.HasPrefix(name, ".") || name == "testdata" {
+			return filepath.SkipDir
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
+		if _, err := build.ImportDir(path, 0); err != nil {
+			return nil // no non-test Go files here
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		own := map[*ast.Ident]bool{} // identifiers that declare rather than refer
-		for _, decl := range f.Decls {
-			for name, id := range declaredNames(decl) {
-				own[id] = true
-				if id.IsExported() && strings.HasPrefix(dir, "internal/") {
-					declared[dir+"."+name] = fset.Position(id.Pos())
-				}
-			}
-		}
-		imports := map[string]string{} // local name → directory
-		for _, spec := range f.Imports {
-			p, _ := strconv.Unquote(spec.Path.Value)
-			if rel, ok := strings.CutPrefix(p, module); ok {
-				name := filepath.Base(rel)
-				if spec.Name != nil {
-					name = spec.Name.Name
-				}
-				imports[name] = rel
-			}
-		}
-		var visit func(ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				// A type's own method receivers do not keep it alive.
-				if recv := receiver(n); recv != nil {
-					own[recv] = true
-				}
-			case *ast.Field:
-				for _, id := range n.Names {
-					own[id] = true
-				}
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if rel, ok := imports[x.Name]; ok {
-						used[rel+"."+n.Sel.Name] = true
-						return false
-					}
-				}
-				selected[n.Sel.Name] = true
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.Ident:
-				if !own[n] {
-					used[dir+"."+n.Name] = true
-				}
-			}
-			return true
-		}
-		ast.Inspect(f, visit)
-		return nil
+		_, err = imp(module + "/" + filepath.ToSlash(path))
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	referenced := func(name string) bool {
-		dir, rest, _ := strings.Cut(name, ".")
-		if _, method, ok := strings.Cut(rest, "."); ok {
-			return selected[method]
-		}
-		return used[dir+"."+rest]
-	}
-	var dead []string
-	for name := range declared {
-		if !referenced(name) {
-			dead = append(dead, name)
-		}
-	}
-	sort.Strings(dead)
-	for _, name := range dead {
-		if _, ok := deadExports[name]; !ok {
-			t.Errorf("%s: %s has no non-test caller: delete it, unexport it, or list it in deadExports with its reason", declared[name], name)
-		}
-	}
-	for name := range deadExports {
-		if _, ok := declared[name]; !ok {
-			t.Errorf("deadExports lists %s, which is no longer declared: drop it from the list", name)
-		} else if referenced(name) {
-			t.Errorf("deadExports lists %s, which now has a non-test caller: drop it from the list", name)
-		}
-	}
-}
 
-// declaredNames returns what a top-level declaration declares, by name:
-// "Name" for a function, type, variable or constant, "Type.Method" for a
-// method.
-func declaredNames(decl ast.Decl) map[string]*ast.Ident {
-	names := map[string]*ast.Ident{}
-	switch d := decl.(type) {
-	case *ast.FuncDecl:
-		if recv := receiver(d); recv != nil {
-			names[recv.Name+"."+d.Name.Name] = d.Name
-		} else if d.Recv == nil {
-			names[d.Name.Name] = d.Name
-		}
-	case *ast.GenDecl:
-		for _, spec := range d.Specs {
-			switch s := spec.(type) {
-			case *ast.TypeSpec:
-				names[s.Name.Name] = s.Name
-			case *ast.ValueSpec:
-				for _, id := range s.Names {
-					names[id.Name] = id
+	// The graph: each declaration and the objects its syntax uses.
+	type decl struct {
+		name string // "internal/pkg.Name" or "internal/pkg.Type.Method"
+		dir  string
+		pos  token.Pos
+		node ast.Node
+	}
+	decls := map[types.Object]*decl{}
+	var inits []types.Object
+	for dir, fs := range files {
+		for _, f := range fs {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					obj := info.Defs[d.Name]
+					name := d.Name.Name
+					if d.Recv != nil {
+						recv := obj.Type().(*types.Signature).Recv().Type()
+						if ptr, ok := recv.(*types.Pointer); ok {
+							recv = ptr.Elem()
+						}
+						name = recv.(*types.Named).Obj().Name() + "." + name
+					} else if name == "init" {
+						inits = append(inits, obj)
+					}
+					decls[obj] = &decl{dir + "." + name, dir, d.Name.Pos(), d}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						var ids []*ast.Ident
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							ids = []*ast.Ident{s.Name}
+						case *ast.ValueSpec:
+							ids = s.Names
+						}
+						for _, id := range ids {
+							if id.Name != "_" {
+								decls[info.Defs[id]] = &decl{dir + "." + id.Name, dir, id.Pos(), spec}
+							}
+						}
+					}
 				}
 			}
 		}
 	}
-	return names
+	// The interface methods reached code calls, and those the standard
+	// library calls for itself.
+	type ifaceMethod struct {
+		iface *types.Interface
+		name  string
+	}
+	called := map[ifaceMethod]bool{}
+	for _, iface := range standardInterfaces(t, std) {
+		for i := 0; i < iface.NumMethods(); i++ {
+			called[ifaceMethod{iface, iface.Method(i).Name()}] = true
+		}
+	}
+	edges := func(obj types.Object) []types.Object {
+		var out []types.Object
+		use := func(o types.Object) {
+			switch o := o.(type) {
+			case *types.Func:
+				if recv := o.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					called[ifaceMethod{recv.Type().Underlying().(*types.Interface), o.Name()}] = true
+					return
+				}
+				out = append(out, o.Origin())
+			case *types.TypeName, *types.Var, *types.Const:
+				out = append(out, o)
+			}
+		}
+		if _, isType := obj.(*types.TypeName); !isType {
+			use(namedOf(obj.Type()))
+		}
+		ast.Inspect(decls[obj].node, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				use(info.Uses[id])
+			}
+			return true
+		})
+		return out
+	}
+	reached := map[types.Object]bool{}
+	reach := func(roots []types.Object) {
+		work := append([]types.Object(nil), roots...)
+		for len(work) > 0 {
+			for len(work) > 0 {
+				obj := work[len(work)-1]
+				work = work[:len(work)-1]
+				if reached[obj] || decls[obj] == nil {
+					continue
+				}
+				reached[obj] = true
+				work = append(work, edges(obj)...)
+			}
+			// Methods reached through an interface, until none is new.
+			for obj := range decls {
+				m, ok := obj.(*types.Func)
+				if !ok || reached[m] {
+					continue
+				}
+				recv := m.Type().(*types.Signature).Recv()
+				if recv == nil {
+					continue
+				}
+				named := namedOf(recv.Type())
+				if !reached[named] {
+					continue
+				}
+				ptr := types.NewPointer(named.Type())
+				for c := range called {
+					if c.name == m.Name() && types.Implements(ptr, c.iface) {
+						work = append(work, m)
+						break
+					}
+				}
+			}
+		}
+	}
+
+	var roots []types.Object
+	for obj, d := range decls {
+		if !strings.HasPrefix(d.dir, "internal/") {
+			roots = append(roots, obj)
+		}
+	}
+	reach(append(roots, inits...))
+	kept := map[string]bool{}
+	var oracles []types.Object
+	for obj, d := range decls {
+		if _, ok := unreached[d.name]; ok {
+			kept[d.name] = true
+			oracles = append(oracles, obj)
+			if reached[obj] {
+				t.Errorf("unreached lists %s, which a program now reaches: drop it from the list", d.name)
+			}
+		}
+	}
+	for name := range unreached {
+		if !kept[name] {
+			t.Errorf("unreached lists %s, which is no longer declared: drop it from the list", name)
+		}
+	}
+	reach(oracles)
+	var dead []*decl
+	for obj, d := range decls {
+		if !reached[obj] {
+			dead = append(dead, d)
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i].name < dead[j].name })
+	for _, d := range dead {
+		t.Errorf("%s: no program reaches %s: delete it, move it into a test, or list it in unreached with the test that needs it", fset.Position(d.pos), d.name)
+	}
 }
 
-// receiver returns the type a method is declared on, or nil for a
-// function.
-func receiver(d *ast.FuncDecl) *ast.Ident {
-	if d.Recv == nil {
-		return nil
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// namedOf returns the type name behind t or *t, or nil.
+func namedOf(t types.Type) types.Object {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
 	}
-	recv := d.Recv.List[0].Type
-	if star, ok := recv.(*ast.StarExpr); ok {
-		recv = star.X
+	if named, ok := t.(*types.Named); ok {
+		return named.Origin().Obj()
 	}
-	id, _ := recv.(*ast.Ident)
-	return id
+	return nil
+}
+
+// standardInterfaces returns the interfaces the standard library calls
+// on values handed to it.
+func standardInterfaces(t *testing.T, std types.Importer) []*types.Interface {
+	var out []*types.Interface
+	for _, name := range []string{
+		"fmt.Stringer", "fmt.GoStringer", "fmt.Formatter",
+		"io.Reader", "io.Writer", "io.Closer", "io.ReaderFrom", "io.WriterTo",
+		"net.Error", "net.Conn", "net.Listener", "net.Addr",
+		"net/http.Handler", "net/http.RoundTripper", "net/http.Flusher",
+		"sort.Interface", "container/heap.Interface", "flag.Value", "context.Context",
+		"encoding.TextMarshaler", "encoding.TextUnmarshaler",
+		"encoding/json.Marshaler", "encoding/json.Unmarshaler",
+	} {
+		dot := strings.LastIndex(name, ".")
+		p, err := std.Import(name[:dot])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, p.Scope().Lookup(name[dot+1:]).Type().Underlying().(*types.Interface))
+	}
+	// error, and the methods errors.Is, As and Unwrap look for.
+	out = append(out, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for _, src := range []string{"interface{ Unwrap() error }", "interface{ Unwrap() []error }", "interface{ Is(error) bool }", "interface{ As(any) bool }"} {
+		tv, err := types.Eval(token.NewFileSet(), nil, token.NoPos, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, tv.Type.Underlying().(*types.Interface))
+	}
+	return out
 }

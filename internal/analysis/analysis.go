@@ -27,16 +27,6 @@ type Series struct {
 	Sources []scanstore.Source
 }
 
-// At returns the index for a date, or -1.
-func (s *Series) At(d time.Time) int {
-	for i, t := range s.Dates {
-		if t.Equal(d) {
-			return i
-		}
-	}
-	return -1
-}
-
 // Analyzer precomputes the per-record attributions needed by every query.
 type Analyzer struct {
 	store *scanstore.Store

@@ -11,6 +11,7 @@
 package certs
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/asn1"
 	"errors"
@@ -103,8 +104,9 @@ func (c *Certificate) Marshal() ([]byte, error) {
 	return asn1.Marshal(d)
 }
 
-// Parse decodes DER bytes produced by Marshal. Trailing data is an error,
-// as it would be for a strict DER parser.
+// Parse decodes DER bytes produced by Marshal. Trailing data, and any
+// encoding Marshal would not produce, is an error, as it would be for a
+// strict DER parser.
 func Parse(data []byte) (*Certificate, error) {
 	var d der
 	rest, err := asn1.Unmarshal(data, &d)
@@ -114,7 +116,7 @@ func Parse(data []byte) (*Certificate, error) {
 	if len(rest) != 0 {
 		return nil, errors.New("certs: trailing data after certificate")
 	}
-	return &Certificate{
+	c := &Certificate{
 		SerialNumber: d.Serial,
 		Subject:      Name{d.Subject.CN, d.Subject.O, d.Subject.OU, d.Subject.C, d.Subject.L},
 		Issuer:       Name{d.Issuer.CN, d.Issuer.O, d.Issuer.OU, d.Issuer.C, d.Issuer.L},
@@ -124,7 +126,14 @@ func Parse(data []byte) (*Certificate, error) {
 		N:            d.N,
 		E:            d.E,
 		Signature:    d.Signature,
-	}, nil
+	}
+	// encoding/asn1 skips elements past the last field of a SEQUENCE and
+	// accepts an empty optional list Marshal would omit. Either would let
+	// two encodings share one certificate and its fingerprint.
+	if re, err := c.Marshal(); err != nil || !bytes.Equal(re, data) {
+		return nil, errors.New("certs: not the canonical encoding of a certificate")
+	}
+	return c, nil
 }
 
 // tbsDigest hashes everything except the signature. The digest is what

@@ -1,6 +1,7 @@
 package certs
 
 import (
+	"encoding/asn1"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -73,6 +74,21 @@ func TestParseRejectsGarbage(t *testing.T) {
 	raw, _ := c.Marshal()
 	if _, err := Parse(append(raw, 0x00)); err == nil {
 		t.Error("trailing data accepted")
+	}
+	// An element past the last field, inside the certificate's SEQUENCE:
+	// encoding/asn1 alone skips it, and the certificate would then share
+	// its fingerprint with the one without it.
+	var seq asn1.RawValue
+	if _, err := asn1.Unmarshal(raw, &seq); err != nil {
+		t.Fatal(err)
+	}
+	seq.Bytes, seq.FullBytes = append(seq.Bytes, 0x05, 0x00), nil
+	extra, err := asn1.Marshal(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse(extra); err == nil {
+		t.Error("extra element inside the certificate accepted")
 	}
 }
 

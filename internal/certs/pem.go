@@ -17,15 +17,6 @@ const (
 	PEMModulusType     = "WEAKKEYS RSA MODULUS"
 )
 
-// EncodePEM writes the certificate as a PEM block.
-func (c *Certificate) EncodePEM(w io.Writer) error {
-	der, err := c.Marshal()
-	if err != nil {
-		return err
-	}
-	return pem.Encode(w, &pem.Block{Type: PEMCertificateType, Bytes: der})
-}
-
 // ParsePEM reads the first certificate PEM block from data.
 func ParsePEM(data []byte) (*Certificate, error) {
 	for {

@@ -77,13 +77,6 @@ func (j *Journal) Page(g uint64) (gen uint64, keys []string, more bool) {
 	return j.base + to, append([]string(nil), j.keys[from:to]...), j.base+to < head
 }
 
-// Generation returns the journal's current generation (its head).
-func (j *Journal) Generation() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.head()
-}
-
 // syncResponse is the GET /v1/sync wire document: one page of the
 // origin's journal tail.
 type syncResponse struct {

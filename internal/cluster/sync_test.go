@@ -15,6 +15,13 @@ import (
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
+// journalHead returns j's current generation, its head.
+func journalHead(j *Journal) uint64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.head()
+}
+
 // TestJournalSince reads a small journal since a position: each append
 // advances the generation by its key count, a fresh reader's 0 is served
 // from the start, and keys come back once each in append order.
@@ -76,8 +83,8 @@ func TestJournalPage(t *testing.T) {
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("paged reads returned %d keys, want the %d appended, in order", len(got), len(want))
 	}
-	if pos != j.Generation() {
-		t.Errorf("final position base+%d, want the journal head base+%d", pos-base, j.Generation()-base)
+	if pos != journalHead(j) {
+		t.Errorf("final position base+%d, want the journal head base+%d", pos-base, journalHead(j)-base)
 	}
 	if pages < 3 {
 		t.Errorf("tail of %d keys fit in %d page(s); cap %d not exercised", len(want), pages, maxSyncKeys)
@@ -198,8 +205,8 @@ func TestSyncerPaging(t *testing.T) {
 	if got := svc.Index().Snapshot().Moduli(); got != total {
 		t.Errorf("index holds %d moduli, want %d", got, total)
 	}
-	if pos := s.positions[origin]; pos != j.Generation() {
-		t.Errorf("position %d after the pull, want the journal head %d", pos, j.Generation())
+	if pos := s.positions[origin]; pos != journalHead(j) {
+		t.Errorf("position %d after the pull, want the journal head %d", pos, journalHead(j))
 	}
 	if landed := s.PullOnce(ctx); landed != 0 {
 		t.Errorf("drained journal still landed %d moduli", landed)
@@ -315,13 +322,13 @@ func TestSyncPropagation(t *testing.T) {
 	// The mesh must go quiet: no new deltas, no journal growth.
 	gens := make([]uint64, len(replicas))
 	for i, rep := range replicas {
-		gens[i] = rep.journal.Generation()
+		gens[i] = journalHead(rep.journal)
 	}
 	if landed := pullAll(); landed != 0 {
 		t.Errorf("settled mesh still landed %d moduli", landed)
 	}
 	for i, rep := range replicas {
-		if g := rep.journal.Generation(); g != gens[i] {
+		if g := journalHead(rep.journal); g != gens[i] {
 			t.Errorf("replica %s journal grew %d -> %d after quiescence", rep.addr, gens[i], g)
 		}
 	}

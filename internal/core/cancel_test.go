@@ -9,6 +9,16 @@ import (
 	"github.com/factorable/weakkeys/internal/pipeline"
 )
 
+// stageReport returns r's report for the named stage, or nil.
+func stageReport(r *pipeline.RunReport, name string) *pipeline.StageReport {
+	for i := range r.Stages {
+		if r.Stages[i].Name == name {
+			return &r.Stages[i]
+		}
+	}
+	return nil
+}
+
 // runCancelling runs a small study and cancels the context as soon as
 // the named stage starts, returning the partial study and the error
 // (guarded by a timeout so a hung cancellation fails the test instead
@@ -84,7 +94,7 @@ func TestPartialStudyOnCancel(t *testing.T) {
 	// Everything before BatchGCD completed; BatchGCD itself is present
 	// with the cancellation error.
 	for _, name := range []string{StageSimulate, StageHarvest, StageDedup} {
-		sr := study.Report.Stage(name)
+		sr := stageReport(study.Report, name)
 		if sr == nil {
 			t.Fatalf("partial report missing completed stage %s", name)
 		}
@@ -92,11 +102,11 @@ func TestPartialStudyOnCancel(t *testing.T) {
 			t.Errorf("completed stage %s carries error %v", name, sr.Err)
 		}
 	}
-	gcd := study.Report.Stage(StageBatchGCD)
+	gcd := stageReport(study.Report, StageBatchGCD)
 	if gcd == nil || gcd.Err == nil {
 		t.Fatalf("partial report should include the failing stage: %+v", gcd)
 	}
-	if study.Report.Stage(StageAnalyze) != nil {
+	if stageReport(study.Report, StageAnalyze) != nil {
 		t.Error("stages after the failure must not appear in the report")
 	}
 }
@@ -131,7 +141,7 @@ func TestRunReportCoversAllStages(t *testing.T) {
 		}
 	}
 	// The dedup output feeds the batch GCD input.
-	dedup, gcd := s.Report.Stage(StageDedup), s.Report.Stage(StageBatchGCD)
+	dedup, gcd := stageReport(s.Report, StageDedup), stageReport(s.Report, StageBatchGCD)
 	if dedup.Stats.ItemsOut != gcd.Stats.ItemsIn {
 		t.Errorf("dedup out %d != batchgcd in %d", dedup.Stats.ItemsOut, gcd.Stats.ItemsIn)
 	}

@@ -6,10 +6,13 @@ import (
 	"math/big"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"github.com/factorable/weakkeys/internal/analysis"
 	"github.com/factorable/weakkeys/internal/devices"
 	"github.com/factorable/weakkeys/internal/population"
 	"github.com/factorable/weakkeys/internal/scanstore"
@@ -21,6 +24,9 @@ var (
 	study     *Study
 	studyErr  error
 )
+
+// dateIndex returns the index of date d in s, or -1.
+func dateIndex(s analysis.Series, d time.Time) int { return slices.IndexFunc(s.Dates, d.Equal) }
 
 // testStudy runs one moderately-sized study shared by every test in the
 // package (the pipeline is deterministic, so sharing is safe).
@@ -210,8 +216,8 @@ func TestJuniperShape(t *testing.T) {
 	// The observed series sees the total-population cliff too (totals are
 	// large enough that sampling noise cannot hide a 3/8 drop).
 	series := s.Analyzer.VendorSeries("Juniper", "")
-	i := series.At(population.MustMonth("2014-04").Time())
-	j := series.At(population.MustMonth("2014-05").Time())
+	i := dateIndex(series, population.MustMonth("2014-04").Time())
+	j := dateIndex(series, population.MustMonth("2014-05").Time())
 	if i < 0 || j < 0 {
 		t.Fatal("scan dates missing")
 	}
@@ -223,7 +229,7 @@ func TestJuniperShape(t *testing.T) {
 func TestInnominateFlat(t *testing.T) {
 	s := testStudy(t)
 	series := s.Analyzer.VendorSeries("Innominate", "")
-	at := func(month string) int { return series.At(population.MustMonth(month).Time()) }
+	at := func(month string) int { return dateIndex(series, population.MustMonth(month).Time()) }
 	v13, v15 := series.Vuln[at("2013-06")], series.Vuln[at("2015-09")]
 	if v13 == 0 {
 		t.Fatal("no Innominate vulnerable population")
@@ -244,7 +250,7 @@ func TestInnominateFlat(t *testing.T) {
 func TestIBMDecline(t *testing.T) {
 	s := testStudy(t)
 	series := s.Analyzer.VendorSeries("IBM", "")
-	at := func(month string) int { return series.At(population.MustMonth(month).Time()) }
+	at := func(month string) int { return dateIndex(series, population.MustMonth(month).Time()) }
 	// Single scans are noisy and coverage differs between source eras
 	// (the paper's "methodology artifacts"), so compare half-year sums
 	// within the Ecosystem era, plus the endpoints.
@@ -274,7 +280,7 @@ func TestNewlyVulnerableVendors(t *testing.T) {
 	s := testStudy(t)
 	for _, vendor := range []string{"Huawei", "ADTRAN", "Sangfor", "Schmid Telecom"} {
 		series := s.Analyzer.VendorSeries(vendor, "")
-		at := func(month string) int { return series.At(population.MustMonth(month).Time()) }
+		at := func(month string) int { return dateIndex(series, population.MustMonth(month).Time()) }
 		if early := series.Vuln[at("2013-06")]; early != 0 {
 			t.Errorf("%s: vulnerable before introduction: %d", vendor, early)
 		}
@@ -474,8 +480,8 @@ func TestHeartbleedIsLargestTruthDrop(t *testing.T) {
 	// Sanity on the observed aggregate: the Heartbleed window must not
 	// show growth.
 	agg := s.Analyzer.AggregateSeries()
-	i := agg.At(population.MustMonth("2014-04").Time())
-	j := agg.At(hb.Time())
+	i := dateIndex(agg, population.MustMonth("2014-04").Time())
+	j := dateIndex(agg, hb.Time())
 	if i >= 0 && j >= 0 && agg.Vuln[j] > agg.Vuln[i] {
 		t.Errorf("observed vulnerable population grew across Heartbleed: %d -> %d", agg.Vuln[i], agg.Vuln[j])
 	}
@@ -638,7 +644,7 @@ func TestAnomalyStage(t *testing.T) {
 	if rep.Exponents.Anomalous() == 0 {
 		t.Error("no anomalous exponents found in an e=1 fleet")
 	}
-	if sr := s.Report.Stage(StageAnomaly); sr == nil {
+	if sr := stageReport(s.Report, StageAnomaly); sr == nil {
 		t.Error("run report missing the Anomaly stage")
 	} else if sr.Stats.ItemsOut == 0 {
 		t.Error("Anomaly stage reported zero findings")
@@ -661,7 +667,7 @@ func TestAnomalyStageGated(t *testing.T) {
 	if s.Anomaly != nil {
 		t.Error("Study.Anomaly set without Options.Anomalies")
 	}
-	if s.Report.Stage(StageAnomaly) != nil {
+	if stageReport(s.Report, StageAnomaly) != nil {
 		t.Error("Anomaly stage ran without Options.Anomalies")
 	}
 	if err := s.Anomalies(new(strings.Builder)); err == nil {

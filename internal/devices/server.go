@@ -153,11 +153,10 @@ func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
 	for {
-		line, err := r.ReadString('\n')
+		line, err := readLine(r)
 		if err != nil {
 			return
 		}
-		line = strings.TrimRight(line, "\r\n")
 		switch {
 		case line == msgClientHello:
 			suites := s.Suites
@@ -198,25 +197,18 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// FetchCert performs the client side of the handshake over an established
-// connection and returns the parsed certificate.
-func FetchCert(conn io.ReadWriter) (*certs.Certificate, error) {
-	c, _, err := FetchCertSuites(conn)
-	return c, err
-}
-
-// FetchCertSuites is FetchCert plus the cipher-suite families the server
-// advertised.
+// FetchCertSuites performs the client side of the handshake over an
+// established connection and returns the parsed certificate and the
+// cipher-suite families the server advertised.
 func FetchCertSuites(conn io.ReadWriter) (*certs.Certificate, []string, error) {
 	if _, err := io.WriteString(conn, msgClientHello+"\n"); err != nil {
 		return nil, nil, err
 	}
 	r := bufio.NewReader(conn)
-	header, err := r.ReadString('\n')
+	header, err := readLine(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	header = strings.TrimRight(header, "\r\n")
 	fields := strings.Fields(header)
 	if len(fields) < 2 || fields[0] != msgServerHello {
 		return nil, nil, fmt.Errorf("devices: unexpected server response %q", header)
@@ -266,11 +258,10 @@ func ProbeHeartbeat(conn io.ReadWriter, payload []byte) error {
 		return err
 	}
 	r := bufio.NewReader(conn)
-	header, err := r.ReadString('\n')
+	header, err := readLine(r)
 	if err != nil {
 		return err
 	}
-	header = strings.TrimRight(header, "\r\n")
 	want := fmt.Sprintf("%s %d", msgHeartbeatA, len(payload))
 	if header != want {
 		return fmt.Errorf("devices: heartbeat response %q, want %q", header, want)
@@ -283,4 +274,16 @@ func ProbeHeartbeat(conn io.ReadWriter, payload []byte) error {
 		return errors.New("devices: heartbeat echo mismatch")
 	}
 	return nil
+}
+
+// readLine reads one protocol line, without its line ending, through r's
+// fixed buffer: a peer that sends no newline costs one buffer, not as
+// much memory as it can send before the deadline, and a line longer than
+// the buffer is bufio.ErrBufferFull.
+func readLine(r *bufio.Reader) (string, error) {
+	line, err := r.ReadSlice('\n')
+	if err != nil {
+		return "", err
+	}
+	return strings.TrimRight(string(line), "\r\n"), nil
 }

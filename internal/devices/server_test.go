@@ -1,11 +1,15 @@
 package devices
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/big"
 	"math/rand"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +19,7 @@ import (
 	"github.com/factorable/weakkeys/internal/weakrsa"
 )
 
-func serverCert(t *testing.T) *certs.Certificate {
+func serverCert(t testing.TB) *certs.Certificate {
 	t.Helper()
 	k, err := weakrsa.GenerateKey(rand.New(rand.NewSource(17)), weakrsa.Options{Bits: 128})
 	if err != nil {
@@ -27,6 +31,12 @@ func serverCert(t *testing.T) *certs.Certificate {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// fetchCert is FetchCertSuites without the suites.
+func fetchCert(conn io.ReadWriter) (*certs.Certificate, error) {
+	c, _, err := FetchCertSuites(conn)
+	return c, err
 }
 
 func startServer(t *testing.T, s *Server) net.Addr {
@@ -57,7 +67,7 @@ func TestFetchCertOverTCP(t *testing.T) {
 	addr := startServer(t, srv)
 
 	conn := dial(t, addr)
-	got, err := FetchCert(conn)
+	got, err := fetchCert(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +87,7 @@ func TestRepeatedHandshakesOneConnection(t *testing.T) {
 	addr := startServer(t, srv)
 	conn := dial(t, addr)
 	for i := 0; i < 3; i++ {
-		if _, err := FetchCert(conn); err != nil {
+		if _, err := fetchCert(conn); err != nil {
 			t.Fatalf("handshake %d: %v", i, err)
 		}
 	}
@@ -116,11 +126,81 @@ func TestHeartbeatCrashesVulnerableDevice(t *testing.T) {
 	c2, err := net.DialTimeout("tcp", addr.String(), time.Second)
 	if err == nil {
 		c2.SetDeadline(time.Now().Add(2 * time.Second))
-		if _, ferr := FetchCert(c2); ferr == nil {
+		if _, ferr := fetchCert(c2); ferr == nil {
 			t.Error("crashed device still served a certificate")
 		}
 		c2.Close()
 	}
+}
+
+// countingReader counts the bytes a parser takes from a peer.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestHandshakeHeaderIsBounded sends 1 MiB with no newline where each
+// client expects its header line: the read must fail with
+// bufio.ErrBufferFull after one buffer, not take the whole megabyte.
+func TestHandshakeHeaderIsBounded(t *testing.T) {
+	for name, read := range map[string]func(io.ReadWriter) error{
+		"FetchCertSuites": func(conn io.ReadWriter) error { _, _, err := FetchCertSuites(conn); return err },
+		"ProbeHeartbeat":  func(conn io.ReadWriter) error { return ProbeHeartbeat(conn, []byte("x")) },
+	} {
+		peer := &countingReader{r: bytes.NewReader(bytes.Repeat([]byte("A"), 1<<20))}
+		err := read(struct {
+			io.Reader
+			io.Writer
+		}{peer, io.Discard})
+		if !errors.Is(err, bufio.ErrBufferFull) {
+			t.Errorf("%s: header with no newline: error %v, want bufio.ErrBufferFull", name, err)
+		}
+		if peer.n > 64<<10 {
+			t.Errorf("%s: read %d bytes of a header with no newline", name, peer.n)
+		}
+	}
+}
+
+// FuzzFetchCertSuites feeds arbitrary server replies to the scanner's
+// handshake parser, the one parser of bytes a scanned host chooses. It
+// must not panic, and a certificate it accepts must re-marshal to the DER
+// it read.
+func FuzzFetchCertSuites(f *testing.F) {
+	der, err := serverCert(f).Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	hello := fmt.Appendf(nil, "%s %d %s,%s\n", msgServerHello, len(der), SuiteRSA, SuiteECDHE)
+	f.Add(append(hello, der...))
+	f.Add(append(fmt.Appendf(nil, "%s %d\r\n", msgServerHello, len(der)), der...))
+	f.Add(hello)
+	f.Add([]byte(msgServerHello + " 0\n"))
+	f.Add([]byte(msgServerHello + " 99999999999999999999\n"))
+	f.Add([]byte("HTTP/1.0 400 Bad Request\r\n\r\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, _, err := FetchCertSuites(struct {
+			io.Reader
+			io.Writer
+		}{bytes.NewReader(data), io.Discard})
+		if err != nil {
+			return
+		}
+		header, rest, _ := bytes.Cut(data, []byte("\n"))
+		n, _ := strconv.Atoi(strings.Fields(string(header))[1])
+		got, err := c.Marshal()
+		if err != nil {
+			t.Fatalf("accepted certificate does not re-marshal: %v", err)
+		}
+		if !bytes.Equal(got, rest[:n]) {
+			t.Fatalf("accepted certificate re-marshals to %x, read %x", got, rest[:n])
+		}
+	})
 }
 
 func TestUnknownMessageHangsUp(t *testing.T) {
@@ -200,7 +280,7 @@ func TestFaultRefuseAndReset(t *testing.T) {
 			continue // the RST raced connect() on loopback: fault delivered
 		}
 		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		if _, err := FetchCert(conn); err == nil {
+		if _, err := fetchCert(conn); err == nil {
 			t.Errorf("%v: handshake should fail", action)
 		}
 		conn.Close()
@@ -216,7 +296,7 @@ func TestFaultStallHitsClientDeadline(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(150 * time.Millisecond))
-	_, err = FetchCert(conn)
+	_, err = fetchCert(conn)
 	var ne net.Error
 	if !errors.As(err, &ne) || !ne.Timeout() {
 		t.Errorf("stalled handshake error = %v, want timeout", err)
@@ -227,7 +307,7 @@ func TestFaultTruncateCutsCertificate(t *testing.T) {
 	srv := &Server{Cert: serverCert(t), Faults: faults.NewEveryN(1, faults.Truncate)}
 	addr := startServer(t, srv)
 	conn := dial(t, addr)
-	_, err := FetchCert(conn)
+	_, err := fetchCert(conn)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("truncated payload error = %v, want unexpected EOF", err)
 	}
@@ -237,7 +317,7 @@ func TestFaultGarbleIsProtocolError(t *testing.T) {
 	srv := &Server{Cert: serverCert(t), Faults: faults.NewEveryN(1, faults.Garble)}
 	addr := startServer(t, srv)
 	conn := dial(t, addr)
-	_, err := FetchCert(conn)
+	_, err := fetchCert(conn)
 	if err == nil || !strings.Contains(err.Error(), "unexpected server response") {
 		t.Errorf("garbled hello error = %v, want protocol error", err)
 	}
@@ -249,11 +329,11 @@ func TestFaultEveryOtherConnection(t *testing.T) {
 	srv := &Server{Cert: serverCert(t), Faults: faults.NewEveryN(2, faults.Reset)}
 	addr := startServer(t, srv)
 	c1 := dial(t, addr)
-	if _, err := FetchCert(c1); err == nil {
+	if _, err := fetchCert(c1); err == nil {
 		t.Error("first connection should be reset")
 	}
 	c2 := dial(t, addr)
-	if _, err := FetchCert(c2); err != nil {
+	if _, err := fetchCert(c2); err != nil {
 		t.Errorf("second connection should be served: %v", err)
 	}
 }

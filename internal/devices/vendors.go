@@ -143,10 +143,6 @@ var Registry = []Vendor{
 	{Name: "Conel s.r.o.", Response: NotNotified2012, OpenSSL: weakrsa.OpenSSLLikely},
 }
 
-// Notified2012Count is the number of vendors the 2012 RSA notification
-// reached per the paper.
-const Notified2012Count = 37
-
 // ByName returns the registry entry for name, or nil.
 func ByName(name string) *Vendor {
 	for i := range Registry {
@@ -164,16 +160,6 @@ func Notified2012() []Vendor {
 		if v.Response != NotNotified2012 {
 			out = append(out, v)
 		}
-	}
-	return out
-}
-
-// CountByResponse tallies the 2012-notified vendors per category,
-// regenerating the column totals of Table 2.
-func CountByResponse() map[ResponseCategory]int {
-	out := make(map[ResponseCategory]int)
-	for _, v := range Notified2012() {
-		out[v.Response]++
 	}
 	return out
 }

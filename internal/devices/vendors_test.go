@@ -7,13 +7,16 @@ import (
 )
 
 func TestRegistry37Notified(t *testing.T) {
-	if got := len(Notified2012()); got != Notified2012Count {
-		t.Errorf("notified vendors = %d, want %d", got, Notified2012Count)
+	if got := len(Notified2012()); got != 37 {
+		t.Errorf("notified vendors = %d, want the paper's 37", got)
 	}
 }
 
 func TestRegistryFivePublicAdvisories(t *testing.T) {
-	counts := CountByResponse()
+	counts := map[ResponseCategory]int{}
+	for _, v := range Notified2012() {
+		counts[v.Response]++
+	}
 	if counts[PublicAdvisory] != 5 {
 		t.Errorf("public advisories = %d, want 5", counts[PublicAdvisory])
 	}

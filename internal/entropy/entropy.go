@@ -14,27 +14,14 @@
 //
 // Pool is a deterministic cryptographic pool (SHA-256 based, stdlib only).
 // Determinism is the point: it lets the simulation reproduce the flaw
-// exactly. The package also models the two fixes the paper discusses: the
-// 2012 kernel patch (credit external events before unblocking) and the
-// 2014 getrandom(2) system call (block until properly seeded).
+// exactly.
 package entropy
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"time"
 )
-
-// SeedThreshold is the number of mixed entropy bits the pool requires
-// before it considers itself properly seeded, mirroring the kernel's
-// /dev/urandom initialization threshold.
-const SeedThreshold = 128
-
-// ErrNotSeeded is returned by GetRandom when the pool has not yet reached
-// SeedThreshold, modeling getrandom(2)'s blocking behaviour (introduced
-// July 2014) as an error for simulation purposes.
-var ErrNotSeeded = errors.New("entropy: pool not seeded (getrandom would block)")
 
 // Pool is a deterministic entropy pool. The zero value is NOT usable; use
 // NewPool. Pool is not safe for concurrent use — each simulated device
@@ -42,8 +29,6 @@ var ErrNotSeeded = errors.New("entropy: pool not seeded (getrandom would block)"
 type Pool struct {
 	state   [sha256.Size]byte
 	counter uint64
-	// credited is the number of entropy bits credited by Mix calls.
-	credited int
 	// buf holds unread bytes of the current output block.
 	buf []byte
 }
@@ -59,38 +44,26 @@ func NewPool(seed []byte) *Pool {
 	return p
 }
 
-// Mix stirs data into the pool and credits it with creditBits bits of
-// entropy. Real kernels estimate credit from event timing; the simulation
-// declares it so experiments can place the seeding instant precisely.
-func (p *Pool) Mix(data []byte, creditBits int) {
+// Mix stirs data into the pool.
+func (p *Pool) Mix(data []byte) {
 	h := sha256.New()
 	h.Write(p.state[:])
 	h.Write(data)
 	sum := h.Sum(nil)
 	copy(p.state[:], sum)
-	if creditBits > 0 {
-		p.credited += creditBits
-	}
 	p.buf = nil // output stream forks at every mix
 }
 
-// MixTime stirs a timestamp truncated to the given granularity, crediting
-// zero entropy: this is the "current time" stirring the paper identifies
-// as the divergence source between the two primes. Coarse granularity
-// (e.g. one second) means many devices mixing "the same" boot-relative
-// time keep identical states, while finer jitter diverges them.
+// MixTime stirs a timestamp truncated to the given granularity: this is
+// the "current time" stirring the paper identifies as the divergence
+// source between the two primes. Coarse granularity (e.g. one second)
+// means many devices mixing "the same" boot-relative time keep identical
+// states, while finer jitter diverges them.
 func (p *Pool) MixTime(t time.Time, granularity time.Duration) {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], uint64(t.UnixNano()/int64(granularity)))
-	p.Mix(b[:], 0)
+	p.Mix(b[:])
 }
-
-// Seeded reports whether the pool has been credited with at least
-// SeedThreshold bits.
-func (p *Pool) Seeded() bool { return p.credited >= SeedThreshold }
-
-// CreditedBits returns the total credited entropy bits.
-func (p *Pool) CreditedBits() int { return p.credited }
 
 // Read fills b from the pool's output stream and never fails: this is
 // /dev/urandom semantics, which returns data whether or not the pool has
@@ -115,35 +88,6 @@ func (p *Pool) Read(b []byte) (int, error) {
 	return n, nil
 }
 
-// GetRandom models getrandom(2): it fails with ErrNotSeeded until the
-// pool is properly seeded, then behaves like Read. Firmware built after
-// the 2014 fix uses this and therefore cannot produce boot-time weak keys.
-func (p *Pool) GetRandom(b []byte) (int, error) {
-	if !p.Seeded() {
-		return 0, ErrNotSeeded
-	}
-	return p.Read(b)
-}
-
-// Clone returns an independent copy of the pool, useful for tests that
-// need to compare the streams of two devices with identical boot states.
-func (p *Pool) Clone() *Pool {
-	c := *p
-	c.buf = append([]byte(nil), p.buf...)
-	return &c
-}
-
-// BootEvent is an entropy-bearing event observed during a simulated boot.
-type BootEvent struct {
-	// Data is the event payload mixed into the pool (e.g. a packet
-	// header, an interrupt timestamp).
-	Data []byte
-	// CreditBits is the entropy credit. Pre-2012-patch kernels credited
-	// device events late or not at all on embedded platforms; the 2012
-	// fix mixes and credits them aggressively.
-	CreditBits int
-}
-
 // BootConfig describes how a device model initializes its RNG at boot.
 type BootConfig struct {
 	// FirmwareSeed is the deterministic boot state shared by every device
@@ -154,12 +98,9 @@ type BootConfig struct {
 	// files). Vulnerable firmware leaves this empty or mixes it only
 	// after key generation.
 	DeviceUnique []byte
-	// DeviceUniqueCredit is the entropy credit for DeviceUnique. A MAC
-	// address mixes distinctness but deserves ~0 real entropy credit;
-	// a stored random seed file deserves full credit.
-	DeviceUniqueCredit int
-	// Events are boot-time entropy events in arrival order.
-	Events []BootEvent
+	// Events are the payloads of boot-time entropy events (a packet
+	// header, an interrupt timestamp) in arrival order.
+	Events [][]byte
 }
 
 // Boot constructs a pool per the configuration: firmware seed first, then
@@ -169,10 +110,10 @@ type BootConfig struct {
 func Boot(cfg BootConfig) *Pool {
 	p := NewPool(cfg.FirmwareSeed)
 	if len(cfg.DeviceUnique) > 0 {
-		p.Mix(cfg.DeviceUnique, cfg.DeviceUniqueCredit)
+		p.Mix(cfg.DeviceUnique)
 	}
 	for _, ev := range cfg.Events {
-		p.Mix(ev.Data, ev.CreditBits)
+		p.Mix(ev)
 	}
 	return p
 }

@@ -39,7 +39,7 @@ func TestMixForksStream(t *testing.T) {
 	buf := make([]byte, 32)
 	a.Read(buf)
 	b.Read(buf)
-	a.Mix([]byte("network packet"), 8)
+	a.Mix([]byte("network packet"))
 	bufA, bufB := make([]byte, 32), make([]byte, 32)
 	a.Read(bufA)
 	b.Read(bufB)
@@ -51,10 +51,10 @@ func TestMixForksStream(t *testing.T) {
 func TestMixIsOrderSensitive(t *testing.T) {
 	a := NewPool([]byte("fw"))
 	b := NewPool([]byte("fw"))
-	a.Mix([]byte("x"), 0)
-	a.Mix([]byte("y"), 0)
-	b.Mix([]byte("y"), 0)
-	b.Mix([]byte("x"), 0)
+	a.Mix([]byte("x"))
+	a.Mix([]byte("y"))
+	b.Mix([]byte("y"))
+	b.Mix([]byte("x"))
 	bufA, bufB := make([]byte, 16), make([]byte, 16)
 	a.Read(bufA)
 	b.Read(bufB)
@@ -89,28 +89,6 @@ func TestReadContinuesStream(t *testing.T) {
 	}
 }
 
-func TestGetRandomBlocksUntilSeeded(t *testing.T) {
-	p := NewPool([]byte("fw"))
-	buf := make([]byte, 16)
-	if _, err := p.GetRandom(buf); err != ErrNotSeeded {
-		t.Errorf("unseeded GetRandom = %v, want ErrNotSeeded", err)
-	}
-	p.Mix([]byte("hw rng"), SeedThreshold-1)
-	if _, err := p.GetRandom(buf); err != ErrNotSeeded {
-		t.Error("one bit short of threshold should still block")
-	}
-	p.Mix([]byte("one more"), 1)
-	if !p.Seeded() {
-		t.Fatal("pool should now be seeded")
-	}
-	if _, err := p.GetRandom(buf); err != nil {
-		t.Errorf("seeded GetRandom failed: %v", err)
-	}
-	if p.CreditedBits() != SeedThreshold {
-		t.Errorf("CreditedBits = %d", p.CreditedBits())
-	}
-}
-
 func TestMixTimeGranularity(t *testing.T) {
 	base := time.Date(2012, 2, 1, 0, 0, 0, 0, time.UTC)
 	// Two devices mixing times within the same second at 1s granularity
@@ -134,33 +112,11 @@ func TestMixTimeGranularity(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	p := NewPool([]byte("fw"))
-	half := make([]byte, 20)
-	p.Read(half) // leave a partial block buffered
-	c := p.Clone()
-	bufP, bufC := make([]byte, 40), make([]byte, 40)
-	p.Read(bufP)
-	c.Read(bufC)
-	if !bytes.Equal(bufP, bufC) {
-		t.Error("clone must continue the identical stream")
-	}
-	p.Mix([]byte("x"), 0)
-	p.Read(bufP)
-	c.Read(bufC)
-	if bytes.Equal(bufP, bufC) {
-		t.Error("clone must be independent after divergence")
-	}
-}
-
 func TestBootOrdering(t *testing.T) {
 	cfg := BootConfig{
 		FirmwareSeed: []byte("model-X-fw-1.0"),
 		DeviceUnique: []byte("00:11:22:33:44:55"),
-		Events: []BootEvent{
-			{Data: []byte("irq 17"), CreditBits: 2},
-			{Data: []byte("packet"), CreditBits: 4},
-		},
+		Events:       [][]byte{[]byte("irq 17"), []byte("packet")},
 	}
 	p1 := Boot(cfg)
 	p2 := Boot(cfg)
@@ -169,9 +125,6 @@ func TestBootOrdering(t *testing.T) {
 	p2.Read(b2)
 	if !bytes.Equal(b1, b2) {
 		t.Error("identical boot configs must agree")
-	}
-	if p1.CreditedBits() != 6 {
-		t.Errorf("credited = %d, want 6", p1.CreditedBits())
 	}
 	// A different MAC diverges the stream even at zero credit.
 	cfg2 := cfg
@@ -193,8 +146,5 @@ func TestBootNoDeviceUnique(t *testing.T) {
 	p2.Read(b2)
 	if !bytes.Equal(b1, b2) {
 		t.Error("devices without unique boot data must collide")
-	}
-	if p1.Seeded() {
-		t.Error("no events -> unseeded")
 	}
 }

@@ -355,21 +355,6 @@ func Analyze(in Input) *Result {
 	return res
 }
 
-// MethodCounts tallies labeled certificates per attribution method — the
-// paper's accounting ("26,272,330 certificates from 18 vendors" via
-// subjects, "20,717 certificates as Fritz!Box" via shared primes, 3,229
-// via the IBM clique).
-func (r *Result) MethodCounts() map[Method]int {
-	out := make(map[Method]int)
-	for _, lbl := range r.Labels {
-		out[lbl.Method]++
-	}
-	return out
-}
-
-// VendorCount returns the number of distinct vendors attributed.
-func (r *Result) VendorCount() int { return len(r.Vendors) }
-
 // validSplit reports whether a recovered factorization looks like a real
 // RSA key: both pieces probable primes of roughly half the modulus size.
 func validSplit(f Factors, modulusBits int) bool {

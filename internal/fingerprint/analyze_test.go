@@ -157,9 +157,6 @@ func TestSharedPrimeExtrapolation(t *testing.T) {
 	if lbl.Vendor != "Fritz!Box" || lbl.Method != BySharedPrime {
 		t.Errorf("got %+v", lbl)
 	}
-	if !IPOnlySubject(ipOnly) {
-		t.Error("IP-only subject not recognized")
-	}
 }
 
 func TestCliqueDetectionAndAttribution(t *testing.T) {
@@ -328,7 +325,7 @@ func TestClassifyOpenSSLBoundaries(t *testing.T) {
 
 func TestMethodString(t *testing.T) {
 	for m, want := range map[Method]string{
-		Unlabeled: "unlabeled", BySubject: "subject",
+		Method(0): "unlabeled", BySubject: "subject",
 		BySharedPrime: "shared-prime", ByClique: "clique",
 	} {
 		if m.String() != want {
@@ -343,15 +340,18 @@ func TestMethodCounts(t *testing.T) {
 	b.shared(devices.ProfileFritzBox, "fb", weakrsa.PrimeOpenSSL)
 	b.shared(devices.ProfileFritzBoxIPOnly, "fb", weakrsa.PrimeOpenSSL) // extrapolated
 	res := b.analyze(nil)
-	counts := res.MethodCounts()
+	counts := map[Method]int{}
+	for _, lbl := range res.Labels {
+		counts[lbl.Method]++
+	}
 	if counts[BySubject] != 2 {
 		t.Errorf("subject-labeled = %d, want 2", counts[BySubject])
 	}
 	if counts[BySharedPrime] != 1 {
 		t.Errorf("shared-prime-labeled = %d, want 1", counts[BySharedPrime])
 	}
-	if res.VendorCount() < 2 {
-		t.Errorf("vendors = %d", res.VendorCount())
+	if len(res.Vendors) < 2 {
+		t.Errorf("vendors = %d", len(res.Vendors))
 	}
 }
 
@@ -405,17 +405,5 @@ func TestCliqueMajorityFallback(t *testing.T) {
 	}
 	if labeled == 0 {
 		t.Error("majority fallback did not propagate")
-	}
-}
-
-func TestIPOnlySubjectNegativeCases(t *testing.T) {
-	b := newCorpus(t)
-	withOrg := b.healthy(devices.GenericProfile("ZyXEL", devices.KeyHealthy, weakrsa.PrimeNaive))
-	if IPOnlySubject(withOrg) {
-		t.Error("cert with organization is not IP-only")
-	}
-	named := b.healthy(devices.ProfileJuniper)
-	if IPOnlySubject(named) {
-		t.Error("non-IP common name is not IP-only")
 	}
 }

@@ -6,7 +6,6 @@
 package fingerprint
 
 import (
-	"net"
 	"strings"
 
 	"github.com/factorable/weakkeys/internal/certs"
@@ -16,8 +15,9 @@ import (
 type Method int
 
 const (
-	// Unlabeled: no rule matched and no extrapolation applied.
-	Unlabeled Method = iota
+	// The zero Method is no attribution: no rule matched and no
+	// extrapolation applied.
+	_ Method = iota
 	// BySubject: the distinguished name or SANs identified the vendor
 	// (Section 3.3.1; 26,272,330 certificates in the paper).
 	BySubject
@@ -164,16 +164,6 @@ func canonicalVendor(o string) string {
 		o = strings.TrimSuffix(o, suffix)
 	}
 	return o
-}
-
-// IPOnlySubject reports whether the certificate subject identifies only
-// an IP address in octets — the tens of thousands of certificates the
-// paper could label only via shared primes.
-func IPOnlySubject(c *certs.Certificate) bool {
-	if c.Subject.Organization != "" || c.Subject.OrganizationalUnit != "" {
-		return false
-	}
-	return net.ParseIP(c.Subject.CommonName) != nil
 }
 
 // LabelBySubject applies the rules in order and returns the first match.

@@ -170,7 +170,7 @@ func TestSharedModulusIngest(t *testing.T) {
 	if v := snap.Check(modN3); v.Status != StatusClean || !v.Known {
 		t.Fatalf("pre-ingest N3 = %+v, want clean member", v)
 	}
-	if got := snap.Shared(); got != 0 {
+	if got := snap.shared; got != 0 {
 		t.Fatalf("golden snapshot shared = %d, want 0", got)
 	}
 
@@ -192,7 +192,7 @@ func TestSharedModulusIngest(t *testing.T) {
 	if ns == snap {
 		t.Fatal("shared-only delta did not publish a successor")
 	}
-	if got := ns.Shared(); got != 1 {
+	if got := ns.shared; got != 1 {
 		t.Errorf("successor shared = %d, want 1", got)
 	}
 	v := ns.Check(modN3)

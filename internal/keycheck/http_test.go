@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"encoding/pem"
 	"errors"
 	"fmt"
 	"math/big"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/factorable/weakkeys/internal/certs"
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
@@ -131,18 +133,15 @@ func TestPEMSubmission(t *testing.T) {
 	api, _ := newTestAPI(t, nil, nil)
 	mux := api.Mux()
 	c := certFor(t, 9, "Juniper", p1, p2)
-	var pem bytes.Buffer
-	if err := c.EncodePEM(&pem); err != nil {
-		t.Fatal(err)
-	}
 	der, err := c.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
+	certPEM := pem.EncodeToMemory(&pem.Block{Type: certs.PEMCertificateType, Bytes: der})
 
 	bodies := map[string]string{
-		"raw PEM":  pem.String(),
-		"cert_pem": string(mustJSON(t, checkRequest{CertPEM: pem.String()})),
+		"raw PEM":  string(certPEM),
+		"cert_pem": string(mustJSON(t, checkRequest{CertPEM: string(certPEM)})),
 		"cert_der": string(mustJSON(t, checkRequest{CertDER: der})),
 	}
 	for name, body := range bodies {
@@ -181,21 +180,18 @@ func mustJSON(t testing.TB, v any) []byte {
 // one rejection per validation rule.
 func FuzzParseSubmission(f *testing.F) {
 	c := certFor(f, 9, "Juniper", p1, p2)
-	var pem bytes.Buffer
-	if err := c.EncodePEM(&pem); err != nil {
-		f.Fatal(err)
-	}
 	der, err := c.Marshal()
 	if err != nil {
 		f.Fatal(err)
 	}
+	certPEM := pem.EncodeToMemory(&pem.Block{Type: certs.PEMCertificateType, Bytes: der})
 	for _, seed := range [][]byte{
 		fmt.Appendf(nil, `{"modulus_hex":"%s"}`, modN1.Text(16)),
 		fmt.Appendf(nil, `{"modulus_hex":"0x%s"}`, modNc.Text(16)),
 		fmt.Appendf(nil, `{"modulus_hex":"%s","exponent_hex":"10001"}`, modNc.Text(16)),
-		mustJSON(f, checkRequest{CertPEM: pem.String()}),
+		mustJSON(f, checkRequest{CertPEM: string(certPEM)}),
 		mustJSON(f, checkRequest{CertDER: der}),
-		pem.Bytes(),
+		certPEM,
 	} {
 		for _, n := range []int{len(seed), len(seed) - 1, len(seed) / 2, 12} {
 			f.Add(seed[:n])

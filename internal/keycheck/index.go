@@ -496,9 +496,6 @@ func (s *Snapshot) Moduli() int { return s.moduli }
 // Factored returns the number of factored corpus moduli indexed.
 func (s *Snapshot) Factored() int { return s.factored }
 
-// Shared returns the number of shared-modulus members indexed.
-func (s *Snapshot) Shared() int { return s.shared }
-
 // SharedExemplars returns up to n shared-modulus member keys (hex,
 // deterministic order) — known-answer inputs for smoke tests.
 func (s *Snapshot) SharedExemplars(n int) []string {

@@ -9,8 +9,6 @@
 // inputs; randomized routines take an explicit io.Reader entropy source.
 package numtheory
 
-import "math/big"
-
 // SmallPrimes returns the first n primes, computed with an Eratosthenes
 // sieve. The result is freshly allocated on every call; callers that need
 // the list repeatedly should cache it (see FirstPrimes for the shared
@@ -97,29 +95,4 @@ func FirstPrimes(n int) []uint64 {
 		firstPrimesCache = c
 	}
 	return c[:n]
-}
-
-// TreeProduct multiplies the given values with a balanced binary product
-// tree, which is asymptotically faster than a linear fold when the operands
-// grow large. Inputs are not modified. An empty input yields 1.
-func TreeProduct(vals []*big.Int) *big.Int {
-	switch len(vals) {
-	case 0:
-		return big.NewInt(1)
-	case 1:
-		return new(big.Int).Set(vals[0])
-	}
-	cur := make([]*big.Int, len(vals))
-	copy(cur, vals)
-	for len(cur) > 1 {
-		out := make([]*big.Int, 0, (len(cur)+1)/2)
-		for i := 0; i+1 < len(cur); i += 2 {
-			out = append(out, new(big.Int).Mul(cur[i], cur[i+1]))
-		}
-		if len(cur)%2 == 1 {
-			out = append(out, cur[len(cur)-1])
-		}
-		cur = out
-	}
-	return cur[0]
 }

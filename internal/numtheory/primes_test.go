@@ -2,9 +2,7 @@ package numtheory
 
 import (
 	"math/big"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestSmallPrimesPrefix(t *testing.T) {
@@ -62,54 +60,6 @@ func TestFirstPrimesCaching(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("cache inconsistency at %d", i)
 		}
-	}
-}
-
-func TestTreeProduct(t *testing.T) {
-	cases := []struct {
-		in   []int64
-		want int64
-	}{
-		{nil, 1},
-		{[]int64{7}, 7},
-		{[]int64{2, 3}, 6},
-		{[]int64{2, 3, 5}, 30},
-		{[]int64{1, 2, 3, 4, 5, 6, 7}, 5040},
-	}
-	for _, c := range cases {
-		vals := make([]*big.Int, len(c.in))
-		for i, v := range c.in {
-			vals[i] = big.NewInt(v)
-		}
-		if got := TreeProduct(vals); got.Cmp(big.NewInt(c.want)) != 0 {
-			t.Errorf("TreeProduct(%v) = %v, want %d", c.in, got, c.want)
-		}
-	}
-}
-
-func TestTreeProductDoesNotMutateInputs(t *testing.T) {
-	vals := []*big.Int{big.NewInt(3), big.NewInt(5), big.NewInt(7)}
-	TreeProduct(vals)
-	if vals[0].Int64() != 3 || vals[1].Int64() != 5 || vals[2].Int64() != 7 {
-		t.Error("TreeProduct mutated its inputs")
-	}
-}
-
-func TestTreeProductMatchesLinearFold(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	f := func(n uint8) bool {
-		count := int(n%50) + 1
-		vals := make([]*big.Int, count)
-		linear := big.NewInt(1)
-		for i := range vals {
-			vals[i] = new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 64))
-			vals[i].Add(vals[i], big.NewInt(1))
-			linear.Mul(linear, vals[i])
-		}
-		return TreeProduct(vals).Cmp(linear) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }
 

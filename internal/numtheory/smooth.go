@@ -34,11 +34,6 @@ func SmoothBits(n *big.Int, nPrimes int) int {
 	return s.BitLen()
 }
 
-// GCD returns gcd(a, b) as a fresh big.Int; arguments are not modified.
-func GCD(a, b *big.Int) *big.Int {
-	return new(big.Int).GCD(nil, nil, a, b)
-}
-
 // IsWellFormedModulus reports whether n plausibly is an RSA modulus of the
 // given bit length: correct size, odd, not prime, and with no prime factor
 // among the first sievePrimes primes. The paper found 107 of 313,330
@@ -58,9 +53,4 @@ func IsWellFormedModulus(n *big.Int, bits, sievePrimes int) bool {
 		}
 	}
 	return !n.ProbablyPrime(8)
-}
-
-// ModInverse returns a^-1 mod m, or nil if a and m are not coprime.
-func ModInverse(a, m *big.Int) *big.Int {
-	return new(big.Int).ModInverse(a, m)
 }

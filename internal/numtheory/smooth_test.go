@@ -54,16 +54,6 @@ func TestSmoothBits(t *testing.T) {
 	}
 }
 
-func TestGCD(t *testing.T) {
-	a, b := big.NewInt(3*5*7), big.NewInt(5*7*11)
-	if got := GCD(a, b); got.Int64() != 35 {
-		t.Errorf("GCD = %v, want 35", got)
-	}
-	if a.Int64() != 105 || b.Int64() != 385 {
-		t.Error("GCD mutated arguments")
-	}
-}
-
 func TestIsWellFormedModulus(t *testing.T) {
 	r := testRand(21)
 	p, _ := GenPrimeNaive(r, 64)
@@ -92,15 +82,5 @@ func TestIsWellFormedModulus(t *testing.T) {
 	m3.Add(m3, big.NewInt(3))
 	if IsWellFormedModulus(m3, m3.BitLen(), 256) {
 		t.Error("multiple of 3 accepted")
-	}
-}
-
-func TestModInverse(t *testing.T) {
-	inv := ModInverse(big.NewInt(3), big.NewInt(11))
-	if inv.Int64() != 4 {
-		t.Errorf("3^-1 mod 11 = %v, want 4", inv)
-	}
-	if ModInverse(big.NewInt(4), big.NewInt(8)) != nil {
-		t.Error("non-coprime inverse should be nil")
 	}
 }

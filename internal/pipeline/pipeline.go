@@ -101,16 +101,6 @@ type RunReport struct {
 	CPU  time.Duration
 }
 
-// Stage returns the report for a named stage, or nil.
-func (r *RunReport) Stage(name string) *StageReport {
-	for i := range r.Stages {
-		if r.Stages[i].Name == name {
-			return &r.Stages[i]
-		}
-	}
-	return nil
-}
-
 // WriteText dumps the per-stage report as an aligned text table — the
 // `weakkeys -metrics` output. The rate column is ItemsOut per wall
 // second; bytes are humanized so full-scale reports stay readable.
@@ -277,9 +267,4 @@ func (r *Runner) emit(ev Event) {
 	if r.Progress != nil {
 		r.Progress(ev)
 	}
-}
-
-// Run is the convenience one-shot form: a Runner with no progress func.
-func Run(ctx context.Context, stages ...Stage) (*RunReport, error) {
-	return (&Runner{}).Run(ctx, stages...)
 }

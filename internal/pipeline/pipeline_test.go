@@ -11,7 +11,7 @@ import (
 )
 
 func TestRunAccumulatesStats(t *testing.T) {
-	report, err := Run(context.Background(),
+	report, err := (&Runner{}).Run(context.Background(),
 		Stage{Name: "a", Run: func(ctx context.Context, st *Stats) error {
 			st.ItemsIn, st.ItemsOut, st.Bytes = 10, 7, 1024
 			return nil
@@ -27,8 +27,8 @@ func TestRunAccumulatesStats(t *testing.T) {
 	if len(report.Stages) != 2 {
 		t.Fatalf("stages = %d, want 2", len(report.Stages))
 	}
-	a := report.Stage("a")
-	if a == nil || a.Stats.ItemsIn != 10 || a.Stats.ItemsOut != 7 || a.Stats.Bytes != 1024 {
+	a := &report.Stages[0]
+	if a.Name != "a" || a.Stats.ItemsIn != 10 || a.Stats.ItemsOut != 7 || a.Stats.Bytes != 1024 {
 		t.Errorf("stage a stats = %+v", a)
 	}
 	if a.Stats.Wall <= 0 {
@@ -37,15 +37,12 @@ func TestRunAccumulatesStats(t *testing.T) {
 	if report.Wall < a.Stats.Wall {
 		t.Error("report wall below stage wall")
 	}
-	if report.Stage("missing") != nil {
-		t.Error("Stage(missing) should be nil")
-	}
 }
 
 func TestRunStopsOnError(t *testing.T) {
 	boom := errors.New("boom")
 	ran := []string{}
-	report, err := Run(context.Background(),
+	report, err := (&Runner{}).Run(context.Background(),
 		Stage{Name: "ok", Run: func(ctx context.Context, st *Stats) error {
 			ran = append(ran, "ok")
 			return nil
@@ -76,7 +73,7 @@ func TestRunStopsOnError(t *testing.T) {
 func TestRunHonoursCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, Stage{Name: "never", Run: func(ctx context.Context, st *Stats) error {
+	_, err := (&Runner{}).Run(ctx, Stage{Name: "never", Run: func(ctx context.Context, st *Stats) error {
 		t.Error("stage ran under cancelled context")
 		return nil
 	}})
@@ -117,7 +114,7 @@ func TestProgressEventOrder(t *testing.T) {
 
 func TestMidStageCancellationIsWrapped(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := Run(ctx, Stage{Name: "waits", Run: func(ctx context.Context, st *Stats) error {
+	_, err := (&Runner{}).Run(ctx, Stage{Name: "waits", Run: func(ctx context.Context, st *Stats) error {
 		cancel()
 		<-ctx.Done()
 		return ctx.Err()
@@ -128,7 +125,7 @@ func TestMidStageCancellationIsWrapped(t *testing.T) {
 }
 
 func TestWriteText(t *testing.T) {
-	report, err := Run(context.Background(),
+	report, err := (&Runner{}).Run(context.Background(),
 		Stage{Name: "dedup", Run: func(ctx context.Context, st *Stats) error {
 			st.ItemsIn, st.ItemsOut = 100, 80
 			return nil

@@ -58,23 +58,3 @@ func (c Curve) Eval(m Month) float64 {
 	frac := float64(m-lo.M) / float64(hi.M-lo.M)
 	return lo.V + frac*(hi.V-lo.V)
 }
-
-// Peak returns the maximum control value.
-func (c Curve) Peak() float64 {
-	max := 0.0
-	for _, p := range c {
-		if p.V > max {
-			max = p.V
-		}
-	}
-	return max
-}
-
-// Scale returns a copy with all values multiplied by f.
-func (c Curve) Scale(f float64) Curve {
-	out := make(Curve, len(c))
-	for i, p := range c {
-		out[i] = Point{M: p.M, V: p.V * f}
-	}
-	return out
-}

@@ -354,7 +354,3 @@ func AnomalyLines() []Line {
 		},
 	}
 }
-
-// siemensOverlapStart is when the Siemens/IBM shared modulus first
-// appears in scans.
-var siemensOverlapStart = MustMonth("2013-02")

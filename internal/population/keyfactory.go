@@ -55,9 +55,6 @@ func NewKeyFactory(seed int64, bits int) *KeyFactory {
 	}
 }
 
-// Bits returns the modulus size the factory produces.
-func (f *KeyFactory) Bits() int { return f.bits }
-
 func (f *KeyFactory) prime(gen weakrsa.PrimeGen) (*big.Int, error) {
 	switch gen {
 	case weakrsa.PrimeOpenSSL:

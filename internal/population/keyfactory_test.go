@@ -129,8 +129,8 @@ func TestCliqueKeyBounded(t *testing.T) {
 		}
 		seen[k.N.String()] = true
 	}
-	if len(seen) > weakrsa.IBMCliqueKeys {
-		t.Errorf("%d distinct clique keys, max %d", len(seen), weakrsa.IBMCliqueKeys)
+	if maxKeys := weakrsa.IBMCliquePrimes * (weakrsa.IBMCliquePrimes - 1) / 2; len(seen) > maxKeys {
+		t.Errorf("%d distinct clique keys, max %d", len(seen), maxKeys)
 	}
 	if len(seen) < 10 {
 		t.Errorf("only %d distinct clique keys from 100 draws", len(seen))
@@ -155,9 +155,6 @@ func TestFactoryDeterminism(t *testing.T) {
 	}
 	if ka.N.Cmp(kb.N) != 0 {
 		t.Error("same seed must reproduce the same keys")
-	}
-	if a.Bits() != 128 {
-		t.Error("Bits accessor wrong")
 	}
 }
 

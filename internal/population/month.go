@@ -68,19 +68,3 @@ func (m Month) Time() time.Time {
 func (m Month) String() string {
 	return m.Time().Format("2006-01")
 }
-
-// Valid reports whether the month lies on the study timeline.
-func (m Month) Valid() bool { return m >= 0 && m < Months }
-
-// Well-known events on the timeline.
-var (
-	// Disclosure is the 2012 vendor notification window's start.
-	Disclosure = MustMonth("2012-02")
-	// Heartbleed is the Heartbleed disclosure (April 2014), the single
-	// largest drop in vulnerable keys in the dataset.
-	Heartbleed = MustMonth("2014-04")
-	// LinuxPatch is the kernel RNG mitigation (July 2012).
-	LinuxPatch = MustMonth("2012-07")
-	// Getrandom is the getrandom(2) introduction (July 2014).
-	Getrandom = MustMonth("2014-07")
-)

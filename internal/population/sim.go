@@ -233,15 +233,6 @@ func (s *Simulation) caFor(lineIdx int) (*caIdentity, error) {
 	return ca, nil
 }
 
-// CACert exposes a line's device-CA certificate (nil when the line
-// self-signs), for tests.
-func (s *Simulation) CACert(lineIdx int) *certs.Certificate {
-	if ca, ok := s.caCerts[lineIdx]; ok {
-		return ca.cert
-	}
-	return nil
-}
-
 // issueKeyAndCert draws a key of the device's class and builds its
 // certificate, registering ground truth.
 func (s *Simulation) issueKeyAndCert(d *Device, m Month) error {

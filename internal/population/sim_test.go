@@ -113,6 +113,21 @@ func TestCoverageOrdering(t *testing.T) {
 	}
 }
 
+// caFingerprints returns the fingerprints of the device-CA certificates
+// the simulation issued, one per line that does not self-sign.
+func caFingerprints(t *testing.T, sim *Simulation) map[[32]byte]bool {
+	t.Helper()
+	fps := make(map[[32]byte]bool)
+	for _, ca := range sim.caCerts {
+		fp, err := ca.cert.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps[fp] = true
+	}
+	return fps
+}
+
 func TestSimTruthConsistency(t *testing.T) {
 	sim, store := testSim(t, 0.1, 0, 0, false)
 	truth := sim.TruthByFP()
@@ -122,16 +137,7 @@ func TestSimTruthConsistency(t *testing.T) {
 	// Every observed HTTPS certificate has a truth record (no MITM or
 	// bit errors in this run) — except the vendor device-CA
 	// intermediates the Rapid7 era records alongside leaves.
-	caFPs := make(map[[32]byte]bool)
-	for li := range sim.Lines() {
-		if ca := sim.CACert(li); ca != nil {
-			fp, err := ca.Fingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			caFPs[fp] = true
-		}
-	}
+	caFPs := caFingerprints(t, sim)
 	if len(caFPs) == 0 {
 		t.Error("expected device-CA lines in the default dynamics")
 	}
@@ -283,16 +289,7 @@ func TestSimIPReuse(t *testing.T) {
 
 func TestIntermediatesOnlyInRapid7Era(t *testing.T) {
 	sim, store := testSim(t, 0.1, 0, 0, false)
-	caFPs := make(map[[32]byte]bool)
-	for li := range sim.Lines() {
-		if ca := sim.CACert(li); ca != nil {
-			fp, err := ca.Fingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			caFPs[fp] = true
-		}
-	}
+	caFPs := caFingerprints(t, sim)
 	if len(caFPs) == 0 {
 		t.Fatal("no device-CA lines in default dynamics")
 	}

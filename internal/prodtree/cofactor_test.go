@@ -49,7 +49,7 @@ func squaredOracle(t *testing.T, ctx context.Context, tree *Tree) []*big.Int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, leaf := range tree.Leaves() {
+	for i, leaf := range tree.Levels[0] {
 		rems[i].Quo(rems[i], leaf)
 	}
 	return rems

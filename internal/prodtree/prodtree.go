@@ -136,11 +136,6 @@ func (t *Tree) Root() *big.Int {
 	return top[0]
 }
 
-// Leaves returns the leaf level. Shared storage; do not modify.
-func (t *Tree) Leaves() []*big.Int {
-	return t.Levels[0]
-}
-
 // Bytes returns the approximate memory footprint of all node values and
 // the cofactor sum in bytes. The paper reports 70-100 GB per node at the
 // 81M-moduli scale; the benchmark harness uses this to reproduce the

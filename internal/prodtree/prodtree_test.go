@@ -202,8 +202,8 @@ func TestPooledTreeBuild(t *testing.T) {
 	if tr.Root().Cmp(want) != 0 {
 		t.Error("parallel tree build produced a wrong product")
 	}
-	if len(tr.Leaves()) != len(vals) {
-		t.Errorf("Leaves() = %d", len(tr.Leaves()))
+	if len(tr.Levels[0]) != len(vals) {
+		t.Errorf("leaf level holds %d", len(tr.Levels[0]))
 	}
 }
 

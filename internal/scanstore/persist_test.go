@@ -277,37 +277,27 @@ func TestSaveDeltaBadCheckpoint(t *testing.T) {
 	}
 }
 
-// TestSinceAndDeltaOn: the in-memory delta cuts used by the serving and
-// longitudinal paths.
-func TestSinceAndDeltaOn(t *testing.T) {
+// TestDeltaOn: the in-memory per-month delta cut of the longitudinal
+// path is self-contained and filters by protocol.
+func TestDeltaOn(t *testing.T) {
 	s := New()
 	c1 := newCert(t, 80)
 	s.AddCertObservation("10.0.0.1", date(2015, 1, 1), SourceRapid7, HTTPS, c1)
-	cp := s.Checkpoint()
 	s.AddBareKeyObservation("10.0.0.2", date(2015, 2, 1), SourceRapid7, SSH, big.NewInt(0xD00DAD011))
 	s.AddCertObservation("10.0.0.3", date(2015, 2, 1), SourceRapid7, HTTPS, c1) // old cert, re-observed
-
-	d := s.Since(cp)
-	if len(d.Records()) != 2 {
-		t.Fatalf("since: %d records, want 2", len(d.Records()))
-	}
-	// Self-contained: the re-observed certificate must resolve in the delta.
-	fp, _ := c1.Fingerprint()
-	if d.Cert(fp) == nil {
-		t.Error("delta lost the re-observed certificate")
-	}
-	mods, _ := d.DistinctModuli()
-	if len(mods) != 2 {
-		t.Errorf("since: %d distinct moduli, want 2 (bare key + c1's)", len(mods))
-	}
-	// An overlong checkpoint clamps to empty rather than panicking.
-	if n := len(s.Since(Checkpoint{Records: 1 << 20}).Records()); n != 0 {
-		t.Errorf("overlong checkpoint yielded %d records", n)
-	}
 
 	feb := s.DeltaOn(date(2015, 2, 1), "")
 	if len(feb.Records()) != 2 {
 		t.Errorf("DeltaOn(feb): %d records, want 2", len(feb.Records()))
+	}
+	// Self-contained: the re-observed certificate must resolve in the delta.
+	fp, _ := c1.Fingerprint()
+	if feb.Cert(fp) == nil {
+		t.Error("delta lost the re-observed certificate")
+	}
+	mods, _ := feb.DistinctModuli()
+	if len(mods) != 2 {
+		t.Errorf("DeltaOn(feb): %d distinct moduli, want 2 (bare key + c1's)", len(mods))
 	}
 	if ssh := s.DeltaOn(date(2015, 2, 1), SSH); len(ssh.Records()) != 1 {
 		t.Errorf("DeltaOn(feb, SSH): %d records, want 1", len(ssh.Records()))

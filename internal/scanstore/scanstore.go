@@ -371,22 +371,6 @@ func (s *Store) replayLocked(recs []HostRecord) *Store {
 	return out
 }
 
-// Since returns a self-contained store holding every record added after
-// the checkpoint — the delta to feed Snapshot.Ingest. A checkpoint taken
-// from a different (longer) store yields an empty delta rather than a
-// panic.
-func (s *Store) Since(cp Checkpoint) *Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if cp.Records < 0 {
-		cp.Records = 0
-	}
-	if cp.Records > len(s.records) {
-		cp.Records = len(s.records)
-	}
-	return s.replayLocked(s.records[cp.Records:])
-}
-
 // DeltaOn returns a self-contained store holding one scan date's records
 // for a protocol ("" for all) — the per-month delta of the longitudinal
 // loop.

@@ -14,10 +14,6 @@ import (
 // possible public keys (Section 3.3.2).
 const IBMCliquePrimes = 9
 
-// IBMCliqueKeys is the number of distinct moduli the clique can produce:
-// C(9,2) = 36 unordered pairs of distinct primes.
-const IBMCliqueKeys = 36
-
 // Clique deterministically derives a fixed pool of primes from a firmware
 // identity and hands out moduli built from pairs of them. It models the
 // IBM implementation where every device in the field shares the same tiny
@@ -86,21 +82,6 @@ func (c *Clique) Key(index int) (*PrivateKey, error) {
 	return &PrivateKey{PublicKey: PublicKey{N: n, E: c.e}, D: d, P: p, Q: q}, nil
 }
 
-// KeyForDevice draws a pair index from the device's RNG and returns the
-// corresponding key. With an unseeded pool shared across devices, many
-// devices independently "draw" the same index.
-func (c *Clique) KeyForDevice(rng *entropy.Pool) (*PrivateKey, error) {
-	var b [4]byte
-	if _, err := rng.Read(b[:]); err != nil {
-		return nil, err
-	}
-	idx := int(uint32(b[0])<<24|uint32(b[1])<<16|uint32(b[2])<<8|uint32(b[3])) % c.KeyCount()
-	if idx < 0 {
-		idx += c.KeyCount()
-	}
-	return c.Key(idx)
-}
-
 // CorruptBits returns a copy of n with the given bit positions flipped,
 // modeling the memory/wire/storage bit errors behind the 107 non-well-
 // formed "moduli" in the paper's dataset (Section 3.3.5). Positions are
@@ -130,7 +111,7 @@ func SharedPrimePair(firmwareSeed []byte, bits int, gen PrimeGen, divergeA, dive
 		return GenerateKey(pool, Options{
 			Bits:     bits,
 			PrimeGen: gen,
-			MidEvent: func() { pool.Mix(diverge, 0) },
+			MidEvent: func() { pool.Mix(diverge) },
 		})
 	}
 	a, err := mk(divergeA)

@@ -106,11 +106,6 @@ type PublicKey struct {
 	E int
 }
 
-// Equal reports whether two public keys are identical.
-func (k *PublicKey) Equal(o *PublicKey) bool {
-	return k.E == o.E && k.N.Cmp(o.N) == 0
-}
-
 // PrivateKey is an RSA private key with its prime factorization retained,
 // as the OpenSSL-fingerprint analysis needs the primes.
 type PrivateKey struct {

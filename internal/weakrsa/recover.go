@@ -50,18 +50,3 @@ func (k *PrivateKey) Decrypt(c *big.Int) (*big.Int, error) {
 	}
 	return new(big.Int).Exp(c, k.D, k.N), nil
 }
-
-// Sign produces a textbook RSA signature over a pre-hashed digest value
-// (reduced modulo N by the caller's convention; see certs.Sign for the
-// certificate usage).
-func (k *PrivateKey) Sign(digest *big.Int) *big.Int {
-	m := new(big.Int).Mod(digest, k.N)
-	return m.Exp(m, k.D, k.N)
-}
-
-// VerifySig checks a textbook RSA signature against a digest.
-func (k *PublicKey) VerifySig(digest, sig *big.Int) bool {
-	want := new(big.Int).Mod(digest, k.N)
-	got := new(big.Int).Exp(sig, big.NewInt(int64(k.E)), k.N)
-	return got.Cmp(want) == 0
-}

@@ -86,28 +86,3 @@ func TestEncryptDecryptRangeChecks(t *testing.T) {
 		t.Error("oversized ciphertext accepted")
 	}
 }
-
-func TestSignVerifySig(t *testing.T) {
-	rng := rand.New(rand.NewSource(54))
-	k, err := GenerateKey(rng, Options{Bits: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest := big.NewInt(0xFEEDFACE)
-	sig := k.Sign(digest)
-	if !k.PublicKey.VerifySig(digest, sig) {
-		t.Error("valid signature rejected")
-	}
-	if k.PublicKey.VerifySig(big.NewInt(0xDEAD), sig) {
-		t.Error("signature verified against wrong digest")
-	}
-	// A forged signature from a RECOVERED key verifies — the attack.
-	rec, err := RecoverPrivateKey(&k.PublicKey, k.P)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forged := rec.Sign(big.NewInt(0xBADC0DE))
-	if !k.PublicKey.VerifySig(big.NewInt(0xBADC0DE), forged) {
-		t.Error("recovered key cannot forge — recovery broken")
-	}
-}

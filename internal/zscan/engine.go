@@ -205,8 +205,8 @@ func New(opts Options) (*Engine, error) {
 		if err := os.MkdirAll(o.CheckpointDir, 0o755); err != nil {
 			return nil, fmt.Errorf("zscan: checkpoint dir: %w", err)
 		}
-		if cpNext, err = nextCheckpointIndex(o.CheckpointDir); err != nil {
-			return nil, err
+		if _, cpNext, err = checkpointSegments(o.CheckpointDir); err != nil {
+			return nil, fmt.Errorf("zscan: checkpoint dir: %w", err)
 		}
 	}
 	return &Engine{
@@ -227,11 +227,10 @@ func New(opts Options) (*Engine, error) {
 // appends new segments that chain onto the old ones. Returns the number
 // of segments replayed; a missing or empty dir replays zero.
 func LoadCheckpoints(dir string, store *scanstore.Store) (int, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "zscan-*.delta"))
+	matches, _, err := checkpointSegments(dir)
 	if err != nil {
 		return 0, fmt.Errorf("zscan: load checkpoints: %w", err)
 	}
-	sort.Strings(matches)
 	for i, path := range matches {
 		f, err := os.Open(path)
 		if err != nil {
@@ -246,31 +245,29 @@ func LoadCheckpoints(dir string, store *scanstore.Store) (int, error) {
 	return len(matches), nil
 }
 
-// nextCheckpointIndex scans dir for existing zscan-*.delta segments and
-// returns the index after the highest one, so a restarted shard appends
-// to the delta chain rather than clobbering it and corrupting LoadSince
-// replay.
-func nextCheckpointIndex(dir string) (int, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "zscan-*.delta"))
+// checkpointSegments returns the zscan-*.delta segments in dir in index
+// order, and the index after the highest one, so a restarted shard
+// appends to the delta chain rather than clobbering it and corrupting
+// LoadSince replay. The order is by parsed index, not by name: past
+// zscan-9999.delta the names grow a digit, and zscan-10000.delta sorts
+// before zscan-9998.delta as a string.
+func checkpointSegments(dir string) (paths []string, next int, err error) {
+	paths, err = filepath.Glob(filepath.Join(dir, "zscan-*.delta"))
 	if err != nil {
-		return 0, fmt.Errorf("zscan: checkpoint dir: %w", err)
+		return nil, 0, err
 	}
-	next := 0
-	for _, m := range matches {
-		base := filepath.Base(m)
+	index := make(map[string]int, len(paths))
+	for _, path := range paths {
 		var idx int
-		if _, err := fmt.Sscanf(base, "zscan-%d.delta", &idx); err != nil {
-			return 0, fmt.Errorf("zscan: checkpoint dir holds unrecognized delta %q", base)
+		if _, err := fmt.Sscanf(filepath.Base(path), "zscan-%d.delta", &idx); err != nil {
+			return nil, 0, fmt.Errorf("unrecognized delta %q", filepath.Base(path))
 		}
-		if idx+1 > next {
-			next = idx + 1
-		}
+		index[path] = idx
+		next = max(next, idx+1)
 	}
-	return next, nil
+	sort.Slice(paths, func(i, j int) bool { return index[paths[i]] < index[paths[j]] })
+	return paths, next, nil
 }
-
-// Cycle exposes the engine's permutation (for audits and tests).
-func (e *Engine) Cycle() *Cycle { return e.cycle }
 
 // maxRun is the most walk positions one run holds. A run costs one
 // token grant, one hand-off to a worker and one end-of-run record

@@ -198,6 +198,55 @@ func TestEngineCheckpointChain(t *testing.T) {
 	}
 }
 
+// TestLoadCheckpointsPastSegment9999 renames a real five-segment chain
+// to zscan-9998 … zscan-10002: the names now sort differently as strings
+// and as numbers, and replay must follow the numbers, as must the index a
+// restarted engine writes next.
+func TestLoadCheckpointsPastSegment9999(t *testing.T) {
+	dir := t.TempDir()
+	fleet := testFleet(t, FleetOptions{Space: 2048, Devices: 18, Seed: 6})
+	eng, err := New(Options{
+		Space: 2048, Seed: 6, Prober: fleet, Store: scanstore.New(),
+		CheckpointDir: dir, CheckpointEvery: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "zscan-*.delta"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(files) // zscan-0000 … zscan-0004: name order is index order
+	if len(files) != 5 {
+		t.Fatalf("%d segments, want 5 for 18 stored at every-4", len(files))
+	}
+	for i, path := range files {
+		if err := os.Rename(path, filepath.Join(dir, fmt.Sprintf("zscan-%04d.delta", 9998+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	replay := scanstore.New()
+	n, err := LoadCheckpoints(dir, replay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 5 || len(replay.Records()) != rep.Stored {
+		t.Fatalf("replayed %d segments and %d records, want 5 and %d", n, len(replay.Records()), rep.Stored)
+	}
+	restarted, err := New(Options{Space: 2048, Seed: 6, Prober: fleet, Store: replay, CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restarted.cpNext != 10003 {
+		t.Errorf("restarted engine writes segment %d next, want 10003", restarted.cpNext)
+	}
+}
+
 // TestEngineCheckpointRestartContinuesChain restarts a shard into a
 // non-empty checkpoint dir: the new engine must continue the delta
 // numbering past the existing segments instead of silently overwriting

@@ -224,9 +224,6 @@ func (f *SimFleet) Probe(_ context.Context, index uint64) ProbeResult {
 	return ProbeResult{Index: index, DER: d.der, Suites: d.suites}
 }
 
-// Space returns the configured address-space size.
-func (f *SimFleet) Space() uint64 { return f.opts.Space }
-
 // DeviceCount returns the number of devices placed in the space.
 func (f *SimFleet) DeviceCount() int { return len(f.indexes) }
 

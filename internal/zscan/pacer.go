@@ -43,10 +43,6 @@ func newPacer(rate float64, burst int) *pacer {
 	return &pacer{rate: rate, cap: cap, tokens: 1, last: time.Now()}
 }
 
-// wait blocks until one token is available (or the context ends) and
-// consumes it. It reports false only when the context was canceled.
-func (p *pacer) wait(ctx context.Context) bool { return p.take(ctx, 1) }
-
 // take blocks until n tokens are available (or the context ends) and
 // consumes them in one grant. n must not exceed most(). It reports
 // false only when the context was canceled.

@@ -16,7 +16,7 @@ func TestPacerNilIsUnpaced(t *testing.T) {
 	for _, p := range []*pacer{nil, newPacer(1e12, 0)} {
 		start := time.Now()
 		for i := 0; i < 1000; i++ {
-			if !p.wait(context.Background()) {
+			if !p.take(context.Background(), 1) {
 				t.Fatal("unpaced pacer refused a token")
 			}
 		}
@@ -27,7 +27,7 @@ func TestPacerNilIsUnpaced(t *testing.T) {
 	var p *pacer
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if p.wait(ctx) {
+	if p.take(ctx, 1) {
 		t.Error("nil pacer must observe cancellation")
 	}
 }
@@ -36,7 +36,7 @@ func TestPacerEnforcesRate(t *testing.T) {
 	p := newPacer(1000, 1)
 	start := time.Now()
 	for i := 0; i < 300; i++ {
-		if !p.wait(context.Background()) {
+		if !p.take(context.Background(), 1) {
 			t.Fatal("pacer refused a token")
 		}
 	}
@@ -55,7 +55,7 @@ func TestPacerBurstAllowsCatchUp(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // accrue ~2000 tokens, capped at 1000
 	start := time.Now()
 	for i := 0; i < 1000; i++ {
-		if !p.wait(context.Background()) {
+		if !p.take(context.Background(), 1) {
 			t.Fatal("pacer refused a token")
 		}
 	}
@@ -66,13 +66,13 @@ func TestPacerBurstAllowsCatchUp(t *testing.T) {
 
 func TestPacerCancel(t *testing.T) {
 	p := newPacer(1, 1)
-	if !p.wait(context.Background()) {
+	if !p.take(context.Background(), 1) {
 		t.Fatal("first token must be available")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if p.wait(ctx) {
+	if p.take(ctx, 1) {
 		t.Fatal("canceled wait must report false")
 	}
 	if time.Since(start) > 500*time.Millisecond {

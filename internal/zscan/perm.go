@@ -63,15 +63,6 @@ func NewCycle(space uint64, seed int64) (*Cycle, error) {
 	return &Cycle{space: space, p: p, g: g, start: start}, nil
 }
 
-// Space returns the address-space size the cycle covers.
-func (c *Cycle) Space() uint64 { return c.space }
-
-// Modulus returns the prime group modulus p.
-func (c *Cycle) Modulus() uint64 { return c.p }
-
-// Generator returns the seeded primitive root stepping the walk.
-func (c *Cycle) Generator() uint64 { return c.g }
-
 // Shard returns the walk for shard index of count coordination-free
 // partitions. The full cycle is the sequence start·g^k for
 // k = 0..p-2; shard i takes the positions k ≡ i (mod count), i.e. it

@@ -249,14 +249,14 @@ func TestNumberTheoryHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := c.Modulus()
+	p := c.p
 	factors, ok := distinctFactors(p - 1)
 	if !ok {
 		t.Fatalf("factoring %d-1 failed", p)
 	}
 	for _, q := range factors {
-		if powmod(c.Generator(), (p-1)/q, p) == 1 {
-			t.Fatalf("generator %d has order dividing (p-1)/%d: not primitive", c.Generator(), q)
+		if powmod(c.g, (p-1)/q, p) == 1 {
+			t.Fatalf("generator %d has order dividing (p-1)/%d: not primitive", c.g, q)
 		}
 	}
 }

@@ -320,7 +320,7 @@ func TestEngineSkipsUnstorableCertificate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	walk, err := eng.Cycle().Shard(0, 1)
+	walk, err := eng.cycle.Shard(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
