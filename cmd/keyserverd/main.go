@@ -343,12 +343,17 @@ func main() {
 	logf("drained; bye")
 }
 
-// loadStore reads a saved scan corpus (scanstore snapshot) from path.
+// loadStore reads a saved scan corpus (a scanstore segment based at the
+// zero checkpoint) from path.
 func loadStore(path string) (*scanstore.Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return scanstore.Load(f)
+	store := scanstore.New()
+	if err := store.LoadSince(f); err != nil {
+		return nil, err
+	}
+	return store, nil
 }

@@ -154,7 +154,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "weakkeys:", ferr)
 			os.Exit(1)
 		}
-		store, lerr := scanstore.Load(f)
+		store := scanstore.New()
+		lerr := store.LoadSince(f)
 		f.Close()
 		if lerr != nil {
 			fmt.Fprintln(os.Stderr, "weakkeys:", lerr)
@@ -226,7 +227,7 @@ func main() {
 	if *saveTo != "" {
 		f, err := os.Create(*saveTo)
 		fail(err)
-		fail(study.Store.Save(f))
+		fail(study.Store.SaveDelta(f, scanstore.Checkpoint{}))
 		fail(f.Close())
 		logf("saved scan corpus to %s", *saveTo)
 	}

@@ -23,8 +23,8 @@ func main() {
 
 	// Two devices of the same model run the same firmware image and
 	// boot with no hardware entropy: their RNG states are identical.
-	boot := entropy.BootConfig{FirmwareSeed: []byte("router-model-X firmware 1.0.3")}
-	devA, devB := entropy.Boot(boot), entropy.Boot(boot)
+	firmware := []byte("router-model-X firmware 1.0.3")
+	devA, devB := entropy.NewPool(firmware), entropy.NewPool(firmware)
 
 	// Each device generates its TLS key on first boot. Between the two
 	// prime draws the firmware stirs in the current boot-relative time —

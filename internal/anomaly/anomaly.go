@@ -142,54 +142,29 @@ const (
 	DefaultRhoSteps    = 256
 )
 
-// Probe bundles the bounded per-modulus factoring probes. The zero
-// value selects the default budgets; a negative field disables that
-// probe.
-type Probe struct {
-	// FermatSteps bounds the Fermat ascent (number of a values tried
-	// from ceil(sqrt(N)) upward).
-	FermatSteps int
-	// TrialPrimes bounds trial division to the first n primes.
-	TrialPrimes int
-	// RhoSteps bounds each Pollard rho run. A probe makes up to eight
-	// runs, one per polynomial constant, so the effective rho budget is
-	// 8 × RhoSteps iterations.
-	RhoSteps int
-}
-
-func (p Probe) withDefaults() Probe {
-	if p.FermatSteps == 0 {
-		p.FermatSteps = DefaultFermatSteps
-	}
-	if p.TrialPrimes == 0 {
-		p.TrialPrimes = DefaultTrialPrimes
-	}
-	if p.RhoSteps == 0 {
-		p.RhoSteps = DefaultRhoSteps
-	}
-	return p
-}
+// Probe bundles the bounded per-modulus factoring probes at the default
+// budgets: trial division by the first DefaultTrialPrimes primes, a
+// Fermat ascent over DefaultFermatSteps values of a from ceil(sqrt(N))
+// upward, and up to eight Pollard rho runs (one per polynomial constant)
+// of DefaultRhoSteps iterations each.
+type Probe struct{}
 
 // Factor runs the probes against n in cost order — trial division,
 // Fermat ascent, Pollard rho — and returns the class of the first hit
 // with a nontrivial split pHit <= qHit of n (qHit may be composite for a
 // small-factor hit). ProbeNone with nil factors means every budget was
 // exhausted.
-func (p Probe) Factor(n *big.Int) (cls ProbeClass, pHit, qHit *big.Int) {
-	p = p.withDefaults()
+func (Probe) Factor(n *big.Int) (cls ProbeClass, pHit, qHit *big.Int) {
 	if n == nil || n.Sign() <= 0 || n.BitLen() < 2 || numtheory.ProbePrime(n) {
 		return ProbeNone, nil, nil
 	}
-	if p.TrialPrimes > 0 {
-		if small, _ := numtheory.SmallFactors(n, p.TrialPrimes); len(small) > 0 {
-			sp, sq := split(n, new(big.Int).SetUint64(small[0].Prime))
-			return ProbeSmallFactor, sp, sq
-		}
+	if small, _ := numtheory.SmallFactors(n, DefaultTrialPrimes); len(small) > 0 {
+		sp, sq := split(n, new(big.Int).SetUint64(small[0].Prime))
+		return ProbeSmallFactor, sp, sq
 	}
 	// n is known composite from here on: the probes skip the primality
-	// test their public entry points open with. A disabled probe is
-	// passed its negative budget, which SplitComposite skips.
-	if sp, sq, fermat := numtheory.SplitComposite(n, p.FermatSteps, p.RhoSteps); sp != nil {
+	// test their public entry points open with.
+	if sp, sq, fermat := numtheory.SplitComposite(n, DefaultFermatSteps, DefaultRhoSteps); sp != nil {
 		if fermat {
 			return ProbeFermatWeak, sp, sq
 		}

@@ -109,12 +109,6 @@ func TestProbeFactor(t *testing.T) {
 			t.Errorf("Factor(%v) = %q", n, cls)
 		}
 	}
-
-	// Negative budgets disable every probe.
-	disabled := Probe{FermatSteps: -1, TrialPrimes: -1, RhoSteps: -1}
-	if cls, _, _ := disabled.Factor(small.N); cls != ProbeNone {
-		t.Errorf("disabled probes still classified %q", cls)
-	}
 }
 
 // TestProbeDecidesPrimalityOnce pins the structure behind the single
@@ -134,19 +128,18 @@ func TestProbeDecidesPrimalityOnce(t *testing.T) {
 	}
 
 	even := new(big.Int).Lsh(prime, 1)
-	trialOnly := Probe{FermatSteps: -1, RhoSteps: -1}
-	cls, p, q := trialOnly.Factor(even)
+	cls, p, q := (Probe{}).Factor(even)
 	if cls != ProbeSmallFactor || p.Cmp(big.NewInt(2)) != 0 || q.Cmp(prime) != 0 {
 		t.Errorf("trial division on an even modulus: %q, %v, %v", cls, p, q)
 	}
-	// With trial division disabled Fermat refuses an even n and rho's
-	// shortcut reports the 2, as the separate probes always did.
-	cls, p, q = Probe{TrialPrimes: -1}.Factor(even)
-	if cls != ProbeSmallFactor || p.Cmp(big.NewInt(2)) != 0 || q.Cmp(prime) != 0 {
-		t.Errorf("rho on an even modulus: %q, %v, %v", cls, p, q)
+	// Past trial division, Fermat refuses an even n and rho's shortcut
+	// reports the 2, as the separate probes always did.
+	p, q, fermat := numtheory.SplitComposite(even, DefaultFermatSteps, DefaultRhoSteps)
+	if fermat || p.Cmp(big.NewInt(2)) != 0 || q.Cmp(prime) != 0 {
+		t.Errorf("rho on an even modulus: %v, %v, fermat=%v", p, q, fermat)
 	}
-	if cls, _, _ := (Probe{TrialPrimes: -1, RhoSteps: -1}).Factor(even); cls != ProbeNone {
-		t.Errorf("Fermat alone classified an even modulus %q", cls)
+	if p, q, _ := numtheory.SplitComposite(even, DefaultFermatSteps, 0); p != nil {
+		t.Errorf("Fermat alone split an even modulus: %v, %v", p, q)
 	}
 }
 

@@ -81,8 +81,11 @@ type der struct {
 	Signature []byte
 }
 
+// derName is Name's wire form, declared apart so that a change to Name
+// cannot change the encoding unseen: the conversions between the two
+// compile only while their fields match.
 type derName struct {
-	CN, O, OU, C, L string
+	CommonName, Organization, OrganizationalUnit, Country, Locality string
 }
 
 // Marshal encodes the certificate to DER bytes.
@@ -92,8 +95,8 @@ func (c *Certificate) Marshal() ([]byte, error) {
 	}
 	d := der{
 		Serial:    c.SerialNumber,
-		Subject:   derName{c.Subject.CommonName, c.Subject.Organization, c.Subject.OrganizationalUnit, c.Subject.Country, c.Subject.Locality},
-		Issuer:    derName{c.Issuer.CommonName, c.Issuer.Organization, c.Issuer.OrganizationalUnit, c.Issuer.Country, c.Issuer.Locality},
+		Subject:   derName(c.Subject),
+		Issuer:    derName(c.Issuer),
 		NotBefore: c.NotBefore.Unix(),
 		NotAfter:  c.NotAfter.Unix(),
 		DNSNames:  c.DNSNames,
@@ -118,8 +121,8 @@ func Parse(data []byte) (*Certificate, error) {
 	}
 	c := &Certificate{
 		SerialNumber: d.Serial,
-		Subject:      Name{d.Subject.CN, d.Subject.O, d.Subject.OU, d.Subject.C, d.Subject.L},
-		Issuer:       Name{d.Issuer.CN, d.Issuer.O, d.Issuer.OU, d.Issuer.C, d.Issuer.L},
+		Subject:      Name(d.Subject),
+		Issuer:       Name(d.Issuer),
 		NotBefore:    time.Unix(d.NotBefore, 0).UTC(),
 		NotAfter:     time.Unix(d.NotAfter, 0).UTC(),
 		DNSNames:     d.DNSNames,

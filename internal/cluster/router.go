@@ -79,8 +79,6 @@ type RouterConfig struct {
 	// circuit breaker (defaults per Breaker).
 	BreakerFailures int
 	BreakerCooldown time.Duration
-	// Seed seeds the retry jitter (0 selects 1).
-	Seed int64
 	// Metrics / Events receive router telemetry (nil disables).
 	Metrics *telemetry.Registry
 	Events  *telemetry.EventLog
@@ -152,15 +150,11 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.RetryBudget == 0 {
 		cfg.RetryBudget = 10000
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	rt := &Router{
 		placement: p,
 		replicas:  make([]*Replica, 0, len(cfg.Replicas)),
 		cfg:       cfg,
-		jitter:    retry.NewJitter(seed),
+		jitter:    retry.NewJitter(1),
 		metrics:   cfg.Metrics,
 		events:    cfg.Events,
 		hedges:    cfg.Metrics.Counter("cluster_hedges_total"),

@@ -114,6 +114,9 @@ func (j *Journal) Handler() http.HandlerFunc {
 	}
 }
 
+// syncTimeout bounds one pull request.
+const syncTimeout = 5 * time.Second
+
 // Syncer is the pull side of snapshot sync: a background loop that
 // periodically asks every peer's journal for moduli ingested since the
 // last pull and folds them into the local service. The local snapshot's
@@ -131,8 +134,6 @@ type Syncer struct {
 	Service *keycheck.Service
 	// Interval between pull rounds (default 1s).
 	Interval time.Duration
-	// Timeout per pull request (default 5s).
-	Timeout time.Duration
 	// Metrics/Events receive sync telemetry (nil disables).
 	Metrics *telemetry.Registry
 	// Events receives sync events (nil disables).
@@ -150,16 +151,9 @@ func (s *Syncer) interval() time.Duration {
 	return time.Second
 }
 
-func (s *Syncer) timeout() time.Duration {
-	if s.Timeout > 0 {
-		return s.Timeout
-	}
-	return 5 * time.Second
-}
-
 func (s *Syncer) httpClient() *http.Client {
 	if s.client == nil {
-		s.client = &http.Client{Timeout: s.timeout()}
+		s.client = &http.Client{Timeout: syncTimeout}
 	}
 	return s.client
 }
@@ -238,7 +232,7 @@ func (s *Syncer) pullPage(ctx context.Context, peer string) (int, bool, error) {
 	s.mu.Lock()
 	since := s.positions[peer]
 	s.mu.Unlock()
-	ctx, cancel := context.WithTimeout(ctx, s.timeout())
+	ctx, cancel := context.WithTimeout(ctx, syncTimeout)
 	defer cancel()
 	url := fmt.Sprintf("http://%s/v1/sync?since=%d", peer, since)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)

@@ -232,9 +232,9 @@ func (s *Study) publishCorpusGauges() {
 
 // AnalyzeStore runs the factoring, fingerprinting and longitudinal
 // phases over an existing scan corpus (for example one reloaded with
-// scanstore.Load) without simulating an ecosystem. Options fields that
-// configure the simulation are ignored; Subsets, KeyBits and Progress
-// apply. Without analyst clique knowledge, detected cliques are
+// scanstore.Store.LoadSince) without simulating an ecosystem. Options
+// fields that configure the simulation are ignored; Subsets, KeyBits and
+// Progress apply. Without analyst clique knowledge, detected cliques are
 // attributed by the majority-label fallback only.
 func AnalyzeStore(ctx context.Context, store *scanstore.Store, opts Options) (*Study, error) {
 	if opts.KeyBits == 0 {

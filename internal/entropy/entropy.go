@@ -87,33 +87,3 @@ func (p *Pool) Read(b []byte) (int, error) {
 	}
 	return n, nil
 }
-
-// BootConfig describes how a device model initializes its RNG at boot.
-type BootConfig struct {
-	// FirmwareSeed is the deterministic boot state shared by every device
-	// of a model running the same firmware image.
-	FirmwareSeed []byte
-	// DeviceUnique is per-device data mixed at boot when the hardware or
-	// firmware provides any (serial numbers, MAC addresses, stored seed
-	// files). Vulnerable firmware leaves this empty or mixes it only
-	// after key generation.
-	DeviceUnique []byte
-	// Events are the payloads of boot-time entropy events (a packet
-	// header, an interrupt timestamp) in arrival order.
-	Events [][]byte
-}
-
-// Boot constructs a pool per the configuration: firmware seed first, then
-// device-unique data, then events in order. This mirrors the kernel's
-// init ordering; the key-generation entropy hole occurs when an
-// application reads before (or with too few of) the Events.
-func Boot(cfg BootConfig) *Pool {
-	p := NewPool(cfg.FirmwareSeed)
-	if len(cfg.DeviceUnique) > 0 {
-		p.Mix(cfg.DeviceUnique)
-	}
-	for _, ev := range cfg.Events {
-		p.Mix(ev)
-	}
-	return p
-}

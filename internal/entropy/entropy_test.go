@@ -111,40 +111,3 @@ func TestMixTimeGranularity(t *testing.T) {
 		t.Error("fine-grained timestamps should diverge pools")
 	}
 }
-
-func TestBootOrdering(t *testing.T) {
-	cfg := BootConfig{
-		FirmwareSeed: []byte("model-X-fw-1.0"),
-		DeviceUnique: []byte("00:11:22:33:44:55"),
-		Events:       [][]byte{[]byte("irq 17"), []byte("packet")},
-	}
-	p1 := Boot(cfg)
-	p2 := Boot(cfg)
-	b1, b2 := make([]byte, 32), make([]byte, 32)
-	p1.Read(b1)
-	p2.Read(b2)
-	if !bytes.Equal(b1, b2) {
-		t.Error("identical boot configs must agree")
-	}
-	// A different MAC diverges the stream even at zero credit.
-	cfg2 := cfg
-	cfg2.DeviceUnique = []byte("66:77:88:99:aa:bb")
-	p3 := Boot(cfg2)
-	b3 := make([]byte, 32)
-	p3.Read(b3)
-	if bytes.Equal(b1, b3) {
-		t.Error("distinct device-unique data must diverge streams")
-	}
-}
-
-func TestBootNoDeviceUnique(t *testing.T) {
-	// The vulnerable pattern: nothing distinguishes two devices.
-	cfg := BootConfig{FirmwareSeed: []byte("fw")}
-	p1, p2 := Boot(cfg), Boot(cfg)
-	b1, b2 := make([]byte, 32), make([]byte, 32)
-	p1.Read(b1)
-	p2.Read(b2)
-	if !bytes.Equal(b1, b2) {
-		t.Error("devices without unique boot data must collide")
-	}
-}

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"github.com/factorable/weakkeys/internal/anomaly"
 	"github.com/factorable/weakkeys/internal/fingerprint"
 	"github.com/factorable/weakkeys/internal/scanstore"
 )
@@ -139,25 +138,6 @@ func TestAnomalyGoldenResponses(t *testing.T) {
 				t.Errorf("body:\n got %s\nwant %s", got, tc.wantBody)
 			}
 		})
-	}
-}
-
-// TestProbeDisabled: negative probe budgets turn the online probes off,
-// and the anomalous novel keys answer clean again.
-func TestProbeDisabled(t *testing.T) {
-	store := scanstore.New()
-	store.AddBareKeyObservation("10.0.0.3", date(2013, 5, 1), scanstore.SourceRapid7, scanstore.SSH, modN3)
-	snap, err := Build(context.Background(), BuildInput{
-		Store: store, Shards: 1,
-		Probe: anomaly.Probe{FermatSteps: -1, TrialPrimes: -1, RhoSteps: -1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []*big.Int{cpMod, sfMod} {
-		if v := snap.Check(n); v.Status != StatusClean {
-			t.Errorf("probes disabled, %s answers %s", n.Text(16), v.Status)
-		}
 	}
 }
 

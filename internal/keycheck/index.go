@@ -125,10 +125,6 @@ type Snapshot struct {
 	own []bool
 	// shared counts the shared-modulus members across every shard.
 	shared int
-	// probe holds the bounded factoring probes Check runs against novel
-	// moduli that the GCD path cannot break. The zero value selects the
-	// default anomaly budgets; negative budgets disable a probe.
-	probe anomaly.Probe
 }
 
 // owns reports whether the snapshot indexes shard si.
@@ -190,9 +186,6 @@ type BuildInput struct {
 	// are dropped; checks against those shards come back Partial and
 	// the router is expected to consult an owner instead.
 	OwnShards []int
-	// Probe sets the bounded factoring budgets Check applies to novel
-	// moduli (zero value: the anomaly defaults; negative fields disable).
-	Probe anomaly.Probe
 }
 
 // Build constructs a Snapshot from a completed study's corpus. The
@@ -207,7 +200,7 @@ func Build(ctx context.Context, in BuildInput) (*Snapshot, error) {
 		nShards = DefaultShards
 	}
 	moduli, keys := in.Store.DistinctModuli()
-	snap := &Snapshot{shards: make([]*shard, nShards), gen: snapGen.Add(1), probe: in.Probe}
+	snap := &Snapshot{shards: make([]*shard, nShards), gen: snapGen.Add(1)}
 	if in.OwnShards != nil {
 		snap.own = make([]bool, nShards)
 		for _, si := range in.OwnShards {
@@ -400,7 +393,7 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 		// probes (trial division, Fermat ascent, Pollard rho). Members
 		// skip this — the offline anomaly pass already swept the corpus —
 		// and a probe hit is definitive even on a Partial replica.
-		if cls, p, q := s.probe.Factor(n); cls != anomaly.ProbeNone {
+		if cls, p, q := (anomaly.Probe{}).Factor(n); cls != anomaly.ProbeNone {
 			switch cls {
 			case anomaly.ProbeFermatWeak:
 				v.Status = StatusFermatWeak

@@ -284,8 +284,9 @@ func TestSnapshotSwapUnderReaders(t *testing.T) {
 	store.AddBareKeyObservation("10.0.0.3", date(2013, 5, 1), scanstore.SourceRapid7, scanstore.SSH, modN3)
 	// 200 more members make each shard product some 200 words, and four
 	// more each hold a 32-bit prime. Half the novel keys share a prime
-	// with one of them, half share nothing (the probes are off: this is
-	// about the sweep).
+	// with one of them, and the sweep must find it; half share nothing,
+	// and answer whatever the anomaly probes make of them (the close
+	// 32-bit pairs fall to Fermat), never shared_factor.
 	rng := rand.New(rand.NewSource(9))
 	pad := genPrimes(rng, 420)
 	for i := 0; i < 200; i++ {
@@ -320,8 +321,7 @@ func TestSnapshotSwapUnderReaders(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		novel = append(novel, novelKey{mul(pad[2*i+1], prime(960)), pad[2*i+1]}, novelKey{mul(prime(512), prime(512)), nil})
 	}
-	empty, err := Build(context.Background(), BuildInput{Store: store, Shards: 2,
-		Probe: anomaly.Probe{FermatSteps: -1, TrialPrimes: -1, RhoSteps: -1}})
+	empty, err := Build(context.Background(), BuildInput{Store: store, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,8 +331,17 @@ func TestSnapshotSwapUnderReaders(t *testing.T) {
 		if key.shares != nil && (v.Status != StatusSharedFactor || v.Known || v.Divisor != hexOf(key.shares)) {
 			t.Fatalf("%d-bit novel key sharing a member's prime = %+v, want shared_factor via %x", key.n.BitLen(), v, key.shares)
 		}
-		if key.shares == nil && (v.Status != StatusClean || v.Known) {
-			t.Fatalf("%d-bit novel key sharing nothing = %+v, want clean/novel", key.n.BitLen(), v)
+		if key.shares == nil {
+			status := StatusClean
+			switch cls, _, _ := (anomaly.Probe{}).Factor(key.n); cls {
+			case anomaly.ProbeFermatWeak:
+				status = StatusFermatWeak
+			case anomaly.ProbeSmallFactor:
+				status = StatusSmallFactor
+			}
+			if v.Status != status || v.Known {
+				t.Fatalf("%d-bit novel key sharing nothing = %+v, want %s/novel", key.n.BitLen(), v, status)
+			}
 		}
 		want[k] = v
 	}

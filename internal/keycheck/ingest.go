@@ -547,7 +547,6 @@ func (s *Snapshot) merge(ctx context.Context, d *ingestDelta, rep *IngestReport)
 		factored: s.factored,
 		gen:      snapGen.Add(1),
 		own:      s.own,
-		probe:    s.probe,
 	}
 	var touched []int
 	for si, sd := range d.shards {

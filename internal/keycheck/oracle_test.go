@@ -66,7 +66,7 @@ func checkBySweep(s *Snapshot, n *big.Int) Verdict {
 			}
 			return v
 		}
-		if cls, p, q := s.probe.Factor(n); cls != anomaly.ProbeNone {
+		if cls, p, q := (anomaly.Probe{}).Factor(n); cls != anomaly.ProbeNone {
 			switch cls {
 			case anomaly.ProbeFermatWeak:
 				v.Status = StatusFermatWeak

@@ -6,10 +6,30 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math/big"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/factorable/weakkeys/internal/certs"
 )
+
+// saveWhole saves s as a segment based at the zero checkpoint, the
+// whole-store form.
+func saveWhole(t testing.TB, s *Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.SaveDelta(&buf, Checkpoint{}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// loadWhole reads a whole-store file into a new store.
+func loadWhole(data []byte) (*Store, error) {
+	s := New()
+	return s, s.LoadSince(bytes.NewReader(data))
+}
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	s := New()
@@ -19,11 +39,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	s.AddCertObservation("10.0.0.1", date(2014, 4, 15), SourceRapid7, HTTPS, c1)
 	s.AddBareKeyObservation("10.9.9.9", date(2015, 10, 29), SourceCensys, SSH, big.NewInt(0xF00DF00D1))
 
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
+	got, err := loadWhole(saveWhole(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +69,85 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if len(got.Records()) != 4 {
 		t.Errorf("records: %d", len(got.Records()))
 	}
+	if !slices.Equal(got.certOrder, s.certOrder) {
+		t.Error("certificate order lost (first-seen order must be preserved)")
+	}
 }
 
-// TestSaveRacesAdd is the -race regression for the snapshot capture:
-// Save used to alias s.records and gob-encode it after releasing the
-// lock, so a concurrent Add mutating the shared backing array raced the
-// encoder. The copy-under-lock fix makes this quiet under -race.
+// TestSaveIsDeterministic: one store saves to the same bytes every time,
+// and so does the store reloaded from them. The saves walk the
+// first-seen tables, never a map, so a corpus file is a pure function of
+// what was scanned.
+func TestSaveIsDeterministic(t *testing.T) {
+	s := New()
+	for i := int64(0); i < 12; i++ {
+		s.AddCertObservation(fmt.Sprintf("10.0.0.%d", i), date(2014, 4, 15), SourceRapid7, HTTPS, newCert(t, 100+i))
+	}
+	want := saveWhole(t, s)
+	for i := 0; i < 20; i++ {
+		if !bytes.Equal(saveWhole(t, s), want) {
+			t.Fatalf("save %d of the same store differs from the first", i+2)
+		}
+	}
+	got, err := loadWhole(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saveWhole(t, got), want) {
+		t.Error("the reloaded store saves differently from the original")
+	}
+}
+
+// TestLoadsWholeStoreFormat: files the older whole-store Save wrote (a
+// gob of Version, Records, CertDER and Moduli) still load, as a segment
+// based at the zero checkpoint.
+func TestLoadsWholeStoreFormat(t *testing.T) {
+	type snapshot struct {
+		Version int
+		Records []HostRecord
+		CertDER [][]byte
+		Moduli  [][]byte
+	}
+	s := New()
+	c1, c2 := newCert(t, 62), newCert(t, 63)
+	s.AddCertObservation("10.0.0.1", date(2012, 6, 15), SourceEcosystem, HTTPS, c1)
+	s.AddCertObservation("10.0.0.2", date(2014, 4, 15), SourceRapid7, HTTPS, c2)
+	s.AddBareKeyObservation("10.9.9.9", date(2015, 10, 29), SourceCensys, SSH, big.NewInt(0xF00DF00D1))
+	old := snapshot{Version: 1, Records: s.Records()}
+	for _, c := range []*certs.Certificate{c1, c2} {
+		der, err := c.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		old.CertDER = append(old.CertDER, der)
+	}
+	for _, key := range s.modOrder {
+		old.Moduli = append(old.Moduli, []byte(key))
+	}
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if err := gob.NewEncoder(zw).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := loadWhole(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Checkpoint() != s.Checkpoint() || got.Stats("") != s.Stats("") {
+		t.Errorf("old-format file loaded as %+v / %+v, want %+v / %+v", got.Checkpoint(), got.Stats(""), s.Checkpoint(), s.Stats(""))
+	}
+	if !bytes.Equal(saveWhole(t, got), saveWhole(t, s)) {
+		t.Error("the store loaded from the old format differs from the one it was written from")
+	}
+}
+
+// TestSaveRacesAdd is the -race regression for the save's capture: a
+// save that aliased s.records and gob-encoded it after releasing the
+// lock would race a concurrent Add mutating the shared backing array.
+// The copy-under-lock makes this quiet under -race.
 func TestSaveRacesAdd(t *testing.T) {
 	s := New()
 	c := newCert(t, 70)
@@ -77,11 +166,11 @@ func TestSaveRacesAdd(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
 			var buf bytes.Buffer
-			if err := s.Save(&buf); err != nil {
+			if err := s.SaveDelta(&buf, Checkpoint{}); err != nil {
 				t.Error(err)
 				return
 			}
-			if _, err := Load(&buf); err != nil {
+			if _, err := loadWhole(buf.Bytes()); err != nil {
 				t.Error(err)
 				return
 			}
@@ -93,35 +182,31 @@ func TestSaveRacesAdd(t *testing.T) {
 func TestLoadRejectsVersionMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
-	if err := gob.NewEncoder(zw).Encode(snapshot{Version: 99}); err != nil {
+	if err := gob.NewEncoder(zw).Encode(deltaSegment{Version: 99}); err != nil {
 		t.Fatal(err)
 	}
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Load(&buf)
+	_, err := loadWhole(buf.Bytes())
 	if err == nil {
-		t.Fatal("version-99 snapshot accepted")
+		t.Fatal("version-99 file accepted")
 	}
 	// The error must name both the found and the supported version so an
 	// operator knows which side to upgrade.
-	if !strings.Contains(err.Error(), "99") || !strings.Contains(err.Error(), fmt.Sprint(snapshotVersion)) {
-		t.Errorf("error %q does not name found (99) and supported (%d) versions", err, snapshotVersion)
+	if !strings.Contains(err.Error(), "99") || !strings.Contains(err.Error(), fmt.Sprint(deltaVersion)) {
+		t.Errorf("error %q does not name found (99) and supported (%d) versions", err, deltaVersion)
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a snapshot"))); err == nil {
+	if _, err := loadWhole([]byte("not a snapshot")); err == nil {
 		t.Error("garbage accepted")
 	}
 }
 
 func TestSaveLoadEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := New().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
+	got, err := loadWhole(saveWhole(t, New()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,19 +215,16 @@ func TestSaveLoadEmpty(t *testing.T) {
 	}
 }
 
-// TestDeltaSegmentRoundTrip: snapshot a base, keep scanning, cut a
-// delta, and replay snapshot + delta elsewhere — the incremental-ingest
-// persistence path.
+// TestDeltaSegmentRoundTrip: save a base, keep scanning, cut a delta,
+// and replay base + delta elsewhere — the incremental-ingest persistence
+// path.
 func TestDeltaSegmentRoundTrip(t *testing.T) {
 	s := New()
 	c1 := newCert(t, 70)
 	s.AddCertObservation("10.0.0.1", date(2015, 1, 1), SourceRapid7, HTTPS, c1)
 	s.AddBareKeyObservation("10.0.0.2", date(2015, 1, 1), SourceRapid7, SSH, big.NewInt(0xBA5EBA111))
 
-	var base bytes.Buffer
-	if err := s.Save(&base); err != nil {
-		t.Fatal(err)
-	}
+	base := saveWhole(t, s)
 	cp := s.Checkpoint()
 	if cp.Records != 2 || cp.Certs != 1 || cp.Moduli != 2 {
 		t.Fatalf("checkpoint %+v", cp)
@@ -160,7 +242,7 @@ func TestDeltaSegmentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := Load(&base)
+	got, err := loadWhole(base)
 	if err != nil {
 		t.Fatal(err)
 	}

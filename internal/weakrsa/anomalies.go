@@ -24,9 +24,8 @@ import (
 //   - shared moduli:  the whole fleet ships one hardcoded keypair, so
 //     the same N appears under every device identity.
 //
-// The constructors assemble keys directly instead of calling GenerateKey
-// where the flaw itself would be rejected (an even e, for instance, is
-// exactly what GenerateKey's exponent validation refuses).
+// The constructors assemble keys directly instead of calling GenerateKey,
+// which draws two honest primes and always uses DefaultExponent.
 
 // GenerateClosePrimes draws p honestly and then takes q as the next
 // prime above p plus a small even stir drawn from rand — the "When RSA
@@ -38,7 +37,7 @@ func GenerateClosePrimes(rand io.Reader, opts Options) (*PrivateKey, error) {
 	if o.Bits < 32 || o.Bits%2 != 0 {
 		return nil, fmt.Errorf("weakrsa: invalid modulus size %d", o.Bits)
 	}
-	e := big.NewInt(int64(o.E))
+	e := big.NewInt(DefaultExponent)
 	for attempt := 0; attempt < 64; attempt++ {
 		p, err := o.PrimeGen.gen(rand, o.Bits/2)
 		if err != nil {
@@ -61,7 +60,7 @@ func GenerateClosePrimes(rand io.Reader, opts Options) (*PrivateKey, error) {
 		if n.BitLen() != o.Bits {
 			continue
 		}
-		return &PrivateKey{PublicKey: PublicKey{N: n, E: o.E}, D: d, P: p, Q: q}, nil
+		return &PrivateKey{PublicKey: PublicKey{N: n, E: DefaultExponent}, D: d, P: p, Q: q}, nil
 	}
 	return nil, errors.New("weakrsa: exhausted close-prime generation attempts")
 }
@@ -88,7 +87,7 @@ func GenerateSmallFactor(rand io.Reader, opts Options, factorBits int) (*Private
 	if factorBits < 2 || factorBits > o.Bits/2 {
 		return nil, fmt.Errorf("weakrsa: invalid small-factor size %d", factorBits)
 	}
-	e := big.NewInt(int64(o.E))
+	e := big.NewInt(DefaultExponent)
 	for attempt := 0; attempt < 64; attempt++ {
 		p, err := smallPrime(rand, factorBits)
 		if err != nil {
@@ -109,7 +108,7 @@ func GenerateSmallFactor(rand io.Reader, opts Options, factorBits int) (*Private
 		if n.BitLen() != o.Bits {
 			continue
 		}
-		return &PrivateKey{PublicKey: PublicKey{N: n, E: o.E}, D: d, P: p, Q: q}, nil
+		return &PrivateKey{PublicKey: PublicKey{N: n, E: DefaultExponent}, D: d, P: p, Q: q}, nil
 	}
 	return nil, errors.New("weakrsa: exhausted small-factor generation attempts")
 }
@@ -138,8 +137,8 @@ func smallPrime(rand io.Reader, bits int) (*big.Int, error) {
 
 // GenerateUnsafeExponent produces an honestly-built modulus carrying a
 // broken public exponent — e = 1 (identity "encryption"), an even e (no
-// inverse mod φ(N) exists), or a tiny unsafe e. GenerateKey rejects
-// these up front, which is exactly why the flawed-device model assembles
+// inverse mod φ(N) exists), or a tiny unsafe e. GenerateKey only ever
+// uses DefaultExponent, which is why the flawed-device model assembles
 // the key directly. When e has no inverse, D is zero and Validate fails;
 // such keys still serve certificates in the field, which is the point.
 func GenerateUnsafeExponent(rand io.Reader, opts Options, e int) (*PrivateKey, error) {

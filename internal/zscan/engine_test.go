@@ -355,7 +355,7 @@ func TestEnginePacing(t *testing.T) {
 	fleet := testFleet(t, FleetOptions{Space: 400, Devices: 1, Seed: 7})
 	store := scanstore.New()
 	eng, err := New(Options{
-		Space: 400, Seed: 7, Rate: 1000, Burst: 1, Prober: fleet, Store: store,
+		Space: 400, Seed: 7, Rate: 1000, Prober: fleet, Store: store,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,26 +22,8 @@ type BridgeOptions struct {
 	// URL is the ingest endpoint — a keyserverd or keyrouter
 	// POST /v1/ingest address.
 	URL string
-	// BatchSize is moduli per request (default 256, capped at the
-	// server's 4096 per-request limit).
-	BatchSize int
-	// FlushInterval flushes a partial batch that has been waiting this
-	// long (default 500ms), bounding scan-to-verdict latency when the
-	// harvest trickles.
-	FlushInterval time.Duration
-	// QueueSize bounds moduli buffered between harvest and delivery
-	// (default 8192). A full queue blocks Offer — backpressure into
-	// the harvest loop instead of unbounded memory.
-	QueueSize int
-	// MaxAttempts caps delivery attempts per batch (default 5);
-	// RetryBackoff is the first retry delay (default 100ms, doubling
-	// with jitter); RetryBudget caps retries across the bridge's
-	// lifetime (0 = default 64, negative = unlimited); Seed keys the
-	// jitter.
-	MaxAttempts  int
-	RetryBackoff time.Duration
-	RetryBudget  int
-	Seed         int64
+	// Seed keys the retry jitter.
+	Seed int64
 	// Client is the HTTP client (default: 10s-timeout client).
 	Client *http.Client
 	// Metrics/Events receive delivery telemetry.
@@ -49,29 +31,32 @@ type BridgeOptions struct {
 	Events  *telemetry.EventLog
 }
 
-const maxIngestBatch = 4096 // the server's per-request moduli cap
+// The bridge's delivery schedule.
+const (
+	// bridgeBatch is moduli per request (the server takes up to 4,096).
+	bridgeBatch = 256
+	// bridgeFlush flushes a partial batch that has waited this long,
+	// bounding scan-to-verdict latency when the harvest trickles.
+	bridgeFlush = 500 * time.Millisecond
+	// bridgeQueue bounds moduli buffered between harvest and delivery.
+	// A full queue blocks Offer: backpressure into the harvest loop
+	// instead of unbounded memory.
+	bridgeQueue = 8192
+	// bridgeAttempts caps delivery attempts per batch, and
+	// bridgeRetryBudget retries across the bridge's lifetime.
+	bridgeAttempts    = 5
+	bridgeRetryBudget = 64
+	// bridgeBackoff is the first retry delay, doubling with jitter up to
+	// bridgeMaxBackoff. A server's Retry-After is honoured up to
+	// bridgeMaxBackoff too, so one answer cannot park delivery (and
+	// Offer, and Close) for as long as it asks.
+	bridgeBackoff    = 100 * time.Millisecond
+	bridgeMaxBackoff = 5 * time.Second
+)
 
 func (o BridgeOptions) withDefaults() (BridgeOptions, error) {
 	if o.URL == "" {
 		return o, fmt.Errorf("zscan: BridgeOptions.URL is required")
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 256
-	}
-	if o.BatchSize > maxIngestBatch {
-		o.BatchSize = maxIngestBatch
-	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = 500 * time.Millisecond
-	}
-	if o.QueueSize <= 0 {
-		o.QueueSize = 8192
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 5
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 100 * time.Millisecond
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -140,18 +125,11 @@ func NewBridge(opts BridgeOptions) (*Bridge, error) {
 	if err != nil {
 		return nil, err
 	}
-	budgetSize := int64(o.RetryBudget)
-	switch {
-	case budgetSize == 0:
-		budgetSize = 64
-	case budgetSize < 0:
-		budgetSize = 1<<63 - 1
-	}
 	reg := o.Metrics
 	b := &Bridge{
 		o:      o,
-		queue:  make(chan string, o.QueueSize),
-		budget: retry.NewBudget(budgetSize),
+		queue:  make(chan string, bridgeQueue),
+		budget: retry.NewBudget(bridgeRetryBudget),
 		jitter: retry.NewJitter(o.Seed),
 		ins: bridgeInstruments{
 			events:    o.Events,
@@ -209,9 +187,9 @@ func (b *Bridge) Stats() BridgeStats {
 // Close.
 func (b *Bridge) deliver() {
 	defer b.wg.Done()
-	ticker := time.NewTicker(b.o.FlushInterval)
+	ticker := time.NewTicker(bridgeFlush)
 	defer ticker.Stop()
-	batch := make([]string, 0, b.o.BatchSize)
+	batch := make([]string, 0, bridgeBatch)
 	flush := func() {
 		if len(batch) == 0 {
 			return
@@ -228,7 +206,7 @@ func (b *Bridge) deliver() {
 			}
 			batch = append(batch, m)
 			b.ins.queueLen.Set(float64(len(b.queue)))
-			if len(batch) >= b.o.BatchSize {
+			if len(batch) >= bridgeBatch {
 				flush()
 			}
 		case <-ticker.C:
@@ -247,9 +225,10 @@ type ingestReply struct {
 }
 
 // post delivers one batch with retries: transient failures (transport
-// errors, 429 honoring Retry-After, 5xx) back off and retry under the
-// budget; permanent rejections (other 4xx) drop the batch — a
-// malformed batch re-posted forever would wedge the whole bridge.
+// errors, 429 honouring Retry-After up to bridgeMaxBackoff, 5xx) back
+// off and retry under the budget; permanent rejections (other 4xx) drop
+// the batch — a malformed batch re-posted forever would wedge the whole
+// bridge.
 func (b *Bridge) post(batch []string) {
 	ctx := context.Background()
 	body, err := json.Marshal(struct {
@@ -259,7 +238,7 @@ func (b *Bridge) post(batch []string) {
 		b.drop(ctx, batch, fmt.Sprintf("marshal: %v", err))
 		return
 	}
-	backoff := b.o.RetryBackoff
+	backoff := bridgeBackoff
 	for attempt := 1; ; attempt++ {
 		reply, retryAfter, err := b.postOnce(body)
 		if err == nil {
@@ -276,22 +255,19 @@ func (b *Bridge) post(batch []string) {
 				slog.Int("attempt", attempt))
 			return
 		}
-		if permanent(err) || attempt >= b.o.MaxAttempts || !b.budget.Take() {
+		if permanent(err) || attempt >= bridgeAttempts || !b.budget.Take() {
 			b.drop(ctx, batch, err.Error())
 			return
 		}
 		b.retries.Add(1)
 		b.ins.retriesC.Inc()
-		sleep := b.jitter.Jitter(backoff)
-		if retryAfter > sleep {
-			sleep = retryAfter
-		}
+		sleep := max(b.jitter.Jitter(backoff), min(retryAfter, bridgeMaxBackoff))
 		b.ins.events.Debug(ctx, "zscan ingest retry",
 			slog.Int("attempt", attempt),
 			slog.Duration("backoff", sleep),
 			slog.String("err", err.Error()))
 		time.Sleep(sleep)
-		backoff = retry.DoubleBackoff(backoff, 5*time.Second)
+		backoff = retry.DoubleBackoff(backoff, bridgeMaxBackoff)
 	}
 }
 

@@ -14,12 +14,14 @@ import (
 )
 
 // ingestSink is a test double for POST /v1/ingest: it records batches
-// and can fail the first N requests with a configurable status.
+// and can fail the first N requests with a configurable status and
+// Retry-After header.
 type ingestSink struct {
-	mu       sync.Mutex
-	batches  [][]string
-	failN    int
-	failCode int
+	mu         sync.Mutex
+	batches    [][]string
+	failN      int
+	failCode   int
+	retryAfter string
 }
 
 func (s *ingestSink) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -27,6 +29,9 @@ func (s *ingestSink) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	if s.failN > 0 {
 		s.failN--
+		if s.retryAfter != "" {
+			w.Header().Set("Retry-After", s.retryAfter)
+		}
 		http.Error(w, "injected failure", s.failCode)
 		return
 	}
@@ -61,28 +66,27 @@ func TestBridgeBatchesAndFlushes(t *testing.T) {
 	sink := &ingestSink{}
 	srv := httptest.NewServer(sink)
 	defer srv.Close()
-	b, err := NewBridge(BridgeOptions{
-		URL: srv.URL, BatchSize: 2, FlushInterval: time.Hour,
-	})
+	b, err := NewBridge(BridgeOptions{URL: srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		if err := b.Offer(ctx, fmt.Sprintf("%02x", i+1)); err != nil {
+	const n = 2*bridgeBatch + 1
+	for i := 0; i < n; i++ {
+		if err := b.Offer(ctx, fmt.Sprintf("%04x", i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	b.Close()
-	if got := sink.total(); got != 5 {
-		t.Errorf("server received %d moduli, want 5", got)
+	if got := sink.total(); got != n {
+		t.Errorf("server received %d moduli, want %d", got, n)
 	}
 	if got := sink.batchCount(); got != 3 {
-		t.Errorf("server received %d batches, want 3 (2+2+1)", got)
+		t.Errorf("server received %d batches, want 3 (two full, then the last key at Close)", got)
 	}
 	st := b.Stats()
-	if st.Delivered != 5 || st.Dropped != 0 {
-		t.Errorf("stats = %+v, want 5 delivered / 0 dropped", st)
+	if st.Delivered != n || st.Dropped != 0 {
+		t.Errorf("stats = %+v, want %d delivered / 0 dropped", st, n)
 	}
 	if st.Factored != 3 {
 		t.Errorf("factored = %d, want 3 (one per acknowledged batch)", st.Factored)
@@ -93,9 +97,7 @@ func TestBridgeRetriesTransientFailures(t *testing.T) {
 	sink := &ingestSink{failN: 2, failCode: http.StatusInternalServerError}
 	srv := httptest.NewServer(sink)
 	defer srv.Close()
-	b, err := NewBridge(BridgeOptions{
-		URL: srv.URL, BatchSize: 4, RetryBackoff: time.Millisecond, MaxAttempts: 5,
-	})
+	b, err := NewBridge(BridgeOptions{URL: srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +124,7 @@ func TestBridgeDropsPermanentRejections(t *testing.T) {
 	sink := &ingestSink{failN: 1 << 30, failCode: http.StatusBadRequest}
 	srv := httptest.NewServer(sink)
 	defer srv.Close()
-	b, err := NewBridge(BridgeOptions{
-		URL: srv.URL, BatchSize: 4, RetryBackoff: time.Millisecond,
-	})
+	b, err := NewBridge(BridgeOptions{URL: srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +145,7 @@ func TestBridgeRetriesRateLimit(t *testing.T) {
 	sink := &ingestSink{failN: 1, failCode: http.StatusTooManyRequests}
 	srv := httptest.NewServer(sink)
 	defer srv.Close()
-	b, err := NewBridge(BridgeOptions{
-		URL: srv.URL, RetryBackoff: time.Millisecond, MaxAttempts: 3,
-	})
+	b, err := NewBridge(BridgeOptions{URL: srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +155,35 @@ func TestBridgeRetriesRateLimit(t *testing.T) {
 	b.Close()
 	if st := b.Stats(); st.Delivered != 1 {
 		t.Errorf("delivered = %d, want 1 after the 429 retry", st.Delivered)
+	}
+}
+
+// TestBridgeCapsRetryAfter: a 429 asking for an hour is honoured only up
+// to the backoff ceiling, so one answer cannot park delivery, Offer and
+// Close for as long as the server says.
+func TestBridgeCapsRetryAfter(t *testing.T) {
+	sink := &ingestSink{failN: 1, failCode: http.StatusTooManyRequests, retryAfter: "3600"}
+	srv := httptest.NewServer(sink)
+	defer srv.Close()
+	b, err := NewBridge(BridgeOptions{URL: srv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Offer(context.Background(), "ef"); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close still waiting after 10s on a Retry-After of 3600")
+	}
+	if st := b.Stats(); st.Delivered != 1 || st.Retries != 1 {
+		t.Errorf("stats = %+v, want 1 delivered after 1 retry", st)
 	}
 }
 
@@ -172,9 +199,7 @@ func TestEngineFeedsBridge(t *testing.T) {
 	sink := &ingestSink{}
 	srv := httptest.NewServer(sink)
 	defer srv.Close()
-	bridge, err := NewBridge(BridgeOptions{
-		URL: srv.URL, BatchSize: 4, FlushInterval: 20 * time.Millisecond,
-	})
+	bridge, err := NewBridge(BridgeOptions{URL: srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,23 +24,15 @@ type pacer struct {
 // requests just burn CPU without improving pacing accuracy.
 const minSleep = time.Millisecond
 
-// newPacer returns a bucket issuing rate tokens/sec with the given
-// burst capacity (0 picks rate/100, i.e. 10ms of allowance, floored at
-// 1). rate <= 0 returns nil: unpaced. So does +Inf, whose accrual
-// (elapsed x rate) is NaN whenever two clock reads coincide, and a NaN
-// bucket never fills again.
-func newPacer(rate float64, burst int) *pacer {
+// newPacer returns a bucket issuing rate tokens/sec that holds rate/100
+// of them, i.e. 10ms of allowance, floored at 1. rate <= 0 returns nil:
+// unpaced. So does +Inf, whose accrual (elapsed x rate) is NaN whenever
+// two clock reads coincide, and a NaN bucket never fills again.
+func newPacer(rate float64) *pacer {
 	if rate <= 0 || math.IsInf(rate, 1) {
 		return nil
 	}
-	cap := float64(burst)
-	if b := rate / 100; cap < b {
-		cap = b
-	}
-	if cap < 1 {
-		cap = 1
-	}
-	return &pacer{rate: rate, cap: cap, tokens: 1, last: time.Now()}
+	return &pacer{rate: rate, cap: max(rate/100, 1), tokens: 1, last: time.Now()}
 }
 
 // take blocks until n tokens are available (or the context ends) and
@@ -79,7 +71,7 @@ func (p *pacer) take(ctx context.Context, n int) bool {
 // most is the largest grant take may be asked for: maxRun, or half the
 // bucket (at least one token) when that is less, so the tokens that
 // accrue while a late timer wakes the sender still fit and the pace
-// holds. Burst 1 at 1,000/s (a 10-token bucket) is granted 5 at a time.
+// holds. At 1,000/s (a 10-token bucket) a run is granted 5 at a time.
 func (p *pacer) most() int {
 	if p == nil || p.cap/2 >= maxRun {
 		return maxRun

@@ -10,10 +10,10 @@ import (
 // TestPacerNilIsUnpaced: no rate, an infinite rate and a rate past
 // anything a clock can resolve all hand out tokens without sleeping.
 func TestPacerNilIsUnpaced(t *testing.T) {
-	if newPacer(0, 0) != nil || newPacer(math.Inf(1), 0) != nil {
+	if newPacer(0) != nil || newPacer(math.Inf(1)) != nil {
 		t.Fatal("zero and infinite rates must select the nil (unpaced) pacer")
 	}
-	for _, p := range []*pacer{nil, newPacer(1e12, 0)} {
+	for _, p := range []*pacer{nil, newPacer(1e12)} {
 		start := time.Now()
 		for i := 0; i < 1000; i++ {
 			if !p.take(context.Background(), 1) {
@@ -33,7 +33,7 @@ func TestPacerNilIsUnpaced(t *testing.T) {
 }
 
 func TestPacerEnforcesRate(t *testing.T) {
-	p := newPacer(1000, 1)
+	p := newPacer(1000)
 	start := time.Now()
 	for i := 0; i < 300; i++ {
 		if !p.take(context.Background(), 1) {
@@ -51,7 +51,7 @@ func TestPacerEnforcesRate(t *testing.T) {
 func TestPacerBurstAllowsCatchUp(t *testing.T) {
 	// A bucket with capacity should hand out accumulated allowance
 	// without sleeping once per token.
-	p := newPacer(100000, 1000)
+	p := newPacer(100000)
 	time.Sleep(20 * time.Millisecond) // accrue ~2000 tokens, capped at 1000
 	start := time.Now()
 	for i := 0; i < 1000; i++ {
@@ -65,7 +65,7 @@ func TestPacerBurstAllowsCatchUp(t *testing.T) {
 }
 
 func TestPacerCancel(t *testing.T) {
-	p := newPacer(1, 1)
+	p := newPacer(1)
 	if !p.take(context.Background(), 1) {
 		t.Fatal("first token must be available")
 	}
