@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt build vet vet-386 bench-check test race e2e fuzz-smoke bench bench-once bench-pipeline bench-telemetry bench-smoke
+.PHONY: ci fmt build vet vet-386 bench-check test race allocs e2e fuzz-smoke bench bench-once bench-pipeline bench-telemetry bench-smoke
 
 # ci is the full gate: check formatting, compile everything, vet (bench/ too, and the
 # tree again for 386, with the word-width arithmetic tested there), run the
@@ -10,13 +10,14 @@ GO ?= go
 # the e2e package's process-level checks (real binaries, signals, files
 # on disk: the study on one tree and on three subsets, keyserverd from startup to
 # drain with a zscand sweep bridged into it, a three-replica cluster
-# through a SIGKILL, every example and the bad-flag table) — fuzz every
+# through a SIGKILL, every example and the bad-flag table) — run the
+# allocation guards the race detector skips, fuzz every
 # parser and differential target briefly, run every Go benchmark once,
 # guard the instrumentation hot-path cost, and run every benchmark
 # workload once against generator ground truth. Nothing here writes a tracked file: exactness
 # lives in the race-tested suite, speed is judged by parent-vs-change
 # pairs on bench/ (BENCHMARK.json).
-ci: fmt build vet vet-386 bench-check race fuzz-smoke bench-once bench-telemetry bench-smoke
+ci: fmt build vet vet-386 bench-check race allocs fuzz-smoke bench-once bench-telemetry bench-smoke
 
 # fmt fails on any Go file gofmt would change (bench/ too): a deletion
 # that leaves an empty block or a run of blank lines shows up here.
@@ -53,6 +54,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# allocs runs the allocation guards without the race detector, under
+# which they skip: sync.Pool drops items on purpose there, so a pooled
+# Reducer's scratch would count as allocated on every check.
+allocs:
+	$(GO) test -count=1 -run Allocations ./internal/keycheck ./internal/prodtree
 
 # e2e runs the process-level checks alone (they also run inside test and
 # race): TestMain builds every cmd/ and examples/ binary once into a

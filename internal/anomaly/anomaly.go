@@ -133,9 +133,11 @@ const (
 // handful of Fermat steps; small factors fall to trial division almost
 // immediately), small enough for the serving path at the widths it
 // sees. A probe that exhausts all of them on a clean modulus costs about
-// 0.11 ms at 128 bits, 1.5 ms at 512, 5 ms at 1024, 21 ms at 2048 and
-// 100 ms at 4096 (BenchmarkProbeFactor on a 2-core Xeon; EXPERIMENTS.md
-// has the table).
+// 0.10 ms at 128 bits, 2.7 ms at 512, 9 ms at 1024, 33 ms at 2048 and
+// 150 ms at 4096 (BenchmarkProbeFactor medians on a shared 2-core Xeon
+// that read the code before machine-word trial division, Fermat tables
+// and rho's word GCD at 0.15, 3.1, 10, 33 and 157 ms; EXPERIMENTS.md
+// has the tables).
 const (
 	DefaultFermatSteps = 512
 	DefaultTrialPrimes = 128

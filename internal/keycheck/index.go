@@ -320,10 +320,19 @@ func ShardOf(n *big.Int, nShards int) int {
 
 var one = big.NewInt(1)
 
-// reducers holds the novel checks' Reducers between checks: each grows
-// fold scratch of up to half a shard product's length, which a fresh
-// Reducer per check would allocate, zero and drop again every time.
-var reducers = sync.Pool{New: func() any { return new(prodtree.Reducer) }}
+// novelSweep is a novel check's scratch, pooled between checks: the
+// Reducer, whose fold scratch grows to half a shard product's length and
+// whose constants a fresh one would allocate, zero and drop again every
+// time, and each shard's residue P mod n with the big.Ints that multiply
+// them. Like the Reducer's constants, the residues and products are
+// zeroed before it goes back: together they divide back out to n.
+type novelSweep struct {
+	red       prodtree.Reducer
+	res       []big.Int
+	acc, t, q big.Int
+}
+
+var sweeps = sync.Pool{New: func() any { return new(novelSweep) }}
 
 // Check answers for one modulus. A corpus member is answered from its
 // home shard's maps alone, with no big.Int arithmetic: Build and Ingest
@@ -358,36 +367,50 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 	// GCD path. gcd(n, P mod n) = gcd(n, P) finds the product of n's
 	// primes shared with shard product P without ever forming P/n. One
 	// pooled Reducer serves every shard: the product is thousands of
-	// times longer than n and only the remainder is wanted.
-	g := new(big.Int).Set(one)
+	// times longer than n and only the remainder is wanted. The residues
+	// are multiplied together mod n, and one GCD of that product with n
+	// is what n shares with the whole corpus: a prime divides the product
+	// exactly when it divides some residue. Only when that is n itself
+	// does the split need the shards one by one: a proper divisor some
+	// shard yields, else the shards whose product n divides outright.
+	sw := sweeps.Get().(*novelSweep)
+	sw.red.Reset(n)
+	if len(sw.res) < len(s.shards) {
+		sw.res = make([]big.Int, len(s.shards))
+	}
+	sw.acc.SetInt64(1)
+	for i, sh := range s.shards {
+		if product := sh.product(); product != nil {
+			sw.t.Mul(&sw.acc, sw.red.Mod(&sw.res[i], product))
+			sw.q.QuoRem(&sw.t, n, &sw.acc)
+		}
+	}
+	g := new(big.Int).GCD(nil, nil, &sw.acc, n)
 	var proper *big.Int          // a proper divisor of n, if any shard yields one
 	var whole []*prodtree.Forest // shards whose product n divides outright
-	red := reducers.Get().(*prodtree.Reducer)
-	red.Reset(n)
-	var r big.Int
-	for _, sh := range s.shards {
-		product := sh.product()
-		if product == nil {
-			continue
+	if g.Cmp(n) == 0 {
+		for i, sh := range s.shards {
+			r := &sw.res[i]
+			switch {
+			case sh.product() == nil:
+			case r.Sign() == 0:
+				// Every prime of n is in this shard.
+				whole = append(whole, sh.forest)
+			default:
+				if gi := new(big.Int).GCD(nil, nil, n, r); gi.Cmp(one) > 0 {
+					proper = gi
+				}
+			}
 		}
-		if red.Mod(&r, product).Sign() == 0 {
-			// Every prime of n is in this shard.
-			g.Set(n)
-			whole = append(whole, sh.forest)
-			continue
-		}
-		gi := new(big.Int).GCD(nil, nil, n, &r)
-		if gi.Cmp(one) <= 0 {
-			continue
-		}
-		if gi.Cmp(n) < 0 {
-			proper = gi
-		}
-		g.Mul(g, gi)
-		g.GCD(nil, nil, g, n)
 	}
-	red.Reset(nil)
-	reducers.Put(red)
+	sw.red.Reset(nil)
+	for i := range sw.res {
+		prodtree.Wipe(&sw.res[i])
+	}
+	prodtree.Wipe(&sw.acc)
+	prodtree.Wipe(&sw.t)
+	prodtree.Wipe(&sw.q)
+	sweeps.Put(sw)
 	if g.Cmp(one) == 0 {
 		// Novel modulus the corpus cannot touch: run the bounded anomaly
 		// probes (trial division, Fermat ascent, Pollard rho). Members

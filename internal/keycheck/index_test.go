@@ -434,19 +434,28 @@ func TestStats(t *testing.T) {
 	}
 }
 
-// TestNovelCheckAllocations holds a warm novel check to a byte budget: a
-// key sharing one prime with a member of a 4,096-key, 8-shard snapshot
-// of 128-bit keys (shard products of about 1,000 words) sweeps every
-// shard product through one pooled Reducer, whose fold scratch outlives
-// the check. A fresh Reducer per check allocated
-// about 20,000 bytes a check here, most of it fold accumulators of up to
-// half a product's length; the budget is half of that. The rest, about
-// 5,300 bytes, is the per-shard GCDs, the fold constants and the verdict.
+// TestNovelCheckAllocations holds warm novel checks to their budgets on
+// a 4,096-key, 8-shard snapshot of 128-bit keys (shard products of about
+// 1,000 words), whose sweep goes through one pooled Reducer with its
+// fold scratch and constants outliving the check.
+//
+// A key sharing one prime with a member is held to a byte budget: a
+// fresh Reducer per check allocated about 20,000 bytes a check here,
+// most of it fold accumulators of up to half a product's length, and
+// the budget is half of that. With the fold constants kept too and the
+// split read off one GCD of the residues' product, what is left is
+// about 600 bytes: that GCD and the verdict.
+//
+// A clean key, two independent random 64-bit primes (consecutive ones
+// would fall to Fermat), is held to an allocation count: one GCD per
+// sweep, fold constants kept across checks and the probes on machine
+// words take it from 258 allocations a check to about 50; the budget
+// is 155.
 func TestNovelCheckAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
-	const keys, calls, budget = 4096, 200, 20000 / 2
+	const keys, calls, sharedBytes, cleanAllocs = 4096, 200, 20000 / 2, 155
 	primes := primesFrom(1<<63, 2*keys+1)
 	store := scanstore.New()
 	for i := 0; i < keys; i++ {
@@ -456,19 +465,75 @@ func TestNovelCheckAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := mul(primes[0], primes[2*keys])
-	if v := snap.Check(n); v.Status != StatusSharedFactor || v.Known {
-		t.Fatalf("novel key sharing a member's prime = %+v, want shared_factor", v)
+	rng := rand.New(rand.NewSource(4096))
+	clean := mul(primesFrom(rng.Uint64()|1<<63, 1)[0], primesFrom(rng.Uint64()|1<<63, 1)[0])
+	for _, c := range []struct {
+		name string
+		n    *big.Int
+		want Status
+	}{
+		{"shared", mul(primes[0], primes[2*keys]), StatusSharedFactor},
+		{"clean", clean, StatusClean},
+	} {
+		if v := snap.Check(c.n); v.Status != c.want || v.Known {
+			t.Fatalf("novel %s key = %+v, want %s", c.name, v, c.want)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			snap.Check(c.n)
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / calls
+		allocs := (after.Mallocs - before.Mallocs) / calls
+		t.Logf("a novel %s check: %d bytes, %d allocations", c.name, bytes, allocs)
+		if c.want == StatusSharedFactor && bytes > sharedBytes {
+			t.Errorf("a warm novel shared check allocates %d bytes, budget %d", bytes, sharedBytes)
+		}
+		if c.want == StatusClean && allocs > cleanAllocs {
+			t.Errorf("a warm novel clean check makes %d allocations, budget %d", allocs, cleanAllocs)
+		}
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		snap.Check(n)
+}
+
+// BenchmarkSnapshotCheckNovel is one novel check at the serving
+// benchmark's shape: a snapshot of 32,768 128-bit members in 8 shards
+// (shard products of about 8,200 words) and keys no scan has seen,
+// eight of each kind in turn. A clean key, two independent random 64-bit
+// primes, pays the sweep and the probes; a key sharing a prime with a
+// member pays the sweep and the per-shard GCDs.
+func BenchmarkSnapshotCheckNovel(b *testing.B) {
+	const keys, novel = 32768, 8
+	primes := primesFrom(1<<63, 2*keys+novel)
+	store := scanstore.New()
+	for i := 0; i < keys; i++ {
+		store.AddBareKeyObservation("10.7.0.1", date(2016, 1, 1), scanstore.SourceCensys, scanstore.SSH, mul(primes[2*i], primes[2*i+1]))
 	}
-	runtime.ReadMemStats(&after)
-	perCheck := (after.TotalAlloc - before.TotalAlloc) / calls
-	t.Logf("%d bytes a novel check", perCheck)
-	if perCheck > budget {
-		t.Errorf("a warm novel check allocates %d bytes, budget %d", perCheck, budget)
+	snap, err := Build(context.Background(), BuildInput{Store: store, Shards: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(32768))
+	var clean, shared []*big.Int
+	for i := 0; i < novel; i++ {
+		clean = append(clean, mul(primesFrom(rng.Uint64()|1<<63, 1)[0], primesFrom(rng.Uint64()|1<<63, 1)[0]))
+		shared = append(shared, mul(primes[rng.Intn(2*keys)], primes[2*keys+i]))
+	}
+	for _, c := range []struct {
+		name string
+		keys []*big.Int
+		want Status
+	}{{"clean", clean, StatusClean}, {"shared", shared, StatusSharedFactor}} {
+		for _, n := range c.keys {
+			if v := snap.Check(n); v.Status != c.want || v.Known {
+				b.Fatalf("novel %s key = %+v, want %s", c.name, v, c.want)
+			}
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				snap.Check(c.keys[i%novel])
+			}
+		})
 	}
 }

@@ -3,10 +3,12 @@ package keycheck
 import (
 	"context"
 	"math/big"
+	"slices"
 	"testing"
 
 	"github.com/factorable/weakkeys/internal/anomaly"
 	"github.com/factorable/weakkeys/internal/fingerprint"
+	"github.com/factorable/weakkeys/internal/numtheory"
 	"github.com/factorable/weakkeys/internal/scanstore"
 )
 
@@ -118,10 +120,17 @@ func divisorByLeafScan(s *Snapshot, n *big.Int) *big.Int {
 }
 
 // primesFrom returns the first count primes above start, ascending.
-// Baillie-PSW alone (ProbablyPrime(0)) is exact below 2^64.
+// Baillie-PSW alone (ProbablyPrime(0)) is exact below 2^64; a candidate
+// with a factor among the first 168 primes is passed over on words
+// first, which saves most of the tests at 64 bits. start must be past
+// those primes.
 func primesFrom(start uint64, count int) []*big.Int {
+	small := numtheory.FirstPrimes(168)
 	out := make([]*big.Int, 0, count)
 	for c := start | 1; len(out) < count; c += 2 {
+		if slices.ContainsFunc(small, func(p uint64) bool { return c%p == 0 }) {
+			continue
+		}
 		if p := new(big.Int).SetUint64(c); p.ProbablyPrime(0) {
 			out = append(out, p)
 		}

@@ -9,26 +9,67 @@ import (
 // among the first nPrimes primes, as (prime, exponent) pairs in
 // ascending order, plus the remaining cofactor. The bit-error analysis
 // uses this to show corrupted moduli carrying "divisors that are the
-// product of many small prime factors" (Section 3.3.5).
+// product of many small prime factors" (Section 3.3.5). Zero has no
+// factorization: SmallFactors(0, k) is (nil, 0).
+//
+// The primes are taken in runs whose product fits a machine word: one
+// pass over n's words yields n modulo the run's product, and the
+// residue modulo each prime of the run follows on words. Only a prime
+// that divides n pays for the exact big.Int division that counts its
+// exponent and takes it out of the cofactor; a prime q that does not
+// divide n divides no cofactor either, so n's residues decide for every
+// prime.
 func SmallFactors(n *big.Int, nPrimes int) (factors []PrimePower, cofactor *big.Int) {
 	cofactor = new(big.Int).Set(n)
+	if n.Sign() == 0 {
+		return nil, cofactor
+	}
+	words := n.Bits()
 	var q, m, rem big.Int
-	for _, p := range FirstPrimes(nPrimes) {
-		q.SetUint64(p)
-		exp := 0
-		for {
-			m.QuoRem(cofactor, &q, &rem)
-			if rem.Sign() != 0 {
+	primes := FirstPrimes(nPrimes)
+	for len(primes) > 0 {
+		run, prod := 1, primes[0]
+		for ; run < len(primes); run++ {
+			hi, lo := bits.Mul64(prod, primes[run])
+			if hi != 0 {
 				break
 			}
-			cofactor.Set(&m)
-			exp++
+			prod = lo
 		}
-		if exp > 0 {
+		r := remWords(words, prod)
+		for _, p := range primes[:run] {
+			if r%p != 0 {
+				continue
+			}
+			q.SetUint64(p)
+			exp := 0
+			for {
+				m.QuoRem(cofactor, &q, &rem)
+				if rem.Sign() != 0 {
+					break
+				}
+				cofactor.Set(&m)
+				exp++
+			}
 			factors = append(factors, PrimePower{Prime: p, Exp: exp})
 		}
+		primes = primes[run:]
 	}
 	return factors, cofactor
+}
+
+// remWords returns x mod d for the magnitude x held in words, d > 0, by
+// one word division per word of x.
+func remWords(words []big.Word, d uint64) uint64 {
+	var r uint64
+	for i := len(words) - 1; i >= 0; i-- {
+		if bits.UintSize == 64 {
+			_, r = bits.Div64(r, uint64(words[i]), d)
+		} else {
+			_, r = bits.Div64(r>>32, r<<32|uint64(words[i]), d)
+		}
+	}
+	return r
 }
 
 // PrimePower is one (prime, exponent) term of a factorization.
@@ -237,8 +278,17 @@ func (r *rho) resolve(b int) (d *big.Int, done bool) {
 	panic("numtheory: rho group product shares a factor with n that no batch does")
 }
 
-// unit reports whether gcd(p, n) = 1, leaving the GCD in r.gcd.
+// unit reports whether gcd(p, n) = 1, leaving the GCD in r.gcd. On
+// mont2 the GCD is taken on words and converted only when it is not 1.
 func (r *rho) unit(p []uint64) bool {
+	if r.m2 != nil {
+		g0, g1 := gcd2(p[0], p[1], r.m2.n0, r.m2.n1)
+		if g0 == 1 && g1 == 0 {
+			return true
+		}
+		setLimbs(&r.gcd, r.prodWords, []uint64{g0, g1})
+		return false
+	}
 	return r.gcd.GCD(nil, nil, setLimbs(&r.prodInt, r.prodWords, p), r.n).Cmp(one) == 0
 }
 
@@ -336,7 +386,30 @@ var fermatSieve = func() (s [4]struct {
 
 // fermatSieveProduct is the product of the sieve moduli: one reduction
 // by it yields the residue modulo each.
-var fermatSieveProduct = big.NewInt(64 * 63 * 65 * 11)
+const fermatSieveProduct = 64 * 63 * 65 * 11
+
+// fermatTables is the sieve specialised to one n: ok[j][a] is 1 when
+// a² - n is a square mod m_j for a ≡ a (mod m_j), else 0, so an ascent
+// step is one lookup per modulus, and-ed together with no multiply,
+// division or branch on the verdicts.
+type fermatTables [len(fermatSieve)][65]uint8
+
+// newFermatTables builds the tables for n ≡ nRes (mod fermatSieveProduct),
+// stepping v = a² - n mod m_j by (a+1)² = a² + 2a + 1 with no division.
+func newFermatTables(nRes uint64) (t fermatTables) {
+	for j := range fermatSieve {
+		s := &fermatSieve[j]
+		v := (s.m - nRes%s.m) % s.m
+		for a := uint64(0); a < s.m; a++ {
+			if s.qr[v] {
+				t[j][a] = 1
+			}
+			for v += 2*a + 1; v >= s.m; v -= s.m {
+			}
+		}
+	}
+	return t
+}
 
 // FermatFactor attempts to factor n = p*q with close primes by Fermat's
 // method: ascend a from ceil(sqrt(n)) and test whether a² - n is a
@@ -372,28 +445,27 @@ func fermatComposite(n *big.Int, maxSteps int) (p, q *big.Int) {
 	if a.Cmp(n) < 0 {
 		a0.Add(a0, one)
 	}
-	// The ascent itself runs on residues: am[j] tracks a mod m_j and
-	// nm[j] is n mod m_j. Only a candidate the sieve cannot rule out
-	// pays for a² - n and its square root.
-	aRes := a.Mod(a0, fermatSieveProduct).Uint64()
-	nRes := a.Mod(n, fermatSieveProduct).Uint64()
-	var am, nm [len(fermatSieve)]uint64
+	// The ascent itself runs on residues: am[j] tracks a mod m_j, and
+	// the tables turn it into the sieve's verdict. Only a candidate the
+	// sieve cannot rule out pays for a² - n and its square root.
+	ok := newFermatTables(remWords(n.Bits(), fermatSieveProduct))
+	aRes := remWords(a0.Bits(), fermatSieveProduct)
+	var am [len(fermatSieve)]uint64
 	for j := range fermatSieve {
-		am[j], nm[j] = aRes%fermatSieve[j].m, nRes%fermatSieve[j].m
+		am[j] = aRes % fermatSieve[j].m
 	}
 	b2 := new(big.Int)
 	b := new(big.Int)
 	bb := new(big.Int)
 	for i := 0; i < maxSteps; i++ {
-		maybeSquare := true
-		for j := range fermatSieve {
-			s := &fermatSieve[j]
-			maybeSquare = maybeSquare && s.qr[(am[j]*am[j]+s.m-nm[j])%s.m]
-			if am[j]++; am[j] == s.m {
+		maybeSquare := uint8(1)
+		for j := range am {
+			maybeSquare &= ok[j][am[j]]
+			if am[j]++; am[j] == fermatSieve[j].m {
 				am[j] = 0
 			}
 		}
-		if !maybeSquare {
+		if maybeSquare == 0 {
 			continue
 		}
 		a.SetInt64(int64(i))

@@ -28,6 +28,29 @@ func TestSmallFactors(t *testing.T) {
 	}
 }
 
+// TestSmallFactorsOfZeroReturns pins zero, which every prime divides: it
+// has no factorization, and trial division must say so rather than
+// divide it forever.
+func TestSmallFactorsOfZeroReturns(t *testing.T) {
+	type result struct {
+		factors  []PrimePower
+		cofactor *big.Int
+	}
+	done := make(chan result, 1)
+	go func() {
+		factors, cofactor := SmallFactors(new(big.Int), 128)
+		done <- result{factors, cofactor}
+	}()
+	select {
+	case r := <-done:
+		if r.factors != nil || r.cofactor.Sign() != 0 {
+			t.Errorf("SmallFactors(0, 128) = %v, %v, want nil, 0", r.factors, r.cofactor)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("SmallFactors(0, 128) did not return")
+	}
+}
+
 func TestPollardRhoFindsFactors(t *testing.T) {
 	cases := []struct {
 		a, b int64

@@ -181,33 +181,44 @@ func newMont2(n *big.Int) *mont2 {
 }
 
 // mul returns x·y·2⁻¹²⁸ mod n for x, y < n, by the same operand
-// scanning as mont.mul unrolled to two limbs: t stays below 2n, so it
-// fits in three limbs between rows.
+// scanning as mont.mul unrolled to two limbs: each limb of y adds one
+// row x·yi and one multiple q·n of the modulus that clears the low limb,
+// which is shifted out. t stays below 2n, so it fits in three limbs
+// between rows. The rows are written out in one body rather than called
+// one at a time, so t stays in registers from the first to the last.
 func (m *mont2) mul(x0, x1, y0, y1 uint64) (z0, z1 uint64) {
-	t0, t1, t2 := m.row(x0, x1, y0, 0, 0, 0)
-	t0, t1, t2 = m.row(x0, x1, y1, t0, t1, t2)
-	return m.reduce(t0, t1, t2)
-}
-
-// row returns (t + x·yi + q·n) / 2⁶⁴ for the q that makes the division
-// exact: one row of mul.
-func (m *mont2) row(x0, x1, yi, t0, t1, t2 uint64) (uint64, uint64, uint64) {
-	h0, l0 := bits.Mul64(x0, yi)
-	h1, l1 := bits.Mul64(x1, yi)
+	n0, n1, inv := m.n0, m.n1, m.n0inv
+	// Row 0 from t = 0: t = x·y0, then (t + q·n) / 2⁶⁴.
+	h0, t0 := bits.Mul64(x0, y0)
+	h1, l1 := bits.Mul64(x1, y0)
+	t1, c := bits.Add64(l1, h0, 0)
+	t2 := h1 + c
+	q := t0 * inv
+	h0, l0 := bits.Mul64(q, n0)
+	h1, l1 = bits.Mul64(q, n1)
 	p1, c := bits.Add64(l1, h0, 0)
 	p2 := h1 + c
+	_, c = bits.Add64(t0, l0, 0)
+	t0, c = bits.Add64(t1, p1, c)
+	t1, c = bits.Add64(t2, p2, c)
+	t2 = c
+	// Row 1: t + x·y1, then (t + q·n) / 2⁶⁴.
+	h0, l0 = bits.Mul64(x0, y1)
+	h1, l1 = bits.Mul64(x1, y1)
+	p1, c = bits.Add64(l1, h0, 0)
+	p2 = h1 + c
 	t0, c = bits.Add64(t0, l0, 0)
 	t1, c = bits.Add64(t1, p1, c)
 	t2, t3 := bits.Add64(t2, p2, c)
-	q := t0 * m.n0inv
-	h0, l0 = bits.Mul64(q, m.n0)
-	h1, l1 = bits.Mul64(q, m.n1)
+	q = t0 * inv
+	h0, l0 = bits.Mul64(q, n0)
+	h1, l1 = bits.Mul64(q, n1)
 	p1, c = bits.Add64(l1, h0, 0)
 	p2 = h1 + c
 	_, c = bits.Add64(t0, l0, 0)
 	t0, c = bits.Add64(t1, p1, c)
 	t1, c = bits.Add64(t2, p2, c)
-	return t0, t1, t3 + c
+	return m.reduce(t0, t1, t3+c)
 }
 
 // reduce returns t mod n for t < 2n held in three limbs. The choice
@@ -222,11 +233,16 @@ func (m *mont2) reduce(t0, t1, t2 uint64) (uint64, uint64) {
 	return s0 ^ (s0^t0)&keep, s1 ^ (s1^t1)&keep
 }
 
-// add returns x + y mod n for x, y < n.
+// add returns x + y mod n for x, y < n: the sum less n unless the sum,
+// with its carry, is below n. It is small enough to inline into rho's
+// loops, as reduce is.
 func (m *mont2) add(x0, x1, y0, y1 uint64) (uint64, uint64) {
-	z0, c := bits.Add64(x0, y0, 0)
-	z1, c := bits.Add64(x1, y1, c)
-	return m.reduce(z0, z1, c)
+	t0, c := bits.Add64(x0, y0, 0)
+	t1, c := bits.Add64(x1, y1, c)
+	s0, b := bits.Sub64(t0, m.n0, 0)
+	s1, b := bits.Sub64(t1, m.n1, b)
+	keep := -(b &^ c) // all ones when t < n
+	return s0 ^ (s0^t0)&keep, s1 ^ (s1^t1)&keep
 }
 
 // sub returns x - y mod n for x, y < n.
@@ -237,4 +253,26 @@ func (m *mont2) sub(x0, x1, y0, y1 uint64) (uint64, uint64) {
 	z0, c := bits.Add64(z0, m.n0&wrap, 0)
 	z1, _ = bits.Add64(z1, m.n1&wrap, c)
 	return z0, z1
+}
+
+// gcd2 returns gcd(a, b) for a < 2^128 and an odd b < 2^128, as (low,
+// high) limb pairs, by the binary method on words: with b odd, halving a
+// leaves the GCD alone, and so does taking the smaller of two odd values
+// from the larger. It is rho's unit test on the two-limb kernel, where a
+// math/big GCD of two-limb operands costs several times as much.
+func gcd2(a0, a1, b0, b1 uint64) (uint64, uint64) {
+	for a0|a1 != 0 {
+		if a0 == 0 {
+			a0, a1 = a1, 0
+		}
+		z := uint(bits.TrailingZeros64(a0))
+		a0, a1 = a0>>z|a1<<(64-z), a1>>z // a1<<64 is 0 when z is 0
+		if a1 < b1 || a1 == b1 && a0 < b0 {
+			a0, a1, b0, b1 = b0, b1, a0, a1
+		}
+		var c uint64
+		a0, c = bits.Sub64(a0, b0, 0)
+		a1, _ = bits.Sub64(a1, b1, c)
+	}
+	return b0, b1
 }

@@ -112,6 +112,34 @@ func oracleFermatFactor(n *big.Int, maxSteps int) (p, q *big.Int) {
 	return nil, nil
 }
 
+// oracleSmallFactors is trial division as this package shipped it before
+// the word-sized products: one exact big.Int division per prime, and
+// per prime factor again until it no longer divides. That loop never
+// ended on zero, which has no factorization; here zero is (nil, 0).
+func oracleSmallFactors(n *big.Int, nPrimes int) (factors []PrimePower, cofactor *big.Int) {
+	cofactor = new(big.Int).Set(n)
+	if n.Sign() == 0 {
+		return nil, cofactor
+	}
+	var q, m, rem big.Int
+	for _, p := range FirstPrimes(nPrimes) {
+		q.SetUint64(p)
+		exp := 0
+		for {
+			m.QuoRem(cofactor, &q, &rem)
+			if rem.Sign() != 0 {
+				break
+			}
+			cofactor.Set(&m)
+			exp++
+		}
+		if exp > 0 {
+			factors = append(factors, PrimePower{Prime: p, Exp: exp})
+		}
+	}
+	return factors, cofactor
+}
+
 // sameInt reports whether a and b are both nil or the same integer.
 func sameInt(a, b *big.Int) bool {
 	if a == nil || b == nil {
@@ -465,7 +493,8 @@ func checkMont(t *testing.T, n, x, y *big.Int) {
 }
 
 // checkMont2 holds the two-limb kernel to the slice kernel m and to
-// big.Int on a modulus of one or two limbs. Its R is 2^128 even for one
+// big.Int on a modulus of one or two limbs, and gcd2 to big.Int's
+// GCD. Its R is 2^128 even for one
 // limb, where mont's is 2^64, so there its product must equal mont's
 // multiplied once more by a plain 1.
 func checkMont2(t *testing.T, m *mont, n, x, y *big.Int, xs, ys []uint64) {
@@ -493,6 +522,10 @@ func checkMont2(t *testing.T, m *mont, n, x, y *big.Int, xs, ys []uint64) {
 		t.Errorf("mont2.mul(%v, %v) mod %v = %v, slice kernel %v", x, y, n, pair(g0, g1), pair(want[0], want[1]))
 	} else if g := pair(g0, g1); g.Cmp(n) >= 0 || mod(new(big.Int).Mul(g, r)).Cmp(mod(new(big.Int).Mul(x, y))) != 0 {
 		t.Errorf("mont2.mul(%v, %v) mod %v = %v", x, y, n, g)
+	}
+	// The binary GCD on words is big.Int's.
+	if g0, g1 := gcd2(x2[0], x2[1], m2.n0, m2.n1); pair(g0, g1).Cmp(new(big.Int).GCD(nil, nil, x, n)) != 0 {
+		t.Errorf("gcd2(%v, %v) = %v", x, n, pair(g0, g1))
 	}
 	// Into and out of Montgomery form is the identity.
 	z0, z1 := m2.mul(x2[0], x2[1], m2.r2[0], m2.r2[1])
@@ -556,5 +589,55 @@ func FuzzProbeMatchesOracle(f *testing.F) {
 			nb = nb[:40]
 		}
 		checkAgainstOracle(t, new(big.Int).SetBytes(nb), int(fermatSteps%1101), int(rhoSteps%1101))
+	})
+}
+
+// checkSmallFactors holds SmallFactors to the per-prime oracle on n cut
+// to 40 bytes and made negative if neg is set, with nPrimes up to 2,048.
+func checkSmallFactors(t *testing.T, nb []byte, nPrimes int, neg bool) {
+	t.Helper()
+	if len(nb) > 40 {
+		nb = nb[:40]
+	}
+	n := new(big.Int).SetBytes(nb)
+	if neg {
+		n.Neg(n)
+	}
+	nPrimes %= 2049
+	factors, cofactor := SmallFactors(n, nPrimes)
+	wantFactors, wantCofactor := oracleSmallFactors(n, nPrimes)
+	if !slices.Equal(factors, wantFactors) || cofactor.Cmp(wantCofactor) != 0 {
+		t.Errorf("SmallFactors(%v, %d) = %v, %v, oracle %v, %v", n, nPrimes, factors, cofactor, wantFactors, wantCofactor)
+	}
+}
+
+// TestSmallFactorsMatchesOracle runs seeded inputs that divide by many
+// small primes, and by high powers of them, through checkSmallFactors:
+// products of random runs of the first 2,048 primes with random
+// exponents, times a random cofactor, against every prime count from
+// none to past the last prime of the products.
+func TestSmallFactorsMatchesOracle(t *testing.T) {
+	t.Parallel()
+	rng := testRand(2108)
+	primes := FirstPrimes(2048)
+	for i := 0; i < 2000; i++ {
+		n := new(big.Int).Rand(rng, new(big.Int).Lsh(one, uint(rng.Intn(160))))
+		n.Add(n, one)
+		for j := rng.Intn(8); j > 0; j-- {
+			p := new(big.Int).SetUint64(primes[rng.Intn(len(primes))])
+			n.Mul(n, p.Exp(p, big.NewInt(int64(1+rng.Intn(6))), nil))
+		}
+		checkSmallFactors(t, n.Bytes(), rng.Intn(2049), i%7 == 0)
+	}
+}
+
+// FuzzSmallFactors holds SmallFactors to the per-prime oracle on
+// arbitrary n of up to 40 bytes, either sign, zero included, and prime
+// counts up to 2,048.
+func FuzzSmallFactors(f *testing.F) {
+	f.Add([]byte{}, uint16(128), false)
+	f.Add(new(big.Int).Exp(big.NewInt(17863), big.NewInt(9), nil).Bytes(), uint16(2048), true)
+	f.Fuzz(func(t *testing.T, nb []byte, nPrimes uint16, neg bool) {
+		checkSmallFactors(t, nb, int(nPrimes), neg)
 	})
 }

@@ -22,13 +22,33 @@ var (
 // bases. The answer is always the same, because ProbablyPrime always
 // runs a base-2 Miller–Rabin round, which every such n fails.
 func ProbePrime(n *big.Int) bool {
-	if n.Sign() > 0 && n.Bit(0) == 1 {
-		nm1 := new(big.Int).Sub(n, one)
-		if nm1.Exp(two, nm1, n).Cmp(one) != 0 {
-			return false
-		}
+	if n.Bit(0) == 1 && n.Cmp(one) > 0 && !fermatBase2(n) {
+		return false
 	}
 	return n.ProbablyPrime(12)
+}
+
+// fermatBase2 reports whether 2^(n-1) ≡ 1 (mod n) for an odd n > 1. Up
+// to two limbs the power is taken on mont2, where squaring the
+// Montgomery form of 2^e gives that of 2^2e and doubling it that of
+// 2^(e+1), so the left-to-right ladder needs no multiply by the base.
+func fermatBase2(n *big.Int) bool {
+	if n.BitLen() > 128 {
+		nm1 := new(big.Int).Sub(n, one)
+		return nm1.Exp(two, nm1, n).Cmp(one) == 0
+	}
+	m := newMont2(n)
+	var e [2]uint64
+	limbsOf(e[:], n)
+	e[0]-- // n is odd: no borrow
+	x0, x1 := m.one[0], m.one[1]
+	for i := n.BitLen() - 1; i >= 0; i-- {
+		x0, x1 = m.mul(x0, x1, x0, x1)
+		if e[i/64]>>(i%64)&1 != 0 {
+			x0, x1 = m.add(x0, x1, x0, x1)
+		}
+	}
+	return x0 == m.one[0] && x1 == m.one[1]
 }
 
 // NextPrime returns the smallest probable prime >= n. It scans odd

@@ -16,7 +16,8 @@ func testRand(seed int64) *rand.Rand {
 // it fronts: on every n below 2^16 (0, 1, 2 and the even n included),
 // on the base-2 Fermat pseudoprimes below 10^4, which pass the gate and
 // leave the decision to ProbablyPrime, and on primes and semiprimes of
-// 128 and 1024 bits.
+// 128 and 1024 bits; and the gate's own verdict to 2^(n-1) mod n on odd
+// n of 2 to 141 bits, either side of the two-limb kernel's reach.
 func TestProbePrimeMatchesProbablyPrime(t *testing.T) {
 	t.Parallel()
 	check := func(n *big.Int) {
@@ -43,6 +44,21 @@ func TestProbePrimeMatchesProbablyPrime(t *testing.T) {
 		check(p)
 		check(new(big.Int).Mul(p, q))
 		check(new(big.Int).Mul(q, randPrime(t, rng, bits/2)))
+	}
+	// The gate alone, on both of its paths, against big.Int.Exp: a gate
+	// that let composites through would still answer right, only slowly.
+	for i := 0; i < 3000; i++ {
+		n := new(big.Int).Rand(rng, new(big.Int).Lsh(one, uint(2+i%140)))
+		if n.SetBit(n, 0, 1); n.Cmp(one) == 0 {
+			continue
+		}
+		if i%10 == 0 {
+			n = randPrime(t, rng, 16+i%120)
+		}
+		nm1 := new(big.Int).Sub(n, one)
+		if got, want := fermatBase2(n), nm1.Exp(two, nm1, n).Cmp(one) == 0; got != want {
+			t.Errorf("fermatBase2(%v) = %v, 2^(n-1) mod n = 1 is %v", n, got, want)
+		}
 	}
 }
 

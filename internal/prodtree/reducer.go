@@ -19,22 +19,26 @@ import "math/big"
 // are extended lazily to the longest operand seen and serve every
 // reduction under the same n. The fold accumulators grow to the longest
 // operand's length and are kept: Reset points a Reducer at another
-// modulus, dropping the constants but not that storage, so a caller
-// reducing many operands under many short moduli (a novel check's sweep
-// of the shard products) can keep one Reducer per goroutine, or pool
-// them, and stop allocating a product's length of scratch per modulus.
+// modulus, dropping the constants' values but not their storage or the
+// accumulators', so a caller reducing many operands under many short
+// moduli (a novel check's sweep of the shard products) can keep one
+// Reducer per goroutine, or pool them, and stop allocating a product's
+// length of scratch, and the constants, per modulus.
 // A Reducer never writes its operands (tree nodes are shared and
 // immutable) and is not safe for concurrent use.
 type Reducer struct {
-	n   *big.Int
-	k   int        // len(n.Bits())
-	pow []*big.Int // pow[j] = B^point(j) mod n
+	n *big.Int
+	k int // len(n.Bits())
+	// pow[j] = B^point(j) mod n for the levels computed under n; the
+	// values past len(pow), up to cap(pow), are storage kept from
+	// earlier moduli.
+	pow []big.Int
 	// Folds alternate between the two acc values, each reading the other
 	// (or the caller's operand) through hi and lo, which only ever view
 	// storage they do not own and are emptied before Mod returns. q takes
-	// the last division's short quotient.
-	acc       [2]big.Int
-	hi, lo, q big.Int
+	// the last division's short quotient, and sq a constant's square.
+	acc           [2]big.Int
+	hi, lo, q, sq big.Int
 }
 
 // foldBase is the lowest fold point in multiples of len(n). A fold at m
@@ -56,9 +60,11 @@ func NewReducer(n *big.Int) *Reducer {
 }
 
 // Reset points r at the modulus n, as NewReducer(n) would, keeping the
-// scratch earlier reductions grew. Reset(nil) drops the modulus, leaving
-// r to be Reset again before its next Mod: what a pooled Reducer is put
-// back as, so the pool holds no caller's modulus.
+// scratch earlier reductions grew. Reset(nil) drops the modulus and
+// zeroes the words of every constant, of a constant's square and of the
+// last quotient, leaving r to be Reset again before its next Mod: what
+// a pooled Reducer is put back as, so the pool holds neither a caller's
+// modulus nor the values from which it divides back out.
 func (r *Reducer) Reset(n *big.Int) {
 	k := 0
 	if n != nil {
@@ -66,27 +72,44 @@ func (r *Reducer) Reset(n *big.Int) {
 			panic("prodtree: Reducer modulus must be positive")
 		}
 		k = len(n.Bits())
+	} else {
+		all := r.pow[:cap(r.pow)]
+		for i := range all {
+			Wipe(&all[i])
+		}
+		Wipe(&r.sq)
+		Wipe(&r.q)
 	}
-	clear(r.pow)
 	r.n, r.k, r.pow = n, k, r.pow[:0]
+}
+
+// Wipe sets x to 0 and zeroes every word of its storage, which it keeps.
+func Wipe(x *big.Int) {
+	w := x.Bits()
+	clear(w[:cap(w)])
+	x.SetBits(w[:0])
 }
 
 // point returns fold point j in words.
 func (r *Reducer) point(j int) int { return foldBase * r.k << j }
 
-// constant returns B^point(j) mod n, squaring up to level j on first use.
+// constant returns B^point(j) mod n, squaring up to level j on first
+// use into the storage earlier moduli left.
 func (r *Reducer) constant(j int) *big.Int {
-	for len(r.pow) <= j {
-		c := new(big.Int)
-		if len(r.pow) == 0 {
-			c.Lsh(one, uint(r.point(0)*wordBits))
+	for i := len(r.pow); i <= j; i++ {
+		if i == 0 {
+			r.sq.Lsh(one, uint(r.point(0)*wordBits))
 		} else {
-			last := r.pow[len(r.pow)-1]
-			c.Mul(last, last)
+			r.sq.Mul(&r.pow[i-1], &r.pow[i-1])
 		}
-		r.pow = append(r.pow, c.Mod(c, r.n))
+		if i < cap(r.pow) {
+			r.pow = r.pow[:i+1]
+		} else {
+			r.pow = append(r.pow, big.Int{})
+		}
+		r.q.QuoRem(&r.sq, r.n, &r.pow[i])
 	}
-	return r.pow[j]
+	return &r.pow[j]
 }
 
 // Mod sets z to x mod n, the canonical 0 ≤ z < n of big.Int.Mod, and

@@ -17,7 +17,9 @@ import (
 // to moduli of 1, 2, 16 and 40 words, emptied with Reset(nil) as a pool
 // returns it, and Reset back to n, with the run (plus one operand long
 // enough to fold under each) held to big.Int.Mod after every retarget:
-// a Reset that kept the previous modulus's constants fails here.
+// a Reset that kept the previous modulus's constants fails here, and
+// so does a Reset(nil) that leaves a word of them, of a constant's
+// square or of the last quotient behind.
 func checkReducer(t *testing.T, x, n *big.Int) {
 	t.Helper()
 	sq := new(big.Int).Mul(x, x)
@@ -53,6 +55,15 @@ func checkReducer(t *testing.T, x, n *big.Int) {
 		run(m, operands)
 	}
 	r.Reset(nil)
+	left := []*big.Int{&r.sq, &r.q}
+	for i := range r.pow[:cap(r.pow)] {
+		left = append(left, &r.pow[:cap(r.pow)][i])
+	}
+	for _, c := range left {
+		if w := c.Bits(); c.Sign() != 0 || slices.ContainsFunc(w[:cap(w)], func(w big.Word) bool { return w != 0 }) {
+			t.Fatalf("Reset(nil) left a word of a constant, a square or a quotient behind")
+		}
+	}
 	r.Reset(n)
 	run(n, operands)
 }
@@ -112,6 +123,35 @@ func TestReducerModulusShapes(t *testing.T) {
 		}
 	}()
 	NewReducer(new(big.Int))
+}
+
+// TestReducerResetAllocations: a warm Reducer Reset from one two-word
+// modulus to another, and emptied with Reset(nil) between them as a
+// pool returns it, reduces a 2,000-word operand without allocating: the
+// fold constants are recomputed into the storage the last modulus left,
+// as the accumulators already were.
+func TestReducerResetAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	rng := rand.New(rand.NewSource(6))
+	x := new(big.Int).Rand(rng, ones(2000))
+	moduli := []*big.Int{new(big.Int).Rand(rng, ones(2)), new(big.Int).Rand(rng, ones(2))}
+	for _, n := range moduli {
+		n.SetBit(n, 2*wordBits-1, 1)
+	}
+	r, z := NewReducer(moduli[0]), new(big.Int)
+	r.Mod(z, x)
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(moduli[i%2])
+		r.Mod(z, x)
+		r.Reset(nil)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("a Reset and a reduction allocate %v times, want 0", allocs)
+	}
 }
 
 // FuzzReducerMatchesMod: Reducer.Mod equals big.Int.Mod for arbitrary x
