@@ -4,6 +4,7 @@ import (
 	"archive/tar"
 	"compress/gzip"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -50,6 +51,49 @@ func TestStudy(t *testing.T) {
 	if err != nil || table == "" || out != "Table 1"+table {
 		t.Errorf("study on a single tree: %v\n%s%s\nwant the k=3 run's:\nTable 1%s", err, errOut, out, table)
 	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/study.golden from this tree's weakkeys")
+
+// TestStudyGolden holds the whole study's report to testdata/study.golden line for line, durations
+// masked: every table, figure and verdict count the reproduction prints. `go test ./e2e -run
+// StudyGolden -update` rewrites the file; a change to it is a change to what the study reports.
+func TestStudyGolden(t *testing.T) {
+	t.Parallel()
+	out, errOut, err := run("", "weakkeys", "-all", "-anomalies", "-q", "-scale", "0.05")
+	if err != nil {
+		t.Fatalf("weakkeys -all: %v\n%s", err, errOut)
+	}
+	got := regexp.MustCompile(`([0-9]+(\.[0-9]+)?(ns|µs|ms|h|m|s))+\b`).ReplaceAllString(out, "<duration>")
+	const golden = "testdata/study.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(raw), "\n")
+	heading, headingRE := "(top)", regexp.MustCompile(`^(Table|Figure) [0-9]+:`)
+	for i := range max(len(gotLines), len(wantLines)) {
+		g, w := at(gotLines, i), at(wantLines, i)
+		if g != w {
+			t.Fatalf("study output differs from %s at line %d, under %q:\n got %q\nwant %q", golden, i+1, heading, g, w)
+		}
+		if headingRE.MatchString(g) {
+			heading = g
+		}
+	}
+}
+
+// at returns lines[i], or "(end of output)" past the last line.
+func at(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "(end of output)"
 }
 
 // TestOneShot covers the binaries that run to completion: each example's headline claim, README's
