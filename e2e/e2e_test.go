@@ -101,9 +101,9 @@ func at(lines []string, i int) string {
 // mistake, exit non-zero and never get as far as binding a listener.
 func TestOneShot(t *testing.T) {
 	t.Parallel()
-	for _, tc := range []struct { // keygen: the arguments of a keygen piped into stdin
-		bin, args, want, keygen string
-		bad                     bool
+	for _, tc := range []struct { // stdin: in, or the output of a keygen run with these arguments
+		bin, args, want, keygen, in string
+		bad                         bool
 	}{
 		{bin: "quickstart", want: "Vulnerable RSA moduli"},
 		{bin: "entropyhole", want: "decrypted RSA ciphertext with the recovered key: 0x5e55104cafe (want 0x5e55104cafe)"},
@@ -115,6 +115,8 @@ func TestOneShot(t *testing.T) {
 		{bin: "batchgcd", args: "-k 4 -stats", keygen: "-n 200 -weak 0.05", want: "factored 9 of 200 moduli"},
 		{bin: "batchgcd", args: "-k 4 -stats", keygen: "-n 60 -weak 0.1 -format ssh", want: "factored 5 of 60 moduli"},
 		{bin: "batchgcd", args: "-k 4 -stats", keygen: "-n 60 -weak 0.1 -format pem", want: "factored 5 of 60 moduli"},
+		{bad: true, bin: "batchgcd", in: "-----BEGIN WEAKKEYS RSA MODULUS-----\nAA==\n-----END WEAKKEYS RSA MODULUS-----\n",
+			want: "batchgcd: certs: modulus block 0 is not positive"},
 		{bad: true, bin: "keyrouter", args: "-listen 127.0.0.1:0", want: "keyrouter: -replicas is required"},
 		{bad: true, bin: "keyserverd", args: "-listen 127.0.0.1:0 -cluster-self 127.0.0.1:1 -cluster-peers 127.0.0.1:2,127.0.0.1:3",
 			want: `keyserverd: -cluster-self "127.0.0.1:1" does not appear in -cluster-peers`},
@@ -123,7 +125,7 @@ func TestOneShot(t *testing.T) {
 		{bad: true, bin: "zscand", args: "-diag 127.0.0.1:0 -shard 3/2", want: `zscand: -shard "3/2": index must be in [0,2)`},
 		{bad: true, bin: "weakkeys", args: "-listen 127.0.0.1:0 -log-format xml", want: `weakkeys: -log-format must be text or json, got "xml"`},
 	} {
-		var in string
+		in := tc.in
 		if tc.keygen != "" {
 			var err error
 			if in, _, err = run("", "keygen", strings.Fields(tc.keygen+" -bits 256 -seed 7")...); err != nil {

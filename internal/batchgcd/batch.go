@@ -32,10 +32,18 @@ type Batch struct {
 }
 
 // NewBatch deduplicates moduli (see Dedup) and builds their product
-// tree on the shared kernel pool. Input values are not modified.
+// tree on the shared kernel pool. Input values are not modified. A
+// modulus below 1 is an error naming its index: nothing could be reduced
+// modulo it. Even moduli are legal (bit errors make them; fingerprinting
+// sets them aside).
 func NewBatch(ctx context.Context, moduli []*big.Int) (*Batch, error) {
 	if len(moduli) == 0 {
 		return nil, ErrNoInput
+	}
+	for i, n := range moduli {
+		if n.Sign() <= 0 {
+			return nil, fmt.Errorf("batchgcd: modulus %d is not positive", i)
+		}
 	}
 	distinct, backrefs := Dedup(moduli)
 	tree, err := prodtree.NewCtx(ctx, distinct)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/big"
+	"strings"
 	"testing"
 )
 
@@ -115,6 +116,31 @@ func TestBatchSingleModulusAndDuplicates(t *testing.T) {
 	}
 	if _, err := NewBatch(ctx, nil); err != ErrNoInput {
 		t.Errorf("empty batch err = %v, want ErrNoInput", err)
+	}
+}
+
+// TestBatchRejectsNonPositive: a zero or negative modulus is an error
+// naming the first such index, where it used to panic in the Reducer;
+// even moduli stay legal.
+func TestBatchRejectsNonPositive(t *testing.T) {
+	for _, c := range []struct {
+		moduli []int64
+		want   string
+	}{
+		{[]int64{0, 15, 21}, "modulus 0 is not positive"},
+		{[]int64{15, -35, 21, 0}, "modulus 1 is not positive"},
+	} {
+		moduli := make([]*big.Int, len(c.moduli))
+		for i, v := range c.moduli {
+			moduli[i] = big.NewInt(v)
+		}
+		if _, err := Factor(moduli); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Factor(%v) err = %v, want %q", c.moduli, err, c.want)
+		}
+	}
+	res, err := Factor([]*big.Int{big.NewInt(10), big.NewInt(15), big.NewInt(21)})
+	if err != nil || len(res) != 3 {
+		t.Errorf("Factor(10, 15, 21) = %v, %v; want all three factored", res, err)
 	}
 }
 

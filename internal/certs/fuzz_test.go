@@ -82,8 +82,8 @@ func FuzzParseModulusPEMs(f *testing.F) {
 			return
 		}
 		for _, m := range mods {
-			if m == nil {
-				t.Fatal("nil modulus returned without error")
+			if m == nil || m.Sign() <= 0 {
+				t.Fatalf("modulus %v returned without error", m)
 			}
 		}
 	})

@@ -38,7 +38,8 @@ func EncodeModulusPEM(w io.Writer, n *big.Int) error {
 	return pem.Encode(w, &pem.Block{Type: PEMModulusType, Bytes: n.Bytes()})
 }
 
-// ParseModulusPEMs reads every modulus PEM block from data.
+// ParseModulusPEMs reads every modulus PEM block from data; a block whose
+// value is not positive is an error naming its index.
 func ParseModulusPEMs(data []byte) ([]*big.Int, error) {
 	var out []*big.Int
 	for {
@@ -50,10 +51,13 @@ func ParseModulusPEMs(data []byte) ([]*big.Int, error) {
 		if block.Type != PEMModulusType {
 			continue
 		}
-		if len(block.Bytes) == 0 {
-			return nil, fmt.Errorf("certs: empty modulus block %d", len(out))
+		// An empty block or one of zero bytes is no modulus, as a hex line
+		// of zero is none to cmd/batchgcd: nothing downstream divides by it.
+		n := new(big.Int).SetBytes(block.Bytes)
+		if n.Sign() <= 0 {
+			return nil, fmt.Errorf("certs: modulus block %d is not positive", len(out))
 		}
-		out = append(out, new(big.Int).SetBytes(block.Bytes))
+		out = append(out, n)
 	}
 	return out, nil
 }

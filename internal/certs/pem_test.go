@@ -5,6 +5,7 @@ import (
 	"encoding/pem"
 	"io"
 	"math/big"
+	"strings"
 	"testing"
 )
 
@@ -83,5 +84,20 @@ func TestModulusPEMRoundTrip(t *testing.T) {
 	}
 	if out, err := ParseModulusPEMs(nil); err != nil || len(out) != 0 {
 		t.Error("empty input should parse to nothing")
+	}
+}
+
+// TestModulusPEMRejectsZero: a block of one zero byte, or of none, is no
+// modulus and fails with its index, as a hex line of zero does.
+func TestModulusPEMRejectsZero(t *testing.T) {
+	for _, body := range []string{"AA==", ""} {
+		var buf bytes.Buffer
+		if err := EncodeModulusPEM(&buf, big.NewInt(15)); err != nil {
+			t.Fatal(err)
+		}
+		buf.WriteString("-----BEGIN WEAKKEYS RSA MODULUS-----\n" + body + "\n-----END WEAKKEYS RSA MODULUS-----\n")
+		if mods, err := ParseModulusPEMs(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "block 1 is not positive") {
+			t.Errorf("block %q: %v, %v; want block 1 rejected", body, mods, err)
+		}
 	}
 }

@@ -4,13 +4,17 @@ import "math/big"
 
 // SmoothPart returns the largest divisor of n composed entirely of primes
 // among the first nPrimes primes, together with the remaining cofactor.
-// n must be positive. The bit-error classifier uses this: one or more bit
+// n must not be negative; SmoothPart(0, k) is (1, 0), as SmallFactors
+// leaves zero whole. The bit-error classifier uses this: one or more bit
 // flips in a valid RSA modulus yield an essentially random integer, which
 // is expected to carry many small prime factors, whereas a well-formed
 // modulus p*q has none.
 func SmoothPart(n *big.Int, nPrimes int) (smooth, cofactor *big.Int) {
 	smooth = big.NewInt(1)
 	cofactor = new(big.Int).Set(n)
+	if n.Sign() == 0 { // every prime divides zero: dividing it out never ends
+		return smooth, cofactor
+	}
 	var q, m big.Int
 	for _, p := range FirstPrimes(nPrimes) {
 		q.SetUint64(p)

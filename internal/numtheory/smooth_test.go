@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSmoothPart(t *testing.T) {
@@ -20,6 +21,24 @@ func TestSmoothPart(t *testing.T) {
 		if s.Int64() != c.smooth || cf.Int64() != c.cofactor {
 			t.Errorf("SmoothPart(%d) = (%v,%v), want (%d,%d)", c.n, s, cf, c.smooth, c.cofactor)
 		}
+	}
+}
+
+// TestSmoothPartOfZero: every prime divides zero, so dividing them out
+// must stop at once rather than run forever; zero's answer is (1, 0).
+func TestSmoothPartOfZero(t *testing.T) {
+	done := make(chan [2]*big.Int, 1)
+	go func() {
+		s, cf := SmoothPart(new(big.Int), 100)
+		done <- [2]*big.Int{s, cf}
+	}()
+	select {
+	case got := <-done:
+		if got[0].Cmp(big.NewInt(1)) != 0 || got[1].Sign() != 0 {
+			t.Errorf("SmoothPart(0) = (%v,%v), want (1,0)", got[0], got[1])
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("SmoothPart(0) did not return within 2s")
 	}
 }
 
