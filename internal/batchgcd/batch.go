@@ -22,7 +22,7 @@ import (
 // they partition: one batch (FactorCtx), k round-robin batches
 // exchanging products (internal/distgcd), or a delta batch against
 // standing shard products (keycheck's Snapshot.Ingest, which needs each
-// shard's Residues apart).
+// shard's divisors apart: ForeignDivisors).
 //
 // A Batch is immutable once built; its methods may run concurrently.
 type Batch struct {
@@ -74,10 +74,75 @@ func (b *Batch) OwnResidues(ctx context.Context, foreign ...*big.Int) ([]*big.In
 	return b.tree.CofactorResiduesCtx(ctx, foreign...)
 }
 
-// Residues returns q mod Ni for a product q of moduli outside the
-// batch. q is not modified.
-func (b *Batch) Residues(ctx context.Context, q *big.Int) ([]*big.Int, error) {
-	return b.tree.RemainderTreeCtx(ctx, q)
+// splitPerLevel bounds how many moduli ForeignDivisors splits one by
+// one, per level of the batch's tree. A split reduces each q mod P once
+// more, by Ni: a linear pass. Past about 6 moduli a level at 128 moduli
+// and 12 at 8,192 (128-bit moduli, one core), a descent of each q mod P
+// costs less.
+const splitPerLevel = 4
+
+// ForeignDivisors returns, for each product qs[s] of moduli outside the
+// batch, gcd(Ni, qs[s]) per modulus, nil where it is 1: the primes Ni
+// shares with each product, apart. Every q is reduced mod P once, side
+// by side under one set of P's fold constants (Reducer.ModEach). The
+// residues' product mod P is pushed down the tree and GCD'd once: a
+// prime divides it exactly when it divides some q, so a modulus whose
+// divisor of it is 1 shares with no q. Only the others are split back
+// per q, as gcd(Ni, (q mod P) mod Ni). That costs a pass over q mod P
+// per modulus, so once more than splitPerLevel moduli a tree level
+// share, each q mod P descends the tree itself instead. qs is not
+// modified.
+func (b *Batch) ForeignDivisors(ctx context.Context, qs []*big.Int) ([][]*big.Int, error) {
+	if len(qs) == 0 {
+		return nil, nil
+	}
+	tops, err := prodtree.NewReducer(b.Product()).ModEach(ctx, qs)
+	if err != nil {
+		return nil, err
+	}
+	rems, err := b.tree.RemainderTreeCtx(ctx, tops[0], tops[1:]...)
+	if err != nil {
+		return nil, err
+	}
+	combined, err := b.Divisors(ctx, rems)
+	if err != nil {
+		return nil, err
+	}
+	var hits []int
+	for i, d := range combined {
+		if d != nil {
+			hits = append(hits, i)
+		}
+	}
+	divs := make([][]*big.Int, len(qs))
+	if len(hits) > splitPerLevel*len(b.tree.Levels) {
+		for s, top := range tops {
+			rems, err := b.tree.RemainderTreeCtx(ctx, top)
+			if err == nil {
+				divs[s], err = b.Divisors(ctx, rems)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		return divs, nil
+	}
+	for s := range divs {
+		divs[s] = make([]*big.Int, len(b.moduli))
+	}
+	err = kernel.FromContext(ctx).Run(ctx, len(hits), func(k int, a *kernel.Arena) {
+		i := hits[k]
+		n, r, g := b.moduli[i], a.Get(), a.Get()
+		for s, top := range tops {
+			if g.GCD(nil, nil, r.Mod(top, n), n).Cmp(bigOne) != 0 {
+				divs[s][i] = new(big.Int).Set(g)
+			}
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("batchgcd: gcd split cancelled: %w", err)
+	}
+	return divs, nil
 }
 
 // Divisors returns gcd(Ni, acc[i]) per modulus, nil where it is 1. A

@@ -18,10 +18,10 @@ func product(vals []*big.Int) *big.Int {
 }
 
 // TestBatchAgainstNaiveMod pins each Batch operation to plain big.Int
-// arithmetic: own residues are (P/Ni) mod Ni, foreign residues q mod Ni,
-// own residues with foreign products (P/Ni)·∏q mod Ni, Divisors the gcd
-// with Ni (nil where 1) — and the combined residues yield the divisors
-// one tree over both halves reports.
+// arithmetic: own residues are (P/Ni) mod Ni, foreign divisors gcd(q, Ni)
+// per foreign product q (nil where 1), own residues with foreign products
+// (P/Ni)·∏q mod Ni, Divisors the gcd with Ni (nil where 1) — and the
+// combined residues yield the divisors one tree over both halves reports.
 func TestBatchAgainstNaiveMod(t *testing.T) {
 	ctx := context.Background()
 	ps := corpus(t, 21, 12, 48)
@@ -41,7 +41,7 @@ func TestBatchAgainstNaiveMod(t *testing.T) {
 	}
 	q1, q2 := product(theirs[0]), product(theirs[1])
 	q1Want, q2Want := new(big.Int).Set(q1), new(big.Int).Set(q2)
-	foreign, err := b.Residues(ctx, q1)
+	foreign, err := b.ForeignDivisors(ctx, []*big.Int{q1, q2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,15 +50,18 @@ func TestBatchAgainstNaiveMod(t *testing.T) {
 		t.Fatal(err)
 	}
 	if q1.Cmp(q1Want) != 0 || q2.Cmp(q2Want) != 0 {
-		t.Error("Residues or OwnResidues modified a foreign product")
+		t.Error("ForeignDivisors or OwnResidues modified a foreign product")
 	}
 	for i, n := range ours {
 		cofactor := new(big.Int).Quo(b.Product(), n)
 		if want := new(big.Int).Mod(cofactor, n); own[i].Cmp(want) != 0 {
 			t.Errorf("own residue %d = %v, want (P/N) mod N = %v", i, own[i], want)
 		}
-		if want := new(big.Int).Mod(q1, n); foreign[i].Cmp(want) != 0 {
-			t.Errorf("foreign residue %d = %v, want q mod N = %v", i, foreign[i], want)
+		for s, q := range []*big.Int{q1, q2} {
+			want := new(big.Int).GCD(nil, nil, q, n)
+			if got := foreign[s][i]; want.Cmp(bigOne) == 0 && got != nil || want.Cmp(bigOne) != 0 && (got == nil || got.Cmp(want) != 0) {
+				t.Errorf("foreign divisor %d of product %d = %v, want gcd(q, N) = %v, nil for 1", i, s, got, want)
+			}
 		}
 		want := cofactor.Mul(cofactor, q1).Mul(cofactor, q2).Mod(cofactor, n)
 		if all[i].Cmp(want) != 0 {
@@ -82,6 +85,46 @@ func TestBatchAgainstNaiveMod(t *testing.T) {
 	}
 	if zero[0] == nil || zero[0].Cmp(ours[0]) != 0 || zero[1] != nil {
 		t.Errorf("divisors of a zero residue = %v, want N itself then nil", zero[:2])
+	}
+}
+
+// TestForeignDivisorsAgainstGCD holds ForeignDivisors to gcd(q, Ni) per
+// product and modulus, with few moduli sharing (each split one by one)
+// and with most (each product descending the tree), including moduli
+// whose primes sit in two products and moduli one product holds whole.
+func TestForeignDivisorsAgainstGCD(t *testing.T) {
+	ctx := context.Background()
+	ps := corpus(t, 24, 96, 48)
+	for _, shared := range []int{2, 48} {
+		// ours[i] takes its first prime from the foreign pool ps[:32] for
+		// i < shared, its second from ps[32:] always.
+		var ours []*big.Int
+		for i := 0; i < 48; i++ {
+			p := ps[48+i%48]
+			if i < shared {
+				p = ps[i%32]
+			}
+			ours = append(ours, mul(p, ps[48+(i+17)%48]))
+		}
+		ours = append(ours, mul(ps[0], ps[16])) // primes in two products
+		ours = append(ours, mul(ps[1], ps[2]))  // one product holds it whole
+		b, err := NewBatch(ctx, ours)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := []*big.Int{product(ps[:16]), product(ps[16:32]), product(ps[80:81])}
+		divs, err := b.ForeignDivisors(ctx, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, q := range qs {
+			for i, n := range ours {
+				want := new(big.Int).GCD(nil, nil, q, n)
+				if got := divs[s][i]; want.Cmp(bigOne) == 0 && got != nil || want.Cmp(bigOne) != 0 && (got == nil || got.Cmp(want) != 0) {
+					t.Errorf("shared=%d: divisor of modulus %d by product %d = %v, want %v (nil for 1)", shared, i, s, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -162,10 +205,10 @@ func TestBatchCancelled(t *testing.T) {
 	cancel()
 	_, errNew := NewBatch(ctx, moduli)
 	_, errOwn := b.OwnResidues(ctx)
-	_, errRes := b.Residues(ctx, ps[0])
+	_, errRes := b.ForeignDivisors(ctx, []*big.Int{ps[0], ps[1]})
 	_, errFor := b.OwnResidues(ctx, ps[0], ps[1])
 	_, errDiv := b.Divisors(ctx, own)
-	for op, err := range map[string]error{"NewBatch": errNew, "OwnResidues": errOwn, "Residues": errRes, "OwnResidues(foreign)": errFor, "Divisors": errDiv} {
+	for op, err := range map[string]error{"NewBatch": errNew, "OwnResidues": errOwn, "ForeignDivisors": errRes, "OwnResidues(foreign)": errFor, "Divisors": errDiv} {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s on a cancelled context: err = %v, want wrapped context.Canceled", op, err)
 		}

@@ -287,10 +287,11 @@ type sweepResult struct {
 // sweep builds one Batch over the delta moduli and takes it against
 // itself — primes shared among the new moduli (a fresh batch of devices
 // from the same flawed firmware) never touch the old products — and
-// against every standing shard product: gcd(N, P mod N) exposes the
-// primes N shares with the shard. Shards fan out on the shared kernel
-// pool, like Build, and one that yielded divisors goes straight on to
-// find the members they belong to (findMates).
+// against every standing shard product at once: gcd(N, P mod N) exposes
+// the primes N shares with the shard, and Batch.ForeignDivisors finds
+// them for every shard from one descent of the delta's tree. Shards then
+// fan out on the shared kernel pool, like Build, each to find the
+// members its divisors belong to (findMates).
 func (s *Snapshot) sweep(ctx context.Context, moduli []*big.Int) (*sweepResult, error) {
 	b, err := batchgcd.NewBatch(ctx, moduli)
 	if err == nil && b.Len() != len(moduli) {
@@ -308,35 +309,29 @@ func (s *Snapshot) sweep(ctx context.Context, moduli []*big.Int) (*sweepResult, 
 		return nil, fmt.Errorf("keycheck: ingest: delta batch GCD: %w", err)
 	}
 	var treed []int // shards that actually hold a product
+	var products []*big.Int
 	for si, sh := range s.shards {
 		if sh.forest != nil {
 			treed = append(treed, si)
+			products = append(products, sh.product())
 		}
 	}
-	errs := make([]error, len(s.shards))
+	divs, err := b.ForeignDivisors(ctx, products)
+	if err != nil {
+		return nil, fmt.Errorf("keycheck: ingest: shard sweep: %w", err)
+	}
+	for k, si := range treed {
+		sw.byShard[si] = divs[k]
+	}
 	matesTook := make([]time.Duration, len(s.shards))
-	runErr := kernel.FromContext(ctx).Run(ctx, len(treed), func(k int, a *kernel.Arena) {
+	err = kernel.FromContext(ctx).Run(ctx, len(treed), func(k int, a *kernel.Arena) {
 		si := treed[k]
-		sh := s.shards[si]
-		rems, err := b.Residues(ctx, sh.product())
-		if err == nil {
-			sw.byShard[si], err = b.Divisors(ctx, rems)
-		}
-		if err != nil {
-			errs[si] = fmt.Errorf("keycheck: ingest shard %d: %w", si, err)
-			return
-		}
 		start := time.Now()
-		sw.mates[si] = findMates(sh.forest, sw.byShard[si], a.Get())
+		sw.mates[si] = findMates(s.shards[si].forest, sw.byShard[si], a.Get())
 		matesTook[si] = time.Since(start)
 	})
-	if runErr != nil {
-		return nil, fmt.Errorf("keycheck: ingest cancelled: %w", runErr)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, fmt.Errorf("keycheck: ingest cancelled: %w", err)
 	}
 	sw.matesElapsed = slices.Max(matesTook)
 	return sw, nil

@@ -8,6 +8,7 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -185,48 +186,108 @@ func BenchmarkFindMates(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestBatch: 100-key deltas of novel 128-bit semiprimes
-// ingested one after another into a 32,768-key, 8-shard snapshot (the
-// shape of the bench's scan_ingest corpus), reporting the mean sweep and
-// merge step per delta from IngestReport.Steps. -benchtime 30x is thirty
-// such deltas.
+// novelStore returns a store of n moduli, each the product of factors
+// 64-bit primes above *next, which it advances past them.
+func novelStore(n, factors int, next *uint64) *scanstore.Store {
+	primes := primesFrom(*next, factors*n)
+	*next = primes[len(primes)-1].Uint64() + 2
+	store := scanstore.New()
+	for i := 0; i < n; i++ {
+		m := new(big.Int).Set(one)
+		for _, p := range primes[factors*i : factors*(i+1)] {
+			m.Mul(m, p)
+		}
+		store.AddBareKeyObservation("10.6.0.1", date(2016, 1, 1), scanstore.SourceCensys, scanstore.SSH, m)
+	}
+	return store
+}
+
+// BenchmarkIngestBatch: deltas of novel moduli ingested one after
+// another into an 8-shard snapshot, reporting the mean sweep and merge
+// step per delta from IngestReport.Steps. -benchtime 30x is thirty such
+// deltas. The 128-bit semiprimes take the bench's scan_ingest corpus
+// (32,768 keys) and deltas of 100 keys and of 128 and 256 (the zscan
+// bridge's batch and twice it). The wide case is 4,096 keys of 1,008
+// bits, each the product of sixteen 64-bit primes (the sweep sees only
+// their width; shard products as long as the narrow case's), under
+// 128-key deltas whose root, 2,048 limbs, is past scaledCrossover: the
+// paper's width, where the delta's tree takes the scaled descent.
 func BenchmarkIngestBatch(b *testing.B) {
-	const corpus, delta = 32768, 100
-	next := uint64(1 << 63)
-	semiprimes := func(n int) *scanstore.Store {
-		primes := primesFrom(next, 2*n)
-		next = primes[len(primes)-1].Uint64() + 2
-		store := scanstore.New()
-		for i := 0; i < n; i++ {
-			store.AddBareKeyObservation("10.6.0.1", date(2016, 1, 1), scanstore.SourceCensys, scanstore.SSH, mul(primes[2*i], primes[2*i+1]))
-		}
-		return store
-	}
 	ctx := context.Background()
-	base, err := Build(ctx, BuildInput{Store: semiprimes(corpus), Shards: DefaultShards})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run(fmt.Sprintf("keys=%d/delta=%d", corpus, delta), func(b *testing.B) {
-		snap := base
-		var sweep, merge time.Duration
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			in := BuildInput{Store: semiprimes(delta)}
-			b.StartTimer()
-			var rep IngestReport
-			if snap, rep, err = snap.Ingest(ctx, in); err != nil {
-				b.Fatal(err)
-			}
-			if rep.DeltaModuli != delta {
-				b.Fatalf("delta %d: %d novel keys, want %d", i, rep.DeltaModuli, delta)
-			}
-			sweep += rep.Steps.Sweep
-			merge += rep.Steps.Merge
+	next := uint64(1 << 63)
+	for _, c := range []struct {
+		corpus, factors int
+		deltas          []int
+	}{
+		{32768, 2, []int{100, 128, 256}},
+		{4096, 16, []int{128}},
+	} {
+		base, err := Build(ctx, BuildInput{Store: novelStore(c.corpus, c.factors, &next), Shards: DefaultShards})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(sweep.Microseconds())/1e3/float64(b.N), "sweep_ms")
-		b.ReportMetric(float64(merge.Microseconds())/1e3/float64(b.N), "merge_ms")
-	})
+		for _, delta := range c.deltas {
+			b.Run(fmt.Sprintf("keys=%d/bits=%d/delta=%d", c.corpus, 64*c.factors, delta), func(b *testing.B) {
+				snap := base
+				var sweep, merge time.Duration
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					in := BuildInput{Store: novelStore(delta, c.factors, &next)}
+					b.StartTimer()
+					var rep IngestReport
+					if snap, rep, err = snap.Ingest(ctx, in); err != nil {
+						b.Fatal(err)
+					}
+					if rep.DeltaModuli != delta {
+						b.Fatalf("delta %d: %d novel keys, want %d", i, rep.DeltaModuli, delta)
+					}
+					sweep += rep.Steps.Sweep
+					merge += rep.Steps.Merge
+				}
+				b.ReportMetric(float64(sweep.Microseconds())/1e3/float64(b.N), "sweep_ms")
+				b.ReportMetric(float64(merge.Microseconds())/1e3/float64(b.N), "merge_ms")
+			})
+		}
+	}
+}
+
+// TestIngestSweepAllocations holds a warm ingest sweep of 128 novel
+// 128-bit keys (the zscan bridge's batch) against a 4,096-key, 8-shard
+// snapshot to an allocation budget. The delta's root reduction state is
+// derived once for all eight shard products and its tree descended and
+// GCD'd once: about 4,700 allocations and 0.6 MB a sweep, against
+// about 17,500 and 1.3 MB when each shard built its own Reducer and
+// descended and GCD'd the tree again. The budget, 8,750, is half of the
+// latter.
+func TestIngestSweepAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const keys, delta, budget = 4096, 128, 8750
+	next := uint64(1 << 63)
+	snap, err := Build(context.Background(), BuildInput{Store: novelStore(keys, 2, &next), Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moduli, _ := novelStore(delta, 2, &next).DistinctModuli()
+	ctx := context.Background()
+	if _, err := snap.sweep(ctx, moduli); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const calls = 20
+	for range calls {
+		if _, err := snap.sweep(ctx, moduli); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / calls
+	t.Logf("a warm %d-key ingest sweep: %d bytes, %d allocations", delta, (after.TotalAlloc-before.TotalAlloc)/calls, allocs)
+	if allocs > budget {
+		t.Errorf("a warm %d-key ingest sweep makes %d allocations, budget %d", delta, allocs, budget)
+	}
 }
 
 // sameMap reports whether a and b are one map object, not merely equal.

@@ -169,17 +169,20 @@ func endLevel(sp *telemetry.Span, lvl int, nodes []*big.Int) {
 	sp.End()
 }
 
-// RemainderTreeCtx pushes x down the product tree: it returns x mod leaf
-// for every leaf, computed with one reduction per tree node; the first,
-// x mod root, through a Reducer, so x may be many roots long. From a
-// root of scaledCrossover limbs the top levels take multiplications
-// instead of divisions (see scaledTop). x is not modified. Cancellation
-// is checked between tree levels like NewCtx.
+// RemainderTreeCtx pushes x·∏foreign down the product tree: it returns
+// x·∏foreign mod leaf for every leaf, computed with one reduction per
+// tree node; the first, x mod root, through a Reducer, so x may be many
+// roots long. The foreign values are multiplied in mod the root, as in
+// CofactorResiduesCtx, so the tree is descended once however many there
+// are. From a root of scaledCrossover limbs the top levels take
+// multiplications instead of divisions (see scaledTop). Nothing passed
+// in is modified. Cancellation is checked between tree levels like
+// NewCtx.
 //
 // This is the plain variant (reduce modulo N); batch GCD pushes the
 // cofactor sum down it (see CofactorResiduesCtx).
-func (t *Tree) RemainderTreeCtx(ctx context.Context, x *big.Int) ([]*big.Int, error) {
-	return t.remainderTree(ctx, x, false, nil)
+func (t *Tree) RemainderTreeCtx(ctx context.Context, x *big.Int, foreign ...*big.Int) ([]*big.Int, error) {
+	return t.remainderTree(ctx, x, false, foreign)
 }
 
 // RemainderTreeSquaredCtx returns x mod leaf² for every leaf. Bernstein's

@@ -25,11 +25,13 @@ func randInts(seed int64, n, bits int) []*big.Int {
 // remainders runs the plain or squared remainder tree uncancelled.
 func remainders(t *testing.T, tr *Tree, x *big.Int, squared bool) []*big.Int {
 	t.Helper()
-	run := tr.RemainderTreeCtx
+	var rems []*big.Int
+	var err error
 	if squared {
-		run = tr.RemainderTreeSquaredCtx
+		rems, err = tr.RemainderTreeSquaredCtx(context.Background(), x)
+	} else {
+		rems, err = tr.RemainderTreeCtx(context.Background(), x)
 	}
-	rems, err := run(context.Background(), x)
 	if err != nil {
 		t.Fatal(err)
 	}

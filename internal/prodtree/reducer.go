@@ -1,6 +1,12 @@
 package prodtree
 
-import "math/big"
+import (
+	"context"
+	"fmt"
+	"math/big"
+
+	"github.com/factorable/weakkeys/internal/kernel"
+)
 
 // Reducer computes x mod n, remainder only, for operands x many times
 // longer than n — a shard product or an upper tree node against one
@@ -23,7 +29,10 @@ import "math/big"
 // accumulators', so a caller reducing many operands under many short
 // moduli (a novel check's sweep of the shard products) can keep one
 // Reducer per goroutine, or pool them, and stop allocating a product's
-// length of scratch, and the constants, per modulus.
+// length of scratch, and the constants, per modulus. Many operands
+// under one modulus (an ingest's shard products against its delta's
+// root) go to ModEach, which derives the constants once, for the
+// longest, and folds the operands side by side on them.
 // A Reducer never writes its operands (tree nodes are shared and
 // immutable) and is not safe for concurrent use.
 type Reducer struct {
@@ -112,6 +121,42 @@ func (r *Reducer) constant(j int) *big.Int {
 	return &r.pow[j]
 }
 
+// level returns the fold level an operand of w words starts at: the
+// lowest whose point, doubled, reaches w.
+func (r *Reducer) level(w int) int {
+	j := 0
+	for 2*r.point(j) < w {
+		j++
+	}
+	return j
+}
+
+// ModEach returns x mod n for every x, side by side on the kernel pool:
+// the constants every x folds with are derived first, once, for the
+// longest x, after which they are only read, and each x folds with
+// accumulators of its own. xs are only read; r's own scratch is left as
+// it was.
+func (r *Reducer) ModEach(ctx context.Context, xs []*big.Int) ([]*big.Int, error) {
+	longest := 0
+	for _, x := range xs {
+		longest = max(longest, len(x.Bits()))
+	}
+	if longest > r.point(0) { // else no x is folded
+		r.constant(r.level(longest))
+	}
+	zs := make([]*big.Int, len(xs))
+	err := kernel.FromContext(ctx).Run(ctx, len(xs), func(i int, _ *kernel.Arena) {
+		// pow already holds every level this x takes, so constant never
+		// writes it.
+		w := Reducer{n: r.n, k: r.k, pow: r.pow}
+		zs[i] = w.Mod(new(big.Int), xs[i])
+	})
+	if err != nil {
+		return nil, fmt.Errorf("prodtree: reduction cancelled: %w", err)
+	}
+	return zs, nil
+}
+
 // Mod sets z to x mod n, the canonical 0 ≤ z < n of big.Int.Mod, and
 // returns z. x is only read.
 func (r *Reducer) Mod(z, x *big.Int) *big.Int {
@@ -123,11 +168,7 @@ func (r *Reducer) Mod(z, x *big.Int) *big.Int {
 	// operand ran past twice that point, so the excess grows by len(n)+1 a
 	// level and the last division sees point(0) + levels·(len(n)+1) words
 	// at most. An operand no longer than the lowest point is not folded.
-	j := 0
-	for 2*r.point(j) < len(cur) {
-		j++
-	}
-	for a := 0; j >= 0; j-- {
+	for a, j := 0, r.level(len(cur)); j >= 0; j-- {
 		m := r.point(j)
 		if len(cur) <= m {
 			continue
