@@ -2,6 +2,7 @@ package batchgcd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
 
@@ -74,13 +75,6 @@ func (b *Batch) OwnResidues(ctx context.Context, foreign ...*big.Int) ([]*big.In
 	return b.tree.CofactorResiduesCtx(ctx, foreign...)
 }
 
-// splitPerLevel bounds how many moduli ForeignDivisors splits one by
-// one, per level of the batch's tree. A split reduces each q mod P once
-// more, by Ni: a linear pass. Past about 6 moduli a level at 128 moduli
-// and 12 at 8,192 (128-bit moduli, one core), a descent of each q mod P
-// costs less.
-const splitPerLevel = 4
-
 // ForeignDivisors returns, for each product qs[s] of moduli outside the
 // batch, gcd(Ni, qs[s]) per modulus, nil where it is 1: the primes Ni
 // shares with each product, apart. Every q is reduced mod P once, side
@@ -88,10 +82,11 @@ const splitPerLevel = 4
 // residues' product mod P is pushed down the tree and GCD'd once: a
 // prime divides it exactly when it divides some q, so a modulus whose
 // divisor of it is 1 shares with no q. Only the others are split back
-// per q, as gcd(Ni, (q mod P) mod Ni). That costs a pass over q mod P
-// per modulus, so once more than splitPerLevel moduli a tree level
-// share, each q mod P descends the tree itself instead. qs is not
-// modified.
+// per q, as gcd(Ni, (q mod P) mod Ni), through a product tree of those
+// moduli alone (the batch's own when every modulus shares): each q mod
+// P is reduced to its root and descends it, so the split costs a small
+// tree's descents where few moduli share and no more than a descent per
+// q where all do. qs is not modified.
 func (b *Batch) ForeignDivisors(ctx context.Context, qs []*big.Int) ([][]*big.Int, error) {
 	if len(qs) == 0 {
 		return nil, nil
@@ -109,38 +104,44 @@ func (b *Batch) ForeignDivisors(ctx context.Context, qs []*big.Int) ([][]*big.In
 		return nil, err
 	}
 	var hits []int
+	var shared []*big.Int
 	for i, d := range combined {
 		if d != nil {
 			hits = append(hits, i)
+			shared = append(shared, b.moduli[i])
 		}
 	}
 	divs := make([][]*big.Int, len(qs))
-	if len(hits) > splitPerLevel*len(b.tree.Levels) {
-		for s, top := range tops {
-			rems, err := b.tree.RemainderTreeCtx(ctx, top)
-			if err == nil {
-				divs[s], err = b.Divisors(ctx, rems)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		return divs, nil
-	}
 	for s := range divs {
 		divs[s] = make([]*big.Int, len(b.moduli))
 	}
-	err = kernel.FromContext(ctx).Run(ctx, len(hits), func(k int, a *kernel.Arena) {
-		i := hits[k]
-		n, r, g := b.moduli[i], a.Get(), a.Get()
-		for s, top := range tops {
-			if g.GCD(nil, nil, r.Mod(top, n), n).Cmp(bigOne) != 0 {
-				divs[s][i] = new(big.Int).Set(g)
+	if len(hits) == 0 {
+		return divs, nil
+	}
+	sub := b.tree
+	if len(hits) < len(b.moduli) {
+		if sub, err = prodtree.NewCtx(ctx, shared); err != nil {
+			return nil, err
+		}
+	}
+	if tops, err = prodtree.NewReducer(sub.Root()).ModEach(ctx, tops); err != nil {
+		return nil, err
+	}
+	errs := make([]error, len(tops))
+	err = kernel.FromContext(ctx).Run(ctx, len(tops), func(s int, _ *kernel.Arena) {
+		rems, err := sub.RemainderTreeCtx(ctx, tops[s])
+		if err != nil {
+			errs[s] = err
+			return
+		}
+		for k, g := range rems {
+			if g.GCD(nil, nil, g, shared[k]).Cmp(bigOne) != 0 {
+				divs[s][hits[k]] = g
 			}
 		}
 	})
-	if err != nil {
-		return nil, fmt.Errorf("batchgcd: gcd split cancelled: %w", err)
+	if err = errors.Join(append(errs, err)...); err != nil {
+		return nil, fmt.Errorf("batchgcd: split cancelled: %w", err)
 	}
 	return divs, nil
 }

@@ -89,15 +89,16 @@ func TestBatchAgainstNaiveMod(t *testing.T) {
 }
 
 // TestForeignDivisorsAgainstGCD holds ForeignDivisors to gcd(q, Ni) per
-// product and modulus, with few moduli sharing (each split one by one)
-// and with most (each product descending the tree), including moduli
-// whose primes sit in two products and moduli one product holds whole.
+// product and modulus, with few moduli sharing (split through a tree of
+// their own) and with all (split through the batch's tree), including
+// moduli whose primes sit in two products and moduli one product holds
+// whole.
 func TestForeignDivisorsAgainstGCD(t *testing.T) {
 	ctx := context.Background()
 	ps := corpus(t, 24, 96, 48)
 	for _, shared := range []int{2, 48} {
 		// ours[i] takes its first prime from the foreign pool ps[:32] for
-		// i < shared, its second from ps[32:] always.
+		// i < shared, else from ps[48:], and its second from ps[48:].
 		var ours []*big.Int
 		for i := 0; i < 48; i++ {
 			p := ps[48+i%48]

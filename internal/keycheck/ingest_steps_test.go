@@ -206,8 +206,9 @@ func novelStore(n, factors int, next *uint64) *scanstore.Store {
 // another into an 8-shard snapshot, reporting the mean sweep and merge
 // step per delta from IngestReport.Steps. -benchtime 30x is thirty such
 // deltas. The 128-bit semiprimes take the bench's scan_ingest corpus
-// (32,768 keys) and deltas of 100 keys and of 128 and 256 (the zscan
-// bridge's batch and twice it). The wide case is 4,096 keys of 1,008
+// (32,768 keys) and deltas of 100 keys, of 128 (scan_ingest's
+// direct-ingest batch) and of 256 (the zscan bridge's largest batch,
+// bridgeBatch). The wide case is 4,096 keys of 1,008
 // bits, each the product of sixteen 64-bit primes (the sweep sees only
 // their width; shard products as long as the narrow case's), under
 // 128-key deltas whose root, 2,048 limbs, is past scaledCrossover: the
@@ -251,8 +252,62 @@ func BenchmarkIngestBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkIngestBatchShared: deltas some of whose keys share a prime
+// with a member of a 4,096-key, 8-shard snapshot of 128-bit keys,
+// reporting the mean sweep step: 256-key deltas with one key in four
+// sharing (the scan_ingest fleet's vulnerable share, in the zscan
+// bridge's largest batch) and 1,024-key deltas with every key sharing.
+// Batch.ForeignDivisors splits those keys back per shard through a tree
+// of their own, the delta's whole tree in the second case; the deltas of
+// BenchmarkIngestBatch share nothing and skip the split.
+func BenchmarkIngestBatchShared(b *testing.B) {
+	const corpus = 4096
+	ctx := context.Background()
+	members := primesFrom(1<<63, 2*corpus)
+	store := scanstore.New()
+	for i := 0; i < corpus; i++ {
+		store.AddBareKeyObservation("10.6.0.1", date(2016, 1, 1), scanstore.SourceCensys, scanstore.SSH, mul(members[2*i], members[2*i+1]))
+	}
+	base, err := Build(ctx, BuildInput{Store: store, Shards: DefaultShards})
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := members[len(members)-1].Uint64() + 2
+	used := 0 // member primes taken by earlier deltas
+	for _, c := range []struct{ delta, every int }{{256, 4}, {1024, 1}} {
+		b.Run(fmt.Sprintf("keys=%d/delta=%d/shared=1in%d", corpus, c.delta, c.every), func(b *testing.B) {
+			snap := base
+			var sweep time.Duration
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fresh := primesFrom(next, 2*c.delta)
+				next = fresh[len(fresh)-1].Uint64() + 2
+				in := scanstore.New()
+				for k := 0; k < c.delta; k++ {
+					p := fresh[2*k+1]
+					if k%c.every == 0 {
+						p = members[used%len(members)]
+						used++
+					}
+					in.AddBareKeyObservation("10.6.0.1", date(2016, 1, 1), scanstore.SourceCensys, scanstore.SSH, mul(fresh[2*k], p))
+				}
+				b.StartTimer()
+				var rep IngestReport
+				if snap, rep, err = snap.Ingest(ctx, BuildInput{Store: in}); err != nil {
+					b.Fatal(err)
+				}
+				if want := (c.delta + c.every - 1) / c.every; rep.DeltaModuli != c.delta || rep.NewFactored != want {
+					b.Fatalf("delta %d: %d novel keys, %d factored, want %d and %d", i, rep.DeltaModuli, rep.NewFactored, c.delta, want)
+				}
+				sweep += rep.Steps.Sweep
+			}
+			b.ReportMetric(float64(sweep.Microseconds())/1e3/float64(b.N), "sweep_ms")
+		})
+	}
+}
+
 // TestIngestSweepAllocations holds a warm ingest sweep of 128 novel
-// 128-bit keys (the zscan bridge's batch) against a 4,096-key, 8-shard
+// 128-bit keys (scan_ingest's direct-ingest batch) against a 4,096-key, 8-shard
 // snapshot to an allocation budget. The delta's root reduction state is
 // derived once for all eight shard products and its tree descended and
 // GCD'd once: about 4,700 allocations and 0.6 MB a sweep, against

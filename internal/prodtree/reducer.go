@@ -141,7 +141,7 @@ func (r *Reducer) ModEach(ctx context.Context, xs []*big.Int) ([]*big.Int, error
 	for _, x := range xs {
 		longest = max(longest, len(x.Bits()))
 	}
-	if longest > r.point(0) { // else no x is folded
+	if longest > r.point(0) { // else no x is folded, and a constant would cost a division
 		r.constant(r.level(longest))
 	}
 	zs := make([]*big.Int, len(xs))
