@@ -32,7 +32,9 @@ import (
 // length of scratch, and the constants, per modulus. Many operands
 // under one modulus (an ingest's shard products against its delta's
 // root) go to ModEach, which derives the constants once, for the
-// longest, and folds the operands side by side on them.
+// longest, and folds the operands side by side on them; the ingest then
+// multiplies the residues together and descends the delta's tree once
+// (batchgcd.Batch.ForeignDivisors).
 // A Reducer never writes its operands (tree nodes are shared and
 // immutable) and is not safe for concurrent use.
 type Reducer struct {
