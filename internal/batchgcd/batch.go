@@ -84,9 +84,9 @@ func (b *Batch) OwnResidues(ctx context.Context, foreign ...*big.Int) ([]*big.In
 // divisor of it is 1 shares with no q. Only the others are split back
 // per q, as gcd(Ni, (q mod P) mod Ni), through a product tree of those
 // moduli alone (the batch's own when every modulus shares): each q mod
-// P is reduced to its root and descends it, so the split costs a small
-// tree's descents where few moduli share and no more than a descent per
-// q where all do. qs is not modified.
+// P descends it, so the split costs a small tree's descents where few
+// moduli share and no more than a descent per q where all do. qs is not
+// modified.
 func (b *Batch) ForeignDivisors(ctx context.Context, qs []*big.Int) ([][]*big.Int, error) {
 	if len(qs) == 0 {
 		return nil, nil
@@ -123,9 +123,6 @@ func (b *Batch) ForeignDivisors(ctx context.Context, qs []*big.Int) ([][]*big.In
 		if sub, err = prodtree.NewCtx(ctx, shared); err != nil {
 			return nil, err
 		}
-	}
-	if tops, err = prodtree.NewReducer(sub.Root()).ModEach(ctx, tops); err != nil {
-		return nil, err
 	}
 	errs := make([]error, len(tops))
 	err = kernel.FromContext(ctx).Run(ctx, len(tops), func(s int, _ *kernel.Arena) {

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sync"
 
 	"github.com/factorable/weakkeys/internal/kernel"
 	"github.com/factorable/weakkeys/internal/telemetry"
@@ -38,10 +37,6 @@ type Tree struct {
 	// cofactors is D(root) = Σj P/Nj, built with the levels: the value
 	// CofactorResiduesCtx pushes down them. Shared; never modified.
 	cofactors *big.Int
-	// recip is the root's reciprocal for the scaled descent, computed by
-	// the first descent that takes it and read by every later one.
-	recipMu sync.Mutex
-	recip   *big.Int
 }
 
 // ErrEmpty is returned when a tree is requested over no inputs.

@@ -133,11 +133,14 @@ func (r *Reducer) level(w int) int {
 	return j
 }
 
-// ModEach returns x mod n for every x, side by side on the kernel pool:
-// the constants every x folds with are derived first, once, for the
-// longest x, after which they are only read, and each x folds with
-// accumulators of its own. xs are only read; r's own scratch is left as
-// it was.
+// ModEach returns x mod n for every x, side by side on the kernel pool.
+// Before any worker starts it derives, on r, the constants for the
+// longest x, which writes r.pow and the scratch a constant is squared
+// and divided in (r.sq, r.q). Each x then folds on a Reducer of its own
+// that shares r.pow's storage: safe only because every level a shorter
+// x folds at is already in r.pow, so no worker's Mod calls constant past
+// len(pow), which would append into that shared storage. xs are only
+// read.
 func (r *Reducer) ModEach(ctx context.Context, xs []*big.Int) ([]*big.Int, error) {
 	longest := 0
 	for _, x := range xs {

@@ -182,12 +182,15 @@ func (t *Tree) scaledTop(ctx context.Context, x *big.Int, foreign []*big.Int) (i
 	root := t.Levels[top][0]
 	n := limbs(root.Bits())
 
-	R, err := t.reciprocal(ctx, m, n)
+	sp := telemetry.SpanFrom(ctx).Child("prodtree.reciprocal")
+	R, err := m.reciprocal(ctx, root, n+guard)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, fmt.Errorf("prodtree: reciprocal cancelled: %w", err)
 	}
+	sp.SetArg("words", len(R.Bits()))
+	sp.End()
 
-	sp := telemetry.SpanFrom(ctx).Child("prodtree.down")
+	sp = telemetry.SpanFrom(ctx).Child("prodtree.down")
 	red := NewReducer(root)
 	z := red.Mod(new(big.Int), x)
 	for _, f := range foreign {
@@ -229,27 +232,6 @@ func (t *Tree) scaledTop(ctx context.Context, x *big.Int, foreign []*big.Int) (i
 		endLevel(sp, lvl, nodes)
 		ys = next
 	}
-}
-
-// reciprocal returns the root's reciprocal R ≈ B^(2n+guard)/root, n its
-// length in limbs: computed once, by the first scaled descent of t, and
-// kept, so a tree descended once per shard product (an ingest whose
-// every delta key shares a prime) derives it once. A cancelled
-// computation keeps nothing.
-func (t *Tree) reciprocal(ctx context.Context, m *multiplier, n int) (*big.Int, error) {
-	t.recipMu.Lock()
-	defer t.recipMu.Unlock()
-	if t.recip == nil {
-		sp := telemetry.SpanFrom(ctx).Child("prodtree.reciprocal")
-		R, err := m.reciprocal(ctx, t.Root(), n+guard)
-		if err != nil {
-			return nil, fmt.Errorf("prodtree: reciprocal cancelled: %w", err)
-		}
-		sp.SetArg("words", len(R.Bits()))
-		sp.End()
-		t.recip = R
-	}
-	return t.recip, nil
 }
 
 // scaledLevel reports whether a level below the root takes the scaled
