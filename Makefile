@@ -57,9 +57,10 @@ race:
 
 # allocs runs the allocation guards without the race detector, under
 # which they skip: sync.Pool drops items on purpose there, so a pooled
-# Reducer's scratch would count as allocated on every check.
+# Reducer's scratch would count as allocated on every check. The
+# router's memo-hit guard in cluster holds under both and runs here too.
 allocs:
-	$(GO) test -count=1 -run Allocations ./internal/keycheck ./internal/prodtree
+	$(GO) test -count=1 -run Allocations ./internal/keycheck ./internal/prodtree ./internal/cluster
 
 # e2e runs the process-level checks alone (they also run inside test and
 # race): TestMain builds every cmd/ and examples/ binary once into a

@@ -31,8 +31,9 @@ type RoutedVerdict struct {
 	keycheck.Verdict
 	// Replica names the replica whose verdict decided the answer.
 	Replica string `json:"replica,omitempty"`
-	// Hops counts replica requests spent on this answer (1 for the
-	// factored-member fast path; more for scatter, retries and hedges).
+	// Hops counts replica requests spent on this answer: 0 for a
+	// factored member the router remembers, 1 for the factored-member
+	// fast path, more for scatter, retries and hedges.
 	Hops int `json:"hops"`
 	// Degraded marks an answer computed without full shard coverage: a
 	// clean verdict here means "clean as far as the reachable corpus
@@ -85,8 +86,9 @@ type RouterConfig struct {
 }
 
 // Router forwards key checks to the replicas owning the relevant
-// shards. A modulus the home-shard owner already knows compromised is
-// answered in one hop; everything else — novel moduli and clean corpus
+// shards. A factored corpus member it has already been told about is
+// answered from its memo, with no hop; a modulus the home-shard owner
+// already knows compromised is answered in one hop; everything else — novel moduli and clean corpus
 // members alike — is scatter-gathered across owners of every shard so
 // the full-corpus GCD sweep still happens, just distributed. Owner
 // failures retry against placement peers with backoff, stragglers are
@@ -98,19 +100,21 @@ type Router struct {
 	cfg       RouterConfig
 	budget    *retry.Budget
 	jitter    *retry.Jitter
+	memo      *memo
 
 	metrics *telemetry.Registry
 	events  *telemetry.EventLog
 
 	hedges    *telemetry.Counter
 	degraded  *telemetry.Counter
+	memoHits  *telemetry.Counter
 	checkHops *telemetry.Histogram
 }
 
-// hopBuckets is the cluster_check_hops layout: one hop is a factored
-// member's home answer, two a home answer plus a one-replica scatter;
-// retries and hedges add the rest.
-var hopBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16}
+// hopBuckets is the cluster_check_hops layout: zero hops is a memo
+// answer, one a factored member's home answer, two a home answer plus a
+// one-replica scatter; retries and hedges add the rest.
+var hopBuckets = []float64{0, 1, 2, 3, 4, 6, 8, 12, 16}
 
 // NewRouter computes the placement and builds a replica client per
 // address.
@@ -155,10 +159,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		replicas:  make([]*Replica, 0, len(cfg.Replicas)),
 		cfg:       cfg,
 		jitter:    retry.NewJitter(1),
+		memo:      newMemo(),
 		metrics:   cfg.Metrics,
 		events:    cfg.Events,
 		hedges:    cfg.Metrics.Counter("cluster_hedges_total"),
 		degraded:  cfg.Metrics.Counter("cluster_degraded_verdicts_total"),
+		memoHits:  cfg.Metrics.Counter("cluster_memo_hits_total"),
 		checkHops: cfg.Metrics.Histogram("cluster_check_hops", hopBuckets),
 	}
 	if cfg.RetryBudget > 0 {
@@ -285,9 +291,10 @@ func (rt *Router) orderedOwners(s int) []*Replica {
 	return append(usable, rest...)
 }
 
-// Check routes one validated modulus. The fast path is a single forward
-// to the modulus's home-shard owner, definitive only when that owner
-// already knows the key compromised. Everything else — novel moduli and
+// Check routes one validated modulus. A factored member whose home
+// answer the router remembers takes no hop at all. Otherwise the fast
+// path is a single forward to the modulus's home-shard owner,
+// definitive only when that owner already knows the key compromised. Everything else — novel moduli and
 // clean-so-far corpus members alike — scatter-gathers across owners of
 // every other shard so the GCD sweep covers the whole corpus: replica
 // ingests only GCD a delta against their own owned shards, so a member
@@ -295,6 +302,13 @@ func (rt *Router) orderedOwners(s int) []*Replica {
 // shard that owner does not hold.
 func (rt *Router) Check(ctx context.Context, n *big.Int) RoutedVerdict {
 	hex := n.Text(16)
+	if out, ok := rt.memo.get(hex); ok {
+		// A factored member's verdict is final, and a compromised verdict
+		// needs no coverage, so the remembered answer is the answer.
+		rt.memoHits.Inc()
+		rt.checkHops.Observe(0)
+		return out
+	}
 	home := keycheck.ShardOf(n, rt.placement.Shards())
 	hops := 0
 
@@ -311,6 +325,13 @@ func (rt *Router) Check(ctx context.Context, n *big.Int) RoutedVerdict {
 		out := RoutedVerdict{Verdict: homeRes.verdict, Replica: homeRes.replica, Hops: hops}
 		out.Partial = false
 		rt.checkHops.Observe(float64(hops))
+		if out.Known && out.Status == keycheck.StatusFactored {
+			// Only a factored member is final: a novel key's compromised
+			// verdict turns Known once it is ingested.
+			memoed := out
+			memoed.Hops = 0
+			rt.memo.put(hex, memoed)
+		}
 		return out
 	}
 

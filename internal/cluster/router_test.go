@@ -101,13 +101,16 @@ func TestRouterFailover(t *testing.T) {
 		t.Errorf("Ns with dead replica = %+v degraded=%v, want shared_factor", v.Verdict, v.Degraded)
 	}
 
-	// Enough consecutive failures open the dead replica's breaker. N1 is
-	// homed on it, so every check tries it first while its breaker is
-	// closed; a scatter for some other key reaches it only under
-	// placements (the addresses are random ports) where the round's set
-	// cover picks it. Check until it opens, bounded.
+	// Enough consecutive failures open the dead replica's breaker. The
+	// repeated key is novel and clean and homed on the dead replica's
+	// shard, so every check tries it first while its breaker is closed
+	// (a repeat of N1 would be answered from the router's memo, and a
+	// scatter for some other key reaches the dead replica only under
+	// placements, the addresses being random ports, where the round's set
+	// cover picks it). Check until it opens, bounded.
+	repeat := homedIn(t, p, freshPrime, home)
 	for deadline := time.Now().Add(2 * time.Second); rt.Replica(dead).Breaker.Opens() < 1 && time.Now().Before(deadline); {
-		rt.Check(ctx, modN1)
+		rt.Check(ctx, repeat)
 	}
 	if rt.Replica(dead).Breaker.Opens() < 1 {
 		t.Errorf("dead replica breaker never opened (state %v)", rt.Replica(dead).Breaker.State())
