@@ -14,6 +14,7 @@ package batchgcd
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/big"
 )
 
@@ -109,10 +110,15 @@ func SplitModulus(n, d *big.Int) (p, q *big.Int, err error) {
 // large inputs — the paper notes it is infeasible at the 81M scale — but
 // it recovers exact per-pair divisors, which Factor cannot when a modulus
 // shares both of its primes with other inputs. The benchmark harness for
-// Figure 2 measures both.
+// Figure 2 measures both. Like Factor, it refuses a modulus below 1.
 func FactorPairwise(moduli []*big.Int) ([]Result, error) {
 	if len(moduli) == 0 {
 		return nil, ErrNoInput
+	}
+	for i, n := range moduli {
+		if n.Sign() <= 0 {
+			return nil, fmt.Errorf("batchgcd: modulus %d is not positive", i)
+		}
 	}
 	found := make(map[int]*big.Int)
 	var g big.Int

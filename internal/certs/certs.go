@@ -109,7 +109,7 @@ func (c *Certificate) Marshal() ([]byte, error) {
 
 // Parse decodes DER bytes produced by Marshal. Trailing data, and any
 // encoding Marshal would not produce, is an error, as it would be for a
-// strict DER parser.
+// strict DER parser; so is a modulus that is not positive.
 func Parse(data []byte) (*Certificate, error) {
 	var d der
 	rest, err := asn1.Unmarshal(data, &d)
@@ -135,6 +135,11 @@ func Parse(data []byte) (*Certificate, error) {
 	// two encodings share one certificate and its fingerprint.
 	if re, err := c.Marshal(); err != nil || !bytes.Equal(re, data) {
 		return nil, errors.New("certs: not the canonical encoding of a certificate")
+	}
+	// No RSA key has a modulus below 1, and a zero one would divide
+	// every product it joins: batch GCD and the check index refuse it.
+	if c.N.Sign() <= 0 {
+		return nil, errors.New("certs: modulus is not positive")
 	}
 	return c, nil
 }

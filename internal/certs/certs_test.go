@@ -4,6 +4,7 @@ import (
 	"encoding/asn1"
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,6 +90,23 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Parse(extra); err == nil {
 		t.Error("extra element inside the certificate accepted")
+	}
+}
+
+// TestParseRejectsNonPositiveModulus: a certificate whose modulus is
+// zero or negative marshals, but does not parse, so it cannot load
+// through a corpus file into batch GCD or the check index.
+func TestParseRejectsNonPositiveModulus(t *testing.T) {
+	for _, n := range []int64{0, -35} {
+		c, _ := testCert(t, 3)
+		c.N = big.NewInt(n)
+		raw, err := c.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Parse(raw); err == nil || !strings.Contains(err.Error(), "not positive") {
+			t.Errorf("Parse of a certificate with N = %d: err = %v, want not positive", n, err)
+		}
 	}
 }
 

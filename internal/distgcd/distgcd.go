@@ -72,6 +72,7 @@ type Stats struct {
 // Run executes the partitioned batch GCD over moduli and returns the
 // vulnerable results (same semantics as batchgcd.Factor: duplicates are
 // deduplicated first, indices refer to the input slice) plus run stats.
+// A modulus below 1 is an error naming its index, as for Factor.
 // The context cancels in-flight work mid-computation: every node checks
 // it per tree level, so cancellation returns within one level's work
 // with an error wrapping the context's. The first node to fail cancels
@@ -81,6 +82,13 @@ func Run(ctx context.Context, moduli []*big.Int, opts Options) ([]batchgcd.Resul
 	var stats Stats
 	if len(moduli) == 0 {
 		return nil, stats, batchgcd.ErrNoInput
+	}
+	for i, n := range moduli {
+		// Before Dedup, which keys by magnitude: -4 would pass as a
+		// copy of 4 and never reach a node's NewBatch.
+		if n.Sign() <= 0 {
+			return nil, stats, fmt.Errorf("distgcd: modulus %d is not positive", i)
+		}
 	}
 	k := opts.Subsets
 	if k < 1 {

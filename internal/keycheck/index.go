@@ -200,6 +200,13 @@ func Build(ctx context.Context, in BuildInput) (*Snapshot, error) {
 		nShards = DefaultShards
 	}
 	moduli, keys := in.Store.DistinctModuli()
+	for i, n := range moduli {
+		// A zero in a shard's product would make every key's GCD with it
+		// the key itself: every novel check would answer shared_factor.
+		if n.Sign() <= 0 {
+			return nil, fmt.Errorf("keycheck: build: modulus %d is not positive", i)
+		}
+	}
 	snap := &Snapshot{shards: make([]*shard, nShards), gen: snapGen.Add(1)}
 	if in.OwnShards != nil {
 		snap.own = make([]bool, nShards)

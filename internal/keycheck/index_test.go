@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -230,6 +231,34 @@ func TestBothPrimesInCorpus(t *testing.T) {
 func TestBuildNilStore(t *testing.T) {
 	if _, err := Build(context.Background(), BuildInput{}); err == nil {
 		t.Error("nil store accepted")
+	}
+}
+
+// TestBuildRejectsNonPositive: a zero modulus in the store made every
+// novel key's GCD with its shard's product the key itself, so a build
+// over 0 and one member answered a clean novel key shared_factor with
+// the key as its divisor. Build now refuses the store, naming the
+// modulus, as batchgcd.NewBatch does.
+func TestBuildRejectsNonPositive(t *testing.T) {
+	for _, c := range []struct {
+		moduli []int64
+		want   string
+	}{
+		{[]int64{0, 1000003 * 1000033}, "modulus 0 is not positive"},
+		{[]int64{1000003 * 1000033, -35}, "modulus 1 is not positive"},
+	} {
+		store := scanstore.New()
+		for _, n := range c.moduli {
+			store.AddBareKeyObservation("10.0.0.1", date(2013, 1, 1), scanstore.SourceRapid7, scanstore.SSH, big.NewInt(n))
+		}
+		snap, err := Build(context.Background(), BuildInput{Store: store, Shards: 1})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			v := Verdict{}
+			if snap != nil {
+				v = snap.Check(big.NewInt(1000037 * 1000039))
+			}
+			t.Errorf("Build over %v: err = %v (novel check %+v), want %q", c.moduli, err, v, c.want)
+		}
 	}
 }
 

@@ -69,3 +69,22 @@ func BenchmarkMontMul(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNextPrime is one NextPrime search from a random start at
+// each width weakrsa plants keys at, cycling through eight starts.
+func BenchmarkNextPrime(b *testing.B) {
+	for _, bits := range []int{64, 128, 256, 512} {
+		rng := testRand(int64(bits))
+		starts := make([]*big.Int, 8)
+		for i := range starts {
+			starts[i] = new(big.Int).Rand(rng, new(big.Int).Lsh(one, uint(bits)))
+			starts[i].SetBit(starts[i], bits-1, 1)
+		}
+		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NextPrime(starts[i%len(starts)])
+			}
+		})
+	}
+}

@@ -140,6 +140,22 @@ func oracleSmallFactors(n *big.Int, nPrimes int) (factors []PrimePower, cofactor
 	return factors, cofactor
 }
 
+// oracleNextPrime is NextPrime as this package shipped it before the
+// word sieve: ProbablyPrime(20) on every odd candidate in turn.
+func oracleNextPrime(n *big.Int) *big.Int {
+	c := new(big.Int).Set(n)
+	if c.Cmp(two) <= 0 {
+		return big.NewInt(2)
+	}
+	if c.Bit(0) == 0 {
+		c.Add(c, one)
+	}
+	for !c.ProbablyPrime(20) {
+		c.Add(c, two)
+	}
+	return c
+}
+
 // sameInt reports whether a and b are both nil or the same integer.
 func sameInt(a, b *big.Int) bool {
 	if a == nil || b == nil {

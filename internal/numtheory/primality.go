@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"math/big"
+	"math/bits"
 )
 
 // ErrEntropy is returned when the supplied entropy source fails or is
@@ -51,9 +52,19 @@ func fermatBase2(n *big.Int) bool {
 	return x0 == m.one[0] && x1 == m.one[1]
 }
 
-// NextPrime returns the smallest probable prime >= n. It scans odd
-// candidates; for cryptographic sizes the prime gap makes this fast. The
-// argument is not modified.
+// NextPrime returns the smallest probable prime >= n. The argument is
+// not modified.
+//
+// Candidates are the odd numbers from n up, taken nextPrimeWindow at a
+// time. Each window is first sieved on words: n's residues modulo the
+// odd primes below trialDivisionPrimes come from one pass over its
+// words, and every candidate a sieve prime divides is struck out. Those
+// candidates exceed the prime, so they are composite and ProbablyPrime
+// would reject them too. Survivors then face the base-2 Fermat gate,
+// which rejects only what ProbablyPrime's forced base-2 round rejects
+// (as in ProbePrime), and last ProbablyPrime(20) itself. The answer is
+// the one the bare ProbablyPrime(20) scan gives, unless some composite
+// passes ProbablyPrime(20) (no such number is known).
 func NextPrime(n *big.Int) *big.Int {
 	c := new(big.Int).Set(n)
 	if c.Cmp(two) <= 0 {
@@ -62,10 +73,71 @@ func NextPrime(n *big.Int) *big.Int {
 	if c.Bit(0) == 0 {
 		c.Add(c, one)
 	}
-	for !c.ProbablyPrime(20) {
-		c.Add(c, two)
+	if c.BitLen() <= 11 {
+		// At most 2047: a candidate could be a sieve prime itself.
+		for !c.ProbablyPrime(20) {
+			c.Add(c, two)
+		}
+		return c
 	}
-	return c
+	primes := nextPrimeSieve
+	rems := remsOf(c.Bits(), primes)
+	var struck [nextPrimeWindow]bool
+	var d big.Int
+	cand := new(big.Int)
+	for {
+		clear(struck[:])
+		for i, q := range primes {
+			// Candidate k is c+2k: the first one q divides has
+			// 2k ≡ -r (mod q), so k ≡ (q-r)·(q+1)/2.
+			r := rems[i]
+			for k := (q - r) % q * ((q + 1) / 2) % q; k < nextPrimeWindow; k += q {
+				struck[k] = true
+			}
+			rems[i] = (r + 2*nextPrimeWindow) % q
+		}
+		for k, out := range struck {
+			if out {
+				continue
+			}
+			cand.Add(c, d.SetUint64(2*uint64(k)))
+			if fermatBase2(cand) && cand.ProbablyPrime(20) {
+				return cand
+			}
+		}
+		c.Add(c, d.SetUint64(2*nextPrimeWindow))
+	}
+}
+
+// nextPrimeWindow is how many odd candidates NextPrime sieves at a time.
+// The mean prime gap near 2^512 is about 355, so a search at that width
+// mostly ends inside its first window.
+const nextPrimeWindow = 128
+
+// nextPrimeSieve holds the odd primes NextPrime sieves by: those among
+// the first trialDivisionPrimes primes, the naive generator's depth.
+var nextPrimeSieve = SmallPrimes(trialDivisionPrimes)[1:]
+
+// remsOf returns the magnitude in words modulo each of primes, taking
+// the primes in runs whose product fits a word so that one pass over
+// the words serves the whole run (as SmallFactors does).
+func remsOf(words []big.Word, primes []uint64) []uint64 {
+	rems := make([]uint64, len(primes))
+	for i := 0; i < len(primes); {
+		run, prod := i+1, primes[i]
+		for ; run < len(primes); run++ {
+			hi, lo := bits.Mul64(prod, primes[run])
+			if hi != 0 {
+				break
+			}
+			prod = lo
+		}
+		r := remWords(words, prod)
+		for ; i < run; i++ {
+			rems[i] = r % primes[i]
+		}
+	}
+	return rems
 }
 
 // RandomOdd reads bits/8 bytes from r and returns an odd integer of exactly

@@ -73,6 +73,69 @@ func TestNextPrime(t *testing.T) {
 	}
 }
 
+// nextPrimeVectors pins NextPrime at the widths it is called with
+// (weakrsa plants close-prime and small-factor keys through it): two
+// seeded inputs per width from 64 to 512 bits, the first made even,
+// and 2^(bits-1). Generated by the bare ProbablyPrime(20) scan before
+// the word sieve; the second 128-bit input is itself prime, and three
+// searches cross a sieve window.
+var nextPrimeVectors = []struct{ in, want string }{
+	{"dd94025827933232", "dd9402582793326f"},
+	{"b92172ac71ea2aa0", "b92172ac71ea2b53"},
+	{"b5ac84e679321ad5a5cce990", "b5ac84e679321ad5a5cce9c9"},
+	{"8e43d287731eb81d67ce387d", "8e43d287731eb81d67ce3893"},
+	{"80451f8b302499710397f5bb6dac9996", "80451f8b302499710397f5bb6dac99c7"},
+	{"8b399dea59f49b58ea6bcb98de08e3e3", "8b399dea59f49b58ea6bcb98de08e3e3"},
+	{"eb78697441c1f2549021f13d6c258f5af1a6553a", "eb78697441c1f2549021f13d6c258f5af1a655a9"},
+	{"9f68e4f335698d3b78215feb0021d6506b0f35bd", "9f68e4f335698d3b78215feb0021d6506b0f35cf"},
+	{"a928cc5b90e850d19a0b76ee56993890f10203e387454b6c", "a928cc5b90e850d19a0b76ee56993890f10203e387454bd9"},
+	{"a40887257c101dbcca4fb5eab6a9f66ab87fd4c8ea3520d9", "a40887257c101dbcca4fb5eab6a9f66ab87fd4c8ea352127"},
+	{"e442f8f7dccd6241fc25d17a652f44823fc4e1ae6a26bde640b63f1f6b10f676", "e442f8f7dccd6241fc25d17a652f44823fc4e1ae6a26bde640b63f1f6b10f6bd"},
+	{"84e7cd853c225f57ef59312238c74fdd3cb55555276a9221ec92233d72af1d39", "84e7cd853c225f57ef59312238c74fdd3cb55555276a9221ec92233d72af1d43"},
+	{"e2d7ddc3cab93c0711ed9b42e2ca1ea6308401adb361af08d1d415889deed2bcdccfa09372d89744", "e2d7ddc3cab93c0711ed9b42e2ca1ea6308401adb361af08d1d415889deed2bcdccfa09372d8980b"},
+	{"ccd4785ee6ba5cbc8a8d0bcd7bcbaf425a9cc59e2981110100a829bdc7884309e13f01372375a7e2", "ccd4785ee6ba5cbc8a8d0bcd7bcbaf425a9cc59e2981110100a829bdc7884309e13f01372375a7f3"},
+	{"cefe1d335d44daadfb01ea47d3e9bc09845d6c48df21480744d3ff2994f455ed7591113ca5f952ba178a14c4333c166c", "cefe1d335d44daadfb01ea47d3e9bc09845d6c48df21480744d3ff2994f455ed7591113ca5f952ba178a14c4333c16d1"},
+	{"8a6379d0e5b01a5212e3997c9e53196d1a395557c6828861cf1842a1810bc2399ad5a1d89511e25bf3613c1f235df8ab", "8a6379d0e5b01a5212e3997c9e53196d1a395557c6828861cf1842a1810bc2399ad5a1d89511e25bf3613c1f235df9af"},
+	{"a404230aa79d09c040c93415b81f1ea6568c7ad204a27cc873aaf7b29175a0dedbf4c61370f650616fa09b068d627123123285466f7d7ee4", "a404230aa79d09c040c93415b81f1ea6568c7ad204a27cc873aaf7b29175a0dedbf4c61370f650616fa09b068d627123123285466f7d7fe7"},
+	{"ae9a21b29223097f21db48794ed11fb734e2c9e84891515bfeb9e75eca81de9cb76b3eb603d0f08018c64b78f1a1bcc0736cf79f5b494180", "ae9a21b29223097f21db48794ed11fb734e2c9e84891515bfeb9e75eca81de9cb76b3eb603d0f08018c64b78f1a1bcc0736cf79f5b4942e7"},
+	{"9b6eb0066a0e930c270c67b412a10299981a6d121e3608e35af780bf367f3fdddec521914690f14ca0fdc76cd50ceb5b2b73d7b320ae61a3af7c3e4097d45fca", "9b6eb0066a0e930c270c67b412a10299981a6d121e3608e35af780bf367f3fdddec521914690f14ca0fdc76cd50ceb5b2b73d7b320ae61a3af7c3e4097d45fff"},
+	{"fd6475619417741b97342d02a019f919ddfa833961f2fdb005ad5194d50d1c18400bea95932a65d635a435346313868faa4afe05c2cd7848d096ae90e7655f2b", "fd6475619417741b97342d02a019f919ddfa833961f2fdb005ad5194d50d1c18400bea95932a65d635a435346313868faa4afe05c2cd7848d096ae90e7655fa1"},
+	{"8000000000000000", "800000000000001d"},
+	{"80000000000000000000000000000000", "8000000000000000000000000000001d"},
+	{"8000000000000000000000000000000000000000000000000000000000000000", "800000000000000000000000000000000000000000000000000000000000005f"},
+	{"80000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000", "8000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000006f"},
+}
+
+func TestNextPrimeVectors(t *testing.T) {
+	for _, v := range nextPrimeVectors {
+		n, _ := new(big.Int).SetString(v.in, 16)
+		if got := NextPrime(n).Text(16); got != v.want {
+			t.Errorf("NextPrime(%s) = %s, want %s", v.in, got, v.want)
+		}
+	}
+}
+
+// TestNextPrimeMatchesOracle holds the sieved search to the bare scan:
+// every input up to 5,000, across the width below which NextPrime does
+// not sieve, and random inputs of 12 to 600 bits, whose searches cross
+// sieve windows.
+func TestNextPrimeMatchesOracle(t *testing.T) {
+	for i := int64(-2); i <= 5000; i++ {
+		n := big.NewInt(i)
+		if got, want := NextPrime(n), oracleNextPrime(n); got.Cmp(want) != 0 {
+			t.Fatalf("NextPrime(%d) = %v, want %v", i, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(65))
+	for i := 0; i < 24; i++ {
+		bits := 12 + rng.Intn(589)
+		n := new(big.Int).Rand(rng, new(big.Int).Lsh(one, uint(bits)))
+		if got, want := NextPrime(n), oracleNextPrime(n); got.Cmp(want) != 0 {
+			t.Fatalf("NextPrime(%s) = %s, want %s", n.Text(16), got.Text(16), want.Text(16))
+		}
+	}
+}
+
 func TestNextPrimeDoesNotMutate(t *testing.T) {
 	n := big.NewInt(10)
 	NextPrime(n)
