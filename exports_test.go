@@ -226,7 +226,6 @@ var settings = map[string]string{
 	"internal/zscan.Options.Date":          "the two lives in TestEngineCheckpointRestartContinuesChain scan on different dates",
 	"internal/devices.Server.Suites":       "the only way a device served over TCP can be RSA-only, pinned by TestSuitesAdvertised",
 	"internal/tlslite.ClientConfig.Suites": "TestSuiteNegotiationRefusal's client offers no suite the server takes",
-	"internal/core.Options.IPReuse":        "no code sets it (programs leave 0, which selects 0.3); it waits for pinned generator vectors, since population's newIP draws rng.Float64() whenever a freed address exists",
 }
 
 // TestNoUnsetFields fails on an exported field of an exported struct under

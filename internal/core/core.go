@@ -71,10 +71,6 @@ type Options struct {
 	BitErrorRate float64
 	// OtherProtocols adds the SSH/POP3S/IMAPS/SMTPS corpora (Table 4).
 	OtherProtocols bool
-	// IPReuse is the probability that a new device takes over a retired
-	// device's address (drives the IP-churn ambiguity in transition
-	// analysis). Negative disables; zero selects the default 0.3.
-	IPReuse float64
 	// Lines overrides the simulated ecosystem (defaults to the full
 	// vendor set from the paper's figures).
 	Lines []population.Line
@@ -103,18 +99,17 @@ type Options struct {
 	Anomalies bool
 }
 
+// ipReuse is the probability that a new device takes over a retired
+// device's address (drives the IP-churn ambiguity in transition
+// analysis).
+const ipReuse = 0.3
+
 func (o Options) withDefaults() Options {
 	if o.Scale == 0 {
 		o.Scale = 1.0
 	}
 	if o.KeyBits == 0 {
 		o.KeyBits = 256
-	}
-	switch {
-	case o.IPReuse < 0:
-		o.IPReuse = 0
-	case o.IPReuse == 0:
-		o.IPReuse = 0.3
 	}
 	return o
 }
@@ -164,7 +159,7 @@ func Run(ctx context.Context, opts Options) (*Study, error) {
 				MITMRate:       opts.MITMRate,
 				BitErrorRate:   opts.BitErrorRate,
 				OtherProtocols: opts.OtherProtocols,
-				IPReuse:        opts.IPReuse,
+				IPReuse:        ipReuse,
 				Progress:       opts.HarvestProgress,
 				Metrics:        opts.Telemetry,
 			})
