@@ -22,7 +22,7 @@ type memo struct {
 }
 
 func newMemo() *memo {
-	return &memo{byID: make(map[string]RoutedVerdict, memoCapacity), ring: make([]string, 0, memoCapacity)}
+	return &memo{byID: make(map[string]RoutedVerdict)}
 }
 
 // get returns the stored answer for hex.

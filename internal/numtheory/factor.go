@@ -28,14 +28,7 @@ func SmallFactors(n *big.Int, nPrimes int) (factors []PrimePower, cofactor *big.
 	var q, m, rem big.Int
 	primes := FirstPrimes(nPrimes)
 	for len(primes) > 0 {
-		run, prod := 1, primes[0]
-		for ; run < len(primes); run++ {
-			hi, lo := bits.Mul64(prod, primes[run])
-			if hi != 0 {
-				break
-			}
-			prod = lo
-		}
+		run, prod := wordRun(primes)
 		r := remWords(words, prod)
 		for _, p := range primes[:run] {
 			if r%p != 0 {
@@ -56,6 +49,20 @@ func SmallFactors(n *big.Int, nPrimes int) (factors []PrimePower, cofactor *big.
 		primes = primes[run:]
 	}
 	return factors, cofactor
+}
+
+// wordRun returns how many of primes, from the first, have a product
+// that fits a machine word, and that product.
+func wordRun(primes []uint64) (int, uint64) {
+	run, prod := 1, primes[0]
+	for ; run < len(primes); run++ {
+		hi, lo := bits.Mul64(prod, primes[run])
+		if hi != 0 {
+			break
+		}
+		prod = lo
+	}
+	return run, prod
 }
 
 // remWords returns x mod d for the magnitude x held in words, d > 0, by

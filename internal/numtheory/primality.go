@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"math/big"
-	"math/bits"
 )
 
 // ErrEntropy is returned when the supplied entropy source fails or is
@@ -124,16 +123,9 @@ var nextPrimeSieve = SmallPrimes(trialDivisionPrimes)[1:]
 func remsOf(words []big.Word, primes []uint64) []uint64 {
 	rems := make([]uint64, len(primes))
 	for i := 0; i < len(primes); {
-		run, prod := i+1, primes[i]
-		for ; run < len(primes); run++ {
-			hi, lo := bits.Mul64(prod, primes[run])
-			if hi != 0 {
-				break
-			}
-			prod = lo
-		}
+		run, prod := wordRun(primes[i:])
 		r := remWords(words, prod)
-		for ; i < run; i++ {
+		for end := i + run; i < end; i++ {
 			rems[i] = r % primes[i]
 		}
 	}
