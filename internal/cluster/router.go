@@ -88,8 +88,8 @@ type RouterConfig struct {
 // Router forwards key checks to the replicas owning the relevant
 // shards. A factored corpus member it has already been told about is
 // answered from its memo, with no hop; a modulus the home-shard owner
-// already knows compromised is answered in one hop; everything else — novel moduli and clean corpus
-// members alike — is scatter-gathered across owners of every shard so
+// already knows compromised is answered in one hop; everything else —
+// novel moduli and clean corpus members alike — is scatter-gathered across owners of every shard so
 // the full-corpus GCD sweep still happens, just distributed. Owner
 // failures retry against placement peers with backoff, stragglers are
 // hedged, and when a shard has no reachable owner left the router
@@ -294,8 +294,9 @@ func (rt *Router) orderedOwners(s int) []*Replica {
 // Check routes one validated modulus. A factored member whose home
 // answer the router remembers takes no hop at all. Otherwise the fast
 // path is a single forward to the modulus's home-shard owner,
-// definitive only when that owner already knows the key compromised. Everything else — novel moduli and
-// clean-so-far corpus members alike — scatter-gathers across owners of
+// definitive only when that owner already knows the key compromised.
+// Everything else — novel moduli and clean-so-far corpus members alike
+// — scatter-gathers across owners of
 // every other shard so the GCD sweep covers the whole corpus: replica
 // ingests only GCD a delta against their own owned shards, so a member
 // clean at its home owner can still share a prime with a key homed in a

@@ -56,8 +56,8 @@ func fermatBase2(n *big.Int) bool {
 //
 // Candidates are the odd numbers from n up, taken nextPrimeWindow at a
 // time. Each window is first sieved on words: n's residues modulo the
-// odd primes below trialDivisionPrimes come from one pass over its
-// words, and every candidate a sieve prime divides is struck out. Those
+// odd primes among the first trialDivisionPrimes come from one pass
+// over its words, and every candidate a sieve prime divides is struck out. Those
 // candidates exceed the prime, so they are composite and ProbablyPrime
 // would reject them too. Survivors then face the base-2 Fermat gate,
 // which rejects only what ProbablyPrime's forced base-2 round rejects
@@ -79,14 +79,13 @@ func NextPrime(n *big.Int) *big.Int {
 		}
 		return c
 	}
-	primes := nextPrimeSieve
-	rems := remsOf(c.Bits(), primes)
+	rems := remsOf(c.Bits(), nextPrimeSieve)
 	var struck [nextPrimeWindow]bool
 	var d big.Int
 	cand := new(big.Int)
 	for {
 		clear(struck[:])
-		for i, q := range primes {
+		for i, q := range nextPrimeSieve {
 			// Candidate k is c+2k: the first one q divides has
 			// 2k ≡ -r (mod q), so k ≡ (q-r)·(q+1)/2.
 			r := rems[i]
@@ -108,9 +107,10 @@ func NextPrime(n *big.Int) *big.Int {
 	}
 }
 
-// nextPrimeWindow is how many odd candidates NextPrime sieves at a time.
-// The mean prime gap near 2^512 is about 355, so a search at that width
-// mostly ends inside its first window.
+// nextPrimeWindow is how many odd candidates NextPrime sieves at a time,
+// a span of 256. The mean prime gap is about 44 near 2^64 and 355 near
+// 2^512: a narrower window would take several passes at the wide end,
+// a wider one strike out candidates past the prime at the narrow end.
 const nextPrimeWindow = 128
 
 // nextPrimeSieve holds the odd primes NextPrime sieves by: those among
