@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt build vet vet-386 bench-check test race allocs e2e fuzz-smoke bench bench-once bench-pipeline bench-telemetry bench-smoke
+.PHONY: ci fmt build vet vet-386 bench-check test race allocs e2e fuzz-smoke bench bench-once bench-telemetry bench-smoke
 
 # ci is the full gate: check formatting, compile everything, vet (bench/ too, and the
 # tree again for 386, with the word-width arithmetic tested there), run the
@@ -90,11 +90,6 @@ bench:
 # longer builds) fails the gate rather than the next profile.
 bench-once:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
-
-# bench-pipeline measures the stage-wrapping overhead of internal/pipeline
-# against direct calls (expected: well under 1%).
-bench-pipeline:
-	$(GO) test -run xxx -bench 'BenchmarkPipelineOverhead' .
 
 # bench-telemetry guards the instrumentation hot path: counter Add and
 # histogram Observe must stay in the low nanoseconds, event Emit within

@@ -29,7 +29,6 @@ import (
 	"github.com/factorable/weakkeys/internal/devices"
 	"github.com/factorable/weakkeys/internal/distgcd"
 	"github.com/factorable/weakkeys/internal/numtheory"
-	"github.com/factorable/weakkeys/internal/pipeline"
 	"github.com/factorable/weakkeys/internal/population"
 	"github.com/factorable/weakkeys/internal/prodtree"
 	"github.com/factorable/weakkeys/internal/scanstore"
@@ -524,46 +523,6 @@ func BenchmarkTCPProbeWorkers(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkPipelineOverhead measures the cost of running work wrapped in
-// pipeline stages versus calling it directly. The wrapping is two clock
-// reads, two rusage syscalls and a couple of allocations per stage —
-// well under 1% of any real stage (the cheapest production stage, Dedup,
-// is milliseconds; the wrapper is microseconds).
-func BenchmarkPipelineOverhead(b *testing.B) {
-	moduli := benchCorpus(b)[:512]
-	work := func() error {
-		_, err := prodtree.New(moduli)
-		return err
-	}
-	b.Run("direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := work(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("staged", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, err := (&pipeline.Runner{}).Run(context.Background(),
-				pipeline.Stage{Name: "work", Run: func(ctx context.Context, st *pipeline.Stats) error {
-					return work()
-				}})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// The wrapper alone, with no work inside: the absolute per-stage cost.
-	b.Run("empty-stage", func(b *testing.B) {
-		noop := pipeline.Stage{Name: "noop", Run: func(ctx context.Context, st *pipeline.Stats) error { return nil }}
-		for i := 0; i < b.N; i++ {
-			if _, err := (&pipeline.Runner{}).Run(context.Background(), noop); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkStudyPipeline(b *testing.B) {

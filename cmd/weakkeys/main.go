@@ -24,7 +24,6 @@ import (
 
 	"github.com/factorable/weakkeys/internal/analysis"
 	"github.com/factorable/weakkeys/internal/core"
-	"github.com/factorable/weakkeys/internal/pipeline"
 	"github.com/factorable/weakkeys/internal/report"
 	"github.com/factorable/weakkeys/internal/scanstore"
 	"github.com/factorable/weakkeys/internal/telemetry"
@@ -54,8 +53,8 @@ func main() {
 		listen    = flag.String("listen", "", "serve live diagnostics on this address (/metrics, /debug/vars, /debug/pprof); :0 picks a port")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file of the run's spans")
 		hold      = flag.Duration("hold", 0, "keep the diagnostics server alive this long after the run (for scraping short runs)")
-		quiet     = flag.Bool("q", false, "suppress progress output")
-		logLevel  = flag.String("log-level", "warn", "stderr structured-log floor: debug, info, warn or error")
+		quiet     = flag.Bool("q", false, "suppress progress output (raises the stderr log floor to warn)")
+		logLevel  = flag.String("log-level", "info", "stderr structured-log floor: debug, info, warn or error")
 		logFormat = flag.String("log-format", "text", "stderr structured-log encoding: text or json")
 	)
 	flag.Parse()
@@ -83,6 +82,9 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "weakkeys:", err)
 		os.Exit(1)
+	}
+	if *quiet {
+		teeLevel = max(teeLevel, slog.LevelWarn)
 	}
 	if *logFormat != "text" && *logFormat != "json" {
 		fmt.Fprintf(os.Stderr, "weakkeys: -log-format must be text or json, got %q\n", *logFormat)
@@ -131,20 +133,6 @@ func main() {
 		}
 	}
 
-	// Progress lines come from the pipeline's own stage events.
-	progress := func(ev pipeline.Event) {
-		switch ev.Kind {
-		case pipeline.StageStart:
-			logf("[%d/%d] %s...", ev.Index+1, ev.Total, ev.Stage)
-		case pipeline.StageDone:
-			logf("[%d/%d] %s done in %v (%d in, %d out)",
-				ev.Index+1, ev.Total, ev.Stage, ev.Stats.Wall.Round(time.Millisecond),
-				ev.Stats.ItemsIn, ev.Stats.ItemsOut)
-		case pipeline.StageError:
-			logf("[%d/%d] %s failed: %v", ev.Index+1, ev.Total, ev.Stage, ev.Err)
-		}
-	}
-
 	start := time.Now()
 	var study *core.Study
 	if *loadFrom != "" {
@@ -164,7 +152,6 @@ func main() {
 		study, err = core.AnalyzeStore(ctx, store, core.Options{
 			KeyBits:   *bits,
 			Subsets:   *subsets,
-			Progress:  progress,
 			Telemetry: reg,
 			Events:    events,
 			Tracer:    tracer,
@@ -180,16 +167,10 @@ func main() {
 			MITMRate:       *mitm,
 			BitErrorRate:   *bitErr,
 			OtherProtocols: *other,
-			Progress:       progress,
-			HarvestProgress: func(done, total int) {
-				if done%24 == 0 {
-					logf("  harvest: month %d/%d", done, total)
-				}
-			},
-			Telemetry: reg,
-			Events:    events,
-			Tracer:    tracer,
-			Anomalies: *anomalies,
+			Telemetry:      reg,
+			Events:         events,
+			Tracer:         tracer,
+			Anomalies:      *anomalies,
 		})
 	}
 	if err != nil {

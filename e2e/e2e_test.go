@@ -35,6 +35,7 @@ func TestStudy(t *testing.T) {
 	// all of stdout and the trace file are written.
 	clean := start(t, "weakkeys", append(study, "-listen", "127.0.0.1:0", "-hold", "5m", "-trace", trace, "-metrics")...)
 	base := clean.waitLog(`diagnostics on (http://[^/]+)/metrics`)
+	clean.waitLog(`msg="stage done" stage=Analyze `) // progress is the event log, on by default
 	clean.waitLog(`holding diagnostics server`)
 	counted(t, base, "pipeline_stages_completed_total", "population_months_done", "distgcd_moduli", "core_runs_total")
 	var doc struct{ TraceEvents []struct{ Name string } }
@@ -61,8 +62,8 @@ var update = flag.Bool("update", false, "rewrite testdata/study.golden from this
 func TestStudyGolden(t *testing.T) {
 	t.Parallel()
 	out, errOut, err := run("", "weakkeys", "-all", "-anomalies", "-q", "-scale", "0.05")
-	if err != nil {
-		t.Fatalf("weakkeys -all: %v\n%s", err, errOut)
+	if err != nil || strings.Contains(errOut, "stage done") {
+		t.Fatalf("weakkeys -all -q: %v, or progress despite -q:\n%s", err, errOut)
 	}
 	got := regexp.MustCompile(`([0-9]+(\.[0-9]+)?(ns|µs|ms|h|m|s))+\b`).ReplaceAllString(out, "<duration>")
 	const golden = "testdata/study.golden"

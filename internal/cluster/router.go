@@ -768,9 +768,9 @@ func (rt *Router) Status() clusterStatus {
 //	GET  /readyz         200 only when every shard has a usable owner
 func (rt *Router) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/check", rt.withRequestID(rt.handleCheck))
-	mux.HandleFunc("/v1/ingest", rt.withRequestID(rt.handleIngest))
-	mux.HandleFunc("/v1/exemplars", rt.withRequestID(rt.handleExemplars))
+	mux.HandleFunc("/v1/check", telemetry.WithRequestID(rt.handleCheck))
+	mux.HandleFunc("/v1/ingest", telemetry.WithRequestID(rt.handleIngest))
+	mux.HandleFunc("/v1/exemplars", telemetry.WithRequestID(rt.handleExemplars))
 	mux.HandleFunc("/cluster/status", rt.handleStatus)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -786,14 +786,6 @@ func (rt *Router) Mux() *http.ServeMux {
 		w.Write([]byte("ready\n"))
 	})
 	return mux
-}
-
-func (rt *Router) withRequestID(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id, _ := telemetry.HTTPRequestID(r)
-		w.Header().Set("X-Request-Id", id)
-		h(w, r.WithContext(telemetry.ContextWithRequestID(r.Context(), id)))
-	}
 }
 
 func (rt *Router) handleCheck(w http.ResponseWriter, r *http.Request) {

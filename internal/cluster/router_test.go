@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"math/big"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -482,5 +485,40 @@ func TestRouterIngestFailover(t *testing.T) {
 	}
 	if got := rt.metrics.Counter("cluster_ingest_failed_moduli_total").Value(); got != 1 {
 		t.Errorf("cluster_ingest_failed_moduli_total = %d, want 1", got)
+	}
+}
+
+// TestRouterEchoesRequestID checks that the router's routes carry the
+// request's correlation ID: an inbound X-Request-Id comes back on a 200
+// and on a 400 (in the error body too), and a request without one gets
+// a minted ID.
+func TestRouterEchoesRequestID(t *testing.T) {
+	rt, _ := newTestCluster(t, 3, 8, 2)
+	mux := rt.Mux()
+	for _, tc := range []struct {
+		body, id string
+		code     int
+	}{
+		{`{"modulus_hex":"` + modN1.Text(16) + `"}`, "caller-7", http.StatusOK},
+		{`{}`, "caller-8", http.StatusBadRequest},
+		{`garbage`, "", http.StatusBadRequest},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/check", strings.NewReader(tc.body))
+		if tc.id != "" {
+			req.Header.Set("X-Request-Id", tc.id)
+		}
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, req)
+		got := rr.Header().Get("X-Request-Id")
+		if rr.Code != tc.code || got == "" || tc.id != "" && got != tc.id {
+			t.Errorf("%s with X-Request-Id %q: %d, X-Request-Id %q; want %d and the inbound or a minted ID",
+				tc.body, tc.id, rr.Code, got, tc.code)
+		}
+		var reply struct {
+			RequestID string `json:"request_id"`
+		}
+		if tc.code != http.StatusOK && (json.Unmarshal(rr.Body.Bytes(), &reply) != nil || reply.RequestID != got) {
+			t.Errorf("%s: error body %s does not repeat X-Request-Id %q", tc.body, rr.Body, got)
+		}
 	}
 }

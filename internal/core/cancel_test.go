@@ -1,16 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
 	"time"
 
-	"github.com/factorable/weakkeys/internal/pipeline"
+	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
-// stageReport returns r's report for the named stage, or nil.
-func stageReport(r *pipeline.RunReport, name string) *pipeline.StageReport {
+// stageReport returns r's row for the named stage, or nil.
+func stageReport(r *Report, name string) *StageReport {
 	for i := range r.Stages {
 		if r.Stages[i].Name == name {
 			return &r.Stages[i]
@@ -19,10 +20,24 @@ func stageReport(r *pipeline.RunReport, name string) *pipeline.StageReport {
 	return nil
 }
 
+// cancelOn is an event-log tee that cancels when a line it is handed
+// contains line.
+type cancelOn struct {
+	line   []byte
+	cancel context.CancelFunc
+}
+
+func (c cancelOn) Write(p []byte) (int, error) {
+	if bytes.Contains(p, c.line) {
+		c.cancel()
+	}
+	return len(p), nil
+}
+
 // runCancelling runs a small study and cancels the context as soon as
-// the named stage starts, returning the partial study and the error
-// (guarded by a timeout so a hung cancellation fails the test instead
-// of the suite).
+// the event log narrates the named stage's start, returning the partial
+// study and the error (guarded by a timeout so a hung cancellation
+// fails the test instead of the suite).
 func runCancelling(t *testing.T, stage string, subsets int) (*Study, error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -38,11 +53,9 @@ func runCancelling(t *testing.T, stage string, subsets int) (*Study, error) {
 			KeyBits: 128,
 			Scale:   0.05,
 			Subsets: subsets,
-			Progress: func(ev pipeline.Event) {
-				if ev.Stage == stage && ev.Kind == pipeline.StageStart {
-					cancel()
-				}
-			},
+			Events: telemetry.NewEventLog(telemetry.EventConfig{
+				Tee: cancelOn{[]byte(`msg="stage start" stage=` + stage + " "), cancel},
+			}),
 		})
 		done <- outcome{study, err}
 	}()
@@ -80,7 +93,7 @@ func TestRunCancelledMidHarvest(t *testing.T) {
 }
 
 // TestPartialStudyOnCancel is the `weakkeys -metrics` error-path fix: a
-// cancelled run must still hand back the partial study whose RunReport
+// cancelled run must still hand back the partial study whose Report
 // covers every stage that started, so the cost profile of the work done
 // so far can be printed.
 func TestPartialStudyOnCancel(t *testing.T) {
@@ -136,16 +149,16 @@ func TestRunReportCoversAllStages(t *testing.T) {
 		if sr.Err != nil {
 			t.Errorf("stage %s errored: %v", name, sr.Err)
 		}
-		if sr.Stats.Wall <= 0 {
+		if sr.Wall <= 0 {
 			t.Errorf("stage %s has no wall time", name)
 		}
 	}
 	// The dedup output feeds the batch GCD input.
 	dedup, gcd := stageReport(s.Report, StageDedup), stageReport(s.Report, StageBatchGCD)
-	if dedup.Stats.ItemsOut != gcd.Stats.ItemsIn {
-		t.Errorf("dedup out %d != batchgcd in %d", dedup.Stats.ItemsOut, gcd.Stats.ItemsIn)
+	if dedup.ItemsOut != gcd.ItemsIn {
+		t.Errorf("dedup out %d != batchgcd in %d", dedup.ItemsOut, gcd.ItemsIn)
 	}
-	if gcd.Stats.ItemsOut == 0 {
+	if gcd.ItemsOut == 0 {
 		t.Error("batch GCD found nothing in a study with vulnerable lines")
 	}
 }

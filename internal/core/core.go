@@ -5,11 +5,11 @@
 // the complete pipeline of Hastings, Fried and Heninger's IMC 2016
 // measurement, end to end.
 //
-// The run is composed of named internal/pipeline stages — Simulate,
-// Harvest, Dedup, BatchGCD, Fingerprint, Analyze — executed under one
-// context. Every stage honours cancellation (the math kernels check it
-// mid-computation, per product-tree level) and records per-stage stats;
-// the accumulated RunReport is returned on the Study and printed by
+// The run is a list of named stages — Simulate, Harvest, Dedup,
+// BatchGCD, Fingerprint, Analyze — run one after another under one
+// context (stages.go). Every stage honours cancellation (the math
+// kernels check it mid-computation, per product-tree level) and records
+// its cost; the per-stage Report is returned on the Study and printed by
 // `weakkeys -metrics`.
 //
 // Typical use:
@@ -31,7 +31,6 @@ import (
 	"github.com/factorable/weakkeys/internal/distgcd"
 	"github.com/factorable/weakkeys/internal/fingerprint"
 	"github.com/factorable/weakkeys/internal/kernel"
-	"github.com/factorable/weakkeys/internal/pipeline"
 	"github.com/factorable/weakkeys/internal/population"
 	"github.com/factorable/weakkeys/internal/scanstore"
 	"github.com/factorable/weakkeys/internal/telemetry"
@@ -74,14 +73,8 @@ type Options struct {
 	// Lines overrides the simulated ecosystem (defaults to the full
 	// vendor set from the paper's figures).
 	Lines []population.Line
-	// Progress, when set, receives the pipeline stage events (start,
-	// done, error per stage) synchronously on the running goroutine.
-	Progress pipeline.ProgressFunc
-	// HarvestProgress, when set, is called after each simulated month of
-	// the Harvest stage with (monthsDone, monthsTotal).
-	HarvestProgress func(done, total int)
 	// Telemetry, when set, is the shared metrics registry every layer
-	// records into: the pipeline mirrors per-stage stats, the simulation
+	// records into: the stage loop mirrors per-stage stats, the simulation
 	// its per-month rates, distgcd its per-node ledger, and core its
 	// corpus-level gauges. Serve it live with telemetry.ListenAndServe.
 	Telemetry *telemetry.Registry
@@ -89,8 +82,9 @@ type Options struct {
 	// and batch-GCD nodes) exportable as Chrome trace_event JSON.
 	Tracer *telemetry.Tracer
 	// Events, when set, is the structured event log the run narrates
-	// into: per-stage lifecycle events from the pipeline runner,
-	// inspectable live via /debug/events or post mortem via a bundle.
+	// into: a start and a done (or failed) event per stage, and the
+	// harvest's progress every 24 months, all at info; inspectable live
+	// via /debug/events or post mortem via a bundle.
 	Events *telemetry.EventLog
 	// Anomalies enables the Anomaly stage: the shared-modulus graph,
 	// exponent census, and Fermat/small-factor probe sweep over the
@@ -132,7 +126,7 @@ type Study struct {
 	// Anomaly is the beyond-GCD pass result (Options.Anomalies only).
 	Anomaly *anomaly.Report
 	// Report is the per-stage cost profile of the run.
-	Report *pipeline.RunReport
+	Report *Report
 }
 
 // Run executes the full pipeline.
@@ -147,8 +141,8 @@ func Run(ctx context.Context, opts Options) (*Study, error) {
 	var cliqueVendors map[string]string
 	var extraIPKeys []string
 
-	stages := []pipeline.Stage{
-		{Name: StageSimulate, Run: func(ctx context.Context, st *pipeline.Stats) error {
+	stages := []stage{
+		{name: StageSimulate, run: func(ctx context.Context, st *StageReport) error {
 			// The substitution for the EFF/P&Q/Ecosystem/Rapid7/Censys
 			// corpora: a generative device-ecosystem model.
 			sim, err := population.New(population.Config{
@@ -160,7 +154,6 @@ func Run(ctx context.Context, opts Options) (*Study, error) {
 				BitErrorRate:   opts.BitErrorRate,
 				OtherProtocols: opts.OtherProtocols,
 				IPReuse:        ipReuse,
-				Progress:       opts.HarvestProgress,
 				Metrics:        opts.Telemetry,
 			})
 			if err != nil {
@@ -170,7 +163,7 @@ func Run(ctx context.Context, opts Options) (*Study, error) {
 			st.ItemsOut = int64(len(sim.Lines()))
 			return nil
 		}},
-		{Name: StageHarvest, Run: func(ctx context.Context, st *pipeline.Stats) error {
+		{name: StageHarvest, run: func(ctx context.Context, st *StageReport) error {
 			if err := s.Sim.Run(ctx, s.Store); err != nil {
 				return fmt.Errorf("core: scan harvest: %w", err)
 			}
@@ -188,17 +181,12 @@ func Run(ctx context.Context, opts Options) (*Study, error) {
 		}},
 	}
 	stages = append(stages, s.analysisStages(&cliqueVendors, &extraIPKeys)...)
-	runner := &pipeline.Runner{Progress: opts.Progress, Metrics: opts.Telemetry, Tracer: opts.Tracer, Events: opts.Events}
-	report, err := runner.Run(ctx, stages...)
-	s.Report = report
+	err := s.runStages(ctx, stages)
 	s.publishCorpusGauges()
-	if err != nil {
-		// The partial study — with the report of every stage that ran —
-		// comes back alongside the error so a cancelled or failed run
-		// can still print its cost profile.
-		return s, err
-	}
-	return s, nil
+	// The partial study — with the report of every stage that ran — comes
+	// back alongside an error so a cancelled or failed run can still
+	// print its cost profile.
+	return s, err
 }
 
 // publishCorpusGauges mirrors the study's corpus-level totals into the
@@ -228,9 +216,10 @@ func (s *Study) publishCorpusGauges() {
 // AnalyzeStore runs the factoring, fingerprinting and longitudinal
 // phases over an existing scan corpus (for example one reloaded with
 // scanstore.Store.LoadSince) without simulating an ecosystem. Options
-// fields that configure the simulation are ignored; Subsets, KeyBits and
-// Progress apply. Without analyst clique knowledge, detected cliques are
-// attributed by the majority-label fallback only.
+// fields that configure the simulation are ignored; Subsets, KeyBits,
+// Anomalies and the telemetry handles apply. Without analyst clique
+// knowledge, detected cliques are attributed by the majority-label
+// fallback only.
 func AnalyzeStore(ctx context.Context, store *scanstore.Store, opts Options) (*Study, error) {
 	if opts.KeyBits == 0 {
 		opts.KeyBits = 256
@@ -238,27 +227,22 @@ func AnalyzeStore(ctx context.Context, store *scanstore.Store, opts Options) (*S
 	s := &Study{Opts: opts, Store: store}
 	var noCliques map[string]string
 	var noExtra []string
-	runner := &pipeline.Runner{Progress: opts.Progress, Metrics: opts.Telemetry, Tracer: opts.Tracer, Events: opts.Events}
-	report, err := runner.Run(ctx, s.analysisStages(&noCliques, &noExtra)...)
-	s.Report = report
+	err := s.runStages(ctx, s.analysisStages(&noCliques, &noExtra))
 	s.publishCorpusGauges()
-	if err != nil {
-		return s, err
-	}
-	return s, nil
+	return s, err
 }
 
 // analysisStages composes phases 2-4 — Dedup, BatchGCD, Fingerprint,
 // Analyze — over s.Store. cliqueVendors and extraIPKeys are pointers
 // because the values are produced by the Harvest stage after the stage
 // list is built.
-func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]string) []pipeline.Stage {
+func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]string) []stage {
 	opts := s.Opts
 	// Dedup output, consumed by BatchGCD and Fingerprint.
 	var moduli []*big.Int
 	var keys []string
-	stages := []pipeline.Stage{
-		{Name: StageDedup, Run: func(ctx context.Context, st *pipeline.Stats) error {
+	stages := []stage{
+		{name: StageDedup, run: func(ctx context.Context, st *StageReport) error {
 			// The corpus ingest dedup: every distinct modulus ever
 			// observed, in first-seen order (the paper's 81M distinct
 			// moduli out of hundreds of millions of host records).
@@ -270,7 +254,7 @@ func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]
 			}
 			return nil
 		}},
-		{Name: StageBatchGCD, Run: func(ctx context.Context, st *pipeline.Stats) error {
+		{name: StageBatchGCD, run: func(ctx context.Context, st *StageReport) error {
 			if opts.Subsets >= 2 {
 				results, stats, err := distgcd.Run(ctx, moduli, distgcd.Options{Subsets: opts.Subsets, Metrics: opts.Telemetry})
 				if err != nil {
@@ -288,7 +272,7 @@ func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]
 			}
 			return nil
 		}},
-		{Name: StageFingerprint, Run: func(ctx context.Context, st *pipeline.Stats) error {
+		{name: StageFingerprint, run: func(ctx context.Context, st *StageReport) error {
 			divisors := make(map[string]*big.Int, len(s.Factored))
 			for _, r := range s.Factored {
 				divisors[keys[r.Index]] = r.Divisor
@@ -312,7 +296,7 @@ func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]
 			st.ItemsOut = int64(len(s.Fingerprint.Labels))
 			return nil
 		}},
-		{Name: StageAnalyze, Run: func(ctx context.Context, st *pipeline.Stats) error {
+		{name: StageAnalyze, run: func(ctx context.Context, st *StageReport) error {
 			// Longitudinal analysis over the factored (bit-error-
 			// excluded) vulnerable set.
 			vuln := make(map[string]bool, len(s.Fingerprint.Factors))
@@ -331,7 +315,7 @@ func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]
 		}},
 	}
 	if opts.Anomalies {
-		stages = append(stages, pipeline.Stage{Name: StageAnomaly, Run: func(ctx context.Context, st *pipeline.Stats) error {
+		stages = append(stages, stage{name: StageAnomaly, run: func(ctx context.Context, st *StageReport) error {
 			rep, err := anomaly.Analyze(ctx, anomaly.Config{
 				Store:   s.Store,
 				Metrics: opts.Telemetry,

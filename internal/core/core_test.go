@@ -646,7 +646,7 @@ func TestAnomalyStage(t *testing.T) {
 	}
 	if sr := stageReport(s.Report, StageAnomaly); sr == nil {
 		t.Error("run report missing the Anomaly stage")
-	} else if sr.Stats.ItemsOut == 0 {
+	} else if sr.ItemsOut == 0 {
 		t.Error("Anomaly stage reported zero findings")
 	}
 	var b strings.Builder

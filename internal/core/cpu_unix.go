@@ -1,6 +1,6 @@
 //go:build unix
 
-package pipeline
+package core
 
 import (
 	"syscall"

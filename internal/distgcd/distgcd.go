@@ -31,7 +31,6 @@ import (
 
 	"github.com/factorable/weakkeys/internal/batchgcd"
 	"github.com/factorable/weakkeys/internal/kernel"
-	"github.com/factorable/weakkeys/internal/pipeline"
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
@@ -51,9 +50,9 @@ type Options struct {
 	Metrics *telemetry.Registry
 }
 
-// Stats reports the cost profile of a run on the shared per-stage stats
-// type, mirroring the quantities the paper compares: Wall is the
-// wall-clock time, CPU the total busy time summed across nodes (the
+// Stats reports the cost profile of a run in the columns of the study's
+// per-stage report, mirroring the quantities the paper compares: Wall is
+// the wall-clock time, CPU the total busy time summed across nodes (the
 // paper's "1089 CPU hours"), Bytes the peak per-node product-tree
 // footprint (the paper's "70-100 GB per node"), ItemsIn the input
 // modulus count and ItemsOut the number of vulnerable results. Bytes is
@@ -63,7 +62,8 @@ type Options struct {
 // scratch, or a pass's transform tables and reciprocal, which live only
 // while that pass runs.
 type Stats struct {
-	pipeline.Stats
+	Wall, CPU                time.Duration
+	ItemsIn, ItemsOut, Bytes int64
 	// Subsets is the effective subset count k (clamped to the number of
 	// distinct input moduli).
 	Subsets int

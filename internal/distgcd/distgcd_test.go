@@ -199,12 +199,23 @@ func TestPeakMemShrinksWithMoreSubsets(t *testing.T) {
 	}
 }
 
-// TestRunCancelledContext cancels before the run and at several points
-// into it. 2,048 × 128-bit moduli at k=4 take long enough that the later
-// cancels land in either phase; each must fail the whole run promptly.
+// TestRunCancelledContext cancels before the run, at its start, and a
+// quarter and half of the way through a 2,048 × 128-bit k=4 run, timed
+// as the faster of two uncancelled runs so that every cancel lands
+// inside the run; each must fail the whole run promptly.
 func TestRunCancelledContext(t *testing.T) {
 	moduli, _ := mixedCorpus(t, 11, 2044, 4, 64)
-	for _, delay := range []time.Duration{-1, 0, time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond} {
+	var fastest time.Duration
+	for i := 0; i < 2; i++ {
+		t0 := time.Now()
+		if _, _, err := Run(context.Background(), moduli, Options{Subsets: 4}); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(t0); i == 0 || d < fastest {
+			fastest = d
+		}
+	}
+	for _, delay := range []time.Duration{-1, 0, fastest / 4, fastest / 2} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancelled := make(chan time.Time, 1)
 		fire := func() { cancelled <- time.Now(); cancel() }

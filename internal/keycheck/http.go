@@ -115,10 +115,10 @@ func NewAPI(svc *Service, limiter *RateLimiter, reg *telemetry.Registry) *API {
 //	                    the drain gate open (503 otherwise)
 func (a *API) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/check", a.withRequestID(a.handleCheck))
-	mux.HandleFunc("/v1/ingest", a.withRequestID(a.handleIngest))
-	mux.HandleFunc("/v1/stats", a.withRequestID(a.handleStats))
-	mux.HandleFunc("/v1/exemplars", a.withRequestID(a.handleExemplars))
+	mux.HandleFunc("/v1/check", telemetry.WithRequestID(a.handleCheck))
+	mux.HandleFunc("/v1/ingest", telemetry.WithRequestID(a.handleIngest))
+	mux.HandleFunc("/v1/stats", telemetry.WithRequestID(a.handleStats))
+	mux.HandleFunc("/v1/exemplars", telemetry.WithRequestID(a.handleExemplars))
 	mux.HandleFunc("/healthz", a.handleHealthz)
 	mux.HandleFunc("/readyz", a.handleReadyz)
 	return mux
@@ -146,19 +146,6 @@ func (a *API) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Write([]byte("ready\n"))
-}
-
-// withRequestID resolves the request's correlation ID — a valid inbound
-// X-Request-Id, the trace-id of a W3C traceparent, or a freshly minted
-// one — threads it through the context, and echoes it on the response.
-// It wraps every route, so every response (200s, sheds, rate limits and
-// malformed bodies alike) carries X-Request-Id.
-func (a *API) withRequestID(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id, _ := telemetry.HTTPRequestID(r)
-		w.Header().Set("X-Request-Id", id)
-		h(w, r.WithContext(telemetry.ContextWithRequestID(r.Context(), id)))
-	}
 }
 
 func (a *API) handleCheck(w http.ResponseWriter, r *http.Request) {
@@ -415,9 +402,9 @@ func (a *API) writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // writeError renders a failure with the request's correlation ID in
-// both the body and (via withRequestID) the X-Request-Id header, and
-// leaves a warn-level event in the flight recorder so the operator can
-// look the ID up after the fact.
+// both the body and (via telemetry.WithRequestID) the X-Request-Id
+// header, and leaves a warn-level event in the flight recorder so the
+// operator can look the ID up after the fact.
 func (a *API) writeError(w http.ResponseWriter, r *http.Request, code int, err error) {
 	id := telemetry.RequestIDFrom(r.Context())
 	a.svc.cfg.Events.Warn(r.Context(), "request failed",

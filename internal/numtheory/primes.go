@@ -11,8 +11,7 @@ package numtheory
 
 // SmallPrimes returns the first n primes, computed with an Eratosthenes
 // sieve. The result is freshly allocated on every call; callers that need
-// the list repeatedly should cache it (see FirstPrimes for the shared
-// cached variant).
+// the list repeatedly should use FirstPrimes, which shares one.
 func SmallPrimes(n int) []uint64 {
 	if n <= 0 {
 		return nil
@@ -78,21 +77,18 @@ func sieve(limit uint64) []uint64 {
 	return primes
 }
 
-// firstPrimesCache holds the largest prime list computed so far by
-// FirstPrimes. Access is unsynchronized-by-copy: the slice header is
-// replaced atomically enough for our single-initialization usage pattern;
-// concurrent callers may redundantly recompute but never observe a torn
-// slice because slices are only ever grown and reassigned whole.
-var firstPrimesCache []uint64
+// firstPrimes is the first OpenSSLSievePrimes primes, the longest list
+// the study asks FirstPrimes for, built once at init so concurrent
+// callers share it without synchronisation.
+var firstPrimes = SmallPrimes(OpenSSLSievePrimes)
 
-// FirstPrimes returns the first n primes from a shared cache. The returned
-// slice MUST NOT be modified. It is the list OpenSSL-style prime generation
+// FirstPrimes returns the first n primes: up to OpenSSLSievePrimes a
+// prefix of the shared list, which MUST NOT be modified, and beyond it a
+// fresh SmallPrimes(n). It is the list OpenSSL-style prime generation
 // sieves against (the paper's fingerprint uses the first 2048 primes).
 func FirstPrimes(n int) []uint64 {
-	c := firstPrimesCache
-	if len(c) < n {
-		c = SmallPrimes(n)
-		firstPrimesCache = c
+	if n > len(firstPrimes) {
+		return SmallPrimes(n)
 	}
-	return c[:n]
+	return firstPrimes[:n:n]
 }

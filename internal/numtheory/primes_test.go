@@ -2,6 +2,8 @@ package numtheory
 
 import (
 	"math/big"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -60,6 +62,30 @@ func TestFirstPrimesCaching(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("cache inconsistency at %d", i)
 		}
+	}
+}
+
+// TestFirstPrimesConcurrent has goroutines ask for lists of different
+// lengths at once, as key generation, fingerprinting and trial division
+// do; under -race it fails if FirstPrimes shares state unsynchronised.
+func TestFirstPrimesConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	got := make([][]uint64, 4)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = FirstPrimes(128 << i)
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if want := SmallPrimes(128 << i); !slices.Equal(g, want) {
+			t.Errorf("FirstPrimes(%d) differs from SmallPrimes", 128<<i)
+		}
+	}
+	if g := FirstPrimes(OpenSSLSievePrimes + 1); !slices.Equal(g, SmallPrimes(OpenSSLSievePrimes+1)) {
+		t.Errorf("FirstPrimes past the shared list differs from SmallPrimes")
 	}
 }
 

@@ -3,6 +3,7 @@ package population
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"math/big"
 	"math/rand"
 	"time"
@@ -42,10 +43,6 @@ type Config struct {
 	// IBM analysis ("the varying subjects of these new certificates
 	// indicated that these new certificates were due to IP churn").
 	IPReuse float64
-	// Progress, when set, is called after each simulated month with the
-	// number of months completed and the total. Calls are synchronous on
-	// the simulating goroutine.
-	Progress func(done, total int)
 	// Metrics, when set, receives live harvest telemetry: the
 	// population_months_done / population_devices_alive gauges, the
 	// population_observations_total counter, the per-month
@@ -465,9 +462,15 @@ func Coverage(src scanstore.Source) float64 {
 	}
 }
 
+// harvestEventMonths is how often, in simulated months, Run reports its
+// progress to the event log riding its context.
+const harvestEventMonths = 24
+
 // Run simulates the full timeline, writing observations into store. The
 // context is checked once per simulated month, so cancelling aborts a
 // long harvest between months with an error wrapping the context's.
+// Every harvestEventMonths months it emits an info "harvest" event into
+// the context's event log (telemetry.EventsFrom).
 func (s *Simulation) Run(ctx context.Context, store *scanstore.Store) error {
 	if s.cfg.OtherProtocols {
 		if err := s.buildOtherProtocolKeys(); err != nil {
@@ -480,6 +483,7 @@ func (s *Simulation) Run(ctx context.Context, store *scanstore.Store) error {
 	rateGauge := reg.Gauge("population_sim_hosts_per_sec")
 	monthHist := reg.Histogram("population_month_seconds", telemetry.DurationBuckets)
 	harvestSpan := telemetry.SpanFrom(ctx)
+	events := telemetry.EventsFrom(ctx)
 	for m := Month(0); m < Months; m++ {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("population: harvest cancelled at month %d/%d: %w", int(m), int(Months), err)
@@ -511,8 +515,8 @@ func (s *Simulation) Run(ctx context.Context, store *scanstore.Store) error {
 		}
 		sp.SetArg("devices_alive", alive)
 		sp.End()
-		if s.cfg.Progress != nil {
-			s.cfg.Progress(int(m)+1, int(Months))
+		if done := int(m) + 1; done%harvestEventMonths == 0 {
+			events.Info(ctx, "harvest", slog.Int("month", done), slog.Int("months", int(Months)))
 		}
 	}
 	if s.cfg.OtherProtocols {

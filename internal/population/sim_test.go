@@ -3,9 +3,12 @@ package population
 import (
 	"context"
 	"errors"
+	"fmt"
+	"log/slog"
 	"testing"
 
 	"github.com/factorable/weakkeys/internal/scanstore"
+	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
 // testSim runs a scaled-down ecosystem quickly.
@@ -320,17 +323,30 @@ func TestSimRunCancelled(t *testing.T) {
 	}
 }
 
+// TestSimRunProgress checks that a run with an event log in its context
+// reports its progress there: one info "harvest" event every
+// harvestEventMonths simulated months.
 func TestSimRunProgress(t *testing.T) {
-	var calls, last, total int
-	sim, err := New(Config{Seed: 9, KeyBits: 128, Scale: 0.02,
-		Progress: func(done, months int) { calls++; last = done; total = months }})
+	sim, err := New(Config{Seed: 9, KeyBits: 128, Scale: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(context.Background(), scanstore.New()); err != nil {
+	events := telemetry.NewEventLog(telemetry.EventConfig{})
+	if err := sim.Run(telemetry.ContextWithEvents(context.Background(), events), scanstore.New()); err != nil {
 		t.Fatal(err)
 	}
-	if calls != int(Months) || last != int(Months) || total != int(Months) {
-		t.Errorf("progress calls=%d last=%d total=%d, want all %d", calls, last, total, Months)
+	var months []string
+	for _, ev := range events.Events() {
+		if ev.Msg != "harvest" || ev.Level != slog.LevelInfo || ev.Attr("months") != fmt.Sprint(int(Months)) {
+			t.Fatalf("unexpected event %s %q %v", ev.Level, ev.Msg, ev.Attrs)
+		}
+		months = append(months, ev.Attr("month"))
+	}
+	var want []string
+	for m := harvestEventMonths; m <= int(Months); m += harvestEventMonths {
+		want = append(want, fmt.Sprint(m))
+	}
+	if fmt.Sprint(months) != fmt.Sprint(want) || len(want) == 0 {
+		t.Errorf("harvest events at months %v, want %v", months, want)
 	}
 }

@@ -97,6 +97,19 @@ func HTTPRequestID(r *http.Request) (id string, inbound bool) {
 	return MintRequestID(), false
 }
 
+// WithRequestID wraps a handler with request correlation: it resolves
+// the request's ID (HTTPRequestID), threads it through the context and
+// echoes it as X-Request-Id before h runs, so every response of a
+// wrapped route — 200s, sheds, rate limits and malformed bodies alike —
+// carries it.
+func WithRequestID(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id, _ := HTTPRequestID(r)
+		w.Header().Set("X-Request-Id", id)
+		h(w, r.WithContext(ContextWithRequestID(r.Context(), id)))
+	}
+}
+
 // traceparentTraceID extracts the 32-hex-digit trace-id from a W3C
 // traceparent value ("00-<trace-id>-<parent-id>-<flags>"), or "".
 func traceparentTraceID(v string) string {

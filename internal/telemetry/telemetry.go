@@ -8,9 +8,9 @@
 // The paper's scaling story is a cost ledger — wall clock, CPU hours and
 // per-node memory for every batch-GCD step on a 22-node cluster — and
 // sustained measurement systems (ZMap and its descendants) live or die
-// by continuous rate/error telemetry on their scan loops. The pipeline's
-// RunReport is that ledger post-mortem; this package makes the same
-// quantities observable while a run is live.
+// by continuous rate/error telemetry on their scan loops. The study's
+// per-stage report (core.Report) is that ledger post mortem; this
+// package makes the same quantities observable while a run is live.
 //
 // Every handle type is nil-safe: methods on a nil *Counter, *Gauge,
 // *Histogram, *Tracer or *Span are no-ops, and a nil *Registry hands out
