@@ -28,7 +28,7 @@ var unreached = map[string]string{
 	"internal/numtheory.PollardRho":              "oracle: textbook rho over big.Int, the reference checkAgainstOracle holds the Montgomery rho kernels to (TestPollardRhoFindsFactors)",
 	"internal/population.Simulation.TruthSeries": "oracle: the generator's per-line ground truth TestSimTracksTargets, TestJuniperShape and TestHeartbleedIsLargestTruthDrop check the study's curves against",
 	"internal/population.Simulation.TruthByFP":   "oracle: the generator's label per certificate, which core's TestFingerprintAccuracy and TestBatchGCDPrecision score the study against",
-	"internal/telemetry.Registry.GaugeValue":     "oracle: reads a gauge back so TestCounterGaugeBasics, TestRunStages and TestEngineAccounting can assert what an instrument recorded",
+	"internal/telemetry.Registry.GaugeValue":     "oracle: reads a gauge back so TestCounterGaugeBasics, TestRunnerTelemetry and TestEngineAccounting can assert what an instrument recorded",
 	"internal/certs.Certificate.Verify":          "oracle: checks a self-signature, so TestSignVerify and TestVerifyFailsAfterBitError can show the generated certificates are real",
 	"internal/core.SnapshotTimeline":             "oracle: builds one snapshot per scan month, replayed by TestSnapshotTimeline",
 	"internal/weakrsa.PrivateKey.Validate":       "oracle: N = PQ, both prime, D inverts E; TestGenerateKeyValid, TestRecoverPrivateKey and TestValidateRejectsTampering hold every generator to it",

@@ -7,11 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/factorable/weakkeys/internal/pipeline"
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
 // stageReport returns r's row for the named stage, or nil.
-func stageReport(r *Report, name string) *StageReport {
+func stageReport(r *pipeline.Report, name string) *pipeline.StageReport {
 	for i := range r.Stages {
 		if r.Stages[i].Name == name {
 			return &r.Stages[i]

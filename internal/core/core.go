@@ -7,7 +7,7 @@
 //
 // The run is a list of named stages — Simulate, Harvest, Dedup,
 // BatchGCD, Fingerprint, Analyze — run one after another under one
-// context (stages.go). Every stage honours cancellation (the math
+// context (pipeline.Run). Every stage honours cancellation (the math
 // kernels check it mid-computation, per product-tree level) and records
 // its cost; the per-stage Report is returned on the Study and printed by
 // `weakkeys -metrics`.
@@ -31,6 +31,7 @@ import (
 	"github.com/factorable/weakkeys/internal/distgcd"
 	"github.com/factorable/weakkeys/internal/fingerprint"
 	"github.com/factorable/weakkeys/internal/kernel"
+	"github.com/factorable/weakkeys/internal/pipeline"
 	"github.com/factorable/weakkeys/internal/population"
 	"github.com/factorable/weakkeys/internal/scanstore"
 	"github.com/factorable/weakkeys/internal/telemetry"
@@ -126,7 +127,7 @@ type Study struct {
 	// Anomaly is the beyond-GCD pass result (Options.Anomalies only).
 	Anomaly *anomaly.Report
 	// Report is the per-stage cost profile of the run.
-	Report *Report
+	Report *pipeline.Report
 }
 
 // Run executes the full pipeline.
@@ -141,8 +142,8 @@ func Run(ctx context.Context, opts Options) (*Study, error) {
 	var cliqueVendors map[string]string
 	var extraIPKeys []string
 
-	stages := []stage{
-		{name: StageSimulate, run: func(ctx context.Context, st *StageReport) error {
+	stages := []pipeline.Stage{
+		{Name: StageSimulate, Run: func(ctx context.Context, st *pipeline.StageReport) error {
 			// The substitution for the EFF/P&Q/Ecosystem/Rapid7/Censys
 			// corpora: a generative device-ecosystem model.
 			sim, err := population.New(population.Config{
@@ -163,7 +164,7 @@ func Run(ctx context.Context, opts Options) (*Study, error) {
 			st.ItemsOut = int64(len(sim.Lines()))
 			return nil
 		}},
-		{name: StageHarvest, run: func(ctx context.Context, st *StageReport) error {
+		{Name: StageHarvest, Run: func(ctx context.Context, st *pipeline.StageReport) error {
 			if err := s.Sim.Run(ctx, s.Store); err != nil {
 				return fmt.Errorf("core: scan harvest: %w", err)
 			}
@@ -181,12 +182,24 @@ func Run(ctx context.Context, opts Options) (*Study, error) {
 		}},
 	}
 	stages = append(stages, s.analysisStages(&cliqueVendors, &extraIPKeys)...)
-	err := s.runStages(ctx, stages)
+	err := s.runStages(ctx, stages...)
 	s.publishCorpusGauges()
 	// The partial study — with the report of every stage that ran — comes
 	// back alongside an error so a cancelled or failed run can still
 	// print its cost profile.
 	return s, err
+}
+
+// runStages runs the stages through pipeline.Run, recorded in the
+// study's telemetry handles, and keeps the report, partial or not.
+func (s *Study) runStages(ctx context.Context, stages ...pipeline.Stage) error {
+	var err error
+	s.Report, err = pipeline.Run(ctx, pipeline.Sinks{
+		Telemetry: s.Opts.Telemetry,
+		Tracer:    s.Opts.Tracer,
+		Events:    s.Opts.Events,
+	}, stages...)
+	return err
 }
 
 // publishCorpusGauges mirrors the study's corpus-level totals into the
@@ -227,7 +240,7 @@ func AnalyzeStore(ctx context.Context, store *scanstore.Store, opts Options) (*S
 	s := &Study{Opts: opts, Store: store}
 	var noCliques map[string]string
 	var noExtra []string
-	err := s.runStages(ctx, s.analysisStages(&noCliques, &noExtra))
+	err := s.runStages(ctx, s.analysisStages(&noCliques, &noExtra)...)
 	s.publishCorpusGauges()
 	return s, err
 }
@@ -236,13 +249,13 @@ func AnalyzeStore(ctx context.Context, store *scanstore.Store, opts Options) (*S
 // Analyze — over s.Store. cliqueVendors and extraIPKeys are pointers
 // because the values are produced by the Harvest stage after the stage
 // list is built.
-func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]string) []stage {
+func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]string) []pipeline.Stage {
 	opts := s.Opts
 	// Dedup output, consumed by BatchGCD and Fingerprint.
 	var moduli []*big.Int
 	var keys []string
-	stages := []stage{
-		{name: StageDedup, run: func(ctx context.Context, st *StageReport) error {
+	stages := []pipeline.Stage{
+		{Name: StageDedup, Run: func(ctx context.Context, st *pipeline.StageReport) error {
 			// The corpus ingest dedup: every distinct modulus ever
 			// observed, in first-seen order (the paper's 81M distinct
 			// moduli out of hundreds of millions of host records).
@@ -254,7 +267,7 @@ func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]
 			}
 			return nil
 		}},
-		{name: StageBatchGCD, run: func(ctx context.Context, st *StageReport) error {
+		{Name: StageBatchGCD, Run: func(ctx context.Context, st *pipeline.StageReport) error {
 			if opts.Subsets >= 2 {
 				results, stats, err := distgcd.Run(ctx, moduli, distgcd.Options{Subsets: opts.Subsets, Metrics: opts.Telemetry})
 				if err != nil {
@@ -272,7 +285,7 @@ func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]
 			}
 			return nil
 		}},
-		{name: StageFingerprint, run: func(ctx context.Context, st *StageReport) error {
+		{Name: StageFingerprint, Run: func(ctx context.Context, st *pipeline.StageReport) error {
 			divisors := make(map[string]*big.Int, len(s.Factored))
 			for _, r := range s.Factored {
 				divisors[keys[r.Index]] = r.Divisor
@@ -296,7 +309,7 @@ func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]
 			st.ItemsOut = int64(len(s.Fingerprint.Labels))
 			return nil
 		}},
-		{name: StageAnalyze, run: func(ctx context.Context, st *StageReport) error {
+		{Name: StageAnalyze, Run: func(ctx context.Context, st *pipeline.StageReport) error {
 			// Longitudinal analysis over the factored (bit-error-
 			// excluded) vulnerable set.
 			vuln := make(map[string]bool, len(s.Fingerprint.Factors))
@@ -315,7 +328,7 @@ func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]
 		}},
 	}
 	if opts.Anomalies {
-		stages = append(stages, stage{name: StageAnomaly, run: func(ctx context.Context, st *StageReport) error {
+		stages = append(stages, pipeline.Stage{Name: StageAnomaly, Run: func(ctx context.Context, st *pipeline.StageReport) error {
 			rep, err := anomaly.Analyze(ctx, anomaly.Config{
 				Store:   s.Store,
 				Metrics: opts.Telemetry,

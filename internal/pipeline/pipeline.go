@@ -1,4 +1,9 @@
-package core
+// Package pipeline runs a study's stages one after another and records
+// each one's cost: a span, two events, the pipeline_stage_* gauges and a
+// row of the Report that `weakkeys -metrics` prints. Parallelism lives
+// inside stages, as in the paper's cluster deployment: one step at a
+// time, each step internally parallel.
+package pipeline
 
 import (
 	"context"
@@ -11,13 +16,13 @@ import (
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
 
-// stage is one named step of a study. run fills its row's ItemsIn,
-// ItemsOut and Bytes, whose meaning is the stage's own but always
-// "units consumed", "units produced" and "bytes of working set or
-// output"; runStages measures Wall and CPU.
-type stage struct {
-	name string
-	run  func(ctx context.Context, row *StageReport) error
+// Stage is one named step. Run fills its row's ItemsIn, ItemsOut and
+// Bytes, whose meaning is the stage's own but always "units consumed",
+// "units produced" and "bytes of working set or output"; Run measures
+// Wall and CPU.
+type Stage struct {
+	Name string
+	Run  func(ctx context.Context, row *StageReport) error
 }
 
 // StageReport is one stage's row of a Report.
@@ -43,29 +48,37 @@ type Report struct {
 	Wall, CPU time.Duration
 }
 
-// runStages runs the stages in order under ctx and stops at the first
-// that fails, or that the context cancelled before it began. Each stage
-// is recorded four ways: a child span of one "pipeline" root span,
-// which rides the stage's context so the stage's own spans nest under
-// it; a "stage start" and a "stage done" or "stage failed" event; the
+// Sinks are where Run records the stages; any of them may be nil.
+type Sinks struct {
+	Telemetry *telemetry.Registry
+	Tracer    *telemetry.Tracer
+	Events    *telemetry.EventLog
+}
+
+// Run runs the stages in order under ctx and stops at the first that
+// fails, or that the context cancelled before it began. Each stage is
+// recorded four ways: a child span of one "pipeline" root span, which
+// rides the stage's context so the stage's own spans nest under it; a
+// "stage start" and a "stage done" or "stage failed" event; the
 // pipeline_stage_*{stage="..."} gauges and the completed and error
-// counters; and a row of s.Report. The returned error wraps the
-// stage's, so errors.Is sees a context.Canceled from inside it.
-func (s *Study) runStages(ctx context.Context, stages []stage) error {
-	reg, events := s.Opts.Telemetry, s.Opts.Events
-	s.Report = &Report{Stages: make([]StageReport, 0, len(stages))}
-	root := s.Opts.Tracer.Start("pipeline")
+// counters; and a row of the returned Report, which comes back with the
+// error too. The error wraps the stage's, so errors.Is sees a
+// context.Canceled from inside it.
+func Run(ctx context.Context, sinks Sinks, stages ...Stage) (*Report, error) {
+	reg, events := sinks.Telemetry, sinks.Events
+	report := &Report{Stages: make([]StageReport, 0, len(stages))}
+	root := sinks.Tracer.Start("pipeline")
 	defer root.End()
 	ctx = telemetry.ContextWithEvents(ctx, events)
 	for i, st := range stages {
-		at := []slog.Attr{slog.String("stage", st.name), slog.Int("index", i), slog.Int("total", len(stages))}
-		row := StageReport{Name: st.name}
-		sp := root.Child(st.name)
+		at := []slog.Attr{slog.String("stage", st.Name), slog.Int("index", i), slog.Int("total", len(stages))}
+		row := StageReport{Name: st.Name}
+		sp := root.Child(st.Name)
 		err := ctx.Err()
 		if err == nil {
 			events.Info(ctx, "stage start", at...)
 			cpu0, t0 := processCPU(), time.Now()
-			err = st.run(telemetry.ContextWithSpan(ctx, sp), &row)
+			err = st.Run(telemetry.ContextWithSpan(ctx, sp), &row)
 			row.Wall, row.CPU = time.Since(t0), processCPU()-cpu0
 		}
 		sp.SetArg("items_in", row.ItemsIn)
@@ -73,24 +86,24 @@ func (s *Study) runStages(ctx context.Context, stages []stage) error {
 		sp.SetArg("bytes", row.Bytes)
 		sp.SetArg("cpu_us", row.CPU.Microseconds())
 		sp.End()
-		label := `{stage="` + st.name + `"}`
+		label := `{stage="` + st.Name + `"}`
 		reg.Gauge("pipeline_stage_wall_seconds" + label).Set(row.Wall.Seconds())
 		reg.Gauge("pipeline_stage_cpu_seconds" + label).Set(row.CPU.Seconds())
 		reg.Gauge("pipeline_stage_items_in" + label).Set(float64(row.ItemsIn))
 		reg.Gauge("pipeline_stage_items_out" + label).Set(float64(row.ItemsOut))
 		reg.Gauge("pipeline_stage_bytes" + label).Set(float64(row.Bytes))
-		s.Report.Wall += row.Wall
-		s.Report.CPU += row.CPU
+		report.Wall += row.Wall
+		report.CPU += row.CPU
 		if err != nil {
-			row.Err = fmt.Errorf("pipeline: stage %s: %w", st.name, err)
-			s.Report.Stages = append(s.Report.Stages, row)
+			row.Err = fmt.Errorf("pipeline: stage %s: %w", st.Name, err)
+			report.Stages = append(report.Stages, row)
 			reg.Counter("pipeline_stage_errors_total").Inc()
 			events.Info(ctx, "stage failed", append(at,
 				slog.Duration("wall", row.Wall),
 				slog.String("error", row.Err.Error()))...)
-			return row.Err
+			return report, row.Err
 		}
-		s.Report.Stages = append(s.Report.Stages, row)
+		report.Stages = append(report.Stages, row)
 		reg.Counter("pipeline_stages_completed_total").Inc()
 		events.Info(ctx, "stage done", append(at,
 			slog.Duration("wall", row.Wall),
@@ -99,7 +112,7 @@ func (s *Study) runStages(ctx context.Context, stages []stage) error {
 			slog.Int64("items_out", row.ItemsOut),
 			slog.Int64("bytes", row.Bytes))...)
 	}
-	return nil
+	return report, nil
 }
 
 // WriteText writes the report as an aligned text table, the `weakkeys

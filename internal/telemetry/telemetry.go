@@ -9,7 +9,7 @@
 // per-node memory for every batch-GCD step on a 22-node cluster — and
 // sustained measurement systems (ZMap and its descendants) live or die
 // by continuous rate/error telemetry on their scan loops. The study's
-// per-stage report (core.Report) is that ledger post mortem; this
+// per-stage report (pipeline.Report) is that ledger post mortem; this
 // package makes the same quantities observable while a run is live.
 //
 // Every handle type is nil-safe: methods on a nil *Counter, *Gauge,
