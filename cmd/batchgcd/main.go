@@ -73,15 +73,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	for _, r := range results {
-		n := moduli[r.Index]
-		p, q, splitErr := batchgcd.SplitModulus(n, r.Divisor)
-		if splitErr != nil {
-			// Both primes shared: report the divisor only.
-			fmt.Printf("%d vulnerable divisor=%x\n", r.Index, r.Divisor)
+	vulnerable, divisors := make([]*big.Int, len(results)), make([]*big.Int, len(results))
+	for i, r := range results {
+		vulnerable[i], divisors[i] = moduli[r.Index], r.Divisor
+	}
+	for i, s := range batchgcd.Splits(vulnerable, divisors, nil, nil) {
+		if s == nil {
+			// Nothing splits it: report the divisor only.
+			fmt.Printf("%d vulnerable divisor=%x\n", results[i].Index, results[i].Divisor)
 			continue
 		}
-		fmt.Printf("%d vulnerable p=%x q=%x\n", r.Index, p, q)
+		fmt.Printf("%d vulnerable p=%x q=%x\n", results[i].Index, s.P, s.Q)
 	}
 	if *stats {
 		fmt.Fprintf(os.Stderr, "factored %d of %d moduli in %v\n",

@@ -116,6 +116,7 @@ func TestOneShot(t *testing.T) {
 		{bin: "batchgcd", args: "-k 4 -stats", keygen: "-n 200 -weak 0.05", want: "factored 9 of 200 moduli"},
 		{bin: "batchgcd", args: "-k 4 -stats", keygen: "-n 60 -weak 0.1 -format ssh", want: "factored 5 of 60 moduli"},
 		{bin: "batchgcd", args: "-k 4 -stats", keygen: "-n 60 -weak 0.1 -format pem", want: "factored 5 of 60 moduli"},
+		{bin: "batchgcd", in: "e8d6ca6163\ne8d7076a6f\ne8d8d13245\n", want: "\n0 vulnerable p=f4243 q=f4261\n"}, // 1000003·1000033, ·1000037, 1000033·1000037
 		{bad: true, bin: "batchgcd", in: "-----BEGIN WEAKKEYS RSA MODULUS-----\nAA==\n-----END WEAKKEYS RSA MODULUS-----\n",
 			want: "batchgcd: certs: modulus block 0 is not positive"},
 		{bad: true, bin: "keyrouter", args: "-listen 127.0.0.1:0", want: "keyrouter: -replicas is required"},

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/factorable/weakkeys/internal/batchgcd"
 	"github.com/factorable/weakkeys/internal/kernel"
 	"github.com/factorable/weakkeys/internal/numtheory"
 	"github.com/factorable/weakkeys/internal/scanstore"
@@ -161,7 +162,8 @@ func (Probe) Factor(n *big.Int) (cls ProbeClass, pHit, qHit *big.Int) {
 		return ProbeNone, nil, nil
 	}
 	if small, _ := numtheory.SmallFactors(n, DefaultTrialPrimes); len(small) > 0 {
-		sp, sq := split(n, new(big.Int).SetUint64(small[0].Prime))
+		// n is composite and the prime divides it: SplitModulus cannot fail.
+		sp, sq, _ := batchgcd.SplitModulus(n, new(big.Int).SetUint64(small[0].Prime))
 		return ProbeSmallFactor, sp, sq
 	}
 	// n is known composite from here on: the probes skip the primality
@@ -173,15 +175,6 @@ func (Probe) Factor(n *big.Int) (cls ProbeClass, pHit, qHit *big.Int) {
 		return ProbeSmallFactor, sp, sq
 	}
 	return ProbeNone, nil, nil
-}
-
-// split orders a divisor d of n against its cofactor.
-func split(n, d *big.Int) (*big.Int, *big.Int) {
-	q := new(big.Int).Quo(n, d)
-	if d.Cmp(q) > 0 {
-		d, q = q, d
-	}
-	return d, q
 }
 
 // Identities returns the distinct identities under which the store

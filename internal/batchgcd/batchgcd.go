@@ -26,7 +26,7 @@ type Result struct {
 	// other input modulus. For the dominant shared-single-prime failure
 	// mode this is the shared prime p itself; when both prime factors are
 	// shared with other moduli (e.g. the IBM 9-prime clique) the divisor
-	// can equal the modulus, and FactorPairwise recovers the split.
+	// can equal the modulus, and Splits recovers the split.
 	Divisor *big.Int
 }
 
@@ -86,8 +86,7 @@ func Dedup(moduli []*big.Int) (distinct []*big.Int, backrefs [][]int) {
 // SplitModulus splits modulus N given one nontrivial divisor d, returning
 // the two factors (p, q) with p <= q, or an error if d does not divide N
 // or the division is trivial. When the batch-GCD divisor equals N itself
-// (both primes shared), callers should fall back to FactorPairwise over
-// the vulnerable subset to recover the split.
+// (both primes shared), Splits recovers the split.
 func SplitModulus(n, d *big.Int) (p, q *big.Int, err error) {
 	if d.Sign() <= 0 || d.Cmp(bigOne) == 0 || d.Cmp(n) >= 0 {
 		return nil, nil, errors.New("batchgcd: divisor is trivial for this modulus")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"math/big"
+	"slices"
 	"testing"
 
 	"github.com/factorable/weakkeys/internal/batchgcd"
@@ -53,13 +54,29 @@ func decodeModuli(data []byte) []*big.Int {
 	return out
 }
 
+// poolProduct reports whether n is a product of two fuzzPool primes.
+func poolProduct(n *big.Int) bool {
+	if !n.IsUint64() {
+		return false
+	}
+	v := n.Uint64()
+	for _, p := range fuzzPool {
+		if v%p == 0 && slices.Contains(fuzzPool, v/p) {
+			return true
+		}
+	}
+	return false
+}
+
 // FuzzBatchFactor holds the three batch GCDs to one another: the single
 // tree (Factor), the quadratic baseline (FactorPairwise) and the
 // partitioned run at k = 3 (distgcd.Run) name the same vulnerable
 // indices, the two trees the same divisor gcd(N, ∏ of the other distinct
 // moduli), and the baseline's divisor, a GCD with one other modulus,
 // divides it. An input all three cannot factor — none, or one below 1 —
-// all three reject.
+// all three reject. Splits over Factor's results gives only splits
+// 1 < P <= Q with P·Q = N, and splits every flagged modulus when each
+// input is a product of two pool primes.
 func FuzzBatchFactor(f *testing.F) {
 	f.Add([]byte{0, 0x01, 1, 0x02, 2, 0x34})
 	f.Add([]byte{6, 4, 6, 5, 0, 0x11})
@@ -102,6 +119,25 @@ func FuzzBatchFactor(f *testing.F) {
 			pd, ok := p[i]
 			if !ok || pd.Cmp(big.NewInt(1)) <= 0 || r.Mod(div, pd).Sign() != 0 {
 				t.Fatalf("moduli %v: modulus %d: FactorPairwise divisor %v does not divide Factor's %v", moduli, i, pd, div)
+			}
+		}
+		pooled := true
+		for _, n := range moduli {
+			pooled = pooled && poolProduct(n)
+		}
+		var ns, divs []*big.Int
+		for _, res := range single {
+			ns, divs = append(ns, moduli[res.Index]), append(divs, res.Divisor)
+		}
+		for k, sp := range batchgcd.Splits(ns, divs, nil, nil) {
+			if sp == nil {
+				if pooled {
+					t.Fatalf("moduli %v: Splits left modulus %d (%v, divisor %v) whole", moduli, single[k].Index, ns[k], divs[k])
+				}
+				continue
+			}
+			if sp.P.Cmp(big.NewInt(1)) <= 0 || sp.P.Cmp(sp.Q) > 0 || r.Mul(sp.P, sp.Q).Cmp(ns[k]) != 0 {
+				t.Fatalf("moduli %v: Splits gave %v = %v·%v", moduli, ns[k], sp.P, sp.Q)
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"sort"
 
+	"github.com/factorable/weakkeys/internal/batchgcd"
 	"github.com/factorable/weakkeys/internal/certs"
 	"github.com/factorable/weakkeys/internal/numtheory"
 	"github.com/factorable/weakkeys/internal/weakrsa"
@@ -16,7 +17,8 @@ type Input struct {
 	Certs []*certs.Certificate
 	// Divisors maps modulus keys (big.Int bytes as string) to the
 	// nontrivial divisor batch GCD reported. A divisor equal to the
-	// modulus means both primes are shared (clique member).
+	// modulus means both primes are shared (clique member);
+	// batchgcd.Splits splits it.
 	Divisors map[string]*big.Int
 	// IPCount maps modulus keys to the number of distinct IPs ever
 	// serving that modulus (for the MITM detector). Optional.
@@ -34,9 +36,7 @@ type Input struct {
 }
 
 // Factors is a recovered factorization p*q of a modulus (p <= q).
-type Factors struct {
-	P, Q *big.Int
-}
+type Factors = batchgcd.Split
 
 // CliqueGroup is a detected low-entropy prime clique: more moduli than
 // distinct primes (the IBM signature).
@@ -159,15 +159,22 @@ func Analyze(in Input) *Result {
 			flagBitError(key, n)
 		}
 	}
-	factorable := make(map[string]*big.Int, len(in.Divisors))
-	for key, div := range in.Divisors {
-		if bitError[key] {
-			continue
+	// Pass 1: recover factorizations, degenerate divisors (divisor ==
+	// modulus: both primes shared) included, in key order.
+	var keys []string
+	for key := range in.Divisors {
+		if !bitError[key] {
+			keys = append(keys, key)
 		}
+	}
+	sort.Strings(keys)
+	var factorable []string
+	var ns, divs []*big.Int
+	for _, key := range keys {
+		n := new(big.Int).SetBytes([]byte(key))
 		if _, seen := certsByMod[key]; !seen {
 			// Bare-key moduli (no certificate) skip the well-formedness
 			// scan above; check them here.
-			n := new(big.Int).SetBytes([]byte(key))
 			bits := in.ModulusBits
 			if bits == 0 {
 				bits = n.BitLen()
@@ -177,28 +184,13 @@ func Analyze(in Input) *Result {
 				continue
 			}
 		}
-		factorable[key] = div
+		factorable, ns, divs = append(factorable, key), append(ns, n), append(divs, in.Divisors[key])
 	}
-
-	// Pass 1: recover factorizations. Degenerate divisors (divisor ==
-	// modulus: both primes shared) are resolved by pairwise GCD within
-	// the degenerate set — feasible because cliques are tiny.
-	var degenerate []string
-	for key, div := range factorable {
-		n := new(big.Int).SetBytes([]byte(key))
-		if div.Cmp(n) == 0 {
-			degenerate = append(degenerate, key)
-			continue
+	for i, s := range batchgcd.Splits(ns, divs, nil, nil) {
+		if s != nil {
+			res.Factors[factorable[i]] = *s
 		}
-		p := div
-		q := new(big.Int).Quo(n, div)
-		if p.Cmp(q) > 0 {
-			p, q = q, p
-		}
-		res.Factors[key] = Factors{P: p, Q: q}
 	}
-	sort.Strings(degenerate)
-	resolveDegenerate(degenerate, res.Factors)
 
 	// Pass 1.5: validate recovered factorizations. A bit-flipped
 	// modulus can slip past the small-prime sieve and still be
@@ -454,38 +446,6 @@ func detectCliques(factors map[string]Factors) []CliqueGroup {
 	}
 	sort.Slice(out, func(i, j int) bool { return len(out[i].ModKeys) > len(out[j].ModKeys) })
 	return out
-}
-
-// resolveDegenerate splits moduli whose batch divisor equalled the
-// modulus by pairwise GCD against other degenerate moduli and against
-// already-recovered primes.
-func resolveDegenerate(keys []string, factors map[string]Factors) {
-	ns := make([]*big.Int, len(keys))
-	for i, k := range keys {
-		ns[i] = new(big.Int).SetBytes([]byte(k))
-	}
-	one := big.NewInt(1)
-	for i := range ns {
-		if _, done := factors[keys[i]]; done {
-			continue
-		}
-		for j := range ns {
-			if i == j {
-				continue
-			}
-			g := new(big.Int).GCD(nil, nil, ns[i], ns[j])
-			if g.Cmp(one) == 0 || g.Cmp(ns[i]) == 0 {
-				continue
-			}
-			q := new(big.Int).Quo(ns[i], g)
-			p := g
-			if p.Cmp(q) > 0 {
-				p, q = q, p
-			}
-			factors[keys[i]] = Factors{P: p, Q: q}
-			break
-		}
-	}
 }
 
 // majorityVendor returns the most common vendor label among a clique's

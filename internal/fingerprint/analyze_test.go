@@ -407,3 +407,37 @@ func TestCliqueMajorityFallback(t *testing.T) {
 		t.Error("majority fallback did not propagate")
 	}
 }
+
+// TestDegenerateSplitByRecoveredPrimes: in a star A = p·x, B = q·y,
+// N = p·q batch GCD hands N back its own value, and no other modulus is
+// degenerate; the primes A's and B's splits recover must split N.
+func TestDegenerateSplitByRecoveredPrimes(t *testing.T) {
+	p, _ := new(big.Int).SetString("ffffffffffffffc5", 16)
+	q, _ := new(big.Int).SetString("ffffffffffffffad", 16)
+	x, _ := new(big.Int).SetString("ffffffffffffffa1", 16)
+	y, _ := new(big.Int).SetString("ffffffffffffff4d", 16)
+	n := new(big.Int).Mul(p, q)
+	moduli := []*big.Int{new(big.Int).Mul(p, x), new(big.Int).Mul(q, y), n}
+	results, err := batchgcd.Factor(moduli)
+	if err != nil {
+		t.Fatal(err)
+	}
+	div := make(map[string]*big.Int)
+	for _, r := range results {
+		div[string(moduli[r.Index].Bytes())] = r.Divisor
+	}
+	if len(div) != 3 || div[string(n.Bytes())].Cmp(n) != 0 {
+		t.Fatalf("batch GCD divisors %v, want all three flagged and N's equal to N", div)
+	}
+	res := Analyze(Input{Divisors: div, ModulusBits: 128})
+	f, ok := res.Factors[string(n.Bytes())]
+	if !ok {
+		t.Fatalf("N left unfactored; %d moduli factored", len(res.Factors))
+	}
+	if f.P.Cmp(q) != 0 || f.Q.Cmp(p) != 0 {
+		t.Errorf("N = %v·%v, want %v·%v", f.P, f.Q, q, p)
+	}
+	if len(res.Factors) != 3 || len(res.BitErrors) != 0 {
+		t.Errorf("%d factored, %d bit errors; want 3 and 0", len(res.Factors), len(res.BitErrors))
+	}
+}

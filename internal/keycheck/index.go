@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"github.com/factorable/weakkeys/internal/anomaly"
+	"github.com/factorable/weakkeys/internal/batchgcd"
 	"github.com/factorable/weakkeys/internal/fingerprint"
 	"github.com/factorable/weakkeys/internal/kernel"
 	"github.com/factorable/weakkeys/internal/prodtree"
@@ -450,12 +451,7 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 		proper = g
 	}
 	if proper != nil {
-		p := proper
-		q := new(big.Int).Quo(n, p)
-		if new(big.Int).Mul(p, q).Cmp(n) == 0 {
-			if p.Cmp(q) > 0 {
-				p, q = q, p
-			}
+		if p, q, err := batchgcd.SplitModulus(n, proper); err == nil {
 			v.FactorP, v.FactorQ = hexOf(p), hexOf(q)
 		}
 	}

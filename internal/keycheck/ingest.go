@@ -378,36 +378,10 @@ func findMates(forest *prodtree.Forest, divs []*big.Int, g *big.Int) []mate {
 	return mates
 }
 
-// primePool accumulates every prime recovered during one ingest, to
-// split the degenerate divisor == N cases.
-type primePool []*big.Int
-
-// split factors n by the proper divisor d and remembers both primes.
-func (pool *primePool) split(n, d *big.Int) (Entry, bool) {
-	p, q, err := batchgcd.SplitModulus(n, d)
-	if err != nil {
-		return Entry{}, false
-	}
-	*pool = append(*pool, p, q)
-	return Entry{P: p, Q: q}, true
-}
-
-// divisorOf returns a proper divisor of n among the pooled primes.
-func (pool primePool) divisorOf(n *big.Int) *big.Int {
-	g := new(big.Int)
-	for _, p := range pool {
-		g.GCD(nil, nil, n, p)
-		if g.Cmp(one) > 0 && g.Cmp(n) < 0 {
-			return g
-		}
-	}
-	return nil
-}
-
 // resolve turns the sweep's divisors into factored entries on the shard
 // deltas, counting Refactored and NewFactored, and labels them.
 func (s *Snapshot) resolve(in BuildInput, d *ingestDelta, sw *sweepResult, rep *IngestReport) {
-	var pool primePool
+	var primes []*big.Int // every prime this ingest holds before the novel splits
 	// Old members being shared with become factored: their mate divisor
 	// is always proper (a delta modulus equal to a member would have
 	// been a duplicate). One factored already has nothing to gain.
@@ -416,8 +390,9 @@ func (s *Snapshot) resolve(in BuildInput, d *ingestDelta, sw *sweepResult, rep *
 			if _, done := s.shards[si].factored[m.key]; done {
 				continue
 			}
-			if e, ok := pool.split(m.mod, m.divisor); ok {
-				d.shards[si].entry(m.key, e)
+			if p, q, err := batchgcd.SplitModulus(m.mod, m.divisor); err == nil {
+				primes = append(primes, p, q)
+				d.shards[si].entry(m.key, Entry{P: p, Q: q})
 				d.shards[si].refactored++
 				rep.Refactored++
 			}
@@ -426,46 +401,44 @@ func (s *Snapshot) resolve(in BuildInput, d *ingestDelta, sw *sweepResult, rep *
 
 	// Novel moduli with at least one divisor become factored. Known
 	// factorizations from the delta's own fingerprint run are taken
-	// as-is; otherwise the first proper divisor splits the modulus, and
-	// degenerate cases (every divisor equals N: both primes shared)
-	// wait for the pool to fill.
+	// as-is; otherwise the first proper divisor, else N itself, goes to
+	// batchgcd.Splits with the primes held so far and the delta's foreign
+	// moduli (on a replica, a key whose two primes are shared only with
+	// foreign keys of the delta meets each of them alone).
 	var known map[string]fingerprint.Factors
 	if in.Fingerprint != nil {
 		known = in.Fingerprint.Factors
 	}
 	resolved := make([]*Entry, len(d.novel))
-	var degenerate []int
+	var hit []int
+	var moduli, divisors []*big.Int
 	passes := append(append([][]*big.Int(nil), sw.byShard...), sw.own)
 	for j, n := range d.novel {
 		if f, ok := known[d.keys[j]]; ok {
-			pool = append(pool, f.P, f.Q)
+			primes = append(primes, f.P, f.Q)
 			resolved[j] = &Entry{P: f.P, Q: f.Q}
 			continue
 		}
-		var proper *big.Int
-		hit := false
+		var div *big.Int
 		for _, divs := range passes {
-			if divs == nil || divs[j] == nil {
-				continue
-			}
-			hit = true
-			if divs[j].Cmp(n) < 0 {
-				proper = divs[j]
-				break
+			if divs != nil && divs[j] != nil {
+				if div = divs[j]; div.Cmp(n) < 0 {
+					break
+				}
 			}
 		}
-		if !hit {
-			continue // clean member
+		if div != nil { // nil: clean member
+			hit, moduli, divisors = append(hit, j), append(moduli, n), append(divisors, div)
 		}
-		if proper != nil {
-			if e, ok := pool.split(n, proper); ok {
-				resolved[j] = &e
-				continue
-			}
-		}
-		degenerate = append(degenerate, j)
 	}
-	s.resolveDegenerate(d.novel, d.foreign, sw.byShard, degenerate, resolved, &pool)
+	for k, sp := range batchgcd.Splits(moduli, divisors, d.foreign, primes) {
+		if sp == nil && divisors[k].Cmp(moduli[k]) == 0 {
+			sp = s.splitAmongLeaves(sw.byShard, hit[k], moduli[k])
+		}
+		if sp != nil {
+			resolved[hit[k]] = &Entry{P: sp.P, Q: sp.Q}
+		}
+	}
 	for j, e := range resolved {
 		if e == nil {
 			continue
@@ -478,57 +451,25 @@ func (s *Snapshot) resolve(in BuildInput, d *ingestDelta, sw *sweepResult, rep *
 	}
 }
 
-// resolveDegenerate splits the novel moduli every divisor of which
-// equalled N: each prime of N is shared, none alone. A pairwise GCD
-// against the other degenerate moduli and the delta's foreign ones goes
-// first: in a clique (every modulus shares both primes) each pair shares
-// exactly one prime, and on a replica a key whose two primes are shared
-// only with foreign keys of the same delta (homed elsewhere, swept but
-// never split here) meets each of them alone. The primes of the moduli
-// split so far cover what N shares with the rest of the delta. Neither
-// covers a modulus whose primes both sit in members of one shard — the
-// mates' recorded divisors need not be N's primes, and a factored mate is
-// not split again — so a shard whose divisor was N itself is asked
-// directly: a pruned descent of its tree for a leaf sharing with N. A
-// modulus none of them splits stays a plain member.
-func (s *Snapshot) resolveDegenerate(novel, foreign []*big.Int, byShard [][]*big.Int, degenerate []int, resolved []*Entry, pool *primePool) {
-	if len(degenerate) == 0 {
-		return
-	}
-	pairs := make([]*big.Int, 0, len(degenerate)+len(foreign))
-	for _, j := range degenerate {
-		pairs = append(pairs, novel[j])
-	}
-	pairs = append(pairs, foreign...)
-	for i, j := range degenerate {
-		n := novel[j]
-		var div *big.Int
-		g := new(big.Int)
-		for k, m := range pairs {
-			if k != i && g.GCD(nil, nil, n, m).Cmp(one) > 0 && g.Cmp(n) < 0 {
-				div = g
-				break
-			}
-		}
-		if div == nil {
-			div = pool.divisorOf(n)
-		}
-		if div == nil {
-			var whole []*prodtree.Forest // shards whose product n divides
-			for si, divs := range byShard {
-				if divs != nil && divs[j] != nil {
-					whole = append(whole, s.shards[si].forest)
-				}
-			}
-			div = divisorAmongLeaves(whole, n)
-		}
-		if div == nil {
-			continue
-		}
-		if e, ok := pool.split(n, div); ok {
-			resolved[j] = &e
+// splitAmongLeaves splits the degenerate novel modulus n (index j of the
+// sweep) that batchgcd.Splits left whole: both its primes sit in members
+// of one shard, and the mates' recorded divisors need not be n's primes
+// (a factored mate is not split again), so a shard whose divisor was n
+// itself is asked directly: a pruned descent of its tree for a leaf
+// sharing with n. A modulus this does not split stays a plain member.
+func (s *Snapshot) splitAmongLeaves(byShard [][]*big.Int, j int, n *big.Int) *batchgcd.Split {
+	var whole []*prodtree.Forest // shards whose product n divides
+	for si, divs := range byShard {
+		if divs != nil && divs[j] != nil {
+			whole = append(whole, s.shards[si].forest)
 		}
 	}
+	if div := divisorAmongLeaves(whole, n); div != nil {
+		if p, q, err := batchgcd.SplitModulus(n, div); err == nil {
+			return &batchgcd.Split{P: p, Q: q}
+		}
+	}
+	return nil
 }
 
 // merge builds the successor snapshot: untouched shards are shared by

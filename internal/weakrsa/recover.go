@@ -3,6 +3,8 @@ package weakrsa
 import (
 	"errors"
 	"math/big"
+
+	"github.com/factorable/weakkeys/internal/batchgcd"
 )
 
 // RecoverPrivateKey reconstructs a full private key from a public key and
@@ -10,18 +12,9 @@ import (
 // shared prime (Section 2.3: "an attacker who can find such a pair can
 // easily factor both of them").
 func RecoverPrivateKey(pub *PublicKey, factor *big.Int) (*PrivateKey, error) {
-	if factor.Sign() <= 0 || factor.Cmp(bigOne) == 0 || factor.Cmp(pub.N) >= 0 {
-		return nil, errors.New("weakrsa: factor is trivial for this key")
-	}
-	var rem big.Int
-	q := new(big.Int)
-	q.QuoRem(pub.N, factor, &rem)
-	if rem.Sign() != 0 {
-		return nil, errors.New("weakrsa: factor does not divide modulus")
-	}
-	p := new(big.Int).Set(factor)
-	if p.Cmp(q) > 0 {
-		p, q = q, p
+	p, q, err := batchgcd.SplitModulus(pub.N, factor)
+	if err != nil {
+		return nil, err
 	}
 	d := new(big.Int).ModInverse(big.NewInt(int64(pub.E)), phi(p, q))
 	if d == nil {
