@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/big"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -177,67 +178,36 @@ func (Probe) Factor(n *big.Int) (cls ProbeClass, pHit, qHit *big.Int) {
 	return ProbeNone, nil, nil
 }
 
-// Identities returns the distinct identities under which the store
-// observed the modulus: the subjects of the certificates serving it
-// when any exist, else the distinct IPs that served the bare key. Two
-// or more identities on one modulus is the shared-modulus signal — the
-// paper's SSH-middlebox detector (one key, many hosts) and the
-// Tor-relays shared-modulus graph both reduce to this count.
-func Identities(store *scanstore.Store, modKey string) []string {
-	set := make(map[string]bool)
-	for _, c := range store.CertsWithModulus(modKey) {
-		set[c.Subject.String()] = true
-	}
-	if len(set) == 0 {
-		for _, ip := range store.IPsServingModulus(modKey, "") {
-			set[ip] = true
+// IdentityCounts applies the identity rule to every modulus of a
+// store's ByModulus view and returns the count for each one observed
+// under two or more identities. A modulus's identities are the distinct
+// subjects of the certificates carrying it or, when no certificate
+// carries it, the distinct addresses that served it. Two or more is the
+// shared-modulus signal: the paper's SSH-middlebox detector (one key,
+// many hosts) and the Tor-relays shared-modulus graph both reduce to
+// this count.
+func IdentityCounts(view map[string]scanstore.Served) map[string]int {
+	out := make(map[string]int)
+	for mk, sv := range view {
+		if n := len(identities(sv)); n >= 2 {
+			out[mk] = n
 		}
 	}
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
 	return out
 }
 
-// IdentityCounts returns the distinct-identity count for every modulus
-// key the store observed under two or more identities, with the same
-// semantics as Identities (cert subjects; IP fallback for certless
-// keys) in one pass over the store — per-modulus Identities calls are
-// linear in the store and would make a corpus-wide sweep quadratic.
-func IdentityCounts(store *scanstore.Store) map[string]int {
-	subjects := make(map[string]map[string]bool)
-	for _, c := range store.DistinctCerts() {
-		mk := c.ModulusKey()
-		if subjects[mk] == nil {
-			subjects[mk] = make(map[string]bool)
-		}
-		subjects[mk][c.Subject.String()] = true
+// identities lists one modulus's identities under IdentityCounts' rule,
+// sorted.
+func identities(sv scanstore.Served) []string {
+	if len(sv.Certs) == 0 {
+		return sv.IPs
 	}
-	var zeroFP [32]byte
-	bareIPs := make(map[string]map[string]bool)
-	for _, r := range store.Records() {
-		if r.CertFP != zeroFP || subjects[r.ModKey] != nil {
-			continue
-		}
-		if bareIPs[r.ModKey] == nil {
-			bareIPs[r.ModKey] = make(map[string]bool)
-		}
-		bareIPs[r.ModKey][r.IP] = true
+	ids := make([]string, len(sv.Certs))
+	for i, c := range sv.Certs {
+		ids[i] = c.Subject.String()
 	}
-	out := make(map[string]int)
-	for mk, set := range subjects {
-		if len(set) >= 2 {
-			out[mk] = len(set)
-		}
-	}
-	for mk, set := range bareIPs {
-		if len(set) >= 2 && subjects[mk] == nil {
-			out[mk] = len(set)
-		}
-	}
-	return out
+	sort.Strings(ids)
+	return slices.Compact(ids)
 }
 
 // SharedModulus is one modulus observed under distinct identities.
@@ -308,10 +278,9 @@ func Analyze(ctx context.Context, cfg Config) (*Report, error) {
 	moduli, keys := cfg.Store.DistinctModuli()
 	rep := &Report{Moduli: len(moduli)}
 
-	// Shared-modulus graph: one bulk pass counts identities per modulus;
-	// the listed sample (at most maxFindings entries) pays for the
-	// per-modulus identity and host lookups.
-	counts := IdentityCounts(cfg.Store)
+	// Shared-modulus graph, from one view of the store.
+	view := cfg.Store.ByModulus()
+	counts := IdentityCounts(view)
 	for i, key := range keys {
 		n, ok := counts[key]
 		if !ok {
@@ -322,9 +291,9 @@ func Analyze(ctx context.Context, cfg Config) (*Report, error) {
 			sm := SharedModulus{
 				ModulusHex: moduli[i].Text(16),
 				Count:      n,
-				Hosts:      len(cfg.Store.IPsServingModulus(key, "")),
+				Hosts:      len(view[key].IPs),
 			}
-			ids := Identities(cfg.Store, key)
+			ids := identities(view[key])
 			if len(ids) > maxIdentitySample {
 				ids = ids[:maxIdentitySample]
 			}

@@ -2,8 +2,10 @@ package anomaly
 
 import (
 	"context"
+	"maps"
 	"math/big"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -195,15 +197,20 @@ func TestIdentitiesAndAnalyze(t *testing.T) {
 	store.AddBareKeyObservation("10.0.3.1", day, scanstore.SourceCensys, scanstore.SSH, bare.N)
 	store.AddBareKeyObservation("10.0.3.2", day, scanstore.SourceCensys, scanstore.SSH, bare.N)
 
-	ids := Identities(store, string(shared.N.Bytes()))
+	view := store.ByModulus()
+	ids := identities(view[string(shared.N.Bytes())])
 	if len(ids) != 3 || ids[0] != "CN=router-a" {
 		t.Errorf("shared identities: %v", ids)
 	}
-	if ids := Identities(store, string(honest.N.Bytes())); len(ids) != 1 {
+	if ids := identities(view[string(honest.N.Bytes())]); len(ids) != 1 {
 		t.Errorf("honest identities: %v", ids)
 	}
-	if ids := Identities(store, string(bare.N.Bytes())); len(ids) != 2 {
+	if ids := identities(view[string(bare.N.Bytes())]); len(ids) != 2 {
 		t.Errorf("bare-key identities should fall back to IPs: %v", ids)
+	}
+	want := map[string]int{string(shared.N.Bytes()): 3, string(bare.N.Bytes()): 2}
+	if got := IdentityCounts(view); !maps.Equal(got, want) {
+		t.Errorf("IdentityCounts = %v, want %v", got, want)
 	}
 
 	reg := telemetry.New()
@@ -220,8 +227,8 @@ func TestIdentitiesAndAnalyze(t *testing.T) {
 	}
 	for _, sm := range rep.SharedModuli {
 		if sm.ModulusHex == shared.N.Text(16) {
-			if sm.Count != 3 || sm.Hosts != 4 {
-				t.Errorf("shared modulus: count %d hosts %d", sm.Count, sm.Hosts)
+			if sm.Count != 3 || sm.Hosts != 4 || !slices.Equal(sm.Identities, []string{"CN=router-a", "CN=router-b", "CN=router-c"}) {
+				t.Errorf("shared modulus: count %d hosts %d identities %v", sm.Count, sm.Hosts, sm.Identities)
 			}
 		}
 	}
@@ -245,6 +252,62 @@ func TestIdentitiesAndAnalyze(t *testing.T) {
 
 	if _, err := Analyze(context.Background(), Config{}); err == nil {
 		t.Error("nil store accepted")
+	}
+}
+
+// TestIdentityCountsMatchesScan holds IdentityCounts to a brute-force
+// scan of seeded stores: per modulus, the distinct subjects of every
+// certificate carrying it, else the distinct addresses of every record
+// serving it, counted when there are two or more. Certificates share
+// moduli across subjects and months, a subject holds several
+// certificates of one modulus, bare keys come over SSH and the mail
+// protocols, some on certificate moduli, and addresses repeat.
+func TestIdentityCountsMatchesScan(t *testing.T) {
+	protos := []scanstore.Protocol{scanstore.HTTPS, scanstore.SSH, scanstore.POP3S, scanstore.IMAPS, scanstore.SMTPS}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		moduli := make([]*big.Int, 20)
+		for i := range moduli {
+			moduli[i] = new(big.Int).SetUint64(rng.Uint64() | 1)
+		}
+		store := scanstore.New()
+		for i := 0; i < 300; i++ {
+			ip := "10.0.0." + strconv.Itoa(rng.Intn(10))
+			day := time.Date(2012+rng.Intn(4), time.Month(1+rng.Intn(12)), 1, 0, 0, 0, 0, time.UTC)
+			proto := protos[rng.Intn(len(protos))]
+			if proto != scanstore.HTTPS {
+				store.AddBareKeyObservation(ip, day, scanstore.SourceCensys, proto, moduli[6+rng.Intn(14)])
+				continue
+			}
+			c := certWith(t, certs.Name{CommonName: "dev-" + strconv.Itoa(rng.Intn(4))}, moduli[rng.Intn(12)], 65537)
+			c.SerialNumber = big.NewInt(int64(rng.Intn(3))) // one subject, several certificates
+			if err := store.AddCertObservation(ip, day, scanstore.SourceRapid7, proto, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := make(map[string]int)
+		_, keys := store.DistinctModuli()
+		for _, key := range keys {
+			ids := make(map[string]bool)
+			for _, c := range store.DistinctCerts() {
+				if c.ModulusKey() == key {
+					ids[c.Subject.String()] = true
+				}
+			}
+			if len(ids) == 0 {
+				for _, r := range store.Records() {
+					if r.ModKey == key {
+						ids[r.IP] = true
+					}
+				}
+			}
+			if len(ids) >= 2 {
+				want[key] = len(ids)
+			}
+		}
+		if got := IdentityCounts(store.ByModulus()); !maps.Equal(got, want) {
+			t.Errorf("seed %d: IdentityCounts = %v, scan %v", seed, got, want)
+		}
 	}
 }
 

@@ -290,12 +290,13 @@ func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]
 			for _, r := range s.Factored {
 				divisors[keys[r.Index]] = r.Divisor
 			}
+			served := s.Store.ByModulus()
 			ipCount := make(map[string]int)
 			for key := range divisors {
-				ipCount[key] = len(s.Store.IPsServingModulus(key, ""))
+				ipCount[key] = len(served[key].IPs)
 			}
 			for _, key := range *extraIPKeys {
-				ipCount[key] = len(s.Store.IPsServingModulus(key, ""))
+				ipCount[key] = len(served[key].IPs)
 			}
 			certs := s.Store.DistinctCerts()
 			st.ItemsIn = int64(len(certs))

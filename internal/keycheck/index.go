@@ -226,9 +226,11 @@ func Build(ctx context.Context, in BuildInput) (*Snapshot, error) {
 	if in.Fingerprint != nil {
 		factors = in.Fingerprint.Factors
 	}
-	// One bulk pass over the store projects the shared-modulus graph
-	// (same N under distinct identities) onto the shards.
-	identities := anomaly.IdentityCounts(in.Store)
+	// One view of the store projects the shared-modulus graph (same N
+	// under distinct identities) onto the shards and labels the
+	// factored entries.
+	served := in.Store.ByModulus()
+	identities := anomaly.IdentityCounts(served)
 	for i, key := range keys {
 		si := shardOf(key, nShards)
 		if !snap.owns(si) {
@@ -255,7 +257,7 @@ func Build(ctx context.Context, in BuildInput) (*Snapshot, error) {
 		}
 	}
 	for _, sh := range snap.shards {
-		labelEntries(in.Store, in.Fingerprint, sh.factored)
+		labelEntries(served, in.Fingerprint, sh.factored)
 	}
 	// Products dominate build time; fan the shards out on the shared
 	// kernel pool, mirroring the subset partitioning of the distributed
@@ -289,12 +291,12 @@ func Build(ctx context.Context, in BuildInput) (*Snapshot, error) {
 // labelEntries attaches vendor labels to factored entries whose
 // certificates fp labeled, so a verdict can name the implicated
 // implementation — the paper's Section 3.3 attribution surfaced per key.
-func labelEntries(store *scanstore.Store, fp *fingerprint.Result, entries map[string]Entry) {
+func labelEntries(served map[string]scanstore.Served, fp *fingerprint.Result, entries map[string]Entry) {
 	if fp == nil {
 		return
 	}
 	for key, e := range entries {
-		for _, c := range store.CertsWithModulus(key) {
+		for _, c := range served[key].Certs {
 			cfp, err := c.Fingerprint()
 			if err != nil {
 				continue

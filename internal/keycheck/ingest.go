@@ -116,6 +116,9 @@ type ingestDelta struct {
 	// but they ride the GCD sweep so owned members sharing one of their
 	// primes get re-labeled.
 	foreign []*big.Int
+	// served is the delta store's ByModulus view: its identity counts
+	// and the certificates that label its entries.
+	served map[string]scanstore.Served
 }
 
 // changed reports whether any shard gains anything. A sweep of only
@@ -218,7 +221,7 @@ func (s *Snapshot) Ingest(ctx context.Context, in BuildInput) (*Snapshot, Ingest
 func (s *Snapshot) partition(store *scanstore.Store, rep *IngestReport) *ingestDelta {
 	nShards := len(s.shards)
 	moduli, keys := store.DistinctModuli()
-	d := &ingestDelta{shards: make([]*shardDelta, nShards)}
+	d := &ingestDelta{shards: make([]*shardDelta, nShards), served: store.ByModulus()}
 	for i := range d.shards {
 		d.shards[i] = &shardDelta{}
 	}
@@ -227,7 +230,7 @@ func (s *Snapshot) partition(store *scanstore.Store, rep *IngestReport) *ingestD
 	// novel or already a member. Counts only ever grow (max-merge in
 	// mergeShard): per-store counts cannot be summed without the
 	// identity sets.
-	identities := anomaly.IdentityCounts(store)
+	identities := anomaly.IdentityCounts(d.served)
 	for i, key := range keys {
 		si := shardOf(key, nShards)
 		if !s.owns(si) {
@@ -447,7 +450,7 @@ func (s *Snapshot) resolve(in BuildInput, d *ingestDelta, sw *sweepResult, rep *
 		rep.NewFactored++
 	}
 	for _, sd := range d.shards {
-		labelEntries(in.Store, in.Fingerprint, sd.newEntries)
+		labelEntries(d.served, in.Fingerprint, sd.newEntries)
 	}
 }
 

@@ -206,9 +206,10 @@ func novelStore(n, factors int, next *uint64) *scanstore.Store {
 // another into an 8-shard snapshot, reporting the mean sweep and merge
 // step per delta from IngestReport.Steps. -benchtime 30x is thirty such
 // deltas. The 128-bit semiprimes take the bench's scan_ingest corpus
-// (32,768 keys) and deltas of 100 keys, of 128 (scan_ingest's
-// direct-ingest batch) and of 256 (the zscan bridge's largest batch,
-// bridgeBatch). The wide case is 4,096 keys of 1,008
+// (32,768 keys) and deltas of 1 and 4 keys (a cluster sync pull or a
+// trickling bridge: the fixed cost of an ingest), of 100, of 128
+// (scan_ingest's direct-ingest batch) and of 256 (the zscan bridge's
+// largest batch, bridgeBatch). The wide case is 4,096 keys of 1,008
 // bits, each the product of sixteen 64-bit primes (the sweep sees only
 // their width; shard products as long as the narrow case's), under
 // 128-key deltas whose root, 2,048 limbs, is past scaledCrossover: the
@@ -220,7 +221,7 @@ func BenchmarkIngestBatch(b *testing.B) {
 		corpus, factors int
 		deltas          []int
 	}{
-		{32768, 2, []int{100, 128, 256}},
+		{32768, 2, []int{1, 4, 100, 128, 256}},
 		{4096, 16, []int{128}},
 	} {
 		base, err := Build(ctx, BuildInput{Store: novelStore(c.corpus, c.factors, &next), Shards: DefaultShards})
@@ -426,7 +427,7 @@ func TestIngestResolve(t *testing.T) {
 		mul(r2, r3), // 7: divisor == N that nothing splits: stays a plain member
 		mul(r1, s1), // 8: clean
 	}
-	d := &ingestDelta{shards: []*shardDelta{{}}, novel: novel}
+	d := &ingestDelta{shards: []*shardDelta{{}}, novel: novel, served: store.ByModulus()}
 	for _, n := range novel {
 		d.keys = append(d.keys, string(n.Bytes()))
 	}

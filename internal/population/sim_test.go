@@ -164,16 +164,14 @@ func TestSimMITMObservations(t *testing.T) {
 	if mitmN == nil {
 		t.Fatal("MITM key missing")
 	}
-	key := string(mitmN.Bytes())
-	ips := store.IPsServingModulus(key, scanstore.HTTPS)
-	if len(ips) < 2 {
-		t.Errorf("MITM modulus seen at %d IPs, want several", len(ips))
+	served := store.ByModulus()[string(mitmN.Bytes())]
+	if len(served.IPs) < 2 {
+		t.Errorf("MITM modulus seen at %d IPs, want several", len(served.IPs))
 	}
 	// The substituted certificates retain distinct subjects: many certs,
 	// one modulus.
-	certsWith := store.CertsWithModulus(key)
-	if len(certsWith) < 2 {
-		t.Errorf("MITM modulus should appear in multiple distinct certs, got %d", len(certsWith))
+	if len(served.Certs) < 2 {
+		t.Errorf("MITM modulus should appear in multiple distinct certs, got %d", len(served.Certs))
 	}
 }
 

@@ -6,8 +6,10 @@
 package scanstore
 
 import (
+	"bytes"
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -95,7 +97,10 @@ type Store struct {
 	mu      sync.RWMutex
 	records []HostRecord
 	certs   map[[32]byte]*certs.Certificate
-	moduli  map[string]*big.Int
+	// fps is the fingerprint of each certificate pointer in certs, so a
+	// repeat observation of a stored pointer skips the re-encode.
+	fps    map[*certs.Certificate][32]byte
+	moduli map[string]*big.Int
 	// modOrder preserves first-seen order so DistinctModuli is stable;
 	// certOrder does the same for certificates. Both are append-only,
 	// which is what makes a Checkpoint a plain position triple.
@@ -107,11 +112,15 @@ type Store struct {
 func New() *Store {
 	return &Store{
 		certs:  make(map[[32]byte]*certs.Certificate),
+		fps:    make(map[*certs.Certificate][32]byte),
 		moduli: make(map[string]*big.Int),
 	}
 }
 
-// Add records an observation.
+// Add records an observation. A certificate is not changed once
+// stored: the store keys it by its fingerprint, hands the pointer out
+// through DistinctCerts and Cert, and takes a later observation of the
+// same pointer at the fingerprint it computed the first time.
 func (s *Store) Add(o Observation) error {
 	rec := HostRecord{
 		IP: o.IP, Date: o.Date, Source: o.Source, Protocol: o.Protocol,
@@ -119,9 +128,14 @@ func (s *Store) Add(o Observation) error {
 	}
 	var n *big.Int
 	if o.Cert != nil {
-		fp, err := o.Cert.Fingerprint()
-		if err != nil {
-			return fmt.Errorf("scanstore: %w", err)
+		s.mu.RLock()
+		fp, ok := s.fps[o.Cert]
+		s.mu.RUnlock()
+		if !ok {
+			var err error
+			if fp, err = o.Cert.Fingerprint(); err != nil {
+				return fmt.Errorf("scanstore: %w", err)
+			}
 		}
 		rec.CertFP = fp
 		rec.ModKey = o.Cert.ModulusKey()
@@ -165,6 +179,7 @@ func (s *Store) addModulusLocked(key string, n *big.Int) {
 func (s *Store) addCertLocked(fp [32]byte, c *certs.Certificate) {
 	if _, ok := s.certs[fp]; !ok {
 		s.certs[fp] = c
+		s.fps[c] = fp
 		s.certOrder = append(s.certOrder, fp)
 	}
 }
@@ -291,45 +306,53 @@ func (s *Store) RecordsOn(date time.Time, proto Protocol) []HostRecord {
 	return out
 }
 
-// CertsWithModulus returns all distinct certificates carrying the given
-// modulus key — the pivot the shared-prime extrapolation and the MITM
-// detector both need.
-func (s *Store) CertsWithModulus(modKey string) []*certs.Certificate {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []*certs.Certificate
-	for _, c := range s.certs {
-		if c.ModulusKey() == modKey {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].SerialNumber.Cmp(out[j].SerialNumber) < 0
-	})
-	return out
+// Served is what the store observed serving one modulus.
+type Served struct {
+	// Certs are the distinct certificates carrying the modulus, by
+	// serial number, ties broken by fingerprint.
+	Certs []*certs.Certificate
+	// IPs are the distinct addresses that served it on any protocol,
+	// sorted: the Internet Rimon detector counts these (922 IPs, one
+	// key).
+	IPs []string
 }
 
-// IPsServingModulus returns the distinct IPs that ever served the modulus
-// on the given protocol ("" for all): the Internet Rimon detector counts
-// these (922 IPs, one key).
-func (s *Store) IPsServingModulus(modKey string, proto Protocol) []string {
+// ByModulus answers every per-modulus question in one walk of the
+// store: what served each distinct modulus, keyed like DistinctModuli.
+func (s *Store) ByModulus() map[string]Served {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	set := make(map[string]bool)
+	out := make(map[string]Served, len(s.modOrder))
+	fps := append([][32]byte(nil), s.certOrder...)
+	sort.Slice(fps, func(i, j int) bool {
+		if c := s.certs[fps[i]].SerialNumber.Cmp(s.certs[fps[j]].SerialNumber); c != 0 {
+			return c < 0
+		}
+		return bytes.Compare(fps[i][:], fps[j][:]) < 0
+	})
+	for _, fp := range fps {
+		c := s.certs[fp]
+		k := c.ModulusKey()
+		v := out[k]
+		v.Certs = append(v.Certs, c)
+		out[k] = v
+	}
 	for _, r := range s.records {
-		if r.ModKey != modKey {
+		v := out[r.ModKey]
+		// A modulus's records mostly repeat one host month after month:
+		// skip a repeat of the last address here, and leave the rest
+		// to the sort-and-compact below.
+		if n := len(v.IPs); n > 0 && v.IPs[n-1] == r.IP {
 			continue
 		}
-		if proto != "" && r.Protocol != proto {
-			continue
-		}
-		set[r.IP] = true
+		v.IPs = append(v.IPs, r.IP)
+		out[r.ModKey] = v
 	}
-	out := make([]string, 0, len(set))
-	for ip := range set {
-		out = append(out, ip)
+	for k, v := range out {
+		sort.Strings(v.IPs)
+		v.IPs = slices.Compact(v.IPs)
+		out[k] = v
 	}
-	sort.Strings(out)
 	return out
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -147,7 +149,7 @@ func TestCertLookup(t *testing.T) {
 	}
 }
 
-func TestCertsWithModulusAndIPs(t *testing.T) {
+func TestByModulusSharedModulus(t *testing.T) {
 	s := New()
 	// Two certificates with the SAME modulus (the Internet Rimon MITM
 	// shape), served from many IPs.
@@ -164,20 +166,118 @@ func TestCertsWithModulusAndIPs(t *testing.T) {
 		return c
 	}
 	c1, c2 := mk(1, "router-a"), mk(2, "router-b")
-	s.AddCertObservation("198.51.100.1", date(2014, 1, 1), SourceRapid7, HTTPS, c1)
 	s.AddCertObservation("198.51.100.2", date(2014, 1, 1), SourceRapid7, HTTPS, c2)
+	s.AddCertObservation("198.51.100.1", date(2014, 1, 1), SourceRapid7, HTTPS, c1)
 	s.AddCertObservation("198.51.100.1", date(2014, 2, 1), SourceRapid7, HTTPS, c1)
 
-	certsWith := s.CertsWithModulus(c1.ModulusKey())
-	if len(certsWith) != 2 {
-		t.Errorf("certs with modulus = %d, want 2", len(certsWith))
+	sv := s.ByModulus()[c1.ModulusKey()]
+	if len(sv.Certs) != 2 || sv.Certs[0] != c1 || sv.Certs[1] != c2 {
+		t.Errorf("certs with modulus = %v, want c1 then c2", sv.Certs)
 	}
-	ips := s.IPsServingModulus(c1.ModulusKey(), HTTPS)
-	if len(ips) != 2 || ips[0] != "198.51.100.1" {
-		t.Errorf("IPs: %v", ips)
+	if len(sv.IPs) != 2 || sv.IPs[0] != "198.51.100.1" {
+		t.Errorf("IPs: %v", sv.IPs)
 	}
-	if got := s.IPsServingModulus(c1.ModulusKey(), SSH); len(got) != 0 {
-		t.Errorf("SSH IPs should be empty: %v", got)
+}
+
+// randomStore is a seeded store whose certificates share moduli across
+// subjects, serials, addresses and months, beside bare keys served over
+// SSH and the mail protocols, some on moduli certificates also carry.
+// Addresses come from a small pool, so hosts repeat. Some observations
+// re-present a stored certificate's pointer, others a fresh copy.
+func randomStore(t testing.TB, seed int64) *Store {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	moduli := make([]*big.Int, 24)
+	for i := range moduli {
+		moduli[i] = new(big.Int).SetUint64(rng.Uint64() | 1)
+	}
+	pool := make([]*certs.Certificate, 40)
+	for i := range pool {
+		subject := certs.Name{CommonName: fmt.Sprintf("dev-%d", rng.Intn(6))}
+		pool[i] = &certs.Certificate{
+			SerialNumber: big.NewInt(int64(rng.Intn(4))), // ties on purpose
+			Subject:      subject, Issuer: subject,
+			NotBefore: time.Unix(0, 0), NotAfter: time.Unix(int64(1+i), 0),
+			N: moduli[rng.Intn(16)], E: 65537,
+		}
+	}
+	ip := func() string { return fmt.Sprintf("10.0.0.%d", rng.Intn(12)) }
+	month := func() time.Time { return date(2012+rng.Intn(3), 1+rng.Intn(12), 1) }
+	s := New()
+	for i := 0; i < 400; i++ {
+		c := pool[rng.Intn(len(pool))]
+		if rng.Intn(4) == 0 {
+			dup := *c
+			c = &dup
+		}
+		if err := s.AddCertObservation(ip(), month(), SourceRapid7, HTTPS, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bare := []Protocol{SSH, POP3S, IMAPS, SMTPS}
+	for i := 0; i < 150; i++ {
+		s.AddBareKeyObservation(ip(), month(), SourceCensys, bare[rng.Intn(len(bare))], moduli[8+rng.Intn(16)])
+	}
+	return s
+}
+
+// TestByModulusMatchesScan holds the one-walk view to a brute-force
+// scan per modulus: its certificates from every record's certificate,
+// ordered by serial then fingerprint, and its addresses from every
+// record, distinct and sorted.
+func TestByModulusMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		s := randomStore(t, seed)
+		view := s.ByModulus()
+		_, keys := s.DistinctModuli()
+		if len(view) != len(keys) {
+			t.Fatalf("seed %d: view holds %d moduli, store %d", seed, len(view), len(keys))
+		}
+		ties := 0
+		for _, key := range keys {
+			byFP := make(map[[32]byte]*certs.Certificate)
+			ips := make(map[string]bool)
+			for _, r := range s.Records() {
+				if r.ModKey != key {
+					continue
+				}
+				ips[r.IP] = true
+				if r.CertFP != ([32]byte{}) {
+					byFP[r.CertFP] = s.Cert(r.CertFP)
+				}
+			}
+			var fps [][32]byte
+			for fp := range byFP {
+				fps = append(fps, fp)
+			}
+			sort.Slice(fps, func(i, j int) bool {
+				a, b := byFP[fps[i]].SerialNumber.Int64(), byFP[fps[j]].SerialNumber.Int64()
+				return a < b || a == b && string(fps[i][:]) < string(fps[j][:])
+			})
+			var wantCerts []*certs.Certificate
+			for i, fp := range fps {
+				wantCerts = append(wantCerts, byFP[fp])
+				if i > 0 && byFP[fps[i-1]].SerialNumber.Cmp(byFP[fp].SerialNumber) == 0 {
+					ties++
+				}
+			}
+			var wantIPs []string
+			for a := range ips {
+				wantIPs = append(wantIPs, a)
+			}
+			sort.Strings(wantIPs)
+			got := view[key]
+			if !slices.Equal(got.Certs, wantCerts) || !slices.Equal(got.IPs, wantIPs) {
+				t.Fatalf("seed %d, modulus %x: view %v %v, scan %v %v", seed, key, got.Certs, got.IPs, wantCerts, wantIPs)
+			}
+		}
+		if ties == 0 {
+			t.Errorf("seed %d: no two certificates of one modulus share a serial", seed)
+		}
+		// Fresh copies of a stored certificate add no fingerprint entry.
+		if len(s.fps) != len(s.certs) {
+			t.Errorf("seed %d: %d fingerprints kept for %d certificates", seed, len(s.fps), len(s.certs))
+		}
 	}
 }
 
