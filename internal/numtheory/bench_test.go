@@ -88,3 +88,21 @@ func BenchmarkNextPrime(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkGenPrime is one prime from each generator flavour at 64 to
+// 512 bits, drawn from one seeded stream per width.
+func BenchmarkGenPrime(b *testing.B) {
+	for _, gen := range []string{"naive", "openssl"} {
+		for _, bits := range []int{64, 128, 256, 512} {
+			b.Run(fmt.Sprintf("%s/bits=%d", gen, bits), func(b *testing.B) {
+				rng := testRand(int64(bits))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := generators[gen](rng, bits); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

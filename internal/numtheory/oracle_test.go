@@ -1,6 +1,8 @@
 package numtheory
 
 import (
+	"errors"
+	"io"
 	"math/big"
 	"math/bits"
 	"math/rand"
@@ -154,6 +156,46 @@ func oracleNextPrime(n *big.Int) *big.Int {
 		c.Add(c, two)
 	}
 	return c
+}
+
+// oracleGenPrime is genPrimeSieved as this package shipped it before
+// GenPrimeNaive and GenPrimeOpenSSL shared NextPrime's word sieve: each
+// draw takes its residues modulo every sieve prime from big.Int, and
+// every candidate loops over all of them before ProbablyPrime(20).
+func oracleGenPrime(r io.Reader, bits, sievePrimes int, excludeOne bool) (*big.Int, error) {
+	primes := FirstPrimes(sievePrimes)
+	rems := make([]uint64, len(primes))
+	var m big.Int
+	for draws := 0; draws < 1000; draws++ {
+		start, err := RandomOdd(r, bits)
+		if err != nil {
+			return nil, err
+		}
+		for i, q := range primes {
+			rems[i] = m.Mod(start, m.SetUint64(q)).Uint64()
+		}
+		const maxDelta = 1 << 16
+	scan:
+		for delta := uint64(0); delta < maxDelta; delta += 2 {
+			for i, q := range primes {
+				rem := (rems[i] + delta) % q
+				if rem == 0 {
+					continue scan
+				}
+				if excludeOne && rem == 1 && q != 2 {
+					continue scan
+				}
+			}
+			cand := new(big.Int).Add(start, m.SetUint64(delta))
+			if cand.BitLen() != bits {
+				break
+			}
+			if cand.ProbablyPrime(20) {
+				return cand, nil
+			}
+		}
+	}
+	return nil, errors.New("oracle: redraw budget exhausted")
 }
 
 // sameInt reports whether a and b are both nil or the same integer.

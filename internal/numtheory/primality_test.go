@@ -2,6 +2,8 @@ package numtheory
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -172,6 +174,94 @@ func TestRandomOddRejectsTinyBits(t *testing.T) {
 func TestRandomOddEntropyFailure(t *testing.T) {
 	if _, err := RandomOdd(bytes.NewReader(nil), 64); err != ErrEntropy {
 		t.Errorf("got %v, want ErrEntropy", err)
+	}
+}
+
+// generators are the three prime generators by the name the vectors
+// and the oracle test give them.
+var generators = map[string]func(io.Reader, int) (*big.Int, error){
+	"naive":   GenPrimeNaive,
+	"openssl": GenPrimeOpenSSL,
+	"safe":    GenSafePrime,
+}
+
+// genPrimeVectors pins each generator's first two primes from
+// testRand(bits) at 16 to 512 bits (safe primes from 17, the least
+// GenSafePrime takes), so the entropy each draw reads is pinned too.
+// Generated by the per-candidate scan oracleGenPrime keeps.
+var genPrimeVectors = []struct {
+	gen  string
+	bits int
+	want [2]string
+}{
+	{"naive", 16, [2]string{"e48f", "c037"}},
+	{"openssl", 16, [2]string{"e537", "c047"}},
+	{"naive", 17, [2]string{"1c385", "1a9f9"}},
+	{"openssl", 17, [2]string{"1c3b5", "1aa4d"}},
+	{"safe", 17, [2]string{"1f787", "1d567"}},
+	{"naive", 64, [2]string{"dc6157823798aa6b", "db70a964ce916073"}},
+	{"openssl", 64, [2]string{"dc6157823798ad21", "db70a964ce916407"}},
+	{"safe", 64, [2]string{"f414c0727616a02f", "eaecfdbdf327354b"}},
+	{"naive", 128, [2]string{"fcbeb8ddcb4cd63a3162ffddfacbdd07", "dddcb84c12fa40a3c6c58f221ea533c7"}},
+	{"openssl", 128, [2]string{"fcbeb8ddcb4cd63a3162ffddfacbdf4d", "dddcb84c12fa40a3c6c58f221ea53745"}},
+	{"safe", 128, [2]string{"ea7ec0426a827419fcdc507d1dd6a03f", "fd048a0168e74440d6d1d69e8f0848bf"}},
+	{"naive", 256, [2]string{"fcfd07a28ba921bebe7a529b9ca7bfde003f2d87b47f03bcd421b58b56241b4d", "f1e7b0635261460263500f16646963c0d8d9b15269fef9f285b3379b0344d8c5"}},
+	{"openssl", 256, [2]string{"fcfd07a28ba921bebe7a529b9ca7bfde003f2d87b47f03bcd421b58b562421e3", "f1e7b0635261460263500f16646963c0d8d9b15269fef9f285b3379b0344deed"}},
+	{"safe", 256, [2]string{"d6ed98498b61c3d41abed2c09725bd754abf20fa83b18424678baccc5bb36d3f", "dd24e8620d9960b48af08edc052c892dd4e4a01776550102545b10e99fc07a0b"}},
+	{"naive", 512, [2]string{"fa8688dee52fea76235d08201fbe368650fcd13057767496f0d9ebb944772db1ad7586d5851338b6e37e6b62c637a6784819c82afec890622fb276ccee9f4175", "da03f75fc07b2acfb0d571041b8e5acc1b89360da31095ab4c815070b5bd4bda3386e2b433488649070364ad310358b7aa80d1c995afb23a0b113648574bd125"}},
+	{"openssl", 512, [2]string{"fa8688dee52fea76235d08201fbe368650fcd13057767496f0d9ebb944772db1ad7586d5851338b6e37e6b62c637a6784819c82afec890622fb276ccee9f567f", "da03f75fc07b2acfb0d571041b8e5acc1b89360da31095ab4c815070b5bd4bda3386e2b433488649070364ad310358b7aa80d1c995afb23a0b113648574bd459"}},
+	{"safe", 512, [2]string{"ffcf1e79b5afe9bea687b2fdb14e54c7213fc6ee6f6b8258753c9d94730475292b35a836b6a0ac212d1070c116980957f1594a594d4095993b5df408187f9247", "f96f41b254e34a4b0e11eb3df4bcb21eab63c580f40ee7a0545c2aa9e9e2100d7edaf0cfbd12fcb0e93492c0ff87ad955996c37fc90b78b7dddaec111188b637"}},
+}
+
+func TestGenPrimeVectors(t *testing.T) {
+	for _, v := range genPrimeVectors {
+		rng := testRand(int64(v.bits))
+		for i, want := range v.want {
+			p, err := generators[v.gen](rng, v.bits)
+			if err != nil {
+				t.Fatalf("%s %d-bit prime %d: %v", v.gen, v.bits, i, err)
+			}
+			if got := p.Text(16); got != want {
+				t.Errorf("%s %d-bit prime %d = %s, want %s", v.gen, v.bits, i, got, want)
+			}
+		}
+	}
+}
+
+// TestGenPrimeMatchesOracle holds both generator flavours to the
+// per-candidate scan they replaced, over 300 seeds at each width from
+// 16 to 512 bits: the same prime, and the entropy source left at the
+// same place for the next draw.
+func TestGenPrimeMatchesOracle(t *testing.T) {
+	flavours := []struct {
+		name        string
+		gen         func(io.Reader, int) (*big.Int, error)
+		sievePrimes int
+		excludeOne  bool
+	}{
+		{"naive", GenPrimeNaive, trialDivisionPrimes, false},
+		{"openssl", GenPrimeOpenSSL, OpenSSLSievePrimes, true},
+	}
+	for _, bits := range []int{16, 17, 24, 33, 64, 100, 128, 256, 512} {
+		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
+			t.Parallel()
+			for _, f := range flavours {
+				for seed := int64(0); seed < 300; seed++ {
+					r, ro := testRand(seed), testRand(seed)
+					got, err := f.gen(r, bits)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := oracleGenPrime(ro, bits, f.sievePrimes, f.excludeOne)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Cmp(want) != 0 || r.Int63() != ro.Int63() {
+						t.Fatalf("%s seed %d: got %s, oracle %s (or a different entropy read)", f.name, seed, got.Text(16), want.Text(16))
+					}
+				}
+			}
+		})
 	}
 }
 

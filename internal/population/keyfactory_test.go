@@ -1,7 +1,10 @@
 package population
 
 import (
+	"fmt"
 	"math/big"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/factorable/weakkeys/internal/numtheory"
@@ -173,5 +176,51 @@ func TestSharedPrimeSkipsUnusableCohortPrime(t *testing.T) {
 		if new(big.Int).Mod(k.P, e).Int64() == 1 {
 			t.Fatalf("key %d: cohort prime ≡ 1 mod e", i)
 		}
+	}
+}
+
+// factoryVectors pins what one KeyFactory hands out, call by call, in
+// every mode at 128 bits: P, Q, E and D of each key, then the factory
+// stream's next value, so a change to what a mode draws, or in which
+// order, shows here.
+var factoryVectors = []string{
+	"e7559bb27d0cc227 d0659790bafc92b5 65537 348c03501a4fdced188e6c63c78649c9",
+	"f828e33a4b6463a5 d4a90f701590df89 65537 a66b6bc96616fa1f65e4ab96b5ba6e61",
+	"f828e33a4b6463a5 d719a5ec11719013 65537 59e3c5f99eae8a1895eeb1b331fa3e69",
+	"e0cbae9a1250882d fb775a4770f9ee27 65537 75d5bb2e0ab4bb16fb96054a5a76f969",
+	"c673c40e31ad4bc7 fa85b1b4a114cd25 65537 9457015ef8e45d72768130e5e983c449",
+	"d0924ef271166bab d0924ef27117c18b 65537 43a202424bc52aebbba747bf09b8b211",
+	"3c7 398a92218cac6782f227934336de57 65537 a724ec2c18ecad9c67fb768cb6ba0d49",
+	"e85cfdbecf80dc1b f065b54fe0582fe9 3 9177aa18d45d882b75c59548bec0290b",
+	"fc55688fe9620ea5 fd0a7d9c669363c9 65537 90df8b782211aedefc25a4cf23cb6a61",
+	"da8fc2400d1b0a0d e44a1e28eeb59471 65537 bf71e2ea93c27a9231d401767b860b81",
+	"next=5783236482869043691",
+}
+
+func TestFactoryVectors(t *testing.T) {
+	f := NewKeyFactory(50, 128)
+	calls := []func() (*weakrsa.PrivateKey, error){
+		f.Healthy,
+		func() (*weakrsa.PrivateKey, error) { return f.SharedPrime("A", weakrsa.PrimeNaive) },
+		func() (*weakrsa.PrivateKey, error) { return f.SharedPrime("A", weakrsa.PrimeNaive) },
+		func() (*weakrsa.PrivateKey, error) { return f.SharedPrime("B", weakrsa.PrimeOpenSSL) },
+		func() (*weakrsa.PrivateKey, error) { return f.CliqueKey("IBM", weakrsa.PrimeOpenSSL) },
+		func() (*weakrsa.PrivateKey, error) { return f.ClosePrimeKey(weakrsa.PrimeNaive) },
+		func() (*weakrsa.PrivateKey, error) { return f.SmallFactorKey(weakrsa.PrimeNaive) },
+		func() (*weakrsa.PrivateKey, error) { return f.UnsafeExponentKey(weakrsa.PrimeOpenSSL, 3) },
+		func() (*weakrsa.PrivateKey, error) { return f.SharedModulusKey("clone", weakrsa.PrimeNaive) },
+		f.Healthy,
+	}
+	var got []string
+	for i, call := range calls {
+		k, err := call()
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		got = append(got, fmt.Sprintf("%x %x %d %x", k.P, k.Q, k.E, k.D))
+	}
+	got = append(got, fmt.Sprintf("next=%d", f.rng.Int63()))
+	if !slices.Equal(got, factoryVectors) {
+		t.Errorf("factory keys:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(factoryVectors, "\n"))
 	}
 }
