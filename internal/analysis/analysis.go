@@ -40,8 +40,11 @@ type Analyzer struct {
 	excluded map[string]bool
 	// records is the chain-reconstructed view: intermediates stripped.
 	records []scanstore.HostRecord
-	dates   []time.Time
-	sources map[time.Time]scanstore.Source
+	// recLabels is each record's label, aligned with records (the zero
+	// Label where its certificate has none), resolved once in New.
+	recLabels []fingerprint.Label
+	dates     []time.Time
+	sources   map[time.Time]scanstore.Source
 }
 
 // ExcludeModuli marks modulus keys as measurement artifacts to be skipped
@@ -67,10 +70,12 @@ func New(store *scanstore.Store, labels map[[32]byte]fingerprint.Label, vulnKeys
 		sources: make(map[time.Time]scanstore.Source),
 	}
 	a.records = StripIntermediates(store)
+	a.recLabels = make([]fingerprint.Label, len(a.records))
 	a.dates = store.ScanDates(scanstore.HTTPS)
-	for _, r := range a.records {
+	for i, r := range a.records {
 		if r.Protocol == scanstore.HTTPS {
 			a.sources[r.Date] = r.Source
+			a.recLabels[i] = labels[r.CertFP]
 		}
 	}
 	return a
@@ -117,41 +122,31 @@ func StripIntermediates(store *scanstore.Store) []scanstore.HostRecord {
 	return out
 }
 
-// matches reports whether a record belongs to the vendor/model selection
-// ("" matches all).
-func (a *Analyzer) matches(r scanstore.HostRecord, vendor, model string) bool {
-	if vendor == "" {
-		return true
-	}
-	lbl, ok := a.labels[r.CertFP]
-	if !ok {
-		return false
-	}
-	if lbl.Vendor != vendor {
-		return false
-	}
-	return model == "" || lbl.Model == model
+// matches reports whether the ith record belongs to the vendor/model
+// selection ("" matches all). A record with no label has the zero
+// Label, whose empty vendor no selection names.
+func (a *Analyzer) matches(i int, vendor, model string) bool {
+	lbl := a.recLabels[i]
+	return vendor == "" || lbl.Vendor == vendor && (model == "" || lbl.Model == model)
 }
 
 // VendorSeries builds the Figure 3-10 series for one vendor (optionally
 // one model — the Cisco end-of-life analysis uses models).
 func (a *Analyzer) VendorSeries(vendor, model string) Series {
-	return a.series(vendor+"/"+model, func(r scanstore.HostRecord) bool {
-		return a.matches(r, vendor, model)
-	})
+	return a.series(vendor+"/"+model, vendor, model)
 }
 
 // AggregateSeries builds the Figure 1 series over all HTTPS hosts.
 func (a *Analyzer) AggregateSeries() Series {
-	return a.series("all", func(r scanstore.HostRecord) bool { return true })
+	return a.series("all", "", "")
 }
 
-func (a *Analyzer) series(name string, match func(scanstore.HostRecord) bool) Series {
+func (a *Analyzer) series(name, vendor, model string) Series {
 	s := Series{Name: name, Dates: a.dates}
 	totals := make(map[time.Time]int)
 	vulns := make(map[time.Time]int)
-	for _, r := range a.records {
-		if r.Protocol != scanstore.HTTPS || !match(r) {
+	for i, r := range a.records {
+		if r.Protocol != scanstore.HTTPS || !a.matches(i, vendor, model) {
 			continue
 		}
 		totals[r.Date]++
@@ -190,8 +185,8 @@ func (a *Analyzer) Transitions(vendor string) Transitions {
 		vuln bool
 	}
 	perIP := make(map[string][]obs)
-	for _, r := range a.records {
-		if r.Protocol != scanstore.HTTPS || !a.matches(r, vendor, "") || a.excluded[r.ModKey] {
+	for i, r := range a.records {
+		if r.Protocol != scanstore.HTTPS || !a.matches(i, vendor, "") || a.excluded[r.ModKey] {
 			continue
 		}
 		perIP[r.IP] = append(perIP[r.IP], obs{r.Date, a.vulnMod[r.ModKey]})
@@ -393,8 +388,8 @@ func (a *Analyzer) Replacements(vendor string) Replacements {
 		fp   [32]byte
 	}
 	perIP := make(map[string][]obs)
-	for _, r := range a.records {
-		if r.Protocol != scanstore.HTTPS || !a.matches(r, vendor, "") || a.excluded[r.ModKey] {
+	for i, r := range a.records {
+		if r.Protocol != scanstore.HTTPS || !a.matches(i, vendor, "") || a.excluded[r.ModKey] {
 			continue
 		}
 		perIP[r.IP] = append(perIP[r.IP], obs{r.Date, a.vulnMod[r.ModKey], r.CertFP})

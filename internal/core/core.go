@@ -141,6 +141,9 @@ func Run(ctx context.Context, opts Options) (*Study, error) {
 	// name customers; the middlebox modulus gets its IP count tracked.
 	var cliqueVendors map[string]string
 	var extraIPKeys []string
+	// The corpus's record count, taken once when Harvest ends (or is
+	// cut short) for its report, Dedup's and the corpus gauges.
+	var hostRecords int
 
 	stages := []pipeline.Stage{
 		{Name: StageSimulate, Run: func(ctx context.Context, st *pipeline.StageReport) error {
@@ -165,7 +168,9 @@ func Run(ctx context.Context, opts Options) (*Study, error) {
 			return nil
 		}},
 		{Name: StageHarvest, Run: func(ctx context.Context, st *pipeline.StageReport) error {
-			if err := s.Sim.Run(ctx, s.Store); err != nil {
+			err := s.Sim.Run(ctx, s.Store)
+			hostRecords = s.Store.Stats("").HostRecords
+			if err != nil {
 				return fmt.Errorf("core: scan harvest: %w", err)
 			}
 			cliqueVendors = make(map[string]string)
@@ -177,13 +182,13 @@ func Run(ctx context.Context, opts Options) (*Study, error) {
 			if n := s.Sim.MITMModulus(); n != nil {
 				extraIPKeys = append(extraIPKeys, string(n.Bytes()))
 			}
-			st.ItemsOut = int64(s.Store.Stats("").HostRecords)
+			st.ItemsOut = int64(hostRecords)
 			return nil
 		}},
 	}
-	stages = append(stages, s.analysisStages(&cliqueVendors, &extraIPKeys)...)
+	stages = append(stages, s.analysisStages(&cliqueVendors, &extraIPKeys, &hostRecords)...)
 	err := s.runStages(ctx, stages...)
-	s.publishCorpusGauges()
+	s.publishCorpusGauges(hostRecords)
 	// The partial study — with the report of every stage that ran — comes
 	// back alongside an error so a cancelled or failed run can still
 	// print its cost profile.
@@ -202,16 +207,15 @@ func (s *Study) runStages(ctx context.Context, stages ...pipeline.Stage) error {
 	return err
 }
 
-// publishCorpusGauges mirrors the study's corpus-level totals into the
-// registry after a run (complete or partial).
-func (s *Study) publishCorpusGauges() {
+// publishCorpusGauges mirrors the study's corpus-level totals, with
+// the corpus's hostRecords, into the registry after a run (complete or
+// partial).
+func (s *Study) publishCorpusGauges(hostRecords int) {
 	reg := s.Opts.Telemetry
 	if reg == nil {
 		return
 	}
-	if s.Store != nil {
-		reg.Gauge("core_host_records").Set(float64(s.Store.Stats("").HostRecords))
-	}
+	reg.Gauge("core_host_records").Set(float64(hostRecords))
 	reg.Gauge("core_factored_moduli").Set(float64(len(s.Factored)))
 	if s.Fingerprint != nil {
 		reg.Gauge("core_fingerprint_labels").Set(float64(len(s.Fingerprint.Labels)))
@@ -240,16 +244,17 @@ func AnalyzeStore(ctx context.Context, store *scanstore.Store, opts Options) (*S
 	s := &Study{Opts: opts, Store: store}
 	var noCliques map[string]string
 	var noExtra []string
-	err := s.runStages(ctx, s.analysisStages(&noCliques, &noExtra)...)
-	s.publishCorpusGauges()
+	hostRecords := store.Stats("").HostRecords
+	err := s.runStages(ctx, s.analysisStages(&noCliques, &noExtra, &hostRecords)...)
+	s.publishCorpusGauges(hostRecords)
 	return s, err
 }
 
 // analysisStages composes phases 2-4 — Dedup, BatchGCD, Fingerprint,
-// Analyze — over s.Store. cliqueVendors and extraIPKeys are pointers
-// because the values are produced by the Harvest stage after the stage
-// list is built.
-func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]string) []pipeline.Stage {
+// Analyze — over s.Store. cliqueVendors, extraIPKeys and hostRecords
+// are pointers because the values are produced by the Harvest stage
+// after the stage list is built.
+func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]string, hostRecords *int) []pipeline.Stage {
 	opts := s.Opts
 	// Dedup output, consumed by BatchGCD and Fingerprint.
 	var moduli []*big.Int
@@ -259,7 +264,7 @@ func (s *Study) analysisStages(cliqueVendors *map[string]string, extraIPKeys *[]
 			// The corpus ingest dedup: every distinct modulus ever
 			// observed, in first-seen order (the paper's 81M distinct
 			// moduli out of hundreds of millions of host records).
-			st.ItemsIn = int64(s.Store.Stats("").HostRecords)
+			st.ItemsIn = int64(*hostRecords)
 			moduli, keys = s.Store.DistinctModuli()
 			st.ItemsOut = int64(len(moduli))
 			for _, m := range moduli {

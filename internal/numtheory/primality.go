@@ -3,7 +3,9 @@ package numtheory
 import (
 	"errors"
 	"io"
+	"math"
 	"math/big"
+	"slices"
 )
 
 // ErrEntropy is returned when the supplied entropy source fails or is
@@ -52,18 +54,10 @@ func fermatBase2(n *big.Int) bool {
 }
 
 // NextPrime returns the smallest probable prime >= n. The argument is
-// not modified.
-//
-// Candidates are the odd numbers from n up, taken nextPrimeWindow at a
-// time. Each window is first sieved on words: n's residues modulo the
-// odd primes among the first trialDivisionPrimes come from one pass
-// over its words, and every candidate a sieve prime divides is struck out. Those
-// candidates exceed the prime, so they are composite and ProbablyPrime
-// would reject them too. Survivors then face the base-2 Fermat gate,
-// which rejects only what ProbablyPrime's forced base-2 round rejects
-// (as in ProbePrime), and last ProbablyPrime(20) itself. The answer is
-// the one the bare ProbablyPrime(20) scan gives, unless some composite
-// passes ProbablyPrime(20) (no such number is known).
+// not modified. From 2048 up it is sieveSearch over the odd primes among
+// the first trialDivisionPrimes, with no bound. The answer is the one
+// the bare ProbablyPrime(20) scan gives, unless some composite passes
+// ProbablyPrime(20) (no such number is known).
 func NextPrime(n *big.Int) *big.Int {
 	c := new(big.Int).Set(n)
 	if c.Cmp(two) <= 0 {
@@ -74,48 +68,79 @@ func NextPrime(n *big.Int) *big.Int {
 	}
 	if c.BitLen() <= 11 {
 		// At most 2047: a candidate could be a sieve prime itself.
-		for !c.ProbablyPrime(20) {
+		for !probablePrime(c) {
 			c.Add(c, two)
 		}
 		return c
 	}
-	rems := remsOf(c.Bits(), nextPrimeSieve)
-	var struck [nextPrimeWindow]bool
-	var d big.Int
-	cand := new(big.Int)
-	for {
+	return sieveSearch(c, naiveSieve, false, math.MaxUint64)
+}
+
+// probablePrime is ProbablyPrime(20) behind the base-2 Fermat gate, for
+// an odd n > 1: the gate rejects only what ProbablyPrime's forced
+// base-2 round rejects (as in ProbePrime), so the answer is the same.
+func probablePrime(n *big.Int) bool {
+	return fermatBase2(n) && n.ProbablyPrime(20)
+}
+
+// sieveSearch returns the first odd candidate c+d, d < limit, that no
+// prime in sieve divides, nor, with excludeOne, leaves remainder 1 (the
+// OpenSSL rule that keeps every sieve prime out of p-1), and that
+// probablePrime accepts; nil if there is none. c must be odd and exceed
+// every sieve prime, so a candidate a sieve prime divides is composite.
+//
+// Candidates are struck out on words, sieveWindow at a time: c's
+// residues come from one pass over its words, and per sieve prime the
+// search keeps the offset of the next candidate each rule strikes, so a
+// window costs no division.
+func sieveSearch(c *big.Int, sieve []uint64, excludeOne bool, limit uint64) *big.Int {
+	// Candidate k is c+2k: q divides it when 2k ≡ -r (mod q), so at
+	// k ≡ (q-r)·(q+1)/2, and it leaves remainder 1 at (q+1)/2 past that.
+	zero := remsOf(c.Bits(), sieve)
+	strikes := [][]uint64{zero}
+	if excludeOne {
+		strikes = append(strikes, make([]uint64, len(sieve)))
+	}
+	for i, q := range sieve {
+		half := (q + 1) / 2
+		zero[i] = (q - zero[i]) % q * half % q
+		if excludeOne {
+			strikes[1][i] = (zero[i] + half) % q
+		}
+	}
+	var struck [sieveWindow]bool
+	cand, d := new(big.Int), new(big.Int)
+	for base := uint64(0); ; base += 2 * sieveWindow {
 		clear(struck[:])
-		for i, q := range nextPrimeSieve {
-			// Candidate k is c+2k: the first one q divides has
-			// 2k ≡ -r (mod q), so k ≡ (q-r)·(q+1)/2.
-			r := rems[i]
-			for k := (q - r) % q * ((q + 1) / 2) % q; k < nextPrimeWindow; k += q {
-				struck[k] = true
+		for _, next := range strikes {
+			for i, q := range sieve {
+				k := next[i]
+				for ; k < sieveWindow; k += q {
+					struck[k] = true
+				}
+				next[i] = k - sieveWindow
 			}
-			rems[i] = (r + 2*nextPrimeWindow) % q
 		}
 		for k, out := range struck {
-			if out {
-				continue
+			if base+2*uint64(k) >= limit {
+				return nil
 			}
-			cand.Add(c, d.SetUint64(2*uint64(k)))
-			if fermatBase2(cand) && cand.ProbablyPrime(20) {
+			if !out && probablePrime(cand.Add(c, d.SetUint64(base+2*uint64(k)))) {
 				return cand
 			}
 		}
-		c.Add(c, d.SetUint64(2*nextPrimeWindow))
 	}
 }
 
-// nextPrimeWindow is how many odd candidates NextPrime sieves at a time,
+// sieveWindow is how many odd candidates sieveSearch strikes at a time,
 // a span of 256. The mean prime gap is about 44 near 2^64 and 355 near
 // 2^512: a narrower window would take several passes at the wide end,
 // a wider one strike out candidates past the prime at the narrow end.
-const nextPrimeWindow = 128
+const sieveWindow = 128
 
-// nextPrimeSieve holds the odd primes NextPrime sieves by: those among
-// the first trialDivisionPrimes primes, the naive generator's depth.
-var nextPrimeSieve = SmallPrimes(trialDivisionPrimes)[1:]
+// naiveSieve holds the odd primes among the first trialDivisionPrimes,
+// the sieve of NextPrime and of the naive generator.
+var naiveSieve = FirstPrimes(trialDivisionPrimes)[1:]
 
 // remsOf returns the magnitude in words modulo each of primes, taking
 // the primes in runs whose product fits a word so that one pass over
@@ -163,46 +188,21 @@ const OpenSSLSievePrimes = 2048
 // property by chance).
 const trialDivisionPrimes = 256
 
-// genPrimeSieved is the incremental prime search shared by both generator
-// flavours. It draws a random odd starting point, caches its residues
-// modulo the first sievePrimes primes, and scans candidates start+delta
-// (delta even) rejecting any divisible by a sieve prime. When excludeOne
-// is set it additionally rejects candidates congruent to 1 modulo any odd
-// sieve prime — this is exactly OpenSSL's probable_prime loop and is what
-// makes p-1 free of small odd prime factors.
-func genPrimeSieved(r io.Reader, bits, sievePrimes int, excludeOne bool) (*big.Int, error) {
-	primes := FirstPrimes(sievePrimes)
-	rems := make([]uint64, len(primes))
-	var m big.Int
+// genPrimeSieved is the prime search shared by both generator
+// flavours: sieveSearch from a random odd start over at most 2^16 past
+// it, redrawn when no prime of the requested length lies there. With
+// excludeOne it is OpenSSL's probable_prime loop, which is what makes
+// p-1 free of small odd prime factors. Bounding the scan keeps one
+// unlucky start from pushing the candidate past the requested bit
+// length or skewing the distribution too far.
+func genPrimeSieved(r io.Reader, bits int, sieve []uint64, excludeOne bool) (*big.Int, error) {
 	for draws := 0; draws < 1000; draws++ {
 		start, err := RandomOdd(r, bits)
 		if err != nil {
 			return nil, err
 		}
-		for i, q := range primes {
-			rems[i] = m.Mod(start, m.SetUint64(q)).Uint64()
-		}
-		// Bound the scan so one unlucky start cannot push the candidate
-		// past the requested bit length or skew the distribution too far.
-		const maxDelta = 1 << 16
-	scan:
-		for delta := uint64(0); delta < maxDelta; delta += 2 {
-			for i, q := range primes {
-				rem := (rems[i] + delta) % q
-				if rem == 0 {
-					continue scan
-				}
-				if excludeOne && rem == 1 && q != 2 {
-					continue scan
-				}
-			}
-			cand := new(big.Int).Add(start, m.SetUint64(delta))
-			if cand.BitLen() != bits {
-				break // wrapped past the top; redraw
-			}
-			if cand.ProbablyPrime(20) {
-				return cand, nil
-			}
+		if p := sieveSearch(start, sieve, excludeOne, 1<<16); p != nil && p.BitLen() == bits {
+			return p, nil
 		}
 	}
 	return nil, errors.New("numtheory: prime generation exhausted redraw budget")
@@ -214,7 +214,7 @@ func genPrimeSieved(r io.Reader, bits, sievePrimes int, excludeOne bool) (*big.I
 // only ~7.5% of primes produced this way satisfy the OpenSSL p-1 property
 // by chance (Mironov's estimate quoted in Section 3.3.4).
 func GenPrimeNaive(r io.Reader, bits int) (*big.Int, error) {
-	return genPrimeSieved(r, bits, trialDivisionPrimes, false)
+	return genPrimeSieved(r, bits, naiveSieve, false)
 }
 
 // GenPrimeOpenSSL generates a probable prime of the given bit length whose
@@ -222,7 +222,7 @@ func GenPrimeNaive(r io.Reader, bits int) (*big.Int, error) {
 // primes — the distinctive OpenSSL behaviour observed by Mironov. The
 // returned primes always satisfy SatisfiesOpenSSLProperty.
 func GenPrimeOpenSSL(r io.Reader, bits int) (*big.Int, error) {
-	return genPrimeSieved(r, bits, OpenSSLSievePrimes, true)
+	return genPrimeSieved(r, bits, FirstPrimes(OpenSSLSievePrimes)[1:], true)
 }
 
 // SatisfiesOpenSSLProperty reports whether the prime p could have been
@@ -230,14 +230,7 @@ func GenPrimeOpenSSL(r io.Reader, bits int) (*big.Int, error) {
 // first OpenSSLSievePrimes primes. This is the per-prime test behind the
 // paper's Table 5 classification.
 func SatisfiesOpenSSLProperty(p *big.Int) bool {
-	pm1 := new(big.Int).Sub(p, one)
-	var m big.Int
-	for _, q := range FirstPrimes(OpenSSLSievePrimes)[1:] {
-		if m.Mod(pm1, m.SetUint64(q)).Sign() == 0 {
-			return false
-		}
-	}
-	return true
+	return !slices.Contains(remsOf(p.Bits(), FirstPrimes(OpenSSLSievePrimes)[1:]), 1)
 }
 
 // GenSafePrime generates a probable safe prime (p where (p-1)/2 is also
@@ -252,7 +245,7 @@ func GenSafePrime(r io.Reader, bits int) (*big.Int, error) {
 		}
 		p := new(big.Int).Lsh(q, 1)
 		p.Add(p, one)
-		if p.BitLen() == bits && p.ProbablyPrime(20) {
+		if p.BitLen() == bits && probablePrime(p) {
 			return p, nil
 		}
 	}

@@ -230,8 +230,9 @@ func TestGenPrimeVectors(t *testing.T) {
 
 // TestGenPrimeMatchesOracle holds both generator flavours to the
 // per-candidate scan they replaced, over 300 seeds at each width from
-// 16 to 512 bits: the same prime, and the entropy source left at the
-// same place for the next draw.
+// 16 to 256 bits: the same prime, and the entropy source left at the
+// same place for the next draw. 512 bits would add about 10 s, for a
+// width genPrimeVectors pins.
 func TestGenPrimeMatchesOracle(t *testing.T) {
 	flavours := []struct {
 		name        string
@@ -242,7 +243,7 @@ func TestGenPrimeMatchesOracle(t *testing.T) {
 		{"naive", GenPrimeNaive, trialDivisionPrimes, false},
 		{"openssl", GenPrimeOpenSSL, OpenSSLSievePrimes, true},
 	}
-	for _, bits := range []int{16, 17, 24, 33, 64, 100, 128, 256, 512} {
+	for _, bits := range []int{16, 17, 24, 33, 64, 100, 128, 256} {
 		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
 			t.Parallel()
 			for _, f := range flavours {

@@ -1,6 +1,9 @@
 package numtheory
 
-import "math/big"
+import (
+	"math/big"
+	"slices"
+)
 
 // SmoothPart returns the largest divisor of n composed entirely of primes
 // among the first nPrimes primes, together with the remaining cofactor.
@@ -10,23 +13,11 @@ import "math/big"
 // is expected to carry many small prime factors, whereas a well-formed
 // modulus p*q has none.
 func SmoothPart(n *big.Int, nPrimes int) (smooth, cofactor *big.Int) {
+	factors, cofactor := SmallFactors(n, nPrimes)
 	smooth = big.NewInt(1)
-	cofactor = new(big.Int).Set(n)
-	if n.Sign() == 0 { // every prime divides zero: dividing it out never ends
-		return smooth, cofactor
-	}
-	var q, m big.Int
-	for _, p := range FirstPrimes(nPrimes) {
-		q.SetUint64(p)
-		for {
-			var rem big.Int
-			m.QuoRem(cofactor, &q, &rem)
-			if rem.Sign() != 0 {
-				break
-			}
-			cofactor.Set(&m)
-			smooth.Mul(smooth, &q)
-		}
+	var pe big.Int
+	for _, f := range factors {
+		smooth.Mul(smooth, pe.Exp(pe.SetUint64(f.Prime), big.NewInt(int64(f.Exp)), nil))
 	}
 	return smooth, cofactor
 }
@@ -50,11 +41,8 @@ func IsWellFormedModulus(n *big.Int, bits, sievePrimes int) bool {
 	if n.BitLen() != bits {
 		return false
 	}
-	var m, q big.Int
-	for _, p := range FirstPrimes(sievePrimes) {
-		if m.Mod(n, q.SetUint64(p)).Sign() == 0 {
-			return false
-		}
+	if slices.Contains(remsOf(n.Bits(), FirstPrimes(sievePrimes)), 0) {
+		return false
 	}
 	return !n.ProbablyPrime(8)
 }

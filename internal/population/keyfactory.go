@@ -5,7 +5,6 @@ import (
 	"math/big"
 	"math/rand"
 
-	"github.com/factorable/weakkeys/internal/numtheory"
 	"github.com/factorable/weakkeys/internal/weakrsa"
 )
 
@@ -55,57 +54,13 @@ func NewKeyFactory(seed int64, bits int) *KeyFactory {
 	}
 }
 
-func (f *KeyFactory) prime(gen weakrsa.PrimeGen) (*big.Int, error) {
-	switch gen {
-	case weakrsa.PrimeOpenSSL:
-		return numtheory.GenPrimeOpenSSL(f.rng, f.bits/2)
-	default:
-		return numtheory.GenPrimeNaive(f.rng, f.bits/2)
-	}
-}
-
-func assemble(p, q *big.Int, e int) (*weakrsa.PrivateKey, error) {
-	if p.Cmp(q) == 0 {
-		return nil, fmt.Errorf("population: degenerate p == q")
-	}
-	pm := new(big.Int).Sub(p, big.NewInt(1))
-	qm := new(big.Int).Sub(q, big.NewInt(1))
-	phi := new(big.Int).Mul(pm, qm)
-	d := new(big.Int).ModInverse(big.NewInt(int64(e)), phi)
-	if d == nil {
-		return nil, fmt.Errorf("population: gcd(e, phi) != 1")
-	}
-	return &weakrsa.PrivateKey{
-		PublicKey: weakrsa.PublicKey{N: new(big.Int).Mul(p, q), E: e},
-		D:         d, P: new(big.Int).Set(p), Q: new(big.Int).Set(q),
-	}, nil
-}
-
 // Healthy returns a key with two fresh primes. Healthy keys always use
 // naive generation: their primes are never factored, so the OpenSSL
 // fingerprint (which requires the private key via factoring) cannot see
 // them — exactly the paper's observation that the fingerprint "only
 // covers models generating vulnerable keys".
 func (f *KeyFactory) Healthy() (*weakrsa.PrivateKey, error) {
-	for attempt := 0; attempt < 16; attempt++ {
-		p, err := f.prime(weakrsa.PrimeNaive)
-		if err != nil {
-			return nil, err
-		}
-		q, err := f.prime(weakrsa.PrimeNaive)
-		if err != nil {
-			return nil, err
-		}
-		k, err := assemble(p, q, weakrsa.DefaultExponent)
-		if err != nil {
-			continue
-		}
-		if k.N.BitLen() != f.bits {
-			continue
-		}
-		return k, nil
-	}
-	return nil, fmt.Errorf("population: healthy key generation failed")
+	return weakrsa.GenerateKey(f.rng, weakrsa.Options{Bits: f.bits})
 }
 
 // SharedPrime returns a key whose first prime is the named pool's current
@@ -116,12 +71,12 @@ func (f *KeyFactory) Healthy() (*weakrsa.PrivateKey, error) {
 func (f *KeyFactory) SharedPrime(pool string, gen weakrsa.PrimeGen) (*weakrsa.PrivateKey, error) {
 	c := f.cohorts[pool]
 	if c == nil || c.members >= c.size {
-		prime, err := f.prime(gen)
+		prime, err := gen.Prime(f.rng, f.bits/2)
 		// A prime ≡ 1 (mod e) leaves e no inverse with any partner, so
 		// no key of its cohort could ever be assembled: draw another.
 		e := big.NewInt(weakrsa.DefaultExponent)
 		for err == nil && new(big.Int).Mod(prime, e).Int64() == 1 {
-			prime, err = f.prime(gen)
+			prime, err = gen.Prime(f.rng, f.bits/2)
 		}
 		if err != nil {
 			return nil, err
@@ -130,19 +85,14 @@ func (f *KeyFactory) SharedPrime(pool string, gen weakrsa.PrimeGen) (*weakrsa.Pr
 		f.cohorts[pool] = c
 	}
 	for attempt := 0; attempt < 16; attempt++ {
-		q, err := f.prime(c.gen)
+		q, err := c.gen.Prime(f.rng, f.bits/2)
 		if err != nil {
 			return nil, err
 		}
-		k, err := assemble(c.prime, q, weakrsa.DefaultExponent)
-		if err != nil {
-			continue
+		if k := weakrsa.NewKey(c.prime, q, weakrsa.DefaultExponent, f.bits); k != nil {
+			c.members++
+			return k, nil
 		}
-		if k.N.BitLen() != f.bits {
-			continue
-		}
-		c.members++
-		return k, nil
 	}
 	return nil, fmt.Errorf("population: shared-prime key generation failed for pool %q", pool)
 }

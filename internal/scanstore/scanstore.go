@@ -249,7 +249,7 @@ func (s *Store) Stats(proto Protocol) Stats {
 	var st Stats
 	certSet := make(map[[32]byte]bool)
 	modSet := make(map[string]bool)
-	dateSet := make(map[string]bool)
+	dateSet := make(map[int]bool) // calendar days, as (year·13 + month)·32 + day
 	for _, r := range s.records {
 		if proto != "" && r.Protocol != proto {
 			continue
@@ -259,7 +259,8 @@ func (s *Store) Stats(proto Protocol) Stats {
 			certSet[r.CertFP] = true
 		}
 		modSet[r.ModKey] = true
-		dateSet[r.Date.Format("2006-01-02")] = true
+		y, m, d := r.Date.Date()
+		dateSet[(y*13+int(m))*32+d] = true
 		if st.FirstScan.IsZero() || r.Date.Before(st.FirstScan) {
 			st.FirstScan = r.Date
 		}

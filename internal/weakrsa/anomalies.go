@@ -24,8 +24,9 @@ import (
 //   - shared moduli:  the whole fleet ships one hardcoded keypair, so
 //     the same N appears under every device identity.
 //
-// The constructors assemble keys directly instead of calling GenerateKey,
-// which draws two honest primes and always uses DefaultExponent.
+// The constructors draw their primes themselves instead of calling
+// GenerateKey, which draws two honest primes; all but the unsafe
+// exponent assemble through NewKey as it does.
 
 // GenerateClosePrimes draws p honestly and then takes q as the next
 // prime above p plus a small even stir drawn from rand — the "When RSA
@@ -33,36 +34,21 @@ import (
 // window. |p-q| stays far below N^(1/4), so the modulus falls to a
 // Fermat ascent of a handful of steps.
 func GenerateClosePrimes(rand io.Reader, opts Options) (*PrivateKey, error) {
-	o := opts.withDefaults()
-	if o.Bits < 32 || o.Bits%2 != 0 {
-		return nil, fmt.Errorf("weakrsa: invalid modulus size %d", o.Bits)
+	o, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
 	}
-	e := big.NewInt(DefaultExponent)
-	for attempt := 0; attempt < 64; attempt++ {
-		p, err := o.PrimeGen.gen(rand, o.Bits/2)
-		if err != nil {
-			return nil, err
+	return redraw(o.Bits, func() (p, q *big.Int, err error) {
+		if p, err = o.PrimeGen.Prime(rand, o.Bits/2); err != nil {
+			return nil, nil, err
 		}
 		var stir [2]byte
 		if _, err := io.ReadFull(rand, stir[:]); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		gap := int64(stir[0])<<8 | int64(stir[1])
-		q := numtheory.NextPrime(new(big.Int).Add(p, big.NewInt(2+2*gap)))
-		if p.Cmp(q) == 0 {
-			continue
-		}
-		d := new(big.Int).ModInverse(e, phi(p, q))
-		if d == nil {
-			continue
-		}
-		n := new(big.Int).Mul(p, q)
-		if n.BitLen() != o.Bits {
-			continue
-		}
-		return &PrivateKey{PublicKey: PublicKey{N: n, E: DefaultExponent}, D: d, P: p, Q: q}, nil
-	}
-	return nil, errors.New("weakrsa: exhausted close-prime generation attempts")
+		return p, numtheory.NextPrime(new(big.Int).Add(p, big.NewInt(2+2*gap))), nil
+	})
 }
 
 // SmallFactorBits is the default size of the bogus "prime" in
@@ -77,9 +63,9 @@ const SmallFactorBits = 10
 // small or composite candidate shipped as a prime. The modulus still has
 // the requested bit length; trial division splits it immediately.
 func GenerateSmallFactor(rand io.Reader, opts Options, factorBits int) (*PrivateKey, error) {
-	o := opts.withDefaults()
-	if o.Bits < 32 || o.Bits%2 != 0 {
-		return nil, fmt.Errorf("weakrsa: invalid modulus size %d", o.Bits)
+	o, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 	if factorBits == 0 {
 		factorBits = SmallFactorBits
@@ -87,30 +73,13 @@ func GenerateSmallFactor(rand io.Reader, opts Options, factorBits int) (*Private
 	if factorBits < 2 || factorBits > o.Bits/2 {
 		return nil, fmt.Errorf("weakrsa: invalid small-factor size %d", factorBits)
 	}
-	e := big.NewInt(DefaultExponent)
-	for attempt := 0; attempt < 64; attempt++ {
-		p, err := smallPrime(rand, factorBits)
-		if err != nil {
-			return nil, err
+	return redraw(o.Bits, func() (p, q *big.Int, err error) {
+		if p, err = smallPrime(rand, factorBits); err != nil {
+			return nil, nil, err
 		}
-		q, err := o.PrimeGen.gen(rand, o.Bits-factorBits)
-		if err != nil {
-			return nil, err
-		}
-		if p.Cmp(q) == 0 {
-			continue
-		}
-		d := new(big.Int).ModInverse(e, phi(p, q))
-		if d == nil {
-			continue
-		}
-		n := new(big.Int).Mul(p, q)
-		if n.BitLen() != o.Bits {
-			continue
-		}
-		return &PrivateKey{PublicKey: PublicKey{N: n, E: DefaultExponent}, D: d, P: p, Q: q}, nil
-	}
-	return nil, errors.New("weakrsa: exhausted small-factor generation attempts")
+		q, err = o.PrimeGen.Prime(rand, o.Bits-factorBits)
+		return p, q, err
+	})
 }
 
 // smallPrime draws a prime of roughly the requested bit length, below the
@@ -142,16 +111,16 @@ func smallPrime(rand io.Reader, bits int) (*big.Int, error) {
 // the key directly. When e has no inverse, D is zero and Validate fails;
 // such keys still serve certificates in the field, which is the point.
 func GenerateUnsafeExponent(rand io.Reader, opts Options, e int) (*PrivateKey, error) {
-	o := opts.withDefaults()
-	if o.Bits < 32 || o.Bits%2 != 0 {
-		return nil, fmt.Errorf("weakrsa: invalid modulus size %d", o.Bits)
+	o, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 	for attempt := 0; attempt < 64; attempt++ {
-		p, err := o.PrimeGen.gen(rand, o.Bits/2)
+		p, err := o.PrimeGen.Prime(rand, o.Bits/2)
 		if err != nil {
 			return nil, err
 		}
-		q, err := o.PrimeGen.gen(rand, o.Bits/2)
+		q, err := o.PrimeGen.Prime(rand, o.Bits/2)
 		if err != nil {
 			return nil, err
 		}

@@ -37,7 +37,7 @@ func NewClique(firmwareSeed []byte, nPrimes, modulusBits int, gen PrimeGen) (*Cl
 	seen := make(map[string]bool, nPrimes)
 	primes := make([]*big.Int, 0, nPrimes)
 	for len(primes) < nPrimes {
-		p, err := gen.gen(pool, modulusBits/2)
+		p, err := gen.Prime(pool, modulusBits/2)
 		if err != nil {
 			return nil, err
 		}
@@ -73,13 +73,11 @@ func (c *Clique) Key(index int) (*PrivateKey, error) {
 			j = i + 1
 		}
 	}
-	p, q := c.primes[i], c.primes[j]
-	n := new(big.Int).Mul(p, q)
-	d := new(big.Int).ModInverse(big.NewInt(int64(c.e)), phi(p, q))
-	if d == nil {
+	k := NewKey(c.primes[i], c.primes[j], c.e, 0)
+	if k == nil {
 		return nil, fmt.Errorf("weakrsa: clique pair %d has gcd(e,phi)!=1", index)
 	}
-	return &PrivateKey{PublicKey: PublicKey{N: n, E: c.e}, D: d, P: p, Q: q}, nil
+	return k, nil
 }
 
 // CorruptBits returns a copy of n with the given bit positions flipped,

@@ -87,7 +87,9 @@ func (c OpenSSLClass) String() string {
 	}
 }
 
-func (g PrimeGen) gen(r io.Reader, bits int) (*big.Int, error) {
+// Prime draws one probable prime of the given bit length from r in
+// this style.
+func (g PrimeGen) Prime(r io.Reader, bits int) (*big.Int, error) {
 	switch g {
 	case PrimeNaive:
 		return numtheory.GenPrimeNaive(r, bits)
@@ -157,12 +159,48 @@ type Options struct {
 	MidEvent func()
 }
 
-func (o *Options) withDefaults() Options {
+// withDefaults fills in the default modulus size and rejects one no
+// key can have: below 32 bits, or odd.
+func (o *Options) withDefaults() (Options, error) {
 	out := *o
 	if out.Bits == 0 {
 		out.Bits = DefaultBits
 	}
-	return out
+	if out.Bits < 32 || out.Bits%2 != 0 {
+		return out, fmt.Errorf("weakrsa: invalid modulus size %d", out.Bits)
+	}
+	return out, nil
+}
+
+// NewKey assembles the RSA key with primes p and q and public exponent
+// e, or returns nil when the pair makes none and must be redrawn: p = q,
+// e has no inverse modulo φ(pq), or, for bits > 0, pq is not bits wide.
+func NewKey(p, q *big.Int, e, bits int) *PrivateKey {
+	if p.Cmp(q) == 0 {
+		return nil
+	}
+	n := new(big.Int).Mul(p, q)
+	d := new(big.Int).ModInverse(big.NewInt(int64(e)), phi(p, q))
+	if d == nil || bits > 0 && n.BitLen() != bits {
+		return nil
+	}
+	return &PrivateKey{PublicKey: PublicKey{N: n, E: e}, D: d, P: p, Q: q}
+}
+
+// redraw returns the first bits-wide key NewKey assembles, with
+// DefaultExponent, from the primes draw returns, drawing again up to 64
+// times.
+func redraw(bits int, draw func() (p, q *big.Int, err error)) (*PrivateKey, error) {
+	for attempt := 0; attempt < 64; attempt++ {
+		p, q, err := draw()
+		if err != nil {
+			return nil, err
+		}
+		if k := NewKey(p, q, DefaultExponent, bits); k != nil {
+			return k, nil
+		}
+	}
+	return nil, errors.New("weakrsa: exhausted generation attempts")
 }
 
 // GenerateKey produces an RSA key with public exponent DefaultExponent
@@ -170,39 +208,18 @@ func (o *Options) withDefaults() Options {
 // described in Options. The caller chooses how broken rand is; the
 // function itself is a correct RSA generator.
 func GenerateKey(rand io.Reader, opts Options) (*PrivateKey, error) {
-	o := opts.withDefaults()
-	if o.Bits < 32 || o.Bits%2 != 0 {
-		return nil, fmt.Errorf("weakrsa: invalid modulus size %d", o.Bits)
+	o, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
 	}
-	e := big.NewInt(DefaultExponent)
-	for attempt := 0; attempt < 64; attempt++ {
-		p, err := o.PrimeGen.gen(rand, o.Bits/2)
-		if err != nil {
-			return nil, err
+	return redraw(o.Bits, func() (p, q *big.Int, err error) {
+		if p, err = o.PrimeGen.Prime(rand, o.Bits/2); err != nil {
+			return nil, nil, err
 		}
 		if o.MidEvent != nil {
 			o.MidEvent()
 		}
-		q, err := o.PrimeGen.gen(rand, o.Bits/2)
-		if err != nil {
-			return nil, err
-		}
-		if p.Cmp(q) == 0 {
-			continue
-		}
-		ph := phi(p, q)
-		d := new(big.Int).ModInverse(e, ph)
-		if d == nil {
-			continue // gcd(e, phi) != 1; redraw
-		}
-		n := new(big.Int).Mul(p, q)
-		if n.BitLen() != o.Bits {
-			continue
-		}
-		return &PrivateKey{
-			PublicKey: PublicKey{N: n, E: DefaultExponent},
-			D:         d, P: p, Q: q,
-		}, nil
-	}
-	return nil, errors.New("weakrsa: exhausted generation attempts")
+		q, err = o.PrimeGen.Prime(rand, o.Bits/2)
+		return p, q, err
+	})
 }

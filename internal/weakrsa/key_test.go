@@ -70,8 +70,8 @@ func TestGenerateKeyInvalidOptions(t *testing.T) {
 }
 
 func TestGenerateKeyDefaults(t *testing.T) {
-	o := (&Options{}).withDefaults()
-	if o.Bits != DefaultBits {
+	o, err := (&Options{}).withDefaults()
+	if err != nil || o.Bits != DefaultBits {
 		t.Errorf("defaults: %+v", o)
 	}
 }

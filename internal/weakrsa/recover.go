@@ -16,14 +16,11 @@ func RecoverPrivateKey(pub *PublicKey, factor *big.Int) (*PrivateKey, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := new(big.Int).ModInverse(big.NewInt(int64(pub.E)), phi(p, q))
-	if d == nil {
-		return nil, errors.New("weakrsa: e is not invertible modulo phi(N)")
+	k := NewKey(p, q, pub.E, 0)
+	if k == nil {
+		return nil, errors.New("weakrsa: the factor's split makes no key with this e")
 	}
-	return &PrivateKey{
-		PublicKey: PublicKey{N: new(big.Int).Set(pub.N), E: pub.E},
-		D:         d, P: p, Q: q,
-	}, nil
+	return k, nil
 }
 
 // Encrypt performs textbook RSA encryption of m (which must lie in
