@@ -122,10 +122,11 @@ func sieveSearch(c *big.Int, sieve []uint64, excludeOne bool, limit uint64) *big
 			}
 		}
 		for k, out := range struck {
-			if base+2*uint64(k) >= limit {
+			delta := base + 2*uint64(k)
+			if delta >= limit {
 				return nil
 			}
-			if !out && probablePrime(cand.Add(c, d.SetUint64(base+2*uint64(k)))) {
+			if !out && probablePrime(cand.Add(c, d.SetUint64(delta))) {
 				return cand
 			}
 		}
