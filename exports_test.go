@@ -24,8 +24,7 @@ import (
 // that a program has come to reach.
 var unreached = map[string]string{
 	"internal/numtheory.IsSafePrime":             "oracle: the definition TestGenSafePrime and weakrsa's TestGenerateKeySafePrimes check each generated prime against",
-	"internal/numtheory.FermatFactor":            "oracle: the unbounded Fermat ascent TestFermatFactorClosePrimes and anomaly's TestProbeBudgetsHoldAgainstGoldenModuli hold the bounded probe to",
-	"internal/numtheory.PollardRho":              "oracle: textbook rho over big.Int, the reference checkAgainstOracle holds the Montgomery rho kernels to (TestPollardRhoFindsFactors)",
+	"internal/numtheory.FermatFactor":            "oracle: the self-checking Fermat ascent TestFermatFactorClosePrimes and anomaly's TestProbeBudgetsHoldAgainstGoldenModuli and TestProbeMatchesOracle hold the probe to",
 	"internal/population.Simulation.TruthSeries": "oracle: the generator's per-line ground truth TestSimTracksTargets, TestJuniperShape and TestHeartbleedIsLargestTruthDrop check the study's curves against",
 	"internal/population.Simulation.TruthByFP":   "oracle: the generator's label per certificate, which core's TestFingerprintAccuracy and TestBatchGCDPrecision score the study against",
 	"internal/telemetry.Registry.GaugeValue":     "oracle: reads a gauge back so TestCounterGaugeBasics, TestRunnerTelemetry and TestEngineAccounting can assert what an instrument recorded",

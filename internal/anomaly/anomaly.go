@@ -11,9 +11,13 @@
 // (broken primality testing or bit corruption).
 //
 // The package provides the offline analysis pass over a corpus
-// (Analyze), and the bounded per-modulus probes (Probe) and exponent
-// classifier (ClassifyExponent) that the online /v1/check path reuses to
-// flag the same classes live.
+// (Analyze), and the per-modulus probe (Probe) and exponent classifier
+// (ClassifyExponent) that the online /v1/check path reuses to flag the
+// same classes live. The probe's small-factor step is the batch-GCD
+// question asked against one fixed product: n has a prime factor below
+// B = 2²⁰ exactly when gcd(n, P_B mod n) > 1, P_B the product of the
+// primes below B (Bernstein, "How to find smooth parts of integers").
+// Close primes fall to a bounded Fermat ascent.
 package anomaly
 
 import (
@@ -29,6 +33,7 @@ import (
 	"github.com/factorable/weakkeys/internal/batchgcd"
 	"github.com/factorable/weakkeys/internal/kernel"
 	"github.com/factorable/weakkeys/internal/numtheory"
+	"github.com/factorable/weakkeys/internal/prodtree"
 	"github.com/factorable/weakkeys/internal/scanstore"
 	"github.com/factorable/weakkeys/internal/telemetry"
 )
@@ -119,61 +124,86 @@ func (c *Census) Anomalous() int {
 type ProbeClass string
 
 const (
-	// ProbeNone: the probes found nothing within their budgets. Not a
-	// proof of strength — only that this budget cannot break the key.
+	// ProbeNone: the probes found nothing. Not a proof of strength — only
+	// that no prime below 2²⁰ divides the modulus and the Fermat budget
+	// cannot reach its primes.
 	ProbeNone ProbeClass = ""
 	// ProbeFermatWeak: the primes are close enough that Fermat's method
 	// split the modulus within the ascent budget.
 	ProbeFermatWeak ProbeClass = "fermat_weak"
-	// ProbeSmallFactor: trial division or Pollard rho pulled out a
-	// nontrivial factor within the step budget.
+	// ProbeSmallFactor: a prime below 2²⁰ divides the modulus.
 	ProbeSmallFactor ProbeClass = "small_factor"
 )
 
-// Default probe budgets: large enough to catch every naturally
-// occurring instance of the flaw classes (close primes land in a
-// handful of Fermat steps; small factors fall to trial division almost
-// immediately), small enough for the serving path at the widths it
-// sees. A probe that exhausts all of them on a clean modulus costs about
-// 0.10 ms at 128 bits, 2.7 ms at 512, 9 ms at 1024, 33 ms at 2048 and
-// 150 ms at 4096 (BenchmarkProbeFactor medians on a shared 2-core Xeon
-// that read the code before machine-word trial division, Fermat tables
-// and rho's word GCD at 0.15, 3.1, 10, 33 and 157 ms; EXPERIMENTS.md
-// has the tables).
-const (
-	DefaultFermatSteps = 512
-	DefaultTrialPrimes = 128
-	DefaultRhoSteps    = 256
-)
+// DefaultFermatSteps is the ascent budget: large enough to catch every
+// naturally occurring close-prime pair (they land in a handful of
+// steps), small enough for the serving path at the widths it sees.
+const DefaultFermatSteps = 512
 
-// Probe bundles the bounded per-modulus factoring probes at the default
-// budgets: trial division by the first DefaultTrialPrimes primes, a
-// Fermat ascent over DefaultFermatSteps values of a from ceil(sqrt(N))
-// upward, and up to eight Pollard rho runs (one per polynomial constant)
-// of DefaultRhoSteps iterations each.
+// smoothPrimes is π(2²⁰): the probe finds every prime factor below
+// B = 2²⁰, the primes whose product is P_B.
+const smoothPrimes = 82025
+
+// primorial is P_B, built on first use: too large to build at init for
+// a process that never probes.
+var primorial = sync.OnceValue(buildPrimorial)
+
+// buildPrimorial returns P_B, the product of the first smoothPrimes
+// primes (about 1.51 Mbit).
+func buildPrimorial() *big.Int {
+	primes := numtheory.SmallPrimes(smoothPrimes)
+	leaves := make([]*big.Int, len(primes))
+	for i, p := range primes {
+		leaves[i] = new(big.Int).SetUint64(p)
+	}
+	// P_B outlives the probe that first asks for it, so no caller's
+	// context governs the build.
+	t, err := prodtree.NewCtx(context.Background(), leaves)
+	if err != nil {
+		panic(err) // only a cancelled context or no leaves fail
+	}
+	return t.Root()
+}
+
+// reducers holds the Reducers that fold P_B mod a probed modulus; a
+// Reducer's fold scratch grows to half of P_B, so it outlives the probe.
+var reducers = sync.Pool{New: func() any { return new(prodtree.Reducer) }}
+
+// Probe is the per-modulus factoring probe: one GCD with P_B for prime
+// factors below 2²⁰, then a Fermat ascent over DefaultFermatSteps
+// values of a from ceil(sqrt(N)) upward.
 type Probe struct{}
 
-// Factor runs the probes against n in cost order — trial division,
-// Fermat ascent, Pollard rho — and returns the class of the first hit
-// with a nontrivial split pHit <= qHit of n (qHit may be composite for a
-// small-factor hit). ProbeNone with nil factors means every budget was
-// exhausted.
+// Factor runs the probes against n in cost order — the GCD with P_B,
+// then the Fermat ascent — and returns the class of the first hit with a
+// nontrivial split pHit <= qHit of n (either may be composite for a
+// small-factor hit). ProbeNone with nil factors means neither split n.
 func (Probe) Factor(n *big.Int) (cls ProbeClass, pHit, qHit *big.Int) {
 	if n == nil || n.Sign() <= 0 || n.BitLen() < 2 || numtheory.ProbePrime(n) {
 		return ProbeNone, nil, nil
 	}
-	if small, _ := numtheory.SmallFactors(n, DefaultTrialPrimes); len(small) > 0 {
-		// n is composite and the prime divides it: SplitModulus cannot fail.
-		sp, sq, _ := batchgcd.SplitModulus(n, new(big.Int).SetUint64(small[0].Prime))
+	// g = gcd(n, P_B mod n) is the product of the distinct primes below
+	// 2²⁰ that divide n.
+	r := reducers.Get().(*prodtree.Reducer)
+	r.Reset(n)
+	g := r.Mod(new(big.Int), primorial())
+	r.Reset(nil)
+	reducers.Put(r)
+	if g.GCD(nil, nil, g, n).Cmp(n) == 0 {
+		// n divides P_B: its least divisor above 1 is its smallest prime.
+		var rem big.Int
+		for g.SetInt64(2); rem.Mod(n, g).Sign() != 0; g.Add(g, bigOne) {
+		}
+	}
+	if g.Cmp(bigOne) > 0 {
+		// n is composite and g a proper divisor: SplitModulus cannot fail.
+		sp, sq, _ := batchgcd.SplitModulus(n, g)
 		return ProbeSmallFactor, sp, sq
 	}
-	// n is known composite from here on: the probes skip the primality
-	// test their public entry points open with.
-	if sp, sq, fermat := numtheory.SplitComposite(n, DefaultFermatSteps, DefaultRhoSteps); sp != nil {
-		if fermat {
-			return ProbeFermatWeak, sp, sq
-		}
-		return ProbeSmallFactor, sp, sq
+	// n is known composite from here on: the ascent skips the primality
+	// test FermatFactor opens with.
+	if sp, sq := numtheory.FermatComposite(n, DefaultFermatSteps); sp != nil {
+		return ProbeFermatWeak, sp, sq
 	}
 	return ProbeNone, nil, nil
 }
@@ -308,8 +338,7 @@ func Analyze(ctx context.Context, cfg Config) (*Report, error) {
 		rep.Exponents.Add(big.NewInt(int64(c.E)))
 	}
 
-	// Factoring probes at the default budgets, fanned out on the kernel
-	// pool.
+	// The factoring probe, fanned out on the kernel pool.
 	var probe Probe
 	type hit struct {
 		idx  int

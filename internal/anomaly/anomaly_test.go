@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -115,9 +116,9 @@ func TestProbeFactor(t *testing.T) {
 
 // TestProbeDecidesPrimalityOnce pins the structure behind the single
 // primality test per probe: Factor itself refuses primes and everything
-// below 4, so what it hands to numtheory.SplitComposite is composite;
-// and an even modulus is still answered by trial division, which runs
-// first, not by rho's even-n shortcut.
+// below 4, so what it hands to numtheory.FermatComposite is composite;
+// and an even modulus is answered by the GCD with P_B, which runs first,
+// since the Fermat ascent refuses one.
 func TestProbeDecidesPrimalityOnce(t *testing.T) {
 	prime, err := numtheory.GenPrimeNaive(rand.New(rand.NewSource(11)), 1024)
 	if err != nil {
@@ -132,17 +133,164 @@ func TestProbeDecidesPrimalityOnce(t *testing.T) {
 	even := new(big.Int).Lsh(prime, 1)
 	cls, p, q := (Probe{}).Factor(even)
 	if cls != ProbeSmallFactor || p.Cmp(big.NewInt(2)) != 0 || q.Cmp(prime) != 0 {
-		t.Errorf("trial division on an even modulus: %q, %v, %v", cls, p, q)
+		t.Errorf("GCD step on an even modulus: %q, %v, %v", cls, p, q)
 	}
-	// Past trial division, Fermat refuses an even n and rho's shortcut
-	// reports the 2, as the separate probes always did.
-	p, q, fermat := numtheory.SplitComposite(even, DefaultFermatSteps, DefaultRhoSteps)
-	if fermat || p.Cmp(big.NewInt(2)) != 0 || q.Cmp(prime) != 0 {
-		t.Errorf("rho on an even modulus: %v, %v, fermat=%v", p, q, fermat)
-	}
-	if p, q, _ := numtheory.SplitComposite(even, DefaultFermatSteps, 0); p != nil {
+	if p, q := numtheory.FermatComposite(even, DefaultFermatSteps); p != nil {
 		t.Errorf("Fermat alone split an even modulus: %v, %v", p, q)
 	}
+}
+
+// TestProbeSmallFactorBelowBound pins the edges of the GCD step: a prime
+// just past 2¹⁹ and one just short of 2²⁰, each times a 108-bit prime,
+// moduli that Pollard rho at 8 runs × 256 steps does not split; a
+// modulus that divides P_B, which the GCD returns whole and the probe
+// splits by its smallest prime; a smooth modulus that is not squarefree;
+// and the first prime past 2²⁰, which is out of reach.
+func TestProbeSmallFactorBelowBound(t *testing.T) {
+	r, _ := new(big.Int).SetString("162259276829213363391578010288167", 10) // NextPrime(2^107)
+	mul := func(a int64, b *big.Int) *big.Int { return new(big.Int).Mul(big.NewInt(a), b) }
+	for _, c := range []struct {
+		name  string
+		n     *big.Int
+		want  ProbeClass
+		wantP *big.Int
+	}{
+		{"just past 2^19", mul(524341, r), ProbeSmallFactor, big.NewInt(524341)},
+		{"just short of 2^20", mul(1048507, r), ProbeSmallFactor, big.NewInt(1048507)},
+		{"divides P_B", big.NewInt(3 * 5 * 7 * 11), ProbeSmallFactor, big.NewInt(3)},
+		{"divides P_B, large", mul(1048573, big.NewInt(1048571*1048559)), ProbeSmallFactor, big.NewInt(1048559)},
+		{"smooth square", big.NewInt(1048573 * 1048573), ProbeSmallFactor, big.NewInt(1048573)},
+		{"first prime past 2^20", mul(1048583, r), ProbeNone, nil},
+	} {
+		cls, p, q := (Probe{}).Factor(c.n)
+		if cls != c.want || !sameInt(p, c.wantP) {
+			t.Errorf("%s: Factor(%v) = %q, %v, %v, want %q with p = %v", c.name, c.n, cls, p, q, c.want, c.wantP)
+		} else if cls != ProbeNone && new(big.Int).Mul(p, q).Cmp(c.n) != 0 {
+			t.Errorf("%s: split %v × %v is not %v", c.name, p, q, c.n)
+		}
+	}
+}
+
+// TestPrimorialPrimes pins smoothPrimes as π(2²⁰): the last prime P_B
+// takes is below 2²⁰ and the next one is not.
+func TestPrimorialPrimes(t *testing.T) {
+	primes := numtheory.SmallPrimes(smoothPrimes + 1)
+	if last, next := primes[smoothPrimes-1], primes[smoothPrimes]; last >= 1<<20 || next < 1<<20 {
+		t.Errorf("prime %d is %d and prime %d is %d: smoothPrimes is not π(2^20)", smoothPrimes, last, smoothPrimes+1, next)
+	}
+}
+
+// primesBelowB is the oracle's list of the primes below 2²⁰.
+var primesBelowB = numtheory.SmallPrimes(smoothPrimes)
+
+// oracleProbe is Factor the slow way: g is the product of the distinct
+// primes below 2²⁰ that divide n, found by trial division one prime at a
+// time; a g equal to n gives way to n's smallest prime; with no small
+// prime, the Fermat ascent decides, through its self-checking entry
+// point.
+func oracleProbe(n *big.Int) (cls ProbeClass, p, q *big.Int) {
+	if n.Sign() <= 0 || n.BitLen() < 2 || n.ProbablyPrime(12) {
+		return ProbeNone, nil, nil
+	}
+	g := big.NewInt(1)
+	var smallest *big.Int
+	var d, quo, rem big.Int
+	for _, prime := range primesBelowB {
+		if quo.QuoRem(n, d.SetUint64(prime), &rem); rem.Sign() == 0 {
+			g.Mul(g, &d)
+			if smallest == nil {
+				smallest = new(big.Int).Set(&d)
+			}
+		}
+	}
+	if g.Cmp(n) == 0 {
+		g = smallest
+	}
+	if g.Cmp(bigOne) > 0 {
+		p, q = g, new(big.Int).Quo(n, g)
+		if p.Cmp(q) > 0 {
+			p, q = q, p
+		}
+		return ProbeSmallFactor, p, q
+	}
+	if p, q = numtheory.FermatFactor(n, DefaultFermatSteps); p != nil {
+		return ProbeFermatWeak, p, q
+	}
+	return ProbeNone, nil, nil
+}
+
+// TestProbeMatchesOracle holds Factor to oracleProbe over seeded moduli
+// of 16 to 1,024 bits: random integers, products of primes below 2²⁰
+// (with repeats, and with nothing else) times a random prime or not,
+// primes just past 2²⁰, close primes and clean semiprimes.
+func TestProbeMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(2020))
+	prime := func(bits int) *big.Int {
+		p, err := numtheory.GenPrimeNaive(rng, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	small := func() *big.Int {
+		if rng.Intn(4) == 0 { // the top of the range
+			return new(big.Int).SetUint64(primesBelowB[len(primesBelowB)-1-rng.Intn(64)])
+		}
+		return new(big.Int).SetUint64(primesBelowB[rng.Intn(len(primesBelowB))])
+	}
+	var table []*big.Int
+	for i := 0; i < 20; i++ {
+		bits := []int{16, 64, 128, 256, 1024}[i%5]
+		table = append(table, new(big.Int).Rand(rng, new(big.Int).Lsh(bigOne, uint(bits))))
+		smooth := small()
+		for j := rng.Intn(4); j > 0; j-- {
+			smooth.Mul(smooth, small())
+		}
+		table = append(table, smooth, new(big.Int).Mul(smooth, prime(max(bits, 24))))
+		p := prime(max(bits/2, 24))
+		table = append(table,
+			new(big.Int).Mul(p, numtheory.NextPrime(new(big.Int).Add(p, big.NewInt(1<<20)))),
+			new(big.Int).Mul(p, prime(max(bits/2, 24))),
+			new(big.Int).Mul(numtheory.NextPrime(big.NewInt(1<<20+int64(rng.Intn(1<<16)))), p))
+	}
+	// Four goroutines share the table, as Analyze's kernel pool and
+	// concurrent checks share P_B and the pooled Reducers.
+	const workers = 4
+	counts := make([]map[ProbeClass]int, workers)
+	var wg sync.WaitGroup
+	for w := range counts {
+		counts[w] = make(map[ProbeClass]int)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(table); i += workers {
+				n := table[i]
+				wantCls, wantP, wantQ := oracleProbe(n)
+				counts[w][wantCls]++
+				if cls, p, q := (Probe{}).Factor(n); cls != wantCls || !sameInt(p, wantP) || !sameInt(q, wantQ) {
+					t.Errorf("Factor(%v) = %q, %v, %v, oracle %q, %v, %v", n, cls, p, q, wantCls, wantP, wantQ)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	hits := make(map[ProbeClass]int)
+	for _, c := range counts {
+		for cls, k := range c {
+			hits[cls] += k
+		}
+	}
+	if hits[ProbeSmallFactor] < 40 || hits[ProbeFermatWeak] < 15 || hits[ProbeNone] < 30 {
+		t.Errorf("table too tame: %v", hits)
+	}
+}
+
+// sameInt reports whether a and b are both nil or the same integer.
+func sameInt(a, b *big.Int) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return a.Cmp(b) == 0
 }
 
 func certWith(t *testing.T, subject certs.Name, n *big.Int, e int) *certs.Certificate {
@@ -311,12 +459,11 @@ func TestIdentityCountsMatchesScan(t *testing.T) {
 	}
 }
 
-// TestProbeRecallAndPrecisionOnPlantedCorpus holds the default budgets —
-// the ones /v1/check probes a novel modulus with — to exact recall and
-// zero false hits over 300 seeded moduli: one in five a consecutive-
-// prime pair, one in five a first-DefaultTrialPrimes prime times a
-// 64-bit prime, the rest two independent 64-bit primes no default
-// budget reaches.
+// TestProbeRecallAndPrecisionOnPlantedCorpus holds the probe — the one
+// /v1/check runs on a novel modulus — to exact recall and zero false
+// hits over 300 seeded moduli: one in five a consecutive-prime pair, one
+// in five a prime below 2²⁰ times a 64-bit prime, the rest two
+// independent 64-bit primes the probe cannot reach.
 func TestProbeRecallAndPrecisionOnPlantedCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(2016))
 	prime := func() *big.Int {
@@ -327,7 +474,7 @@ func TestProbeRecallAndPrecisionOnPlantedCorpus(t *testing.T) {
 			}
 		}
 	}
-	smalls := numtheory.FirstPrimes(DefaultTrialPrimes)
+	smalls := numtheory.SmallPrimes(smoothPrimes)
 	for i := 0; i < 300; i++ {
 		n, want := prime(), ProbeNone
 		switch i % 5 {
@@ -399,11 +546,11 @@ func cleanSemiprimes(b *testing.B, bits int) []*big.Int {
 	return benchModuli[bits]
 }
 
-// BenchmarkProbeFactor measures one whole default-budget probe of a
-// novel clean modulus — primality, trial division, the full Fermat
-// ascent and all eight rho runs — by modulus width.
+// BenchmarkProbeFactor measures one whole probe of a novel clean
+// modulus — primality, the GCD with P_B and the full Fermat ascent — by
+// modulus width. P_B is built before the timer starts.
 func BenchmarkProbeFactor(b *testing.B) {
-	for _, bits := range []int{128, 512, 1024, 2048, 4096} {
+	for _, bits := range []int{128, 256, 512, 1024, 2048, 4096} {
 		b.Run(strconv.Itoa(bits), func(b *testing.B) {
 			moduli := cleanSemiprimes(b, bits)
 			b.ReportAllocs()
@@ -414,5 +561,15 @@ func BenchmarkProbeFactor(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPrimorial measures the one-time cost of building P_B, which
+// the first probe in a process pays.
+func BenchmarkPrimorial(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if buildPrimorial().BitLen() < 1_500_000 {
+			b.Fatal("P_B is short")
+		}
 	}
 }

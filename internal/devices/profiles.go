@@ -25,7 +25,7 @@ const (
 	// prime-selection flaw. Invisible to batch GCD: no prime is shared.
 	KeyClosePrimes
 	// KeySmallFactor: a broken primality test ships a tiny "prime", so
-	// trial division or Pollard rho splits the modulus immediately.
+	// the anomaly probe's GCD with the small primes splits the modulus.
 	KeySmallFactor
 	// KeyUnsafeExponent: the modulus is honest but the firmware emits a
 	// broken public exponent (e = 1, even e, or a tiny unsafe e).

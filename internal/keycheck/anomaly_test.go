@@ -16,7 +16,7 @@ import (
 // Anomalous novel moduli for the online-probe verdicts. cpP/cpQ are
 // consecutive primes straddling 2^63.5, so the Fermat ascent splits
 // their product immediately; sfQ is a ~120-bit prime whose product with
-// 641 falls to trial division.
+// 641 falls to the probe's GCD with the product of the primes below 2²⁰.
 var (
 	cpP   = mustHex("b504f333f9de64e3")
 	cpQ   = mustHex("b504f333f9de650f")

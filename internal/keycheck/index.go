@@ -422,9 +422,9 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 	prodtree.Wipe(&sw.q)
 	sweeps.Put(sw)
 	if g.Cmp(one) == 0 {
-		// Novel modulus the corpus cannot touch: run the bounded anomaly
-		// probes (trial division, Fermat ascent, Pollard rho). Members
-		// skip this — the offline anomaly pass already swept the corpus —
+		// Novel modulus the corpus cannot touch: run the anomaly probe
+		// (a GCD with the product of the primes below 2²⁰, then a
+		// bounded Fermat ascent). Members skip this — the offline anomaly pass already swept the corpus —
 		// and a probe hit is definitive even on a Partial replica.
 		if cls, p, q := (anomaly.Probe{}).Factor(n); cls != anomaly.ProbeNone {
 			switch cls {

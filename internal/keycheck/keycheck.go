@@ -45,8 +45,8 @@ const (
 	// split it — its primes are close enough that the factorization falls
 	// out in a bounded ascent from sqrt(N). The key is compromised.
 	StatusFermatWeak Status = "fermat_weak"
-	// StatusSmallFactor: the modulus is novel and trial division or
-	// Pollard rho recovered a small prime factor. The key is compromised.
+	// StatusSmallFactor: the modulus is novel and has a prime factor
+	// below 2²⁰, which the probe's GCD recovered. The key is compromised.
 	StatusSmallFactor Status = "small_factor"
 	// StatusSharedModulus: the modulus is in the corpus and was observed
 	// there under two or more distinct identities — no factorization is
@@ -77,8 +77,12 @@ type Verdict struct {
 	// is known or was recovered by the GCD path.
 	FactorP string `json:"factor_p_hex,omitempty"`
 	FactorQ string `json:"factor_q_hex,omitempty"`
-	// Divisor (hex) is the nontrivial common divisor the GCD path found
-	// for a shared_factor verdict.
+	// Divisor (hex) is the nontrivial divisor behind the verdict. For
+	// shared_factor it is the common divisor the GCD path found. For
+	// small_factor and fermat_weak it is the probe's smaller factor,
+	// FactorP: on small_factor the smaller of g and n/g, where g is the
+	// product of n's distinct primes below 2²⁰ (n's smallest prime when
+	// that product is n itself); on fermat_weak the smaller prime.
 	Divisor string `json:"divisor_hex,omitempty"`
 	// Vendor/Attribution carry the internal/fingerprint vendor label of
 	// the corpus certificate serving this modulus, when one exists.

@@ -51,46 +51,6 @@ func TestSmallFactorsOfZeroReturns(t *testing.T) {
 	}
 }
 
-func TestPollardRhoFindsFactors(t *testing.T) {
-	cases := []struct {
-		a, b int64
-	}{
-		{10007, 10009},
-		{104729, 1299709},
-		{7919, 7919}, // square
-	}
-	for _, c := range cases {
-		n := new(big.Int).Mul(big.NewInt(c.a), big.NewInt(c.b))
-		d := PollardRho(n, 1_000_000)
-		if d == nil {
-			t.Errorf("rho failed on %d*%d", c.a, c.b)
-			continue
-		}
-		var rem big.Int
-		if rem.Mod(n, d).Sign() != 0 {
-			t.Errorf("rho returned a non-divisor %v of %v", d, n)
-		}
-		if d.Cmp(big.NewInt(1)) == 0 || d.Cmp(n) == 0 {
-			t.Errorf("rho returned trivial divisor %v", d)
-		}
-	}
-}
-
-func TestPollardRhoRefusesPrimesAndTrivial(t *testing.T) {
-	if PollardRho(big.NewInt(104729), 10000) != nil {
-		t.Error("rho should return nil on a prime")
-	}
-	if PollardRho(big.NewInt(1), 10000) != nil {
-		t.Error("rho should return nil on 1")
-	}
-	if PollardRho(big.NewInt(-15), 10000) != nil {
-		t.Error("rho should return nil on negatives")
-	}
-	if d := PollardRho(big.NewInt(2*104729), 10000); d == nil || d.Int64() != 2 {
-		t.Errorf("even composite should yield 2, got %v", d)
-	}
-}
-
 // fermatSteps computes the exact budget FermatFactor needs for n = p*q:
 // the ascent runs from ceil(sqrt(n)) to (p+q)/2 inclusive.
 func fermatSteps(p, q *big.Int) int {
@@ -167,30 +127,5 @@ func TestFermatFactorRefusesNonCandidates(t *testing.T) {
 	p, q := FermatFactor(sq, 1)
 	if p == nil || p.Cmp(prime) != 0 || q.Cmp(prime) != 0 {
 		t.Errorf("square: got %v, %v, want %v twice", p, q, prime)
-	}
-}
-
-// TestPollardRhoBudgetExhaustionReturns pins the not-weak path: far-apart
-// balanced 96-bit primes exhaust a small step budget and rho must return
-// nil promptly instead of hanging (the online check path depends on it).
-func TestPollardRhoBudgetExhaustionReturns(t *testing.T) {
-	p, err := GenPrimeNaive(testRand(44), 96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := GenPrimeNaive(testRand(45), 96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := new(big.Int).Mul(p, q)
-	done := make(chan *big.Int, 1)
-	go func() { done <- PollardRho(n, 512) }()
-	select {
-	case d := <-done:
-		if d != nil {
-			t.Errorf("512-step rho factored a 192-bit semiprime: %v", d)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("rho did not return after budget exhaustion")
 	}
 }

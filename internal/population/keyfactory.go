@@ -123,7 +123,7 @@ func (f *KeyFactory) ClosePrimeKey(gen weakrsa.PrimeGen) (*weakrsa.PrivateKey, e
 }
 
 // SmallFactorKey returns a key whose first prime is tiny — the
-// broken-primality-test flaw; trial division splits it immediately.
+// broken-primality-test flaw; the anomaly probe's GCD splits it.
 func (f *KeyFactory) SmallFactorKey(gen weakrsa.PrimeGen) (*weakrsa.PrivateKey, error) {
 	return weakrsa.GenerateSmallFactor(f.rng, weakrsa.Options{Bits: f.bits, PrimeGen: gen}, 0)
 }

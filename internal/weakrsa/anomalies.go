@@ -18,7 +18,7 @@ import (
 //   - close primes:   q is chosen as the next prime after p (or p plus a
 //     small stir), so Fermat's method splits N in a handful of steps;
 //   - small factors:  a broken primality test accepts a tiny "prime", so
-//     trial division or Pollard rho splits N;
+//     a GCD with the product of the small primes splits N;
 //   - unsafe exponents: e = 1, even e, or a tiny e emitted by a confused
 //     generator;
 //   - shared moduli:  the whole fleet ships one hardcoded keypair, so
@@ -52,8 +52,8 @@ func GenerateClosePrimes(rand io.Reader, opts Options) (*PrivateKey, error) {
 }
 
 // SmallFactorBits is the default size of the bogus "prime" in
-// GenerateSmallFactor: comfortably inside the trial-division budget of
-// the anomaly probes, the way real broken-primality-test keys carried
+// GenerateSmallFactor: far below the 2²⁰ bound of the anomaly probe's
+// small-factor step, the way real broken-primality-test keys carried
 // factors of a few hundred.
 const SmallFactorBits = 10
 
@@ -61,7 +61,8 @@ const SmallFactorBits = 10
 // (factorBits wide, SmallFactorBits if zero) — the broken-primality-test
 // flaw, where the generator's Miller-Rabin was short-circuited and a
 // small or composite candidate shipped as a prime. The modulus still has
-// the requested bit length; trial division splits it immediately.
+// the requested bit length; the anomaly probe's GCD with the product of
+// the primes below 2²⁰ splits it.
 func GenerateSmallFactor(rand io.Reader, opts Options, factorBits int) (*PrivateKey, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
