@@ -23,7 +23,8 @@ import (
 // they partition: one batch (FactorCtx), k round-robin batches
 // exchanging products (internal/distgcd), or a delta batch against
 // standing shard products (keycheck's Snapshot.Ingest, which needs each
-// shard's divisors apart: ForeignDivisors).
+// shard's divisors apart: ForeignDivisors; a novel check reduces every
+// shard product mod its one key instead).
 //
 // A Batch is immutable once built; its methods may run concurrently.
 type Batch struct {

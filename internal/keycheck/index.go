@@ -330,7 +330,7 @@ func ShardOf(n *big.Int, nShards int) int {
 
 var one = big.NewInt(1)
 
-// novelSweep is a novel check's scratch, pooled between checks: the
+// novelSweep is sweepKey's scratch, pooled between checks: the
 // Reducer, whose fold scratch grows to half a shard product's length and
 // whose constants a fresh one would allocate, zero and drop again every
 // time, and each shard's residue P mod n with the big.Ints that multiply
@@ -374,53 +374,7 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 		}
 		return v
 	}
-	// GCD path. gcd(n, P mod n) = gcd(n, P) finds the product of n's
-	// primes shared with shard product P without ever forming P/n. One
-	// pooled Reducer serves every shard: the product is thousands of
-	// times longer than n and only the remainder is wanted. The residues
-	// are multiplied together mod n, and one GCD of that product with n
-	// is what n shares with the whole corpus: a prime divides the product
-	// exactly when it divides some residue. Only when that is n itself
-	// does the split need the shards one by one: a proper divisor some
-	// shard yields, else the shards whose product n divides outright.
-	sw := sweeps.Get().(*novelSweep)
-	sw.red.Reset(n)
-	if len(sw.res) < len(s.shards) {
-		sw.res = make([]big.Int, len(s.shards))
-	}
-	sw.acc.SetInt64(1)
-	for i, sh := range s.shards {
-		if product := sh.product(); product != nil {
-			sw.t.Mul(&sw.acc, sw.red.Mod(&sw.res[i], product))
-			sw.q.QuoRem(&sw.t, n, &sw.acc)
-		}
-	}
-	g := new(big.Int).GCD(nil, nil, &sw.acc, n)
-	var proper *big.Int          // a proper divisor of n, if any shard yields one
-	var whole []*prodtree.Forest // shards whose product n divides outright
-	if g.Cmp(n) == 0 {
-		for i, sh := range s.shards {
-			r := &sw.res[i]
-			switch {
-			case sh.product() == nil:
-			case r.Sign() == 0:
-				// Every prime of n is in this shard.
-				whole = append(whole, sh.forest)
-			default:
-				if gi := new(big.Int).GCD(nil, nil, n, r); gi.Cmp(one) > 0 {
-					proper = gi
-				}
-			}
-		}
-	}
-	sw.red.Reset(nil)
-	for i := range sw.res {
-		prodtree.Wipe(&sw.res[i])
-	}
-	prodtree.Wipe(&sw.acc)
-	prodtree.Wipe(&sw.t)
-	prodtree.Wipe(&sw.q)
-	sweeps.Put(sw)
+	sw, g := s.sweepKey(n)
 	if g.Cmp(one) == 0 {
 		// Novel modulus the corpus cannot touch: run the anomaly probe
 		// (a GCD with the product of the primes below 2²⁰, then a
@@ -442,39 +396,67 @@ func (s *Snapshot) Check(n *big.Int) Verdict {
 		}
 		return v
 	}
-	v.Status = StatusSharedFactor
-	if g.Cmp(n) == 0 && proper == nil {
-		// Both primes live in one shard's product, so every per-shard
-		// GCD was degenerate: the split is what n shares with one of
-		// that shard's members.
-		proper = divisorAmongLeaves(whole, n)
+	// A proper g splits n. When g is n itself, a proper divisor some
+	// shard yields does, else what n shares with one member of a shard
+	// holding both its primes: the split an ingest makes of such a key.
+	v.Status, v.Divisor = StatusSharedFactor, hexOf(g)
+	div := g
+	if g.Cmp(n) == 0 {
+		div = sw.divisor(0, n)
 	}
-	if g.Cmp(n) < 0 {
-		proper = g
+	if p, q, err := batchgcd.SplitModulus(n, div); err == nil {
+		v.FactorP, v.FactorQ = hexOf(p), hexOf(q)
+	} else if sp := s.splitAmongLeaves(sw.byShard, 0, n); sp != nil {
+		v.FactorP, v.FactorQ = hexOf(sp.P), hexOf(sp.Q)
 	}
-	if proper != nil {
-		if p, q, err := batchgcd.SplitModulus(n, proper); err == nil {
-			v.FactorP, v.FactorQ = hexOf(p), hexOf(q)
-		}
-	}
-	v.Divisor = hexOf(g)
 	return v
 }
 
-// divisorAmongLeaves returns a proper divisor of n shared with a leaf of
-// one of the forests, or nil: gcd(leaf, n) over the leaves a pruned
-// descent says share anything with n at all.
-func divisorAmongLeaves(forests []*prodtree.Forest, n *big.Int) *big.Int {
-	g := new(big.Int)
-	for _, f := range forests {
-		leaves := f.Leaves()
-		for _, i := range f.LeavesSharing(n) {
-			if g.GCD(nil, nil, leaves[i], n).Cmp(n) < 0 {
-				return g
+// sweepKey is a novel check's sweep of its one positive key n against
+// every shard product, as sweep is an ingest's of its delta, and returns
+// also g = gcd(n, ∏ P), all that n shares with the corpus.
+// gcd(n, P mod n) = gcd(n, P) finds the product of n's primes shared
+// with shard product P without ever forming P/n. One pooled Reducer
+// serves every shard: the product is thousands of times longer than n
+// and only the remainder is wanted. The residues are multiplied together
+// mod n, and one GCD of that product with n is g: a prime divides the
+// product exactly when it divides some residue. Only when g is n itself
+// does a check need the shards one by one, so only then are the
+// per-shard divisors given: gcd(n, P mod n) for each shard.
+func (s *Snapshot) sweepKey(n *big.Int) (*sweepResult, *big.Int) {
+	sw := &sweepResult{own: make([]*big.Int, 1), byShard: make([][]*big.Int, len(s.shards))}
+	ks := sweeps.Get().(*novelSweep)
+	ks.red.Reset(n)
+	if len(ks.res) < len(s.shards) {
+		ks.res = make([]big.Int, len(s.shards))
+	}
+	ks.acc.SetInt64(1)
+	for i, sh := range s.shards {
+		if product := sh.product(); product != nil {
+			ks.t.Mul(&ks.acc, ks.red.Mod(&ks.res[i], product))
+			ks.q.QuoRem(&ks.t, n, &ks.acc)
+		}
+	}
+	g := new(big.Int).GCD(nil, nil, &ks.acc, n)
+	if g.Cmp(n) == 0 {
+		for i, sh := range s.shards {
+			if sh.product() == nil {
+				continue
+			}
+			if d := new(big.Int).GCD(nil, nil, n, &ks.res[i]); d.Cmp(one) != 0 {
+				sw.byShard[i] = []*big.Int{d}
 			}
 		}
 	}
-	return nil
+	ks.red.Reset(nil)
+	for i := range ks.res {
+		prodtree.Wipe(&ks.res[i])
+	}
+	prodtree.Wipe(&ks.acc)
+	prodtree.Wipe(&ks.t)
+	prodtree.Wipe(&ks.q)
+	sweeps.Put(ks)
+	return sw, g
 }
 
 // ShardStats describes one shard for /v1/stats.

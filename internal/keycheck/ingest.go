@@ -278,6 +278,9 @@ type mate struct {
 // sweepResult is what the GCD passes found, as divisors index-aligned
 // with the swept moduli (nil where trivial). Per-shard divisors are kept
 // apart: the mate scan needs to know which shard yielded which.
+// sweepKey's has no mates, and per-shard divisors only when gcd(N, ∏ P)
+// is the key N itself; there a nil byShard entry is also a shard that
+// yields nothing.
 type sweepResult struct {
 	own     []*big.Int   // shared with another delta modulus
 	byShard [][]*big.Int // shared with that shard's members; nil for an empty shard
@@ -285,6 +288,18 @@ type sweepResult struct {
 	// matesElapsed is the longest any shard's mate search took (shards
 	// run side by side), which the report keeps apart from the GCD passes.
 	matesElapsed time.Duration
+}
+
+// divisor returns what swept modulus j, n, shares: a proper divisor if
+// any pass yielded one, else n itself, or nil when it shares nothing.
+func (sw *sweepResult) divisor(j int, n *big.Int) *big.Int {
+	div := sw.own[j]
+	for _, divs := range sw.byShard {
+		if divs != nil && divs[j] != nil && (div == nil || divs[j].Cmp(n) < 0) {
+			div = divs[j]
+		}
+	}
+	return div
 }
 
 // sweep builds one Batch over the delta moduli and takes it against
@@ -415,22 +430,13 @@ func (s *Snapshot) resolve(in BuildInput, d *ingestDelta, sw *sweepResult, rep *
 	resolved := make([]*Entry, len(d.novel))
 	var hit []int
 	var moduli, divisors []*big.Int
-	passes := append(append([][]*big.Int(nil), sw.byShard...), sw.own)
 	for j, n := range d.novel {
 		if f, ok := known[d.keys[j]]; ok {
 			primes = append(primes, f.P, f.Q)
 			resolved[j] = &Entry{P: f.P, Q: f.Q}
 			continue
 		}
-		var div *big.Int
-		for _, divs := range passes {
-			if divs != nil && divs[j] != nil {
-				if div = divs[j]; div.Cmp(n) < 0 {
-					break
-				}
-			}
-		}
-		if div != nil { // nil: clean member
+		if div := sw.divisor(j, n); div != nil { // nil: clean member
 			hit, moduli, divisors = append(hit, j), append(moduli, n), append(divisors, div)
 		}
 	}
@@ -454,22 +460,26 @@ func (s *Snapshot) resolve(in BuildInput, d *ingestDelta, sw *sweepResult, rep *
 	}
 }
 
-// splitAmongLeaves splits the degenerate novel modulus n (index j of the
-// sweep) that batchgcd.Splits left whole: both its primes sit in members
-// of one shard, and the mates' recorded divisors need not be n's primes
-// (a factored mate is not split again), so a shard whose divisor was n
-// itself is asked directly: a pruned descent of its tree for a leaf
-// sharing with n. A modulus this does not split stays a plain member.
+// splitAmongLeaves splits swept modulus j, n, whose every divisor was n
+// itself and that batchgcd.SplitModulus or Splits left whole: both its
+// primes sit in members of one shard, and a mate's recorded divisor need
+// not be n's prime (a factored mate is not split again), so each shard
+// that yielded n is asked directly: a pruned descent of its tree for a
+// leaf sharing a proper divisor with n. A modulus this does not split
+// stays whole, a plain member to an ingest.
 func (s *Snapshot) splitAmongLeaves(byShard [][]*big.Int, j int, n *big.Int) *batchgcd.Split {
-	var whole []*prodtree.Forest // shards whose product n divides
+	g := new(big.Int)
 	for si, divs := range byShard {
-		if divs != nil && divs[j] != nil {
-			whole = append(whole, s.shards[si].forest)
+		if divs == nil || divs[j] == nil {
+			continue
 		}
-	}
-	if div := divisorAmongLeaves(whole, n); div != nil {
-		if p, q, err := batchgcd.SplitModulus(n, div); err == nil {
-			return &batchgcd.Split{P: p, Q: q}
+		f := s.shards[si].forest
+		leaves := f.Leaves()
+		for _, i := range f.LeavesSharing(n) {
+			if g.GCD(nil, nil, leaves[i], n).Cmp(n) < 0 {
+				p, q, _ := batchgcd.SplitModulus(n, g) // 1 < g < n: no error
+				return &batchgcd.Split{P: p, Q: q}
+			}
 		}
 	}
 	return nil

@@ -206,14 +206,16 @@ func novelStore(n, factors int, next *uint64) *scanstore.Store {
 // another into an 8-shard snapshot, reporting the mean sweep and merge
 // step per delta from IngestReport.Steps. -benchtime 30x is thirty such
 // deltas. The 128-bit semiprimes take the bench's scan_ingest corpus
-// (32,768 keys) and deltas of 1 and 4 keys (a cluster sync pull or a
-// trickling bridge: the fixed cost of an ingest), of 100, of 128
-// (scan_ingest's direct-ingest batch) and of 256 (the zscan bridge's
-// largest batch, bridgeBatch). The wide case is 4,096 keys of 1,008
-// bits, each the product of sixteen 64-bit primes (the sweep sees only
-// their width; shard products as long as the narrow case's), under
-// 128-key deltas whose root, 2,048 limbs, is past scaledCrossover: the
-// paper's width, where the delta's tree takes the scaled descent.
+// (32,768 keys) and deltas of 1 and 4 keys (the fixed cost of an
+// ingest), of 16, 32 and 64 (where the cost per key falls as the
+// delta's tree amortises each shard product's fold), of 100 (about a
+// scan_ingest bridge batch), of 128 (scan_ingest's direct-ingest batch)
+// and of 256 (the zscan bridge's largest batch, bridgeBatch). The wide
+// case is 4,096 keys of 1,008 bits, each the product of sixteen 64-bit
+// primes (the sweep sees only their width; shard products as long as the
+// narrow case's), under 128-key deltas whose root, 2,048 limbs, is past
+// scaledCrossover: the paper's width, where the delta's tree takes the
+// scaled descent.
 func BenchmarkIngestBatch(b *testing.B) {
 	ctx := context.Background()
 	next := uint64(1 << 63)
@@ -221,7 +223,7 @@ func BenchmarkIngestBatch(b *testing.B) {
 		corpus, factors int
 		deltas          []int
 	}{
-		{32768, 2, []int{1, 4, 100, 128, 256}},
+		{32768, 2, []int{1, 4, 16, 32, 64, 100, 128, 256}},
 		{4096, 16, []int{128}},
 	} {
 		base, err := Build(ctx, BuildInput{Store: novelStore(c.corpus, c.factors, &next), Shards: DefaultShards})
@@ -307,42 +309,51 @@ func BenchmarkIngestBatchShared(b *testing.B) {
 	}
 }
 
-// TestIngestSweepAllocations holds a warm ingest sweep of 128 novel
-// 128-bit keys (scan_ingest's direct-ingest batch) against a 4,096-key, 8-shard
-// snapshot to an allocation budget. The delta's root reduction state is
-// derived once for all eight shard products and its tree descended and
-// GCD'd once: about 4,700 allocations and 0.6 MB a sweep, against
-// about 17,500 and 1.3 MB when each shard built its own Reducer and
-// descended and GCD'd the tree again. The budget, 8,750, is half of the
-// latter.
+// TestIngestSweepAllocations holds warm ingest sweeps against a
+// 4,096-key, 8-shard snapshot of 128-bit keys to allocation budgets.
+//
+// For a delta of 128 novel keys (scan_ingest's direct-ingest batch) the
+// delta's root reduction state is derived once for all eight shard
+// products and its tree descended and GCD'd once: about 4,700
+// allocations and 0.6 MB a sweep, against about 17,500 and 1.3 MB when
+// each shard built its own Reducer and descended and GCD'd the tree
+// again. The budget, 8,750, is half of the latter.
+//
+// A one-key delta makes 157 allocations and 105 KB a sweep (a fresh
+// Reducer's constants and a one-leaf tree, mate search included), as
+// measured when this case was added; the budget, 235, is half as much
+// again, so a change that adds an allocation per leaf or per shard to
+// the smallest ingest fails it.
 func TestIngestSweepAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const keys, delta, budget = 4096, 128, 8750
+	const keys = 4096
 	next := uint64(1 << 63)
 	snap, err := Build(context.Background(), BuildInput{Store: novelStore(keys, 2, &next), Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	moduli, _ := novelStore(delta, 2, &next).DistinctModuli()
 	ctx := context.Background()
-	if _, err := snap.sweep(ctx, moduli); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const calls = 20
-	for range calls {
+	for _, c := range []struct{ delta, budget uint64 }{{128, 8750}, {1, 235}} {
+		moduli, _ := novelStore(int(c.delta), 2, &next).DistinctModuli()
 		if _, err := snap.sweep(ctx, moduli); err != nil {
 			t.Fatal(err)
 		}
-	}
-	runtime.ReadMemStats(&after)
-	allocs := (after.Mallocs - before.Mallocs) / calls
-	t.Logf("a warm %d-key ingest sweep: %d bytes, %d allocations", delta, (after.TotalAlloc-before.TotalAlloc)/calls, allocs)
-	if allocs > budget {
-		t.Errorf("a warm %d-key ingest sweep makes %d allocations, budget %d", delta, allocs, budget)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const calls = 20
+		for range calls {
+			if _, err := snap.sweep(ctx, moduli); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		allocs := (after.Mallocs - before.Mallocs) / calls
+		t.Logf("a warm %d-key ingest sweep: %d bytes, %d allocations", c.delta, (after.TotalAlloc-before.TotalAlloc)/calls, allocs)
+		if allocs > c.budget {
+			t.Errorf("a warm %d-key ingest sweep makes %d allocations, budget %d", c.delta, allocs, c.budget)
+		}
 	}
 }
 
@@ -397,6 +408,130 @@ func TestIngestSweep(t *testing.T) {
 	}
 	if _, err := snap.sweep(ctx, []*big.Int{moduli[0], moduli[0]}); err == nil {
 		t.Error("sweep accepted a repeated modulus")
+	}
+}
+
+// TestSweepKeyAgrees holds a novel check's sweep of one key (sweepKey)
+// to an ingest's sweep of a delta holding it, on random snapshots, and
+// both to gcd(N, P) per shard product P: sweepKey's g is gcd(N, ∏ P),
+// and when g is N its per-shard divisors are the ingest's, where
+// otherwise it gives none. Snapshots have 1 to 8 shards, some empty and
+// some of them replicas owning a subset (every delta then holds keys
+// homed in unowned shards, foreign to the sweep). Deltas repeat members,
+// hold keys with both primes in one shard (degenerate: the divisor is
+// N) or split across two shards, share primes among themselves, and
+// every fourth delta shares with the corpus throughout.
+func TestSweepKeyAgrees(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(52))
+	pool := genPrimes(rng, 48)
+	corpusPrimes, freshPrimes := pool[:16], pool[16:]
+	pick := func(ps []*big.Int) *big.Int { return ps[rng.Intn(len(ps))] }
+	key := func(a, b []*big.Int) *big.Int { // of two distinct primes
+		for {
+			if p, q := pick(a), pick(b); p.Cmp(q) != 0 {
+				return mul(p, q)
+			}
+		}
+	}
+	seen := make(map[string]int) // how often each kind of divisor came up
+	for trial := 0; trial < 60; trial++ {
+		store := scanstore.New()
+		var members []*big.Int
+		for want := 4 + rng.Intn(28); len(members) < want; {
+			if n := key(corpusPrimes, corpusPrimes); indexOf(members, n) < 0 {
+				members = append(members, n)
+				store.AddBareKeyObservation("10.5.0.1", date(2016, 1, 1), scanstore.SourceCensys, scanstore.SSH, n)
+			}
+		}
+		in := BuildInput{Store: store, Shards: 1 + rng.Intn(8)}
+		if trial%3 == 1 {
+			in.OwnShards = []int{}
+			for si := 0; si < in.Shards; si++ {
+				if rng.Intn(2) == 0 {
+					in.OwnShards = append(in.OwnShards, si)
+				}
+			}
+		}
+		snap, err := Build(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var delta []*big.Int
+		for want := 1 + rng.Intn(48); len(delta) < want; {
+			var n *big.Int
+			switch k := rng.Intn(8); {
+			case k == 0:
+				n = pick(members)
+			case k < 3 || trial%4 == 0:
+				n = key(corpusPrimes, freshPrimes)
+			case k < 5:
+				n = key(corpusPrimes, corpusPrimes)
+			default:
+				n = key(freshPrimes, freshPrimes)
+			}
+			if indexOf(delta, n) < 0 {
+				delta = append(delta, n)
+			}
+		}
+		ingest, err := snap.sweep(ctx, delta)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for j, n := range delta {
+			check, g := snap.sweepKey(n)
+			all := new(big.Int).Set(one) // ∏ P over the shards with a product
+			for si, sh := range snap.shards {
+				if sh.forest == nil {
+					if ingest.byShard[si] != nil || check.byShard[si] != nil {
+						t.Fatalf("trial %d shard %d: divisors given for an empty shard", trial, si)
+					}
+					seen["empty"]++
+					continue
+				}
+				all.Mul(all, sh.product())
+				want := []*big.Int{nil}
+				if d := new(big.Int).GCD(nil, nil, n, sh.product()); d.Cmp(one) != 0 {
+					want[0] = d
+				}
+				if !sameInts(ingest.byShard[si][j:j+1], want) {
+					t.Errorf("trial %d shard %d key %d: ingest divisor %v, want %v", trial, si, j, ingest.byShard[si][j], want[0])
+				}
+				if got := check.byShard[si]; g.Cmp(n) < 0 || want[0] == nil {
+					if got != nil {
+						t.Errorf("trial %d shard %d key %d: check divisors %v, want none", trial, si, j, got)
+					}
+				} else if !sameInts(got, want) {
+					t.Errorf("trial %d shard %d key %d: check divisors %v, want %v", trial, si, j, got, want)
+				}
+			}
+			if want := new(big.Int).GCD(nil, nil, n, all); g.Cmp(want) != 0 || !sameInts(check.own, []*big.Int{nil}) {
+				t.Errorf("trial %d key %d: g %v and own %v, want %v and none", trial, j, g, check.own, want)
+			}
+			switch {
+			case g.Cmp(one) == 0:
+			case g.Cmp(n) < 0:
+				seen["proper"]++
+			case indexOf(members, n) >= 0:
+				seen["member"]++
+			case check.divisor(0, n).Cmp(n) == 0:
+				seen["degenerate"]++
+			default:
+				seen["split across shards"]++
+			}
+			if ingest.own[j] != nil {
+				seen["own"]++
+			}
+		}
+		if snap.own != nil && len(snap.Owned()) < len(snap.shards) {
+			seen["replica"]++
+		}
+	}
+	t.Logf("divisors and cases seen: %v", seen)
+	for _, kind := range []string{"proper", "member", "degenerate", "split across shards", "own", "replica", "empty"} {
+		if seen[kind] == 0 {
+			t.Errorf("no trial exercised %s; seen %v", kind, seen)
+		}
 	}
 }
 

@@ -116,8 +116,12 @@ type Simulation struct {
 	// sshPool tracks the Table 4 SSH host-key population.
 	sshHealthy []*big.Int
 	sshVuln    []*big.Int
-	mailKeys   map[scanstore.Protocol][]*big.Int
+	mailKeys   [][]*big.Int // index-aligned with mailProtocols
 }
+
+// mailProtocols are Table 4's mail scans, in the order their keys are
+// made and observed; a protocol's third address octet is its index + 1.
+var mailProtocols = []scanstore.Protocol{scanstore.POP3S, scanstore.IMAPS, scanstore.SMTPS}
 
 // New creates a simulation.
 func New(cfg Config) (*Simulation, error) {
@@ -612,13 +616,11 @@ func (s *Simulation) buildOtherProtocolKeys() error {
 		}
 		s.sshVuln = append(s.sshVuln, k.N)
 	}
-	s.mailKeys = make(map[scanstore.Protocol][]*big.Int)
-	for _, p := range []scanstore.Protocol{scanstore.POP3S, scanstore.IMAPS, scanstore.SMTPS} {
-		var keys []*big.Int
-		if err := mk(45, &keys); err != nil {
+	s.mailKeys = make([][]*big.Int, len(mailProtocols))
+	for o := range mailProtocols {
+		if err := mk(45, &s.mailKeys[o]); err != nil {
 			return err
 		}
-		s.mailKeys[p] = keys
 	}
 	return nil
 }
@@ -637,22 +639,9 @@ func (s *Simulation) observeOtherProtocols(store *scanstore.Store) {
 		i++
 	}
 	mailDate := time.Date(2016, 4, 25, 0, 0, 0, 0, time.UTC)
-	for proto, keys := range s.mailKeys {
-		for j, n := range keys {
-			store.AddBareKeyObservation(fmt.Sprintf("172.17.%d.%d", protoOctet(proto), j), mailDate, scanstore.SourceCensys, proto, n)
+	for o, proto := range mailProtocols {
+		for j, n := range s.mailKeys[o] {
+			store.AddBareKeyObservation(fmt.Sprintf("172.17.%d.%d", o+1, j), mailDate, scanstore.SourceCensys, proto, n)
 		}
-	}
-}
-
-func protoOctet(p scanstore.Protocol) int {
-	switch p {
-	case scanstore.POP3S:
-		return 1
-	case scanstore.IMAPS:
-		return 2
-	case scanstore.SMTPS:
-		return 3
-	default:
-		return 9
 	}
 }

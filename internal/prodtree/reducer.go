@@ -27,9 +27,10 @@ import (
 // operand's length and are kept: Reset points a Reducer at another
 // modulus, dropping the constants' values but not their storage or the
 // accumulators', so a caller reducing many operands under many short
-// moduli (a novel check's sweep of the shard products) can keep one
-// Reducer per goroutine, or pool them, and stop allocating a product's
-// length of scratch, and the constants, per modulus. Many operands
+// moduli (keycheck's sweepKey, a novel check's sweep of the shard
+// products) can keep one Reducer per goroutine, or pool them, and stop
+// allocating a product's length of scratch, and the constants, per
+// modulus. Many operands
 // under one modulus (an ingest's shard products against its delta's
 // root) go to ModEach, which derives the constants once, for the
 // longest, and folds the operands side by side on them; the ingest then
