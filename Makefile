@@ -59,8 +59,9 @@ race:
 # which they skip: sync.Pool drops items on purpose there, so a pooled
 # Reducer's scratch would count as allocated on every check. The
 # router's memo-hit guard in cluster holds under both and runs here too.
+# batchgcd's guard holds a warm FactorCtx to its budget.
 allocs:
-	$(GO) test -count=1 -run Allocations ./internal/keycheck ./internal/prodtree ./internal/cluster
+	$(GO) test -count=1 -run Allocations ./internal/keycheck ./internal/prodtree ./internal/cluster ./internal/batchgcd
 
 # e2e runs the process-level checks alone (they also run inside test and
 # race): TestMain builds every cmd/ and examples/ binary once into a

@@ -251,11 +251,11 @@ func BenchmarkProductTree(b *testing.B) {
 	}
 }
 
-// BenchmarkRemainderTreeVariants is the DESIGN.md ablation: the plain
-// remainder tree, the squared one (Bernstein's P mod N² trick, the
-// oracle) and the product-rule cofactor residues batch GCD runs: one
-// plain descent of the cofactor sum, which the build carried up with the
-// products (its cost is in BenchmarkProductTree).
+// BenchmarkRemainderTreeVariants is the DESIGN.md ablation: the squared
+// remainder tree (Bernstein's P mod N² trick, the oracle; its GCD sweep
+// is not timed) against the divisor pass batch GCD runs, one descent of
+// the cofactor sum the build carried up with the products (its cost is in
+// BenchmarkProductTree), pruned to one GCD per node of 16 limbs.
 func BenchmarkRemainderTreeVariants(b *testing.B) {
 	moduli := benchCorpus(b)[:1024]
 	tree, err := prodtree.New(moduli)
@@ -263,13 +263,6 @@ func BenchmarkRemainderTreeVariants(b *testing.B) {
 		b.Fatal(err)
 	}
 	root := tree.Root()
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := tree.RemainderTreeCtx(context.Background(), root); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("squared", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := tree.RemainderTreeSquaredCtx(context.Background(), root); err != nil {
@@ -277,9 +270,9 @@ func BenchmarkRemainderTreeVariants(b *testing.B) {
 			}
 		}
 	})
-	b.Run("cofactor", func(b *testing.B) {
+	b.Run("divisors", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := tree.CofactorResiduesCtx(context.Background()); err != nil {
+			if _, err := tree.DivisorsCtx(context.Background(), tree.CofactorSum()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -288,9 +281,10 @@ func BenchmarkRemainderTreeVariants(b *testing.B) {
 
 // BenchmarkSizeSweep is the first cut of ROADMAP item 5's size sweep:
 // one batch GCD per size and width, split into its passes. build (the
-// products with their derivatives), residues and sweep are timed around
-// the three Batch calls; reciprocal and down, the residues' descent,
-// come from the spans prodtree opens under a tracer. peak_rss_mb is the
+// products with their derivatives) and divisors are timed around the two
+// Batch calls; reciprocal, down (the descent to the pruning level) and
+// prune (the GCDs there and below) come from the spans prodtree opens
+// under a tracer. peak_rss_mb is the
 // process high-water mark, so run one sub-benchmark per process (see
 // EXPERIMENTS.md). Inputs are seeded random odd integers with a shared
 // prime planted in every 64th: the arithmetic cost depends on operand
@@ -314,24 +308,20 @@ func BenchmarkSizeSweep(b *testing.B) {
 						b.Fatal(err)
 					}
 					t1 := time.Now()
-					own, err := batch.OwnResidues(ctx)
-					if err != nil {
-						b.Fatal(err)
-					}
-					t2 := time.Now()
-					divs, err := batch.Divisors(ctx, own)
+					divs, err := batch.OwnDivisors(ctx)
 					if err != nil {
 						b.Fatal(err)
 					}
 					pass["build_s"] += t1.Sub(t0).Seconds()
-					pass["residues_s"] += t2.Sub(t1).Seconds()
-					pass["sweep_s"] += time.Since(t2).Seconds()
+					pass["divisors_s"] += time.Since(t1).Seconds()
 					for _, ev := range tracer.Events() {
 						switch ev.Name {
 						case "prodtree.reciprocal":
 							pass["reciprocal_s"] += ev.Dur / 1e6
 						case "prodtree.down":
 							pass["down_s"] += ev.Dur / 1e6
+						case "prodtree.prune":
+							pass["prune_s"] += ev.Dur / 1e6
 						}
 					}
 					for k, p := range planted {

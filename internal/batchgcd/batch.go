@@ -14,17 +14,17 @@ import (
 // distinct moduli N1..Nn under their product tree, with product
 // P = ∏Ni. Residues of any product over the batch multiply, so for a
 // corpus split into batches with products P, Q1..Qm the single-tree
-// quantity (G/Ni) mod Ni of the global product G = P·Q1·…·Qm is
+// divisor gcd(Ni, G/Ni) of the global product G = P·Q1·…·Qm is
 //
-//	OwnResidues(Q1, …, Qm)[i]  =  (P/Ni)·Q1·…·Qm  mod Ni
+//	OwnDivisors(Q1, …, Qm)[i]  =  gcd(Ni, (P/Ni)·Q1·…·Qm)
 //
-// and Divisors of it is exactly what one tree over the whole corpus
-// reports (the paper's Section 3.2). The callers differ only in how
-// they partition: one batch (FactorCtx), k round-robin batches
-// exchanging products (internal/distgcd), or a delta batch against
-// standing shard products (keycheck's Snapshot.Ingest, which needs each
-// shard's divisors apart: ForeignDivisors; a novel check reduces every
-// shard product mod its one key instead).
+// exactly what one tree over the whole corpus reports (the paper's
+// Section 3.2). The callers differ only in how they partition: one
+// batch (FactorCtx), k round-robin batches exchanging products
+// (internal/distgcd), or a delta batch against standing shard products
+// (keycheck's Snapshot.Ingest, which needs each shard's divisors apart:
+// ForeignDivisors; a novel check reduces every shard product mod its one
+// key instead).
 //
 // A Batch is immutable once built; its methods may run concurrently.
 type Batch struct {
@@ -65,29 +65,31 @@ func (b *Batch) Product() *big.Int { return b.tree.Root() }
 // Bytes is the product tree's approximate memory footprint.
 func (b *Batch) Bytes() int64 { return b.tree.Bytes() }
 
-// OwnResidues returns (P/Ni)·∏foreign mod Ni for every modulus: the
-// batch's own evidence by the product rule — NewBatch's tree carried
-// Σj P/Nj up with its products, it is reduced down the tree here, and
-// every term but P/Ni vanishes mod Ni (see prodtree.CofactorResiduesCtx)
-// — and that of each foreign product of moduli outside the batch,
-// multiplied in at the root so the tree is descended once however many
-// there are. foreign is not modified.
-func (b *Batch) OwnResidues(ctx context.Context, foreign ...*big.Int) ([]*big.Int, error) {
-	return b.tree.CofactorResiduesCtx(ctx, foreign...)
+// OwnDivisors returns gcd(Ni, (P/Ni)·∏foreign) per modulus, nil where
+// it is 1: what Ni shares with the rest of the batch — NewBatch's tree
+// carried Σj P/Nj up with its products, and every term but P/Ni is a
+// multiple of Ni (see prodtree.Tree.CofactorSum) — and with each foreign
+// product of moduli outside the batch, multiplied in at the root so the
+// tree is descended once however many there are. A subtree whose node
+// shares nothing is cleared by one GCD (see prodtree.Tree.DivisorsCtx).
+// A modulus both of whose primes are shared gets itself. foreign is not
+// modified.
+func (b *Batch) OwnDivisors(ctx context.Context, foreign ...*big.Int) ([]*big.Int, error) {
+	return b.tree.DivisorsCtx(ctx, b.tree.CofactorSum(), foreign...)
 }
 
 // ForeignDivisors returns, for each product qs[s] of moduli outside the
 // batch, gcd(Ni, qs[s]) per modulus, nil where it is 1: the primes Ni
 // shares with each product, apart. Every q is reduced mod P once, side
 // by side under one set of P's fold constants (Reducer.ModEach). The
-// residues' product mod P is pushed down the tree and GCD'd once: a
-// prime divides it exactly when it divides some q, so a modulus whose
-// divisor of it is 1 shares with no q. Only the others are split back
-// per q, as gcd(Ni, (q mod P) mod Ni), through a product tree of those
-// moduli alone (the batch's own when every modulus shares): each q mod
-// P descends it, so the split costs a small tree's descents where few
-// moduli share and no more than a descent per q where all do. qs is not
-// modified.
+// residues' product mod P takes one divisor pass of the tree: a prime
+// divides it exactly when it divides some q, so a modulus whose divisor
+// of it is 1 shares with no q. Only the others are split back per q, as
+// gcd(Ni, q mod P), through a product tree of those moduli alone (the
+// batch's own when every modulus shares): each q mod P takes a divisor
+// pass of it, so the split costs a small tree's passes where few moduli
+// share and no more than a pass per q where all do. Both kinds of pass
+// clear a subtree that shares nothing with one GCD. qs is not modified.
 func (b *Batch) ForeignDivisors(ctx context.Context, qs []*big.Int) ([][]*big.Int, error) {
 	if len(qs) == 0 {
 		return nil, nil
@@ -96,11 +98,7 @@ func (b *Batch) ForeignDivisors(ctx context.Context, qs []*big.Int) ([][]*big.In
 	if err != nil {
 		return nil, err
 	}
-	rems, err := b.tree.RemainderTreeCtx(ctx, tops[0], tops[1:]...)
-	if err != nil {
-		return nil, err
-	}
-	combined, err := b.Divisors(ctx, rems)
+	combined, err := b.tree.DivisorsCtx(ctx, tops[0], tops[1:]...)
 	if err != nil {
 		return nil, err
 	}
@@ -127,36 +125,17 @@ func (b *Batch) ForeignDivisors(ctx context.Context, qs []*big.Int) ([][]*big.In
 	}
 	errs := make([]error, len(tops))
 	err = kernel.FromContext(ctx).Run(ctx, len(tops), func(s int, _ *kernel.Arena) {
-		rems, err := sub.RemainderTreeCtx(ctx, tops[s])
+		got, err := sub.DivisorsCtx(ctx, tops[s])
 		if err != nil {
 			errs[s] = err
 			return
 		}
-		for k, g := range rems {
-			if g.GCD(nil, nil, g, shared[k]).Cmp(bigOne) != 0 {
-				divs[s][hits[k]] = g
-			}
+		for k, g := range got {
+			divs[s][hits[k]] = g
 		}
 	})
 	if err = errors.Join(append(errs, err)...); err != nil {
 		return nil, fmt.Errorf("batchgcd: split cancelled: %w", err)
-	}
-	return divs, nil
-}
-
-// Divisors returns gcd(Ni, acc[i]) per modulus, nil where it is 1. A
-// zero residue yields Ni itself: every prime of Ni is in the product.
-func (b *Batch) Divisors(ctx context.Context, acc []*big.Int) ([]*big.Int, error) {
-	divs := make([]*big.Int, len(acc))
-	err := kernel.FromContext(ctx).Run(ctx, len(acc), func(i int, a *kernel.Arena) {
-		g := a.Get()
-		g.GCD(nil, nil, acc[i], b.moduli[i])
-		if g.Cmp(bigOne) != 0 {
-			divs[i] = new(big.Int).Set(g)
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("batchgcd: gcd sweep cancelled: %w", err)
 	}
 	return divs, nil
 }

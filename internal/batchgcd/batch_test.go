@@ -3,6 +3,7 @@ package batchgcd
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/big"
 	"strings"
 	"testing"
@@ -18,10 +19,11 @@ func product(vals []*big.Int) *big.Int {
 }
 
 // TestBatchAgainstNaiveMod pins each Batch operation to plain big.Int
-// arithmetic: own residues are (P/Ni) mod Ni, foreign divisors gcd(q, Ni)
-// per foreign product q (nil where 1), own residues with foreign products
-// (P/Ni)·∏q mod Ni, Divisors the gcd with Ni (nil where 1) — and the
-// combined residues yield the divisors one tree over both halves reports.
+// arithmetic: own divisors are gcd(N, (P/N) mod N), own divisors with
+// foreign products gcd(N, (P/N)·∏q mod N), foreign divisors gcd(q, N)
+// per foreign product q, all nil where 1 — and the combined divisors are
+// what one tree over both halves reports, N itself where a product holds
+// both of its primes.
 func TestBatchAgainstNaiveMod(t *testing.T) {
 	ctx := context.Background()
 	ps := corpus(t, 21, 12, 48)
@@ -35,7 +37,7 @@ func TestBatchAgainstNaiveMod(t *testing.T) {
 	if b.Len() != len(ours) || b.Product().Cmp(product(ours)) != 0 || b.Bytes() <= 0 {
 		t.Fatalf("Len %d, Product %v, Bytes %d", b.Len(), b.Product(), b.Bytes())
 	}
-	own, err := b.OwnResidues(ctx)
+	own, err := b.OwnDivisors(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,46 +47,42 @@ func TestBatchAgainstNaiveMod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := b.OwnResidues(ctx, q1, q2)
+	all, err := b.OwnDivisors(ctx, q1, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q1.Cmp(q1Want) != 0 || q2.Cmp(q2Want) != 0 {
-		t.Error("ForeignDivisors or OwnResidues modified a foreign product")
+		t.Error("ForeignDivisors or OwnDivisors modified a foreign product")
+	}
+	// wantGCD checks got against gcd(n, v mod n), nil for 1.
+	wantGCD := func(what string, i int, got, n, v *big.Int) {
+		t.Helper()
+		want := new(big.Int).Mod(v, n)
+		want.GCD(nil, nil, want, n)
+		if want.Cmp(bigOne) == 0 && got != nil || want.Cmp(bigOne) != 0 && (got == nil || got.Cmp(want) != 0) {
+			t.Errorf("%s of modulus %d = %v, want %v (nil for 1)", what, i, got, want)
+		}
 	}
 	for i, n := range ours {
 		cofactor := new(big.Int).Quo(b.Product(), n)
-		if want := new(big.Int).Mod(cofactor, n); own[i].Cmp(want) != 0 {
-			t.Errorf("own residue %d = %v, want (P/N) mod N = %v", i, own[i], want)
-		}
+		wantGCD("own divisor", i, own[i], n, cofactor)
 		for s, q := range []*big.Int{q1, q2} {
-			want := new(big.Int).GCD(nil, nil, q, n)
-			if got := foreign[s][i]; want.Cmp(bigOne) == 0 && got != nil || want.Cmp(bigOne) != 0 && (got == nil || got.Cmp(want) != 0) {
-				t.Errorf("foreign divisor %d of product %d = %v, want gcd(q, N) = %v, nil for 1", i, s, got, want)
-			}
+			wantGCD(fmt.Sprintf("foreign divisor by product %d", s), i, foreign[s][i], n, q)
 		}
-		want := cofactor.Mul(cofactor, q1).Mul(cofactor, q2).Mod(cofactor, n)
-		if all[i].Cmp(want) != 0 {
-			t.Errorf("residue %d with foreign products = %v, want (P/N)·q1·q2 mod N = %v", i, all[i], want)
-		}
-	}
-	own = all
-	divs, err := b.Divisors(ctx, own)
-	if err != nil {
-		t.Fatal(err)
+		wantGCD("divisor with foreign products", i, all[i], n, cofactor.Mul(cofactor, q1).Mul(cofactor, q2))
 	}
 	for i, want := range []*big.Int{ps[0], ps[0], ps[1], nil} {
-		if (divs[i] == nil) != (want == nil) || (want != nil && divs[i].Cmp(want) != 0) {
-			t.Errorf("divisor %d = %v, want %v", i, divs[i], want)
+		if (all[i] == nil) != (want == nil) || (want != nil && all[i].Cmp(want) != 0) {
+			t.Errorf("divisor %d = %v, want %v", i, all[i], want)
 		}
 	}
-	// A zero residue means every prime of N is in the product.
-	zero, err := b.Divisors(ctx, []*big.Int{new(big.Int), big.NewInt(1), big.NewInt(1), big.NewInt(1)})
+	// A product holding both primes of N makes N its own divisor.
+	whole, err := b.OwnDivisors(ctx, mul(ps[5], ps[6]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if zero[0] == nil || zero[0].Cmp(ours[0]) != 0 || zero[1] != nil {
-		t.Errorf("divisors of a zero residue = %v, want N itself then nil", zero[:2])
+	if whole[3] == nil || whole[3].Cmp(ours[3]) != 0 || whole[2] != nil {
+		t.Errorf("divisors with a product of both primes = %v, want N itself at 3 and nil at 2", whole)
 	}
 }
 
@@ -139,18 +137,11 @@ func TestBatchSingleModulusAndDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	own, err := b.OwnResidues(ctx)
+	divs, err := b.OwnDivisors(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 1 || own[0].Cmp(bigOne) != 0 {
-		t.Fatalf("Len %d, own residue %v; want 1 and 1", b.Len(), own)
-	}
-	divs, err := b.Divisors(ctx, own)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if divs[0] != nil || len(b.Results(divs)) != 0 {
+	if b.Len() != 1 || divs[0] != nil || len(b.Results(divs)) != 0 {
 		t.Errorf("lone modulus reported vulnerable: %v", divs)
 	}
 	// Results fans a divisor out to every index that held the modulus.
@@ -198,18 +189,13 @@ func TestBatchCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	own, err := b.OwnResidues(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, errNew := NewBatch(ctx, moduli)
-	_, errOwn := b.OwnResidues(ctx)
+	_, errOwn := b.OwnDivisors(ctx)
 	_, errRes := b.ForeignDivisors(ctx, []*big.Int{ps[0], ps[1]})
-	_, errFor := b.OwnResidues(ctx, ps[0], ps[1])
-	_, errDiv := b.Divisors(ctx, own)
-	for op, err := range map[string]error{"NewBatch": errNew, "OwnResidues": errOwn, "ForeignDivisors": errRes, "OwnResidues(foreign)": errFor, "Divisors": errDiv} {
+	_, errFor := b.OwnDivisors(ctx, ps[0], ps[1])
+	for op, err := range map[string]error{"NewBatch": errNew, "OwnDivisors": errOwn, "ForeignDivisors": errRes, "OwnDivisors(foreign)": errFor} {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s on a cancelled context: err = %v, want wrapped context.Canceled", op, err)
 		}

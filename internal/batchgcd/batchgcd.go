@@ -4,17 +4,23 @@
 // Hastings, Fried and Heninger (IMC 2016).
 //
 // Given moduli N1..Nn the algorithm computes P = ∏Ni with a product tree,
-// reduces zi = (P/Ni) mod Ni with a remainder tree (see OwnResidues), and
-// reports gcd(Ni, zi) ≠ 1 whenever Ni shares a factor with at least one
-// other modulus in the batch. Total cost is quasilinear in the input size,
-// versus quadratic for the naive all-pairs comparison (also provided here
-// as the baseline the paper measures against).
+// reduces zi = (P/Ni) mod Ni with a remainder tree, and reports
+// gcd(Ni, zi) ≠ 1 whenever Ni shares a factor with at least one other
+// modulus in the batch. Here the remainder tree stops a few levels above
+// the leaves and takes the GCD with each node instead (see
+// Batch.OwnDivisors): a node sharing nothing, almost every node of a real
+// corpus, clears all the moduli below it at once, so no zi of an
+// unshared modulus is ever formed. Total cost is quasilinear in the input
+// size, versus quadratic for the naive all-pairs comparison (also
+// provided here as the baseline the paper measures against).
 package batchgcd
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math/big"
 )
 
@@ -44,20 +50,16 @@ func Factor(moduli []*big.Int) ([]Result, error) {
 }
 
 // FactorCtx is Factor with cancellation: the context is plumbed into the
-// product- and remainder-tree builds and into the final GCD sweep, all
-// scheduled on the shared internal/kernel pool with cancellation
-// checked per work chunk, so a cancelled run returns promptly with an
-// error wrapping the context's.
+// product tree's build and the divisor pass down it, both scheduled on
+// the shared internal/kernel pool with cancellation checked per work
+// chunk, so a cancelled run returns promptly with an error wrapping the
+// context's.
 func FactorCtx(ctx context.Context, moduli []*big.Int) ([]Result, error) {
 	b, err := NewBatch(ctx, moduli)
 	if err != nil {
 		return nil, err
 	}
-	own, err := b.OwnResidues(ctx)
-	if err != nil {
-		return nil, err
-	}
-	divs, err := b.Divisors(ctx, own)
+	divs, err := b.OwnDivisors(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -67,18 +69,44 @@ func FactorCtx(ctx context.Context, moduli []*big.Int) ([]Result, error) {
 var bigOne = big.NewInt(1)
 
 // Dedup returns the distinct moduli in first-seen order and, for each,
-// the list of original indices that held that value.
+// the list of original indices that held that value. Moduli are keyed by
+// magnitude through a seeded hash of their words, checked against the
+// value on a match. A modulus held once gets a one-index view of a
+// single shared array, so only repeats allocate lists of their own.
 func Dedup(moduli []*big.Int) (distinct []*big.Int, backrefs [][]int) {
-	seen := make(map[string]int, len(moduli))
+	seed := maphash.MakeSeed()
+	var buf []byte
+	seen := make(map[uint64]int, len(moduli)) // hash → the latest distinct index with it
+	var older map[int]int                     // distinct index → the one before it with its hash
+	first := make([]int, len(moduli))
+	distinct = make([]*big.Int, 0, len(moduli))
+	backrefs = make([][]int, 0, len(moduli))
 	for i, m := range moduli {
-		key := string(m.Bytes())
-		if j, ok := seen[key]; ok {
+		buf = buf[:0]
+		for _, w := range m.Bits() {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(w))
+		}
+		h := maphash.Bytes(seed, buf)
+		head, clash := seen[h]
+		j, ok := head, clash
+		for ok && distinct[j].CmpAbs(m) != 0 {
+			j, ok = older[j]
+		}
+		if ok {
 			backrefs[j] = append(backrefs[j], i)
 			continue
 		}
-		seen[key] = len(distinct)
+		j = len(distinct)
+		if clash {
+			if older == nil {
+				older = make(map[int]int)
+			}
+			older[j] = head
+		}
+		seen[h] = j
+		first[j] = i
 		distinct = append(distinct, m)
-		backrefs = append(backrefs, []int{i})
+		backrefs = append(backrefs, first[j:j+1:j+1]) // an append copies it out
 	}
 	return distinct, backrefs
 }

@@ -81,12 +81,12 @@ func TestFactorPooledMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestOwnResiduesMatchSquaredOracle holds OwnResidues to the route it
-// replaced, (P mod Ni²)/Ni off the squared remainder tree, through
-// NewBatch's dedup, on a serial and a pooled engine: shared-prime
-// pairs, exact duplicates, and a modulus both of whose primes are
-// shared (residue 0, so the divisor is the modulus itself).
-func TestOwnResiduesMatchSquaredOracle(t *testing.T) {
+// TestOwnDivisorsMatchSquaredOracle holds OwnDivisors to gcd(N, (P mod
+// N²)/N) off the squared remainder tree, Bernstein's route, through
+// NewBatch's dedup, on a serial and a pooled engine: shared-prime pairs,
+// exact duplicates, and a modulus both of whose primes are shared
+// (residue 0, so the divisor is the modulus itself).
+func TestOwnDivisorsMatchSquaredOracle(t *testing.T) {
 	serial := kernel.New(1)
 	pooled := kernel.New(8)
 	defer serial.Close()
@@ -102,29 +102,31 @@ func TestOwnResiduesMatchSquaredOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := b.tree.RemainderTreeSquaredCtx(sctx, b.Product())
+		oracle, err := b.tree.RemainderTreeSquaredCtx(sctx, b.Product())
 		if err != nil {
 			t.Fatal(err)
 		}
-		sown, err := b.OwnResidues(sctx)
+		sdivs, err := b.OwnDivisors(sctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pown, err := b.OwnResidues(pctx)
+		pdivs, err := b.OwnDivisors(pctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, m := range b.moduli {
-			if want[i].Quo(want[i], m); sown[i].Cmp(want[i]) != 0 || pown[i].Cmp(want[i]) != 0 {
-				t.Fatalf("n=%d: residue %d serial %v pooled %v, oracle %v", n, i, sown[i], pown[i], want[i])
+			want := oracle[i].Quo(oracle[i], m)
+			if want.GCD(nil, nil, want, m).Cmp(bigOne) == 0 {
+				want = nil
+			}
+			for _, got := range []*big.Int{sdivs[i], pdivs[i]} {
+				if (got == nil) != (want == nil) || got != nil && got.Cmp(want) != 0 {
+					t.Fatalf("n=%d: divisor %d serial %v pooled %v, oracle %v", n, i, sdivs[i], pdivs[i], want)
+				}
 			}
 		}
-		divs, err := b.Divisors(pctx, pown)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pown[0].Sign() != 0 || divs[0] == nil || divs[0].Cmp(both) != 0 {
-			t.Fatalf("n=%d: both primes shared: residue %v divisor %v, want 0 and the modulus", n, pown[0], divs[0])
+		if pdivs[0] == nil || pdivs[0].Cmp(both) != 0 {
+			t.Fatalf("n=%d: both primes shared: divisor %v, want the modulus", n, pdivs[0])
 		}
 	}
 }

@@ -226,8 +226,8 @@ func (n *node) buildTree(ctx context.Context) error {
 
 // reduceAll combines the evidence from every subset product into the
 // divisors the single-tree algorithm reports (see batchgcd.Batch): one
-// descent of the node's tree with every foreign product folded in at its
-// root, then one gcd per modulus.
+// divisor pass down the node's tree with every foreign product folded in
+// at its root.
 func (n *node) reduceAll(ctx context.Context, products []*big.Int) error {
 	sp := telemetry.SpanFrom(ctx).ChildTrack(fmt.Sprintf("node%d.reduce", n.id), n.id+1)
 	defer sp.End()
@@ -237,10 +237,7 @@ func (n *node) reduceAll(ctx context.Context, products []*big.Int) error {
 	foreign := append(append([]*big.Int(nil), products[:n.id]...), products[n.id+1:]...)
 	// k concurrent nodes queue these passes on one GOMAXPROCS-wide
 	// kernel pool instead of spawning k goroutine sets of their own.
-	acc, err := n.batch.OwnResidues(ctx, foreign...)
-	if err != nil {
-		return err
-	}
-	n.divisors, err = n.batch.Divisors(ctx, acc)
+	var err error
+	n.divisors, err = n.batch.OwnDivisors(ctx, foreign...)
 	return err
 }

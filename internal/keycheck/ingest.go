@@ -319,11 +319,7 @@ func (s *Snapshot) sweep(ctx context.Context, moduli []*big.Int) (*sweepResult, 
 		return nil, fmt.Errorf("keycheck: ingest: delta batch: %w", err)
 	}
 	sw := &sweepResult{byShard: make([][]*big.Int, len(s.shards)), mates: make([][]mate, len(s.shards))}
-	own, err := b.OwnResidues(ctx)
-	if err == nil {
-		sw.own, err = b.Divisors(ctx, own)
-	}
-	if err != nil {
+	if sw.own, err = b.OwnDivisors(ctx); err != nil {
 		return nil, fmt.Errorf("keycheck: ingest: delta batch GCD: %w", err)
 	}
 	var treed []int // shards that actually hold a product

@@ -75,12 +75,12 @@ func TestCofactorResiduesMatchSquaredOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := squaredOracle(t, sctx, tree)
-		got, err := tree.CofactorResiduesCtx(sctx)
+		got, err := descent(sctx, tree, tree.cofactors)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mustEqualSlices(t, "CofactorResidues vs squared oracle", n, want, got)
-		pgot, err := tree.CofactorResiduesCtx(pctx)
+		pgot, err := descent(pctx, tree, tree.cofactors)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,15 +96,15 @@ func TestCofactorResiduesMatchSquaredOracle(t *testing.T) {
 	}
 }
 
-// TestCofactorResiduesSingleLeafIsFresh: callers fold into the returned
-// slice in place, so the lone 1 must be theirs alone — not the D(leaf)
-// value the leaves share, and not a previous call's.
+// TestCofactorResiduesSingleLeafIsFresh: the descent's residues are the
+// caller's to fold into in place, so the lone 1 must be theirs alone —
+// not the D(leaf) value the leaves share, and not a previous call's.
 func TestCofactorResiduesSingleLeafIsFresh(t *testing.T) {
 	tree, err := New([]*big.Int{big.NewInt(77)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := tree.CofactorResiduesCtx(context.Background())
+	first, err := descent(context.Background(), tree, tree.cofactors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestCofactorResiduesSingleLeafIsFresh(t *testing.T) {
 		t.Fatalf("single leaf residues = %v, want [1]", first)
 	}
 	first[0].SetInt64(42)
-	second, err := tree.CofactorResiduesCtx(context.Background())
+	second, err := descent(context.Background(), tree, tree.cofactors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +136,10 @@ func (c countdownCtx) Err() error {
 }
 
 // TestCofactorResiduesCancelledMidPass cancels at every checkpoint of
-// the build and the descent in turn: each must surface as an error
-// wrapping the context's, and both the build, which forms the cofactor
-// sum, and the descent must be reached.
+// the build and the divisor pass of the cofactor sum in turn: each must
+// surface as an error wrapping the context's, and the build, which forms
+// the cofactor sum, the descent and the pruning level must all be
+// reached.
 func TestCofactorResiduesCancelledMidPass(t *testing.T) {
 	eng := kernel.New(1)
 	defer eng.Close()
@@ -150,7 +151,7 @@ func TestCofactorResiduesCancelledMidPass(t *testing.T) {
 		ctx := countdownCtx{kernel.With(context.Background(), eng), left}
 		tree, err := NewCtx(ctx, vals)
 		if err == nil {
-			_, err = tree.CofactorResiduesCtx(ctx)
+			_, err = tree.DivisorsCtx(ctx, tree.CofactorSum())
 		}
 		if err == nil {
 			break
@@ -158,14 +159,14 @@ func TestCofactorResiduesCancelledMidPass(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled at checkpoint %d: err = %v, want wrapped context.Canceled", k, err)
 		}
-		for _, pass := range []string{"build", "remainder tree"} {
+		for _, pass := range []string{"build", "remainder tree", "divisor pass"} {
 			if strings.Contains(err.Error(), pass) {
 				seen[pass]++
 			}
 		}
 	}
-	if seen["build"] == 0 || seen["remainder tree"] == 0 {
-		t.Fatalf("cancellations seen per pass: %v, want both passes", seen)
+	if seen["build"] == 0 || seen["remainder tree"] == 0 || seen["divisor pass"] == 0 {
+		t.Fatalf("cancellations seen per pass: %v, want all three", seen)
 	}
 }
 
@@ -206,8 +207,9 @@ func TestTreeCarriesCofactorSum(t *testing.T) {
 }
 
 // TestPerLevelSpans: under a tracer every pass opens one span per level
-// it works on, carrying the level's shape; without one the span
-// plumbing allocates nothing.
+// it works on, carrying the level's shape — the divisor pass one per
+// level it descends and one for the pruning level, below which it opens
+// none; without one the span plumbing allocates nothing.
 func TestPerLevelSpans(t *testing.T) {
 	vals := randInts(5, 37, 64)
 	tracer := telemetry.NewTracer()
@@ -217,14 +219,18 @@ func TestPerLevelSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tree.CofactorResiduesCtx(ctx); err != nil {
+	if _, err := tree.DivisorsCtx(ctx, tree.CofactorSum()); err != nil {
 		t.Fatal(err)
 	}
 	levels := len(tree.Levels)
+	const prune = 4 // the first level of 16 one-limb leaves a node
 	count := map[string]int{}
 	for _, ev := range tracer.Events() {
 		count[ev.Name]++
 		lvl, _ := ev.Args["level"].(int)
+		if ev.Name == "prodtree.down" && lvl <= prune || ev.Name == "prodtree.prune" && lvl != prune {
+			t.Errorf("%s span at level %d, pruning at %d", ev.Name, lvl, prune)
+		}
 		if nodes, _ := ev.Args["nodes"].(int); nodes != len(tree.Levels[lvl]) {
 			t.Errorf("%s level %d: nodes = %v, want %d", ev.Name, lvl, ev.Args["nodes"], len(tree.Levels[lvl]))
 		}
@@ -233,9 +239,10 @@ func TestPerLevelSpans(t *testing.T) {
 		}
 	}
 	// The build produces every level above the leaves, with its
-	// derivatives; down reduces against every level, the root included.
-	// There is no other pass.
-	want := map[string]int{"prodtree.build": levels - 1, "prodtree.down": levels}
+	// derivatives; down reduces against every level above the pruning
+	// level, the root included, and prune takes the GCDs there. There is
+	// no other pass.
+	want := map[string]int{"prodtree.build": levels - 1, "prodtree.down": levels - 1 - prune, "prodtree.prune": 1}
 	for name, n := range count {
 		if want[name] != n {
 			t.Errorf("%s spans = %d, want %d (tree has %d levels)", name, n, want[name], levels)

@@ -84,11 +84,11 @@ func TestPooledBuildsMatchSerial(t *testing.T) {
 		mustEqualSlices(t, "RemainderTreeSquared", n, srem, prem)
 
 		x := new(big.Int).Add(st.Root(), big.NewInt(12345))
-		sr2, err := st.RemainderTreeCtx(sctx, x)
+		sr2, err := descent(sctx, st, x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr2, err := pt.RemainderTreeCtx(pctx, x)
+		pr2, err := descent(pctx, pt, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,13 +173,17 @@ func TestNoArenaAliasingInResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The build sums an arena product into each pair's derivative below
-	// the transform, and the cofactor descent divides with an arena
-	// quotient.
-	cofs, err := tree.CofactorResiduesCtx(ctx)
+	// the transform, the descent divides with an arena quotient, and the
+	// divisor pass takes its GCDs into arena values.
+	divs, err := tree.DivisorsCtx(ctx, tree.CofactorSum())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rems = append(rems, cofs...)
+	for _, d := range divs {
+		if d != nil {
+			rems = append(rems, d)
+		}
+	}
 
 	// Deep-copy the expected values, then scribble over every arena
 	// scratch slot the engine can produce.

@@ -9,7 +9,11 @@
 // A remainder tree then pushes a value (a foreign product, or that
 // cofactor sum) back down it, reducing modulo each node, so that the
 // value modulo every individual leaf is obtained in quasilinear total
-// time instead of n independent divisions by a huge number.
+// time instead of n independent divisions by a huge number. Batch GCD
+// wants only gcd(leaf, value), and almost every one is 1, so
+// Tree.DivisorsCtx stops the descent a few levels above the leaves and
+// takes one GCD per node there: a GCD of 1 clears every leaf below the
+// node at once, and only the subtrees that share are descended further.
 //
 // The paper scaled this computation to 81 million moduli by splitting the
 // input into k subsets (see internal/distgcd); this package provides the
@@ -35,7 +39,7 @@ import (
 type Tree struct {
 	Levels [][]*big.Int
 	// cofactors is D(root) = Σj P/Nj, built with the levels: the value
-	// CofactorResiduesCtx pushes down them. Shared; never modified.
+	// batch GCD pushes down them (see CofactorSum). Shared; never modified.
 	cofactors *big.Int
 }
 
@@ -136,6 +140,14 @@ func (t *Tree) Root() *big.Int {
 	return top[0]
 }
 
+// CofactorSum returns D(root) = Σj P/Nj, P the root, carried up by the
+// build: every term but P/Ni is a multiple of leaf Ni, so it is (P/Ni)
+// mod Ni at leaf i, and DivisorsCtx of it gives gcd(Ni, P/Ni), what Ni
+// shares with the other leaves — the same value as Bernstein's
+// (P mod Ni²)/Ni, with operands half as wide and no squarings. Shared
+// with the tree; do not modify.
+func (t *Tree) CofactorSum() *big.Int { return t.cofactors }
+
 // Bytes returns the approximate memory footprint of all node values and
 // the cofactor sum in bytes. The paper reports 70-100 GB per node at the
 // 81M-moduli scale; the benchmark harness uses this to reproduce the
@@ -169,47 +181,43 @@ func endLevel(sp *telemetry.Span, lvl int, nodes []*big.Int) {
 	sp.End()
 }
 
-// RemainderTreeCtx pushes x·∏foreign down the product tree: it returns
-// x·∏foreign mod leaf for every leaf, computed with one reduction per
-// tree node; the first, x mod root, through a Reducer, so x may be many
-// roots long. The foreign values are multiplied in mod the root, as in
-// CofactorResiduesCtx, so the tree is descended once however many there
-// are. From a root of scaledCrossover limbs the top levels take
-// multiplications instead of divisions (see scaledTop). Nothing passed
-// in is modified. Cancellation is checked between tree levels like
-// NewCtx.
-//
-// This is the plain variant (reduce modulo N); batch GCD pushes the
-// cofactor sum down it (see CofactorResiduesCtx).
-func (t *Tree) RemainderTreeCtx(ctx context.Context, x *big.Int, foreign ...*big.Int) ([]*big.Int, error) {
-	return t.remainderTree(ctx, x, false, foreign)
-}
-
 // RemainderTreeSquaredCtx returns x mod leaf² for every leaf. Bernstein's
 // batch GCD trick: computing P mod Ni² and then gcd(Ni, (P mod Ni²)/Ni)
 // finds the common factor of Ni with the rest of the batch without ever
 // forming the exact cofactor P/Ni. Production code takes the cheaper
-// CofactorResiduesCtx; this stays as the oracle its tests compare against.
+// DivisorsCtx of the cofactor sum; this stays as the oracle its tests
+// compare against.
 func (t *Tree) RemainderTreeSquaredCtx(ctx context.Context, x *big.Int) ([]*big.Int, error) {
-	return t.remainderTree(ctx, x, true, nil)
+	_, rems, err := t.remainderTree(ctx, x, true, nil, 0)
+	return rems, err
 }
 
-// remainderTree returns x·∏foreign mod each leaf (mod leaf² if squared,
-// which takes no foreign products).
-func (t *Tree) remainderTree(ctx context.Context, x *big.Int, squared bool, foreign []*big.Int) ([]*big.Int, error) {
+// remainderTree pushes x·∏foreign down the tree (x mod node² if
+// squared, which takes no foreign products) and returns its value mod
+// every node of the lowest level it reached, with that level: stop,
+// unless the scaled top (see scaledTop) ended below it, or, for a stop
+// above the root, len(t.Levels) with the one value x, the foreign
+// products folded in mod the root. The descent reduces once per node;
+// the first step, x mod root, goes through a Reducer, so x may be many
+// roots long, and the foreign products are multiplied in mod the root,
+// so the tree is descended once however many there are. From a root of
+// scaledCrossover limbs the top levels take multiplications instead of
+// divisions. Nothing passed in is modified. Cancellation is checked per
+// work chunk.
+func (t *Tree) remainderTree(ctx context.Context, x *big.Int, squared bool, foreign []*big.Int, stop int) (int, []*big.Int, error) {
 	eng := kernel.FromContext(ctx)
 	cur := []*big.Int{x}
-	top := len(t.Levels) - 1
-	root := t.Levels[top][0]
+	at := len(t.Levels) // cur's level
+	root := t.Levels[at-1][0]
 	switch {
-	case !squared && top >= 1 && limbs(root.Bits()) >= scaledCrossover:
+	case !squared && at >= 2 && limbs(root.Bits()) >= scaledCrossover:
 		// Multiplications only, down to the first level below the
 		// crossover; the division descent takes over below that.
 		lvl, rems, err := t.scaledTop(ctx, x, foreign)
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
-		cur, top = rems, lvl-1
+		cur, at = rems, lvl
 	case len(foreign) > 0:
 		red := NewReducer(root)
 		z := red.Mod(new(big.Int), x)
@@ -219,7 +227,7 @@ func (t *Tree) remainderTree(ctx context.Context, x *big.Int, squared bool, fore
 		}
 		cur = []*big.Int{z}
 	}
-	if squared && top >= 1 {
+	if squared && at >= 2 {
 		// The first descent step would reduce x mod root². For the
 		// canonical batch-GCD call x IS the root product, so x < root²
 		// and the reduction is a no-op — yet forming root² is a
@@ -228,10 +236,10 @@ func (t *Tree) remainderTree(ctx context.Context, x *big.Int, squared bool, fore
 		// alone: bitlen(x) <= 2*bitlen(root)-2 implies
 		// x < 2^(2b-2) <= root².
 		if x.BitLen() <= 2*root.BitLen()-2 {
-			top--
+			at--
 		}
 	}
-	for lvl := top; lvl >= 0; lvl-- {
+	for lvl := at - 1; lvl >= stop; lvl-- {
 		nodes := t.Levels[lvl]
 		next := make([]*big.Int, len(nodes))
 		sp := telemetry.SpanFrom(ctx).Child("prodtree.down")
@@ -259,22 +267,85 @@ func (t *Tree) remainderTree(ctx context.Context, x *big.Int, squared bool, fore
 			}
 		})
 		if err != nil {
-			return nil, fmt.Errorf("prodtree: remainder tree cancelled at level %d: %w", lvl, err)
+			return 0, nil, fmt.Errorf("prodtree: remainder tree cancelled at level %d: %w", lvl, err)
 		}
 		endLevel(sp, lvl, nodes)
-		cur = next
+		cur, at = next, lvl
 	}
-	return cur, nil
+	return at, cur, nil
 }
 
-// CofactorResiduesCtx returns (P/leaf)·∏foreign mod leaf for every leaf,
-// P the root: the value gcd'd against each modulus by batch GCD. The
-// tree's cofactor sum D(root) = Σj P/Nj has every term but P/Ni a
-// multiple of Ni, so pushing it down the plain remainder tree leaves
-// (P/Ni) mod Ni at leaf i — the same value as (P mod Ni²)/Ni, with
-// operands half as wide and no squarings. The foreign products are
-// multiplied into D(root) mod P at the root, so however many there are
-// the tree is descended once. Cancellation is checked per work chunk.
-func (t *Tree) CofactorResiduesCtx(ctx context.Context, foreign ...*big.Int) ([]*big.Int, error) {
-	return t.remainderTree(ctx, t.cofactors, false, foreign)
+// pruneLimbs is the node length in limbs at which DivisorsCtx stops
+// descending residues and tests nodes by GCD instead: level 3 at 128-bit
+// leaves, the leaves themselves at 1,024 bits (see EXPERIMENTS.md,
+// "Batch GCD's leaf end, pruned").
+const pruneLimbs = 16
+
+// DivisorsCtx returns gcd(leaf, x·∏foreign) for every leaf, nil where it
+// is 1. Batch GCD passes the cofactor sum (see CofactorSum), whose
+// divisor at leaf Ni is what Ni shares with the other leaves, and the
+// products of moduli outside the tree as foreign.
+//
+// The residue y = x·∏foreign mod node descends the tree only to the
+// pruning level, the lowest whose nodes reach pruneLimbs limbs. There
+// one kernel op per node takes g = gcd(node, y) from its parent's
+// residue: every leaf below divides the node, so gcd(leaf, y) =
+// gcd(leaf, g), and g = 1, almost every node when few moduli share,
+// clears the whole subtree with no residue below it formed and nothing
+// below it allocated. Under a node with g ≠ 1 each child is tested
+// against g the same way, on one arena value per node descended from,
+// and only a divisor ≠ 1 is allocated. Nothing passed in is modified;
+// the divisors are fresh. Cancellation is checked per work chunk.
+func (t *Tree) DivisorsCtx(ctx context.Context, x *big.Int, foreign ...*big.Int) ([]*big.Int, error) {
+	prune := t.pruneLevel()
+	// The residues of the level above: the pruning op's GCD reduces its
+	// parent's residue as its first step. A scaled top may end at or below
+	// the pruning level, whose residues are then the op's own.
+	at, rems, err := t.remainderTree(ctx, x, false, foreign, prune+1)
+	if err != nil {
+		return nil, err
+	}
+	lvl := min(prune, at)
+	nodes := t.Levels[lvl]
+	divs := make([]*big.Int, len(t.Levels[0]))
+	sp := telemetry.SpanFrom(ctx).Child("prodtree.prune")
+	err = kernel.FromContext(ctx).Run(ctx, len(nodes), func(i int, a *kernel.Arena) {
+		g := a.Get().GCD(nil, nil, nodes[i], rems[i>>(at-lvl)])
+		t.collect(lvl, i, g, divs, a)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("prodtree: divisor pass cancelled at level %d: %w", lvl, err)
+	}
+	endLevel(sp, lvl, nodes)
+	return divs, nil
+}
+
+// pruneLevel is the lowest level whose first node reaches pruneLimbs
+// limbs, or the root's when none does.
+func (t *Tree) pruneLevel() int {
+	for lvl, nodes := range t.Levels {
+		if limbs(nodes[0].Bits()) >= pruneLimbs {
+			return lvl
+		}
+	}
+	return len(t.Levels) - 1
+}
+
+// collect sets the divisors of the leaves under node i of level lvl,
+// given g = gcd(node, y) for the y whose divisors are sought: nothing
+// where g = 1, g itself at a leaf, and otherwise each child's own
+// gcd(child, g), which is gcd(child, y) since the child divides the node.
+func (t *Tree) collect(lvl, i int, g *big.Int, divs []*big.Int, a *kernel.Arena) {
+	if g.Cmp(one) == 0 {
+		return
+	}
+	if lvl == 0 {
+		divs[i] = new(big.Int).Set(g)
+		return
+	}
+	kids := t.Levels[lvl-1]
+	gc := a.Get() // free again once the left child's subtree is done
+	for j := 2 * i; j < min(2*i+2, len(kids)); j++ {
+		t.collect(lvl-1, j, gc.GCD(nil, nil, kids[j], g), divs, a)
+	}
 }

@@ -22,6 +22,13 @@ func randInts(seed int64, n, bits int) []*big.Int {
 	return out
 }
 
+// descent is the unpruned plain descent DivisorsCtx stops short of:
+// x·∏foreign mod every leaf.
+func descent(ctx context.Context, tr *Tree, x *big.Int, foreign ...*big.Int) ([]*big.Int, error) {
+	_, rems, err := tr.remainderTree(ctx, x, false, foreign, 0)
+	return rems, err
+}
+
 // remainders runs the plain or squared remainder tree uncancelled.
 func remainders(t *testing.T, tr *Tree, x *big.Int, squared bool) []*big.Int {
 	t.Helper()
@@ -30,7 +37,7 @@ func remainders(t *testing.T, tr *Tree, x *big.Int, squared bool) []*big.Int {
 	if squared {
 		rems, err = tr.RemainderTreeSquaredCtx(context.Background(), x)
 	} else {
-		rems, err = tr.RemainderTreeCtx(context.Background(), x)
+		rems, err = descent(context.Background(), tr, x)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -366,8 +373,11 @@ func TestRemainderTreeCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tr.RemainderTreeCtx(ctx, tr.Root()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RemainderTreeCtx err = %v, want wrapped context.Canceled", err)
+	if _, err := descent(ctx, tr, tr.Root()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("plain descent err = %v, want wrapped context.Canceled", err)
+	}
+	if _, err := tr.DivisorsCtx(ctx, tr.Root()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("DivisorsCtx err = %v, want wrapped context.Canceled", err)
 	}
 	if _, err := tr.RemainderTreeSquaredCtx(ctx, tr.Root()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RemainderTreeSquaredCtx err = %v, want wrapped context.Canceled", err)

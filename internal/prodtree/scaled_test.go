@@ -55,7 +55,7 @@ func TestScaledDescentMatchesDivision(t *testing.T) {
 			"someleaf": some,
 		}
 		for xname, x := range xs {
-			got, err := tree.RemainderTreeCtx(ctx, x)
+			got, err := descent(ctx, tree, x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,11 +80,11 @@ func TestScaledDescentMatchesDivision(t *testing.T) {
 		// longer, one a multiple of some leaves.
 		f1 := new(big.Int).Rand(rng, root)
 		f2 := new(big.Int).Rand(rng, new(big.Int).Mul(root, root))
-		got, err := tree.CofactorResiduesCtx(ctx, f1, f2, some)
+		got, err := descent(ctx, tree, tree.cofactors, f1, f2, some)
 		if err != nil {
 			t.Fatal(err)
 		}
-		own, err := tree.CofactorResiduesCtx(ctx)
+		own, err := descent(ctx, tree, tree.cofactors)
 		if err != nil {
 			t.Fatal(err)
 		}
